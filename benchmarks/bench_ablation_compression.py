@@ -1,16 +1,16 @@
-"""Ablation — compressed vs raw cube pages.
+"""Ablation — sparse-encoded (v3) vs raw (v1) cube pages.
 
 RASED stores each cube as a raw fixed-size page ("~4 MB of storage,
 which directly fits in one disk page", Section VI-A).  Real cubes are
-extremely sparse, so compressing pages is the obvious alternative
-design; this ablation quantifies the trade RASED made:
+extremely sparse, so encoding only the nonzero cells is the obvious
+alternative design; this ablation quantifies the trade RASED made:
 
-* **storage**: compressed pages shrink dramatically (sparse int64);
-* **maintenance**: writes pay deflate CPU;
-* **query**: every cube read pays inflate CPU on top of the page I/O.
+* **storage**: delta+RLE pages shrink dramatically (sparse int64);
+* **maintenance**: writes pay the encode CPU;
+* **query**: every cube read pays the decode CPU on top of the page I/O.
 
-With page I/O at HDD latencies the inflate cost is noise and
-compression looks free — but RASED's design keeps raw pages so a page
+With page I/O at HDD latencies the decode cost is noise and the
+encoding looks free — but RASED's design keeps raw pages so a page
 maps 1:1 onto a disk block and cached cubes need no decode; we report
 both sides so the choice is visible.
 
@@ -29,6 +29,7 @@ from repro.core.optimizer import LevelOptimizer
 from repro.core.executor import QueryExecutor
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import InMemoryDisk
+from repro.storage.serializer import PAGE_VERSION_RAW, PAGE_VERSION_SPARSE
 
 from common import READ_LATENCY, WRITE_LATENCY, make_schema, print_table, synthetic_day_updates
 
@@ -48,9 +49,9 @@ def year_updates():
     return schema, updates
 
 
-def _build(schema, updates, compress: bool):
+def _build(schema, updates, page_version: int):
     disk = InMemoryDisk(read_latency=READ_LATENCY, write_latency=WRITE_LATENCY)
-    index = HierarchicalIndex(schema, disk, compress=compress)
+    index = HierarchicalIndex(schema, disk, page_version=page_version)
     index.bulk_load(updates)
     disk.reset_stats()
     return index, disk
@@ -61,8 +62,8 @@ def bench_ablation_compression(benchmark, year_updates):
 
     def sweep():
         results = {}
-        for compress in (False, True):
-            index, disk = _build(schema, updates, compress)
+        for version in (PAGE_VERSION_RAW, PAGE_VERSION_SPARSE):
+            index, disk = _build(schema, updates, version)
             executor = QueryExecutor(index, optimizer=LevelOptimizer(index))
             queries = [
                 AnalysisQuery(
@@ -76,7 +77,7 @@ def bench_ablation_compression(benchmark, year_updates):
             total_sim = 0.0
             for query in queries:
                 total_sim += executor.execute(query).stats.simulated_seconds
-            results[compress] = {
+            results[version] = {
                 "stored_bytes": disk.stored_bytes,
                 "avg_query_ms": 1000.0 * total_sim / len(queries),
                 "pages": index.total_pages(),
@@ -84,25 +85,26 @@ def bench_ablation_compression(benchmark, year_updates):
         return results
 
     results = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    raw, sparse = results[PAGE_VERSION_RAW], results[PAGE_VERSION_SPARSE]
 
     header = ["pages", "stored", "avg query ms"]
     rows = [
         [
-            str(results[False]["pages"]),
-            f"{results[False]['stored_bytes'] / 1e6:.1f} MB (raw)",
-            f"{results[False]['avg_query_ms']:.2f}",
+            str(raw["pages"]),
+            f"{raw['stored_bytes'] / 1e6:.1f} MB (raw)",
+            f"{raw['avg_query_ms']:.2f}",
         ],
         [
-            str(results[True]["pages"]),
-            f"{results[True]['stored_bytes'] / 1e6:.1f} MB (zlib)",
-            f"{results[True]['avg_query_ms']:.2f}",
+            str(sparse["pages"]),
+            f"{sparse['stored_bytes'] / 1e6:.1f} MB (v3)",
+            f"{sparse['avg_query_ms']:.2f}",
         ],
     ]
-    print_table("Ablation: raw vs compressed cube pages (1 year)", header, rows)
+    print_table("Ablation: raw (v1) vs sparse (v3) cube pages (1 year)", header, rows)
 
-    # Sparse cubes compress at least 3x...
-    assert results[True]["stored_bytes"] < results[False]["stored_bytes"] / 3
+    # Sparse cubes encode at least 3x smaller...
+    assert sparse["stored_bytes"] < raw["stored_bytes"] / 3
     # ...while query latency stays I/O-dominated (within 50%).
-    assert results[True]["avg_query_ms"] < results[False]["avg_query_ms"] * 1.5
-    # Identical page counts — compression changes bytes, not structure.
-    assert results[True]["pages"] == results[False]["pages"]
+    assert sparse["avg_query_ms"] < raw["avg_query_ms"] * 1.5
+    # Identical page counts — the encoding changes bytes, not structure.
+    assert sparse["pages"] == raw["pages"]

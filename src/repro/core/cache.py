@@ -36,12 +36,7 @@ from dataclasses import dataclass
 from repro.core.calendar import Level, TemporalKey
 from repro.core.cube import AnyCube
 from repro.core.hierarchy import HierarchicalIndex
-from repro.errors import (
-    ConfigError,
-    CubeNotFoundError,
-    PageCorruptError,
-    PageNotFoundError,
-)
+from repro.errors import DEGRADABLE_READ_ERRORS, ConfigError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.storage.serializer import cube_page_size
 
@@ -209,7 +204,7 @@ class CacheManager:
             return
         try:
             cube = self.index.get(key)  # disk read outside the lock
-        except (CubeNotFoundError, PageCorruptError, PageNotFoundError):
+        except DEGRADABLE_READ_ERRORS:
             with self._lock:
                 stale = self._cubes.pop(key, None)
                 if stale is not None:

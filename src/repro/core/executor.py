@@ -1,18 +1,31 @@
-"""Query execution: plan, fetch cubes, aggregate in memory.
+"""Query execution: one pipeline — windows → plan → gather → shape.
 
 The executor realizes the paper's two-phase design (Section VII):
 
 * **Phase 1 (disk-bound):** the level optimizer picks the cube set
-  covering the query's date range with the fewest disk reads; cubes
-  come from the cache when resident, from the page store otherwise.
+  covering a date range with the fewest disk reads; cubes come from
+  the cache when resident, from the page store otherwise.
 * **Phase 2 (in-memory):** each cube is filtered and reduced along the
   non-grouped dimensions with numpy, and the partial arrays are summed
   across cubes into the final table.
 
-Grouping by *Date* makes the time axis part of the output: the range
-is split into periods of the query's ``date_granularity`` and each
-period is planned and aggregated independently, yielding one time
-series point per period.
+**A query is a list of windows.**  Grouping by *Date* splits the range
+into periods of the query's ``date_granularity``, one time-series
+point each; any other query is the one-window case.  Every window is
+planned against one cache snapshot, the planned keys — tagged with
+their window's position — go through one seam,
+:meth:`QueryExecutor._gather`, and the reduced array that comes back
+per position is shaped into rows.
+
+**One local gather** (:func:`local_gather`) does all cube work over an
+``(index, cache)`` pair: cache lookup, page reads for the misses,
+``aggregate_array`` per cube, one ``sum_arrays`` per window.  This
+executor *is* one local gather over the whole index;
+:class:`repro.core.shard.ScatterGatherExecutor` overrides only the
+seam, running one local gather per shard and adding the exact int64
+partials.  With an :class:`~repro.core.iosched.IOScheduler` wired the
+misses are read as one overlapped, single-flighted batch; without one
+they are read one at a time, in plan order.
 
 Response-time accounting mirrors the reproduction's simulated disk:
 ``wall_seconds`` is real elapsed time, while ``simulated_seconds``
@@ -23,12 +36,14 @@ the quantity comparable to the paper's reported milliseconds.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.cache import HIT_KEYS, MISS_KEYS, CacheManager
-from repro.core.calendar import TemporalKey, series_periods
+from repro.core.calendar import Level, TemporalKey, series_periods
 from repro.core.cube import AnyCube, sum_arrays
 from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
@@ -42,22 +57,16 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.resultcache import ResultCache
-from repro.errors import (
-    CubeNotFoundError,
-    PageCorruptError,
-    PageNotFoundError,
-    QueryError,
-)
+from repro.errors import DEGRADABLE_READ_ERRORS, QueryError
 from repro.obs import MetricsRegistry, QueryTrace, get_registry, metric_key
 from repro.obs.span import Span, Tracer
 from repro.obs.span import span as causal_span
 
-__all__ = ["QueryExecutor"]
+__all__ = ["QueryExecutor", "GatherPartial", "local_gather"]
 
-#: Failure modes a query degrades around instead of propagating: the
-#: cube's page is gone, fails validation, or was quarantined between
-#: planning and fetch.
-_DEGRADABLE = (PageCorruptError, PageNotFoundError, CubeNotFoundError)
+#: One query window: the time-series period it reports under (``None``
+#: for a query that does not group by date) and its inclusive range.
+Window = tuple[date | None, date, date]
 
 _K_QUERIES = metric_key("rased_queries_total")
 _K_PARTIAL = metric_key("rased_queries_partial_total")
@@ -69,6 +78,123 @@ _K_WALL = metric_key("rased_query_wall_seconds")
 _K_SIMULATED = metric_key("rased_query_simulated_seconds")
 _K_PHASE1 = metric_key("rased_query_phase_seconds", phase="phase1")
 _K_PHASE2 = metric_key("rased_query_phase_seconds", phase="phase2")
+
+
+@dataclass
+class GatherPartial:
+    """What one local gather contributes to a query.
+
+    The unsharded engine produces exactly one per gather; the scatter
+    engine one per shard, merged by exact int64 addition.
+    """
+
+    #: Window position -> array reduced over that window's cubes.
+    arrays: dict[int, np.ndarray] = field(default_factory=dict)
+    labels: list[list[str]] = field(default_factory=list)
+    cache_hits: dict[Level, int] = field(default_factory=dict)
+    disk_reads: dict[Level, int] = field(default_factory=dict)
+    #: Cubes that could not be served (quarantined/vanished pages).
+    dropped: int = 0
+    #: Reads that piggybacked on another query's in-flight load.
+    coalesced: int = 0
+    #: Wall seconds in cache lookup / page reads / numpy reduction.
+    lookup_seconds: float = 0.0
+    read_seconds: float = 0.0
+    aggregate_seconds: float = 0.0
+    #: Modeled disk seconds this gather charged its store.
+    charged_seconds: float = 0.0
+
+
+def local_gather(
+    index: HierarchicalIndex,
+    cache: CacheManager | None,
+    items: Sequence[tuple[int, TemporalKey]],
+    filters: dict,
+    group_by: tuple[str, ...],
+    iosched: IOScheduler | None = None,
+) -> GatherPartial:
+    """Fetch and reduce position-tagged cubes of one ``(index, cache)``.
+
+    Three passes, each timed once: look every distinct key up in the
+    cache, read the misses, aggregate per window position.  A read
+    that hits a corrupt/vanished/quarantined page drops that cube and
+    the caller flags the answer partial.
+    """
+    out = GatherPartial()
+    store = index.store
+    charged_before = store.stats.simulated_seconds
+
+    def load(key: TemporalKey) -> AnyCube | None:
+        """One page read plus cache admission.
+
+        Degradable failures return ``None`` rather than raising, so
+        the scheduler's single-flight machinery shares the miss
+        sentinel with coalesced followers instead of poisoning them.
+        """
+        try:
+            cube = index.get(key)
+        except DEGRADABLE_READ_ERRORS:
+            return None
+        if cache is not None:
+            cache.admit(cube)
+        return cube
+
+    mark = time.perf_counter()
+    cubes: dict[TemporalKey, AnyCube | None] = {}
+    misses: list[TemporalKey] = []
+    for key in dict.fromkeys(key for _, key in items):
+        cube = cache.get(key) if cache is not None else None
+        if cube is None:
+            misses.append(key)
+            continue
+        cubes[key] = cube
+        out.cache_hits[key.level] = out.cache_hits.get(key.level, 0) + 1
+    now = time.perf_counter()
+    out.lookup_seconds = now - mark
+    mark = now
+
+    if misses:
+        if iosched is not None:
+            # Phase boundary: the cache sweep was free; the miss batch
+            # is where the disk cost starts.  Loads this call *led* are
+            # then rebooked as one concurrent batch, so the virtual
+            # clock charges the queue-depth makespan, not the sum.
+            check_deadline("phase1.fetch.disk")
+            batch = iosched.fetch_many(misses, load)
+            store.rebook_overlapped_reads(batch.led)
+            out.coalesced = batch.coalesced
+            cubes.update(batch.values)
+        else:
+            for key in misses:
+                # Every miss is one real page read, so the deadline is
+                # re-checked per read.
+                check_deadline("phase1.fetch.disk")
+                cubes[key] = load(key)
+        for key in misses:
+            if cubes[key] is None:
+                out.dropped += 1
+            else:
+                out.disk_reads[key.level] = out.disk_reads.get(key.level, 0) + 1
+        now = time.perf_counter()
+        out.read_seconds = now - mark
+        mark = now
+
+    check_deadline("phase2.aggregate")
+    # Per-cube partial arrays are collected and reduced in one
+    # vectorized pass per window (``sum_arrays``) instead of N
+    # sequential ``+=`` passes over the output array.
+    partials: dict[int, list[np.ndarray]] = {}
+    for position, key in items:
+        cube = cubes[key]
+        if cube is not None:
+            partial, out.labels = cube.aggregate_array(filters, group_by)
+            partials.setdefault(position, []).append(partial)
+    out.arrays = {
+        position: sum_arrays(arrays) for position, arrays in partials.items()
+    }
+    out.aggregate_seconds = time.perf_counter() - mark
+    out.charged_seconds = store.stats.simulated_seconds - charged_before
+    return out
 
 
 class QueryExecutor:
@@ -90,9 +216,9 @@ class QueryExecutor:
         self.optimizer = optimizer or LevelOptimizer(index)
         self.network_sizes = network_sizes
         self.metrics = metrics if metrics is not None else get_registry()
-        #: When set, phase 1 overlaps a plan's disk reads on the
-        #: scheduler's pool (with single-flight dedup across queries);
-        #: when ``None``, fetching is the original serial loop.
+        #: When set, a gather's cache misses are read as one overlapped
+        #: batch on the scheduler's pool (single-flight deduplicated
+        #: across queries); when ``None``, one at a time in plan order.
         self.iosched = iosched
         #: When set, whole results are memoized keyed by the (frozen)
         #: query and invalidated by the index epoch.
@@ -151,10 +277,32 @@ class QueryExecutor:
         # The describe() call is deferred until the trace is rendered.
         stats.trace = QueryTrace(query.describe)
 
+        windows: list[Window]
         if query.groups_by_date:
-            rows = self._execute_time_series(query, stats)
+            windows = [
+                (start, start, end)
+                for start, end in series_periods(
+                    query.start, query.end, query.date_granularity
+                )
+            ]
+            stats.trace.meta["periods"] = len(windows)
         else:
-            rows = self._execute_single_window(query, stats)
+            windows = [(None, query.start, query.end)]
+        # An admit-on-miss cache changes under the query's own feet:
+        # every window's misses are admitted (evicting LRU entries), so
+        # planning all windows against the initial snapshot would treat
+        # long-evicted cubes as free.  Run the pipeline one window at a
+        # time there, re-snapshotting before each.  A static cache (the
+        # paper's policy) cannot change mid-query, so all windows are
+        # planned up front and gathered as ONE batch.
+        one_at_a_time = (
+            self.cache is not None
+            and self.cache.admit_on_miss
+            and self.cache.has_capacity
+        )
+        rows: dict[tuple, float] = {}
+        for batch in [[w] for w in windows] if one_at_a_time else [windows]:
+            rows.update(self._run_windows(query, batch, stats))
 
         if query.metric == METRIC_PERCENTAGE:
             pct_started = time.perf_counter()
@@ -257,212 +405,82 @@ class QueryExecutor:
         cached = self.cache.contents() if self.cache else frozenset()
         return self.optimizer.plan(query.start, query.end, cached)
 
-    # -- execution paths ---------------------------------------------------
+    # -- the pipeline: plan -> gather -> shape ---------------------------------
 
-    def _execute_single_window(
-        self, query: AnalysisQuery, stats: QueryStats
+    def _run_windows(
+        self, query: AnalysisQuery, windows: list[Window], stats: QueryStats
     ) -> dict[tuple, float]:
+        """Plan ``windows`` against one cache snapshot, gather, shape rows."""
         plan_started = time.perf_counter()
-        plan = self.plan(query)
-        stats.trace.add("phase1.plan", time.perf_counter() - plan_started)
+        cached = self.cache.contents() if self.cache else frozenset()
+        cached_starts = sorted(key.start for key in cached)
+        items: list[tuple[int, TemporalKey]] = []
+        for position, (_, start, end) in enumerate(windows):
+            plan = self.optimizer.plan(start, end, cached, cached_starts)
+            stats.cube_count += plan.cube_count
+            stats.missing_days += len(plan.missing_days)
+            items.extend((position, key) for key in plan.keys)
+        stats.trace.add(
+            "phase1.plan", time.perf_counter() - plan_started, len(windows)
+        )
         # Phase boundary: a request whose deadline already expired must
         # not start paying for disk reads it cannot use.
         check_deadline("phase1.plan")
-        fetched = self._prefetch(plan.keys, stats)
-        accumulated, labels = self._aggregate_plan(plan, query, stats, fetched)
-        if accumulated is None:
+        if not items:
             return {}
-        return self._rows_from_array(query, accumulated, labels, period=None)
-
-    def _execute_time_series(
-        self, query: AnalysisQuery, stats: QueryStats
-    ) -> dict[tuple, float]:
-        trace = stats.trace
-        plan_started = time.perf_counter()
-        periods = series_periods(query.start, query.end, query.date_granularity)
-        cached = self.cache.contents() if self.cache else frozenset()
-        cached_starts = sorted(key.start for key in cached)
-        trace.add("phase1.plan", time.perf_counter() - plan_started, count=0)
-        trace.meta["periods"] = len(periods)
-        # An admit-on-miss cache changes under the query's own feet:
-        # every period's misses are admitted (evicting LRU entries), so
-        # planning all periods against the initial snapshot would treat
-        # long-evicted cubes as free.  Re-snapshot before each period
-        # instead.  A static cache (the paper's policy) cannot change
-        # mid-query, so all periods are planned up front and their disk
-        # keys fetched as ONE overlapped batch.
-        refresh = (
-            self.cache is not None
-            and self.cache.admit_on_miss
-            and self.cache.has_capacity
+        arrays, labels = self._gather(
+            items, self._effective_filters(query), query.cube_group_by, stats
         )
         rows: dict[tuple, float] = {}
-        if refresh or self.iosched is None:
-            first = True
-            for window_start, window_end in periods:
-                # Period boundary: each window plans and fetches its
-                # own cubes, so this is the natural stop for a doomed
-                # time-series query.
-                check_deadline("phase1.plan")
-                plan_started = time.perf_counter()
-                if refresh and not first:
-                    cached = self.cache.contents()
-                    cached_starts = sorted(key.start for key in cached)
-                first = False
-                plan = self.optimizer.plan(
-                    window_start, window_end, cached, cached_starts
-                )
-                trace.add("phase1.plan", time.perf_counter() - plan_started)
-                fetched = self._prefetch(plan.keys, stats)
-                accumulated, labels = self._aggregate_plan(
-                    plan, query, stats, fetched
-                )
-                if accumulated is None:
-                    continue
+        for position, (period, _, _) in enumerate(windows):
+            accumulated = arrays.get(position)
+            if accumulated is not None:
                 rows.update(
-                    self._rows_from_array(
-                        query, accumulated, labels, period=window_start
-                    )
+                    self._rows_from_array(query, accumulated, labels, period)
                 )
-            return rows
-        plans: list[tuple[date, QueryPlan]] = []
-        for window_start, window_end in periods:
-            plan_started = time.perf_counter()
-            plan = self.optimizer.plan(
-                window_start, window_end, cached, cached_starts
-            )
-            trace.add("phase1.plan", time.perf_counter() - plan_started)
-            plans.append((window_start, plan))
-        all_keys = [key for _, plan in plans for key in plan.keys]
-        fetched = self._prefetch(all_keys, stats)
-        for window_start, plan in plans:
-            check_deadline("phase2.aggregate")
-            accumulated, labels = self._aggregate_plan(plan, query, stats, fetched)
-            if accumulated is None:
-                continue
-            rows.update(
-                self._rows_from_array(
-                    query, accumulated, labels, period=window_start
-                )
-            )
         return rows
 
-    # -- phases -----------------------------------------------------------
+    def _gather(
+        self,
+        items: list[tuple[int, TemporalKey]],
+        filters: dict,
+        group_by: tuple[str, ...],
+        stats: QueryStats,
+    ) -> tuple[dict[int, np.ndarray], list[list[str]]]:
+        """The seam: position-tagged keys in, one reduced array per
+        window position out.  Here, one local gather over the index."""
+        part = local_gather(
+            self.index, self.cache, items, filters, group_by, self.iosched
+        )
+        self._merge(part, stats)
+        return part.arrays, part.labels
 
-    def _prefetch(
-        self, keys: list[TemporalKey], stats: QueryStats
-    ) -> dict[TemporalKey, AnyCube | None] | None:
-        """Overlapped phase-1 fetch of every key (``None`` when serial).
-
-        The cache sweep stays serial (it is pure dict lookups); only
-        the misses go to the I/O scheduler, which overlaps their page
-        reads and coalesces duplicates in flight across concurrent
-        queries.  Loads this call *led* are then rebooked on the store
-        as one concurrent batch so the virtual clock charges the
-        queue-depth makespan instead of the serial sum.
-        """
-        if self.iosched is None or not keys:
-            return None
-        keys = list(dict.fromkeys(keys))
-        fetched: dict[TemporalKey, AnyCube | None] = {}
-        misses: list[TemporalKey] = []
-        if self.cache is not None:
-            sweep_started = time.perf_counter()
-            hits = 0
-            for key in keys:
-                cube = self.cache.get(key)
-                if cube is None:
-                    misses.append(key)
-                    continue
-                hits += 1
-                by_level = stats.cache_hits_by_level
-                by_level[key.level] = by_level.get(key.level, 0) + 1
-                fetched[key] = cube
-            stats.cache_hits += hits
-            if hits:
-                stats.trace.add(
-                    "phase1.fetch.cache",
-                    time.perf_counter() - sweep_started,
-                    hits,
-                )
-        else:
-            misses = keys
-        if misses:
-            # Phase boundary: the cache sweep was free; the miss batch
-            # is where the disk cost starts.
-            check_deadline("phase1.fetch.disk")
-            disk_started = time.perf_counter()
-            batch = self.iosched.fetch_many(misses, self._load_cube)
-            self.index.store.rebook_overlapped_reads(batch.led)
-            stats.trace.add(
-                "phase1.fetch.disk",
-                time.perf_counter() - disk_started,
-                len(misses),
-            )
-            stats.coalesced_reads += batch.coalesced
-            for key in misses:
-                cube = batch.values[key]
-                fetched[key] = cube
-                if cube is None:
-                    # The load hit a quarantined/corrupt/vanished page
-                    # (the sentinel is shared by every query coalesced
-                    # onto the same in-flight load).
-                    stats.partial = True
-                    stats.quarantined_cubes += 1
-                    continue
-                stats.disk_reads += 1
-                by_level = stats.disk_reads_by_level
-                by_level[key.level] = by_level.get(key.level, 0) + 1
-        return fetched
-
-    def _load_cube(self, key: TemporalKey) -> AnyCube | None:
-        """Scheduler load callback: one page read plus cache admission.
-
-        Degradable failures return ``None`` rather than raising, so the
-        single-flight machinery shares the miss sentinel with coalesced
-        followers instead of poisoning them with an exception.
-        """
-        try:
-            cube = self.index.get(key)
-        except _DEGRADABLE:
-            return None
-        if self.cache is not None:
-            self.cache.admit(cube)
-        return cube
-
-    def _fetch(
-        self, key: TemporalKey, stats: QueryStats
-    ) -> tuple[AnyCube | None, bool]:
-        """One cube plus whether it was served from the cache.
-
-        ``(None, False)`` means the cube could not be served and the
-        answer is now partial; :meth:`HierarchicalIndex.get` has
-        already quarantined the bad page.
-        """
-        level = key.level
-        if self.cache is not None:
-            cube = self.cache.get(key)
-            if cube is not None:
-                stats.cache_hits += 1
-                by_level = stats.cache_hits_by_level
-                by_level[level] = by_level.get(level, 0) + 1
-                return cube, True
-        # Serial fetch path: every miss is one real page read, so the
-        # deadline is re-checked per read (the overlapped path checks
-        # once per miss batch instead).
-        check_deadline("phase1.fetch.disk")
-        try:
-            loaded = self.index.get(key)
-        except _DEGRADABLE:
+    @staticmethod
+    def _merge(part: GatherPartial, stats: QueryStats) -> None:
+        """Fold one gather's counters and phase times into the query's."""
+        for counts, by_level in (
+            (part.cache_hits, stats.cache_hits_by_level),
+            (part.disk_reads, stats.disk_reads_by_level),
+        ):
+            for level, count in counts.items():
+                by_level[level] = by_level.get(level, 0) + count
+        hits = sum(part.cache_hits.values())
+        reads = sum(part.disk_reads.values())
+        stats.cache_hits += hits
+        stats.disk_reads += reads
+        stats.coalesced_reads += part.coalesced
+        if part.dropped:
             stats.partial = True
-            stats.quarantined_cubes += 1
-            return None, False
-        stats.disk_reads += 1
-        by_level = stats.disk_reads_by_level
-        by_level[level] = by_level.get(level, 0) + 1
-        if self.cache is not None:
-            self.cache.admit(loaded)
-        return loaded, False
+            stats.quarantined_cubes += part.dropped
+        trace = stats.trace
+        if hits:
+            trace.add("phase1.fetch.cache", part.lookup_seconds, hits)
+        if reads or part.dropped:
+            trace.add(
+                "phase1.fetch.disk", part.read_seconds, reads + part.dropped
+            )
+        if hits or reads:
+            trace.add("phase2.aggregate", part.aggregate_seconds, hits + reads)
 
     def _effective_filters(self, query: AnalysisQuery) -> dict:
         """Query filters adjusted for overlapping zones of interest.
@@ -483,78 +501,6 @@ class QueryExecutor:
                 z.name for z in self.index.atlas.countries
             )
         return filters
-
-    def _aggregate_plan(
-        self,
-        plan: QueryPlan,
-        query: AnalysisQuery,
-        stats: QueryStats,
-        fetched: dict[TemporalKey, AnyCube | None] | None = None,
-    ) -> tuple[np.ndarray | None, list[list[str]]]:
-        stats.cube_count += plan.cube_count
-        stats.missing_days += len(plan.missing_days)
-        filters = self._effective_filters(query)
-        group_by = query.cube_group_by
-        # Per-cube partial arrays are collected and reduced in one
-        # vectorized pass (``sum_arrays``) instead of N sequential
-        # ``+=`` passes over the output array.
-        partials: list[np.ndarray] = []
-        labels: list[list[str]] = []
-        if fetched is not None:
-            # Phase 1 already ran (overlapped); this is pure phase 2.
-            agg_started = time.perf_counter()
-            for key in plan.keys:
-                cube = fetched[key]
-                if cube is None:
-                    continue
-                partial, labels = cube.aggregate_array(filters, group_by)
-                partials.append(partial)
-            accumulated = sum_arrays(partials) if partials else None
-            if plan.keys:
-                stats.trace.add(
-                    "phase2.aggregate",
-                    time.perf_counter() - agg_started,
-                    len(plan.keys),
-                )
-            return accumulated, labels
-        # Chained timestamps (each cube's end is the next cube's start)
-        # and local accumulators keep the per-cube cost to two clock
-        # reads; the trace is updated once per phase after the loop.
-        cache_seconds = disk_seconds = aggregate_seconds = 0.0
-        cache_cubes = disk_cubes = 0
-        previous = time.perf_counter()
-        for key in plan.keys:
-            cube, from_cache = self._fetch(key, stats)
-            if cube is None:
-                previous = time.perf_counter()
-                continue
-            fetched_at = time.perf_counter()
-            partial, labels = cube.aggregate_array(filters, group_by)
-            partials.append(partial)
-            done_at = time.perf_counter()
-            if from_cache:
-                cache_seconds += fetched_at - previous
-                cache_cubes += 1
-            else:
-                disk_seconds += fetched_at - previous
-                disk_cubes += 1
-            aggregate_seconds += done_at - fetched_at
-            previous = done_at
-        reduce_started = time.perf_counter()
-        accumulated = sum_arrays(partials) if partials else None
-        aggregate_seconds += time.perf_counter() - reduce_started
-        trace = stats.trace
-        if cache_cubes:
-            trace.add("phase1.fetch.cache", cache_seconds, cache_cubes)
-        if disk_cubes:
-            trace.add("phase1.fetch.disk", disk_seconds, disk_cubes)
-        if cache_cubes or disk_cubes:
-            trace.add(
-                "phase2.aggregate",
-                aggregate_seconds,
-                cache_cubes + disk_cubes,
-            )
-        return accumulated, labels
 
     # -- result shaping ------------------------------------------------------
 

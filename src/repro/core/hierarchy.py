@@ -52,6 +52,7 @@ from repro.core.cube import (
 )
 from repro.core.dimensions import CubeSchema
 from repro.errors import (
+    ConfigError,
     CubeNotFoundError,
     IndexError_,
     PageCorruptError,
@@ -60,8 +61,8 @@ from repro.errors import (
 from repro.geo.zones import ZoneAtlas
 from repro.storage.pages import PageStore
 from repro.storage.serializer import (
-    PAGE_VERSION_COMPRESSED,
     PAGE_VERSION_RAW,
+    PAGE_VERSIONS,
     deserialize_cube,
     serialize_cube,
 )
@@ -124,9 +125,9 @@ class HierarchicalIndex:
         all four; the Fig. 8 experiment builds truncated variants
         (e.g. ``(Level.DAY,)`` is the flat index).
     page_version:
-        On-disk page format for writes (1 raw, 2 zlib, 3 sparse
-        delta+RLE); reads auto-detect any version, so mixed stores are
-        fine and the knob can change between runs.
+        On-disk page format for writes (1 raw, 3 sparse delta+RLE);
+        reads auto-detect either, so mixed stores are fine and the
+        knob can change between runs.
     sparse:
         Build and roll up cubes in the sparse (COO) in-memory form,
         densifying only past ``sparse_threshold``.  Near-empty daily
@@ -140,7 +141,6 @@ class HierarchicalIndex:
         atlas: ZoneAtlas | None = None,
         levels: tuple[Level, ...] = (Level.DAY, Level.WEEK, Level.MONTH, Level.YEAR),
         prefix: str = _PAGE_PREFIX,
-        compress: bool = False,
         epoch: "EpochCounter | None" = None,
         page_version: int | None = None,
         sparse: bool = False,
@@ -148,22 +148,15 @@ class HierarchicalIndex:
     ) -> None:
         if Level.DAY not in levels:
             raise IndexError_("the index must include the daily level")
-        if compress and page_version not in (None, PAGE_VERSION_COMPRESSED):
-            raise IndexError_(
-                f"compress=True conflicts with page_version={page_version}"
-            )
+        if page_version is None:
+            page_version = PAGE_VERSION_RAW
+        elif page_version not in PAGE_VERSIONS:
+            raise ConfigError(f"unknown page version {page_version}")
         self.schema = schema
         self.store = store
         self.atlas = atlas
         self.levels = tuple(sorted(levels))
         self.prefix = prefix
-        #: Write cube pages zlib-compressed (ablation option; reads
-        #: auto-detect either format).
-        self.compress = compress
-        if page_version is None:
-            page_version = (
-                PAGE_VERSION_COMPRESSED if compress else PAGE_VERSION_RAW
-            )
         #: Page format written by :meth:`put`; reads auto-detect.
         self.page_version = page_version
         #: Build/rollup cubes in sparse form (see class docstring).

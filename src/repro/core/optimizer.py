@@ -100,7 +100,7 @@ class LevelOptimizer:
 
         ``cached_starts`` (the sorted start dates of ``cached``) may be
         supplied by callers issuing many plans against one cache
-        snapshot — e.g. the executor's per-period time-series loop —
+        snapshot — e.g. the executor planning a series' windows —
         to avoid re-sorting per call.
         """
         if end < start:

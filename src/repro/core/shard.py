@@ -22,13 +22,13 @@ range.  This module splits the index across N **shards**:
   deployment's budget evenly.  A shard restart re-warms only its own
   cache (:meth:`ShardedCacheManager.rewarm_shard`); the other shards'
   working sets stay hot.
-* :class:`ScatterGatherExecutor` — plans once (the catalog is the
-  union of the shard catalogs), groups the plan's cube keys by owning
-  shard, fans the per-shard subqueries out on a bounded pool (the
+* :class:`ScatterGatherExecutor` — the query pipeline of
+  :mod:`repro.core.executor` with one seam overridden: the planned
+  keys are grouped by owning shard and each group runs the shared
+  :func:`~repro.core.executor.local_gather` on a bounded pool (the
   :mod:`repro.core.iosched` hand-off pattern: ambient span and
-  deadline cross the pool boundary explicitly), and merges the
-  per-shard partial arrays with the batched
-  :func:`~repro.core.cube.sum_arrays` kernel.
+  deadline cross the pool boundary explicitly); the per-shard partial
+  arrays are merged with :func:`~repro.core.cube.sum_arrays`.
 
 **Correctness argument** (verified end-to-end by
 ``tests/test_shard_oracle.py``): an analysis answer is plan-invariant
@@ -60,14 +60,13 @@ import hashlib
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.cache import CacheManager, CacheRatios, DEFAULT_RATIOS
-from repro.core.calendar import Level, TemporalKey, series_periods
+from repro.core.calendar import Level, TemporalKey
 from repro.core.cube import AnyCube, DEFAULT_SPARSE_THRESHOLD, sum_arrays
 from repro.core.deadline import (
     Deadline,
@@ -76,20 +75,13 @@ from repro.core.deadline import (
     deadline_scope,
 )
 from repro.core.dimensions import CubeSchema
-from repro.core.executor import QueryExecutor
+from repro.core.executor import GatherPartial, QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex, parse_page_key
-from repro.core.optimizer import LevelOptimizer, QueryPlan
+from repro.core.optimizer import LevelOptimizer
 from repro.core.percentages import NetworkSizeRegistry
-from repro.core.query import AnalysisQuery, QueryStats
+from repro.core.query import QueryStats
 from repro.core.resultcache import EpochCounter, ResultCache
-from repro.errors import (
-    ConfigError,
-    CubeNotFoundError,
-    DeadlineExceededError,
-    IndexError_,
-    PageCorruptError,
-    PageNotFoundError,
-)
+from repro.errors import ConfigError, DeadlineExceededError, IndexError_
 from repro.geo.zones import ZoneAtlas
 from repro.obs import MetricsRegistry, metric_key
 from repro.obs.span import Span, Tracer, current_span, reset_ambient, set_ambient
@@ -102,14 +94,8 @@ __all__ = [
     "ShardedIndex",
     "ShardedCacheManager",
     "ScatterGatherExecutor",
-    "ShardPartial",
-    "ShardSeriesPartial",
     "shard_stores_for",
 ]
-
-#: Failure modes a shard subquery degrades around per cube (the same
-#: set the serial fetch path tolerates).
-_DEGRADABLE = (PageCorruptError, PageNotFoundError, CubeNotFoundError)
 
 #: Default bound on concurrent per-shard subqueries per executor.
 DEFAULT_SHARD_WORKERS = 8
@@ -602,55 +588,17 @@ class ShardedCacheManager(CacheManager):
         return hits / total if total else 0.0
 
 
-@dataclass
-class ShardPartial:
-    """One shard's contribution to a scattered plan."""
-
-    shard: int
-    #: Reduced partial array over the shard's cubes (None when empty).
-    accumulated: np.ndarray | None
-    labels: list[list[str]]
-    cache_hits: dict[Level, int] = field(default_factory=dict)
-    disk_reads: dict[Level, int] = field(default_factory=dict)
-    #: Cubes the shard could not serve (quarantined/vanished pages).
-    dropped: int = 0
-    #: Simulated read seconds this subquery charged its shard's store.
-    read_seconds: float = 0.0
-
-
-@dataclass
-class ShardSeriesPartial:
-    """One shard's contribution to a scattered time series.
-
-    A whole series crosses the pool boundary as ONE subquery per
-    shard: ``accumulated`` holds a reduced partial array per series
-    position (the period's index in the window list), so a 90-day
-    daily chart costs one fan-out instead of 90.
-    """
-
-    shard: int
-    accumulated: dict[int, np.ndarray] = field(default_factory=dict)
-    labels: list[list[str]] = field(default_factory=list)
-    cache_hits: dict[Level, int] = field(default_factory=dict)
-    disk_reads: dict[Level, int] = field(default_factory=dict)
-    dropped: int = 0
-    read_seconds: float = 0.0
-
-
 class ScatterGatherExecutor(QueryExecutor):
     """Query execution over a :class:`ShardedIndex`.
 
-    Planning, percentage math, result shaping, memoization, and
+    Windows, planning, percentage math, row shaping, memoization and
     quarantine-overlap degradation are all inherited from
-    :class:`QueryExecutor`; the fetch+aggregate core changes — the
-    plan's keys are grouped by owning shard and each group runs as one
-    subquery on a bounded thread pool, its per-cube arrays reduced
-    shard-locally and the shard partials merged with
-    :func:`sum_arrays`.  Time-series queries batch the *whole* series
-    into that single fan-out (:meth:`_execute_time_series`): every
-    period's plan is computed up front against one cache snapshot and
-    each shard returns per-period partials, so a 90-day daily chart
-    costs one scatter instead of 90 sequential single-key rounds.
+    :class:`QueryExecutor`; only the :meth:`_gather` seam changes —
+    the position-tagged keys are grouped by owning shard and each
+    group runs as one :func:`~repro.core.executor.local_gather` on a
+    bounded thread pool, the shard partials merged per window position
+    with :func:`sum_arrays`.  A whole time series is therefore ONE
+    fan-out: a 90-day daily chart costs one scatter, not 90.
 
     A subquery that raises (a dying shard) degrades the answer:
     its keys are dropped and ``partial=true`` is set — the quarantine
@@ -718,24 +666,21 @@ class ScatterGatherExecutor(QueryExecutor):
         """Stop the scatter pool (idempotent; running subqueries finish)."""
         self._pool.shutdown(wait=True)
 
-    # -- the scattered fetch+aggregate core ----------------------------------
+    # -- the scattered gather ------------------------------------------------
 
-    def _aggregate_plan(
+    def _gather(
         self,
-        plan: QueryPlan,
-        query: AnalysisQuery,
+        items: list[tuple[int, TemporalKey]],
+        filters: dict,
+        group_by: tuple[str, ...],
         stats: QueryStats,
-        fetched: dict[TemporalKey, AnyCube | None] | None = None,
-    ) -> tuple[np.ndarray | None, list[list[str]]]:
-        stats.cube_count += plan.cube_count
-        stats.missing_days += len(plan.missing_days)
-        if not plan.keys:
-            return None, []
-        filters = self._effective_filters(query)
-        group_by = query.cube_group_by
-        by_shard: dict[int, list[TemporalKey]] = {}
-        for key in plan.keys:
-            by_shard.setdefault(self.sharded_index.shard_for(key), []).append(key)
+    ) -> tuple[dict[int, np.ndarray], list[list[str]]]:
+        """One local gather per owning shard, merged by exact addition."""
+        by_shard: dict[int, list[tuple[int, TemporalKey]]] = {}
+        for item in items:
+            by_shard.setdefault(
+                self.sharded_index.shard_for(item[1]), []
+            ).append(item)
         # Phase boundary: the fan-out is where the disk cost starts.
         check_deadline("phase1.fetch.disk")
         started = time.perf_counter()
@@ -744,7 +689,7 @@ class ScatterGatherExecutor(QueryExecutor):
         # inside each subquery (the core.iosched hand-off pattern).
         parent = current_span()
         deadline = current_deadline()
-        submitted: list[tuple[int, Future[ShardPartial]]] = [
+        submitted: list[tuple[int, Future[GatherPartial]]] = [
             (
                 shard,
                 self._pool.submit(
@@ -752,20 +697,20 @@ class ScatterGatherExecutor(QueryExecutor):
                     parent,
                     deadline,
                     shard,
-                    keys,
+                    shard_items,
                     filters,
                     group_by,
                 ),
             )
-            for shard, keys in sorted(by_shard.items())
+            for shard, shard_items in sorted(by_shard.items())
         ]
-        partials: list[np.ndarray] = []
+        per_position: dict[int, list[np.ndarray]] = {}
         labels: list[list[str]] = []
-        read_seconds: list[float] = []
+        charged: list[float] = []
         dead_shards = 0
         for shard, future in submitted:
             try:
-                outcome = future.result()
+                part = future.result()
             except DeadlineExceededError:
                 raise
             except Exception:  # lint: allow[broad-except] dead-shard boundary: any subquery failure degrades to partial=true, never a wrong total
@@ -776,19 +721,20 @@ class ScatterGatherExecutor(QueryExecutor):
                 stats.partial = True
                 stats.quarantined_cubes += len(by_shard[shard])
                 continue
-            if outcome.accumulated is not None:
-                partials.append(outcome.accumulated)
-            if outcome.labels:
-                labels = outcome.labels
-            self._merge_shard_stats(outcome, stats)
-            read_seconds.append(outcome.read_seconds)
-        credit = self.sharded_index.store_view.credit_scatter(read_seconds)
-        elapsed = time.perf_counter() - started
-        stats.trace.add("phase1.fetch.disk", elapsed, len(plan.keys))
-        reduce_started = time.perf_counter()
-        accumulated = sum_arrays(partials) if partials else None
+            for position, array in part.arrays.items():
+                per_position.setdefault(position, []).append(array)
+            if part.labels:
+                labels = part.labels
+            self._merge(part, stats)
+            charged.append(part.charged_seconds)
+        credit = self.sharded_index.store_view.credit_scatter(charged)
+        merge_started = time.perf_counter()
+        elapsed = merge_started - started
+        arrays = {
+            position: sum_arrays(parts) for position, parts in per_position.items()
+        }
         stats.trace.add(
-            "phase2.aggregate", time.perf_counter() - reduce_started, len(partials)
+            "phase2.aggregate", time.perf_counter() - merge_started, count=0
         )
         incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(submitted)))]
         if dead_shards:
@@ -796,208 +742,9 @@ class ScatterGatherExecutor(QueryExecutor):
         if credit:
             incs.append((_K_SCATTER_CREDIT, credit))
         self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
-        return accumulated, labels
-
-    def _execute_time_series(
-        self, query: AnalysisQuery, stats: QueryStats
-    ) -> dict[tuple, float]:
-        """One scatter for the whole series, not one per period.
-
-        The base class runs one plan-fetch-aggregate round per period;
-        for daily granularity that is one single-key fan-out per day —
-        all pool overhead, no overlap.  Here every period is planned up
-        front against one cache snapshot, the union of the plans'
-        keys is scattered once (tagged with each key's series
-        position), and each shard hands back per-period partials that
-        merge exactly like the single-window path.
-
-        An admit-on-miss cache changes under the query's own feet —
-        each period's misses evict earlier admissions — and the base
-        class's per-period re-snapshot is what keeps planning honest
-        there, so that configuration falls back to the inherited
-        serial path.  The shipped deployments (preloaded static
-        caches, byte-budgeted shard caches, cache-free serving) all
-        take the batched fan-out.
-        """
-        refresh = (
-            self.cache is not None
-            and self.cache.admit_on_miss
-            and self.cache.has_capacity
-        )
-        if refresh:
-            return super()._execute_time_series(query, stats)
-        trace = stats.trace
-        plan_started = time.perf_counter()
-        periods = series_periods(query.start, query.end, query.date_granularity)
-        cached = self.cache.contents() if self.cache else frozenset()
-        cached_starts = sorted(key.start for key in cached)
-        plans: list[tuple[date, QueryPlan]] = [
-            (
-                window_start,
-                self.optimizer.plan(window_start, window_end, cached, cached_starts),
-            )
-            for window_start, window_end in periods
-        ]
-        trace.add("phase1.plan", time.perf_counter() - plan_started, len(periods))
-        trace.meta["periods"] = len(periods)
-        # Phase boundary: a request whose deadline already expired must
-        # not start paying for disk reads it cannot use.
-        check_deadline("phase1.plan")
-        by_shard: dict[int, list[tuple[int, TemporalKey]]] = {}
-        for position, (_, plan) in enumerate(plans):
-            stats.cube_count += plan.cube_count
-            stats.missing_days += len(plan.missing_days)
-            for key in plan.keys:
-                by_shard.setdefault(
-                    self.sharded_index.shard_for(key), []
-                ).append((position, key))
-        if not by_shard:
-            return {}
-        filters = self._effective_filters(query)
-        group_by = query.cube_group_by
-        check_deadline("phase1.fetch.disk")
-        started = time.perf_counter()
-        # Same pool hand-off pattern as _aggregate_plan: ContextVars do
-        # not cross submissions, so span and deadline ride as arguments.
-        parent = current_span()
-        deadline = current_deadline()
-        submitted: list[tuple[int, Future[ShardSeriesPartial]]] = [
-            (
-                shard,
-                self._pool.submit(
-                    self._series_subquery_attached,
-                    parent,
-                    deadline,
-                    shard,
-                    items,
-                    filters,
-                    group_by,
-                ),
-            )
-            for shard, items in sorted(by_shard.items())
-        ]
-        per_period: dict[int, list[np.ndarray]] = {}
-        labels: list[list[str]] = []
-        read_seconds: list[float] = []
-        dead_shards = 0
-        for shard, future in submitted:
-            try:
-                outcome = future.result()
-            except DeadlineExceededError:
-                raise
-            except Exception:  # lint: allow[broad-except] dead-shard boundary: any subquery failure degrades to partial=true, never a wrong total
-                dead_shards += 1
-                stats.partial = True
-                stats.quarantined_cubes += len(by_shard[shard])
-                continue
-            for position, partial in outcome.accumulated.items():
-                per_period.setdefault(position, []).append(partial)
-            if outcome.labels:
-                labels = outcome.labels
-            self._merge_shard_stats(outcome, stats)
-            read_seconds.append(outcome.read_seconds)
-        credit = self.sharded_index.store_view.credit_scatter(read_seconds)
-        elapsed = time.perf_counter() - started
-        total_keys = sum(len(items) for items in by_shard.values())
-        trace.add("phase1.fetch.disk", elapsed, total_keys)
-        reduce_started = time.perf_counter()
-        rows: dict[tuple, float] = {}
-        for position, (window_start, _) in enumerate(plans):
-            partials = per_period.get(position)
-            if not partials:
-                continue
-            check_deadline("phase2.aggregate")
-            rows.update(
-                self._rows_from_array(
-                    query, sum_arrays(partials), labels, period=window_start
-                )
-            )
-        trace.add(
-            "phase2.aggregate", time.perf_counter() - reduce_started, len(per_period)
-        )
-        incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(submitted)))]
-        if dead_shards:
-            incs.append((_K_DEAD, float(dead_shards)))
-        if credit:
-            incs.append((_K_SCATTER_CREDIT, credit))
-        self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
-        return rows
-
-    @staticmethod
-    def _merge_shard_stats(
-        outcome: "ShardPartial | ShardSeriesPartial", stats: QueryStats
-    ) -> None:
-        """Fold one subquery's counters into the query's stats."""
-        for level, count in outcome.cache_hits.items():
-            stats.cache_hits += count
-            stats.cache_hits_by_level[level] = (
-                stats.cache_hits_by_level.get(level, 0) + count
-            )
-        for level, count in outcome.disk_reads.items():
-            stats.disk_reads += count
-            stats.disk_reads_by_level[level] = (
-                stats.disk_reads_by_level.get(level, 0) + count
-            )
-        if outcome.dropped:
-            stats.partial = True
-            stats.quarantined_cubes += outcome.dropped
+        return arrays, labels
 
     def _subquery_attached(
-        self,
-        parent: Span | None,
-        deadline: Deadline | None,
-        shard: int,
-        keys: list[TemporalKey],
-        filters: dict,
-        group_by: tuple[str, ...],
-    ) -> ShardPartial:
-        """Pool entry point: re-attach the submitter's span + deadline."""
-        with deadline_scope(deadline):
-            check_deadline("shard.query")
-            span = token = None
-            if parent is not None:
-                span = parent.trace.new_span("shard.query", parent.span_id)
-                token = set_ambient(span)
-            try:
-                return self._subquery(shard, keys, filters, group_by)
-            except BaseException as exc:
-                if span is not None:
-                    span.set_error(exc)
-                raise
-            finally:
-                if span is not None and token is not None:
-                    reset_ambient(token)
-                    span.attributes["shard"] = shard
-                    span.attributes["keys"] = len(keys)
-                    span.finish()
-
-    def _subquery(
-        self,
-        shard: int,
-        keys: list[TemporalKey],
-        filters: dict,
-        group_by: tuple[str, ...],
-    ) -> ShardPartial:
-        """One shard's share of a plan: fetch, aggregate, reduce locally.
-
-        A single-window plan is the degenerate series — every key at
-        position 0 — so the fetch loop lives in
-        :meth:`_series_subquery` and this adapts its result shape.
-        """
-        series = self._series_subquery(
-            shard, [(0, key) for key in keys], filters, group_by
-        )
-        return ShardPartial(
-            shard=shard,
-            accumulated=series.accumulated.get(0),
-            labels=series.labels,
-            cache_hits=series.cache_hits,
-            disk_reads=series.disk_reads,
-            dropped=series.dropped,
-            read_seconds=series.read_seconds,
-        )
-
-    def _series_subquery_attached(
         self,
         parent: Span | None,
         deadline: Deadline | None,
@@ -1005,8 +752,9 @@ class ScatterGatherExecutor(QueryExecutor):
         items: list[tuple[int, TemporalKey]],
         filters: dict,
         group_by: tuple[str, ...],
-    ) -> ShardSeriesPartial:
-        """Pool entry point: re-attach the submitter's span + deadline."""
+    ) -> GatherPartial:
+        """Pool entry point: re-attach the submitter's span + deadline,
+        then run this shard's local gather."""
         with deadline_scope(deadline):
             check_deadline("shard.query")
             span = token = None
@@ -1014,7 +762,12 @@ class ScatterGatherExecutor(QueryExecutor):
                 span = parent.trace.new_span("shard.query", parent.span_id)
                 token = set_ambient(span)
             try:
-                return self._series_subquery(shard, items, filters, group_by)
+                index = self.sharded_index.shards[shard]
+                if self.fault_hook is not None:
+                    self.fault_hook(shard, index.store)
+                return local_gather(
+                    index, self._shard_caches[shard], items, filters, group_by
+                )
             except BaseException as exc:
                 if span is not None:
                     span.set_error(exc)
@@ -1025,50 +778,3 @@ class ScatterGatherExecutor(QueryExecutor):
                     span.attributes["shard"] = shard
                     span.attributes["keys"] = len(items)
                     span.finish()
-
-    def _series_subquery(
-        self,
-        shard: int,
-        items: list[tuple[int, TemporalKey]],
-        filters: dict,
-        group_by: tuple[str, ...],
-    ) -> ShardSeriesPartial:
-        """One shard's share of a series: fetch, aggregate per period."""
-        index = self.sharded_index.shards[shard]
-        store = index.store
-        hook = self.fault_hook
-        if hook is not None:
-            hook(shard, store)
-        cache = self._shard_caches[shard]
-        outcome = ShardSeriesPartial(shard=shard)
-        disk_before = store.stats.simulated_seconds
-        partials: dict[int, list[np.ndarray]] = {}
-        for position, key in items:
-            cube: AnyCube | None = None
-            if cache is not None:
-                cube = cache.get(key)
-            if cube is not None:
-                level_hits = outcome.cache_hits
-                level_hits[key.level] = level_hits.get(key.level, 0) + 1
-            else:
-                # One real page read per miss; the deadline is
-                # re-checked per read like the serial fetch path.
-                check_deadline("phase1.fetch.disk")
-                try:
-                    cube = index.get(key)
-                except _DEGRADABLE:
-                    outcome.dropped += 1
-                    continue
-                level_reads = outcome.disk_reads
-                level_reads[key.level] = level_reads.get(key.level, 0) + 1
-                if cache is not None:
-                    cache.admit(cube)
-            partial, labels = cube.aggregate_array(filters, group_by)
-            partials.setdefault(position, []).append(partial)
-            outcome.labels = labels
-        outcome.accumulated = {
-            position: sum_arrays(arrays)
-            for position, arrays in partials.items()
-        }
-        outcome.read_seconds = store.stats.simulated_seconds - disk_before
-        return outcome

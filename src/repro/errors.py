@@ -51,6 +51,12 @@ class CubeNotFoundError(IndexError_):
     """A temporal key has no materialized cube in the index."""
 
 
+#: Read failures a query degrades around instead of propagating: the
+#: cube's page is gone, fails validation, or was quarantined between
+#: planning and fetch.  The answer becomes ``partial=true``.
+DEGRADABLE_READ_ERRORS = (PageCorruptError, PageNotFoundError, CubeNotFoundError)
+
+
 class QueryError(RasedError):
     """A malformed or unanswerable analysis/sample query."""
 

@@ -21,13 +21,18 @@ keep working unchanged.  The conventional phase names the executor
 emits:
 
 ``phase1.plan``
-    level-optimizer planning (one accumulation per planned period);
+    level-optimizer planning (count = the query's windows);
 ``phase1.fetch.cache`` / ``phase1.fetch.disk``
-    cube acquisition, split by where the cube came from;
+    cube acquisition, split by where the cube came from (count = cubes);
 ``phase2.aggregate``
     per-cube numpy filter/reduce plus the cross-cube accumulation;
 ``phase2.percentage``
     the ``Percentage(*)`` denominator pass, when the query asks for it.
+
+The names mean the same in every engine.  Under scatter-gather the
+fetch and aggregate phases are *sums over concurrent shard subqueries*
+and may exceed the fan-out's wall time; ``rased_shard_scatter_seconds``
+is the wall view.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Common page header (all integers little-endian):
 offset size    field
 ====== ======= ==============================================
 0      4       magic ``b"RCUB"``
-4      2       format version (1 raw, 2 zlib, 3 sparse)
+4      2       format version (1 raw, 3 sparse)
 6      1       level (``Level`` value)
 7      1       resolution (0 = coarse, 1 = full)
 8      4       year
@@ -18,8 +18,9 @@ offset size    field
 ====== ======= ==============================================
 
 Version 1 (raw) stores the payload as C-order ``int64`` cube cells;
-version 2 wraps the same cells in a zlib stream.  For both, the CRC
-covers the *raw uncompressed* payload.
+its CRC covers the payload.  (Version 2, the same cells in a zlib
+stream, was retired: v3 dominates it.  A v2 page met on disk is
+rejected as an unsupported version.)
 
 Version 3 (sparse) stores only the nonzero cells, delta-of-index plus
 run-length encoded, behind a sparse mini-header:
@@ -47,8 +48,8 @@ than the raw cells — a dense cube — the writer falls back to a plain
 version-1 page, making v3 never worse than raw on disk.
 
 The version-3 CRC covers the **whole page**: the header (with the
-checksum field zeroed) plus the payload.  v1/v2 checksums protect only
-the payload for compatibility with existing pages; v3, being new,
+checksum field zeroed) plus the payload.  v1 checksums protect only
+the payload for compatibility with existing pages; v3, being newer,
 also catches header bit rot (a flipped resolution flag or key field).
 
 The checksum lets :func:`deserialize_cube` detect torn or corrupted
@@ -63,9 +64,9 @@ copies on first write.  Version-3 pages decode to a
 :data:`~repro.types.cube.DEFAULT_SPARSE_THRESHOLD`, else to a dense
 cube.
 
-The storage-vs-latency trade-off of v2 is measured in
-``benchmarks/bench_ablation_compression.py``; the v1/v3 sweep lives in
-``benchmarks/bench_cube_kernel.py``.  RASED's deployment choice (raw
+The storage-vs-latency trade-off of v3 against raw pages is measured
+in ``benchmarks/bench_ablation_compression.py`` and swept across scale
+in ``benchmarks/bench_cube_kernel.py``.  RASED's deployment choice (raw
 4 MB pages, one page per I/O) remains the default.
 """
 
@@ -95,15 +96,15 @@ __all__ = [
     "HEADER_SIZE",
     "cube_page_size",
     "PAGE_VERSION_RAW",
-    "PAGE_VERSION_COMPRESSED",
     "PAGE_VERSION_SPARSE",
+    "PAGE_VERSIONS",
 ]
 
 _MAGIC = b"RCUB"
 PAGE_VERSION_RAW = 1
-PAGE_VERSION_COMPRESSED = 2
 PAGE_VERSION_SPARSE = 3
-_VERSIONS = (PAGE_VERSION_RAW, PAGE_VERSION_COMPRESSED, PAGE_VERSION_SPARSE)
+#: The formats this build reads and writes (2, zlib, is retired).
+PAGE_VERSIONS = (PAGE_VERSION_RAW, PAGE_VERSION_SPARSE)
 _HEADER = struct.Struct("<4sHBBiii4II")
 HEADER_SIZE = _HEADER.size
 _CHECKSUM_OFFSET = HEADER_SIZE - 4  # trailing uint32 of the header
@@ -121,7 +122,7 @@ def page_version(data: bytes) -> int:
     if len(data) < HEADER_SIZE or data[:4] != _MAGIC:
         raise PageCorruptError("not a cube page")
     version = int.from_bytes(data[4:6], "little")
-    if version not in _VERSIONS:
+    if version not in PAGE_VERSIONS:
         raise PageCorruptError(f"unsupported cube format version {version}")
     return version
 
@@ -197,22 +198,16 @@ def _encode_sparse_payload(cells: np.ndarray, values: np.ndarray) -> bytes:
     return mini + deltas.tobytes() + run_lengths.tobytes() + run_values.tobytes()
 
 
-def serialize_cube(
-    cube: AnyCube, compress: bool = False, version: int | None = None
-) -> bytes:
+def serialize_cube(cube: AnyCube, version: int = PAGE_VERSION_RAW) -> bytes:
     """Encode a cube into one page's bytes.
 
-    ``version`` selects the page format (default 1, raw).  The legacy
-    ``compress`` flag is shorthand for version 2.  A version-3 request
-    silently writes a version-1 page instead when the sparse encoding
-    would not be smaller — readers never need to know which side won.
+    ``version`` selects the page format (default 1, raw).  A version-3
+    request silently writes a version-1 page instead when the sparse
+    encoding would not be smaller — readers never need to know which
+    side won.
     """
-    if version is None:
-        version = PAGE_VERSION_COMPRESSED if compress else PAGE_VERSION_RAW
-    elif version not in _VERSIONS:
+    if version not in PAGE_VERSIONS:
         raise ConfigError(f"unknown page version {version}")
-    elif compress and version != PAGE_VERSION_COMPRESSED:
-        raise ConfigError(f"compress=True conflicts with page version {version}")
 
     if version == PAGE_VERSION_SPARSE:
         cells, values = _sparse_parts(cube)
@@ -226,8 +221,6 @@ def serialize_cube(
 
     payload = np.ascontiguousarray(cube.counts, dtype="<i8").tobytes()
     checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    if version == PAGE_VERSION_COMPRESSED:
-        payload = zlib.compress(payload, level=6)
     return _pack_header(cube, version, checksum) + payload
 
 
@@ -304,7 +297,7 @@ def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
     ) = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise PageCorruptError(f"bad magic {magic!r}")
-    if version not in _VERSIONS:
+    if version not in PAGE_VERSIONS:
         raise PageCorruptError(f"unsupported cube format version {version}")
     if version == PAGE_VERSION_SPARSE:
         # Verify the full-page CRC before *interpreting* any header
@@ -341,29 +334,16 @@ def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
         return sparse.maybe_densify(DEFAULT_SPARSE_THRESHOLD)
 
     expected = schema.cell_count * 8
-    if version == PAGE_VERSION_COMPRESSED:
-        try:
-            payload = zlib.decompress(memoryview(data)[HEADER_SIZE:])
-        except zlib.error as exc:
-            raise PageCorruptError(f"corrupt compressed payload: {exc}") from exc
-        if len(payload) != expected:
-            raise PageCorruptError(
-                f"payload is {len(payload)} bytes, expected {expected}"
-            )
-        if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-            raise PageCorruptError("payload checksum mismatch")
-        counts = np.frombuffer(payload, dtype="<i8").reshape(shape)
-    else:
-        if len(data) - HEADER_SIZE != expected:
-            raise PageCorruptError(
-                f"payload is {len(data) - HEADER_SIZE} bytes, expected {expected}"
-            )
-        if zlib.crc32(memoryview(data)[HEADER_SIZE:]) & 0xFFFFFFFF != checksum:
-            raise PageCorruptError("payload checksum mismatch")
-        # Zero-copy fast path: a read-only int64 view straight over the
-        # page buffer.  ``<i8`` is the native layout on little-endian
-        # hosts, so astype (a full 4 MB copy) runs only on big-endian.
-        counts = np.frombuffer(data, dtype="<i8", offset=HEADER_SIZE).reshape(shape)
+    if len(data) - HEADER_SIZE != expected:
+        raise PageCorruptError(
+            f"payload is {len(data) - HEADER_SIZE} bytes, expected {expected}"
+        )
+    if zlib.crc32(memoryview(data)[HEADER_SIZE:]) & 0xFFFFFFFF != checksum:
+        raise PageCorruptError("payload checksum mismatch")
+    # Zero-copy fast path: a read-only int64 view straight over the
+    # page buffer.  ``<i8`` is the native layout on little-endian
+    # hosts, so astype (a full 4 MB copy) runs only on big-endian.
+    counts = np.frombuffer(data, dtype="<i8", offset=HEADER_SIZE).reshape(shape)
     if not counts.dtype.isnative:
         counts = counts.astype(np.int64)  # pragma: no cover (big-endian host)
     return DataCube(schema=schema, key=key, counts=counts, resolution=resolution)

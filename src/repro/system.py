@@ -83,7 +83,7 @@ class SystemConfig:
     #: so small sparse cubes multiply effective capacity.  ``None``
     #: (default) keeps the paper's slot accounting bit-identical.
     cache_bytes: int | None = None
-    #: On-disk cube page format (1 raw, 2 zlib, 3 sparse delta+RLE).
+    #: On-disk cube page format (1 raw, 3 sparse delta+RLE).
     #: Reads auto-detect, so the knob can change between runs; the
     #: default raw format keeps experiment numbers bit-identical.
     page_version: int = 1
@@ -107,8 +107,8 @@ class SystemConfig:
     #: serializes their page reads).
     scatter_threads: int | None = None
     #: Width of the executor's I/O scheduler pool (phase-1 page reads
-    #: are overlapped and single-flighted).  1 disables the scheduler
-    #: and restores the serial fetch loop.
+    #: are overlapped and single-flighted).  1 disables the scheduler:
+    #: a gather's misses are then read one at a time, in plan order.
     fetch_parallelism: int = 4
     #: Slots in the epoch-versioned whole-result memo cache in front
     #: of the executor.  0 (default) disables memoization, so repeated

@@ -408,6 +408,29 @@ class TestWindowAdditivity:
         )
         assert week_total == day_sum
 
+    def test_month_query_equals_its_one_point_series(self, rebuilt_system):
+        """The window-list identity: a query over one calendar month is
+        the one-window case of the monthly series over that month."""
+        executor = rebuilt_system.executor
+        start, end = date(2021, 2, 1), INGESTED_END
+        for group in ((), ("country",), ("element_type", "update_type")):
+            whole = executor.execute(
+                AnalysisQuery(start=start, end=end, group_by=group)
+            )
+            series = executor.execute(
+                AnalysisQuery(
+                    start=start,
+                    end=end,
+                    group_by=("date",) + group,
+                    date_granularity=Level.MONTH,
+                )
+            )
+            assert whole.rows
+            assert series.rows == {
+                (start,) + key: value for key, value in whole.rows.items()
+            }
+            assert series.stats.cube_count == whole.stats.cube_count
+
 
 class TestTimeSeriesCacheSnapshot:
     """An admit-on-miss cache changes under a time-series query's own

@@ -1,4 +1,4 @@
-"""Fuzzing the cube page serializer across all three page formats.
+"""Fuzzing the cube page serializer across both page formats.
 
 The serializer's contract is absolute in both directions:
 
@@ -7,7 +7,7 @@ The serializer's contract is absolute in both directions:
   serialized at any page version deserializes to an equal cube;
 * **corruption** — any truncation raises :class:`PageCorruptError`;
   any single-bit flip inside the region a format's CRC covers (the
-  payload for v1/v2, whose header checksum predates this PR and stays
+  payload for v1, whose header checksum predates v3 and stays
   payload-only for compat; the entire page for v3) either raises
   :class:`PageCorruptError` or decodes the original cube.  Never a
   wrong cube, never a different exception, never a crash.
@@ -34,9 +34,8 @@ from repro.core.cube import (
 from repro.core.dimensions import default_schema
 from repro.errors import PageCorruptError
 from repro.storage.serializer import (
-    PAGE_VERSION_COMPRESSED,
-    PAGE_VERSION_RAW,
     PAGE_VERSION_SPARSE,
+    PAGE_VERSIONS,
     deserialize_cube,
     serialize_cube,
 )
@@ -50,7 +49,6 @@ _KEYS = (
     month_key(2021, 3),
     year_key(2021),
 )
-_VERSIONS = (PAGE_VERSION_RAW, PAGE_VERSION_COMPRESSED, PAGE_VERSION_SPARSE)
 
 
 def _random_cube(rng: random.Random):
@@ -78,7 +76,7 @@ def test_round_trip_sweep():
     rng = random.Random(2024)
     for trial in range(150):
         cube = _random_cube(rng)
-        version = rng.choice(_VERSIONS)
+        version = rng.choice(PAGE_VERSIONS)
         data = serialize_cube(cube, version=version)
         restored = deserialize_cube(data, _SCHEMA)
         assert as_dense(restored) == as_dense(cube), (
@@ -91,7 +89,7 @@ def test_truncation_always_detected():
     rng = random.Random(77)
     for trial in range(60):
         cube = _random_cube(rng)
-        version = rng.choice(_VERSIONS)
+        version = rng.choice(PAGE_VERSIONS)
         data = serialize_cube(cube, version=version)
         cut = rng.randrange(len(data))
         with pytest.raises(PageCorruptError):
@@ -104,9 +102,9 @@ def test_bit_flips_never_yield_a_wrong_cube():
 
     for trial in range(120):
         cube = _random_cube(rng)
-        version = rng.choice(_VERSIONS)
+        version = rng.choice(PAGE_VERSIONS)
         data = bytearray(serialize_cube(cube, version=version))
-        # v1/v2 guarantee integrity of the payload only; v3's CRC
+        # v1 guarantees integrity of the payload only; v3's CRC
         # covers the whole page, so any byte is fair game there.
         floor = 0 if page_version(bytes(data)) == PAGE_VERSION_SPARSE else HEADER_SIZE
         position = rng.randrange(floor, len(data))
@@ -124,7 +122,7 @@ def test_bit_flips_never_yield_a_wrong_cube():
 
 def test_v3_flips_anywhere_raise():
     """v3's CRC covers the whole page, header included: a flip anywhere
-    must raise (unlike v1/v2, whose CRC is payload-only for compat)."""
+    must raise (unlike v1, whose CRC is payload-only for compat)."""
     rng = random.Random(515)
     cube = SparseCube(
         schema=_SCHEMA,

@@ -27,6 +27,7 @@ from repro.core.cache import CacheManager
 from repro.core.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
+from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.core.resultcache import EpochCounter, ResultCache
@@ -329,6 +330,47 @@ def test_rewarmed_engine_still_matches_oracle(schema, oracle):
         assert engine.execute(QUERY).rows == oracle.execute(QUERY).rows
     finally:
         engine.shutdown()
+
+
+def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
+    """One pipeline, one phase vocabulary: the scatter engine reports
+    its shard-local cache hits under ``phase1.fetch.cache`` (it used to
+    bill them to ``phase1.fetch.disk``), and ``phase1.plan`` counts one
+    plan per window whichever engine ran."""
+    # Both end inside the preloaded (newest) days, so cubes are resident.
+    window = AnalysisQuery(
+        start=date(2021, 3, 10), end=END, group_by=("country",)
+    )
+    series = AnalysisQuery(
+        start=date(2021, 3, 22), end=END, group_by=("date",)
+    )
+    sched = IOScheduler(max_workers=4)
+    overlapped = QueryExecutor(
+        oracle.index,
+        cache=oracle.cache,
+        optimizer=LevelOptimizer(oracle.index),
+        iosched=sched,
+    )
+    sharded = _build_engine(schema)
+    try:
+        for engine in (oracle, overlapped, sharded):
+            for query, windows in ((window, 1), (series, 10)):
+                result = engine.execute(query)
+                phases = result.stats.trace.phases
+                assert phases["phase1.plan"].count == windows
+                assert result.stats.cache_hits > 0
+                assert phases["phase1.fetch.cache"].count == result.stats.cache_hits
+                assert phases["phase1.fetch.cache"].seconds > 0.0
+                fetched = phases["phase1.fetch.cache"].count + (
+                    phases["phase1.fetch.disk"].count
+                    if "phase1.fetch.disk" in phases
+                    else 0
+                )
+                assert fetched == result.stats.cube_count
+                assert "phase2.aggregate" in phases
+    finally:
+        sharded.shutdown()
+        sched.shutdown()
 
 
 def test_injection_point_is_registered():

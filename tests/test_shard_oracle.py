@@ -9,15 +9,18 @@ same totals) plus exact int64 addition (grouping partial arrays by
 shard cannot change a sum).  These tests are the empirical check of
 that argument: a seeded sweep of dashboard-mix, single-cell, and
 time-series queries — ranges, zones, filters, groupings — executed
-against both engines at N ∈ {2, 4, 8}, every answer compared
-key-for-key, value-for-value.
+against both engines at N ∈ {1, 2, 4, 8} (N=1 is the scatter engine
+over a one-shard index: the degenerate case must be identical too),
+every answer compared key-for-key, value-for-value.
 
 Per shard count the sweep runs 70 queries (40 dashboard-mix across
 two window spans, 20 single-cell, 10 daily series), so the whole
-suite executes 210 differential comparisons — plus the live-overlay
-comparisons, which drive two fully assembled deployments (shards=1
-vs shards=4) through the same simulated days and compare
-``analysis_live`` output.
+suite executes 280 differential comparisons — plus the same 70 through
+an ``IOScheduler``-backed unsharded executor (the overlapped read path
+of the one shared gather loop must also match, counters included), and
+the live-overlay comparisons, which drive two fully assembled
+deployments (shards=1 vs shards=4) through the same simulated days and
+compare ``analysis_live`` output.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.cache import CacheManager
 from repro.core.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
+from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.core.shard import (
@@ -58,7 +62,7 @@ COUNTRIES = (
 )
 START = date(2021, 1, 1)
 END = date(2021, 5, 31)
-SHARD_COUNTS = (2, 4, 8)
+SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def _dataset():
@@ -139,6 +143,31 @@ def test_oracle_sweep_byte_identical(corpus, oracle, shards):
             _assert_identical(oracle.execute(query), engine.execute(query), query)
     finally:
         engine.shutdown()
+
+
+def test_overlapped_reads_match_serial_oracle(corpus, oracle):
+    """The same gather loop with its misses prefetched through an
+    ``IOScheduler`` — over the oracle's own index and (static) cache —
+    answers and *counts* exactly like the scheduler-less oracle."""
+    schema, _ = corpus
+    sched = IOScheduler(max_workers=4)
+    subject = QueryExecutor(
+        oracle.index,
+        cache=oracle.cache,
+        optimizer=LevelOptimizer(oracle.index),
+        iosched=sched,
+    )
+    try:
+        for query in _sweep(schema):
+            expected = oracle.execute(query)
+            actual = subject.execute(query)
+            _assert_identical(expected, actual, query)
+            for counter in ("cube_count", "cache_hits", "disk_reads"):
+                assert getattr(actual.stats, counter) == getattr(
+                    expected.stats, counter
+                ), f"{counter} diverges for {query}"
+    finally:
+        sched.shutdown()
 
 
 def test_total_query_volume_meets_spec(corpus):

@@ -15,7 +15,6 @@ from repro.errors import ConfigError, PageCorruptError, PageNotFoundError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.serializer import (
     HEADER_SIZE,
-    PAGE_VERSION_COMPRESSED,
     PAGE_VERSION_RAW,
     PAGE_VERSION_SPARSE,
     cube_page_size,
@@ -229,57 +228,27 @@ class TestSerializer:
         with pytest.raises(PageCorruptError, match="shape"):
             deserialize_cube(data, other)
 
-    def test_compressed_roundtrip(self, tiny_schema):
-        cube = self._cube(tiny_schema)
-        data = serialize_cube(cube, compress=True)
-        assert deserialize_cube(data, tiny_schema) == cube
-
-    def test_compressed_page_is_smaller_for_sparse_cube(self, tiny_schema):
-        cube = self._cube(tiny_schema)  # 3 nonzero cells out of 288
-        raw = serialize_cube(cube, compress=False)
-        packed = serialize_cube(cube, compress=True)
-        assert len(packed) < len(raw) / 2
-
-    def test_compressed_corruption_detected(self, tiny_schema):
-        data = bytearray(serialize_cube(self._cube(tiny_schema), compress=True))
-        data[HEADER_SIZE + 2] ^= 0xFF
-        with pytest.raises(PageCorruptError):
+    def test_retired_v2_page_rejected(self, tiny_schema):
+        """The zlib format (v2) is gone; a v2 page left on disk is
+        rejected as corrupt input, never mis-decoded."""
+        data = bytearray(serialize_cube(self._cube(tiny_schema)))
+        data[4:6] = (2).to_bytes(2, "little")
+        with pytest.raises(
+            PageCorruptError, match="unsupported cube format version 2"
+        ):
             deserialize_cube(bytes(data), tiny_schema)
 
-    def test_compressed_checksum_validates_raw_payload(self, tiny_schema):
-        """The CRC covers the uncompressed cells, so decompression that
-        'succeeds' with wrong content still fails verification."""
-        cube = self._cube(tiny_schema)
-        import zlib as _zlib
-
-        other = cube.copy()
-        other.record("way", "qatar", "service", "delete")
-        data = bytearray(serialize_cube(cube, compress=True))
-        # Swap in another cube's compressed payload under cube's header.
-        import numpy as _np
-
-        foreign = _zlib.compress(
-            _np.ascontiguousarray(other.counts, dtype="<i8").tobytes()
-        )
-        data = bytes(data[:HEADER_SIZE]) + foreign
-        with pytest.raises(PageCorruptError, match="checksum"):
-            deserialize_cube(data, tiny_schema)
-
-    def test_index_reads_mixed_compression(self, tiny_schema):
-        """An index can read raw pages written before compression was
-        enabled and compressed ones after — format is self-describing."""
+    def test_page_version_2_is_a_config_error(self, tiny_schema):
         from repro.core.hierarchy import HierarchicalIndex
-        from repro.storage.disk import InMemoryDisk
 
-        disk = InMemoryDisk(read_latency=0, write_latency=0)
-        raw_index = HierarchicalIndex(tiny_schema, disk, compress=False)
-        cube_a = self._cube(tiny_schema, key=day_key(date(2021, 1, 1)))
-        raw_index.put(cube_a)
-        packed_index = HierarchicalIndex(tiny_schema, disk, compress=True)
-        cube_b = self._cube(tiny_schema, key=day_key(date(2021, 1, 2)))
-        packed_index.put(cube_b)
-        assert packed_index.get(cube_a.key) == cube_a
-        assert packed_index.get(cube_b.key) == cube_b
+        with pytest.raises(ConfigError):
+            serialize_cube(self._cube(tiny_schema), version=2)
+        with pytest.raises(ConfigError):
+            HierarchicalIndex(
+                tiny_schema,
+                InMemoryDisk(read_latency=0, write_latency=0),
+                page_version=2,
+            )
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=30))
     @settings(max_examples=25)
@@ -424,16 +393,8 @@ class TestSparsePageFormat:
         with pytest.raises(ConfigError):
             serialize_cube(self._cube(tiny_schema), version=9)
 
-    def test_compress_conflicts_with_other_versions(self, tiny_schema):
-        with pytest.raises(ConfigError):
-            serialize_cube(
-                self._cube(tiny_schema),
-                compress=True,
-                version=PAGE_VERSION_SPARSE,
-            )
-
     def test_index_reads_mixed_versions(self, tiny_schema):
-        """v1, v2, and v3 pages coexist in one store — the format is
+        """v1 and v3 pages coexist in one store — the format is
         self-describing, so upgrading page_version needs no migration."""
         from repro.core.hierarchy import HierarchicalIndex
 
@@ -441,7 +402,6 @@ class TestSparsePageFormat:
         cubes = {}
         for version, day in (
             (PAGE_VERSION_RAW, 1),
-            (PAGE_VERSION_COMPRESSED, 2),
             (PAGE_VERSION_SPARSE, 3),
         ):
             index = HierarchicalIndex(tiny_schema, disk, page_version=version)

@@ -42,6 +42,7 @@ from repro.core.optimizer import LevelOptimizer
 from repro.core.shard import (
     ScatterGatherExecutor,
     ShardedIndex,
+    ShardedPageStore,
     shard_stores_for,
 )
 from repro.dashboard.procpool import ProcessPoolDispatcher
@@ -123,10 +124,10 @@ def _shard_clone(flat: HierarchicalIndex, shards: int) -> ShardedIndex:
     sweep builds the flat index once and copies finished cubes into
     each shard layout (placement routes every ``put``).
     """
-    stores = shard_stores_for(_modeled_disk(), shards)
+    disk = _modeled_disk()
     sharded = ShardedIndex(
         flat.schema,
-        stores,
+        ShardedPageStore(shard_stores_for(disk, shards), disk),
         page_version=PAGE_VERSION_SPARSE,
         sparse=True,
     )

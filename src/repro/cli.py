@@ -348,7 +348,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         system.dashboard,
         host=args.host,
         port=args.port,
-        threaded=not args.single_thread,
         admission=system.admission,
         max_body_bytes=args.max_body_bytes,
         drain_timeout=args.drain_timeout,
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="index into N shard stores (<root>/pages-shard<i>, "
         "rendezvous-placed); serve the deployment with the same "
-        "--shards value (incompatible with --durable for now)",
+        "--shards value",
     )
     ingest.add_argument(
         "--durable",
@@ -511,17 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoized whole-result cache slots (0 disables)",
     )
     serve.add_argument(
-        "--single-thread",
-        action="store_true",
-        help="serve requests serially (concurrency baseline)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=1,
-        help="partition cubes across N shard stores (<root>/pages-shard<i>) "
+        help="read cubes from N shard stores (<root>/pages-shard<i>) "
         "with consistent placement and scatter-gather execution "
-        "(1 = the single-process engine)",
+        "(1 = one store, no scatter)",
     )
     serve.add_argument(
         "--scatter-threads",

@@ -61,6 +61,7 @@ from repro.errors import DEGRADABLE_READ_ERRORS, QueryError
 from repro.obs import MetricsRegistry, QueryTrace, get_registry, metric_key
 from repro.obs.span import Span, Tracer
 from repro.obs.span import span as causal_span
+from repro.storage.pages import PageStore
 
 __all__ = ["QueryExecutor", "GatherPartial", "local_gather"]
 
@@ -112,16 +113,20 @@ def local_gather(
     filters: dict,
     group_by: tuple[str, ...],
     iosched: IOScheduler | None = None,
+    store: PageStore | None = None,
 ) -> GatherPartial:
     """Fetch and reduce position-tagged cubes of one ``(index, cache)``.
 
     Three passes, each timed once: look every distinct key up in the
     cache, read the misses, aggregate per window position.  A read
     that hits a corrupt/vanished/quarantined page drops that cube and
-    the caller flags the answer partial.
+    the caller flags the answer partial.  ``store`` is the device the
+    misses land on — the index's store unless the caller knows better
+    (a scatter subquery names its own shard's store).
     """
     out = GatherPartial()
-    store = index.store
+    if store is None:
+        store = index.store
     charged_before = store.stats.simulated_seconds
 
     def load(key: TemporalKey) -> AnyCube | None:

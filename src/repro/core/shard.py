@@ -2,8 +2,8 @@
 
 One process owning the whole hierarchical index is the scaling wall
 RASED's "millions of users" pitch eventually hits: the GIL caps the
-threaded server, and a single cache budget serves every zone and time
-range.  This module splits the index across N **shards**:
+threaded server, and one device serves every page read.  This module
+places the index's pages across N **shards**:
 
 * :class:`ShardRouter` — rendezvous (highest-random-weight) hashing
   from a cube's identity to its owning shard.  The hash is a keyed
@@ -12,16 +12,16 @@ range.  This module splits the index across N **shards**:
   across restarts and across the serving process pool.  Rendezvous
   hashing gives the classic consistent-placement property: growing or
   shrinking the shard set by one relocates only ~K/N of K cubes.
-* :class:`ShardedIndex` — a :class:`~repro.core.hierarchy.HierarchicalIndex`
-  facade over one inner index per shard, each with its own
-  :class:`~repro.storage.pages.PageStore`.  All maintenance (daily
-  ingest, rollups, monthly rebuild, bulk load) is inherited unchanged:
-  it flows through ``put``/``get``/``has``, which route by placement.
-* :class:`ShardedCacheManager` — one byte- or slot-budgeted
-  :class:`~repro.core.cache.CacheManager` per shard, splitting the
-  deployment's budget evenly.  A shard restart re-warms only its own
-  cache (:meth:`ShardedCacheManager.rewarm_shard`); the other shards'
-  working sets stay hot.
+* :class:`ShardedPageStore` — the routed page store.  Where a page
+  lives is decided here and nowhere else: cube pages go to the shard
+  their key text hashes to, everything else (crawl cursor, WAL,
+  warehouse, auxiliary indexes) stays on the primary store.
+* :class:`ShardedIndex` — a plain
+  :class:`~repro.core.hierarchy.HierarchicalIndex` over that routed
+  store: one catalog, one quarantine set, one
+  :class:`~repro.core.cache.CacheManager` in front of it and (when
+  durable) one :class:`~repro.storage.wal.IngestWAL` around it, at any
+  shard count.  It only adds ``shard_for``.
 * :class:`ScatterGatherExecutor` — the query pipeline of
   :mod:`repro.core.executor` with one seam overridden: the planned
   keys are grouped by owning shard and each group runs the shared
@@ -35,9 +35,9 @@ range.  This module splits the index across N **shards**:
 — any exact cover of the query range yields the same totals — and
 cube aggregation is integer addition, which is associative and exact.
 Grouping the per-cube partial arrays by shard before the final
-reduction therefore cannot change a single output byte, regardless of
-how placement scattered the plan or how per-shard caches diverge from
-the single-process cache's contents.
+reduction therefore cannot change a single output byte, however
+placement scattered the plan — and since the catalog and the cache
+are the unsharded ones, the plan and every counter are the same too.
 
 **Failure semantics** mirror the PR 4 quarantine contract: a shard
 that dies mid-query (connection loss, injected fault, crashed worker)
@@ -60,14 +60,13 @@ import hashlib
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from datetime import date
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.cache import CacheManager, CacheRatios, DEFAULT_RATIOS
+from repro.core.cache import CacheManager
 from repro.core.calendar import Level, TemporalKey
-from repro.core.cube import AnyCube, DEFAULT_SPARSE_THRESHOLD, sum_arrays
+from repro.core.cube import DEFAULT_SPARSE_THRESHOLD, sum_arrays
 from repro.core.deadline import (
     Deadline,
     check_deadline,
@@ -76,12 +75,12 @@ from repro.core.deadline import (
 )
 from repro.core.dimensions import CubeSchema
 from repro.core.executor import GatherPartial, QueryExecutor, local_gather
-from repro.core.hierarchy import HierarchicalIndex, parse_page_key
+from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import LevelOptimizer
 from repro.core.percentages import NetworkSizeRegistry
 from repro.core.query import QueryStats
 from repro.core.resultcache import EpochCounter, ResultCache
-from repro.errors import ConfigError, DeadlineExceededError, IndexError_
+from repro.errors import ConfigError, DeadlineExceededError
 from repro.geo.zones import ZoneAtlas
 from repro.obs import MetricsRegistry, metric_key
 from repro.obs.span import Span, Tracer, current_span, reset_ambient, set_ambient
@@ -92,7 +91,6 @@ __all__ = [
     "ShardRouter",
     "ShardedPageStore",
     "ShardedIndex",
-    "ShardedCacheManager",
     "ScatterGatherExecutor",
     "shard_stores_for",
 ]
@@ -171,7 +169,7 @@ def shard_stores_for(store: PageStore, shards: int) -> list[PageStore]:
     path, so reopening the deployment finds each shard's cubes where
     placement put them.  In-memory stores get fresh siblings with the
     same latency model.  Other store types must be provided explicitly
-    (construct :class:`ShardedIndex` directly).
+    (construct :class:`ShardedPageStore` directly).
     """
     if shards < 1:
         raise ConfigError(f"shard count must be >= 1, got {shards}")
@@ -200,35 +198,37 @@ def shard_stores_for(store: PageStore, shards: int) -> list[PageStore]:
         ]
     raise ConfigError(
         f"cannot derive shard stores from {type(store).__name__}; "
-        "construct ShardedIndex with explicit shard stores"
+        "construct ShardedPageStore with explicit shard stores"
     )
 
 
 class ShardedPageStore(PageStore):
-    """The routed page-store view a :class:`ShardedIndex` reads through.
+    """The routed page store: where a page lives is decided here, once.
 
-    Cube pages route to their owning shard's store; everything else
-    (the ingestion pipeline's ``meta/`` crawl cursor, most notably)
-    goes to the deployment's primary store.  ``stats`` is the merged
-    accounting of every underlying store plus this view's own
-    scatter-overlap adjustment, so executor deltas see exactly the I/O
-    a query caused, wherever it landed.
+    A cube page lives on the shard the router places its key text on;
+    everything else (the crawl cursor under ``meta/``, the ``wal/``
+    journal, the ``warehouse/`` heap and its indexes) lives on the
+    deployment's primary store.  ``stats`` is the merged accounting of
+    every underlying store plus this view's own scatter-overlap
+    adjustment, so executor deltas see exactly the I/O a query caused,
+    wherever it landed.
     """
 
     def __init__(
         self,
         shard_stores: Sequence[PageStore],
         meta_store: PageStore,
-        router: ShardRouter,
+        router: ShardRouter | None = None,
         prefix: str = "cubes",
     ) -> None:
-        if len(shard_stores) != router.shards:
+        self.router = router if router is not None else ShardRouter(len(shard_stores))
+        if len(shard_stores) != self.router.shards:
             raise ConfigError(
-                f"router expects {router.shards} shards, got {len(shard_stores)} stores"
+                f"router expects {self.router.shards} shards, "
+                f"got {len(shard_stores)} stores"
             )
         self.shard_stores = list(shard_stores)
         self.meta_store = meta_store
-        self.router = router
         self.prefix = prefix
         self._cube_head = prefix + "/"
         # Scatter credits are negative simulated-seconds adjustments;
@@ -240,12 +240,11 @@ class ShardedPageStore(PageStore):
     # -- routing -------------------------------------------------------------
 
     def _store_for(self, page_id: str) -> PageStore:
-        if page_id.startswith(self._cube_head):
-            try:
-                key = parse_page_key(page_id, self.prefix)
-            except IndexError_:
-                return self.meta_store
-            return self.shard_stores[self.router.shard_for(key)]
+        head = self._cube_head
+        if page_id.startswith(head):
+            # The text after the prefix is ``str(key)`` — the very
+            # string ``ShardRouter.shard_for`` hashes.
+            return self.shard_stores[self.router.route(page_id[len(head):])]
         return self.meta_store
 
     def _all_stores(self) -> list[PageStore]:
@@ -337,255 +336,68 @@ class ShardedPageStore(PageStore):
 
 
 class ShardedIndex(HierarchicalIndex):
-    """A hierarchical index partitioned across per-shard page stores.
+    """A hierarchical index whose cube pages are placed across shards.
 
-    One inner :class:`HierarchicalIndex` per shard owns that shard's
-    catalog, quarantine set, and store; this facade routes single-key
-    operations by placement and unions the rest.  Every maintenance
-    flow — ``ingest_day``, rollups, ``rebuild_month``, ``bulk_load`` —
-    is inherited verbatim, because it only touches the index through
-    ``put``/``get``/``has``.
+    Placement is the page store's business: this is a plain
+    :class:`HierarchicalIndex` — ONE catalog, ONE quarantine set, every
+    maintenance flow inherited — over a :class:`ShardedPageStore`
+    (``store``, when given, is a wrapper around it, e.g. the ingest
+    WAL's journaled view).  It adds only what the scatter needs to
+    know: which shard a key lives on.
     """
 
     def __init__(
         self,
         schema: CubeSchema,
-        shard_stores: Sequence[PageStore],
-        meta_store: PageStore | None = None,
-        router: ShardRouter | None = None,
+        routed: ShardedPageStore,
+        store: PageStore | None = None,
         atlas: ZoneAtlas | None = None,
         levels: tuple[Level, ...] = (Level.DAY, Level.WEEK, Level.MONTH, Level.YEAR),
-        prefix: str = "cubes",
         epoch: EpochCounter | None = None,
         page_version: int | None = None,
         sparse: bool = False,
         sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
     ) -> None:
-        if not shard_stores:
-            raise ConfigError("a sharded index needs at least one shard store")
-        self.router = router if router is not None else ShardRouter(len(shard_stores))
-        if self.router.shards != len(shard_stores):
-            raise ConfigError(
-                f"router expects {self.router.shards} shards, "
-                f"got {len(shard_stores)} stores"
-            )
-        #: One full index per shard; each loads only its own catalog.
-        self.shards: list[HierarchicalIndex] = [
-            HierarchicalIndex(
-                schema,
-                store,
-                atlas=atlas,
-                levels=levels,
-                prefix=prefix,
-                epoch=epoch,
-                page_version=page_version,
-                sparse=sparse,
-                sparse_threshold=sparse_threshold,
-            )
-            for store in shard_stores
-        ]
-        self.store_view = ShardedPageStore(
-            shard_stores,
-            meta_store if meta_store is not None else shard_stores[0],
-            self.router,
-            prefix=prefix,
-        )
+        #: The routed view itself (``self.store`` may wrap it).
+        self.routed = routed
+        self.router = routed.router
         super().__init__(
             schema,
-            self.store_view,
+            store if store is not None else routed,
             atlas=atlas,
             levels=levels,
-            prefix=prefix,
+            prefix=routed.prefix,
             epoch=epoch,
             page_version=page_version,
             sparse=sparse,
             sparse_threshold=sparse_threshold,
         )
 
-    def _load_catalog(self) -> None:
-        """No-op: the inner per-shard indexes own the catalogs."""
-
-    # -- placement -----------------------------------------------------------
-
     @property
     def shard_count(self) -> int:
-        return len(self.shards)
+        return self.router.shards
 
     def shard_for(self, key: TemporalKey) -> int:
         """The shard a cube lives on (pure placement, no I/O)."""
         return self.router.shard_for(key)
 
-    def shard_index(self, shard: int) -> HierarchicalIndex:
-        return self.shards[shard]
+    def count_by_shard(self, keys: Iterable[TemporalKey]) -> list[int]:
+        """How many of ``keys`` each shard owns."""
+        counts = [0] * self.shard_count
+        for key in keys:
+            counts[self.router.shard_for(key)] += 1
+        return counts
 
     def shard_status(self) -> list[dict[str, object]]:
         """Per-shard health: pages and quarantined cubes (for /health)."""
+        pages = self.count_by_shard(
+            key for level in Level for key in self.keys(level)
+        )
+        quarantined = self.count_by_shard(self.quarantined_keys())
         return [
-            {
-                "shard": i,
-                "pages": inner.total_pages(),
-                "quarantined_cubes": inner.quarantined_count(),
-            }
-            for i, inner in enumerate(self.shards)
+            {"shard": i, "pages": pages[i], "quarantined_cubes": quarantined[i]}
+            for i in range(self.shard_count)
         ]
-
-    # -- routed single-key operations ---------------------------------------
-
-    def has(self, key: TemporalKey) -> bool:
-        return self.shards[self.router.shard_for(key)].has(key)
-
-    def get(self, key: TemporalKey) -> AnyCube:
-        return self.shards[self.router.shard_for(key)].get(key)
-
-    def put(self, cube: AnyCube) -> None:
-        self.shards[self.router.shard_for(cube.key)].put(cube)
-
-    def quarantine(self, key: TemporalKey) -> bool:
-        return self.shards[self.router.shard_for(key)].quarantine(key)
-
-    # -- unioned catalog views -----------------------------------------------
-
-    def keys(self, level: Level) -> list[TemporalKey]:
-        merged: list[TemporalKey] = []
-        for inner in self.shards:
-            merged.extend(inner.keys(level))
-        return sorted(merged, key=lambda k: (k.start, k.level))
-
-    def coverage(self) -> tuple[date, date] | None:
-        spans = [inner.coverage() for inner in self.shards]
-        present = [span for span in spans if span is not None]
-        if not present:
-            return None
-        return min(s[0] for s in present), max(s[1] for s in present)
-
-    def quarantined_keys(self) -> list[TemporalKey]:
-        merged: list[TemporalKey] = []
-        for inner in self.shards:
-            merged.extend(inner.quarantined_keys())
-        return sorted(merged, key=lambda k: (k.start, k.level))
-
-    def quarantined_count(self) -> int:
-        return sum(inner.quarantined_count() for inner in self.shards)
-
-    def reload_catalog(self) -> None:
-        for inner in self.shards:
-            inner.reload_catalog()
-
-    def pages_per_level(self) -> dict[Level, int]:
-        totals = {level: 0 for level in self.levels}
-        for inner in self.shards:
-            for level, count in inner.pages_per_level().items():
-                totals[level] += count
-        return totals
-
-    def total_pages(self) -> int:
-        return sum(inner.total_pages() for inner in self.shards)
-
-
-class ShardedCacheManager(CacheManager):
-    """One cache per shard, splitting the deployment budget evenly.
-
-    The facade satisfies the full :class:`CacheManager` surface the
-    executor, optimizer, pipeline, and system use — ``contents()`` is
-    the union, ``get``/``admit``/``refresh_key`` route by placement —
-    while each shard's budget, LRU chain, and preload sweep stay
-    independent.  That independence is the point: restarting one shard
-    (:meth:`rewarm_shard`) re-reads only that shard's pages; the other
-    shards' working sets never go cold.
-    """
-
-    def __init__(
-        self,
-        index: ShardedIndex,
-        slots: int,
-        ratios: CacheRatios = DEFAULT_RATIOS,
-        admit_on_miss: bool = False,
-        metrics: MetricsRegistry | None = None,
-        byte_budget: int | None = None,
-    ) -> None:
-        super().__init__(
-            index,
-            slots=slots,
-            ratios=ratios,
-            admit_on_miss=admit_on_miss,
-            metrics=metrics,
-            byte_budget=byte_budget,
-        )
-        self.sharded_index = index
-        n = index.shard_count
-        slot_split = self._split(slots, n)
-        byte_split = (
-            self._split(byte_budget, n) if byte_budget is not None else [None] * n
-        )
-        #: Per-shard caches over the per-shard inner indexes.
-        self.shard_caches: list[CacheManager] = [
-            CacheManager(
-                index.shards[i],
-                slots=slot_split[i],
-                ratios=ratios,
-                admit_on_miss=admit_on_miss,
-                metrics=self.metrics,
-                byte_budget=byte_split[i],
-            )
-            for i in range(n)
-        ]
-
-    @staticmethod
-    def _split(budget: int, n: int) -> list[int]:
-        """Even deterministic split; the remainder goes to low shards."""
-        base, rem = divmod(budget, n)
-        return [base + (1 if i < rem else 0) for i in range(n)]
-
-    def _cache_for(self, key: TemporalKey) -> CacheManager:
-        return self.shard_caches[self.sharded_index.shard_for(key)]
-
-    # -- preload / maintenance ----------------------------------------------
-
-    def preload(self) -> int:
-        return sum(cache.preload() for cache in self.shard_caches)
-
-    def rewarm_shard(self, shard: int) -> int:
-        """Clear and re-preload one shard's cache (its restart path)."""
-        self.shard_caches[shard].clear()
-        return self.shard_caches[shard].preload()
-
-    def refresh_key(self, key: TemporalKey) -> None:
-        self._cache_for(key).refresh_key(key)
-
-    def clear(self) -> int:
-        return sum(cache.clear() for cache in self.shard_caches)
-
-    # -- lookup ---------------------------------------------------------------
-
-    def __contains__(self, key: TemporalKey) -> bool:
-        return key in self._cache_for(key)
-
-    def contents(self) -> frozenset[TemporalKey]:
-        merged: set[TemporalKey] = set()
-        for cache in self.shard_caches:
-            merged.update(cache.contents())
-        return frozenset(merged)
-
-    def get(self, key: TemporalKey) -> AnyCube | None:
-        return self._cache_for(key).get(key)
-
-    def admit(self, cube: AnyCube) -> None:
-        self._cache_for(cube.key).admit(cube)
-
-    @property
-    def cached_count(self) -> int:
-        return sum(cache.cached_count for cache in self.shard_caches)
-
-    @property
-    def cached_bytes(self) -> int:
-        return sum(cache.cached_bytes for cache in self.shard_caches)
-
-    @property
-    def hit_rate(self) -> float:
-        hits = sum(cache.hits for cache in self.shard_caches)
-        misses = sum(cache.misses for cache in self.shard_caches)
-        total = hits + misses
-        return hits / total if total else 0.0
 
 
 class ScatterGatherExecutor(QueryExecutor):
@@ -617,7 +429,7 @@ class ScatterGatherExecutor(QueryExecutor):
     def __init__(
         self,
         index: ShardedIndex,
-        cache: ShardedCacheManager | None = None,
+        cache: CacheManager | None = None,
         optimizer: LevelOptimizer | None = None,
         network_sizes: NetworkSizeRegistry | None = None,
         metrics: MetricsRegistry | None = None,
@@ -637,10 +449,6 @@ class ScatterGatherExecutor(QueryExecutor):
             tracer=tracer,
         )
         self.sharded_index = index
-        if cache is not None:
-            self._shard_caches: list[CacheManager | None] = list(cache.shard_caches)
-        else:
-            self._shard_caches = [None] * index.shard_count
         workers = (
             max_workers
             if max_workers is not None
@@ -656,10 +464,10 @@ class ScatterGatherExecutor(QueryExecutor):
     def shard_status(self) -> list[dict[str, object]]:
         """Per-shard pages/quarantine/cache state (served on /health)."""
         status = self.sharded_index.shard_status()
-        for i, entry in enumerate(status):
-            cache = self._shard_caches[i]
-            if cache is not None:
-                entry["cached_cubes"] = cache.cached_count
+        if self.cache is not None:
+            cached = self.sharded_index.count_by_shard(self.cache.contents())
+            for entry, count in zip(status, cached):
+                entry["cached_cubes"] = count
         return status
 
     def shutdown(self) -> None:
@@ -727,7 +535,7 @@ class ScatterGatherExecutor(QueryExecutor):
                 labels = part.labels
             self._merge(part, stats)
             charged.append(part.charged_seconds)
-        credit = self.sharded_index.store_view.credit_scatter(charged)
+        credit = self.sharded_index.routed.credit_scatter(charged)
         merge_started = time.perf_counter()
         elapsed = merge_started - started
         arrays = {
@@ -762,11 +570,11 @@ class ScatterGatherExecutor(QueryExecutor):
                 span = parent.trace.new_span("shard.query", parent.span_id)
                 token = set_ambient(span)
             try:
-                index = self.sharded_index.shards[shard]
+                store = self.sharded_index.routed.shard_stores[shard]
                 if self.fault_hook is not None:
-                    self.fault_hook(shard, index.store)
+                    self.fault_hook(shard, store)
                 return local_gather(
-                    index, self._shard_caches[shard], items, filters, group_by
+                    self.index, self.cache, items, filters, group_by, store=store
                 )
             except BaseException as exc:
                 if span is not None:

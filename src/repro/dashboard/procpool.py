@@ -45,7 +45,6 @@ executions open their own trace trees in their own recorders.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -53,12 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 from repro.dashboard.api import Dashboard
-from repro.errors import (
-    ConfigError,
-    DeadlineExceededError,
-    QueryError,
-    RasedError,
-)
+from repro.errors import ConfigError, QueryError
 from repro.core.deadline import Deadline, deadline_scope
 
 __all__ = ["ProcessPoolDispatcher", "DISPATCH_KINDS"]
@@ -83,13 +77,6 @@ def _worker_warm(seconds: float) -> int:
     return os.getpid()
 
 
-def _encode(document: dict[str, object]) -> bytes:
-    # Mirrors DashboardServer._send (default=str covers non-JSON
-    # leaves in span attributes), so the wire bytes are identical to
-    # an in-process response.
-    return json.dumps(document, default=str).encode("utf-8")
-
-
 def _worker_run(
     kind: str,
     body: bytes,
@@ -97,16 +84,15 @@ def _worker_run(
 ) -> tuple[int, bytes]:
     """Execute one analysis request; returns ``(status, json_bytes)``.
 
-    The error -> status mapping mirrors the HTTP handler's
-    ``_run_guarded`` exactly, so clients cannot tell from a response
-    whether it was computed in-process or in a worker.  Failures are
-    *returned*, never raised: a raised exception would surface as a
-    broken future in the serving thread and map to a bare 500 with
-    less detail.
+    The work is the server's own :func:`~repro.dashboard.server.
+    run_analysis_request` — parse, dispatch, encode, error -> status —
+    under a re-entered deadline scope.
     """
+    from repro.dashboard.server import run_analysis_request
+
     dashboard = _WORKER_DASHBOARD
     if dashboard is None:
-        return 500, _encode({"error": "worker pool initializer did not run"})
+        return 500, b'{"error": "worker pool initializer did not run"}'
     # The remaining budget was measured at dispatch; queue wait inside
     # the pool is not re-charged (a few microseconds against budgets
     # measured in tens of milliseconds).
@@ -115,29 +101,8 @@ def _worker_run(
         if deadline_ms is not None and deadline_ms > 0.0
         else None
     )
-    from repro.dashboard.server import query_from_json, result_to_json
-
-    try:
-        payload = json.loads(body or b"{}")
-        with deadline_scope(deadline):
-            if kind == "sql":
-                sql = payload.get("sql")
-                if not isinstance(sql, str):
-                    raise QueryError('body must be {"sql": "SELECT ..."}')
-                result = dashboard.analysis_sql(sql)
-            elif kind == "live":
-                result = dashboard.analysis_live(query_from_json(payload))
-            elif kind == "analysis":
-                result = dashboard.analysis(query_from_json(payload))
-            else:
-                raise QueryError(f"unknown dispatch kind {kind!r}")
-        return 200, _encode(result_to_json(result))
-    except DeadlineExceededError as exc:
-        return 504, _encode({"error": str(exc)})
-    except (RasedError, ValueError) as exc:
-        return 400, _encode({"error": str(exc)})
-    except Exception as exc:  # lint: allow[broad-except] worker boundary: every failure must map to a JSON 500, not a broken future
-        return 500, _encode({"error": f"internal error: {exc}"})
+    with deadline_scope(deadline):
+        return run_analysis_request(dashboard, kind, body)
 
 
 class ProcessPoolDispatcher:

@@ -176,6 +176,53 @@ def result_to_json(result: QueryResult) -> dict[str, object]:
     }
 
 
+#: ``POST`` path -> the request kind :func:`run_analysis_request` runs.
+_POST_KINDS = {
+    "/analysis": "analysis",
+    "/analysis/live": "live",
+    "/analysis/sql": "sql",
+}
+
+
+def run_analysis_request(
+    dashboard: Dashboard, kind: str, body: bytes
+) -> tuple[int, bytes]:
+    """One ``POST /analysis*`` request: raw body in, ``(status, json_bytes)`` out.
+
+    The request thread calls this directly; under ``serve --workers``
+    a pool worker does (:mod:`repro.dashboard.procpool`) — the one
+    implementation is why clients cannot tell which process computed a
+    response.  Failures are *returned*, never raised: across a process
+    boundary a raised exception would surface as a broken future and a
+    bare 500 with less detail.
+    """
+    document: dict[str, object]
+    try:
+        payload = json.loads(body or b"{}")
+        if kind == "sql":
+            sql = payload.get("sql")
+            if not isinstance(sql, str):
+                raise QueryError('body must be {"sql": "SELECT ..."}')
+            result = dashboard.analysis_sql(sql)
+        elif kind == "live":
+            result = dashboard.analysis_live(query_from_json(payload))
+        elif kind == "analysis":
+            result = dashboard.analysis(query_from_json(payload))
+        else:
+            raise QueryError(f"unknown request kind {kind!r}")
+        status, document = 200, result_to_json(result)
+    except DeadlineExceededError as exc:
+        status, document = 504, {"error": str(exc)}
+    except (RasedError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError subclass.
+        status, document = 400, {"error": str(exc)}
+    except Exception as exc:  # lint: allow[broad-except] request boundary: every failure must map to a JSON 500, not a broken future
+        status, document = 500, {"error": f"internal error: {exc}"}
+    # default=str covers non-JSON leaves in dumped span attributes
+    # (TemporalKey page keys are stored raw on the fetch hot path).
+    return status, json.dumps(document, default=str).encode("utf-8")
+
+
 def _clamped_count(params: Mapping[str, list[str]], default: int) -> int:
     """Parse ``?n=`` defensively: reject garbage, clamp the greedy."""
     raw = params.get("n", [str(default)])[0]
@@ -568,7 +615,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_post(self) -> None:
         parsed = urlparse(self.path)
-        if parsed.path not in ("/analysis", "/analysis/sql", "/analysis/live"):
+        kind = _POST_KINDS.get(parsed.path)
+        if kind is None:
             self._send(404, {"error": f"unknown path {parsed.path}"})
             return
         try:
@@ -578,18 +626,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         dispatcher = self.dispatcher
         if dispatcher is not None:
-            kind = {
-                "/analysis": "analysis",
-                "/analysis/live": "live",
-                "/analysis/sql": "sql",
-            }[parsed.path]
             # The admission deadline cannot cross the process boundary
             # as an object; forward what remains of it in milliseconds
             # (floored at 1 µs so an expired budget still yields the
-            # worker's 504, not a ConfigError).  The body crosses raw:
-            # the worker parses it (invalid JSON becomes its 400) and
-            # returns encoded response bytes, keeping JSON work off
-            # this thread's core.
+            # worker's 504, not a ConfigError).  The body crosses raw
+            # and encoded response bytes come back, keeping JSON work
+            # off this thread's core.
             deadline = current_deadline()
             deadline_ms = (
                 max(deadline.remaining(), 1e-6) * 1000.0
@@ -597,23 +639,11 @@ class _Handler(BaseHTTPRequestHandler):
                 else None
             )
             status, response = dispatcher.run(kind, body, deadline_ms)
-            if status == 504 and self.admission is not None:
-                self.admission.record_deadline_hit(_path_family(parsed.path))
-            self._send_bytes(status, response, "application/json")
-            return
-        payload = json.loads(body or b"{}")
-        if parsed.path == "/analysis/sql":
-            sql = payload.get("sql")
-            if not isinstance(sql, str):
-                raise QueryError('body must be {"sql": "SELECT ..."}')
-            result = self.dashboard.analysis_sql(sql)
         else:
-            query = query_from_json(payload)
-            if parsed.path == "/analysis/live":
-                result = self.dashboard.analysis_live(query)
-            else:
-                result = self.dashboard.analysis(query)
-        self._send(200, result_to_json(result))
+            status, response = run_analysis_request(self.dashboard, kind, body)
+        if status == 504 and self.admission is not None:
+            self.admission.record_deadline_hit(_path_family(parsed.path))
+        self._send_bytes(status, response, "application/json")
 
 
 class _BodyTooLarge(Exception):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 import tempfile
+from typing import Any
 
 from repro.core.cache import CacheManager, CacheRatios, DEFAULT_RATIOS
 from repro.core.calendar import TemporalKey, month_key
@@ -31,11 +32,10 @@ from repro.core.percentages import NetworkSizeRegistry
 from repro.core.resultcache import EpochCounter, ResultCache
 from repro.core.shard import (
     ScatterGatherExecutor,
-    ShardedCacheManager,
     ShardedIndex,
+    ShardedPageStore,
     shard_stores_for,
 )
-from repro.errors import ConfigError
 from repro.collection.daily import DailyCrawler
 from repro.collection.geocode import Geocoder
 from repro.collection.records import UpdateList as UpdateListType
@@ -93,10 +93,10 @@ class SystemConfig:
     #: Populated-cell fraction above which a sparse cube densifies.
     sparse_threshold: float = 0.25
     simulation: SimulationConfig = SimulationConfig()
-    #: Partition cubes across this many shards (rendezvous-hashed
-    #: placement, one page store + cache budget per shard) and execute
-    #: queries scatter-gather.  1 (default) keeps the single-process
-    #: engine bit-identical; the differential oracle suite
+    #: Place cube pages across this many shard stores (rendezvous
+    #: hashing) and read them scatter-gather.  Index, cache and WAL are
+    #: the same single ones at every N, so plans and counters do not
+    #: depend on it; the differential oracle suite
     #: (``tests/test_shard_oracle.py``) proves N>1 answers byte-equal.
     shards: int = 1
     #: Scatter pool width for sharded execution.  ``None`` sizes the
@@ -196,15 +196,28 @@ class RasedSystem:
         self.changeset_store = ChangesetStore(feed_root / "changesets")
         self.geocoder = Geocoder(atlas)
 
+        #: With ``shards > 1`` the deployment's store becomes a routed
+        #: view: cube pages land on per-shard stores (rendezvous
+        #: placement), everything else — warehouse, auxiliary indexes,
+        #: WAL, feed cursor — stays on the primary store.  Nothing
+        #: below this line knows which case it is in, bar the scatter
+        #: executor, which reads the shards concurrently.
+        self.shard_stores: list[PageStore] = []
+        routed: ShardedPageStore | None = None
+        if config.shards > 1:
+            self.shard_stores = shard_stores_for(store, config.shards)
+            routed = ShardedPageStore(self.shard_stores, store)
+
         #: With durable ingestion, every storage component is built
-        #: over the WAL's journaled view, and any batch a previous
+        #: over the WAL's journaled view (of the routed store, so one
+        #: journal covers every shard), and any batch a previous
         #: process left half-done is rolled back *before* the warehouse
         #: scans the heap (a torn tail page would otherwise fail its
         #: construction-time recovery).
         self.wal: IngestWAL | None = None
-        effective_store: PageStore = store
+        effective_store: PageStore = routed if routed is not None else store
         if config.durable_ingest:
-            self.wal = IngestWAL(store)
+            self.wal = IngestWAL(effective_store)
             self.wal.recover()
             effective_store = self.wal.store
 
@@ -228,60 +241,33 @@ class RasedSystem:
                 metrics=self.metrics,
             )
 
-        #: With ``shards > 1``, cubes partition across per-shard stores
-        #: (rendezvous placement) while everything else — warehouse,
-        #: auxiliary indexes, WAL, feed cursor — stays on the primary
-        #: store, which the sharded view routes ``meta/*`` and
-        #: ``warehouse/*`` pages to.
-        self.index: HierarchicalIndex
-        self.shard_stores: list[PageStore] = []
-        if config.shards > 1:
-            if config.durable_ingest:
-                raise ConfigError(
-                    "durable_ingest with shards > 1 is not supported yet: "
-                    "the WAL journals one store, not a shard set"
-                )
-            self.shard_stores = shard_stores_for(store, config.shards)
-            self.index = ShardedIndex(
-                schema,
-                self.shard_stores,
-                meta_store=effective_store,
-                atlas=atlas,
-                epoch=self.epoch,
-                page_version=config.page_version,
-                sparse=config.sparse_cubes,
-                sparse_threshold=config.sparse_threshold,
-            )
-        else:
-            self.index = HierarchicalIndex(
-                schema,
-                effective_store,
-                atlas=atlas,
-                epoch=self.epoch,
-                page_version=config.page_version,
-                sparse=config.sparse_cubes,
-                sparse_threshold=config.sparse_threshold,
-            )
+        index_options: dict[str, Any] = dict(
+            atlas=atlas,
+            epoch=self.epoch,
+            page_version=config.page_version,
+            sparse=config.sparse_cubes,
+            sparse_threshold=config.sparse_threshold,
+        )
+        sharded_index = (
+            ShardedIndex(schema, routed, effective_store, **index_options)
+            if routed is not None
+            else None
+        )
+        self.index: HierarchicalIndex = (
+            sharded_index
+            if sharded_index is not None
+            else HierarchicalIndex(schema, effective_store, **index_options)
+        )
         self.warehouse = Warehouse(effective_store, metrics=self.metrics)
         self.hash_index = HashIndex(effective_store)
         self.spatial_index = GridSpatialIndex(effective_store)
-        self.cache: CacheManager
-        if isinstance(self.index, ShardedIndex):
-            self.cache = ShardedCacheManager(
-                self.index,
-                slots=config.cache_slots,
-                ratios=config.cache_ratios,
-                metrics=self.metrics,
-                byte_budget=config.cache_bytes,
-            )
-        else:
-            self.cache = CacheManager(
-                self.index,
-                slots=config.cache_slots,
-                ratios=config.cache_ratios,
-                metrics=self.metrics,
-                byte_budget=config.cache_bytes,
-            )
+        self.cache = CacheManager(
+            self.index,
+            slots=config.cache_slots,
+            ratios=config.cache_ratios,
+            metrics=self.metrics,
+            byte_budget=config.cache_bytes,
+        )
         self.network_sizes = NetworkSizeRegistry(
             atlas, self.simulator.road_network_sizes()
         )
@@ -298,30 +284,21 @@ class RasedSystem:
             if config.result_cache_slots > 0
             else None
         )
-        self.executor: QueryExecutor
-        if isinstance(self.index, ShardedIndex):
-            assert isinstance(self.cache, ShardedCacheManager)
-            self.executor = ScatterGatherExecutor(
-                self.index,
-                cache=self.cache,
-                optimizer=LevelOptimizer(self.index, metrics=self.metrics),
-                network_sizes=self.network_sizes,
-                metrics=self.metrics,
-                result_cache=self.result_cache,
-                tracer=self.tracer,
-                max_workers=config.scatter_threads,
+        executor_options: dict[str, Any] = dict(
+            cache=self.cache,
+            optimizer=LevelOptimizer(self.index, metrics=self.metrics),
+            network_sizes=self.network_sizes,
+            metrics=self.metrics,
+            result_cache=self.result_cache,
+            tracer=self.tracer,
+        )
+        self.executor: QueryExecutor = (
+            ScatterGatherExecutor(
+                sharded_index, max_workers=config.scatter_threads, **executor_options
             )
-        else:
-            self.executor = QueryExecutor(
-                self.index,
-                cache=self.cache,
-                optimizer=LevelOptimizer(self.index, metrics=self.metrics),
-                network_sizes=self.network_sizes,
-                metrics=self.metrics,
-                iosched=self.iosched,
-                result_cache=self.result_cache,
-                tracer=self.tracer,
-            )
+            if sharded_index is not None
+            else QueryExecutor(self.index, iosched=self.iosched, **executor_options)
+        )
         self.pipeline = IngestionPipeline(
             daily_crawler=DailyCrawler(
                 self.crawl_feed, self.changeset_store, self.geocoder

@@ -6,8 +6,7 @@ shard that dies mid-query drops its cubes from the answer and flags
 surviving shards, never a silently wrong number.  A simulated *crash*
 (:class:`CrashPoint`, a ``BaseException``) must instead propagate:
 degradation is for component failures, not for the process-kill
-simulation.  And because placement is consistent, restarting one
-shard re-warms one shard's cache — the others never go cold.
+simulation.
 
 Injection rides the PR 4 harness: ``shard.query`` is a first-class
 injection point, targeted as ``shard/<id>`` so ``page_prefix``
@@ -33,8 +32,8 @@ from repro.core.query import AnalysisQuery
 from repro.core.resultcache import EpochCounter, ResultCache
 from repro.core.shard import (
     ScatterGatherExecutor,
-    ShardedCacheManager,
     ShardedIndex,
+    ShardedPageStore,
     shard_stores_for,
 )
 from repro.storage.disk import InMemoryDisk
@@ -78,14 +77,13 @@ def oracle(schema):
     return QueryExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
 
 
-def _build_engine(schema, fault_hook=None, slots=16, result_cache=None,
-                  read_latency=0.0):
-    stores = shard_stores_for(
-        InMemoryDisk(read_latency=read_latency, write_latency=0.0), SHARDS
+def _build_engine(schema, fault_hook=None, slots=16, result_cache=None):
+    disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+    index = ShardedIndex(
+        schema, ShardedPageStore(shard_stores_for(disk, SHARDS), disk)
     )
-    index = ShardedIndex(schema, stores)
     index.bulk_load(_updates(schema))
-    cache = ShardedCacheManager(index, slots=slots) if slots else None
+    cache = CacheManager(index, slots=slots) if slots else None
     if cache is not None:
         cache.preload()
     return ScatterGatherExecutor(
@@ -288,54 +286,10 @@ def test_slow_shard_answers_exactly_but_slower(schema, oracle):
         engine.shutdown()
 
 
-def test_restart_rewarm_only_cools_the_restarted_shard(schema):
-    """Consistent placement: one shard restart = one cold cache."""
-    engine = _build_engine(schema, slots=16, read_latency=0.001)
-    try:
-        cache = engine.cache
-        assert isinstance(cache, ShardedCacheManager)
-        index = engine.sharded_index
-        before_contents = [c.contents() for c in cache.shard_caches]
-        reads_before = [
-            shard.store.stats.reads for shard in index.shards
-        ]
-        victim = 1
-        reloaded = cache.rewarm_shard(victim)
-        assert reloaded == len(before_contents[victim])
-        reads_after = [shard.store.stats.reads for shard in index.shards]
-        for shard_id in range(SHARDS):
-            if shard_id == victim:
-                # The restarted shard re-read its preload set from its
-                # own store.
-                assert reads_after[shard_id] >= (
-                    reads_before[shard_id] + reloaded
-                )
-            else:
-                # Every other shard: cache untouched, store untouched.
-                assert reads_after[shard_id] == reads_before[shard_id]
-                assert cache.shard_caches[shard_id].contents() == (
-                    before_contents[shard_id]
-                )
-        assert cache.shard_caches[victim].contents() == before_contents[victim]
-    finally:
-        engine.shutdown()
-
-
-def test_rewarmed_engine_still_matches_oracle(schema, oracle):
-    engine = _build_engine(schema)
-    try:
-        cache = engine.cache
-        assert isinstance(cache, ShardedCacheManager)
-        cache.rewarm_shard(2)
-        assert engine.execute(QUERY).rows == oracle.execute(QUERY).rows
-    finally:
-        engine.shutdown()
-
-
 def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
     """One pipeline, one phase vocabulary: the scatter engine reports
-    its shard-local cache hits under ``phase1.fetch.cache`` (it used to
-    bill them to ``phase1.fetch.disk``), and ``phase1.plan`` counts one
+    its cache hits under ``phase1.fetch.cache`` (it used to bill them
+    to ``phase1.fetch.disk``), and ``phase1.plan`` counts one
     plan per window whichever engine ran."""
     # Both end inside the preloaded (newest) days, so cubes are resident.
     window = AnalysisQuery(

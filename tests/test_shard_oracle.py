@@ -11,7 +11,11 @@ that argument: a seeded sweep of dashboard-mix, single-cell, and
 time-series queries — ranges, zones, filters, groupings — executed
 against both engines at N ∈ {1, 2, 4, 8} (N=1 is the scatter engine
 over a one-shard index: the degenerate case must be identical too),
-every answer compared key-for-key, value-for-value.
+every answer compared key-for-key, value-for-value.  Sharding is a
+property of the page store only — one catalog, one cache — so the
+cache contents and every ``QueryStats`` counter (cubes planned,
+missing days, hits and reads by level) must equal the unsharded
+engine's as well, not just the rows.
 
 Per shard count the sweep runs 70 queries (40 dashboard-mix across
 two window spans, 20 single-cell, 10 daily series), so the whole
@@ -39,11 +43,10 @@ from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.core.shard import (
     ScatterGatherExecutor,
-    ShardedCacheManager,
     ShardedIndex,
+    ShardedPageStore,
     shard_stores_for,
 )
-from repro.errors import ConfigError
 from repro.storage.disk import InMemoryDisk
 from repro.synth.scale import scaled_day_updates
 from repro.synth.simulator import SimulationConfig
@@ -94,16 +97,19 @@ def oracle(corpus):
     return QueryExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
 
 
-def _sharded_engine(corpus, shards, byte_budget=None, slots=24):
+def _sharded_index(corpus, shards):
     schema, updates = corpus
-    stores = shard_stores_for(
-        InMemoryDisk(read_latency=0.0, write_latency=0.0), shards
+    disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+    index = ShardedIndex(
+        schema, ShardedPageStore(shard_stores_for(disk, shards), disk)
     )
-    index = ShardedIndex(schema, stores)
     index.bulk_load(updates)
-    cache = ShardedCacheManager(
-        index, slots=slots, byte_budget=byte_budget
-    )
+    return index
+
+
+def _sharded_engine(corpus, shards, byte_budget=None, slots=24):
+    index = _sharded_index(corpus, shards)
+    cache = CacheManager(index, slots=slots, byte_budget=byte_budget)
     cache.preload()
     return ScatterGatherExecutor(
         index, cache=cache, optimizer=LevelOptimizer(index)
@@ -131,16 +137,39 @@ def _assert_identical(oracle_result, sharded_result, query):
     )
 
 
+#: Every plan- and cache-dependent counter of one execution.
+COUNTERS = (
+    "cube_count",
+    "missing_days",
+    "cache_hits",
+    "disk_reads",
+    "cache_hits_by_level",
+    "disk_reads_by_level",
+)
+
+
+def _assert_same_counters(oracle_result, sharded_result, query):
+    for counter in COUNTERS:
+        assert getattr(sharded_result.stats, counter) == getattr(
+            oracle_result.stats, counter
+        ), f"{counter} diverges for {query}"
+
+
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_oracle_sweep_byte_identical(corpus, oracle, shards):
-    """70 seeded queries per shard count, compared answer-for-answer."""
+    """70 seeded queries per shard count, compared answer-for-answer —
+    and plan-for-plan: same cache contents, same counters."""
     schema, _ = corpus
     engine = _sharded_engine(corpus, shards)
     try:
+        assert engine.cache.contents() == oracle.cache.contents()
         queries = _sweep(schema)
         assert len(queries) == 70
         for query in queries:
-            _assert_identical(oracle.execute(query), engine.execute(query), query)
+            expected, actual = oracle.execute(query), engine.execute(query)
+            _assert_identical(expected, actual, query)
+            _assert_same_counters(expected, actual, query)
+        assert engine.cache.contents() == oracle.cache.contents()
     finally:
         engine.shutdown()
 
@@ -162,10 +191,7 @@ def test_overlapped_reads_match_serial_oracle(corpus, oracle):
             expected = oracle.execute(query)
             actual = subject.execute(query)
             _assert_identical(expected, actual, query)
-            for counter in ("cube_count", "cache_hits", "disk_reads"):
-                assert getattr(actual.stats, counter) == getattr(
-                    expected.stats, counter
-                ), f"{counter} diverges for {query}"
+            _assert_same_counters(expected, actual, query)
     finally:
         sched.shutdown()
 
@@ -177,7 +203,7 @@ def test_total_query_volume_meets_spec(corpus):
 
 
 def test_oracle_with_byte_budgeted_shard_caches(corpus, oracle):
-    """Byte-budgeted per-shard caches (PR 9 mode) stay byte-identical."""
+    """A byte-budgeted cache (PR 9 mode) over shards stays byte-identical."""
     schema, _ = corpus
     engine = _sharded_engine(corpus, 4, byte_budget=256 * 1024, slots=0)
     try:
@@ -192,12 +218,8 @@ def test_oracle_with_byte_budgeted_shard_caches(corpus, oracle):
 
 def test_oracle_without_caches(corpus, oracle):
     """Cache-free scatter (every read from a shard store) is identical."""
-    schema, updates = corpus
-    stores = shard_stores_for(
-        InMemoryDisk(read_latency=0.0, write_latency=0.0), 4
-    )
-    index = ShardedIndex(schema, stores)
-    index.bulk_load(updates)
+    schema, _ = corpus
+    index = _sharded_index(corpus, 4)
     engine = ScatterGatherExecutor(
         index, cache=None, optimizer=LevelOptimizer(index)
     )
@@ -212,13 +234,8 @@ def test_oracle_without_caches(corpus, oracle):
 
 
 def test_sharded_catalog_matches_oracle(corpus, oracle):
-    """The unioned shard catalogs are exactly the oracle's catalog."""
-    schema, updates = corpus
-    stores = shard_stores_for(
-        InMemoryDisk(read_latency=0.0, write_latency=0.0), 4
-    )
-    index = ShardedIndex(schema, stores)
-    index.bulk_load(updates)
+    """The catalog over the routed store is exactly the oracle's."""
+    index = _sharded_index(corpus, 4)
     oracle_index = oracle.index
     assert index.total_pages() == oracle_index.total_pages()
     assert index.coverage() == oracle_index.coverage()
@@ -229,6 +246,10 @@ def test_sharded_catalog_matches_oracle(corpus, oracle):
     assert sum(
         entry["pages"] for entry in index.shard_status()
     ) == oracle_index.total_pages()
+    # ...and it is where the pages physically are.
+    assert [entry["pages"] for entry in index.shard_status()] == [
+        store.page_count("cubes/") for store in index.routed.shard_stores
+    ]
 
 
 # -- live overlays over two full deployments --------------------------------
@@ -297,6 +318,28 @@ def test_ingested_history_identical_across_shard_counts(paired_live_systems):
     )
 
 
+def test_shard_status_groups_the_one_catalog_and_cache(paired_live_systems):
+    """/health's per-shard document is the single catalog, quarantine
+    set and cache, grouped by placement — and the cache is the
+    unsharded deployment's, key for key."""
+    base, sharded = paired_live_systems
+    assert sharded.cache.contents() == base.cache.contents()
+    status = sharded.executor.shard_status()
+    assert [entry["shard"] for entry in status] == [0, 1, 2, 3]
+    assert sum(e["pages"] for e in status) == sharded.index.total_pages()
+    assert sum(e["cached_cubes"] for e in status) == sharded.cache.cached_count
+    assert all(e["quarantined_cubes"] == 0 for e in status)
+    victim = sharded.index.keys(sharded.index.levels[0])[0]
+    sharded.index.quarantine(victim)
+    try:
+        after = sharded.executor.shard_status()
+        owner = sharded.index.shard_for(victim)
+        assert after[owner]["quarantined_cubes"] == 1
+        assert after[owner]["pages"] == status[owner]["pages"] - 1
+    finally:
+        sharded.index.reload_catalog()
+
+
 # -- configuration contract --------------------------------------------------
 
 
@@ -307,10 +350,3 @@ def test_sharding_off_by_default():
     assert not isinstance(system.executor, ScatterGatherExecutor)
     assert not isinstance(system.index, ShardedIndex)
     assert system.shard_stores == []
-
-
-def test_sharding_rejects_durable_ingest():
-    with pytest.raises(ConfigError):
-        RasedSystem.create(
-            config=SystemConfig(road_types=6, shards=2, durable_ingest=True)
-        )

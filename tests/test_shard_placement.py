@@ -27,8 +27,13 @@ from repro.core.calendar import (
     year_key,
 )
 from repro.core.dimensions import default_schema
-from repro.core.hierarchy import HierarchicalIndex
-from repro.core.shard import ShardRouter, ShardedIndex, shard_stores_for
+from repro.core.hierarchy import HierarchicalIndex, page_id_for
+from repro.core.shard import (
+    ShardRouter,
+    ShardedIndex,
+    ShardedPageStore,
+    shard_stores_for,
+)
 from repro.errors import ConfigError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 
@@ -166,8 +171,9 @@ def test_sharded_index_placement_survives_directory_reopen(tmp_path):
     schema = default_schema(("united_states", "germany", "qatar"), road_types=4)
     primary = DirectoryDisk(tmp_path / "pages")
 
-    stores = shard_stores_for(primary, 3)
-    index = ShardedIndex(schema, stores, meta_store=primary)
+    index = ShardedIndex(
+        schema, ShardedPageStore(shard_stores_for(primary, 3), primary)
+    )
     from repro.synth.scale import scaled_day_updates
     import random
 
@@ -188,7 +194,9 @@ def test_sharded_index_placement_survives_directory_reopen(tmp_path):
     # "Restart": brand-new stores and index over the same directories.
     reopened_primary = DirectoryDisk(tmp_path / "pages")
     reopened_stores = shard_stores_for(reopened_primary, 3)
-    reopened = ShardedIndex(schema, reopened_stores, meta_store=reopened_primary)
+    reopened = ShardedIndex(
+        schema, ShardedPageStore(reopened_stores, reopened_primary)
+    )
     for level in index.levels:
         assert reopened.keys(level) == written[level]
     for name, shard in placement.items():
@@ -199,8 +207,8 @@ def test_sharded_index_placement_survives_directory_reopen(tmp_path):
             if str(k) == name
         )
         assert reopened.shard_for(key_obj) == shard
-        # The cube is actually readable from that shard's store.
-        assert reopened.shard_index(shard).has(key_obj)
+        # The cube's page is physically on that shard's store.
+        assert page_id_for(key_obj) in reopened_stores[shard]
     # Shard directories are siblings of pages/, inside the deployment.
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "pages",
@@ -211,10 +219,9 @@ def test_sharded_index_placement_survives_directory_reopen(tmp_path):
 
 
 def test_shard_stores_reject_mismatched_router():
-    schema = default_schema(("united_states",), road_types=2)
-    stores = shard_stores_for(InMemoryDisk(), 2)
+    disk = InMemoryDisk()
     with pytest.raises(ConfigError):
-        ShardedIndex(schema, stores, router=ShardRouter(3))
+        ShardedPageStore(shard_stores_for(disk, 2), disk, router=ShardRouter(3))
 
 
 def test_sharded_matches_unsharded_pages_for_same_load(tmp_path):
@@ -233,8 +240,9 @@ def test_sharded_matches_unsharded_pages_for_same_load(tmp_path):
     flat = HierarchicalIndex(schema, InMemoryDisk())
     flat.bulk_load(dict(updates))
 
-    stores = shard_stores_for(InMemoryDisk(), 4)
-    sharded = ShardedIndex(schema, stores)
+    disk = InMemoryDisk()
+    stores = shard_stores_for(disk, 4)
+    sharded = ShardedIndex(schema, ShardedPageStore(stores, disk))
     sharded.bulk_load(updates)
 
     flat_pages = set(flat.store.list_pages("cubes/"))
@@ -244,3 +252,44 @@ def test_sharded_matches_unsharded_pages_for_same_load(tmp_path):
     for i in range(4):
         for j in range(i + 1, 4):
             assert not (shard_pages[i] & shard_pages[j])
+
+
+def test_only_cube_pages_leave_the_primary_store():
+    """The routed store places cube pages by the text ``shard_for``
+    hashes; the cursor, the WAL, the warehouse heap and its hash/grid
+    indexes stay on the primary store."""
+    primary = InMemoryDisk()
+    stores = shard_stores_for(primary, 4)
+    routed = ShardedPageStore(stores, primary)
+    primary_pages = [
+        "meta/daily_cursor",
+        "wal/intent",
+        "wal/checkpoint",
+        "wal/undo/00000001/000000",
+        "warehouse/heap/00000000",
+        "warehouse/hash/00003",
+        "warehouse/grid/010_020",
+        "cubes",  # not under the cube prefix: no trailing slash
+        "cubes-old/D2021-01-01",
+    ]
+    for page_id in primary_pages:
+        routed.write(page_id, b"meta")
+        assert page_id in primary and page_id in routed
+        assert not any(page_id in store for store in stores)
+    keys = _catalog_keys(years=(2021,))
+    for key in keys:
+        page_id = page_id_for(key)
+        routed.write(page_id, b"cube")
+        assert page_id in stores[routed.router.shard_for(key)]
+        assert page_id not in primary
+        assert routed.read(page_id) == b"cube"
+    # Listings are the union over every device, filtered by prefix.
+    assert list(routed.list_pages("wal/")) == sorted(
+        p for p in primary_pages if p.startswith("wal/")
+    )
+    assert list(routed.list_pages("cubes/")) == sorted(map(page_id_for, keys))
+    assert list(routed.list_pages("")) == sorted(
+        primary_pages + [page_id_for(key) for key in keys]
+    )
+    assert sum(store.page_count() for store in stores) == len(keys)
+    assert primary.page_count() == len(primary_pages)

@@ -17,7 +17,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.calendar import Level, cover_range, day_key
+from repro.types.temporal import Level, cover_range, day_key
 from repro.core.optimizer import FlatPlanner, LevelOptimizer
 
 from common import build_long_index, print_table

@@ -1,19 +1,14 @@
-"""Concurrent query engine: overlap, stampede control, and throughput.
+"""Concurrent query engine: the modeled fetch-parallelism curve.
 
-Three experiments around the executor's concurrency work:
+One cold 16-year plan (16 yearly page reads), modeled disk queue depth
+swept over 1/2/4/8.  The virtual clock charges the batch makespan
+instead of the serial sum, so depth 4 should cut modeled latency >= 3x.
 
-* **fetch-parallelism curve** — one cold 16-year plan (16 yearly page
-  reads), modeled disk queue depth swept over 1/2/4/8.  The virtual
-  clock charges the batch makespan instead of the serial sum, so depth
-  4 should cut modeled latency >= 3x.
-* **HTTP throughput** — a deployment served single-threaded vs
-  threaded under 1/4/16/64 concurrent clients issuing *distinct* daily
-  time-series queries.  The disk runs with ``real_sleep`` so request
-  overlap is physically observable; threaded serving at 16 clients
-  should beat the serial server >= 5x.
-* **result memoization** — the many-users case: every client asks for
-  the same default chart.  QPS with the epoch-versioned result cache
-  on vs off.
+The wall-clock experiments this file used to carry (HTTP throughput of
+a serial vs threaded server, result-memo qps) are retired: between
+processes they spread +-25 %, and ``benchmarks/e2e`` (``dash_cold``,
+``dash_hot``) measures the same paths calibrated (EXPERIMENTS.md,
+"Retired numbers").
 
 Run: ``pytest benchmarks/bench_concurrency.py --benchmark-only -s``
 or directly: ``python benchmarks/bench_concurrency.py [--smoke]``
@@ -23,22 +18,13 @@ or directly: ``python benchmarks/bench_concurrency.py [--smoke]``
 from __future__ import annotations
 
 import argparse
-import json
-import threading
-import time
-import urllib.request
-from datetime import date, timedelta
+from datetime import date
 
 from repro.core.executor import QueryExecutor
 from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
-from repro.core.calendar import Level
-from repro.dashboard.server import DashboardServer
 from repro.obs import MetricsRegistry
-from repro.storage.disk import InMemoryDisk
-from repro.synth.simulator import SimulationConfig
-from repro.system import RasedSystem, SystemConfig
 
 from common import (
     COVERAGE_END,
@@ -49,15 +35,6 @@ from common import (
 )
 
 PARALLELISM_SWEEP = (1, 2, 4, 8)
-CLIENT_COUNTS = (1, 4, 16, 64)
-#: Real-sleep read latency for the HTTP deployment: big enough that
-#: request overlap dominates, small enough that the serial baseline
-#: finishes quickly.
-HTTP_READ_LATENCY = 0.004
-HTTP_SPAN_DAYS = 14
-
-
-# -- experiment 1: modeled fetch-parallelism curve --------------------------
 
 
 def run_fetch_parallelism(smoke: bool = False) -> dict:
@@ -95,170 +72,14 @@ def run_fetch_parallelism(smoke: bool = False) -> dict:
     }
 
 
-# -- experiment 2: end-to-end HTTP throughput -------------------------------
-
-
-def _build_http_system() -> RasedSystem:
-    system = RasedSystem.create(
-        store=InMemoryDisk(
-            read_latency=HTTP_READ_LATENCY, write_latency=0.0, real_sleep=True
-        ),
-        config=SystemConfig(
-            road_types=8,
-            cache_slots=0,  # every query pays real (slept) page reads
-            fetch_parallelism=1,  # overlap comes from serving, not fetch
-            result_cache_slots=0,
-            simulation=SimulationConfig(
-                seed=5, mapper_count=15, base_sessions_per_day=4, nodes_per_country=6
-            ),
-        ),
-    )
-    system.simulate_and_ingest(date(2021, 7, 1), date(2021, 7, 31))
-    return system
-
-
-def _payloads() -> list[bytes]:
-    bodies = []
-    for offset in range(16):
-        start = date(2021, 7, 1) + timedelta(days=offset)
-        end = start + timedelta(days=HTTP_SPAN_DAYS - 1)
-        bodies.append(
-            json.dumps(
-                {
-                    "start": start.isoformat(),
-                    "end": min(end, date(2021, 7, 31)).isoformat(),
-                    "group_by": ["date"],
-                }
-            ).encode()
-        )
-    return bodies
-
-
-def _drive_clients(
-    url: str, clients: int, per_client: int, payloads: list[bytes]
-) -> dict:
-    barrier = threading.Barrier(clients + 1)
-    latencies: list[float] = []
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def client(idx: int) -> None:
-        mine: list[float] = []
-        try:
-            barrier.wait(timeout=30)
-            for r in range(per_client):
-                body = payloads[(idx * per_client + r) % len(payloads)]
-                request = urllib.request.Request(
-                    url + "/analysis",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                started = time.perf_counter()
-                with urllib.request.urlopen(request, timeout=60) as response:
-                    payload = json.loads(response.read())
-                mine.append(time.perf_counter() - started)
-                assert payload["rows"], "query returned no rows"
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-        with lock:
-            latencies.extend(mine)
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"bench-client-{i}")
-        for i in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait(timeout=30)
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join(timeout=300)
-    elapsed = time.perf_counter() - started
-    if errors:
-        raise RuntimeError(f"client errors: {errors[:3]}")
-    total = clients * per_client
-    latencies.sort()
-    return {
-        "requests": total,
-        "seconds": elapsed,
-        "rps": total / elapsed,
-        "mean_ms": 1000.0 * sum(latencies) / len(latencies),
-        "p95_ms": 1000.0 * latencies[int(0.95 * (len(latencies) - 1))],
-    }
-
-
-def run_http_throughput(smoke: bool = False) -> dict:
-    counts = (1, 4, 16) if smoke else CLIENT_COUNTS
-    per_client = 2 if smoke else 3
-    system = _build_http_system()
-    payloads = _payloads()
-    out: dict[str, dict] = {"single": {}, "threaded": {}}
-    for mode, threaded in (("single", False), ("threaded", True)):
-        server = DashboardServer(system.dashboard, threaded=threaded)
-        server.start()
-        try:
-            # One warmup request outside the timed region.
-            _drive_clients(server.url, 1, 1, payloads)
-            for clients in counts:
-                out[mode][str(clients)] = _drive_clients(
-                    server.url, clients, per_client, payloads
-                )
-        finally:
-            server.stop()
-    pivot = str(16 if 16 in counts else counts[-1])
-    out["speedup_at_16"] = (
-        out["threaded"][pivot]["rps"] / out["single"][pivot]["rps"]
-    )
-    return out
-
-
-# -- experiment 3: result memoization ---------------------------------------
-
-
-def run_result_memo(smoke: bool = False) -> dict:
-    index, disk, _ = build_long_index(start=date(2020, 1, 1))
-    query = AnalysisQuery(
-        start=date(2020, 1, 1),
-        end=COVERAGE_END,
-        group_by=("date",),
-        date_granularity=Level.MONTH,
-    )
-    repeats = 50 if smoke else 300
-
-    def qps(executor: QueryExecutor) -> float:
-        executor.execute(query)  # populate
-        started = time.perf_counter()
-        for _ in range(repeats):
-            executor.execute(query)
-        return repeats / (time.perf_counter() - started)
-
-    from repro.core.resultcache import EpochCounter, ResultCache
-
-    plain = QueryExecutor(index, optimizer=LevelOptimizer(index))
-    memo = QueryExecutor(
-        index,
-        optimizer=LevelOptimizer(index),
-        result_cache=ResultCache(64, EpochCounter(), metrics=MetricsRegistry()),
-    )
-    plain_qps = qps(plain)
-    memo_qps = qps(memo)
-    return {
-        "repeats": repeats,
-        "plain_qps": plain_qps,
-        "memo_qps": memo_qps,
-        "speedup": memo_qps / plain_qps,
-    }
-
-
 # -- harness ----------------------------------------------------------------
 
 
 def run_all(smoke: bool = False) -> dict:
     payload = {
         "smoke": smoke,
+        "clock": "modeled",
         "fetch_parallelism": run_fetch_parallelism(smoke),
-        "http_throughput": run_http_throughput(smoke),
-        "result_memo": run_result_memo(smoke),
     }
     fetch = payload["fetch_parallelism"]["by_parallelism"]
     print_table(
@@ -269,40 +90,17 @@ def run_all(smoke: bool = False) -> dict:
             for d in PARALLELISM_SWEEP
         ],
     )
-    http = payload["http_throughput"]
-    counts = sorted((int(c) for c in http["single"]), key=int)
-    print_table(
-        "HTTP throughput: single-threaded vs threaded server",
-        ["clients", "single rps", "threaded rps", "threaded p95 ms"],
-        [
-            [
-                str(c),
-                f"{http['single'][str(c)]['rps']:.1f}",
-                f"{http['threaded'][str(c)]['rps']:.1f}",
-                f"{http['threaded'][str(c)]['p95_ms']:.1f}",
-            ]
-            for c in counts
-        ],
-    )
-    memo = payload["result_memo"]
-    print_table(
-        "Result memoization (identical repeated query)",
-        ["plain qps", "memo qps", "speedup"],
-        [[f"{memo['plain_qps']:.1f}", f"{memo['memo_qps']:.1f}", f"{memo['speedup']:.1f}x"]],
-    )
     if not smoke:
-        # The PR's acceptance numbers.
+        # The PR's acceptance number.
         assert fetch["4"]["speedup"] >= 3.0, fetch
-        assert http["speedup_at_16"] >= 5.0, http["speedup_at_16"]
-        assert memo["speedup"] >= 2.0, memo
     return payload
 
 
 def bench_concurrency(benchmark):
     payload = benchmark.pedantic(run_all, iterations=1, rounds=1)
-    benchmark.extra_info["speedup_at_16_clients"] = payload["http_throughput"][
-        "speedup_at_16"
-    ]
+    benchmark.extra_info["speedup_at_depth_4"] = payload["fetch_parallelism"][
+        "by_parallelism"
+    ]["4"]["speedup"]
     write_result_json("concurrency", payload)
 
 

@@ -33,8 +33,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from repro.core.calendar import Level, TemporalKey
-from repro.core.cube import DataCube, as_dense, as_sparse, sum_cubes
+from repro.types.temporal import Level, TemporalKey
+from repro.types.cube import DataCube, as_dense, as_sparse, sum_cubes
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import LevelOptimizer

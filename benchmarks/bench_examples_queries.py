@@ -25,7 +25,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig

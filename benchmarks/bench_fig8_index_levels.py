@@ -20,8 +20,8 @@ from datetime import date
 
 import pytest
 
-from repro.core.calendar import Level, keys_in_range
-from repro.core.dimensions import paper_scale_schema
+from repro.types.temporal import Level, keys_in_range
+from repro.types.dimensions import paper_scale_schema
 from repro.storage.serializer import cube_page_size
 
 from common import COVERAGE_END, COVERAGE_START, build_long_index, print_table

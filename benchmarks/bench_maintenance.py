@@ -17,7 +17,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.calendar import completed_units
+from repro.types.temporal import completed_units
 from repro.core.hierarchy import HierarchicalIndex
 from repro.storage.disk import InMemoryDisk
 

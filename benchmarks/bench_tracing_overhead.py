@@ -30,7 +30,7 @@ import sys
 import time
 from datetime import date
 
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig

@@ -25,7 +25,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from repro.core.cache import CacheManager, CacheRatios
-from repro.core.dimensions import CubeSchema, default_schema
+from repro.types.dimensions import CubeSchema, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import FlatPlanner, LevelOptimizer
@@ -95,10 +95,10 @@ def build_long_index(
 ) -> tuple[HierarchicalIndex, InMemoryDisk, dict[date, UpdateList]]:
     """A 16-year four-level index over the fast-path workload.
 
-    Since PR 10 the harness default is the PR 9 sparse/v3 deployment
-    config (delta+RLE pages, COO rollups) — the configuration a real
-    deployment would run.  Pass ``page_version=None, sparse=False`` to
-    rebuild the dense/v1 setting an older snapshot was taken under.
+    Built with the cube kernel of ``SystemConfig.serving()`` (sparse
+    COO rollups in delta+RLE v3 pages) — what ``rased-repro`` deploys.
+    Pass ``page_version=None, sparse=False`` to rebuild the dense/v1
+    setting an older snapshot was taken under.
     """
     schema = make_schema()
     disk = InMemoryDisk(read_latency=READ_LATENCY, write_latency=WRITE_LATENCY)

@@ -30,9 +30,9 @@ See ``DESIGN.md`` for the module inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every reproduced table and figure.
 """
 
-from repro.core.calendar import Level, TemporalKey
-from repro.core.cube import AnyCube, DataCube, SparseCube
-from repro.core.dimensions import CubeSchema, default_schema, paper_scale_schema
+from repro.types.temporal import Level, TemporalKey
+from repro.types.cube import AnyCube, DataCube, SparseCube
+from repro.types.dimensions import CubeSchema, default_schema, paper_scale_schema
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.api import Dashboard
 from repro.errors import RasedError

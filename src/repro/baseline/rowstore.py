@@ -211,7 +211,7 @@ class RowStoreDatabase:
 
     @staticmethod
     def _truncate_date(row: UpdateRecord, query: AnalysisQuery):
-        from repro.core.calendar import series_period_start
+        from repro.types.temporal import series_period_start
 
         period_start = series_period_start(row.date, query.date_granularity)
         return max(period_start, query.start)

@@ -32,9 +32,11 @@ breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from datetime import date
 from pathlib import Path
+from typing import Any
 
 from repro.baseline.sqlparse import parse_sql
 from repro.errors import RasedError
@@ -45,62 +47,25 @@ from repro.system import RasedSystem, SystemConfig
 __all__ = ["main", "build_parser"]
 
 
-def _open_system(
-    root: str,
-    seed: int = 42,
-    cache_slots: int = 64,
-    result_cache_slots: int = 0,
-    shards: int = 1,
-    scatter_threads: int | None = None,
-    durable: bool = False,
-    feed_retries: int = 1,
-    feed_breaker: int = 0,
-    admission: "AdmissionConfig | None" = None,
-    tracing: bool = True,
-    trace_capacity: int | None = None,
-    trace_sample_every: int | None = None,
-    slo: "SLOConfig | None" = None,
-) -> RasedSystem:
-    from repro.dashboard.admission import AdmissionConfig
-    from repro.obs import (
-        DEFAULT_RECORDER_CAPACITY,
-        DEFAULT_SAMPLE_EVERY,
-        SLOConfig,
+def _config(seed: int = 42, **overrides: Any) -> SystemConfig:
+    """The serving profile plus one command's flags.  Every command
+    seeds its simulator alike, so road-network denominators agree."""
+    return SystemConfig.serving(
+        simulation=SimulationConfig(seed=seed), **overrides
     )
 
+
+def _open_system(root: str, config: SystemConfig | None = None) -> RasedSystem:
     root_path = Path(root)
-    store = DirectoryDisk(root_path / "pages")
-    config = SystemConfig(
-        road_types=12,
-        cache_slots=cache_slots,
-        simulation=SimulationConfig(seed=seed),
-        result_cache_slots=result_cache_slots,
-        shards=shards,
-        scatter_threads=scatter_threads,
-        durable_ingest=durable,
-        feed_retry_attempts=feed_retries,
-        feed_breaker_threshold=feed_breaker,
-        admission=admission if admission is not None else AdmissionConfig(),
-        tracing=tracing,
-        trace_capacity=(
-            trace_capacity
-            if trace_capacity is not None
-            else DEFAULT_RECORDER_CAPACITY
-        ),
-        trace_sample_every=(
-            trace_sample_every
-            if trace_sample_every is not None
-            else DEFAULT_SAMPLE_EVERY
-        ),
-        slo=slo if slo is not None else SLOConfig(),
-    )
     return RasedSystem.create(
-        root=root_path / "feeds", config=config, store=store
+        root=root_path / "feeds",
+        config=config or _config(),
+        store=DirectoryDisk(root_path / "pages"),
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    system = _open_system(args.root, seed=args.seed)
+    system = _open_system(args.root, _config(seed=args.seed))
     start = date.fromisoformat(args.start)
     end = date.fromisoformat(args.end)
     day = start
@@ -121,10 +86,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     system = _open_system(
         args.root,
-        shards=args.shards,
-        durable=args.durable,
-        feed_retries=args.feed_retries,
-        feed_breaker=args.feed_breaker,
+        _config(
+            shards=args.shards,
+            durable_ingest=args.durable,
+            feed_retry_attempts=args.feed_retries,
+            feed_breaker_threshold=args.feed_breaker,
+        ),
     )
     # Opening a durable deployment already rolled back any batch a
     # crashed run left behind; report it so operators see the repair.
@@ -148,7 +115,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_rebuild(args: argparse.Namespace) -> int:
     """Monthly maintenance: reclassify one month from a history dump."""
-    from repro.core.calendar import month_key
+    from repro.types.temporal import month_key
 
     system = _open_system(args.root)
     year_text, _, month_text = args.month.partition("-")
@@ -176,7 +143,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    system = _open_system(args.root, cache_slots=args.cache_slots)
+    system = _open_system(args.root, _config(cache_slots=args.cache_slots))
     system.warm_cache()
     coverage = system.index.coverage()
     default_end = coverage[1] if coverage else None
@@ -221,7 +188,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Dump the deployment's metrics registry (optionally post-query)."""
     import json
 
-    system = _open_system(args.root, cache_slots=args.cache_slots)
+    system = _open_system(args.root, _config(cache_slots=args.cache_slots))
     system.warm_cache()
     if args.sql:
         coverage = system.index.coverage()
@@ -270,39 +237,51 @@ def _cmd_conc(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.dashboard.admission import AdmissionConfig
-    from repro.dashboard.server import DashboardServer
-    from repro.obs import EventLog, SLOConfig
+def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig]:
+    """``serve``'s configuration and the one its ``--workers`` open.
 
-    admission_config = AdmissionConfig(
-        key_file=args.api_keys,
-        rate_limit=args.rate_limit,
-        burst=args.burst,
-        daily_quota=args.daily_quota,
-        default_deadline_ms=args.default_deadline_ms,
-        max_deadline_ms=args.max_deadline_ms,
-        shed_threshold=args.shed_threshold,
-        shed_resume=args.shed_resume,
-    )
-    slo_config = SLOConfig(
-        availability_target=args.slo_availability,
-        latency_target=args.slo_latency_target,
-        latency_threshold_ms=args.slo_latency_ms,
-    )
-    system = _open_system(
-        args.root,
+    Workers re-open the same root read-only with their own caches;
+    tracing, the WAL and admission stay in the serving process — it is
+    the front door, not the compute.
+    """
+    from repro.dashboard.admission import AdmissionConfig
+    from repro.obs import SLOConfig
+
+    config = _config(
         cache_slots=args.cache_slots,
         result_cache_slots=args.result_cache_slots,
         shards=args.shards,
         scatter_threads=args.scatter_threads,
-        durable=args.durable,
-        admission=admission_config,
+        durable_ingest=args.durable,
+        admission=AdmissionConfig(
+            key_file=args.api_keys,
+            rate_limit=args.rate_limit,
+            burst=args.burst,
+            daily_quota=args.daily_quota,
+            default_deadline_ms=args.default_deadline_ms,
+            max_deadline_ms=args.max_deadline_ms,
+            shed_threshold=args.shed_threshold,
+            shed_resume=args.shed_resume,
+        ),
         tracing=not args.no_tracing,
-        trace_capacity=args.trace_capacity,
-        trace_sample_every=args.trace_sample_every,
-        slo=slo_config,
+        slo=SLOConfig(
+            availability_target=args.slo_availability,
+            latency_target=args.slo_latency_target,
+            latency_threshold_ms=args.slo_latency_ms,
+        ),
     )
+    worker_config = dataclasses.replace(
+        config, tracing=False, durable_ingest=False, admission=AdmissionConfig()
+    )
+    return config, worker_config
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.dashboard.server import DashboardServer
+    from repro.obs import EventLog
+
+    config, worker_config = _serve_configs(args)
+    system = _open_system(args.root, config)
     if system.wal is not None:
         system.pipeline.recover()
     system.warm_cache()
@@ -317,23 +296,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 0:
         from repro.dashboard.procpool import ProcessPoolDispatcher
 
-        # Workers re-open the deployment read-only from the same root
-        # (fork inherits this closure, so nothing here is pickled).
-        # Each worker owns its own caches; admission stays in the
-        # serving process — it is the front door, not the compute.
-        serve_root = args.root
-        serve_cache_slots = args.cache_slots
-        serve_result_slots = args.result_cache_slots
-        serve_shards = args.shards
-
+        # fork inherits this closure, so nothing here is pickled.
         def _worker_dashboard():
-            worker = _open_system(
-                serve_root,
-                cache_slots=serve_cache_slots,
-                result_cache_slots=serve_result_slots,
-                shards=serve_shards,
-                tracing=False,
-            )
+            worker = _open_system(args.root, worker_config)
             worker.warm_cache()
             return worker.dashboard
 
@@ -618,20 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable causal span tracing (the flight recorder then "
         "stays empty)",
-    )
-    obs_group.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        help="flight-recorder ring size per retention class "
-        "(default 256)",
-    )
-    obs_group.add_argument(
-        "--trace-sample-every",
-        type=int,
-        default=None,
-        help="keep every Nth ok-and-fast trace as a baseline sample "
-        "(0 keeps only errors/partials/slow; default 8)",
     )
     obs_group.add_argument(
         "--slo-availability",

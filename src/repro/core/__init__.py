@@ -2,9 +2,9 @@
 
 from repro.core.cache import CacheManager, CacheRatios, DEFAULT_RATIOS
 from repro.core.contributors import Contributor, ContributorStats
-from repro.core.calendar import Level, TemporalKey, cover_range
-from repro.core.cube import AnyCube, DataCube, SparseCube, sum_cubes
-from repro.core.dimensions import CubeSchema, Dimension, default_schema
+from repro.types.temporal import Level, TemporalKey, cover_range
+from repro.types.cube import AnyCube, DataCube, SparseCube, sum_cubes
+from repro.types.dimensions import CubeSchema, Dimension, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.live import LiveMonitor

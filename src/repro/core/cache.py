@@ -17,14 +17,9 @@ The paper's deployment uses N = 2 GB of cube slots with
 defaults.  A small optional LRU overflow supports query-time admission
 (off by default, matching the paper's static policy).
 
-The cache has two capacity modes.  **Slot mode** (the default) counts
-cubes: every cube is assumed to cost one page, which is exact when
-cubes are uniformly dense.  **Byte mode** (``byte_budget=``) charges
-each cube its actual in-memory footprint (:attr:`DataCube.nbytes` /
-:attr:`SparseCube.nbytes`), so small sparse cubes multiply effective
-capacity — a near-empty daily costs ~16 bytes per populated cell
-instead of a full dense page.  The (α, β, γ, θ) ratios split either
-budget the same way.
+Capacity is counted in cubes (slots); :attr:`CacheManager.cached_bytes`
+reports what the resident cubes actually occupy, which for sparse cubes
+is far below one dense page each.
 """
 
 from __future__ import annotations
@@ -33,14 +28,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.calendar import Level, TemporalKey
-from repro.core.cube import AnyCube
+from repro.types.temporal import Level, TemporalKey
+from repro.types.cube import AnyCube
 from repro.core.hierarchy import HierarchicalIndex
 from repro.errors import DEGRADABLE_READ_ERRORS, ConfigError
 from repro.obs import MetricsRegistry, get_registry, metric_key
-from repro.storage.serializer import cube_page_size
 
-__all__ = ["CacheManager", "CacheRatios", "DEFAULT_RATIOS", "slots_for_bytes"]
+__all__ = ["CacheManager", "CacheRatios", "DEFAULT_RATIOS"]
 
 # Prepared per-level registry keys.  HIT_KEYS/MISS_KEYS are public:
 # the executor accounts hits and misses per query and flushes them in
@@ -94,14 +88,8 @@ class CacheRatios:
 DEFAULT_RATIOS = CacheRatios()
 
 
-def slots_for_bytes(cache_bytes: int, schema) -> int:
-    """How many cube slots a byte budget buys (paper: 2 GB ≈ 500 cubes)."""
-    page = cube_page_size(schema)
-    return max(0, cache_bytes // page)
-
-
 class CacheManager:
-    """Cube cache (slot- or byte-budgeted) with the recency preload policy."""
+    """Slot-budgeted cube cache with the recency preload policy."""
 
     def __init__(
         self,
@@ -110,17 +98,11 @@ class CacheManager:
         ratios: CacheRatios = DEFAULT_RATIOS,
         admit_on_miss: bool = False,
         metrics: MetricsRegistry | None = None,
-        byte_budget: int | None = None,
     ) -> None:
         if slots < 0:
             raise ConfigError("cache slots must be non-negative")
-        if byte_budget is not None and byte_budget < 0:
-            raise ConfigError("cache byte budget must be non-negative")
         self.index = index
         self.slots = slots
-        #: When set, capacity is measured in cube payload bytes rather
-        #: than slots; ``slots`` is ignored for eviction decisions.
-        self.byte_budget = byte_budget
         self.ratios = ratios
         self.admit_on_miss = admit_on_miss
         self.metrics = metrics if metrics is not None else get_registry()
@@ -151,39 +133,15 @@ class CacheManager:
         """
         fresh: OrderedDict[TemporalKey, AnyCube] = OrderedDict()
         preloaded_per_level: list[tuple[Level, int]] = []
-        if self.byte_budget is None:
-            for level, allotment in self.ratios.slots_per_level(self.slots).items():
-                if level not in self.index.levels or allotment <= 0:
-                    continue
-                keys = self.index.keys(level)
-                taken = keys[-allotment:]
-                for key in taken:
-                    fresh[key] = self.index.get(key)
-                if taken:
-                    preloaded_per_level.append((level, len(taken)))
-        else:
-            # Byte mode: walk each level newest-first, admitting cubes
-            # until the level's byte allotment is spent.  Sizes are
-            # only known after the read, so the first cube that does
-            # not fit ends the level's sweep (its read is still
-            # charged — preload is offline maintenance).
-            per_level = self.ratios.slots_per_level(self.byte_budget)
-            for level, allotment in per_level.items():
-                if level not in self.index.levels or allotment <= 0:
-                    continue
-                taken: list[tuple[TemporalKey, AnyCube]] = []
-                used = 0
-                for key in reversed(self.index.keys(level)):
-                    cube = self.index.get(key)
-                    if used + cube.nbytes > allotment:
-                        break
-                    used += cube.nbytes
-                    taken.append((key, cube))
-                # Insert oldest-first so LRU eviction drops old keys.
-                for key, cube in reversed(taken):
-                    fresh[key] = cube
-                if taken:
-                    preloaded_per_level.append((level, len(taken)))
+        for level, allotment in self.ratios.slots_per_level(self.slots).items():
+            if level not in self.index.levels or allotment <= 0:
+                continue
+            keys = self.index.keys(level)
+            taken = keys[-allotment:]
+            for key in taken:
+                fresh[key] = self.index.get(key)
+            if taken:
+                preloaded_per_level.append((level, len(taken)))
         with self._lock:
             self._cubes = fresh
             self._bytes = sum(cube.nbytes for cube in fresh.values())
@@ -256,10 +214,8 @@ class CacheManager:
 
     def admit(self, cube: AnyCube) -> None:
         """Query-time admission with LRU eviction (optional extension)."""
-        if not self.admit_on_miss or not self.has_capacity:
+        if not self.admit_on_miss or self.slots <= 0:
             return
-        if self.byte_budget is not None and cube.nbytes > self.byte_budget:
-            return  # admitting would evict the entire cache for one cube
         evicted_levels: list[Level] = []
         with self._lock:
             previous = self._cubes.pop(cube.key, None)
@@ -267,25 +223,12 @@ class CacheManager:
                 self._bytes -= previous.nbytes
             self._cubes[cube.key] = cube
             self._bytes += cube.nbytes
-            while self._over_capacity():
+            while len(self._cubes) > self.slots:
                 evicted_key, evicted = self._cubes.popitem(last=False)
                 self._bytes -= evicted.nbytes
                 evicted_levels.append(evicted_key.level)
         for level in evicted_levels:
             self.metrics.inc_key(_K_EVICTIONS[level])
-
-    def _over_capacity(self) -> bool:
-        # guarded-by: _lock (callers hold the lock)
-        if self.byte_budget is not None:
-            return self._bytes > self.byte_budget
-        return len(self._cubes) > self.slots
-
-    @property
-    def has_capacity(self) -> bool:
-        """Whether the cache can hold anything at all (either mode)."""
-        if self.byte_budget is not None:
-            return self.byte_budget > 0
-        return self.slots > 0
 
     @property
     def cached_count(self) -> int:

@@ -1,9 +1,9 @@
 """Historical home of the temporal types (now :mod:`repro.types.temporal`).
 
-:class:`Level`, :class:`TemporalKey`, and the range-decomposition
-helpers moved into the :mod:`repro.types` leaf package so collection
-and storage can use them without importing core (see the layer DAG in
-DESIGN.md).  This shim preserves the public path.
+The one re-export shim left: the frozen benchmark harness
+(``benchmarks/e2e/truth.py``) imports ``series_periods`` from this
+path.  Nothing under ``src/`` may import it (lint rule
+``layer-shim``).
 """
 
 from repro.types.temporal import *  # noqa: F401,F403

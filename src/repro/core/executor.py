@@ -43,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cache import HIT_KEYS, MISS_KEYS, CacheManager
-from repro.core.calendar import Level, TemporalKey, series_periods
-from repro.core.cube import AnyCube, sum_arrays
+from repro.types.temporal import Level, TemporalKey, series_periods
+from repro.types.cube import AnyCube, sum_arrays
 from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
@@ -303,7 +303,7 @@ class QueryExecutor:
         one_at_a_time = (
             self.cache is not None
             and self.cache.admit_on_miss
-            and self.cache.has_capacity
+            and self.cache.slots > 0
         )
         rows: dict[tuple, float] = {}
         for batch in [[w] for w in windows] if one_at_a_time else [windows]:

@@ -2,7 +2,7 @@
 
 This is RASED's core structure (paper, Section VI-A and Fig. 6): a
 four-level tree — daily, weekly, monthly, yearly cubes under a dummy
-root — where every node is one :class:`~repro.core.cube.DataCube`
+root — where every node is one :class:`~repro.types.cube.DataCube`
 stored in one disk page.  The index never stores raw updates; it
 stores aggregates that "cover everything one could ask for from any
 RASED analysis query".
@@ -32,7 +32,7 @@ import threading
 from datetime import date
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.calendar import (
+from repro.types.temporal import (
     Level,
     TemporalKey,
     completed_units,
@@ -41,16 +41,15 @@ from repro.core.calendar import (
     week_key,
     year_key,
 )
-from repro.core.cube import (
+from repro.types.cube import (
     AnyCube,
     DataCube,
-    DEFAULT_SPARSE_THRESHOLD,
     RESOLUTION_COARSE,
     RESOLUTION_FULL,
     SparseCube,
     sum_cubes,
 )
-from repro.core.dimensions import CubeSchema
+from repro.types.dimensions import CubeSchema
 from repro.errors import (
     ConfigError,
     CubeNotFoundError,
@@ -130,7 +129,7 @@ class HierarchicalIndex:
         knob can change between runs.
     sparse:
         Build and roll up cubes in the sparse (COO) in-memory form,
-        densifying only past ``sparse_threshold``.  Near-empty daily
+        densifying only past ``DEFAULT_SPARSE_THRESHOLD``.  Near-empty daily
         cubes then never materialize the full dense array.
     """
 
@@ -144,7 +143,6 @@ class HierarchicalIndex:
         epoch: "EpochCounter | None" = None,
         page_version: int | None = None,
         sparse: bool = False,
-        sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
     ) -> None:
         if Level.DAY not in levels:
             raise IndexError_("the index must include the daily level")
@@ -161,7 +159,6 @@ class HierarchicalIndex:
         self.page_version = page_version
         #: Build/rollup cubes in sparse form (see class docstring).
         self.sparse = sparse
-        self.sparse_threshold = sparse_threshold
         #: Bumped on every cube write so versioned consumers (the
         #: executor's result cache) can invalidate; optional.
         self.epoch = epoch
@@ -304,7 +301,7 @@ class HierarchicalIndex:
         if len(coded):
             cube.bulk_record(coded)
         if isinstance(cube, SparseCube):
-            return cube.maybe_densify(self.sparse_threshold)
+            return cube.maybe_densify()
         return cube
 
     def ingest_day(self, day: date, updates: UpdateList) -> list[TemporalKey]:
@@ -340,12 +337,7 @@ class HierarchicalIndex:
                     cubes.append(self.get(child))
                 # Missing children contribute zero (e.g. the index was
                 # bootstrapped mid-week).
-            parent = sum_cubes(
-                self.schema,
-                parent_key,
-                cubes,
-                sparse_threshold=self.sparse_threshold,
-            )
+            parent = sum_cubes(self.schema, parent_key, cubes)
             self.put(parent)
             in_memory[parent_key] = parent
             written.append(parent_key)
@@ -387,7 +379,6 @@ class HierarchicalIndex:
                     self.schema,
                     child,
                     [in_memory[grand] for grand in child.children()],
-                    sparse_threshold=self.sparse_threshold,
                 )
                 self.put(weekly)
                 in_memory[child] = weekly
@@ -401,7 +392,6 @@ class HierarchicalIndex:
                     for child in month.children()
                     if child in in_memory
                 ],
-                sparse_threshold=self.sparse_threshold,
             )
             self.put(monthly)
             written.append(month)
@@ -412,14 +402,7 @@ class HierarchicalIndex:
                 for m in range(1, 13)
                 if self.has(month_key(month.year, m))
             ]
-            self.put(
-                sum_cubes(
-                    self.schema,
-                    year,
-                    months,
-                    sparse_threshold=self.sparse_threshold,
-                )
-            )
+            self.put(sum_cubes(self.schema, year, months))
             written.append(year)
         return written
 

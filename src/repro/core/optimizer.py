@@ -9,7 +9,7 @@ ties break toward fewer cubes overall (less phase-2 aggregation work).
 
 Because the temporal units form a strict hierarchy, every aligned unit
 inside the range is contained in exactly one unit of the *canonical
-maximal cover* (:func:`repro.core.calendar.cover_range`).  The search
+maximal cover* (:func:`repro.types.temporal.cover_range`).  The search
 is therefore an exact expand-or-keep recursion over that cover: each
 unit is either read as one cube (cost 0 when cached, 1 on disk) or
 expanded into its children, recursively.  Two prunings keep typical
@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 
-from repro.core.calendar import Level, TemporalKey, cover_range
+from repro.types.temporal import Level, TemporalKey, cover_range
 from repro.core.hierarchy import HierarchicalIndex
 from repro.errors import PlanError
 from repro.obs import MetricsRegistry, get_registry, metric_key

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.errors import QueryError
 from repro.obs.trace import QueryTrace
 

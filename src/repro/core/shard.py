@@ -28,7 +28,7 @@ places the index's pages across N **shards**:
   :func:`~repro.core.executor.local_gather` on a bounded pool (the
   :mod:`repro.core.iosched` hand-off pattern: ambient span and
   deadline cross the pool boundary explicitly); the per-shard partial
-  arrays are merged with :func:`~repro.core.cube.sum_arrays`.
+  arrays are merged with :func:`~repro.types.cube.sum_arrays`.
 
 **Correctness argument** (verified end-to-end by
 ``tests/test_shard_oracle.py``): an analysis answer is plan-invariant
@@ -65,15 +65,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.cache import CacheManager
-from repro.core.calendar import Level, TemporalKey
-from repro.core.cube import DEFAULT_SPARSE_THRESHOLD, sum_arrays
+from repro.types.temporal import Level, TemporalKey
+from repro.types.cube import sum_arrays
 from repro.core.deadline import (
     Deadline,
     check_deadline,
     current_deadline,
     deadline_scope,
 )
-from repro.core.dimensions import CubeSchema
+from repro.types.dimensions import CubeSchema
 from repro.core.executor import GatherPartial, QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import LevelOptimizer
@@ -356,7 +356,6 @@ class ShardedIndex(HierarchicalIndex):
         epoch: EpochCounter | None = None,
         page_version: int | None = None,
         sparse: bool = False,
-        sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
     ) -> None:
         #: The routed view itself (``self.store`` may wrap it).
         self.routed = routed
@@ -370,7 +369,6 @@ class ShardedIndex(HierarchicalIndex):
             epoch=epoch,
             page_version=page_version,
             sparse=sparse,
-            sparse_threshold=sparse_threshold,
         )
 
     @property

@@ -31,7 +31,7 @@ from datetime import date
 
 import numpy as np
 
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.executor import QueryExecutor
 from repro.core.percentages import NetworkSizeRegistry
 from repro.core.query import AnalysisQuery

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.baseline.sqlgen import to_sql
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.executor import QueryExecutor
 from repro.core.query import AnalysisQuery, QueryResult
 from repro.dashboard import charts, tables

@@ -25,12 +25,11 @@ framework, per the offline constraint):
 * ``GET /debug/slo`` — objective windows, burn rates and multi-window
   alert states (also summarized on ``/health``).
 
-The server is threaded by default (one thread per in-flight request,
-via :class:`http.server.ThreadingHTTPServer`): RASED's pitch is a
+The server is threaded (one thread per in-flight request, via
+:class:`http.server.ThreadingHTTPServer`): RASED's pitch is a
 dashboard under heavy concurrent traffic, and the whole query path —
 executor, cube cache, I/O scheduler, result cache, metrics — is
-thread-safe.  Pass ``threaded=False`` for the old single-threaded
-behaviour (the concurrency bench uses it as its baseline).
+thread-safe.
 
 Error mapping is centralized in the handler: domain errors
 (:class:`~repro.errors.RasedError`, ``ValueError``) answer 400, an
@@ -51,12 +50,12 @@ import math
 import threading
 import time
 from datetime import date
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from repro.baseline.sqlgen import to_sql
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.deadline import current_deadline, deadline_scope
 from repro.core.query import AnalysisQuery, QueryResult
 from repro.dashboard.admission import AdmissionController
@@ -663,16 +662,8 @@ class _ThreadedServer(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-class _SerialServer(HTTPServer):
-    request_queue_size = 128
-
-
 class DashboardServer:
     """Background-thread wrapper so tests and examples can serve + query.
-
-    ``threaded=True`` (the default) serves each request on its own
-    thread; ``threaded=False`` keeps the serial accept-handle-respond
-    loop as a measurable baseline.
 
     ``admission`` (optional) installs an
     :class:`~repro.dashboard.admission.AdmissionController` in front of
@@ -688,7 +679,6 @@ class DashboardServer:
         dashboard: Dashboard,
         host: str = "127.0.0.1",
         port: int = 0,
-        threaded: bool = True,
         admission: AdmissionController | None = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         drain_timeout: float = 5.0,
@@ -721,8 +711,7 @@ class DashboardServer:
                 "dispatcher": dispatcher,
             },
         )
-        server_cls = _ThreadedServer if threaded else _SerialServer
-        self._http = server_cls((host, port), handler)
+        self._http = _ThreadedServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
-from repro.core.calendar import Level, series_periods
+from repro.types.temporal import Level, series_periods
 from repro.core.executor import QueryExecutor
 from repro.core.query import AnalysisQuery, QueryResult
 from repro.dashboard.charts import choropleth

@@ -38,11 +38,7 @@ from repro.obs.metrics import (
     metric_key,
     set_registry,
 )
-from repro.obs.recorder import (
-    DEFAULT_RECORDER_CAPACITY,
-    DEFAULT_SAMPLE_EVERY,
-    FlightRecorder,
-)
+from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import BurnAlert, SLOConfig, SLOTracker
 from repro.obs.span import (
     MAX_SPANS_PER_TRACE,
@@ -62,8 +58,6 @@ __all__ = [
     "ActiveTrace",
     "BurnAlert",
     "DEFAULT_HISTOGRAM_WINDOW",
-    "DEFAULT_RECORDER_CAPACITY",
-    "DEFAULT_SAMPLE_EVERY",
     "EventLog",
     "FlightRecorder",
     "MAX_SPANS_PER_TRACE",

@@ -66,8 +66,9 @@ cube.
 
 The storage-vs-latency trade-off of v3 against raw pages is measured
 in ``benchmarks/bench_ablation_compression.py`` and swept across scale
-in ``benchmarks/bench_cube_kernel.py``.  RASED's deployment choice (raw
-4 MB pages, one page per I/O) remains the default.
+in ``benchmarks/bench_cube_kernel.py``.  The paper's choice (raw 4 MB
+pages, one page per I/O) is ``SystemConfig()``; the serving profile
+writes v3.
 """
 
 from __future__ import annotations

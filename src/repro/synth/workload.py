@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from repro.core.calendar import Level
-from repro.core.dimensions import ELEMENT_TYPES, UPDATE_TYPES, CubeSchema
+from repro.types.temporal import Level
+from repro.types.dimensions import ELEMENT_TYPES, UPDATE_TYPES, CubeSchema
 from repro.core.query import AnalysisQuery
 from repro.errors import ConfigError
 

@@ -21,9 +21,9 @@ from pathlib import Path
 import tempfile
 from typing import Any
 
-from repro.core.cache import CacheManager, CacheRatios, DEFAULT_RATIOS
-from repro.core.calendar import TemporalKey, month_key
-from repro.core.dimensions import CubeSchema, default_schema
+from repro.core.cache import CacheManager
+from repro.types.temporal import TemporalKey, month_key
+from repro.types.dimensions import CubeSchema, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
@@ -45,8 +45,6 @@ from repro.dashboard.admission import AdmissionConfig, AdmissionController
 from repro.dashboard.api import Dashboard
 from repro.geo.zones import ZoneAtlas, build_world
 from repro.obs import (
-    DEFAULT_RECORDER_CAPACITY,
-    DEFAULT_SAMPLE_EVERY,
     FlightRecorder,
     MetricsRegistry,
     SLOConfig,
@@ -73,25 +71,22 @@ __all__ = ["RasedSystem", "SystemConfig"]
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Deployment knobs for an assembled system."""
+    """Deployment knobs for an assembled system.
+
+    The bare ``SystemConfig()`` is the *paper* profile — dense cubes in
+    raw v1 pages, no result memo, no WAL, no admission — whose modeled
+    numbers (Figs. 7-10, EXPERIMENTS.md) must stay bit-identical;
+    :meth:`serving` is the product.
+    """
 
     road_types: int = 12
     cache_slots: int = 64
-    cache_ratios: CacheRatios = DEFAULT_RATIOS
-    #: When set, the cube cache is *byte*-budgeted instead of
-    #: slot-budgeted: each cube charges its actual in-memory footprint,
-    #: so small sparse cubes multiply effective capacity.  ``None``
-    #: (default) keeps the paper's slot accounting bit-identical.
-    cache_bytes: int | None = None
-    #: On-disk cube page format (1 raw, 3 sparse delta+RLE).
-    #: Reads auto-detect, so the knob can change between runs; the
-    #: default raw format keeps experiment numbers bit-identical.
+    #: On-disk cube page format for writes (1 raw, 3 sparse delta+RLE).
+    #: Reads auto-detect, so it can change between runs of one root.
     page_version: int = 1
     #: Build and roll up cubes in the sparse (COO) in-memory form,
-    #: densifying past ``sparse_threshold``.  Off by default.
+    #: densifying past ``DEFAULT_SPARSE_THRESHOLD``.
     sparse_cubes: bool = False
-    #: Populated-cell fraction above which a sparse cube densifies.
-    sparse_threshold: float = 0.25
     simulation: SimulationConfig = SimulationConfig()
     #: Place cube pages across this many shard stores (rendezvous
     #: hashing) and read them scatter-gather.  Index, cache and WAL are
@@ -111,15 +106,12 @@ class SystemConfig:
     #: a gather's misses are then read one at a time, in plan order.
     fetch_parallelism: int = 4
     #: Slots in the epoch-versioned whole-result memo cache in front
-    #: of the executor.  0 (default) disables memoization, so repeated
-    #: identical queries still measure real execution — serving
-    #: deployments (``rased-repro serve``) turn it on.
+    #: of the executor.  0 disables memoization, so repeated identical
+    #: queries still measure real execution.
     result_cache_slots: int = 0
     #: Run ingestion through the write-ahead intent log: every daily
     #: ingest / monthly rebuild becomes one atomic batch, and a crash
-    #: at any point rolls back cleanly on the next start.  Off by
-    #: default so experiment I/O accounting stays bit-identical to the
-    #: WAL-free pipeline — serving deployments turn it on.
+    #: at any point rolls back cleanly on the next start.
     durable_ingest: bool = False
     #: Attempts per replication-feed poll operation (1 = no retries).
     #: Retries back off exponentially with seeded jitter.
@@ -129,24 +121,34 @@ class SystemConfig:
     feed_breaker_threshold: int = 0
     #: Front-door policy for the HTTP server: auth, rate limits,
     #: quotas, per-request deadlines, and load shedding.  The default
-    #: disables every feature, so nothing is admission-checked and
-    #: benchmarks stay bit-identical — serving deployments opt in via
-    #: the ``rased-repro serve`` flags.
+    #: disables every feature, so nothing is admission-checked.
     admission: AdmissionConfig = AdmissionConfig()
-    #: Causal span tracing.  On by default: an untraced code path costs
-    #: one ``ContextVar.get`` and the enabled path is held to a <=5%
-    #: overhead budget by ``benchmarks/bench_tracing_overhead.py``.
-    #: Spans never touch the modeled disk clock, so experiment numbers
-    #: are bit-identical either way.
+    #: Causal span tracing.  An untraced code path costs one
+    #: ``ContextVar.get`` and the enabled path is held to a <=5%
+    #: overhead budget by ``benchmarks/bench_tracing_overhead.py``;
+    #: spans never touch the modeled disk clock.
     tracing: bool = True
-    #: Flight-recorder ring size per retention class (always-kept and
-    #: sampled), and the every-Nth baseline sampling period for ok
-    #: traces (0 disables baseline sampling).
-    trace_capacity: int = DEFAULT_RECORDER_CAPACITY
-    trace_sample_every: int = DEFAULT_SAMPLE_EVERY
     #: Service-level objectives evaluated over the HTTP request stream
     #: (availability + latency, multi-window burn-rate alerts).
     slo: SLOConfig = SLOConfig()
+
+    @classmethod
+    def serving(cls, **overrides: Any) -> "SystemConfig":
+        """The deployed profile: what ``rased-repro ingest|serve`` open
+        and what ``benchmarks/e2e`` measures — sparse cubes in v3 pages
+        behind a 64-slot cube cache, overlapped fetch, the result memo
+        and tracing (``tests/test_system.py`` pins it to the harness's
+        own literal).  ``overrides`` are per-deployment settings
+        (shards, WAL, admission, ...)."""
+        profile = dict(
+            page_version=3,
+            sparse_cubes=True,
+            cache_slots=64,
+            fetch_parallelism=4,
+            tracing=True,
+            result_cache_slots=256,
+        )
+        return cls(**(profile | overrides))
 
 
 class RasedSystem:
@@ -180,11 +182,7 @@ class RasedSystem:
         #: recorder exists even with tracing disabled (so ``/debug``
         #: surfaces answer consistently); a disabled tracer simply
         #: never delivers traces to it.
-        self.recorder = FlightRecorder(
-            capacity=config.trace_capacity,
-            sample_every=config.trace_sample_every,
-            metrics=self.metrics,
-        )
+        self.recorder = FlightRecorder(metrics=self.metrics)
         self.tracer = Tracer(recorder=self.recorder, enabled=config.tracing)
         #: SLO accounting over the HTTP request stream; the server
         #: records into it, ``/health`` and ``/debug/slo`` read it.
@@ -246,7 +244,6 @@ class RasedSystem:
             epoch=self.epoch,
             page_version=config.page_version,
             sparse=config.sparse_cubes,
-            sparse_threshold=config.sparse_threshold,
         )
         sharded_index = (
             ShardedIndex(schema, routed, effective_store, **index_options)
@@ -262,11 +259,7 @@ class RasedSystem:
         self.hash_index = HashIndex(effective_store)
         self.spatial_index = GridSpatialIndex(effective_store)
         self.cache = CacheManager(
-            self.index,
-            slots=config.cache_slots,
-            ratios=config.cache_ratios,
-            metrics=self.metrics,
-            byte_budget=config.cache_bytes,
+            self.index, slots=config.cache_slots, metrics=self.metrics
         )
         self.network_sizes = NetworkSizeRegistry(
             atlas, self.simulator.road_network_sizes()
@@ -427,7 +420,7 @@ class RasedSystem:
         cube exists — coverage can have holes (e.g. a daily diff that
         never arrived), and those days must stay live.
         """
-        from repro.core.calendar import day_key
+        from repro.types.temporal import day_key
 
         processed = self.live_monitor.poll()
         for day in self.live_monitor.partial_days():

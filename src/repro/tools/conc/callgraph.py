@@ -42,7 +42,7 @@ class FunctionInfo:
 
     key: str       # "repro.core.cache:CacheManager.get"
     module: str
-    qualname: str  # "CacheManager.get" or "slots_for_bytes"
+    qualname: str  # "CacheManager.get" or "local_gather"
     cls_key: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
     source: SourceFile

@@ -1,6 +1,6 @@
 """Project-specific static analysis for the RASED reproduction.
 
-Eight rule ids across five checkers (see DESIGN.md §"Static analysis"):
+Twelve rule ids across five checkers (see DESIGN.md §"Static analysis"):
 
 ======================= ==================================================
 rule                    enforces
@@ -8,6 +8,7 @@ rule                    enforces
 ``layering``            imports follow the declared layer DAG
 ``layering-cycle``      no package import cycles
 ``layering-undeclared`` every package appears in the DAG
+``layering-shim``       no in-tree import of a re-export shim
 ``lock-guard``          ``# guarded-by: <lock>`` attributes mutate only
                         under ``with self.<lock>:``
 ``hot-path-clock``      no wall-clock reads in ``core``/``storage``

@@ -1,7 +1,7 @@
 """Cube-schema and observability consistency rules.
 
 * ``cube-order`` — literal tuples/lists naming cube axes must list them
-  in the canonical order of ``repro.core.dimensions.CubeSchema.AXES``
+  in the canonical order of ``repro.types.dimensions.CubeSchema.AXES``
   (``element_type, country, road_type, update_type``).  In the
   construction/serialization packages (``types``, ``storage``,
   ``core``) any literal naming two or more axes is checked; elsewhere
@@ -61,7 +61,7 @@ def check_cube_order(
                         node.lineno,
                         f"axis tuple {tuple(present)!r} deviates from the "
                         f"canonical dimension order {tuple(expected)!r} "
-                        f"(repro.core.dimensions.CubeSchema.AXES)",
+                        f"(repro.types.dimensions.CubeSchema.AXES)",
                     )
                 )
     return findings

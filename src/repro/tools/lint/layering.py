@@ -8,7 +8,10 @@ top-level packages under ``repro``; a module may import only packages on
 * ``layering-undeclared`` — an import of a package missing from the DAG;
 * ``layering-cycle`` — a cycle in the observed package import graph
   (impossible while the layer rule holds, but reported independently so
-  a relaxed layer table cannot silently hide a cycle).
+  a relaxed layer table cannot silently hide a cycle);
+* ``layering-shim`` — an in-tree import of a re-export shim
+  (``LintConfig.shim_modules``) that exists only for code outside the
+  tree; import the module it forwards to instead.
 
 Imports inside ``if TYPE_CHECKING:`` blocks are exempt: they never
 execute, so they cannot create runtime import cycles — that is exactly
@@ -108,6 +111,7 @@ def check_layering(
     findings: list[Finding] = []
     # package -> {imported package -> first (path, line)} runtime edges
     edges: dict[str, dict[str, tuple[str, int]]] = {}
+    shims = {f"{config.top_package}.{name}" for name in config.shim_modules}
 
     for source in sources:
         src_level = (
@@ -123,6 +127,15 @@ def check_layering(
             )
             continue
         for edge in module_imports(source):
+            if edge.target in shims:
+                findings.append(
+                    source.finding(
+                        "layering-shim",
+                        edge.lineno,
+                        f"import of {edge.target!r}: a re-export shim kept "
+                        f"for code outside the tree; import what it forwards to",
+                    )
+                )
             dst = _target_package(edge.target, config.top_package)
             if dst is None or edge.type_only:
                 continue

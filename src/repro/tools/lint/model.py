@@ -50,7 +50,7 @@ DEFAULT_LAYERS: tuple[frozenset[str], ...] = (
 )
 
 #: Canonical cube axis order — must match
-#: ``repro.core.dimensions.CubeSchema.AXES``.
+#: ``repro.types.dimensions.CubeSchema.AXES``.
 CANONICAL_AXES: tuple[str, ...] = (
     "element_type",
     "country",
@@ -98,6 +98,10 @@ class LintConfig:
 
     top_package: str = "repro"
     layers: tuple[frozenset[str], ...] = DEFAULT_LAYERS
+    #: Re-export shims (dotted, below the top package) that exist only
+    #: for importers outside the tree — ``core.calendar`` for the frozen
+    #: benchmark harness — and that no module in the tree may import.
+    shim_modules: frozenset[str] = frozenset({"core.calendar"})
     #: Packages where wall-clock calls are forbidden (inject clocks or
     #: use the trace layer instead).
     hot_path_packages: frozenset[str] = frozenset({"core", "storage"})

@@ -7,10 +7,6 @@ leaf package is what lets the crawlers (collection) build cubes and the
 page serializer (storage) persist them without either importing the
 analysis layer (core) — the layering rule in :mod:`repro.tools.lint`
 enforces exactly that.
-
-:mod:`repro.core` re-exports everything here under its historical names
-(``repro.core.dimensions``, ``repro.core.calendar``,
-``repro.core.cube``), so downstream code and tests keep working.
 """
 
 from repro.types.cube import (

@@ -778,7 +778,6 @@ def sum_cubes(
     key: TemporalKey,
     children: Iterable[AnyCube],
     sparse: bool | None = None,
-    sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
 ) -> AnyCube:
     """Roll child cubes up into a parent cube for ``key`` in one batch.
 
@@ -800,7 +799,7 @@ def sum_cubes(
     ``sparse`` picks the result form: ``True``/``False`` force it;
     ``None`` (default) keeps the historical dense result unless *every*
     child is sparse, in which case the merged cube stays sparse until
-    its density crosses ``sparse_threshold`` (auto-densify).
+    its density crosses :data:`DEFAULT_SPARSE_THRESHOLD` (auto-densify).
     """
     kids = list(children)
     resolution = RESOLUTION_FULL
@@ -839,7 +838,7 @@ def sum_cubes(
                 flat[child_cells] += child_values
             if (
                 sparse is None
-                and np.count_nonzero(flat) >= sparse_threshold * cell_count
+                and np.count_nonzero(flat) >= DEFAULT_SPARSE_THRESHOLD * cell_count
             ):
                 # Would densify anyway — skip the COO round-trip.
                 return DataCube(
@@ -861,7 +860,7 @@ def sum_cubes(
             schema=schema, key=key, cells=cells, values=values, resolution=resolution
         )
         if sparse is None:
-            return merged.maybe_densify(sparse_threshold)
+            return merged.maybe_densify()
         return merged
     if dense_arrays:
         counts = sum_arrays(dense_arrays)

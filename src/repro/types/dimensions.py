@@ -21,7 +21,7 @@ can only tell "new" from "updated" (Section V), so daily cubes populate
 only the *create* and *geometry* slots — the paper's "270,000 aggregate
 values, while putting zeros in the rest".  We record coarse modifies
 under ``geometry`` and tag such cubes with ``resolution='coarse'`` (see
-:mod:`repro.core.cube`); the monthly rebuild replaces them with fully
+:mod:`repro.types.cube`); the monthly rebuild replaces them with fully
 classified cubes.
 """
 

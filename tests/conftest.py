@@ -11,7 +11,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.geo.zones import build_world
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig

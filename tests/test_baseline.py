@@ -9,7 +9,7 @@ import pytest
 from repro.baseline.flat import make_rased, make_rased_f, make_rased_o
 from repro.baseline.rowstore import BufferPool, RowStoreDatabase
 from repro.baseline.sqlgen import to_sql
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery
 from repro.errors import ConfigError
 from repro.storage.disk import InMemoryDisk

@@ -7,8 +7,8 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.cache import CacheManager, CacheRatios, slots_for_bytes
-from repro.core.calendar import Level, day_key, month_key, week_key, year_key
+from repro.core.cache import CacheManager, CacheRatios
+from repro.types.temporal import Level, day_key, month_key, week_key, year_key
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import FlatPlanner, LevelOptimizer
 from repro.errors import ConfigError, PlanError
@@ -73,13 +73,6 @@ class TestCacheRatios:
     def test_remainder_goes_to_daily(self):
         allotment = CacheRatios().slots_per_level(7)
         assert sum(allotment.values()) == 7
-
-    def test_slots_for_bytes(self, tiny_schema):
-        from repro.storage.serializer import cube_page_size
-
-        page = cube_page_size(tiny_schema)
-        assert slots_for_bytes(10 * page, tiny_schema) == 10
-        assert slots_for_bytes(page - 1, tiny_schema) == 0
 
 
 class TestCachePreload:
@@ -151,90 +144,21 @@ class TestCachePreload:
         assert all(k.level is Level.DAY for k in daily_heavy.contents())
         assert daily_heavy.cached_count == 20
 
+    def test_cached_bytes_tracks_resident_cubes(self, year_index):
+        """``cached_bytes`` is what the resident cubes occupy, through
+        preload, admission with eviction, and clear."""
 
-class TestByteBudgetCache:
-    def test_negative_budget_rejected(self, year_index):
-        with pytest.raises(ConfigError):
-            CacheManager(year_index, slots=0, byte_budget=-1)
+        def resident_bytes(cache):
+            return sum(year_index.get(key).nbytes for key in cache.contents())
 
-    def test_preload_respects_byte_allotments(self, year_index, tiny_schema):
-        page = tiny_schema.cell_count * 8  # dense cube payload bytes
-        budget = 10 * page
-        cache = CacheManager(year_index, slots=0, byte_budget=budget)
+        cache = CacheManager(year_index, slots=8, admit_on_miss=True)
         cache.preload()
-        assert 0 < cache.cached_bytes <= budget
-        used = sum(
-            year_index.get(key).nbytes for key in cache.contents()
-        )
-        assert used == cache.cached_bytes
-
-    def test_preload_prefers_newest_per_level(self, year_index):
-        cache = CacheManager(
-            year_index,
-            slots=0,
-            byte_budget=4 * year_index.schema.cell_count * 8,
-            ratios=CacheRatios(1.0, 0.0, 0.0, 0.0),
-        )
-        cache.preload()
-        cached_days = sorted(k for k in cache.contents())
-        assert cached_days  # budget buys at least one daily cube
-        assert day_key(date(2022, 2, 28)) in cache.contents()
-        assert all(k.level is Level.DAY for k in cached_days)
-
-    def test_zero_budget_cache_is_empty(self, year_index):
-        cache = CacheManager(year_index, slots=99, byte_budget=0)
-        assert cache.preload() == 0
-        assert not cache.has_capacity
-
-    def test_admit_evicts_by_bytes(self, year_index):
-        page = year_index.schema.cell_count * 8
-        cache = CacheManager(
-            year_index, slots=0, byte_budget=2 * page, admit_on_miss=True
-        )
-        for day in (date(2021, 5, 1), date(2021, 5, 2), date(2021, 5, 3)):
-            cache.admit(year_index.get(day_key(day)))
-        assert cache.cached_bytes <= 2 * page
-        assert day_key(date(2021, 5, 1)) not in cache.contents()
-        assert day_key(date(2021, 5, 3)) in cache.contents()
-
-    def test_admit_rejects_cube_bigger_than_budget(self, year_index):
-        cache = CacheManager(
-            year_index, slots=0, byte_budget=8, admit_on_miss=True
-        )
+        assert cache.cached_bytes == resident_bytes(cache) > 0
         cache.admit(year_index.get(day_key(date(2021, 5, 1))))
-        assert cache.cached_count == 0
-
-    def test_clear_resets_bytes(self, year_index):
-        page = year_index.schema.cell_count * 8
-        cache = CacheManager(year_index, slots=0, byte_budget=8 * page)
-        cache.preload()
-        assert cache.cached_bytes > 0
+        assert cache.cached_count == 8
+        assert cache.cached_bytes == resident_bytes(cache)
         cache.clear()
         assert cache.cached_bytes == 0
-
-    def test_sparse_cubes_stretch_the_budget(self, tiny_schema):
-        """Byte accounting is the point of the sparse form: the same
-        budget holds far more near-empty cubes than dense pages."""
-        from repro.storage.serializer import PAGE_VERSION_SPARSE
-
-        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
-        index = HierarchicalIndex(
-            tiny_schema, disk, page_version=PAGE_VERSION_SPARSE, sparse=True
-        )
-        day = date(2021, 1, 1)
-        while day <= date(2021, 3, 31):
-            index.ingest_day(day, updates_for(day))
-            day += timedelta(days=1)
-        budget = 2 * tiny_schema.cell_count * 8  # two dense pages
-        cache = CacheManager(
-            index,
-            slots=0,
-            byte_budget=budget,
-            ratios=CacheRatios(1.0, 0.0, 0.0, 0.0),
-        )
-        cache.preload()
-        assert cache.cached_count > 2  # sparse: many cubes per "page"
-        assert cache.cached_bytes <= budget
 
 
 class TestLevelOptimizer:
@@ -302,7 +226,7 @@ class TestLevelOptimizer:
         assert covered_days == expected
 
     def test_plan_is_minimal_vs_canonical_cover(self, year_index):
-        from repro.core.calendar import cover_range
+        from repro.types.temporal import cover_range
 
         optimizer = LevelOptimizer(year_index)
         start, end = date(2021, 2, 3), date(2021, 11, 19)

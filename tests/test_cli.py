@@ -56,7 +56,56 @@ class TestParser:
             assert args.command == command
 
 
+class TestServeConfig:
+    def test_worker_config_derives_from_the_front_door(self):
+        """Pool workers run the front door's engine: same profile and
+        flags (``--scatter-threads`` used to be dropped), minus what
+        belongs to the serving process alone."""
+        import dataclasses
+
+        from repro.cli import _serve_configs
+        from repro.dashboard.admission import AdmissionConfig
+        from repro.system import SystemConfig
+
+        args = build_parser().parse_args(
+            [
+                "serve", "--root", "/tmp/x", "--workers", "2", "--durable",
+                "--shards", "4", "--scatter-threads", "16",
+                "--cache-slots", "32", "--result-cache-slots", "8",
+                "--rate-limit", "5", "--slo-latency-ms", "100",
+            ]
+        )
+        config, worker = _serve_configs(args)
+        assert config == SystemConfig.serving(
+            simulation=config.simulation,
+            cache_slots=32,
+            result_cache_slots=8,
+            shards=4,
+            scatter_threads=16,
+            durable_ingest=True,
+            admission=AdmissionConfig(rate_limit=5.0),
+            slo=dataclasses.replace(config.slo, latency_threshold_ms=100.0),
+        )
+        assert config.admission.any_enabled() and config.tracing
+        differing = {
+            field.name
+            for field in dataclasses.fields(SystemConfig)
+            if getattr(worker, field.name) != getattr(config, field.name)
+        }
+        assert differing == {"tracing", "durable_ingest", "admission"}
+        assert worker.scatter_threads == 16
+        assert not (worker.tracing or worker.durable_ingest)
+        assert not worker.admission.any_enabled()
+
+
 class TestCommands:
+    def test_ingest_writes_sparse_v3_pages(self, deployment_root):
+        from repro.storage.serializer import page_version
+
+        days = list((deployment_root / "pages" / "cubes").glob("D*.page"))
+        assert len(days) == 14
+        assert {page_version(page.read_bytes()) for page in days} == {3}
+
     def test_simulate_publishes_feeds(self, deployment_root):
         state = deployment_root / "feeds" / "replication" / "day" / "state.txt"
         assert state.exists()

@@ -14,8 +14,8 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from repro.core.calendar import month_key
-from repro.core.dimensions import default_schema
+from repro.types.temporal import month_key
+from repro.types.dimensions import default_schema
 from repro.errors import GeocodeError, ParseError
 from repro.geo.geometry import BBox, Point
 from repro.collection.daily import DailyCrawler, coarse_update_type

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calendar import day_key, month_key, week_key
-from repro.core.cube import (
+from repro.types.temporal import day_key, month_key, week_key
+from repro.types.cube import (
     DEFAULT_SPARSE_THRESHOLD,
     DataCube,
     RESOLUTION_COARSE,
@@ -22,7 +22,7 @@ from repro.core.cube import (
     sum_arrays,
     sum_cubes,
 )
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.errors import DimensionError
 
 

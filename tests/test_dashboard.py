@@ -8,7 +8,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.calendar import Level
+from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.charts import bar_chart, choropleth, time_series
 from repro.dashboard.server import DashboardServer, query_from_json, result_to_json

@@ -16,7 +16,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.calendar import day_key
+from repro.types.temporal import day_key
 from repro.core.hierarchy import page_id_for
 from repro.core.query import AnalysisQuery
 from repro.dashboard.server import DashboardServer

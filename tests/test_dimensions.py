@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.dimensions import (
+from repro.types.dimensions import (
     CubeSchema,
     Dimension,
     ELEMENT_TYPES,

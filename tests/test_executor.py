@@ -8,7 +8,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.calendar import Level, series_period_start
+from repro.types.temporal import Level, series_period_start
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.errors import QueryError
 from tests.conftest import INGESTED_END, INGESTED_START

@@ -11,7 +11,7 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from repro.core.calendar import day_key
+from repro.types.temporal import day_key
 from repro.core.hierarchy import HierarchicalIndex, page_id_for
 from repro.errors import (
     PageCorruptError,

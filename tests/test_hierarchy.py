@@ -7,14 +7,14 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.calendar import (
+from repro.types.temporal import (
     Level,
     day_key,
     month_key,
     week_key,
     year_key,
 )
-from repro.core.cube import RESOLUTION_COARSE, RESOLUTION_FULL
+from repro.types.cube import RESOLUTION_COARSE, RESOLUTION_FULL
 from repro.core.hierarchy import HierarchicalIndex, page_id_for, parse_page_key
 from repro.errors import CubeNotFoundError, IndexError_
 from repro.collection.records import UpdateList, UpdateRecord
@@ -87,7 +87,7 @@ class TestBasicAccess:
 
     def test_put_unmaintained_level_rejected(self, tiny_schema, disk):
         flat = HierarchicalIndex(tiny_schema, disk, levels=(Level.DAY,))
-        from repro.core.cube import DataCube
+        from repro.types.cube import DataCube
 
         weekly = DataCube(schema=tiny_schema, key=week_key(2021, 3, 0))
         with pytest.raises(IndexError_):

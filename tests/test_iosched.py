@@ -11,7 +11,7 @@ from datetime import date, timedelta
 import pytest
 
 from repro.collection.records import UpdateList, UpdateRecord
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler

@@ -49,6 +49,7 @@ def test_fixture_tree_rule_counts(fixture_report: LintReport) -> None:
         "layering": 2,
         "layering-cycle": 1,
         "layering-undeclared": 2,
+        "layering-shim": 1,
         "lock-guard": 3,
         "hot-path-clock": 2,
         "except-pass": 1,
@@ -80,6 +81,15 @@ def test_layering_flags_undeclared_packages(fixture_report: LintReport) -> None:
         "notalayer/__init__.py",
         "dashboard/imports_undeclared.py",
     }
+
+
+def test_layering_flags_shim_imports_only(fixture_report: LintReport) -> None:
+    (finding,) = _findings(fixture_report, "layering-shim")
+    assert finding.path == "dashboard/imports_shim.py"
+    assert "fixturepkg.core.calendar" in finding.message
+    # The real tree keeps one shim, for the frozen benchmark harness.
+    assert LintConfig().shim_modules == {"core.calendar"}
+    assert (default_package_root() / "core" / "calendar.py").is_file()
 
 
 def test_type_checking_imports_are_exempt(fixture_report: LintReport) -> None:

@@ -6,8 +6,8 @@ from datetime import date, datetime, timezone
 
 import pytest
 
-from repro.core.calendar import Level
-from repro.core.dimensions import default_schema
+from repro.types.temporal import Level
+from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.query import AnalysisQuery

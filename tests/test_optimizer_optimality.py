@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calendar import (
+from repro.types.temporal import (
     Level,
     day_key,
     month_key,

@@ -24,14 +24,14 @@ from datetime import date
 import numpy as np
 import pytest
 
-from repro.core.calendar import day_key, month_key, week_key, year_key
-from repro.core.cube import (
+from repro.types.temporal import day_key, month_key, week_key, year_key
+from repro.types.cube import (
     RESOLUTION_COARSE,
     RESOLUTION_FULL,
     SparseCube,
     as_dense,
 )
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.errors import PageCorruptError
 from repro.storage.serializer import (
     PAGE_VERSION_SPARSE,

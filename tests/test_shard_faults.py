@@ -23,7 +23,7 @@ from datetime import date, timedelta
 import pytest
 
 from repro.core.cache import CacheManager
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler

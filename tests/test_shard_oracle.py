@@ -35,7 +35,7 @@ from datetime import date, timedelta
 import pytest
 
 from repro.core.cache import CacheManager
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
@@ -107,9 +107,9 @@ def _sharded_index(corpus, shards):
     return index
 
 
-def _sharded_engine(corpus, shards, byte_budget=None, slots=24):
+def _sharded_engine(corpus, shards):
     index = _sharded_index(corpus, shards)
-    cache = CacheManager(index, slots=slots, byte_budget=byte_budget)
+    cache = CacheManager(index, slots=24)
     cache.preload()
     return ScatterGatherExecutor(
         index, cache=cache, optimizer=LevelOptimizer(index)
@@ -200,20 +200,6 @@ def test_total_query_volume_meets_spec(corpus):
     """The sweep above totals >= 200 differential comparisons."""
     schema, _ = corpus
     assert len(_sweep(schema)) * len(SHARD_COUNTS) >= 200
-
-
-def test_oracle_with_byte_budgeted_shard_caches(corpus, oracle):
-    """A byte-budgeted cache (PR 9 mode) over shards stays byte-identical."""
-    schema, _ = corpus
-    engine = _sharded_engine(corpus, 4, byte_budget=256 * 1024, slots=0)
-    try:
-        sweep = _sweep(schema)
-        # First 25 plus the daily-series tail, so the batched series
-        # fan-out is exercised under byte-budgeted caches too.
-        for query in sweep[:25] + sweep[-10:]:
-            _assert_identical(oracle.execute(query), engine.execute(query), query)
-    finally:
-        engine.shutdown()
 
 
 def test_oracle_without_caches(corpus, oracle):

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.calendar import (
+from repro.types.temporal import (
     Level,
     day_key,
     month_key,
     week_key,
     year_key,
 )
-from repro.core.dimensions import default_schema
+from repro.types.dimensions import default_schema
 from repro.core.hierarchy import HierarchicalIndex, page_id_for
 from repro.core.shard import (
     ShardRouter,
@@ -84,7 +84,7 @@ def test_placement_independent_of_pythonhashseed():
     """
     script = (
         "from repro.core.shard import ShardRouter\n"
-        "from repro.core.calendar import day_key\n"
+        "from repro.types.temporal import day_key\n"
         "from datetime import date, timedelta\n"
         "r = ShardRouter(5)\n"
         "day = date(2021, 1, 1)\n"

@@ -204,8 +204,8 @@ class TestZeroVarianceBaseline:
         """A burst in an otherwise all-zero zone must be flagged even
         though the leave-one-out std is zero (regression test: the
         detector used to skip exactly the most extreme anomalies)."""
-        from repro.core.calendar import day_key
-        from repro.core.cube import DataCube
+        from repro.types.temporal import day_key
+        from repro.types.cube import DataCube
 
         # Fabricate a silent zone with one spike day directly in a
         # scratch index to isolate the detector's math.

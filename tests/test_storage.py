@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calendar import day_key, month_key, week_key, year_key
-from repro.core.cube import DataCube, RESOLUTION_COARSE, SparseCube, as_sparse
+from repro.types.temporal import day_key, month_key, week_key, year_key
+from repro.types.cube import DataCube, RESOLUTION_COARSE, SparseCube, as_sparse
 from repro.errors import ConfigError, PageCorruptError, PageNotFoundError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.serializer import (
@@ -193,7 +193,7 @@ class TestSerializer:
         assert len(data) == HEADER_SIZE + tiny_schema.cell_count * 8
 
     def test_paper_scale_page_is_about_4mb(self):
-        from repro.core.dimensions import paper_scale_schema
+        from repro.types.dimensions import paper_scale_schema
 
         size = cube_page_size(paper_scale_schema())
         assert size == pytest.approx(540_000 * 8, rel=0.01)
@@ -221,7 +221,7 @@ class TestSerializer:
             deserialize_cube(bytes(data), tiny_schema)
 
     def test_schema_mismatch_rejected(self, tiny_schema):
-        from repro.core.dimensions import default_schema
+        from repro.types.dimensions import default_schema
 
         other = default_schema(["only"], road_types=2)
         data = serialize_cube(self._cube(tiny_schema))
@@ -253,7 +253,7 @@ class TestSerializer:
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=30))
     @settings(max_examples=25)
     def test_roundtrip_arbitrary_counts(self, values):
-        from repro.core.dimensions import default_schema
+        from repro.types.dimensions import default_schema
 
         tiny_schema = default_schema(
             ["united_states", "germany", "qatar"], road_types=8

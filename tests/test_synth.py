@@ -131,7 +131,7 @@ class TestRoadTypeSampling:
     def test_only_known_values(self):
         rng = random.Random(4)
         values = {choose_road_type(rng) for _ in range(300)}
-        from repro.core.dimensions import PAPER_ROAD_TYPES
+        from repro.types.dimensions import PAPER_ROAD_TYPES
 
         assert values <= set(PAPER_ROAD_TYPES)
 

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.calendar import month_key
+from repro.types.temporal import month_key
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.synth.simulator import SimulationConfig
@@ -165,9 +165,30 @@ class TestCacheFreshness:
         assert loaded == ingested_system.cache.cached_count > 0
 
 
+PARITY_QUERIES = [
+    AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 2, 14)),
+    AnalysisQuery(
+        start=date(2021, 1, 1),
+        end=date(2021, 2, 14),
+        group_by=("country", "update_type"),
+    ),
+    AnalysisQuery(
+        start=date(2021, 1, 5),
+        end=date(2021, 2, 9),
+        group_by=("date",),
+    ),
+    AnalysisQuery(
+        start=date(2021, 1, 1),
+        end=date(2021, 1, 31),
+        countries=("germany",),
+        group_by=("element_type", "road_type"),
+    ),
+]
+
+
 class TestColumnarKernelParity:
-    """The sparse/v3/byte-cache configuration is a pure representation
-    change: every dashboard answer must match the default deployment."""
+    """The sparse/v3 configuration is a pure representation change:
+    every dashboard answer must match the default deployment."""
 
     @pytest.fixture(scope="class")
     def system_pair(self, atlas):
@@ -187,36 +208,10 @@ class TestColumnarKernelParity:
             return system
 
         default = build()
-        columnar = build(
-            page_version=3,
-            sparse_cubes=True,
-            cache_slots=0,
-            cache_bytes=512 * 1024,
-        )
+        columnar = build(page_version=3, sparse_cubes=True)
         return default, columnar
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 2, 14)),
-            AnalysisQuery(
-                start=date(2021, 1, 1),
-                end=date(2021, 2, 14),
-                group_by=("country", "update_type"),
-            ),
-            AnalysisQuery(
-                start=date(2021, 1, 5),
-                end=date(2021, 2, 9),
-                group_by=("date",),
-            ),
-            AnalysisQuery(
-                start=date(2021, 1, 1),
-                end=date(2021, 1, 31),
-                countries=("germany",),
-                group_by=("element_type", "road_type"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_answers_identical(self, system_pair, query):
         default, columnar = system_pair
         assert (
@@ -228,10 +223,119 @@ class TestColumnarKernelParity:
         default, columnar = system_pair
         assert columnar.store.stored_bytes < default.store.stored_bytes / 3
 
-    def test_byte_cache_is_resident(self, system_pair):
-        _, columnar = system_pair
-        assert columnar.cache.byte_budget == 512 * 1024
-        assert 0 < columnar.cache.cached_bytes <= 512 * 1024
+
+class TestProfiles:
+    def test_serving_profile_is_what_the_benchmark_measures(self, monkeypatch):
+        """``benchmarks/e2e/workloads.py`` spells its deployment
+        configuration literally (``_BASE``); ``serving()`` must be that
+        literal, or the ledger describes a system nobody can start."""
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks/e2e/workloads.py"
+        spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses
+        spec.loader.exec_module(workloads)
+        serving = SystemConfig.serving()
+        assert workloads._BASE
+        for name, value in workloads._BASE.items():
+            assert getattr(serving, name) == value, name
+        assert serving.result_cache_slots == 256
+
+    def test_paper_profile_defaults_are_pinned(self):
+        """The bare config reproduces the paper figures; its fifteen
+        defaults are the ones every earlier experiment ran under."""
+        from dataclasses import asdict
+
+        from repro.dashboard.admission import AdmissionConfig
+        from repro.obs import SLOConfig
+
+        assert asdict(SystemConfig()) == dict(
+            road_types=12,
+            cache_slots=64,
+            page_version=1,
+            sparse_cubes=False,
+            simulation=asdict(SimulationConfig()),
+            shards=1,
+            scatter_threads=None,
+            fetch_parallelism=4,
+            result_cache_slots=0,
+            durable_ingest=False,
+            feed_retry_attempts=1,
+            feed_breaker_threshold=0,
+            admission=asdict(AdmissionConfig()),
+            tracing=True,
+            slo=asdict(SLOConfig()),
+        )
+
+    def test_serving_overrides(self):
+        config = SystemConfig.serving(shards=4, result_cache_slots=0)
+        assert (config.shards, config.result_cache_slots) == (4, 0)
+        assert config.sparse_cubes and config.page_version == 3
+
+
+class TestMixedFormatRoot:
+    """A root written dense/v1 keeps serving when reopened under the
+    serving profile, and simply grows v3 pages."""
+
+    SIM = SimulationConfig(
+        seed=27, mapper_count=20, base_sessions_per_day=5, nodes_per_country=8
+    )
+
+    @pytest.fixture(scope="class")
+    def root_pair(self, atlas, tmp_path_factory):
+        """(all-dense system, mixed system, mixed root): Jan 1-20 is
+        ingested under ``SystemConfig()``, then the same root is
+        reopened with the second config for Jan 21 - Feb 10."""
+        from datetime import timedelta
+
+        def two_stage(root, second_config):
+            def open_with(config):
+                return RasedSystem.create(
+                    root=root / "feeds",
+                    atlas=atlas,
+                    store=DirectoryDisk(
+                        root / "pages", read_latency=0, write_latency=0
+                    ),
+                    config=config,
+                )
+
+            first = open_with(SystemConfig(road_types=8, simulation=self.SIM))
+            first.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 20))
+            day = date(2021, 1, 21)
+            while day <= date(2021, 2, 10):
+                first.publish_day(day)
+                day += timedelta(days=1)
+            second = open_with(second_config)
+            assert second.pipeline.run_daily().days_processed == 21
+            second.warm_cache()
+            return second
+
+        base = tmp_path_factory.mktemp("mixed-format")
+        dense = two_stage(
+            base / "dense", SystemConfig(road_types=8, simulation=self.SIM)
+        )
+        mixed = two_stage(
+            base / "mixed", SystemConfig.serving(road_types=8, simulation=self.SIM)
+        )
+        return dense, mixed, base / "mixed"
+
+    @pytest.mark.parametrize("query", PARITY_QUERIES)
+    def test_answers_match_the_all_dense_root(self, root_pair, query):
+        dense, mixed, _ = root_pair
+        assert (
+            mixed.dashboard.analysis(query).rows
+            == dense.dashboard.analysis(query).rows
+        )
+
+    def test_both_page_versions_on_disk(self, root_pair):
+        from repro.storage.serializer import page_version
+
+        _, _, root = root_pair
+        day_pages = (root / "pages" / "cubes").glob("D*.page")
+        assert {page_version(page.read_bytes()) for page in day_pages} == {1, 3}
 
 
 class TestIngestReports:

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.cache import HIT_KEYS, MISS_KEYS, CacheManager
 from repro.types.temporal import Level, TemporalKey, series_periods
-from repro.types.cube import AnyCube, sum_arrays
+from repro.types.cube import AnyCube, Selection, nonzero_columns, sum_arrays
 from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
@@ -91,7 +91,6 @@ class GatherPartial:
 
     #: Window position -> array reduced over that window's cubes.
     arrays: dict[int, np.ndarray] = field(default_factory=dict)
-    labels: list[list[str]] = field(default_factory=list)
     cache_hits: dict[Level, int] = field(default_factory=dict)
     disk_reads: dict[Level, int] = field(default_factory=dict)
     #: Cubes that could not be served (quarantined/vanished pages).
@@ -110,15 +109,15 @@ def local_gather(
     index: HierarchicalIndex,
     cache: CacheManager | None,
     items: Sequence[tuple[int, TemporalKey]],
-    filters: dict,
-    group_by: tuple[str, ...],
+    selection: Selection,
     iosched: IOScheduler | None = None,
     store: PageStore | None = None,
 ) -> GatherPartial:
     """Fetch and reduce position-tagged cubes of one ``(index, cache)``.
 
     Three passes, each timed once: look every distinct key up in the
-    cache, read the misses, aggregate per window position.  A read
+    cache, read the misses, aggregate per window position with the
+    query's one compiled ``selection``.  A read
     that hits a corrupt/vanished/quarantined page drops that cube and
     the caller flags the answer partial.  ``store`` is the device the
     misses land on — the index's store unless the caller knows better
@@ -192,8 +191,9 @@ def local_gather(
     for position, key in items:
         cube = cubes[key]
         if cube is not None:
-            partial, out.labels = cube.aggregate_array(filters, group_by)
-            partials.setdefault(position, []).append(partial)
+            partials.setdefault(position, []).append(
+                cube.aggregate_array(selection)[0]
+            )
     out.arrays = {
         position: sum_arrays(arrays) for position, arrays in partials.items()
     }
@@ -305,9 +305,14 @@ class QueryExecutor:
             and self.cache.admit_on_miss
             and self.cache.slots > 0
         )
+        # Compiled once per query: every cube of every window (and of
+        # every shard) reduces through the same tables.
+        selection = Selection(
+            self.index.schema, self._effective_filters(query), query.cube_group_by
+        )
         rows: dict[tuple, float] = {}
         for batch in [[w] for w in windows] if one_at_a_time else [windows]:
-            rows.update(self._run_windows(query, batch, stats))
+            rows.update(self._run_windows(query, batch, selection, stats))
 
         if query.metric == METRIC_PERCENTAGE:
             pct_started = time.perf_counter()
@@ -413,7 +418,11 @@ class QueryExecutor:
     # -- the pipeline: plan -> gather -> shape ---------------------------------
 
     def _run_windows(
-        self, query: AnalysisQuery, windows: list[Window], stats: QueryStats
+        self,
+        query: AnalysisQuery,
+        windows: list[Window],
+        selection: Selection,
+        stats: QueryStats,
     ) -> dict[tuple, float]:
         """Plan ``windows`` against one cache snapshot, gather, shape rows."""
         plan_started = time.perf_counter()
@@ -433,32 +442,29 @@ class QueryExecutor:
         check_deadline("phase1.plan")
         if not items:
             return {}
-        arrays, labels = self._gather(
-            items, self._effective_filters(query), query.cube_group_by, stats
-        )
+        arrays = self._gather(items, selection, stats)
         rows: dict[tuple, float] = {}
         for position, (period, _, _) in enumerate(windows):
             accumulated = arrays.get(position)
             if accumulated is not None:
                 rows.update(
-                    self._rows_from_array(query, accumulated, labels, period)
+                    self._rows_from_array(
+                        query, accumulated, selection.labels, period
+                    )
                 )
         return rows
 
     def _gather(
         self,
         items: list[tuple[int, TemporalKey]],
-        filters: dict,
-        group_by: tuple[str, ...],
+        selection: Selection,
         stats: QueryStats,
-    ) -> tuple[dict[int, np.ndarray], list[list[str]]]:
+    ) -> dict[int, np.ndarray]:
         """The seam: position-tagged keys in, one reduced array per
         window position out.  Here, one local gather over the index."""
-        part = local_gather(
-            self.index, self.cache, items, filters, group_by, self.iosched
-        )
+        part = local_gather(self.index, self.cache, items, selection, self.iosched)
         self._merge(part, stats)
-        return part.arrays, part.labels
+        return part.arrays
 
     @staticmethod
     def _merge(part: GatherPartial, stats: QueryStats) -> None:
@@ -519,31 +525,17 @@ class QueryExecutor:
         date_position = (
             query.group_by.index("date") if query.groups_by_date else None
         )
-        rows: dict[tuple, float] = {}
         if accumulated.ndim == 0:
             # Scalar result; zero points are kept — a day with no
             # updates is informative on a time-series chart.
-            rows[self._row_key((), date_position, period)] = int(accumulated)
-            return rows
-        # Vectorized nonzero enumeration: only populated result cells
-        # cross the numpy/Python boundary (the dense walk was hot on
-        # wide group-bys).
-        positions = np.nonzero(accumulated)
-        values = accumulated[positions]
-        for *idx, value in zip(*positions, values.tolist()):
-            group = tuple(labels[axis][pos] for axis, pos in enumerate(idx))
-            rows[self._row_key(group, date_position, period)] = int(value)
-        return rows
-
-    @staticmethod
-    def _row_key(
-        cube_group: tuple, date_position: int | None, period: date | None
-    ) -> tuple:
-        if date_position is None:
-            return cube_group
-        parts = list(cube_group)
-        parts.insert(date_position, period)
-        return tuple(parts)
+            key = () if date_position is None else (period,)
+            return {key: int(accumulated)}
+        # Column-wise: only populated result cells cross the
+        # numpy/Python boundary, and the date is one more column.
+        columns, values = nonzero_columns(accumulated, labels)
+        if date_position is not None:
+            columns.insert(date_position, [period] * len(values))
+        return dict(zip(zip(*columns), values))
 
     def _to_percentages(
         self, query: AnalysisQuery, rows: dict[tuple, float]

@@ -195,11 +195,20 @@ class IOScheduler:
     def fetch_many(
         self, keys: Iterable[K], load: Callable[[K], V]
     ) -> FetchBatch:
-        """Load every key, overlapping the loads on the pool.
+        """Load every key, overlapping the loads ``max_workers`` wide.
 
-        Single-key batches run inline (no pool round-trip); larger
-        batches fan out, each key still going through the
-        single-flight table so concurrent batches share work.
+        The batch is cut into at most ``max_workers`` *slices*; the
+        calling thread runs one and the pool the rest, each slice going
+        key by key through the single-flight table, so concurrent
+        batches still share work.  A slice — not a key — is the unit
+        handed to the pool because a load is mostly page decoding,
+        which the interpreter lock serialises anyway: a future per key
+        bought no overlap for its queue put, thread wake and lock
+        hand-off, while ``width`` slices still overlap ``width`` reads
+        that really wait (the modeled makespan of ``n`` sleeping reads
+        stays ``ceil(n / width)`` latencies).  The caller runs a slice
+        itself rather than sleep on the pool: a one-key batch never
+        leaves its thread.
         """
         unique = list(dict.fromkeys(keys))
         batch = FetchBatch()
@@ -207,28 +216,25 @@ class IOScheduler:
             return batch
         started = time.perf_counter()
         with causal_span("iosched.batch") as batch_span:
-            if len(unique) == 1:
-                outcomes = [(unique[0], self.fetch(unique[0], load))]
-            else:
-                # ContextVars do NOT cross pool submissions: capture the
-                # submitter's ambient span AND deadline here and
-                # re-attach both inside each worker, so load/wait spans
-                # land in the submitting query's tree instead of
-                # becoming orphans — and a query past its budget stops
-                # fetching instead of loading pages nobody will use.
-                parent = current_span()
-                deadline = current_deadline()
-                submitted = [
-                    (
-                        key,
-                        self._pool.submit(
-                            self._fetch_attached, parent, deadline, key, load
-                        ),
-                    )
-                    for key in unique
-                ]
-                outcomes = [(key, future.result()) for key, future in submitted]
-            for key, (value, led) in outcomes:
+            # ContextVars do NOT cross pool submissions: capture the
+            # submitter's ambient span AND deadline here and re-attach
+            # both inside each slice, so load/wait spans land in the
+            # submitting query's tree instead of becoming orphans — and
+            # a query past its budget stops fetching instead of loading
+            # pages nobody will use.
+            parent = current_span()
+            deadline = current_deadline()
+            width = min(self.max_workers, len(unique))
+            submitted = [
+                self._pool.submit(
+                    self._fetch_slice, parent, deadline, unique[start::width], load
+                )
+                for start in range(1, width)
+            ]
+            outcomes = self._fetch_slice(parent, deadline, unique[::width], load)
+            for future in submitted:
+                outcomes += future.result()
+            for key, value, led in outcomes:
                 batch.values[key] = value
                 if led:
                     batch.led += 1
@@ -247,24 +253,29 @@ class IOScheduler:
         )
         return batch
 
-    def _fetch_attached(
+    def _fetch_slice(
         self,
         parent: Span | None,
         deadline: Deadline | None,
-        key: K,
+        keys: list[K],
         load: Callable[[K], V],
-    ) -> tuple[V, bool]:
-        """Pool entry point: the submitter's span and deadline cross the
-        pool boundary as explicit arguments (ContextVars do not).
+    ) -> list[tuple[K, V, bool]]:
+        """One slice of a batch, key by key: ``(key, value, led)`` each.
 
-        The deadline is checked *before* entering the single-flight
-        table: an already-expired caller must not become a leader,
-        because its failure would resolve the shared future and poison
-        every follower whose own budget still has room.
+        The submitter's span and deadline arrive as explicit arguments
+        (a slice may run on a pool thread, where its ContextVars are
+        not).  The deadline is checked before *each* key enters the
+        single-flight table: an already-expired caller must not become
+        a leader, because its failure would resolve the shared future
+        and poison every follower whose own budget still has room.
         """
+        outcomes: list[tuple[K, V, bool]] = []
         with deadline_scope(deadline):
-            check_deadline("iosched.fetch")
-            return self._fetch(key, load, parent)
+            for key in keys:
+                check_deadline("iosched.fetch")
+                value, led = self._fetch(key, load, parent)
+                outcomes.append((key, value, led))
+        return outcomes
 
     # -- introspection / lifecycle ------------------------------------------
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.cache import CacheManager
 from repro.types.temporal import Level, TemporalKey
-from repro.types.cube import sum_arrays
+from repro.types.cube import Selection, sum_arrays
 from repro.core.deadline import (
     Deadline,
     check_deadline,
@@ -477,11 +477,14 @@ class ScatterGatherExecutor(QueryExecutor):
     def _gather(
         self,
         items: list[tuple[int, TemporalKey]],
-        filters: dict,
-        group_by: tuple[str, ...],
+        selection: Selection,
         stats: QueryStats,
-    ) -> tuple[dict[int, np.ndarray], list[list[str]]]:
-        """One local gather per owning shard, merged by exact addition."""
+    ) -> dict[int, np.ndarray]:
+        """One local gather per owning shard, merged by exact addition.
+
+        Every shard reduces through the query's one compiled
+        ``selection`` (read-only, so sharing it across the pool is safe).
+        """
         by_shard: dict[int, list[tuple[int, TemporalKey]]] = {}
         for item in items:
             by_shard.setdefault(
@@ -504,14 +507,12 @@ class ScatterGatherExecutor(QueryExecutor):
                     deadline,
                     shard,
                     shard_items,
-                    filters,
-                    group_by,
+                    selection,
                 ),
             )
             for shard, shard_items in sorted(by_shard.items())
         ]
         per_position: dict[int, list[np.ndarray]] = {}
-        labels: list[list[str]] = []
         charged: list[float] = []
         dead_shards = 0
         for shard, future in submitted:
@@ -529,8 +530,6 @@ class ScatterGatherExecutor(QueryExecutor):
                 continue
             for position, array in part.arrays.items():
                 per_position.setdefault(position, []).append(array)
-            if part.labels:
-                labels = part.labels
             self._merge(part, stats)
             charged.append(part.charged_seconds)
         credit = self.sharded_index.routed.credit_scatter(charged)
@@ -548,7 +547,7 @@ class ScatterGatherExecutor(QueryExecutor):
         if credit:
             incs.append((_K_SCATTER_CREDIT, credit))
         self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
-        return arrays, labels
+        return arrays
 
     def _subquery_attached(
         self,
@@ -556,8 +555,7 @@ class ScatterGatherExecutor(QueryExecutor):
         deadline: Deadline | None,
         shard: int,
         items: list[tuple[int, TemporalKey]],
-        filters: dict,
-        group_by: tuple[str, ...],
+        selection: Selection,
     ) -> GatherPartial:
         """Pool entry point: re-attach the submitter's span + deadline,
         then run this shard's local gather."""
@@ -572,7 +570,7 @@ class ScatterGatherExecutor(QueryExecutor):
                 if self.fault_hook is not None:
                     self.fault_hook(shard, store)
                 return local_gather(
-                    self.index, self.cache, items, filters, group_by, store=store
+                    self.index, self.cache, items, selection, store=store
                 )
             except BaseException as exc:
                 if span is not None:

@@ -228,7 +228,20 @@ def serialize_cube(cube: AnyCube, version: int = PAGE_VERSION_RAW) -> bytes:
 def _decode_sparse_payload(
     data: bytes, schema: CubeSchema
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct (cells, values) from a CRC-verified v3 payload."""
+    """(cells, values) of a CRC-verified v3 payload, proven valid.
+
+    Every invariant :class:`~repro.types.cube.SparseCube` requires is
+    checked here, on the encoded stream, where it costs least — so the
+    caller wraps the arrays without a second validating pass:
+
+    * cells strictly increasing ⇔ every delta ≥ 1;
+    * cells in range ⇔ the first and the last cumulative cell lie in
+      ``[0, cell_count)`` and the int64 running sum never wrapped (the
+      first wrap of a sum of positive terms is negative, so the
+      minimum shows it);
+    * values nonzero ⇔ every run value nonzero;
+    * parallel arrays ⇔ the run lengths sum to ``nnz``.
+    """
     payload_size = len(data) - HEADER_SIZE
     if payload_size < _SPARSE_HEADER.size:
         raise PageCorruptError(f"sparse payload too small: {payload_size} bytes")
@@ -238,7 +251,8 @@ def _decode_sparse_payload(
     widths = (delta_width, run_width, value_width)
     if any(width not in _WIDTH_CODES for width in widths):
         raise PageCorruptError(f"bad sparse width codes {widths}")
-    if nnz > schema.cell_count or n_runs > nnz or (nnz > 0) != (n_runs > 0):
+    cell_count = schema.cell_count
+    if nnz > cell_count or n_runs > nnz or (nnz > 0) != (n_runs > 0):
         raise PageCorruptError(f"inconsistent sparse counts nnz={nnz} runs={n_runs}")
     n_deltas = nnz - 1 if nnz else 0
     expected = (
@@ -250,25 +264,44 @@ def _decode_sparse_payload(
         raise PageCorruptError(
             f"sparse payload is {payload_size} bytes, expected {expected}"
         )
+    cells = np.empty(nnz, dtype=np.int64)
+    if not nnz:
+        return cells, np.empty(0, dtype=np.int64)
+    # Before any array holds it: a first cell past int64 must be a
+    # corrupt page, not an OverflowError.
+    if first_cell >= cell_count:
+        raise PageCorruptError(f"first sparse cell {first_cell} out of range")
     offset = HEADER_SIZE + _SPARSE_HEADER.size
-    deltas = np.frombuffer(
+    cells[0] = first_cell
+    # Unsigned -> int64 in place; a u8 delta >= 2**63 lands negative
+    # and fails the same test as a zero delta.
+    cells[1:] = np.frombuffer(
         data, dtype=f"<u{delta_width}", count=n_deltas, offset=offset
-    ).astype(np.int64)
+    )
+    if n_deltas and int(cells[1:].min()) < 1:
+        raise PageCorruptError("sparse cells are not strictly increasing")
+    cells.cumsum(out=cells)
+    if int(cells[-1]) >= cell_count or int(cells.min()) < 0:
+        raise PageCorruptError(
+            f"sparse cell index out of range for {cell_count} cells"
+        )
     offset += n_deltas * delta_width
     run_lengths = np.frombuffer(
         data, dtype=f"<u{run_width}", count=n_runs, offset=offset
-    ).astype(np.int64)
+    )
     offset += n_runs * run_width
     run_values = np.frombuffer(
         data, dtype=f"<i{value_width}", count=n_runs, offset=offset
-    ).astype(np.int64)
-    if nnz and int(run_lengths.sum()) != nnz:
+    )
+    # No length above nnz, so the uint64 sum below cannot wrap.
+    if (
+        int(run_lengths.max()) > nnz
+        or int(run_lengths.sum(dtype=np.uint64)) != nnz
+    ):
         raise PageCorruptError("sparse run lengths do not sum to nnz")
-    cells = np.concatenate(
-        (np.asarray([first_cell], dtype=np.int64), deltas)
-    ).cumsum()
-    values = np.repeat(run_values, run_lengths) if nnz else np.empty(0, np.int64)
-    return cells[:nnz], values
+    if not run_values.all():
+        raise PageCorruptError("sparse run value is zero")
+    return cells, run_values.astype(np.int64).repeat(run_lengths.astype(np.intp))
 
 
 def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
@@ -326,12 +359,7 @@ def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
 
     if version == PAGE_VERSION_SPARSE:
         cells, values = _decode_sparse_payload(data, schema)
-        try:
-            sparse = SparseCube(
-                schema=schema, key=key, cells=cells, values=values, resolution=resolution
-            )
-        except Exception as exc:
-            raise PageCorruptError(f"invalid sparse page contents: {exc}") from exc
+        sparse = SparseCube._from_validated(schema, key, cells, values, resolution)
         return sparse.maybe_densify(DEFAULT_SPARSE_THRESHOLD)
 
     expected = schema.cell_count * 8

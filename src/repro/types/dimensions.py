@@ -27,7 +27,9 @@ classified cubes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DimensionError
@@ -193,17 +195,17 @@ class CubeSchema:
     def dimensions(self) -> tuple[Dimension, Dimension, Dimension, Dimension]:
         return (self.element_type, self.country, self.road_type, self.update_type)
 
-    @property
+    # Computed once per schema: the decoder and the aggregation kernel
+    # read both several times per page.  (``cached_property`` stores
+    # into the instance ``__dict__``, which a frozen dataclass allows.)
+    @cached_property
     def shape(self) -> tuple[int, int, int, int]:
         return tuple(len(d) for d in self.dimensions)  # type: ignore[return-value]
 
-    @property
+    @cached_property
     def cell_count(self) -> int:
         """Total number of precomputed values per cube (paper: 540,000)."""
-        count = 1
-        for d in self.dimensions:
-            count *= len(d)
-        return count
+        return math.prod(self.shape)
 
     def axis(self, name: str) -> int:
         """Return the numpy axis index for a dimension name."""

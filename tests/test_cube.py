@@ -15,6 +15,7 @@ from repro.types.cube import (
     DataCube,
     RESOLUTION_COARSE,
     RESOLUTION_FULL,
+    Selection,
     SparseCube,
     as_dense,
     as_sparse,
@@ -391,9 +392,17 @@ class TestSparseCube:
         assert dense == sparse
 
     @given(st.data())
-    @settings(max_examples=25)
+    @settings(max_examples=60, deadline=None)
     def test_aggregate_parity_with_dense(self, data):
-        """Every filter/group-by combination agrees across forms."""
+        """The compiled selection against two references.
+
+        Random cubes x filters (values unsorted, repeated, an empty
+        list, ``None``) x every group-by order: the sparse kernel, the
+        dense form and a brute-force loop over cells agree on the
+        reduced array *and* its labels (filter order, duplicates once),
+        through a precompiled :class:`Selection` and through the
+        ``(filters, group_by)`` call form alike.
+        """
         schema = default_schema(["a", "b", "c"], road_types=4)
         dense = DataCube(schema=schema, key=day_key(date(2021, 1, 1)))
         sparse = SparseCube(schema=schema, key=day_key(date(2021, 1, 1)))
@@ -405,16 +414,88 @@ class TestSparseCube:
         ).reshape(-1, 4)
         if len(records):
             sparse.bulk_record(coded)
-        axes = data.draw(
-            st.lists(st.sampled_from(schema.AXES), unique=True, max_size=2)
+        group_by = tuple(
+            data.draw(st.permutations(schema.AXES))[
+                : data.draw(st.integers(min_value=0, max_value=4))
+            ]
         )
-        filter_axis = data.draw(st.sampled_from(schema.AXES))
         filters = {
-            filter_axis: list(schema.dimension(filter_axis).values[:2])
+            axis: data.draw(
+                st.none() | st.lists(st.sampled_from(schema.dimension(axis).values))
+            )
+            for axis in data.draw(st.lists(st.sampled_from(schema.AXES), unique=True))
         }
-        assert sparse.aggregate(filters, tuple(axes)) == dense.aggregate(
-            filters, tuple(axes)
-        )
+
+        # Brute force: labels by the documented rule, then every cell.
+        labels = []
+        for axis in group_by:
+            allowed = filters.get(axis)
+            labels.append(
+                list(schema.dimension(axis).values)
+                if allowed is None
+                else list(dict.fromkeys(allowed))
+            )
+        expected = np.zeros([len(values) for values in labels], dtype=np.int64)
+        for coords in np.ndindex(*schema.shape):
+            cell = dict(zip(schema.AXES, schema.decode(coords)))
+            if all(
+                allowed is None or cell[axis] in allowed
+                for axis, allowed in filters.items()
+            ):
+                bin_ = tuple(
+                    labels[i].index(cell[axis]) for i, axis in enumerate(group_by)
+                )
+                expected[bin_] += int(dense.counts[coords])
+
+        selection = Selection(schema, filters, group_by)
+        for cube in (sparse, dense):
+            for array, got_labels in (
+                cube.aggregate_array(selection),
+                cube.aggregate_array(filters, group_by),
+            ):
+                assert got_labels == labels
+                assert np.array_equal(array, expected)
+                assert np.asarray(array).dtype == np.int64
+            rows = {
+                tuple(labels[i][p] for i, p in enumerate(position)): int(value)
+                for position, value in np.ndenumerate(expected)
+                if value
+            }
+            if not group_by:
+                rows = {(): int(expected)}
+            assert cube.aggregate(selection) == rows
+            assert cube.aggregate(filters, group_by) == rows
+
+    def test_aggregation_is_exact_past_float64(self, tiny_schema):
+        """No float accumulate: 2**53 + 1 survives, sums near 2**62 too."""
+        big = (1 << 53) + 1
+        near = (1 << 61) - 3
+        cube = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
+        for coords, count in (
+            (("way", "germany", "residential", "create"), big),
+            (("way", "germany", "service", "create"), 2),
+            (("node", "qatar", "primary", "create"), near),
+            (("node", "qatar", "primary", "delete"), near),
+            (("relation", "qatar", "primary", "delete"), 5),
+        ):
+            cube.record_codes(tiny_schema.encode(*coords), count)
+        for form in (cube, cube.to_dense()):
+            by_country, labels = form.aggregate_array({}, ("country",))
+            assert dict(zip(labels[0], by_country.tolist())) == {
+                "united_states": 0,
+                "germany": big + 2,
+                "qatar": 2 * near + 5,
+            }
+            assert form.aggregate({"country": ["germany"], "road_type": ["residential"]}) == {
+                (): big
+            }
+            assert form.aggregate()[()] == big + 2 + 2 * near + 5
+
+    def test_selection_of_another_schema_is_rejected(self, tiny_schema, pair):
+        other = default_schema(["a", "b", "c"], road_types=4)
+        for cube in pair:
+            with pytest.raises(DimensionError, match="another schema"):
+                cube.aggregate_array(Selection(other, {}, ("country",)))
 
 
 class TestSumCubesForms:

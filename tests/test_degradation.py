@@ -25,6 +25,7 @@ from repro.storage.serializer import deserialize_cube
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 from repro.testing import FaultPlan, FaultyPageStore
+from tests.v3pages import corruptions
 
 START = date(2021, 1, 1)
 END = date(2021, 1, 4)
@@ -97,6 +98,29 @@ class TestPartialAnswers:
         assert result.stats.partial is True
         assert result.total < full_total
         assert day_key(VICTIM) in system.index.quarantined_keys()
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_v3_page_past_int64_behind_valid_crc_is_quarantined(
+        self, atlas, clean_totals, parallelism
+    ):
+        """A sparse header whose first cell is >= 2**63, checksum valid:
+        the decoder used to leak numpy's OverflowError (a 500, the key
+        never quarantined); it must degrade like any corrupt page."""
+        full_total, victim_total = clean_totals
+        system = _build(
+            atlas, fetch_parallelism=parallelism, page_version=3, sparse_cubes=True
+        )
+        victim_page = page_id_for(day_key(VICTIM))
+        system.store.write(
+            victim_page,
+            corruptions(system.store.read(victim_page), system.schema.cell_count)[
+                "first_cell = 2**63 !"
+            ],
+        )
+        result = system.dashboard.analysis(_QUERY)
+        assert result.stats.partial is True
+        assert result.total == full_total - victim_total
+        assert system.index.quarantined_keys() == [day_key(VICTIM)]
 
     def test_metrics_count_partial_answers(self, atlas):
         system = _build(atlas)

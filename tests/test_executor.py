@@ -500,3 +500,136 @@ class TestTimeSeriesCacheSnapshot:
             assert result.stats.disk_reads == 0
             assert result.stats.cache_hits == 31
             assert len(result.rows) == 31
+
+
+class TestSelectionCompiledOncePerQuery:
+    """The hot path's call budget, as a count: a query's filters and
+    group-by are resolved and compiled ONCE — not once per cube, per
+    window or per shard — and every cube reduces through that one
+    :class:`~repro.types.cube.Selection`."""
+
+    @pytest.fixture(scope="class")
+    def year_updates(self):
+        import random
+        from datetime import timedelta
+
+        from repro.synth.scale import scaled_day_updates
+        from repro.types.dimensions import default_schema
+
+        schema = default_schema(["united_states", "germany", "qatar"], road_types=4)
+        rng = random.Random(7)
+        updates = {}
+        day = date(2021, 1, 1)
+        while day <= date(2021, 12, 31):
+            updates[day] = scaled_day_updates(day, rng, schema, 6)
+            day += timedelta(days=1)
+        return schema, updates
+
+    def _executor(self, year_updates, shards):
+        from repro.core.cache import CacheManager
+        from repro.core.executor import QueryExecutor
+        from repro.core.hierarchy import HierarchicalIndex
+        from repro.core.optimizer import LevelOptimizer
+        from repro.core.shard import (
+            ScatterGatherExecutor,
+            ShardedIndex,
+            ShardedPageStore,
+            shard_stores_for,
+        )
+        from repro.storage.disk import InMemoryDisk
+
+        schema, updates = year_updates
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        if shards == 1:
+            index = HierarchicalIndex(schema, disk, page_version=3, sparse=True)
+            engine = QueryExecutor
+        else:
+            index = ShardedIndex(
+                schema,
+                ShardedPageStore(shard_stores_for(disk, shards), disk),
+                page_version=3,
+                sparse=True,
+            )
+            engine = ScatterGatherExecutor
+        index.bulk_load(updates)
+        cache = CacheManager(index, slots=16)  # static: never admits
+        cache.preload()
+        return engine(index, cache=cache, optimizer=LevelOptimizer(index))
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_one_compile_per_query(self, year_updates, shards, monkeypatch):
+        import repro.types.cube as cube_module
+
+        executor = self._executor(year_updates, shards)
+        calls = []
+        resolve = cube_module._resolve_selection
+        monkeypatch.setattr(
+            cube_module,
+            "_resolve_selection",
+            lambda *args: calls.append(args) or resolve(*args),
+        )
+        reduced = []
+        for cls in (cube_module.SparseCube, cube_module.DataCube):
+            original = cls.aggregate_array
+            monkeypatch.setattr(
+                cls,
+                "aggregate_array",
+                lambda self, selection, _original=original: reduced.append(selection)
+                or _original(self, selection),
+            )
+        queries = [
+            # 52 weekly windows over a static cache: one gather, one compile.
+            AnalysisQuery(
+                start=date(2021, 1, 1),
+                end=date(2021, 12, 30),
+                group_by=("date", "country"),
+                date_granularity=Level.WEEK,
+                update_types=("create",),
+            ),
+            AnalysisQuery(
+                start=date(2021, 2, 3),
+                end=date(2021, 6, 20),
+                group_by=("road_type", "element_type"),
+                countries=("germany", "qatar"),
+            ),
+        ]
+        try:
+            for query in queries:
+                calls.clear()
+                reduced.clear()
+                result = executor.execute(query)
+                assert len(calls) == 1, f"{len(calls)} compiles for {query}"
+                assert result.stats.cube_count == len(reduced) > 15
+                assert len({id(selection) for selection in reduced}) == 1
+                if shards > 1:
+                    owners = {executor.index.shard_for(k) for k in executor.plan(query).keys}
+                    assert len(owners) > 1  # the one selection crossed shards
+        finally:
+            if shards > 1:
+                executor.shutdown()
+
+    def test_series_rows_match_per_window_queries(self, year_updates):
+        """The column-wise row shaping puts the date where group_by says."""
+        from datetime import timedelta
+
+        executor = self._executor(year_updates, 1)
+        series = executor.execute(
+            AnalysisQuery(
+                start=date(2021, 3, 1),
+                end=date(2021, 3, 21),
+                group_by=("country", "date", "element_type"),
+                date_granularity=Level.WEEK,
+            )
+        )
+        expected = {}
+        for week_start in (date(2021, 3, 1), date(2021, 3, 8), date(2021, 3, 15)):
+            week = executor.execute(
+                AnalysisQuery(
+                    start=week_start,
+                    end=week_start + timedelta(days=6),
+                    group_by=("country", "element_type"),
+                )
+            )
+            for (country, element), value in week.rows.items():
+                expected[(country, week_start, element)] = value
+        assert series.rows == expected and expected

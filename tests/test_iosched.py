@@ -12,14 +12,17 @@ import pytest
 
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.types.dimensions import default_schema
-from repro.core.executor import QueryExecutor
+from repro.types.temporal import Level
+from repro.core.deadline import Deadline, deadline_scope
+from repro.core.executor import QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
 from repro.core.optimizer import FlatPlanner
 from repro.core.query import AnalysisQuery
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceededError
 from repro.obs import MetricsRegistry
 from repro.storage.disk import InMemoryDisk
+from repro.types.cube import Selection
 
 COUNTRIES = ["united_states", "germany", "qatar"]
 
@@ -140,6 +143,142 @@ class TestSingleFlight:
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigError):
             IOScheduler(max_workers=0)
+
+
+class TestSlices:
+    """``fetch_many`` hands the pool slices, not pages: the call budget
+    as counts (no timings), and what must survive the change."""
+
+    @pytest.fixture()
+    def sched(self):
+        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+        yield sched
+        sched.shutdown()
+
+    @staticmethod
+    def _count_submissions(sched, monkeypatch):
+        submitted = []
+        submit = sched._pool.submit
+        monkeypatch.setattr(
+            sched._pool,
+            "submit",
+            lambda *args, **kwargs: submitted.append(args) or submit(*args, **kwargs),
+        )
+        return submitted
+
+    def test_twenty_keys_cost_three_submissions(self, sched, monkeypatch):
+        submitted = self._count_submissions(sched, monkeypatch)
+        ran_on: dict[int, list[str]] = {}
+
+        def load(key):
+            ran_on.setdefault(key, []).append(threading.current_thread().name)
+            return key * key
+
+        batch = sched.fetch_many(range(20), load)
+        assert len(submitted) <= 3
+        assert batch.values == {key: key * key for key in range(20)}
+        assert batch.led + batch.coalesced == 20 and batch.led == 20
+        assert all(len(threads) == 1 for threads in ran_on.values())
+        # <= width slices of <= ceil(20 / 4) keys, one of them run by the
+        # caller: with loads that really wait, the makespan stays 5
+        # latencies.
+        slices = [list(args[3]) for args in submitted]
+        mine = [k for k, (name,) in ran_on.items() if name == threading.current_thread().name]
+        assert all(len(keys) <= 5 for keys in slices) and len(mine) == 5
+        assert sorted(mine + [key for keys in slices for key in keys]) == list(range(20))
+
+    def test_small_batches_stay_off_the_pool(self, sched, monkeypatch):
+        submitted = self._count_submissions(sched, monkeypatch)
+        assert sched.fetch_many(["k"], str.upper).values == {"k": "K"}
+        assert submitted == []
+        assert sched.fetch_many(["a", "b"], str.upper).led == 2
+        assert len(submitted) == 1  # two slices: the caller's and one more
+
+    def test_concurrent_batches_read_each_page_once(self, sched):
+        """A second batch meeting keys the first has in flight waits for
+        those loads — slice by slice, key by key — and reads nothing."""
+        loads: list[int] = []
+        release = threading.Event()
+
+        def load(key):
+            loads.append(key)
+            assert release.wait(timeout=5)
+            return -key
+
+        batches: dict[str, object] = {}
+
+        def run(name, keys):
+            batches[name] = sched.fetch_many(keys, load)
+
+        # 8 keys, 4 slices: the caller and three of the four pool
+        # threads each park inside their slice's first load.
+        first = threading.Thread(target=run, args=("first", range(8)))
+        first.start()
+        deadline = time.perf_counter() + 5
+        while len(loads) < 4 and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        assert sorted(loads) == [0, 1, 2, 3]
+        # Two of those keys again: this caller and the one free pool
+        # thread both find a leader at work.
+        second = threading.Thread(target=run, args=("second", [0, 1]))
+        second.start()
+        while (
+            sched.metrics.value("rased_iosched_coalesced_total") < 2
+            and time.perf_counter() < deadline
+        ):
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, second):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert sorted(loads) == list(range(8))  # every page read exactly once
+        assert batches["first"].values == {key: -key for key in range(8)}
+        assert (batches["first"].led, batches["first"].coalesced) == (8, 0)
+        assert batches["second"].values == {0: 0, 1: -1}
+        assert (batches["second"].led, batches["second"].coalesced) == (0, 2)
+        assert sched.inflight_count == 0
+
+    def test_expired_deadline_stops_a_slice_before_its_next_key(self, sched):
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        loaded: list[int] = []
+
+        def load(key):
+            loaded.append(key)
+            now[0] = 2.0  # the first load of any slice burns the budget
+            return key
+
+        with deadline_scope(deadline), pytest.raises(DeadlineExceededError):
+            sched.fetch_many(range(20), load)
+        sched.shutdown()  # slices still on the pool stop at their next check
+        # Each of the <= 4 slices gets at most one key in; never all 20.
+        assert 1 <= len(loaded) <= 4
+        assert sched.inflight_count == 0
+
+    def test_already_expired_deadline_loads_nothing(self, sched):
+        deadline = Deadline(1.0, clock=iter([0.0] + [5.0] * 100).__next__)
+        loaded: list[str] = []
+        with deadline_scope(deadline), pytest.raises(DeadlineExceededError):
+            sched.fetch_many(["only"], loaded.append)
+        assert loaded == []
+
+    def test_degradable_error_drops_that_key_only(self, sched):
+        """A vanished page is ``None`` for its key; the rest of its slice
+        (and of the batch) still loads."""
+        index, disk = make_small_index(days=8, read_latency=0.0)
+        keys = sorted(index.keys(Level.DAY))
+        disk.delete(f"cubes/{keys[2]}")
+        part = local_gather(
+            index,
+            None,
+            [(0, key) for key in keys],
+            Selection(index.schema),
+            iosched=sched,
+        )
+        assert part.dropped == 1
+        assert part.disk_reads == {Level.DAY: 7}
+        assert index.quarantined_keys() == [keys[2]]
+        assert int(part.arrays[0]) == 3 * 7  # three updates a day
 
 
 class TestRebookAccounting:

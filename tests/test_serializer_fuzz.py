@@ -10,7 +10,11 @@ The serializer's contract is absolute in both directions:
   payload for v1, whose header checksum predates v3 and stays
   payload-only for compat; the entire page for v3) either raises
   :class:`PageCorruptError` or decodes the original cube.  Never a
-  wrong cube, never a different exception, never a crash.
+  wrong cube, never a different exception, never a crash;
+* **invariants behind a valid checksum** — a bit flip never reaches
+  the v3 decoder's own checks (the CRC catches it first), so the last
+  sweep edits one encoded field at a time, *reseals* the page, and
+  requires :class:`PageCorruptError` every time.
 
 Everything is driven by ``random.Random(seed)`` — a failure reproduces
 from the seed printed in the assertion message.
@@ -37,8 +41,10 @@ from repro.storage.serializer import (
     PAGE_VERSION_SPARSE,
     PAGE_VERSIONS,
     deserialize_cube,
+    page_version,
     serialize_cube,
 )
+from tests.v3pages import CORRUPTIONS, corruptions
 
 pytestmark = pytest.mark.fuzz
 
@@ -98,7 +104,7 @@ def test_truncation_always_detected():
 
 def test_bit_flips_never_yield_a_wrong_cube():
     rng = random.Random(4099)
-    from repro.storage.serializer import HEADER_SIZE, page_version
+    from repro.storage.serializer import HEADER_SIZE
 
     for trial in range(120):
         cube = _random_cube(rng)
@@ -139,3 +145,25 @@ def test_v3_flips_anywhere_raise():
             continue
         with pytest.raises(PageCorruptError):
             deserialize_cube(bytes(mutated), _SCHEMA)
+
+
+def test_resealed_field_corruptions_always_raise():
+    """Every one-field corruption of random v3 pages, CRC recomputed."""
+    rng = random.Random(9001)
+    seen: set[str] = set()
+    for trial in range(120):
+        cube = _random_cube(rng)
+        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        if page_version(data) != PAGE_VERSION_SPARSE:
+            continue  # dense enough that the writer fell back to raw
+        for name, bad in corruptions(data, _SCHEMA.cell_count).items():
+            seen.add(name)
+            try:
+                deserialize_cube(bad, _SCHEMA)
+            except PageCorruptError:
+                continue
+            pytest.fail(
+                f"trial {trial}: {name!r} decoded behind a valid CRC "
+                f"(seed 9001, {cube!r})"
+            )
+    assert seen == set(CORRUPTIONS)

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.types.temporal import day_key, month_key, week_key, year_key
-from repro.types.cube import DataCube, RESOLUTION_COARSE, SparseCube, as_sparse
+from repro.types.cube import (
+    DEFAULT_SPARSE_THRESHOLD,
+    DataCube,
+    RESOLUTION_COARSE,
+    SparseCube,
+    as_sparse,
+)
+from repro.types.dimensions import default_schema
 from repro.errors import ConfigError, PageCorruptError, PageNotFoundError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.serializer import (
@@ -22,6 +29,7 @@ from repro.storage.serializer import (
     page_version,
     serialize_cube,
 )
+from tests.v3pages import CORRUPTIONS, SparsePage, corruptions
 
 
 class TestDiskStats:
@@ -428,3 +436,123 @@ class TestSparsePageFormat:
         restored = index.get(cube.key)
         assert isinstance(restored, SparseCube)
         assert restored == cube
+
+
+def _sparse(schema, cells, values, key=None):
+    return SparseCube(
+        schema=schema,
+        key=key or day_key(date(2021, 3, 5)),
+        cells=np.asarray(cells, dtype=np.int64),
+        values=np.asarray(values, dtype=np.int64),
+    )
+
+
+class TestResealedSparsePages:
+    """The decoder's invariant checks, reached behind a *valid* CRC.
+
+    A bit flip never gets this far (the checksum catches it), so each
+    case edits one encoded field of a good page and reseals it.  The
+    randomized sweep of the same catalogue is in
+    ``test_serializer_fuzz.py``.
+    """
+
+    @pytest.fixture()
+    def page(self, tiny_schema):
+        cube = _sparse(tiny_schema, [3, 40, 41, 200, 201], [7, 1, 1, 2, 9])
+        return serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+
+    def test_helper_reseals_a_page_unchanged(self, page, tiny_schema):
+        assert SparsePage.parse(page).seal() == page
+        assert set(corruptions(page, tiny_schema.cell_count)) == set(CORRUPTIONS)
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_field_behind_valid_crc_is_page_corrupt(
+        self, page, tiny_schema, case
+    ):
+        bad = corruptions(page, tiny_schema.cell_count)[case]
+        assert bad != page
+        with pytest.raises(PageCorruptError):
+            deserialize_cube(bad, tiny_schema)
+
+    def test_single_cell_page_out_of_range(self, tiny_schema):
+        page = serialize_cube(
+            _sparse(tiny_schema, [5], [2]), version=PAGE_VERSION_SPARSE
+        )
+        for case in ("first_cell = cell_count", "first_cell = 2**63 !"):
+            with pytest.raises(PageCorruptError):
+                deserialize_cube(
+                    corruptions(page, tiny_schema.cell_count)[case], tiny_schema
+                )
+
+
+class TestSparseRoundTripMatrix:
+    """Both decoded forms, every width the writer can emit, the edges."""
+
+    @pytest.fixture(scope="class")
+    def wide_schema(self):
+        # 72 000 cells: past 65 536, so deltas and run lengths reach
+        # the 4-byte width (an 8-byte one needs > 2**32 cells).
+        return default_schema([f"z{i}" for i in range(300)], road_types=20)
+
+    def _round_trip(self, cube, schema):
+        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        assert page_version(page) == PAGE_VERSION_SPARSE
+        restored = deserialize_cube(page, schema)
+        assert np.array_equal(restored.counts, cube.counts)
+        assert restored == cube
+        return restored, SparsePage.parse(page)
+
+    def test_single_run(self, tiny_schema):
+        restored, fields = self._round_trip(
+            _sparse(tiny_schema, [0, 9, 215], [4, 4, 4]), tiny_schema
+        )
+        assert fields.n_runs == 1 and fields.run_lengths == [3]
+        assert isinstance(restored, SparseCube)
+
+    def test_first_and_last_cell(self, tiny_schema):
+        last = tiny_schema.cell_count - 1
+        self._round_trip(_sparse(tiny_schema, [0, last], [1, -1]), tiny_schema)
+        self._round_trip(_sparse(tiny_schema, [last], [3]), tiny_schema)
+
+    @pytest.mark.parametrize("delta_width, gap", [(1, 255), (2, 256), (4, 65536)])
+    def test_delta_widths(self, wide_schema, delta_width, gap):
+        page = serialize_cube(
+            _sparse(wide_schema, [7, 8, 8 + gap], [1, 2, 3]),
+            version=PAGE_VERSION_SPARSE,
+        )
+        assert page[HEADER_SIZE + 8] == delta_width
+        self._round_trip(_sparse(wide_schema, [7, 8, 8 + gap], [1, 2, 3]), wide_schema)
+
+    @pytest.mark.parametrize("run_width, run", [(1, 255), (2, 256), (4, 65536)])
+    def test_run_length_widths(self, wide_schema, run_width, run):
+        cells = np.arange(run + 1)
+        values = np.ones(run + 1, dtype=np.int64)
+        values[-1] = 5
+        cube = _sparse(wide_schema, cells, values)
+        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        assert page[HEADER_SIZE + 9] == run_width
+        self._round_trip(cube, wide_schema)
+
+    @pytest.mark.parametrize(
+        "value_width, value",
+        [(1, -128), (2, 128), (4, -(1 << 31)), (8, 1 << 31), (8, -(1 << 63))],
+    )
+    def test_run_value_widths(self, tiny_schema, value_width, value):
+        cube = _sparse(tiny_schema, [1, 2], [value, 1])
+        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        assert page[HEADER_SIZE + 10] == value_width
+        self._round_trip(cube, tiny_schema)
+
+    def test_densify_threshold_both_sides(self, tiny_schema):
+        """One cell short of the threshold decodes sparse, at it dense —
+        and both equal the cube that was written, cell for cell."""
+        at = int(DEFAULT_SPARSE_THRESHOLD * tiny_schema.cell_count)
+        assert at / tiny_schema.cell_count >= DEFAULT_SPARSE_THRESHOLD
+        below, _ = self._round_trip(
+            _sparse(tiny_schema, np.arange(at - 1) * 2, np.arange(1, at)), tiny_schema
+        )
+        dense, _ = self._round_trip(
+            _sparse(tiny_schema, np.arange(at) * 2, np.arange(1, at + 1)), tiny_schema
+        )
+        assert isinstance(below, SparseCube)
+        assert isinstance(dense, DataCube)

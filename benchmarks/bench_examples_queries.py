@@ -70,7 +70,7 @@ def _record(figure: str, result) -> None:
         "cube_count": result.stats.cube_count,
         "cache_hits": result.stats.cache_hits,
         "disk_reads": result.stats.disk_reads,
-        "trace": result.stats.trace.to_dict() if result.stats.trace else None,
+        "phases": result.stats.phase_rows(),
     }
 
 

@@ -36,7 +36,7 @@ from repro.types.dimensions import CubeSchema, default_schema, paper_scale_schem
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.api import Dashboard
 from repro.errors import RasedError
-from repro.obs import MetricsRegistry, QueryTrace, get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.geo.zones import ZoneAtlas, build_world
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.system import RasedSystem, SystemConfig
@@ -54,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "QueryResult",
     "QueryStats",
-    "QueryTrace",
     "get_registry",
     "RasedError",
     "RasedSystem",

@@ -38,7 +38,8 @@ from datetime import date
 from pathlib import Path
 from typing import Any
 
-from repro.baseline.sqlparse import parse_sql
+from repro.core.query import QueryResult
+from repro.core.shard import detect_shard_count
 from repro.errors import RasedError
 from repro.storage.disk import DirectoryDisk
 from repro.synth.simulator import SimulationConfig
@@ -55,13 +56,44 @@ def _config(seed: int = 42, **overrides: Any) -> SystemConfig:
     )
 
 
-def _open_system(root: str, config: SystemConfig | None = None) -> RasedSystem:
+def _open_system(
+    root: str, config: SystemConfig | None = None, shards: int | None = None
+) -> RasedSystem:
+    """Open the deployment under ``root``.
+
+    The shard count is a property of the root, not of a command line:
+    it is read back from the page directories.  ``shards`` (``ingest
+    --shards``) only lays out a root that holds no cubes yet;
+    contradicting an existing layout is a :class:`ConfigError`.
+    """
     root_path = Path(root)
+    store = DirectoryDisk(root_path / "pages")
+    if shards is None:
+        shards = detect_shard_count(store) or 1
     return RasedSystem.create(
         root=root_path / "feeds",
-        config=config or _config(),
-        store=DirectoryDisk(root_path / "pages"),
+        config=dataclasses.replace(config or _config(), shards=shards),
+        store=store,
     )
+
+
+def _format_trace(result: QueryResult) -> str:
+    """One answered query's record for a terminal (``query --trace``,
+    ``stats --sql``): the phase table, then every other field."""
+    stats = result.stats
+    total = stats.phase_seconds("")
+    lines = [f"trace: {result.query.describe()} — {total * 1000.0:.3f} ms traced"]
+    for phase, (seconds, count) in stats.phases.items():
+        lines.append(
+            f"  {phase:<18}  {seconds * 1000.0:>9.3f} ms"
+            f"  {100.0 * seconds / total if total else 0.0:>5.1f}%  ({count}x)"
+        )
+    lines.extend(
+        f"  {field.name} = {getattr(stats, field.name)}"
+        for field in dataclasses.fields(stats)
+        if field.name != "phases"
+    )
+    return "\n".join(lines)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -87,11 +119,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     system = _open_system(
         args.root,
         _config(
-            shards=args.shards,
             durable_ingest=args.durable,
             feed_retry_attempts=args.feed_retries,
             feed_breaker_threshold=args.feed_breaker,
         ),
+        shards=args.shards,
     )
     # Opening a durable deployment already rolled back any batch a
     # crashed run left behind; report it so operators see the repair.
@@ -145,17 +177,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     system = _open_system(args.root, _config(cache_slots=args.cache_slots))
     system.warm_cache()
-    coverage = system.index.coverage()
-    default_end = coverage[1] if coverage else None
-    query = parse_sql(args.sql, default_end=default_end)
-    result = system.dashboard.analysis(query)
+    result = system.dashboard.analysis_sql(args.sql)
     print(
         f"-- {result.stats.cube_count} cubes "
         f"({result.stats.cache_hits} cached), "
         f"{result.stats.simulated_ms:.2f} ms modeled --"
     )
-    if args.trace and result.stats.trace is not None:
-        print(result.stats.trace.format())
+    if args.trace:
+        print(_format_trace(result))
     if args.chart == "bar":
         from repro.dashboard.charts import bar_chart
 
@@ -191,14 +220,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     system = _open_system(args.root, _config(cache_slots=args.cache_slots))
     system.warm_cache()
     if args.sql:
-        coverage = system.index.coverage()
-        default_end = coverage[1] if coverage else None
-        result = system.dashboard.analysis(
-            parse_sql(args.sql, default_end=default_end)
-        )
-        if result.stats.trace is not None:
-            print(result.stats.trace.format())
-            print()
+        print(_format_trace(system.dashboard.analysis_sql(args.sql)))
+        print()
     registry = system.metrics
     if args.format == "json":
         print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
@@ -250,7 +273,6 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
     config = _config(
         cache_slots=args.cache_slots,
         result_cache_slots=args.result_cache_slots,
-        shards=args.shards,
         scatter_threads=args.scatter_threads,
         durable_ingest=args.durable,
         admission=AdmissionConfig(
@@ -285,13 +307,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if system.wal is not None:
         system.pipeline.recover()
     system.warm_cache()
-    if args.shards > 1 and system.index.coverage() is None:
-        print(
-            f"warning: the {args.shards} shard stores under {args.root} "
-            "are empty — this deployment was likely indexed unsharded; "
-            f"re-run `ingest --shards {args.shards}` (placement is "
-            "deterministic, so ingest and serve agree on it)"
-        )
     dispatcher = None
     if args.workers > 0:
         from repro.dashboard.procpool import ProcessPoolDispatcher
@@ -330,7 +345,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"dashboard API on {server.url} "
-        f"({args.shards} shard(s), {mode}; Ctrl-C to stop)"
+        f"({system.config.shards} shard(s), {mode}; Ctrl-C to stop)"
     )
     try:
         import threading
@@ -395,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--shards",
         type=int,
-        default=1,
-        help="index into N shard stores (<root>/pages-shard<i>, "
-        "rendezvous-placed); serve the deployment with the same "
-        "--shards value",
+        default=None,
+        help="lay a new root out as N shard stores (<root>/pages-shard<i>, "
+        "rendezvous-placed); every later command reads the count back "
+        "from the root, and contradicting it is an error",
     )
     ingest.add_argument(
         "--durable",
@@ -475,18 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoized whole-result cache slots (0 disables)",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="read cubes from N shard stores (<root>/pages-shard<i>) "
-        "with consistent placement and scatter-gather execution "
-        "(1 = one store, no scatter)",
-    )
-    serve.add_argument(
         "--scatter-threads",
         type=int,
         default=None,
-        help="scatter pool width for sharded execution (default "
+        help="scatter pool width when the root is sharded (default "
         "min(8, shards); raise for in-process serving so concurrent "
         "requests' subqueries don't queue behind one another)",
     )

@@ -14,8 +14,8 @@ window, a yearly-heavy split caches a coarse view over all of history.
 
 The paper's deployment uses N = 2 GB of cube slots with
 (α, β, γ, θ) = (0.4, 0.35, 0.2, 0.05); those are this module's
-defaults.  A small optional LRU overflow supports query-time admission
-(off by default, matching the paper's static policy).
+defaults.  The policy is static: contents change only when maintenance
+preloads or refreshes them, never because a query missed.
 
 Capacity is counted in cubes (slots); :attr:`CacheManager.cached_bytes`
 reports what the resident cubes actually occupy, which for sparse cubes
@@ -25,7 +25,6 @@ is far below one dense page each.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.types.temporal import Level, TemporalKey
@@ -44,10 +43,6 @@ HIT_KEYS = {
 }
 MISS_KEYS = {
     level: metric_key("rased_cache_misses_total", level=level.label)
-    for level in Level
-}
-_K_EVICTIONS = {
-    level: metric_key("rased_cache_evictions_total", level=level.label)
     for level in Level
 }
 _K_PRELOADED = {
@@ -96,7 +91,6 @@ class CacheManager:
         index: HierarchicalIndex,
         slots: int,
         ratios: CacheRatios = DEFAULT_RATIOS,
-        admit_on_miss: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if slots < 0:
@@ -104,14 +98,12 @@ class CacheManager:
         self.index = index
         self.slots = slots
         self.ratios = ratios
-        self.admit_on_miss = admit_on_miss
         self.metrics = metrics if metrics is not None else get_registry()
-        # The cache is written from two sides at once in a deployed
-        # system: dashboard queries (get/admit LRU movement) and the
-        # ingestion pipeline (preload/refresh_key after maintenance
-        # replaces cubes).  One lock serializes those mutations.
+        # Dashboard queries read the cache while the ingestion pipeline
+        # replaces its contents (preload/refresh_key after maintenance
+        # rewrites cubes); one lock serializes the two sides.
         self._lock = threading.Lock()
-        self._cubes: OrderedDict[TemporalKey, AnyCube] = OrderedDict()  # guarded-by: _lock
+        self._cubes: dict[TemporalKey, AnyCube] = {}  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         self.hits = 0
         self.misses = 0
@@ -127,11 +119,11 @@ class CacheManager:
 
         The disk reads happen *outside* ``_lock``: each one charges
         modeled latency, and holding the cache lock across a whole
-        preload sweep would stall every concurrent ``get``/``admit``
-        for the sweep's duration.  The fresh cube map is assembled on
+        preload sweep would stall every concurrent ``get`` for the
+        sweep's duration.  The fresh cube map is assembled on
         the side and swapped in under one brief acquisition.
         """
-        fresh: OrderedDict[TemporalKey, AnyCube] = OrderedDict()
+        fresh: dict[TemporalKey, AnyCube] = {}
         preloaded_per_level: list[tuple[Level, int]] = []
         for level, allotment in self.ratios.slots_per_level(self.slots).items():
             if level not in self.index.levels or allotment <= 0:
@@ -188,9 +180,6 @@ class CacheManager:
 
     # -- lookup ------------------------------------------------------------
 
-    def __contains__(self, key: TemporalKey) -> bool:
-        return key in self._cubes
-
     def contents(self) -> frozenset[TemporalKey]:
         """Immutable view of cached keys (consumed by the optimizer)."""
         with self._lock:
@@ -207,28 +196,9 @@ class CacheManager:
             cube = self._cubes.get(key)
             if cube is not None:
                 self.hits += 1
-                self._cubes.move_to_end(key)
                 return cube
             self.misses += 1
             return None
-
-    def admit(self, cube: AnyCube) -> None:
-        """Query-time admission with LRU eviction (optional extension)."""
-        if not self.admit_on_miss or self.slots <= 0:
-            return
-        evicted_levels: list[Level] = []
-        with self._lock:
-            previous = self._cubes.pop(cube.key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes
-            self._cubes[cube.key] = cube
-            self._bytes += cube.nbytes
-            while len(self._cubes) > self.slots:
-                evicted_key, evicted = self._cubes.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                evicted_levels.append(evicted_key.level)
-        for level in evicted_levels:
-            self.metrics.inc_key(_K_EVICTIONS[level])
 
     @property
     def cached_count(self) -> int:

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cache import HIT_KEYS, MISS_KEYS, CacheManager
-from repro.types.temporal import Level, TemporalKey, series_periods
+from repro.types.temporal import TemporalKey, series_periods
 from repro.types.cube import AnyCube, Selection, nonzero_columns, sum_arrays
 from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
@@ -58,16 +58,12 @@ from repro.core.query import (
 )
 from repro.core.resultcache import ResultCache
 from repro.errors import DEGRADABLE_READ_ERRORS, QueryError
-from repro.obs import MetricsRegistry, QueryTrace, get_registry, metric_key
-from repro.obs.span import Span, Tracer
+from repro.obs import MetricsRegistry, get_registry, metric_key
+from repro.obs.span import Span, Tracer, record_span
 from repro.obs.span import span as causal_span
 from repro.storage.pages import PageStore
 
 __all__ = ["QueryExecutor", "GatherPartial", "local_gather"]
-
-#: One query window: the time-series period it reports under (``None``
-#: for a query that does not group by date) and its inclusive range.
-Window = tuple[date | None, date, date]
 
 _K_QUERIES = metric_key("rased_queries_total")
 _K_PARTIAL = metric_key("rased_queries_partial_total")
@@ -80,6 +76,11 @@ _K_SIMULATED = metric_key("rased_query_simulated_seconds")
 _K_PHASE1 = metric_key("rased_query_phase_seconds", phase="phase1")
 _K_PHASE2 = metric_key("rased_query_phase_seconds", phase="phase2")
 
+#: Longest date series one query may ask for.  Every period is planned
+#: before anything is read, so the length must be bounded; 10 000 is 27
+#: years of daily points (all of OSM's history is ~8 000 days).
+MAX_SERIES_PERIODS = 10_000
+
 
 @dataclass
 class GatherPartial:
@@ -91,16 +92,9 @@ class GatherPartial:
 
     #: Window position -> array reduced over that window's cubes.
     arrays: dict[int, np.ndarray] = field(default_factory=dict)
-    cache_hits: dict[Level, int] = field(default_factory=dict)
-    disk_reads: dict[Level, int] = field(default_factory=dict)
-    #: Cubes that could not be served (quarantined/vanished pages).
-    dropped: int = 0
-    #: Reads that piggybacked on another query's in-flight load.
-    coalesced: int = 0
-    #: Wall seconds in cache lookup / page reads / numpy reduction.
-    lookup_seconds: float = 0.0
-    read_seconds: float = 0.0
-    aggregate_seconds: float = 0.0
+    #: This gather's share of the query's record (fetch counters and
+    #: phase timings); the executor folds it in with ``QueryStats.merge``.
+    stats: QueryStats = field(default_factory=QueryStats)
     #: Modeled disk seconds this gather charged its store.
     charged_seconds: float = 0.0
 
@@ -115,46 +109,48 @@ def local_gather(
 ) -> GatherPartial:
     """Fetch and reduce position-tagged cubes of one ``(index, cache)``.
 
-    Three passes, each timed once: look every distinct key up in the
-    cache, read the misses, aggregate per window position with the
-    query's one compiled ``selection``.  A read
-    that hits a corrupt/vanished/quarantined page drops that cube and
-    the caller flags the answer partial.  ``store`` is the device the
-    misses land on — the index's store unless the caller knows better
-    (a scatter subquery names its own shard's store).
+    Three passes, each timed once into the gather's own
+    :class:`QueryStats`: look every distinct key up in the cache, read
+    the misses, aggregate per window position with the query's one
+    compiled ``selection``.  A read that hits a
+    corrupt/vanished/quarantined page drops that cube and flags the
+    record partial.  ``store`` is the device the misses land on — the
+    index's store unless the caller knows better (a scatter subquery
+    names its own shard's store).
     """
     out = GatherPartial()
+    stats = out.stats
     if store is None:
         store = index.store
     charged_before = store.stats.simulated_seconds
 
     def load(key: TemporalKey) -> AnyCube | None:
-        """One page read plus cache admission.
+        """One page read.
 
         Degradable failures return ``None`` rather than raising, so
         the scheduler's single-flight machinery shares the miss
         sentinel with coalesced followers instead of poisoning them.
         """
         try:
-            cube = index.get(key)
+            return index.get(key)
         except DEGRADABLE_READ_ERRORS:
             return None
-        if cache is not None:
-            cache.admit(cube)
-        return cube
 
     mark = time.perf_counter()
     cubes: dict[TemporalKey, AnyCube | None] = {}
     misses: list[TemporalKey] = []
+    hits_by_level = stats.cache_hits_by_level
     for key in dict.fromkeys(key for _, key in items):
         cube = cache.get(key) if cache is not None else None
         if cube is None:
             misses.append(key)
             continue
         cubes[key] = cube
-        out.cache_hits[key.level] = out.cache_hits.get(key.level, 0) + 1
+        hits_by_level[key.level] = hits_by_level.get(key.level, 0) + 1
+    stats.cache_hits = len(cubes)
     now = time.perf_counter()
-    out.lookup_seconds = now - mark
+    if stats.cache_hits:
+        stats.add_phase("phase1.fetch.cache", now - mark, stats.cache_hits)
     mark = now
 
     if misses:
@@ -166,7 +162,7 @@ def local_gather(
             check_deadline("phase1.fetch.disk")
             batch = iosched.fetch_many(misses, load)
             store.rebook_overlapped_reads(batch.led)
-            out.coalesced = batch.coalesced
+            stats.coalesced_reads = batch.coalesced
             cubes.update(batch.values)
         else:
             for key in misses:
@@ -174,13 +170,17 @@ def local_gather(
                 # re-checked per read.
                 check_deadline("phase1.fetch.disk")
                 cubes[key] = load(key)
+        reads_by_level = stats.disk_reads_by_level
         for key in misses:
-            if cubes[key] is None:
-                out.dropped += 1
-            else:
-                out.disk_reads[key.level] = out.disk_reads.get(key.level, 0) + 1
+            if cubes[key] is not None:
+                reads_by_level[key.level] = reads_by_level.get(key.level, 0) + 1
+        stats.disk_reads = sum(reads_by_level.values())
+        # A planned cube that could not be read is dropped from the
+        # answer, and counted: a lower bound, honestly flagged.
+        stats.quarantined_cubes = len(misses) - stats.disk_reads
+        stats.partial = stats.quarantined_cubes > 0
         now = time.perf_counter()
-        out.read_seconds = now - mark
+        stats.add_phase("phase1.fetch.disk", now - mark, len(misses))
         mark = now
 
     check_deadline("phase2.aggregate")
@@ -197,7 +197,9 @@ def local_gather(
     out.arrays = {
         position: sum_arrays(arrays) for position, arrays in partials.items()
     }
-    out.aggregate_seconds = time.perf_counter() - mark
+    served = stats.cache_hits + stats.disk_reads
+    if served:
+        stats.add_phase("phase2.aggregate", time.perf_counter() - mark, served)
     out.charged_seconds = store.stats.simulated_seconds - charged_before
     return out
 
@@ -250,18 +252,21 @@ class QueryExecutor:
                 self._annotate_span(qspan, result.stats)
             return result
 
-    def _annotate_span(self, qspan: Span, stats: QueryStats) -> None:
-        """Mirror the finished phase totals and outcome onto the span."""
-        if stats.trace is not None:
-            stats.trace.flush_spans()
+    @staticmethod
+    def _annotate_span(qspan: Span, stats: QueryStats) -> None:
+        """The span view of the record: the outcome as attributes, and
+        one already-measured child span per phase that ran (folded, not
+        per invocation — a weekly series plans dozens of times)."""
+        for phase, (seconds, count) in stats.phases.items():
+            record_span(phase, seconds, count=count)
         attributes = qspan.attributes
         attributes["cubes"] = stats.cube_count
         attributes["cache_hits"] = stats.cache_hits
         attributes["disk_reads"] = stats.disk_reads
         if stats.coalesced_reads:
             attributes["coalesced_reads"] = stats.coalesced_reads
-        if stats.trace is not None and "result_cache" in stats.trace.meta:
-            attributes["result_cache"] = stats.trace.meta["result_cache"]
+        if stats.memo_hit:
+            attributes["result_cache"] = "hit"
         if stats.partial:
             attributes["partial"] = True
             attributes["quarantined_cubes"] = stats.quarantined_cubes
@@ -269,57 +274,70 @@ class QueryExecutor:
 
     def _execute(self, query: AnalysisQuery) -> QueryResult:
         started = time.perf_counter()
+        stats = QueryStats()
         epoch = 0
         if self.result_cache is not None:
             memo_rows = self.result_cache.get(query)
             if memo_rows is not None:
-                return self._memoized_result(query, memo_rows, started)
+                # Already a private copy of the rows.
+                stats.memo_hit = True
+                stats.wall_seconds = time.perf_counter() - started
+                stats.simulated_seconds = stats.wall_seconds
+                self._record_query_metrics(stats)
+                return QueryResult(query=query, rows=memo_rows, stats=stats)
             # Sampled before planning: a maintenance write racing this
             # execution makes the stored entry stale, never wrong.
             epoch = self.result_cache.current_epoch()
         disk_before = self.index.store.stats.snapshot()
-        stats = QueryStats()
-        # The describe() call is deferred until the trace is rendered.
-        stats.trace = QueryTrace(query.describe)
 
-        windows: list[Window]
+        # A query is a list of windows (inclusive ranges): one per
+        # period when it groups by date — each reported under its start
+        # — else the whole range.
         if query.groups_by_date:
-            windows = [
-                (start, start, end)
-                for start, end in series_periods(
-                    query.start, query.end, query.date_granularity
-                )
-            ]
-            stats.trace.meta["periods"] = len(windows)
+            windows = series_periods(
+                query.start, query.end, query.date_granularity, MAX_SERIES_PERIODS
+            )
         else:
-            windows = [(None, query.start, query.end)]
-        # An admit-on-miss cache changes under the query's own feet:
-        # every window's misses are admitted (evicting LRU entries), so
-        # planning all windows against the initial snapshot would treat
-        # long-evicted cubes as free.  Run the pipeline one window at a
-        # time there, re-snapshotting before each.  A static cache (the
-        # paper's policy) cannot change mid-query, so all windows are
-        # planned up front and gathered as ONE batch.
-        one_at_a_time = (
-            self.cache is not None
-            and self.cache.admit_on_miss
-            and self.cache.slots > 0
-        )
+            windows = [(query.start, query.end)]
         # Compiled once per query: every cube of every window (and of
         # every shard) reduces through the same tables.
         selection = Selection(
             self.index.schema, self._effective_filters(query), query.cube_group_by
         )
+        # The cube cache is static between maintenance runs (the paper's
+        # preload policy), so one snapshot is right for every window and
+        # the planned keys are gathered as ONE batch.
+        plan_started = time.perf_counter()
+        cached = self.cache.contents() if self.cache else frozenset()
+        cached_starts = sorted(key.start for key in cached)
+        items: list[tuple[int, TemporalKey]] = []
+        for position, (start, end) in enumerate(windows):
+            plan = self.optimizer.plan(start, end, cached, cached_starts)
+            stats.cube_count += plan.cube_count
+            stats.missing_days += len(plan.missing_days)
+            items.extend((position, key) for key in plan.keys)
+            # Phase boundary, per window: a request whose deadline
+            # expired must neither plan the rest of a long series nor
+            # start paying for disk reads it cannot use.
+            check_deadline("phase1.plan")
+        stats.add_phase(
+            "phase1.plan", time.perf_counter() - plan_started, len(windows)
+        )
+        arrays = self._gather(items, selection, stats) if items else {}
         rows: dict[tuple, float] = {}
-        for batch in [[w] for w in windows] if one_at_a_time else [windows]:
-            rows.update(self._run_windows(query, batch, selection, stats))
+        for position, (period, _) in enumerate(windows):
+            accumulated = arrays.get(position)
+            if accumulated is not None:
+                rows.update(
+                    self._rows_from_array(
+                        query, accumulated, selection.labels, period
+                    )
+                )
 
         if query.metric == METRIC_PERCENTAGE:
             pct_started = time.perf_counter()
             rows = self._to_percentages(query, rows)
-            stats.trace.add(
-                "phase2.percentage", time.perf_counter() - pct_started
-            )
+            stats.add_phase("phase2.percentage", time.perf_counter() - pct_started)
 
         self._flag_quarantine_overlap(query, stats)
         stats.wall_seconds = time.perf_counter() - started
@@ -350,32 +368,8 @@ class QueryExecutor:
             stats.partial = True
             stats.quarantined_cubes = max(stats.quarantined_cubes, overlap)
 
-    def _memoized_result(
-        self, query: AnalysisQuery, rows: dict, started: float
-    ) -> QueryResult:
-        """Shape a result-cache hit (already a private rows copy)."""
-        stats = QueryStats()
-        stats.trace = QueryTrace(query.describe)
-        stats.trace.meta["result_cache"] = "hit"
-        stats.wall_seconds = time.perf_counter() - started
-        stats.simulated_seconds = stats.wall_seconds
-        self._record_query_metrics(stats)
-        return QueryResult(query=query, rows=rows, stats=stats)
-
     def _record_query_metrics(self, stats: QueryStats) -> None:
-        trace = stats.trace
-        trace.meta.update(
-            cubes=stats.cube_count,
-            cache_hits=stats.cache_hits,
-            disk_reads=stats.disk_reads,
-            missing_days=stats.missing_days,
-            simulated_ms=round(stats.simulated_ms, 3),
-        )
-        if stats.coalesced_reads:
-            trace.meta["coalesced_reads"] = stats.coalesced_reads
-        if stats.partial:
-            trace.meta["partial"] = True
-            trace.meta["quarantined_cubes"] = stats.quarantined_cubes
+        """The metrics view of the record: one batched registry flush."""
         incs = [(_K_QUERIES, 1.0)]
         if stats.partial:
             incs.append((_K_PARTIAL, 1.0))
@@ -394,19 +388,13 @@ class QueryExecutor:
                 incs.append((HIT_KEYS[level], count))
             for level, count in stats.disk_reads_by_level.items():
                 incs.append((MISS_KEYS[level], count))
-        phase1 = trace.seconds("phase1.plan") + trace.seconds(
-            "phase1.fetch.cache"
-        ) + trace.seconds("phase1.fetch.disk")
-        phase2 = trace.seconds("phase2.aggregate") + trace.seconds(
-            "phase2.percentage"
-        )
         self.metrics.record_batch(
             incs,
             (
                 (_K_WALL, stats.wall_seconds),
                 (_K_SIMULATED, stats.simulated_seconds),
-                (_K_PHASE1, phase1),
-                (_K_PHASE2, phase2),
+                (_K_PHASE1, stats.phase_seconds("phase1.")),
+                (_K_PHASE2, stats.phase_seconds("phase2.")),
             ),
         )
 
@@ -415,44 +403,7 @@ class QueryExecutor:
         cached = self.cache.contents() if self.cache else frozenset()
         return self.optimizer.plan(query.start, query.end, cached)
 
-    # -- the pipeline: plan -> gather -> shape ---------------------------------
-
-    def _run_windows(
-        self,
-        query: AnalysisQuery,
-        windows: list[Window],
-        selection: Selection,
-        stats: QueryStats,
-    ) -> dict[tuple, float]:
-        """Plan ``windows`` against one cache snapshot, gather, shape rows."""
-        plan_started = time.perf_counter()
-        cached = self.cache.contents() if self.cache else frozenset()
-        cached_starts = sorted(key.start for key in cached)
-        items: list[tuple[int, TemporalKey]] = []
-        for position, (_, start, end) in enumerate(windows):
-            plan = self.optimizer.plan(start, end, cached, cached_starts)
-            stats.cube_count += plan.cube_count
-            stats.missing_days += len(plan.missing_days)
-            items.extend((position, key) for key in plan.keys)
-        stats.trace.add(
-            "phase1.plan", time.perf_counter() - plan_started, len(windows)
-        )
-        # Phase boundary: a request whose deadline already expired must
-        # not start paying for disk reads it cannot use.
-        check_deadline("phase1.plan")
-        if not items:
-            return {}
-        arrays = self._gather(items, selection, stats)
-        rows: dict[tuple, float] = {}
-        for position, (period, _, _) in enumerate(windows):
-            accumulated = arrays.get(position)
-            if accumulated is not None:
-                rows.update(
-                    self._rows_from_array(
-                        query, accumulated, selection.labels, period
-                    )
-                )
-        return rows
+    # -- the gather seam ---------------------------------------------------------
 
     def _gather(
         self,
@@ -463,35 +414,8 @@ class QueryExecutor:
         """The seam: position-tagged keys in, one reduced array per
         window position out.  Here, one local gather over the index."""
         part = local_gather(self.index, self.cache, items, selection, self.iosched)
-        self._merge(part, stats)
+        stats.merge(part.stats)
         return part.arrays
-
-    @staticmethod
-    def _merge(part: GatherPartial, stats: QueryStats) -> None:
-        """Fold one gather's counters and phase times into the query's."""
-        for counts, by_level in (
-            (part.cache_hits, stats.cache_hits_by_level),
-            (part.disk_reads, stats.disk_reads_by_level),
-        ):
-            for level, count in counts.items():
-                by_level[level] = by_level.get(level, 0) + count
-        hits = sum(part.cache_hits.values())
-        reads = sum(part.disk_reads.values())
-        stats.cache_hits += hits
-        stats.disk_reads += reads
-        stats.coalesced_reads += part.coalesced
-        if part.dropped:
-            stats.partial = True
-            stats.quarantined_cubes += part.dropped
-        trace = stats.trace
-        if hits:
-            trace.add("phase1.fetch.cache", part.lookup_seconds, hits)
-        if reads or part.dropped:
-            trace.add(
-                "phase1.fetch.disk", part.read_seconds, reads + part.dropped
-            )
-        if hits or reads:
-            trace.add("phase2.aggregate", part.aggregate_seconds, hits + reads)
 
     def _effective_filters(self, query: AnalysisQuery) -> dict:
         """Query filters adjusted for overlapping zones of interest.
@@ -520,7 +444,7 @@ class QueryExecutor:
         query: AnalysisQuery,
         accumulated: np.ndarray,
         labels: list[list[str]],
-        period: date | None,
+        period: date,
     ) -> dict[tuple, float]:
         date_position = (
             query.group_by.index("date") if query.groups_by_date else None

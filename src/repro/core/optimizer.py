@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from datetime import date
 
 from repro.types.temporal import Level, TemporalKey, cover_range
+from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.errors import PlanError
 from repro.obs import MetricsRegistry, get_registry, metric_key
@@ -49,10 +50,6 @@ class QueryPlan:
     keys: list[TemporalKey] = field(default_factory=list)
     cached_keys: frozenset[TemporalKey] = frozenset()
     missing_days: list[date] = field(default_factory=list)
-
-    @property
-    def disk_keys(self) -> list[TemporalKey]:
-        return [key for key in self.keys if key not in self.cached_keys]
 
     @property
     def disk_reads(self) -> int:
@@ -113,6 +110,9 @@ class LevelOptimizer:
         missing: list[date] = []
         considered = [0]  # expand-or-keep nodes visited (shared mutable)
         for unit in cover_range(start, end):
+            # One window can span millennia of uncovered years; the
+            # request's deadline must be able to stop it in between.
+            check_deadline("phase1.plan")
             _, unit_keys, unit_missing = self._best(
                 unit, cached, cached_starts, considered
             )

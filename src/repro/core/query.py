@@ -26,7 +26,6 @@ from datetime import date
 
 from repro.types.temporal import Level
 from repro.errors import QueryError
-from repro.obs.trace import QueryTrace
 
 __all__ = ["AnalysisQuery", "QueryResult", "QueryStats", "GROUPABLE_ATTRIBUTES"]
 
@@ -55,6 +54,13 @@ class AnalysisQuery:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise QueryError(f"query end {self.end} precedes start {self.start}")
+        if self.end.year >= date.max.year:
+            # Range tiling steps to the day after a period's end, which
+            # does not exist past the calendar's last year.
+            raise QueryError(
+                f"query end {self.end} is out of range: dates must "
+                f"precede year {date.max.year}"
+            )
         for attribute in self.group_by:
             if attribute not in GROUPABLE_ATTRIBUTES:
                 raise QueryError(
@@ -113,7 +119,13 @@ class AnalysisQuery:
 
 @dataclass
 class QueryStats:
-    """Execution statistics for one query (the paper's measurements)."""
+    """The one record of a query's execution (the paper's measurements).
+
+    The executor fills one per query, folding in (:meth:`merge`) the
+    one each gather fills — one per shard under scatter-gather.  The
+    ``query.execute`` span, the query metrics, an API response's
+    ``stats`` and the CLI's ``--trace`` table are views derived from it.
+    """
 
     cube_count: int = 0
     cache_hits: int = 0
@@ -130,18 +142,66 @@ class QueryStats:
     quarantined_cubes: int = 0
     #: Per-temporal-level fetch accounting (Level -> cube count); the
     #: executor flushes these into the metrics registry once per query.
-    cache_hits_by_level: dict = field(default_factory=dict)
-    disk_reads_by_level: dict = field(default_factory=dict)
+    cache_hits_by_level: dict[Level, int] = field(default_factory=dict)
+    disk_reads_by_level: dict[Level, int] = field(default_factory=dict)
     #: Virtual disk latency charged + measured in-memory compute time.
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Per-phase breakdown of where the query's wall time went
-    #: (``None`` only for stats objects built outside the executor).
-    trace: QueryTrace | None = None
+    #: The answer came from the result memo: nothing below ran.
+    memo_hit: bool = False
+    #: Where the wall time went: phase -> accumulated ``(seconds,
+    #: count)``, present only for phases that ran.  ``phase1.plan``
+    #: (count = windows), ``phase1.fetch.cache`` / ``phase1.fetch.disk``
+    #: (count = cubes, by where each came from), ``phase2.aggregate``
+    #: (count = cubes reduced) and ``phase2.percentage`` mean the same
+    #: in every engine; under scatter-gather the fetch and aggregate
+    #: seconds are sums over concurrent shard gathers and may exceed the
+    #: fan-out's wall time (``rased_shard_scatter_seconds``).
+    phases: dict[str, tuple[float, int]] = field(default_factory=dict)
 
     @property
     def simulated_ms(self) -> float:
         return self.simulated_seconds * 1000.0
+
+    def add_phase(self, phase: str, seconds: float, count: int = 1) -> None:
+        """Fold one timing into a phase."""
+        had_seconds, had_count = self.phases.get(phase, (0.0, 0))
+        self.phases[phase] = (had_seconds + seconds, had_count + count)
+
+    def phase_seconds(self, prefix: str) -> float:
+        """Seconds in every phase whose name starts with ``prefix``."""
+        return sum(
+            seconds
+            for phase, (seconds, _) in self.phases.items()
+            if phase.startswith(prefix)
+        )
+
+    def merge(self, other: "QueryStats") -> None:
+        """Fold another record's work into this one, exactly: counters
+        and phases add, ``partial`` sticks; the two clocks and
+        ``memo_hit`` describe a whole query and stay the receiver's."""
+        self.cube_count += other.cube_count
+        self.cache_hits += other.cache_hits
+        self.disk_reads += other.disk_reads
+        self.coalesced_reads += other.coalesced_reads
+        self.missing_days += other.missing_days
+        self.partial = self.partial or other.partial
+        self.quarantined_cubes += other.quarantined_cubes
+        for mine, theirs in (
+            (self.cache_hits_by_level, other.cache_hits_by_level),
+            (self.disk_reads_by_level, other.disk_reads_by_level),
+        ):
+            for level, count in theirs.items():
+                mine[level] = mine.get(level, 0) + count
+        for phase, (seconds, count) in other.phases.items():
+            self.add_phase(phase, seconds, count)
+
+    def phase_rows(self) -> list[dict[str, object]]:
+        """The phases as JSON-ready rows (``stats.phases`` on the wire)."""
+        return [
+            {"phase": phase, "ms": seconds * 1000.0, "count": count}
+            for phase, (seconds, count) in self.phases.items()
+        ]
 
 
 @dataclass

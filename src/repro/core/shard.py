@@ -93,6 +93,7 @@ __all__ = [
     "ShardedIndex",
     "ScatterGatherExecutor",
     "shard_stores_for",
+    "detect_shard_count",
 ]
 
 #: Default bound on concurrent per-shard subqueries per executor.
@@ -200,6 +201,18 @@ def shard_stores_for(store: PageStore, shards: int) -> list[PageStore]:
         f"cannot derive shard stores from {type(store).__name__}; "
         "construct ShardedPageStore with explicit shard stores"
     )
+
+
+def detect_shard_count(store: PageStore) -> int | None:
+    """The shard count an on-disk deployment was laid out with: its
+    number of ``<root>-shard<i>`` siblings (see :func:`shard_stores_for`),
+    else 1 once the root itself holds cubes.  ``None`` when the layout is
+    still open: nothing written yet, or not a directory store."""
+    if not isinstance(store, DirectoryDisk):
+        return None
+    siblings = store.root.parent.glob(f"{store.root.name}-shard[0-9]*")
+    shards = sum(path.is_dir() for path in siblings)
+    return shards or (1 if any(store.list_pages("cubes/")) else None)
 
 
 class ShardedPageStore(PageStore):
@@ -525,12 +538,15 @@ class ScatterGatherExecutor(QueryExecutor):
                 # worker, poisoned store): drop its keys and degrade —
                 # a lower bound, never a silently wrong total.
                 dead_shards += 1
-                stats.partial = True
-                stats.quarantined_cubes += len(by_shard[shard])
+                stats.merge(
+                    QueryStats(
+                        partial=True, quarantined_cubes=len(by_shard[shard])
+                    )
+                )
                 continue
             for position, array in part.arrays.items():
                 per_position.setdefault(position, []).append(array)
-            self._merge(part, stats)
+            stats.merge(part.stats)
             charged.append(part.charged_seconds)
         credit = self.sharded_index.routed.credit_scatter(charged)
         merge_started = time.perf_counter()
@@ -538,7 +554,7 @@ class ScatterGatherExecutor(QueryExecutor):
         arrays = {
             position: sum_arrays(parts) for position, parts in per_position.items()
         }
-        stats.trace.add(
+        stats.add_phase(
             "phase2.aggregate", time.perf_counter() - merge_started, count=0
         )
         incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(submitted)))]

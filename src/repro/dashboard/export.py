@@ -15,8 +15,8 @@ from datetime import date
 from pathlib import Path
 from typing import IO
 
-from repro.baseline.sqlgen import to_sql
 from repro.core.query import QueryResult
+from repro.dashboard.server import result_to_json
 from repro.dashboard.timelapse import TimelapseFrame
 
 __all__ = ["result_to_csv", "result_to_json_text", "timelapse_to_text"]
@@ -47,25 +47,11 @@ def result_to_csv(result: QueryResult, target: str | Path | IO[str]) -> int:
 def result_to_json_text(result: QueryResult, target: str | Path | IO[str] | None = None) -> str:
     """Render one result as a JSON document (optionally writing it).
 
-    The document carries the generated SQL and execution statistics so
-    an exported file is self-describing.
+    The document is the one the API serves (:func:`result_to_json`):
+    it carries the generated SQL and the execution record, so an
+    exported file is self-describing.
     """
-    payload = {
-        "sql": to_sql(result.query),
-        "metric": result.query.metric,
-        "group_by": list(result.query.group_by),
-        "rows": [
-            {"group": [_cell(part) for part in key], "value": value}
-            for key, value in result.sorted_rows()
-        ],
-        "stats": {
-            "cube_count": result.stats.cube_count,
-            "cache_hits": result.stats.cache_hits,
-            "disk_reads": result.stats.disk_reads,
-            "simulated_ms": result.stats.simulated_ms,
-        },
-    }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(result_to_json(result), indent=2)
     if isinstance(target, (str, Path)):
         Path(target).write_text(text, encoding="utf-8")
     elif target is not None:

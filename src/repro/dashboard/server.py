@@ -62,7 +62,7 @@ from repro.dashboard.admission import AdmissionController
 from repro.dashboard.api import Dashboard
 from repro.dashboard.procpool import ProcessPoolDispatcher
 from repro.errors import DeadlineExceededError, QueryError, RasedError
-from repro.obs import EventLog, FlightRecorder, QueryTrace, SLOTracker
+from repro.obs import EventLog, FlightRecorder, SLOTracker
 from repro.obs.span import Tracer, current_trace_id
 from repro.obs.span import span as causal_span
 
@@ -113,21 +113,30 @@ def _path_family(path: str) -> str:
     return "other"
 
 
-def query_from_json(payload: dict[str, Any]) -> AnalysisQuery:
-    """Build an :class:`AnalysisQuery` from a JSON request body."""
+def query_from_json(payload: Any) -> AnalysisQuery:
+    """Build an :class:`AnalysisQuery` from a decoded JSON request body.
+
+    The body comes from outside the program, so its shape is checked
+    here: whatever is wrong with it is a :class:`QueryError` (a 400),
+    never an exception type the server would report as its own fault.
+    """
+    if not isinstance(payload, dict):
+        raise QueryError("request body must be a JSON object")
     try:
         start = date.fromisoformat(payload["start"])
         end = date.fromisoformat(payload["end"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise QueryError(f"bad or missing start/end dates: {exc}") from None
 
-    def optional_tuple(key: str) -> tuple[str, ...] | None:
+    def strings(key: str) -> tuple[str, ...] | None:
         value = payload.get(key)
         if value is None:
             return None
-        if not isinstance(value, list):
-            raise QueryError(f"{key} must be a JSON array")
-        return tuple(str(v) for v in value)
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise QueryError(f"{key} must be a JSON array of strings")
+        return tuple(value)
 
     granularity_text = str(payload.get("date_granularity", "day")).lower()
     if granularity_text not in _LEVELS:
@@ -137,11 +146,11 @@ def query_from_json(payload: dict[str, Any]) -> AnalysisQuery:
     return AnalysisQuery(
         start=start,
         end=end,
-        element_types=optional_tuple("element_types"),
-        countries=optional_tuple("countries"),
-        road_types=optional_tuple("road_types"),
-        update_types=optional_tuple("update_types"),
-        group_by=tuple(payload.get("group_by", ())),
+        element_types=strings("element_types"),
+        countries=strings("countries"),
+        road_types=strings("road_types"),
+        update_types=strings("update_types"),
+        group_by=strings("group_by") or (),
         metric=str(payload.get("metric", "count")),
         date_granularity=_LEVELS[granularity_text],
     )
@@ -168,9 +177,7 @@ def result_to_json(result: QueryResult) -> dict[str, object]:
             "quarantined_cubes": result.stats.quarantined_cubes,
             "simulated_ms": result.stats.simulated_ms,
             "wall_ms": result.stats.wall_seconds * 1000.0,
-            "trace": result.stats.trace.to_dict()
-            if result.stats.trace is not None
-            else None,
+            "phases": result.stats.phase_rows(),
         },
     }
 
@@ -199,7 +206,7 @@ def run_analysis_request(
     try:
         payload = json.loads(body or b"{}")
         if kind == "sql":
-            sql = payload.get("sql")
+            sql = payload.get("sql") if isinstance(payload, dict) else None
             if not isinstance(sql, str):
                 raise QueryError('body must be {"sql": "SELECT ..."}')
             result = dashboard.analysis_sql(sql)
@@ -560,13 +567,7 @@ class _Handler(BaseHTTPRequestHandler):
             if recorded is None:
                 self._send(404, {"error": f"no retained trace {trace_id!r}"})
                 return
-            payload = recorded.to_dict()
-            # The classic flat phase view, reconstructed from the tree —
-            # the two representations stay mutually derivable.
-            payload["phases"] = QueryTrace.from_spans(
-                recorded.spans, name=recorded.name
-            ).to_dict()
-            self._send(200, payload)
+            self._send(200, recorded.to_dict())
         elif parsed.path == "/contributors":
             params = parse_qs(parsed.query)
             n = _clamped_count(params, default=10)
@@ -691,8 +692,6 @@ class DashboardServer:
         self._tracker = _RequestTracker()
         self._admission = admission
         self._drain_timeout = drain_timeout
-        self._recorder = recorder
-        self._slo = slo
         #: Owned by whoever built it: ``stop()`` does not shut the pool
         #: down, so one pool can outlive a server restart.
         self.dispatcher = dispatcher
@@ -722,18 +721,6 @@ class DashboardServer:
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
-
-    @property
-    def admission(self) -> AdmissionController | None:
-        return self._admission
-
-    @property
-    def recorder(self) -> FlightRecorder | None:
-        return self._recorder
-
-    @property
-    def slo(self) -> SLOTracker | None:
-        return self._slo
 
     def start(self) -> None:
         # Lifecycle thread: started before any request exists, so there

@@ -8,12 +8,10 @@ The subsystem's layers, bottom to top:
   and Prometheus text export;
 * :mod:`repro.obs.span` — causal span trees: a ``trace_id``/``span_id``/
   parent identity per operation, carried in a ``ContextVar`` and
-  explicitly handed across thread-pool boundaries (:func:`attach`), so
-  a request's admission verdict, plan, pool-thread disk reads, and
-  aggregation land in one connected tree;
-* :mod:`repro.obs.trace` — the :class:`QueryTrace` phase breakdown
-  attached to each :class:`repro.core.query.QueryResult`, now also the
-  flat *view* over the span tree (``flush_spans``/``from_spans``);
+  explicitly handed across thread-pool boundaries
+  (:func:`~repro.obs.span.set_ambient`), so a request's admission
+  verdict, plan, pool-thread disk reads, and aggregation land in one
+  connected tree;
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder`, a bounded
   ring of completed traces with tail-based retention (errors, partial
   answers, deadline expiries and the slowest decile always kept);
@@ -22,6 +20,11 @@ The subsystem's layers, bottom to top:
   ``/debug/slo``);
 * :mod:`repro.obs.log` — opt-in structured JSON event lines correlated
   to traces by ``trace_id``.
+
+What one query did — counters and per-phase time — is not kept here:
+:class:`repro.core.query.QueryStats` is the one record, and the
+``query.execute`` span, the query metrics and the API's ``stats``
+object are views the executor and server derive from it.
 
 A :class:`repro.system.RasedSystem` owns a private registry, tracer,
 recorder and SLO tracker; standalone components default to the
@@ -46,13 +49,11 @@ from repro.obs.span import (
     RecordedTrace,
     Span,
     Tracer,
-    attach,
     current_span,
     current_trace_id,
     record_span,
     span,
 )
-from repro.obs.trace import PhaseTiming, QueryTrace
 
 __all__ = [
     "ActiveTrace",
@@ -62,14 +63,11 @@ __all__ = [
     "FlightRecorder",
     "MAX_SPANS_PER_TRACE",
     "MetricsRegistry",
-    "PhaseTiming",
-    "QueryTrace",
     "RecordedTrace",
     "SLOConfig",
     "SLOTracker",
     "Span",
     "Tracer",
-    "attach",
     "current_span",
     "current_trace_id",
     "get_registry",

@@ -270,10 +270,6 @@ class MetricsRegistry:
         with self._lock:
             self._help[name] = help_text
 
-    def counter_names(self) -> list[str]:
-        with self._lock:
-            return sorted({name for name, _ in self._counters})
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()

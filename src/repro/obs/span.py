@@ -1,12 +1,12 @@
 """Causal span trees: who caused this disk read, and how long did it take?
 
-:class:`repro.obs.trace.QueryTrace` answers "where did this query's
-time go" as a flat per-phase accumulator — good enough for one query
+:class:`repro.core.query.QueryStats` answers "where did this query's
+time go" as five folded phase totals — good enough for one query
 executed on one thread, blind to everything the concurrent engine
-added since: work done inside :class:`repro.core.iosched.IOScheduler`
+adds: work done inside :class:`repro.core.iosched.IOScheduler`
 pool threads, single-flight followers blocked on another query's load,
-admission verdicts, WAL writes.  This module is the causal layer under
-it:
+admission verdicts, WAL writes.  This module is the causal layer the
+phases are recorded into (one :func:`record_span` each):
 
 * :class:`Span` — one timed operation with a ``trace_id``/``span_id``/
   ``parent_id`` identity, free-form attributes, and an ok/partial/error
@@ -14,10 +14,10 @@ it:
   when there is no HTTP front end).
 * the **ambient span** — a :class:`contextvars.ContextVar` holding the
   span the current logical task is inside.  ``ContextVar`` does *not*
-  cross thread-pool boundaries by itself; :func:`attach` is the
-  explicit hand-off a worker wraps around its body (the I/O scheduler
-  captures :func:`current_span` at submit time and re-attaches it in
-  the worker).
+  cross thread-pool boundaries by itself; :func:`set_ambient` /
+  :func:`reset_ambient` are the explicit hand-off a worker brackets
+  its body with (the I/O scheduler captures :func:`current_span` at
+  submit time and re-attaches it in the worker).
 * :class:`Tracer` — the entry point that opens a **root** span, runs
   the block under it, and hands the completed tree to a
   :class:`~repro.obs.recorder.FlightRecorder`-shaped sink.  Nested
@@ -44,7 +44,6 @@ __all__ = [
     "ActiveTrace",
     "RecordedTrace",
     "Tracer",
-    "attach",
     "current_span",
     "current_trace_id",
     "record_span",
@@ -349,9 +348,10 @@ def current_span() -> Span | None:
 def set_ambient(span: Span) -> object:
     """Low-level ambient-span set; pair with :func:`reset_ambient`.
 
-    Prefer :func:`span`/:func:`attach` — this exists for call sites
-    that hand-roll a span lifecycle off the context-manager protocol
-    (the I/O scheduler's worker path, where every microsecond of
+    Prefer :func:`span` — this exists for call sites that hand a
+    captured span across a pool boundary and hand-roll its lifecycle
+    off the context-manager protocol (the I/O scheduler's and the
+    scatter pool's worker paths, where every microsecond of
     setup/teardown serializes across a batch of pool threads).
     """
     return _CURRENT_SPAN.set(span)
@@ -442,37 +442,6 @@ def record_span(
         child.attributes = attributes
     if count != 1:
         child.attributes["count"] = count
-
-
-class _AttachBlock:
-    """Context manager behind :func:`attach` (same hot-path rationale
-    as :class:`_SpanBlock`: one of these wraps every pool submission)."""
-
-    __slots__ = ("parent", "token")
-
-    def __init__(self, parent: Span | None) -> None:
-        self.parent = parent
-        self.token: object = None
-
-    def __enter__(self) -> None:
-        if self.parent is not None:
-            self.token = _CURRENT_SPAN.set(self.parent)
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        if self.token is not None:
-            _CURRENT_SPAN.reset(self.token)  # type: ignore[arg-type]
-        return False
-
-
-def attach(parent: Span | None) -> _AttachBlock:
-    """Re-establish a captured span as ambient on the current thread.
-
-    The explicit cross-thread hand-off: submit-side code captures
-    :func:`current_span`, and the worker wraps its body in
-    ``attach(captured)``.  Attaching ``None`` is a no-op, so callers
-    need not branch on whether the submitter was traced.
-    """
-    return _AttachBlock(parent)
 
 
 class _TraceSink:

@@ -34,6 +34,7 @@ from repro.core.shard import (
     ScatterGatherExecutor,
     ShardedIndex,
     ShardedPageStore,
+    detect_shard_count,
     shard_stores_for,
 )
 from repro.collection.daily import DailyCrawler
@@ -43,6 +44,7 @@ from repro.collection.monthly import MonthlyCrawler
 from repro.collection.pipeline import IngestionPipeline, IngestReport
 from repro.dashboard.admission import AdmissionConfig, AdmissionController
 from repro.dashboard.api import Dashboard
+from repro.errors import ConfigError
 from repro.geo.zones import ZoneAtlas, build_world
 from repro.obs import (
     FlightRecorder,
@@ -202,6 +204,17 @@ class RasedSystem:
         #: executor, which reads the shards concurrently.
         self.shard_stores: list[PageStore] = []
         routed: ShardedPageStore | None = None
+        # Checked before the shard stores (directories) are derived: an
+        # on-disk root opened at another count than it was laid out
+        # with would scan the wrong directories and come up silently
+        # empty — and then write cubes where the right count never looks.
+        laid_out = detect_shard_count(store)
+        if laid_out is not None and laid_out != config.shards:
+            raise ConfigError(
+                f"this root is laid out as {laid_out} shard store(s) but "
+                f"was opened with shards={config.shards}; the shard count "
+                "is fixed when a root's first cube is written"
+            )
         if config.shards > 1:
             self.shard_stores = shard_stores_for(store, config.shards)
             routed = ShardedPageStore(self.shard_stores, store)

@@ -17,7 +17,7 @@ A submission site passes this rule, per context kind, when either
 * a captured value (``current_span()`` / ``current_deadline()`` /
   ``copy_context()``, directly or through a local name) appears among
   the call's arguments, or
-* the submitted callable itself re-attaches (calls ``attach`` /
+* the submitted callable itself re-attaches (calls
   ``set_ambient`` for spans, ``deadline_scope`` for deadlines).
 
 Lifecycle threads started where no ambient context exists (server

@@ -65,7 +65,7 @@ class ConcConfig:
     )
     #: Functions that re-attach ambient context *inside* a submitted
     #: target (the other legal hand-off shape), per context kind.
-    span_attach_names: frozenset[str] = frozenset({"attach", "set_ambient"})
+    span_attach_names: frozenset[str] = frozenset({"set_ambient"})
     deadline_attach_names: frozenset[str] = frozenset({"deadline_scope"})
     blocking_module_calls: frozenset[tuple[str, str]] = BLOCKING_MODULE_CALLS
     blocking_attr_calls: frozenset[str] = BLOCKING_ATTR_CALLS

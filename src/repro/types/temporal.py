@@ -315,20 +315,28 @@ def completed_units(d: date) -> list[TemporalKey]:
 
 
 def series_periods(
-    start: date, end: date, level: Level
+    start: date, end: date, level: Level, limit: int | None = None
 ) -> list[tuple[date, date]]:
     """Tile ``[start, end]`` completely into periods of ``level``.
 
     Used for ``GROUP BY Date`` time series: every day of the range
     belongs to exactly one period.  For WEEK granularity the month's
     leftover days 29-31 form their own short period (they belong to no
-    month-aligned week); all periods are clipped to the range.
+    month-aligned week); all periods are clipped to the range.  A
+    range of more than ``limit`` periods is rejected as soon as the
+    tiling passes it, not after.
     """
     if end < start:
         raise CalendarError(f"range end {end} precedes start {start}")
     periods: list[tuple[date, date]] = []
     d = start
     while d <= end:
+        if limit is not None and len(periods) >= limit:
+            raise CalendarError(
+                f"{start}..{end} is a series of more than {limit} "
+                f"{level.label} periods; narrow the range or coarsen "
+                "the date granularity"
+            )
         period_start = series_period_start(d, level)
         period_end = _series_period_end(period_start, level)
         periods.append((max(period_start, start), min(period_end, end)))

@@ -115,18 +115,22 @@ class TestCachePreload:
             CacheManager(year_index, slots=-1)
 
     def test_admit_disabled_by_default(self, year_index):
+        """The cache is the paper's static preload: a miss — the cache's
+        own or a whole query's — admits nothing."""
+        from repro.core.executor import QueryExecutor
+        from repro.core.query import AnalysisQuery
+
         cache = CacheManager(year_index, slots=10)
         cache.preload()
-        cube = year_index.get(day_key(date(2021, 6, 15)))
-        cache.admit(cube)
-        assert day_key(date(2021, 6, 15)) not in cache.contents()
-
-    def test_admit_with_lru_eviction(self, year_index):
-        cache = CacheManager(year_index, slots=3, admit_on_miss=True)
-        for day in (date(2021, 5, 1), date(2021, 5, 2), date(2021, 5, 3), date(2021, 5, 4)):
-            cache.admit(year_index.get(day_key(day)))
-        assert cache.cached_count == 3
-        assert day_key(date(2021, 5, 1)) not in cache.contents()
+        before = cache.contents()
+        missed = date(2021, 6, 15)
+        assert cache.get(day_key(missed)) is None
+        assert cache.get(day_key(date(2022, 2, 28))) is not None
+        result = QueryExecutor(year_index, cache=cache).execute(
+            AnalysisQuery(start=missed, end=missed)
+        )
+        assert result.stats.disk_reads == 1
+        assert cache.contents() == before
 
     def test_refresh_key_reloads(self, year_index):
         cache = CacheManager(year_index, slots=5)
@@ -146,15 +150,15 @@ class TestCachePreload:
 
     def test_cached_bytes_tracks_resident_cubes(self, year_index):
         """``cached_bytes`` is what the resident cubes occupy, through
-        preload, admission with eviction, and clear."""
+        preload, refresh and clear."""
 
         def resident_bytes(cache):
             return sum(year_index.get(key).nbytes for key in cache.contents())
 
-        cache = CacheManager(year_index, slots=8, admit_on_miss=True)
+        cache = CacheManager(year_index, slots=8)
         cache.preload()
         assert cache.cached_bytes == resident_bytes(cache) > 0
-        cache.admit(year_index.get(day_key(date(2021, 5, 1))))
+        cache.refresh_key(day_key(date(2022, 2, 28)))
         assert cache.cached_count == 8
         assert cache.cached_bytes == resident_bytes(cache)
         cache.clear()

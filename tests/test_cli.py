@@ -60,7 +60,8 @@ class TestServeConfig:
     def test_worker_config_derives_from_the_front_door(self):
         """Pool workers run the front door's engine: same profile and
         flags (``--scatter-threads`` used to be dropped), minus what
-        belongs to the serving process alone."""
+        belongs to the serving process alone.  The shard count is not a
+        flag: both read it back from the root when they open it."""
         import dataclasses
 
         from repro.cli import _serve_configs
@@ -70,7 +71,7 @@ class TestServeConfig:
         args = build_parser().parse_args(
             [
                 "serve", "--root", "/tmp/x", "--workers", "2", "--durable",
-                "--shards", "4", "--scatter-threads", "16",
+                "--scatter-threads", "16",
                 "--cache-slots", "32", "--result-cache-slots", "8",
                 "--rate-limit", "5", "--slo-latency-ms", "100",
             ]
@@ -80,7 +81,6 @@ class TestServeConfig:
             simulation=config.simulation,
             cache_slots=32,
             result_cache_slots=8,
-            shards=4,
             scatter_threads=16,
             durable_ingest=True,
             admission=AdmissionConfig(rate_limit=5.0),
@@ -296,3 +296,81 @@ class TestRebuildCommand:
         assert main(["query", "--root", str(root), "--sql", sql]) == 0
         after = capsys.readouterr().out
         assert "metadata" in after
+
+
+class TestShardedRoot:
+    """The shard count is a property of the root: ``ingest --shards``
+    lays a new root out, every later command reads the count back."""
+
+    @staticmethod
+    def _cube_pages(directory):
+        return sorted(p.name for p in (directory / "cubes").glob("*.page"))
+
+    def test_every_command_sees_a_sharded_root(self, tmp_path, capsys):
+        root = tmp_path / "deploy"
+        history = tmp_path / "history.osm"
+        simulate = [
+            "simulate", "--root", str(root), "--seed", "9",
+            "--start", "2021-02-01", "--end", "2021-02-28",
+            "--history-out", str(history),
+        ]
+        assert main(simulate) == 0
+        assert main(["ingest", "--root", str(root), "--shards", "2"]) == 0
+        assert "ingested 28 days" in capsys.readouterr().out
+        shard_pages = [
+            self._cube_pages(root / f"pages-shard{i}") for i in range(2)
+        ]
+        assert all(shard_pages) and sum(map(len, shard_pages)) == 28 + 4 + 1
+        assert self._cube_pages(root / "pages") == []
+
+        assert main(["info", "--root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "2021-02-01 .. 2021-02-28" in out and "(empty)" not in out
+
+        sql = (
+            "SELECT U.UpdateType, COUNT(*) FROM UpdateList U "
+            "WHERE U.Date BETWEEN 2021-02-01 AND 2021-02-28 "
+            "GROUP BY U.UpdateType"
+        )
+        assert main(["query", "--root", str(root), "--sql", sql]) == 0
+        before = capsys.readouterr().out
+        assert "create" in before and "metadata" not in before
+
+        # A later ingest without the flag stays on the root's layout...
+        assert main(["ingest", "--root", str(root)]) == 0
+        assert "ingested 0 days" in capsys.readouterr().out
+        # ...and one that contradicts it is refused, not obeyed.
+        assert main(["ingest", "--root", str(root), "--shards", "3"]) == 2
+        assert "laid out as 2 shard store(s)" in capsys.readouterr().err
+        assert not (root / "pages-shard2").exists()
+
+        rebuild = [
+            "rebuild", "--root", str(root),
+            "--history", str(history), "--month", "2021-02",
+        ]
+        assert main(rebuild) == 0
+        assert "rebuilt M2021-02" in capsys.readouterr().out
+        assert self._cube_pages(root / "pages") == []
+        assert main(["query", "--root", str(root), "--sql", sql]) == 0
+        assert "metadata" in capsys.readouterr().out
+
+    def test_layout_detection_and_mismatch(self, tmp_path):
+        from repro.core.shard import detect_shard_count
+        from repro.errors import ConfigError
+        from repro.storage.disk import DirectoryDisk, InMemoryDisk
+        from repro.system import RasedSystem, SystemConfig
+
+        assert detect_shard_count(InMemoryDisk()) is None
+        store = DirectoryDisk(tmp_path / "pages")
+        assert detect_shard_count(store) is None  # nothing written yet
+        store.write("meta/cursor", b"x")
+        assert detect_shard_count(store) is None  # still no cube
+        store.write("cubes/D2021-01-01", b"x")
+        assert detect_shard_count(store) == 1
+        with pytest.raises(ConfigError, match="laid out as 1 shard store"):
+            RasedSystem.create(
+                root=tmp_path / "feeds",
+                store=store,
+                config=SystemConfig.serving(shards=2),
+            )
+        assert not (tmp_path / "pages-shard0").exists()

@@ -168,7 +168,7 @@ class TestMixedWorkloadStress:
         assert system.result_cache is not None
         assert system.result_cache.cached_count <= 32
         memo_hit = system.dashboard.analysis(WINDOW)
-        assert memo_hit.stats.trace.meta.get("result_cache") == "hit"
+        assert memo_hit.stats.memo_hit
         assert memo_hit.rows == bare.rows
         if system.config.shards == 1:  # sharded reads overlap on the scatter pool
             assert system.iosched is not None

@@ -3,6 +3,7 @@ brute-force recounting of the simulator's ground-truth rows."""
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from datetime import date
 
@@ -433,10 +434,9 @@ class TestWindowAdditivity:
 
 
 class TestTimeSeriesCacheSnapshot:
-    """An admit-on-miss cache changes under a time-series query's own
-    feet: each period's misses evict LRU residents, so planning every
-    period against the initial snapshot treats long-evicted cubes as
-    free.  The executor re-snapshots before each period instead."""
+    """The cube cache is the paper's static preload: a query never
+    changes it, so every period of a series is planned against the one
+    snapshot taken when the query starts."""
 
     @pytest.fixture(scope="class")
     def year_index(self):
@@ -451,10 +451,7 @@ class TestTimeSeriesCacheSnapshot:
         from repro.core.optimizer import LevelOptimizer
 
         cache = CacheManager(
-            index,
-            slots=slots,
-            ratios=CacheRatios(1.0, 0.0, 0.0, 0.0),
-            admit_on_miss=True,
+            index, slots=slots, ratios=CacheRatios(1.0, 0.0, 0.0, 0.0)
         )
         cache.preload()  # the 31 December dailies
         index.store.reset_stats()
@@ -462,22 +459,24 @@ class TestTimeSeriesCacheSnapshot:
             index, cache=cache, optimizer=LevelOptimizer(index)
         )
 
-    def test_monthly_series_replans_after_evictions(self, year_index):
+    def test_monthly_series_misses_leave_the_cache_as_preloaded(self, year_index):
         index, _ = year_index
         executor = self._series_executor(index)
+        preloaded = executor.cache.contents()
         query = AnalysisQuery(
             start=date(2021, 1, 1),
             end=date(2021, 12, 31),
             group_by=("date",),
             date_granularity=Level.MONTH,
         )
-        result = executor.execute(query)
-        # Jan..Nov admit 11 monthly cubes, evicting 11 December
-        # dailies.  With a refreshed snapshot, December re-plans to ONE
-        # monthly read; against the stale snapshot it would have paid
-        # 11 surprise daily reads (22 total).
-        assert result.stats.disk_reads == 12
-        assert result.stats.cache_hits == 0
+        for _ in range(2):
+            result = executor.execute(query)
+            # Jan..Nov are one monthly read each, every time: a miss
+            # admits nothing.  December is its 31 resident dailies.
+            assert result.stats.disk_reads == 11
+            assert result.stats.cache_hits == 31
+            assert result.stats.phases["phase1.plan"][1] == 12
+            assert executor.cache.contents() == preloaded
 
         from repro.core.executor import QueryExecutor
 
@@ -500,6 +499,105 @@ class TestTimeSeriesCacheSnapshot:
             assert result.stats.disk_reads == 0
             assert result.stats.cache_hits == 31
             assert len(result.rows) == 31
+
+
+class TestSeriesBounds:
+    """A date series is planned window by window before anything is
+    read: that loop honours the request's deadline, and its length is
+    bounded by a constant."""
+
+    @pytest.fixture(scope="class")
+    def executor(self):
+        from repro.core.executor import QueryExecutor
+        from tests.test_iosched import make_small_index
+
+        index, _ = make_small_index(days=10)
+        return QueryExecutor(index)
+
+    @staticmethod
+    def _daily(start, end):
+        return AnalysisQuery(start=start, end=end, group_by=("date",))
+
+    def test_all_of_osm_history_by_day_is_under_the_cap(self, executor):
+        from repro.core.executor import MAX_SERIES_PERIODS
+
+        query = self._daily(date(2004, 8, 1), date(2026, 7, 31))
+        result = executor.execute(query)
+        periods = result.stats.phases["phase1.plan"][1]
+        assert 8_000 < periods <= MAX_SERIES_PERIODS
+        assert sum(result.rows.values()) == 30  # the ten ingested days
+
+    def test_series_past_the_cap_is_rejected_before_planning(
+        self, executor, monkeypatch
+    ):
+        from repro.errors import CalendarError
+
+        planned = []
+        monkeypatch.setattr(
+            executor.optimizer, "plan", lambda *a, **k: planned.append(a)
+        )
+        started = time.perf_counter()
+        for query in (
+            self._daily(date(1, 1, 1), date(9998, 12, 31)),
+            self._daily(date(2000, 1, 1), date(2027, 5, 19)),  # cap + 1
+            AnalysisQuery(
+                start=date(1, 1, 1),
+                end=date(9998, 12, 31),
+                group_by=("date",),
+                date_granularity=Level.WEEK,
+            ),
+        ):
+            with pytest.raises(CalendarError, match="more than 10000"):
+                executor.execute(query)
+        assert time.perf_counter() - started < 0.5
+        assert planned == []
+
+    def test_the_calendars_last_year_is_out_of_range(self):
+        from repro.errors import QueryError
+
+        for end in (date(9999, 1, 1), date.max):
+            with pytest.raises(QueryError, match="out of range"):
+                AnalysisQuery(start=date(2021, 1, 1), end=end)
+
+    def test_expired_deadline_stops_planning_at_the_next_window(
+        self, executor, monkeypatch
+    ):
+        from repro.core.deadline import Deadline, deadline_scope
+        from repro.errors import DeadlineExceededError
+
+        plan = executor.optimizer.plan
+        planned = []
+
+        def counting_plan(*args, **kwargs):
+            planned.append(args[0])
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(executor.optimizer, "plan", counting_plan)
+        now = [0.0]
+        expired = Deadline(0.05, clock=lambda: now[0])
+        now[0] = 1.0
+        with deadline_scope(expired):
+            with pytest.raises(DeadlineExceededError, match="phase1.plan"):
+                executor.execute(self._daily(date(2000, 1, 1), date(2020, 1, 1)))
+        assert len(planned) == 1
+
+    def test_real_deadline_on_a_long_series_is_honoured_promptly(self, executor):
+        from repro.core.deadline import Deadline, deadline_scope
+        from repro.errors import DeadlineExceededError, RasedError
+
+        # 7 306 windows take far longer to plan than 2 ms.
+        started = time.perf_counter()
+        with deadline_scope(Deadline(0.002)):
+            with pytest.raises(DeadlineExceededError):
+                executor.execute(self._daily(date(2000, 1, 1), date(2020, 1, 1)))
+        assert time.perf_counter() - started < 0.5
+        # The thousand-year series that used to answer its 50 ms
+        # deadline after 4.2 s.
+        started = time.perf_counter()
+        with deadline_scope(Deadline(0.05)):
+            with pytest.raises(RasedError):
+                executor.execute(self._daily(date(1500, 1, 1), date(2500, 1, 1)))
+        assert time.perf_counter() - started < 0.5
 
 
 class TestSelectionCompiledOncePerQuery:

@@ -275,8 +275,10 @@ class TestSlices:
             Selection(index.schema),
             iosched=sched,
         )
-        assert part.dropped == 1
-        assert part.disk_reads == {Level.DAY: 7}
+        assert part.stats.partial and part.stats.quarantined_cubes == 1
+        assert part.stats.disk_reads_by_level == {Level.DAY: 7}
+        assert part.stats.phases["phase1.fetch.disk"][1] == 8
+        assert part.stats.phases["phase2.aggregate"][1] == 7
         assert index.quarantined_keys() == [keys[2]]
         assert int(part.arrays[0]) == 3 * 7  # three updates a day
 
@@ -362,11 +364,9 @@ class TestExecutorOverlap:
             )
         finally:
             sched.shutdown()
-        trace = result.stats.trace
-        assert trace is not None
-        phases = trace.phases
+        phases = result.stats.phases
         fetched = sum(
-            phases[name].count
+            phases[name][1]
             for name in ("phase1.fetch.cache", "phase1.fetch.disk")
             if name in phases
         )

@@ -16,15 +16,10 @@ from datetime import date
 
 import pytest
 
-from repro.core.query import AnalysisQuery
+from repro.core.query import AnalysisQuery, QueryStats
 from repro.dashboard.server import DashboardServer
-from repro.obs import (
-    MetricsRegistry,
-    PhaseTiming,
-    QueryTrace,
-    get_registry,
-    metric_key,
-)
+from repro.obs import MetricsRegistry, get_registry, metric_key
+from repro.types.temporal import Level
 
 
 # -- counters ---------------------------------------------------------------
@@ -306,44 +301,61 @@ class TestExports:
         assert not errors
 
 
-# -- traces -----------------------------------------------------------------
+# -- the per-query record ---------------------------------------------------
 
 
-class TestQueryTrace:
-    def test_empty_trace_is_falsy(self):
-        assert not QueryTrace("q")
+class TestQueryStatsPhases:
+    def test_add_phase_accumulates(self):
+        stats = QueryStats()
+        assert stats.phases == {} and stats.phase_rows() == []
+        stats.add_phase("phase1.fetch.disk", 0.010)
+        stats.add_phase("phase1.fetch.disk", 0.020, count=3)
+        seconds, count = stats.phases["phase1.fetch.disk"]
+        assert seconds == pytest.approx(0.030) and count == 4
+        stats.add_phase("phase2.aggregate", 0.005)
+        assert stats.phase_seconds("phase1.") == pytest.approx(0.030)
+        assert stats.phase_seconds("") == pytest.approx(0.035)
 
-    def test_add_accumulates(self):
-        trace = QueryTrace("q")
-        trace.add("phase1.fetch.disk", 0.010)
-        trace.add("phase1.fetch.disk", 0.020)
-        assert trace.phases["phase1.fetch.disk"].seconds == pytest.approx(0.030)
-        assert trace.phases["phase1.fetch.disk"].count == 2
-        assert trace.total_seconds == pytest.approx(0.030)
-        assert "phase1.fetch.disk" in trace
+    def test_merge_is_exact_and_leaves_the_clocks_alone(self):
+        stats = QueryStats(cube_count=5, missing_days=1, wall_seconds=2.0)
+        stats.add_phase("phase1.plan", 0.001, 4)
+        part = QueryStats(
+            cache_hits=2,
+            disk_reads=3,
+            coalesced_reads=1,
+            quarantined_cubes=1,
+            partial=True,
+            cache_hits_by_level={Level.WEEK: 2},
+            disk_reads_by_level={Level.DAY: 3},
+            wall_seconds=9.0,
+            memo_hit=True,
+        )
+        part.add_phase("phase1.fetch.disk", 0.5, 4)
+        stats.merge(part)
+        stats.merge(part)
+        assert (stats.cube_count, stats.missing_days) == (5, 1)
+        assert (stats.cache_hits, stats.disk_reads, stats.coalesced_reads) == (4, 6, 2)
+        assert stats.partial and stats.quarantined_cubes == 2
+        assert stats.cache_hits_by_level == {Level.WEEK: 4}
+        assert stats.disk_reads_by_level == {Level.DAY: 6}
+        assert stats.phases == {
+            "phase1.plan": (0.001, 4),
+            "phase1.fetch.disk": (1.0, 8),
+        }
+        assert stats.wall_seconds == 2.0 and not stats.memo_hit
+        assert part.cache_hits_by_level == {Level.WEEK: 2}  # untouched
 
-    def test_span_times_a_block(self):
-        trace = QueryTrace("q")
-        with trace.span("work"):
-            pass
-        assert trace.phases["work"].count == 1
-        assert trace.phases["work"].seconds >= 0.0
-
-    def test_format_and_to_dict(self):
-        trace = QueryTrace("my query")
-        trace.add("phase1.plan", 0.001)
-        trace.add("phase2.aggregate", 0.003)
-        trace.meta["cubes"] = 4
-        rendered = trace.format()
-        assert "my query" in rendered
-        assert "phase1.plan" in rendered and "phase2.aggregate" in rendered
-        as_dict = trace.to_dict()
-        assert as_dict["meta"] == {"cubes": 4}
-        assert [p["phase"] for p in as_dict["phases"]] == [
-            "phase1.plan",
-            "phase2.aggregate",
+    def test_phase_rows_are_json_ready(self):
+        stats = QueryStats()
+        stats.add_phase("phase1.plan", 0.001)
+        stats.add_phase("phase2.aggregate", 0.003, count=7)
+        rows = stats.phase_rows()
+        assert [(row["phase"], row["count"]) for row in rows] == [
+            ("phase1.plan", 1),
+            ("phase2.aggregate", 7),
         ]
-        json.dumps(as_dict)
+        assert rows[1]["ms"] == pytest.approx(3.0)
+        json.dumps(rows)
 
 
 # -- default registry -------------------------------------------------------
@@ -367,18 +379,16 @@ QUERY = AnalysisQuery(
 class TestSystemIntegration:
     def test_query_records_trace_with_both_phases(self, ingested_system):
         result = ingested_system.dashboard.analysis(QUERY)
-        trace = result.stats.trace
-        assert trace is not None and trace
-        phases = trace.phases
+        phases = result.stats.phases
         assert "phase1.plan" in phases
         assert "phase2.aggregate" in phases
-        zero = PhaseTiming(0.0, 0)
-        fetched = (
-            phases.get("phase1.fetch.cache", zero).count
-            + phases.get("phase1.fetch.disk", zero).count
+        fetched = sum(
+            phases.get(name, (0.0, 0))[1]
+            for name in ("phase1.fetch.cache", "phase1.fetch.disk")
         )
         assert fetched == result.stats.cube_count
-        assert trace.meta["cubes"] == result.stats.cube_count
+        assert phases["phase2.aggregate"][1] == result.stats.cube_count
+        assert not result.stats.memo_hit
 
     def test_metrics_reconcile_with_disk_stats(self, ingested_system):
         system = ingested_system
@@ -454,7 +464,11 @@ class TestMetricsEndpoint:
         )
         with urllib.request.urlopen(request) as response:
             payload = json.loads(response.read())
-        assert payload["stats"]["trace"]["phases"]
+        assert {row["phase"] for row in payload["stats"]["phases"]} >= {
+            "phase1.plan",
+            "phase2.aggregate",
+        }
+        assert "trace" not in payload["stats"]
 
         with urllib.request.urlopen(server.url + "/metrics") as response:
             assert response.status == 200

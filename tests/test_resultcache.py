@@ -98,39 +98,29 @@ class TestSystemMemoization:
         first = memo_system.dashboard.analysis(query)
         second = memo_system.dashboard.analysis(query)
         assert second.rows == first.rows
-        assert second.stats.trace.meta.get("result_cache") == "hit"
+        assert second.stats.memo_hit
         assert second.stats.cube_count == 0  # no plan, no fetch
-        assert first.stats.trace.meta.get("result_cache") is None
+        assert not first.stats.memo_hit
         assert memo_system.metrics.value("rased_resultcache_hits_total") >= 1
 
     def test_ingesting_a_new_day_invalidates(self, memo_system):
         query = AnalysisQuery(start=date(2021, 7, 1), end=date(2021, 7, 31))
         before = memo_system.dashboard.analysis(query)
-        assert (
-            memo_system.dashboard.analysis(query).stats.trace.meta.get(
-                "result_cache"
-            )
-            == "hit"
-        )
+        assert memo_system.dashboard.analysis(query).stats.memo_hit
         memo_system.publish_day(date(2021, 7, 4))
         memo_system.pipeline.run_daily()  # index.put bumps the epoch
         after = memo_system.dashboard.analysis(query)
-        assert after.stats.trace.meta.get("result_cache") is None
+        assert not after.stats.memo_hit
         assert after.total > before.total  # day 4's updates are visible
 
     def test_live_poll_invalidates(self, memo_system):
         query = AnalysisQuery(start=date(2021, 7, 1), end=date(2021, 7, 31))
         memo_system.dashboard.analysis(query)
-        assert (
-            memo_system.dashboard.analysis(query).stats.trace.meta.get(
-                "result_cache"
-            )
-            == "hit"
-        )
+        assert memo_system.dashboard.analysis(query).stats.memo_hit
         memo_system.publish_partial_day(date(2021, 7, 5), through_hour=6)
         memo_system.poll_live()  # absorbing overlays bumps the epoch
         fresh = memo_system.dashboard.analysis(query)
-        assert fresh.stats.trace.meta.get("result_cache") is None
+        assert not fresh.stats.memo_hit
 
     def test_live_overlay_never_poisons_the_memo(self, memo_system):
         """analysis_live mutates its result rows; the memo must not see it."""

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+
+from repro.core.deadline import Deadline, deadline_scope
 
 from repro.dashboard.admission import (
     AdmissionConfig,
@@ -22,7 +26,11 @@ from repro.dashboard.admission import (
     Tenant,
     TenantRegistry,
 )
-from repro.dashboard.server import DashboardServer, MAX_SAMPLE_N
+from repro.dashboard.server import (
+    DashboardServer,
+    MAX_SAMPLE_N,
+    run_analysis_request,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +95,137 @@ class TestContentLengthValidation:
         status, payload = raw_post(server, "/analysis", body, str(len(body)))
         assert status == 200
         assert payload["rows"]
+
+
+#: Bodies that are the client's fault.  Each used to answer 500
+#: ``internal error`` — an availability miss on the SLO tracker and a
+#: kept error trace — because a ``TypeError``/``AttributeError``/
+#: ``OverflowError`` escaped the request parser.
+MALFORMED_BODIES = [
+    ("/analysis", "[]"),
+    ("/analysis", '"x"'),
+    ("/analysis", "5"),
+    ("/analysis", "null"),
+    ("/analysis", '{"start": 20210101, "end": "2021-01-05"}'),
+    ("/analysis", '{"start": "2021-01-01", "end": "2021-01-05", "group_by": 5}'),
+    ("/analysis", '{"start": "2021-01-01", "end": "2021-01-05", "group_by": [5]}'),
+    ("/analysis", '{"start": "2021-01-01", "end": "2021-01-05", "countries": [5]}'),
+    ("/analysis", '{"start": "2021-01-01", "end": "2021-01-05", "road_types": "x"}'),
+    ("/analysis/sql", "[]"),
+    ("/analysis/sql", "5"),
+    ("/analysis/sql", '{"sql": 5}'),
+    ("/analysis", '{"start": "0001-01-01", "end": "9999-12-31"}'),
+    ("/analysis/live", '{"start": "0001-01-01", "end": "9999-12-31"}'),
+    (
+        "/analysis/sql",
+        '{"sql": "SELECT COUNT(*) FROM UpdateList U '
+        'WHERE U.Date BETWEEN 0001-01-01 AND 9999-12-31"}',
+    ),
+    # Ten thousand years of daily points: bounded, not planned.
+    (
+        "/analysis",
+        '{"start": "0001-01-01", "end": "9998-12-30", "group_by": ["date"]}',
+    ),
+]
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize("path,body", MALFORMED_BODIES)
+    def test_malformed_body_is_400(self, server, path, body):
+        started = time.perf_counter()
+        status, payload = raw_post(
+            server, path, body.encode(), str(len(body.encode()))
+        )
+        assert status == 400, payload
+        assert "internal error" not in payload["error"]
+        assert time.perf_counter() - started < 0.5
+
+    def test_null_group_by_and_filters_mean_absent(self, server):
+        body = json.dumps(
+            {
+                "start": "2021-01-01",
+                "end": "2021-01-07",
+                "group_by": None,
+                "countries": None,
+            }
+        ).encode()
+        status, payload = raw_post(server, "/analysis", body, str(len(body)))
+        assert status == 200 and payload["group_by"] == []
+
+    @pytest.mark.fuzz
+    def test_any_json_body_is_answered_without_a_5xx(self, ingested_system):
+        """Whatever JSON value arrives on an ``/analysis*`` route, the
+        answer is 200, 400 or (budget spent) 504 — never a 5xx that
+        burns the error budget for a confused client."""
+        seed = 20260901
+        rng = random.Random(seed)
+        dates = [
+            "2021-01-01", "2021-01-20", "2021-02-28", "2021-13-01", "0001-01-01",
+            "9998-12-31", "9999-12-31", "1500-01-01", "2500-01-01", "", "today",
+        ]
+        words = [
+            "country", "date", "element_type", "road_type", "update_type",
+            "germany", "way", "create", "count", "percentage", "day", "week",
+            "month", "year", "x", "",
+        ]
+        fields = [
+            "start", "end", "group_by", "element_types", "countries",
+            "road_types", "update_types", "metric", "date_granularity", "sql",
+        ]
+
+        def value(depth=0):
+            kind = rng.randrange(9 if depth < 2 else 6)
+            if kind == 0:
+                return None
+            if kind == 1:
+                return rng.choice([True, False])
+            if kind == 2:
+                return rng.choice([0, -1, 5, 20210101, 2**63, 1.5, 1e308])
+            if kind == 3:
+                return rng.choice(dates)
+            if kind in (4, 5):
+                return rng.choice(words)
+            if kind == 6:
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            if kind == 7:
+                return [rng.choice(words) for _ in range(rng.randrange(1, 4))]
+            return {rng.choice(fields): value(depth + 1) for _ in range(rng.randrange(4))}
+
+        def body(kind):
+            if rng.random() < 0.2:
+                return value()
+            start, end = sorted(rng.choice(dates[:3]) for _ in range(2))
+            if kind == "sql":
+                if rng.random() < 0.3:
+                    start, end = rng.choice(dates), rng.choice(dates)
+                document = {
+                    "sql": "SELECT U.Country, COUNT(*) FROM UpdateList U "
+                    f"WHERE U.Date BETWEEN {start} AND {end} GROUP BY U.Country"
+                }
+            else:
+                document = {
+                    "start": start,
+                    "end": end,
+                    "group_by": rng.sample(words[:5], k=rng.randrange(3)),
+                    "metric": rng.choice(words[8:10]),
+                    "date_granularity": rng.choice(words[10:14]),
+                }
+            for _ in range(rng.randrange(3)):
+                document[rng.choice(fields)] = value()
+            return document
+
+        dashboard = ingested_system.dashboard
+        for case in range(600):
+            kind = rng.choice(["analysis", "live", "sql"])
+            text = json.dumps(body(kind))
+            with deadline_scope(Deadline(0.25)):
+                status, response = run_analysis_request(
+                    dashboard, kind, text.encode()
+                )
+            assert status in (200, 400, 504), (
+                f"seed {seed} case {case}: {kind} {text} -> "
+                f"{status} {response[:200]!r}"
+            )
 
 
 class TestCatchAll500:

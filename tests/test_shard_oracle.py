@@ -14,8 +14,8 @@ over a one-shard index: the degenerate case must be identical too),
 every answer compared key-for-key, value-for-value.  Sharding is a
 property of the page store only — one catalog, one cache — so the
 cache contents and every ``QueryStats`` counter (cubes planned,
-missing days, hits and reads by level) must equal the unsharded
-engine's as well, not just the rows.
+missing days, hits and reads by level, the count of every phase) must
+equal the unsharded engine's as well, not just the rows.
 
 Per shard count the sweep runs 70 queries (40 dashboard-mix across
 two window spans, 20 single-cell, 10 daily series), so the whole
@@ -29,6 +29,7 @@ compare ``analysis_live`` output.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from datetime import date, timedelta
 
@@ -137,22 +138,26 @@ def _assert_identical(oracle_result, sharded_result, query):
     )
 
 
-#: Every plan- and cache-dependent counter of one execution.
-COUNTERS = (
-    "cube_count",
-    "missing_days",
-    "cache_hits",
-    "disk_reads",
-    "cache_hits_by_level",
-    "disk_reads_by_level",
-)
+def _counters(stats):
+    """One execution's record minus its clock readings: every counter
+    field, and the name and count of every phase.  The scatter engine
+    builds its record by ``QueryStats.merge`` of one record per shard,
+    so equality here is the merge being exact."""
+    record = {
+        field.name: getattr(stats, field.name)
+        for field in dataclasses.fields(stats)
+        if field.name not in ("simulated_seconds", "wall_seconds", "phases")
+    }
+    record["phase_counts"] = {
+        phase: count for phase, (_, count) in stats.phases.items()
+    }
+    return record
 
 
 def _assert_same_counters(oracle_result, sharded_result, query):
-    for counter in COUNTERS:
-        assert getattr(sharded_result.stats, counter) == getattr(
-            oracle_result.stats, counter
-        ), f"{counter} diverges for {query}"
+    expected = _counters(oracle_result.stats)
+    assert len(expected) == 11 and expected["phase_counts"]
+    assert _counters(sharded_result.stats) == expected, f"diverges for {query}"
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)

@@ -11,8 +11,8 @@ The load-bearing properties:
   leader's trace, not a phantom load of its own;
 * error / partial / deadline-exceeded traces are always retained by the
   recorder, no matter the sampling knobs;
-* the classic :class:`QueryTrace` phase view and the span tree stay
-  mutually derivable (``flush_spans`` / ``from_spans``).
+* the phase spans under ``query.execute`` are a view of the query's
+  one record: exactly ``QueryStats.phases``, nothing kept beside it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from datetime import date
 import pytest
 
 from repro.core.deadline import Deadline, deadline_scope
+from repro.core.executor import QueryExecutor
 from repro.core.iosched import IOScheduler
 from repro.core.query import AnalysisQuery
 from repro.dashboard.admission import AdmissionConfig, AdmissionController
@@ -35,15 +36,14 @@ from repro.errors import DeadlineExceededError
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
-    QueryTrace,
     RecordedTrace,
     Tracer,
-    attach,
     current_span,
     current_trace_id,
     record_span,
     span,
 )
+from repro.obs.span import reset_ambient, set_ambient
 
 
 class _ListSink:
@@ -169,10 +169,14 @@ class TestSpans:
         seen: list[str | None] = []
 
         def worker(parent):
-            with attach(parent):
+            token = set_ambient(parent)
+            try:
                 seen.append(current_trace_id())
                 with span("threaded"):
                     pass
+            finally:
+                reset_ambient(token)
+            seen.append(current_trace_id())
 
         with tracer.trace("root") as root:
             thread = threading.Thread(target=worker, args=(current_span(),))
@@ -180,36 +184,54 @@ class TestSpans:
             thread.join()
             expected = root.trace_id
         [trace] = sink.traces
-        assert seen == [expected]
+        assert seen == [expected, None]
         assert "threaded" in trace.span_names()
         _assert_connected(trace)
 
 
-# -- QueryTrace as a view over the span tree --------------------------------
+# -- the phase spans are a view of the query's one record -------------------
 
 
 class TestPhaseView:
-    def test_flush_and_from_spans_round_trip(self):
+    def test_phase_spans_carry_the_record(self, ingested_system):
         sink = _ListSink()
-        tracer = Tracer(recorder=sink)
-        qtrace = QueryTrace("q")
-        qtrace.add("phase1.plan", 0.010)
-        qtrace.add("phase1.fetch.disk", 0.020)
-        qtrace.add("phase1.fetch.disk", 0.030)
-        with tracer.trace("query"):
-            qtrace.flush_spans()
-        [trace] = sink.traces
-        rebuilt = QueryTrace.from_spans(trace.spans, name="query")
-        assert rebuilt.phases["phase1.plan"].seconds == pytest.approx(0.010)
-        assert rebuilt.phases["phase1.fetch.disk"].seconds == pytest.approx(
-            0.050
+        executor = QueryExecutor(
+            ingested_system.index,
+            cache=ingested_system.cache,
+            tracer=Tracer(recorder=sink),
+            metrics=MetricsRegistry(),
         )
-        assert rebuilt.phases["phase1.fetch.disk"].count == 2
+        stats = executor.execute(QUERY).stats
+        [trace] = sink.traces
+        [root] = [s for s in trace.spans if s.name == "query.execute"]
+        flushed = {
+            s.name: (s.duration_seconds, s.attributes.get("count", 1))
+            for s in trace.spans
+            if s.name.startswith("phase")
+        }
+        assert flushed == stats.phases
+        assert {"phase1.plan", "phase2.aggregate"} <= set(flushed)
+        assert all(
+            s.parent_id == root.span_id
+            for s in trace.spans
+            if s.name.startswith("phase")
+        )
+        assert root.attributes == {
+            "cubes": stats.cube_count,
+            "cache_hits": stats.cache_hits,
+            "disk_reads": stats.disk_reads,
+        }
 
-    def test_flush_without_trace_is_a_noop(self):
-        qtrace = QueryTrace("q")
-        qtrace.add("phase1.plan", 0.010)
-        qtrace.flush_spans()  # no ambient trace: must not raise
+    def test_flush_without_trace_is_a_noop(self, ingested_system):
+        executor = QueryExecutor(
+            ingested_system.index,
+            cache=ingested_system.cache,
+            metrics=MetricsRegistry(),
+        )
+        # No tracer, no ambient trace: the record is filled all the same.
+        stats = executor.execute(QUERY).stats
+        assert current_span() is None
+        assert {"phase1.plan", "phase2.aggregate"} <= set(stats.phases)
 
 
 # -- flight recorder --------------------------------------------------------
@@ -483,8 +505,8 @@ class TestHttpTracing:
         disk_reads = [s for s in spans if s["name"] == "storage.disk.read"]
         for s in disk_reads:
             assert s["parent_id"] in ids
-        # The flat phase view is served alongside the tree.
-        assert tree["phases"]["name"] == "http.request"
+        # The tree carries the phase spans; no second, flat copy of them.
+        assert "phases" not in tree
 
     def test_server_error_trace_is_retained(
         self, traced_server, ingested_system, monkeypatch

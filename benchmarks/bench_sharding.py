@@ -25,6 +25,7 @@ from datetime import date, timedelta
 
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
+from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.shard import (
     ScatterGatherExecutor,
@@ -134,13 +135,15 @@ def run_scatter_sweep(smoke: bool = False) -> dict:
             else:
                 index = _shard_clone(flat, shards)
                 index.store.reset_stats()
+                # The width RasedSystem gives a sharded deployment.
+                sched = IOScheduler(max_workers=min(8, shards))
                 engine = ScatterGatherExecutor(
-                    index, optimizer=LevelOptimizer(index)
+                    index, optimizer=LevelOptimizer(index), iosched=sched
                 )
                 try:
                     stats = run_queries(engine, queries)
                 finally:
-                    engine.shutdown()
+                    sched.shutdown()
             by_shards[str(shards)] = stats
         baseline = by_shards["1"]["avg_sim_ms"]
         for shards in SCATTER_SHARDS:

@@ -118,11 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     system = _open_system(
         args.root,
-        _config(
-            durable_ingest=args.durable,
-            feed_retry_attempts=args.feed_retries,
-            feed_breaker_threshold=args.feed_breaker,
-        ),
+        _config(durable_ingest=args.durable),
         shards=args.shards,
     )
     # Opening a durable deployment already rolled back any batch a
@@ -421,19 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run ingestion through the write-ahead intent log "
         "(crash-safe, atomic per-day batches)",
     )
-    ingest.add_argument(
-        "--feed-retries",
-        type=int,
-        default=3,
-        help="attempts per replication-feed poll (1 disables retries)",
-    )
-    ingest.add_argument(
-        "--feed-breaker",
-        type=int,
-        default=5,
-        help="consecutive feed failures that open the circuit breaker "
-        "(0 disables it)",
-    )
     ingest.set_defaults(func=_cmd_ingest)
 
     rebuild = sub.add_parser(
@@ -493,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scatter-threads",
         type=int,
         default=None,
-        help="scatter pool width when the root is sharded (default "
+        help="I/O scheduler width when the root is sharded (default "
         "min(8, shards); raise for in-process serving so concurrent "
-        "requests' subqueries don't queue behind one another)",
+        "requests' shard gathers don't queue behind one another)",
     )
     serve.add_argument(
         "--workers",

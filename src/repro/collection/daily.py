@@ -28,12 +28,11 @@ from datetime import date, datetime
 from typing import Iterator
 
 from repro.types.dimensions import UPDATE_CREATE, UPDATE_DELETE, UPDATE_GEOMETRY
-from repro.errors import GeocodeError
 from repro.obs.span import span as causal_span
-from repro.collection.geocode import Geocoder, Location
+from repro.collection.geocode import Geocoder
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.osm.changesets import ChangesetStore
-from repro.osm.model import OSMElement, OSMNode, road_type_of
+from repro.osm.model import OSMElement, road_type_of
 from repro.osm.replication import ReplicationFeed
 from repro.osm.xml_io import OsmChange
 
@@ -92,7 +91,7 @@ class DailyCrawler:
                 result.updates.append(record)
 
     def _to_record(self, action: str, element: OSMElement) -> UpdateRecord | None:
-        location = self._locate(element)
+        location = self.geocoder.locate(element, self.changesets)
         if location is None:
             return None
         return UpdateRecord(
@@ -106,30 +105,7 @@ class DailyCrawler:
             changeset_id=element.changeset,
         )
 
-    def _locate(self, element: OSMElement) -> Location | None:
-        try:
-            if isinstance(element, OSMNode) and element.visible:
-                return self.geocoder.locate_node(element)
-            changeset = self.changesets.lookup(element.changeset)
-            if changeset is None:
-                return None
-            return self.geocoder.locate_changeset(changeset)
-        except GeocodeError:
-            return None
-
     # -- feed loop ----------------------------------------------------------
-
-    def crawl_sequence(self, sequence: int) -> DailyCrawlResult:
-        """Crawl one specific daily diff by sequence number."""
-        _, timestamp = self.feed.state(sequence)
-        result = DailyCrawlResult(sequence=sequence, timestamp=timestamp)
-        with causal_span("feed.crawl") as crawl_span:
-            self.process_change(self.feed.fetch(sequence), result)
-            if crawl_span is not None:
-                crawl_span.attributes["sequence"] = sequence
-                crawl_span.attributes["rows"] = len(result.updates)
-                crawl_span.attributes["skipped"] = result.skipped
-        return result
 
     def crawl_new(self) -> Iterator[DailyCrawlResult]:
         """Crawl every diff published since the last run, in order."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from repro.errors import GeocodeError
 from repro.geo.geometry import Point
 from repro.geo.zones import Zone, ZoneAtlas
-from repro.osm.changesets import Changeset
-from repro.osm.model import OSMNode
+from repro.osm.changesets import Changeset, ChangesetStore
+from repro.osm.model import OSMElement, OSMNode
 
 __all__ = ["Geocoder", "Location"]
 
@@ -51,3 +51,19 @@ class Geocoder:
             )
         center, zones = self.atlas.resolve_bbox(changeset.bbox)
         return Location(point=center, country=zones[0])
+
+    def locate(
+        self, element: OSMElement, changesets: ChangesetStore
+    ) -> Location | None:
+        """Locate any update the way both crawlers do: a visible node at
+        its own coordinates, anything else through its changeset;
+        ``None`` when neither resolves."""
+        try:
+            if isinstance(element, OSMNode) and element.visible:
+                return self.locate_node(element)
+            changeset = changesets.lookup(element.changeset)
+            if changeset is None:
+                return None
+            return self.locate_changeset(changeset)
+        except GeocodeError:
+            return None

@@ -21,12 +21,11 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from repro.types.temporal import TemporalKey
-from repro.errors import GeocodeError
-from repro.collection.geocode import Geocoder, Location
+from repro.collection.geocode import Geocoder
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.osm.changesets import ChangesetStore
 from repro.osm.history import HistoryUpdate, iter_history_updates
-from repro.osm.model import OSMElement, OSMNode, road_type_of
+from repro.osm.model import OSMElement, road_type_of
 
 __all__ = ["MonthlyCrawler", "MonthlyCrawlResult"]
 
@@ -77,7 +76,7 @@ class MonthlyCrawler:
 
     def _to_record(self, update: HistoryUpdate) -> UpdateRecord | None:
         element = update.element
-        location = self._locate(element)
+        location = self.geocoder.locate(element, self.changesets)
         if location is None:
             return None
         # A deleted element's after-image may carry no tags; recover the
@@ -96,14 +95,3 @@ class MonthlyCrawler:
             update_type=update.update_type,
             changeset_id=element.changeset,
         )
-
-    def _locate(self, element: OSMElement) -> Location | None:
-        try:
-            if isinstance(element, OSMNode) and element.visible:
-                return self.geocoder.locate_node(element)
-            changeset = self.changesets.lookup(element.changeset)
-            if changeset is None:
-                return None
-            return self.geocoder.locate_changeset(changeset)
-        except GeocodeError:
-            return None

@@ -24,8 +24,8 @@ executor *is* one local gather over the whole index;
 :class:`repro.core.shard.ScatterGatherExecutor` overrides only the
 seam, running one local gather per shard and adding the exact int64
 partials.  With an :class:`~repro.core.iosched.IOScheduler` wired the
-misses are read as one overlapped, single-flighted batch; without one
-they are read one at a time, in plan order.
+misses are read as one overlapped batch; without one they are read one
+at a time, in plan order.
 
 Response-time accounting mirrors the reproduction's simulated disk:
 ``wall_seconds`` is real elapsed time, while ``simulated_seconds``
@@ -125,12 +125,8 @@ def local_gather(
     charged_before = store.stats.simulated_seconds
 
     def load(key: TemporalKey) -> AnyCube | None:
-        """One page read.
-
-        Degradable failures return ``None`` rather than raising, so
-        the scheduler's single-flight machinery shares the miss
-        sentinel with coalesced followers instead of poisoning them.
-        """
+        """One page read; a degradable failure is ``None`` for its key
+        rather than an exception that would abandon the whole batch."""
         try:
             return index.get(key)
         except DEGRADABLE_READ_ERRORS:
@@ -156,14 +152,12 @@ def local_gather(
     if misses:
         if iosched is not None:
             # Phase boundary: the cache sweep was free; the miss batch
-            # is where the disk cost starts.  Loads this call *led* are
-            # then rebooked as one concurrent batch, so the virtual
-            # clock charges the queue-depth makespan, not the sum.
+            # is where the disk cost starts.  Its reads are then
+            # rebooked as one concurrent batch, so the virtual clock
+            # charges the queue-depth makespan, not the sum.
             check_deadline("phase1.fetch.disk")
-            batch = iosched.fetch_many(misses, load)
-            store.rebook_overlapped_reads(batch.led)
-            stats.coalesced_reads = batch.coalesced
-            cubes.update(batch.values)
+            cubes.update(iosched.fetch_many(misses, load))
+            store.rebook_overlapped_reads(len(misses))
         else:
             for key in misses:
                 # Every miss is one real page read, so the deadline is
@@ -224,8 +218,8 @@ class QueryExecutor:
         self.network_sizes = network_sizes
         self.metrics = metrics if metrics is not None else get_registry()
         #: When set, a gather's cache misses are read as one overlapped
-        #: batch on the scheduler's pool (single-flight deduplicated
-        #: across queries); when ``None``, one at a time in plan order.
+        #: batch on the scheduler's pool; when ``None``, one at a time
+        #: in plan order.
         self.iosched = iosched
         #: When set, whole results are memoized keyed by the (frozen)
         #: query and invalidated by the index epoch.
@@ -263,8 +257,6 @@ class QueryExecutor:
         attributes["cubes"] = stats.cube_count
         attributes["cache_hits"] = stats.cache_hits
         attributes["disk_reads"] = stats.disk_reads
-        if stats.coalesced_reads:
-            attributes["coalesced_reads"] = stats.coalesced_reads
         if stats.memo_hit:
             attributes["result_cache"] = "hit"
         if stats.partial:

@@ -130,9 +130,6 @@ class QueryStats:
     cube_count: int = 0
     cache_hits: int = 0
     disk_reads: int = 0
-    #: Of ``disk_reads``, how many coalesced onto another in-flight
-    #: query's read instead of touching the device (single-flight).
-    coalesced_reads: int = 0
     missing_days: int = 0
     #: ``True`` when at least one planned cube could not be served
     #: (corrupt/vanished page, quarantined mid-query): the totals are a
@@ -183,7 +180,6 @@ class QueryStats:
         self.cube_count += other.cube_count
         self.cache_hits += other.cache_hits
         self.disk_reads += other.disk_reads
-        self.coalesced_reads += other.coalesced_reads
         self.missing_days += other.missing_days
         self.partial = self.partial or other.partial
         self.quarantined_cubes += other.quarantined_cubes

@@ -25,10 +25,10 @@ places the index's pages across N **shards**:
 * :class:`ScatterGatherExecutor` — the query pipeline of
   :mod:`repro.core.executor` with one seam overridden: the planned
   keys are grouped by owning shard and each group runs the shared
-  :func:`~repro.core.executor.local_gather` on a bounded pool (the
-  :mod:`repro.core.iosched` hand-off pattern: ambient span and
-  deadline cross the pool boundary explicitly); the per-shard partial
-  arrays are merged with :func:`~repro.types.cube.sum_arrays`.
+  :func:`~repro.core.executor.local_gather` as one task of
+  :meth:`repro.core.iosched.IOScheduler.run` (which carries the
+  ambient span and deadline across the pool boundary); the per-shard
+  partial arrays are merged with :func:`~repro.types.cube.sum_arrays`.
 
 **Correctness argument** (verified end-to-end by
 ``tests/test_shard_oracle.py``): an analysis answer is plan-invariant
@@ -59,31 +59,23 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.cache import CacheManager
 from repro.types.temporal import Level, TemporalKey
 from repro.types.cube import Selection, sum_arrays
-from repro.core.deadline import (
-    Deadline,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-)
+from repro.core.deadline import check_deadline
 from repro.types.dimensions import CubeSchema
 from repro.core.executor import GatherPartial, QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.optimizer import LevelOptimizer
-from repro.core.percentages import NetworkSizeRegistry
 from repro.core.query import QueryStats
-from repro.core.resultcache import EpochCounter, ResultCache
+from repro.core.resultcache import EpochCounter
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.geo.zones import ZoneAtlas
-from repro.obs import MetricsRegistry, metric_key
-from repro.obs.span import Span, Tracer, current_span, reset_ambient, set_ambient
+from repro.obs import metric_key
+from repro.obs.span import span as causal_span
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.pages import DiskStats, PageStore
 
@@ -95,9 +87,6 @@ __all__ = [
     "shard_stores_for",
     "detect_shard_count",
 ]
-
-#: Default bound on concurrent per-shard subqueries per executor.
-DEFAULT_SHARD_WORKERS = 8
 
 _K_SUBQUERIES = metric_key("rased_shard_subqueries_total")
 _K_DEAD = metric_key("rased_shard_dead_total")
@@ -303,10 +292,6 @@ class ShardedPageStore(PageStore):
         for store in self._all_stores():
             store.parallelism = value
 
-    def rebook_overlapped_reads(self, reads: int) -> float:
-        """No-op: overlap on a sharded store is credited per scatter."""
-        return 0.0
-
     def credit_scatter(self, per_shard_seconds: Sequence[float]) -> float:
         """Credit the virtual clock for one scatter's cross-shard overlap.
 
@@ -418,12 +403,14 @@ class ScatterGatherExecutor(QueryExecutor):
     quarantine-overlap degradation are all inherited from
     :class:`QueryExecutor`; only the :meth:`_gather` seam changes —
     the position-tagged keys are grouped by owning shard and each
-    group runs as one :func:`~repro.core.executor.local_gather` on a
-    bounded thread pool, the shard partials merged per window position
-    with :func:`sum_arrays`.  A whole time series is therefore ONE
-    fan-out: a 90-day daily chart costs one scatter, not 90.
+    group is one :func:`~repro.core.executor.local_gather`, fanned out
+    through the base's ``iosched`` (:meth:`IOScheduler.run`; shard by
+    shard on the calling thread without one), the shard partials merged
+    per window position with :func:`sum_arrays`.  A whole time series
+    is therefore ONE fan-out: a 90-day daily chart costs one scatter,
+    not 90.
 
-    A subquery that raises (a dying shard) degrades the answer:
+    A shard gather that raises (a dying shard) degrades the answer:
     its keys are dropped and ``partial=true`` is set — the quarantine
     contract, never a wrong total.  :class:`DeadlineExceededError` is
     the exception: an expired request propagates (the client gets its
@@ -431,7 +418,7 @@ class ScatterGatherExecutor(QueryExecutor):
 
     ``fault_hook`` is the shard-level injection point used by
     :func:`repro.testing.faults.shard_fault_hook`: it runs at each
-    subquery's entry with ``(shard_id, shard_store)`` and may raise
+    shard gather's entry with ``(shard_id, shard_store)`` and may raise
     (shard-kill) or charge latency (slow shard).  ``None`` — the
     default — costs nothing, keeping fault injection a strict no-op in
     production.
@@ -440,36 +427,13 @@ class ScatterGatherExecutor(QueryExecutor):
     def __init__(
         self,
         index: ShardedIndex,
-        cache: CacheManager | None = None,
-        optimizer: LevelOptimizer | None = None,
-        network_sizes: NetworkSizeRegistry | None = None,
-        metrics: MetricsRegistry | None = None,
-        result_cache: ResultCache | None = None,
-        tracer: Tracer | None = None,
-        max_workers: int | None = None,
         fault_hook: Callable[[int, PageStore], None] | None = None,
+        **options: Any,
     ) -> None:
-        super().__init__(
-            index,
-            cache=cache,
-            optimizer=optimizer,
-            network_sizes=network_sizes,
-            metrics=metrics,
-            iosched=None,  # scatter replaces the per-key overlap path
-            result_cache=result_cache,
-            tracer=tracer,
-        )
+        """``options`` are :class:`QueryExecutor`'s own, keyword for
+        keyword (``cache``, ``optimizer``, ``iosched``, ...)."""
+        super().__init__(index, **options)
         self.sharded_index = index
-        workers = (
-            max_workers
-            if max_workers is not None
-            else min(DEFAULT_SHARD_WORKERS, index.shard_count)
-        )
-        if workers < 1:
-            raise ConfigError("scatter-gather needs at least one worker")
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="rased-shard"
-        )
         self.fault_hook = fault_hook
 
     def shard_status(self) -> list[dict[str, object]]:
@@ -480,10 +444,6 @@ class ScatterGatherExecutor(QueryExecutor):
             for entry, count in zip(status, cached):
                 entry["cached_cubes"] = count
         return status
-
-    def shutdown(self) -> None:
-        """Stop the scatter pool (idempotent; running subqueries finish)."""
-        self._pool.shutdown(wait=True)
 
     # -- the scattered gather ------------------------------------------------
 
@@ -506,42 +466,26 @@ class ScatterGatherExecutor(QueryExecutor):
         # Phase boundary: the fan-out is where the disk cost starts.
         check_deadline("phase1.fetch.disk")
         started = time.perf_counter()
-        # ContextVars do NOT cross pool submissions: capture the
-        # submitter's ambient span AND deadline here and re-attach both
-        # inside each subquery (the core.iosched hand-off pattern).
-        parent = current_span()
-        deadline = current_deadline()
-        submitted: list[tuple[int, Future[GatherPartial]]] = [
-            (
-                shard,
-                self._pool.submit(
-                    self._subquery_attached,
-                    parent,
-                    deadline,
-                    shard,
-                    shard_items,
-                    selection,
-                ),
-            )
-            for shard, shard_items in sorted(by_shard.items())
+        groups = sorted(by_shard.items())
+        tasks = [
+            partial(self._shard_gather, shard, shard_items, selection)
+            for shard, shard_items in groups
         ]
+        gathered = (
+            self.iosched.run(tasks)
+            if self.iosched is not None
+            else [task() for task in tasks]
+        )
         per_position: dict[int, list[np.ndarray]] = {}
         charged: list[float] = []
         dead_shards = 0
-        for shard, future in submitted:
-            try:
-                part = future.result()
-            except DeadlineExceededError:
-                raise
-            except Exception:  # lint: allow[broad-except] dead-shard boundary: any subquery failure degrades to partial=true, never a wrong total
-                # The shard died mid-query (injected fault, lost
-                # worker, poisoned store): drop its keys and degrade —
+        for (_, shard_items), part in zip(groups, gathered):
+            if part is None:
+                # The shard died mid-query: drop its keys and degrade —
                 # a lower bound, never a silently wrong total.
                 dead_shards += 1
                 stats.merge(
-                    QueryStats(
-                        partial=True, quarantined_cubes=len(by_shard[shard])
-                    )
+                    QueryStats(partial=True, quarantined_cubes=len(shard_items))
                 )
                 continue
             for position, array in part.arrays.items():
@@ -557,7 +501,7 @@ class ScatterGatherExecutor(QueryExecutor):
         stats.add_phase(
             "phase2.aggregate", time.perf_counter() - merge_started, count=0
         )
-        incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(submitted)))]
+        incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(tasks)))]
         if dead_shards:
             incs.append((_K_DEAD, float(dead_shards)))
         if credit:
@@ -565,36 +509,33 @@ class ScatterGatherExecutor(QueryExecutor):
         self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
         return arrays
 
-    def _subquery_attached(
+    def _shard_gather(
         self,
-        parent: Span | None,
-        deadline: Deadline | None,
         shard: int,
         items: list[tuple[int, TemporalKey]],
         selection: Selection,
-    ) -> GatherPartial:
-        """Pool entry point: re-attach the submitter's span + deadline,
-        then run this shard's local gather."""
-        with deadline_scope(deadline):
-            check_deadline("shard.query")
-            span = token = None
-            if parent is not None:
-                span = parent.trace.new_span("shard.query", parent.span_id)
-                token = set_ambient(span)
-            try:
+    ) -> GatherPartial | None:
+        """One shard's local gather; ``None`` when the shard is dead.
+
+        Its misses are read serially (no ``iosched``): this may be a
+        pool task, and a pool task must never wait on the pool.  Any
+        failure but an expired deadline is caught *here*, after it has
+        errored the ``shard.query`` span, so one dead shard cannot
+        abandon the fan-out.
+        """
+        check_deadline("shard.query")
+        try:
+            with causal_span("shard.query") as span:
+                if span is not None:
+                    span.attributes["shard"] = shard
+                    span.attributes["keys"] = len(items)
                 store = self.sharded_index.routed.shard_stores[shard]
                 if self.fault_hook is not None:
                     self.fault_hook(shard, store)
                 return local_gather(
                     self.index, self.cache, items, selection, store=store
                 )
-            except BaseException as exc:
-                if span is not None:
-                    span.set_error(exc)
-                raise
-            finally:
-                if span is not None and token is not None:
-                    reset_ambient(token)
-                    span.attributes["shard"] = shard
-                    span.attributes["keys"] = len(items)
-                    span.finish()
+        except DeadlineExceededError:
+            raise
+        except Exception:  # lint: allow[broad-except] dead-shard boundary: any shard failure (injected fault, lost worker, poisoned store) degrades to partial=true, never a wrong total
+            return None

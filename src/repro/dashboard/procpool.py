@@ -52,14 +52,14 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 from repro.dashboard.api import Dashboard
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError
 from repro.core.deadline import Deadline, deadline_scope
 
-__all__ = ["ProcessPoolDispatcher", "DISPATCH_KINDS"]
+__all__ = ["ProcessPoolDispatcher"]
 
-#: Request kinds the dispatcher understands, mirroring the three
-#: ``POST /analysis*`` endpoint bodies.
-DISPATCH_KINDS = ("analysis", "live", "sql")
+#: The only workable start method: the dashboard factory is a closure,
+#: which ``fork`` inherits and any other method would have to pickle.
+_START_METHOD = "fork"
 
 #: The worker process's dashboard, built once by :func:`_worker_init`.
 _WORKER_DASHBOARD: Dashboard | None = None
@@ -121,12 +121,11 @@ class ProcessPoolDispatcher:
         self,
         factory: Callable[[], Dashboard],
         workers: int,
-        start_method: str = "fork",
     ) -> None:
         if workers < 1:
             raise ConfigError(f"worker count must be >= 1, got {workers}")
         self.workers = workers
-        context = multiprocessing.get_context(start_method)
+        context = multiprocessing.get_context(_START_METHOD)
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
@@ -167,8 +166,6 @@ class ProcessPoolDispatcher:
         worker traces its own executions), so there is no ambient
         context to hand off.
         """
-        if kind not in DISPATCH_KINDS:
-            raise QueryError(f"unknown dispatch kind {kind!r}")
         future = self._pool.submit(_worker_run, kind, body, deadline_ms)  # lint: allow[conc-context] deadline forwarded explicitly as ms and re-scoped in the worker; spans cannot cross processes
         return future.result()
 

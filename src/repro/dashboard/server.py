@@ -190,6 +190,16 @@ _POST_KINDS = {
 }
 
 
+def _error_response(exc: Exception) -> tuple[int, dict[str, object]]:
+    """The one failure -> ``(status, document)`` mapping of every route."""
+    if isinstance(exc, DeadlineExceededError):
+        return 504, {"error": str(exc)}
+    if isinstance(exc, (RasedError, ValueError)):
+        # json.JSONDecodeError is a ValueError subclass.
+        return 400, {"error": str(exc)}
+    return 500, {"error": f"internal error: {exc}"}
+
+
 def run_analysis_request(
     dashboard: Dashboard, kind: str, body: bytes
 ) -> tuple[int, bytes]:
@@ -217,13 +227,8 @@ def run_analysis_request(
         else:
             raise QueryError(f"unknown request kind {kind!r}")
         status, document = 200, result_to_json(result)
-    except DeadlineExceededError as exc:
-        status, document = 504, {"error": str(exc)}
-    except (RasedError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError subclass.
-        status, document = 400, {"error": str(exc)}
-    except Exception as exc:  # lint: allow[broad-except] request boundary: every failure must map to a JSON 500, not a broken future
-        status, document = 500, {"error": f"internal error: {exc}"}
+    except Exception as exc:  # lint: allow[broad-except] request boundary: every failure must map to a JSON error document, not a broken future
+        status, document = _error_response(exc)
     # default=str covers non-JSON leaves in dumped span attributes
     # (TemporalKey page keys are stored raw on the fetch hot path).
     return status, json.dumps(document, default=str).encode("utf-8")
@@ -441,6 +446,13 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             with deadline_scope(decision.deadline):
                 self._run_guarded(handler)
+            # Raised by a GET handler or returned by an analysis
+            # request (in-process or from a pool worker): either way
+            # the request died on its deadline.
+            if self._status == 504:
+                admission.record_deadline_hit(
+                    _path_family(urlparse(self.path).path)
+                )
         finally:
             admission.release()
 
@@ -448,19 +460,11 @@ class _Handler(BaseHTTPRequestHandler):
         """Run a handler with the full error -> status mapping."""
         try:
             handler()
-        except DeadlineExceededError as exc:
-            if self.admission is not None:
-                self.admission.record_deadline_hit(
-                    _path_family(urlparse(self.path).path)
-                )
-            self._send(504, {"error": str(exc)})
-        except (RasedError, ValueError) as exc:
-            # json.JSONDecodeError is a ValueError subclass.
-            self._send(400, {"error": str(exc)})
         except Exception as exc:  # lint: allow[broad-except] last-resort 500; re-raised if the response already started
-            if self._responded:
+            status, document = _error_response(exc)
+            if status == 500 and self._responded:
                 raise
-            self._send(500, {"error": f"internal error: {exc}"})
+            self._send(status, document)
 
     def do_GET(self) -> None:  # noqa: N802
         self._timed(self._handle_get)
@@ -641,8 +645,6 @@ class _Handler(BaseHTTPRequestHandler):
             status, response = dispatcher.run(kind, body, deadline_ms)
         else:
             status, response = run_analysis_request(self.dashboard, kind, body)
-        if status == 504 and self.admission is not None:
-            self.admission.record_deadline_hit(_path_family(parsed.path))
         self._send_bytes(status, response, "application/json")
 
 

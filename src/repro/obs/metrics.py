@@ -203,22 +203,20 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels: str) -> None:
         self.observe_key(metric_key(name, **labels), value)
 
-    def peak_key(self, key: MetricKey, value: float) -> None:
+    def peak(self, name: str, value: float, **labels: str) -> None:
         """Raise a high-water-mark series to ``value`` if it is higher.
 
         Peaks live alongside the counters (and render as counter
-        series), but record a maximum instead of a sum — e.g. the
-        deepest the I/O scheduler's in-flight set ever got.  They are
-        monotonic like counters, so scrapers may treat them uniformly.
+        series), but record a maximum instead of a sum — e.g. the most
+        requests admission ever had in flight.  They are monotonic like
+        counters, so scrapers may treat them uniformly.
         """
         if not self.enabled:
             return
+        key = metric_key(name, **labels)
         with self._lock:
             if value > self._counters.get(key, 0.0):
                 self._counters[key] = value
-
-    def peak(self, name: str, value: float, **labels: str) -> None:
-        self.peak_key(metric_key(name, **labels), value)
 
     def record_batch(
         self,

@@ -4,9 +4,9 @@
 time go" as five folded phase totals — good enough for one query
 executed on one thread, blind to everything the concurrent engine
 adds: work done inside :class:`repro.core.iosched.IOScheduler`
-pool threads, single-flight followers blocked on another query's load,
-admission verdicts, WAL writes.  This module is the causal layer the
-phases are recorded into (one :func:`record_span` each):
+pool threads, admission verdicts, WAL writes.  This module is the
+causal layer the phases are recorded into (one :func:`record_span`
+each):
 
 * :class:`Span` — one timed operation with a ``trace_id``/``span_id``/
   ``parent_id`` identity, free-form attributes, and an ok/partial/error
@@ -16,8 +16,9 @@ phases are recorded into (one :func:`record_span` each):
   span the current logical task is inside.  ``ContextVar`` does *not*
   cross thread-pool boundaries by itself; :func:`set_ambient` /
   :func:`reset_ambient` are the explicit hand-off a worker brackets
-  its body with (the I/O scheduler captures :func:`current_span` at
-  submit time and re-attaches it in the worker).
+  its body with (:meth:`repro.core.iosched.IOScheduler.run` captures
+  :func:`current_span` at submit time and re-attaches it around each
+  pool task — the only such site).
 * :class:`Tracer` — the entry point that opens a **root** span, runs
   the block under it, and hands the completed tree to a
   :class:`~repro.obs.recorder.FlightRecorder`-shaped sink.  Nested
@@ -345,14 +346,12 @@ def current_span() -> Span | None:
     return _CURRENT_SPAN.get()
 
 
-def set_ambient(span: Span) -> object:
+def set_ambient(span: Span | None) -> object:
     """Low-level ambient-span set; pair with :func:`reset_ambient`.
 
-    Prefer :func:`span` — this exists for call sites that hand a
-    captured span across a pool boundary and hand-roll its lifecycle
-    off the context-manager protocol (the I/O scheduler's and the
-    scatter pool's worker paths, where every microsecond of
-    setup/teardown serializes across a batch of pool threads).
+    Prefer :func:`span` — this exists for the one call site that
+    re-attaches a span captured on another thread
+    (:meth:`repro.core.iosched.IOScheduler.run`'s pool tasks).
     """
     return _CURRENT_SPAN.set(span)
 

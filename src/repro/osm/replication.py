@@ -30,6 +30,8 @@ __all__ = [
     "ResilientFeed",
     "RetryPolicy",
     "CircuitBreaker",
+    "CRAWL_RETRY_POLICY",
+    "CRAWL_BREAKER_THRESHOLD",
     "sequence_path",
     "GRANULARITIES",
 ]
@@ -262,6 +264,13 @@ class CircuitBreaker:
             self._state = "open"
             self._opened_at = self._clock()
             self._failures = 0
+
+
+#: The armor every deployment's daily crawl polls through
+#: (``RasedSystem.crawl_feed``).  Both parts act on failures only, so
+#: a healthy feed costs nothing and no page or I/O count can move.
+CRAWL_RETRY_POLICY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.25)
+CRAWL_BREAKER_THRESHOLD = 5
 
 
 class ResilientFeed:

@@ -63,8 +63,12 @@ class HashIndex:
 
     def flush(self) -> int:
         """Merge buffered entries into bucket pages; returns pages written."""
+        # Taken out before the first write: a concurrent ``lookup`` adds
+        # ``_pending`` to what it reads from the page, so an entry left
+        # there after its bucket was written would be returned twice.
+        pending, self._pending = self._pending, defaultdict(list)
         written = 0
-        for bucket, entries in sorted(self._pending.items()):
+        for bucket, entries in sorted(pending.items()):
             existing = self._read_bucket(bucket)
             existing.extend(entries)
             payload = b"".join(
@@ -73,7 +77,6 @@ class HashIndex:
             )
             self.store.write(self._bucket_id(bucket), payload)
             written += 1
-        self._pending.clear()
         return written
 
     def discard_pending(self) -> int:

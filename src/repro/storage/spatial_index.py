@@ -20,7 +20,7 @@ from collections import defaultdict
 from typing import Iterable
 
 from repro.errors import ConfigError, PageNotFoundError, StorageError
-from repro.geo.geometry import BBox, Point
+from repro.geo.geometry import BBox
 from repro.storage.pages import PageStore
 from repro.storage.warehouse import RowPointer
 
@@ -52,8 +52,10 @@ class GridSpatialIndex:
         )
 
     def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        col = min(int((lon + 180.0) / self._cell_w), self.cols - 1)
-        row = min(int((lat + 90.0) / self._cell_h), self.rows - 1)
+        # Clamped at both edges: an out-of-range coordinate files under
+        # the edge cell, where a query reaching that edge looks.
+        col = min(max(int((lon + 180.0) / self._cell_w), 0), self.cols - 1)
+        row = min(max(int((lat + 90.0) / self._cell_h), 0), self.rows - 1)
         return col, row
 
     def _cell_id(self, cell: tuple[int, int]) -> str:
@@ -72,8 +74,12 @@ class GridSpatialIndex:
 
     def flush(self) -> int:
         """Merge buffered entries into cell pages; returns pages written."""
+        # Taken out before the first write: a concurrent ``query`` adds
+        # ``_pending`` to what it reads from the page, so an entry left
+        # there after its cell was written would be returned twice.
+        pending, self._pending = self._pending, defaultdict(list)
         written = 0
-        for cell, entries in sorted(self._pending.items()):
+        for cell, entries in sorted(pending.items()):
             existing = self._read_cell(cell)
             existing.extend(entries)
             payload = b"".join(
@@ -82,7 +88,6 @@ class GridSpatialIndex:
             )
             self.store.write(self._cell_id(cell), payload)
             written += 1
-        self._pending.clear()
         return written
 
     def discard_pending(self) -> int:
@@ -115,16 +120,24 @@ class GridSpatialIndex:
         stops early once ``limit`` pointers are collected, so a sample
         query over a dense region touches few cell pages.
         """
+        found: list[RowPointer] = []
+        if limit is not None and limit <= 0:
+            return found
         col_lo, row_lo = self._cell_of(box.min_lat, box.min_lon)
         col_hi, row_hi = self._cell_of(box.max_lat, box.max_lon)
-        found: list[RowPointer] = []
         for row in range(row_lo, row_hi + 1):
             for col in range(col_lo, col_hi + 1):
                 cell = (col, row)
                 entries = self._read_cell(cell)
                 entries.extend(self._pending.get(cell, []))
                 for lat, lon, pointer in entries:
-                    if box.contains_point(Point(lon=lon, lat=lat)):
+                    # Compared raw, not through a (range-validating)
+                    # ``Point``: a stray stored in an edge cell must not
+                    # fail every query that visits the cell.
+                    if (
+                        box.min_lon <= lon <= box.max_lon
+                        and box.min_lat <= lat <= box.max_lat
+                    ):
                         found.append(pointer)
                         if limit is not None and len(found) >= limit:
                             return found

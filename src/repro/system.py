@@ -26,7 +26,7 @@ from repro.types.temporal import TemporalKey, month_key
 from repro.types.dimensions import CubeSchema, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.iosched import IOScheduler
+from repro.core.iosched import DEFAULT_IO_WORKERS, IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.percentages import NetworkSizeRegistry
 from repro.core.resultcache import EpochCounter, ResultCache
@@ -55,10 +55,11 @@ from repro.obs import (
 )
 from repro.osm.changesets import ChangesetStore
 from repro.osm.replication import (
+    CRAWL_BREAKER_THRESHOLD,
+    CRAWL_RETRY_POLICY,
     CircuitBreaker,
     ReplicationFeed,
     ResilientFeed,
-    RetryPolicy,
 )
 from repro.storage.disk import InMemoryDisk
 from repro.storage.hash_index import HashIndex
@@ -96,16 +97,16 @@ class SystemConfig:
     #: depend on it; the differential oracle suite
     #: (``tests/test_shard_oracle.py``) proves N>1 answers byte-equal.
     shards: int = 1
-    #: Scatter pool width for sharded execution.  ``None`` sizes the
-    #: pool to ``min(8, shards)`` — right for one query at a time.  A
-    #: serving deployment handling concurrent requests through one
-    #: in-process executor should raise it (subqueries from all
-    #: in-flight queries share this pool, and an undersized pool
-    #: serializes their page reads).
+    #: Width of the I/O scheduler's pool when sharded (one task per
+    #: owning shard).  ``None`` sizes it to ``min(8, shards)`` — right
+    #: for one query at a time; a deployment handling concurrent
+    #: requests through one in-process executor should raise it (the
+    #: shard gathers of all in-flight queries share the pool).
     scatter_threads: int | None = None
-    #: Width of the executor's I/O scheduler pool (phase-1 page reads
-    #: are overlapped and single-flighted).  1 disables the scheduler:
-    #: a gather's misses are then read one at a time, in plan order.
+    #: Width of the I/O scheduler's pool when unsharded (phase-1 page
+    #: reads are overlapped).  At width 1 — either knob — there is no
+    #: scheduler: misses are read one at a time in plan order, shards
+    #: gathered one after another.
     fetch_parallelism: int = 4
     #: Slots in the epoch-versioned whole-result memo cache in front
     #: of the executor.  0 disables memoization, so repeated identical
@@ -115,12 +116,6 @@ class SystemConfig:
     #: ingest / monthly rebuild becomes one atomic batch, and a crash
     #: at any point rolls back cleanly on the next start.
     durable_ingest: bool = False
-    #: Attempts per replication-feed poll operation (1 = no retries).
-    #: Retries back off exponentially with seeded jitter.
-    feed_retry_attempts: int = 1
-    #: Consecutive feed failures that open the poller's circuit
-    #: breaker (0 disables the breaker).
-    feed_breaker_threshold: int = 0
     #: Front-door policy for the HTTP server: auth, rate limits,
     #: quotas, per-request deadlines, and load shedding.  The default
     #: disables every feature, so nothing is admission-checked.
@@ -232,25 +227,15 @@ class RasedSystem:
             self.wal.recover()
             effective_store = self.wal.store
 
-        #: The feed the daily crawler polls: armored with retries and a
-        #: circuit breaker when configured, the raw feed otherwise.
-        self.crawl_feed: ReplicationFeed | ResilientFeed = self.day_feed
-        if config.feed_retry_attempts > 1 or config.feed_breaker_threshold > 0:
-            self.crawl_feed = ResilientFeed(
-                self.day_feed,
-                policy=RetryPolicy(
-                    attempts=max(config.feed_retry_attempts, 1),
-                    base_delay=0.01,
-                    max_delay=0.25,
-                ),
-                breaker=(
-                    CircuitBreaker(config.feed_breaker_threshold)
-                    if config.feed_breaker_threshold > 0
-                    else None
-                ),
-                seed=config.simulation.seed,
-                metrics=self.metrics,
-            )
+        #: The feed the daily crawler polls: the day feed behind retries
+        #: and a circuit breaker (both fire on failures only).
+        self.crawl_feed = ResilientFeed(
+            self.day_feed,
+            policy=CRAWL_RETRY_POLICY,
+            breaker=CircuitBreaker(CRAWL_BREAKER_THRESHOLD),
+            seed=config.simulation.seed,
+            metrics=self.metrics,
+        )
 
         index_options: dict[str, Any] = dict(
             atlas=atlas,
@@ -277,12 +262,17 @@ class RasedSystem:
         self.network_sizes = NetworkSizeRegistry(
             atlas, self.simulator.road_network_sizes()
         )
-        #: The scatter pool replaces the I/O scheduler when sharded:
-        #: cross-shard overlap comes from concurrent subqueries, not
-        #: from overlapping one shard's reads.
+        #: One scheduler at any shard count: it overlaps page reads
+        #: unsharded and shard gathers sharded (whose own reads are
+        #: then serial — cross-shard overlap replaces per-read overlap).
+        width = (
+            (config.scatter_threads or min(DEFAULT_IO_WORKERS, config.shards))
+            if sharded_index is not None
+            else config.fetch_parallelism
+        )
         self.iosched = (
-            IOScheduler(max_workers=config.fetch_parallelism, metrics=self.metrics)
-            if config.fetch_parallelism > 1 and config.shards <= 1
+            IOScheduler(max_workers=width, metrics=self.metrics)
+            if width > 1
             else None
         )
         self.result_cache = (
@@ -290,20 +280,16 @@ class RasedSystem:
             if config.result_cache_slots > 0
             else None
         )
-        executor_options: dict[str, Any] = dict(
+        engine = QueryExecutor if sharded_index is None else ScatterGatherExecutor
+        self.executor: QueryExecutor = engine(
+            self.index,
             cache=self.cache,
             optimizer=LevelOptimizer(self.index, metrics=self.metrics),
             network_sizes=self.network_sizes,
             metrics=self.metrics,
+            iosched=self.iosched,
             result_cache=self.result_cache,
             tracer=self.tracer,
-        )
-        self.executor: QueryExecutor = (
-            ScatterGatherExecutor(
-                sharded_index, max_workers=config.scatter_threads, **executor_options
-            )
-            if sharded_index is not None
-            else QueryExecutor(self.index, iosched=self.iosched, **executor_options)
         )
         self.pipeline = IngestionPipeline(
             daily_crawler=DailyCrawler(

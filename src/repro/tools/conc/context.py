@@ -4,13 +4,13 @@ The deadline (:mod:`repro.core.deadline`) and span
 (:mod:`repro.obs.span`) contexts ride in ``ContextVar``\\ s, which do
 **not** cross ``Executor.submit`` or ``threading.Thread`` boundaries —
 a worker starts with empty ambient state, silently orphaning traces
-and outliving deadlines.  :mod:`repro.core.iosched` shows the required
-hand-off: capture the ambient value on the submitting thread and pass
-it into the worker, which re-attaches it::
+and outliving deadlines.  :meth:`repro.core.iosched.IOScheduler.run`
+shows the required hand-off: capture the ambient value on the
+submitting thread and pass it into the worker, which re-attaches it::
 
     parent = current_span()
     deadline = current_deadline()
-    self._pool.submit(self._work, parent, deadline, key)
+    self._pool.submit(_attached, parent, deadline, task)
 
 A submission site passes this rule, per context kind, when either
 

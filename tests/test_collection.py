@@ -283,7 +283,8 @@ class TestDailyCrawler:
     def test_crawl_specific_sequence(self, atlas, crawl_setup):
         _, feed, changesets, truth_by_day, _ = crawl_setup
         crawler = DailyCrawler(feed, changesets, Geocoder(atlas))
-        result = crawler.crawl_sequence(2)
+        crawler.last_sequence = 1  # resume after it: the next diff is #2
+        result = next(crawler.crawl_new())
         assert result.sequence == 2
         assert result.day == date(2021, 3, 3)
 

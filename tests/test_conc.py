@@ -172,7 +172,7 @@ class TestRealTree:
         locks = report.graph["locks"]
         for qualname in (
             "repro.core.cache.CacheManager._lock",
-            "repro.core.iosched.IOScheduler._lock",
+            "repro.core.hierarchy.HierarchicalIndex._catalog_lock",
             "repro.obs.metrics.MetricsRegistry._lock",
         ):
             assert qualname in locks, sorted(locks)

@@ -1,5 +1,5 @@
 """Concurrency stress: mixed queries, ingestion, and live polling
-through one system, plus single-flight dedup asserted on disk counters."""
+through one system."""
 
 from __future__ import annotations
 
@@ -15,14 +15,10 @@ import pytest
 import repro
 from repro.core.executor import QueryExecutor
 from repro.testing.lockwitness import LockWitness
-from repro.core.iosched import IOScheduler
-from repro.core.optimizer import FlatPlanner
 from repro.core.query import AnalysisQuery
-from repro.obs import MetricsRegistry
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from tests.test_iosched import make_small_index
 
 pytestmark = pytest.mark.stress
 
@@ -81,9 +77,9 @@ class TestMixedWorkloadStress:
         self._race(build_stress_system(atlas))
 
     def test_sharded_queries_ingest_and_live_poll_race_safely(self, atlas):
-        """The same race with the scatter pool's threads sharing the
-        one catalog and the one cache (a short switch interval makes
-        the interleavings dense)."""
+        """The same race with the shard gathers' pool threads sharing
+        the one catalog and the one cache (a short switch interval
+        makes the interleavings dense)."""
         system = build_stress_system(atlas, shards=4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
@@ -91,7 +87,7 @@ class TestMixedWorkloadStress:
             self._race(system)
         finally:
             sys.setswitchinterval(interval)
-            system.executor.shutdown()
+            system.iosched.shutdown()
 
     def _race(self, system: RasedSystem) -> None:
         before_total = system.dashboard.analysis(WINDOW).total
@@ -170,76 +166,4 @@ class TestMixedWorkloadStress:
         memo_hit = system.dashboard.analysis(WINDOW)
         assert memo_hit.stats.memo_hit
         assert memo_hit.rows == bare.rows
-        if system.config.shards == 1:  # sharded reads overlap on the scatter pool
-            assert system.iosched is not None
-            assert system.iosched.inflight_count == 0
-
-
-class _GatedDisk(InMemoryDisk):
-    """A disk whose reads (once armed) park on a gate, so a test can
-    hold the single-flight leader mid-read while followers pile up."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.armed = False
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-
-    def read(self, page_id: str) -> bytes:
-        if self.armed:
-            self.entered.set()
-            assert self.gate.wait(timeout=10)
-        return super().read(page_id)
-
-
-class TestSingleFlightOnDiskCounters:
-    def test_concurrent_duplicate_misses_read_disk_once(self):
-        """8 simultaneous queries missing one cube: exactly 1 disk read."""
-        registry = MetricsRegistry()
-        index, _ = make_small_index(days=1)
-        gated = _GatedDisk(read_latency=0.005, write_latency=0.0, metrics=registry)
-        for page_id in index.store.list_pages():
-            gated.write(page_id, index.store.read(page_id))
-        index.store = gated
-        gated.reset_stats()
-
-        sched = IOScheduler(max_workers=8, metrics=registry)
-        executor = QueryExecutor(index, optimizer=FlatPlanner(index), iosched=sched)
-        query = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 1))
-        results = []
-        errors: list[BaseException] = []
-
-        def worker():
-            try:
-                results.append(executor.execute(query))
-            except BaseException as exc:  # noqa: BLE001 - collected
-                errors.append(exc)
-
-        gated.armed = True
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        try:
-            threads[0].start()
-            assert gated.entered.wait(timeout=10)
-            for thread in threads[1:]:
-                thread.start()
-            deadline = time.perf_counter() + 10
-            while (
-                registry.value("rased_iosched_coalesced_total") < 7
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.001)
-        finally:
-            gated.gate.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        sched.shutdown()
-
-        assert errors == []
-        assert len(results) == 8
-        assert gated.stats.reads == 1  # the acceptance criterion
-        assert sum(r.stats.coalesced_reads for r in results) == 7
-        assert sum(1 for r in results if r.stats.coalesced_reads == 0) == 1
-        reference = results[0].rows
-        assert all(r.rows == reference for r in results)
-        # Every query still *accounts* one phase-1 disk fetch.
-        assert all(r.stats.disk_reads == 1 for r in results)
+        assert system.iosched is not None  # one scheduler at any shard count

@@ -333,6 +333,11 @@ class TestHttpServer:
         assert status == 200
         assert len(payload["samples"]) <= 5
 
+    def test_samples_n_zero_is_an_empty_list(self, server):
+        status, payload = http_get(server, "/samples?zone=germany&n=0")
+        assert status == 200
+        assert payload == {"samples": []}
+
     def test_samples_requires_zone(self, server):
         status, payload = http_get(server, "/samples")
         assert status == 400

@@ -691,20 +691,16 @@ class TestSelectionCompiledOncePerQuery:
                 countries=("germany", "qatar"),
             ),
         ]
-        try:
-            for query in queries:
-                calls.clear()
-                reduced.clear()
-                result = executor.execute(query)
-                assert len(calls) == 1, f"{len(calls)} compiles for {query}"
-                assert result.stats.cube_count == len(reduced) > 15
-                assert len({id(selection) for selection in reduced}) == 1
-                if shards > 1:
-                    owners = {executor.index.shard_for(k) for k in executor.plan(query).keys}
-                    assert len(owners) > 1  # the one selection crossed shards
-        finally:
+        for query in queries:
+            calls.clear()
+            reduced.clear()
+            result = executor.execute(query)
+            assert len(calls) == 1, f"{len(calls)} compiles for {query}"
+            assert result.stats.cube_count == len(reduced) > 15
+            assert len({id(selection) for selection in reduced}) == 1
             if shards > 1:
-                executor.shutdown()
+                owners = {executor.index.shard_for(k) for k in executor.plan(query).keys}
+                assert len(owners) > 1  # the one selection crossed shards
 
     def test_series_rows_match_per_window_queries(self, year_updates):
         """The column-wise row shaping puts the date where group_by says."""

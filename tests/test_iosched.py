@@ -1,11 +1,10 @@
-"""Tests for the I/O scheduler: single-flight dedup, overlapped
+"""Tests for the I/O scheduler: the ``run`` primitive, overlapped
 fetches, and the virtual disk's queue-depth (rebook) accounting."""
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 from datetime import date, timedelta
 
 import pytest
@@ -13,7 +12,7 @@ import pytest
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.types.dimensions import default_schema
 from repro.types.temporal import Level
-from repro.core.deadline import Deadline, deadline_scope
+from repro.core.deadline import Deadline, check_deadline, deadline_scope
 from repro.core.executor import QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
@@ -21,6 +20,7 @@ from repro.core.optimizer import FlatPlanner
 from repro.core.query import AnalysisQuery
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.obs import MetricsRegistry
+from repro.obs.span import Tracer, span
 from repro.storage.disk import InMemoryDisk
 from repro.types.cube import Selection
 
@@ -62,72 +62,89 @@ def make_small_index(
     return index, disk
 
 
+@pytest.fixture()
+def sched():
+    sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+    yield sched
+    sched.shutdown()
+
+
+class TestRun:
+    """``IOScheduler.run``: the one way work crosses to a thread."""
+
+    def test_first_task_on_the_caller_the_rest_on_the_pool(self, sched):
+        def name():
+            return threading.current_thread().name
+
+        ran_on = sched.run([name, name, name])
+        assert ran_on[0] == threading.current_thread().name
+        assert all(thread.startswith("rased-io") for thread in ran_on[1:])
+        # Results come back in task order, whichever finished first.
+        assert sched.run([lambda n=n: n * n for n in range(6)]) == [
+            0, 1, 4, 9, 16, 25
+        ]
+
+    def test_pool_task_spans_parent_to_the_submitters_span(self, sched):
+        sink: list = []
+
+        class Sink:
+            record = staticmethod(sink.append)
+
+        def task():
+            with span("work"):
+                return threading.current_thread().name
+
+        with Tracer(recorder=Sink()).trace("query") as root:
+            ran_on = sched.run([task, task])
+        assert ran_on[1].startswith("rased-io")
+        [trace] = sink
+        work = [s for s in trace.spans if s.name == "work"]
+        assert sorted(s.thread_name for s in work) == sorted(ran_on)
+        assert all(s.parent_id == root.span_id for s in work)
+
+    def test_pool_task_sees_the_submitters_expired_deadline(self, sched):
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        on_pool: list[str] = []
+
+        def checks():
+            on_pool.append(threading.current_thread().name)
+            check_deadline("in-task")
+
+        with deadline_scope(deadline):
+            sched.run([lambda: None, checks])  # within budget: passes
+            now[0] = 2.0
+            with pytest.raises(DeadlineExceededError, match="in-task"):
+                sched.run([lambda: None, checks])
+        assert len(on_pool) == 2 and on_pool[1].startswith("rased-io")
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_any_tasks_exception_reaches_the_caller(self, sched, failing):
+        def task(n):
+            if n == failing:
+                raise KeyError(n)
+            return n
+
+        with pytest.raises(KeyError):
+            sched.run([lambda n=n: task(n) for n in range(3)])
+
+
 class TestSingleFlight:
-    def test_concurrent_fetches_share_one_load(self):
-        sched = IOScheduler(max_workers=8, metrics=MetricsRegistry())
-        gate = threading.Event()
-        entered = threading.Event()
-        load_calls = []
-
-        def slow_load(key):
-            load_calls.append(key)
-            entered.set()
-            assert gate.wait(timeout=5)
-            return f"value-of-{key}"
-
-        results: list[tuple[str, bool]] = []
-        errors: list[BaseException] = []
-
-        def worker():
-            try:
-                results.append(sched.fetch("K", slow_load))
-            except BaseException as exc:  # pragma: no cover - fail path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        threads[0].start()
-        assert entered.wait(timeout=5)  # leader is inside the load
-        for thread in threads[1:]:
-            thread.start()
-        # Wait until all 7 followers have parked on the leader's future.
-        deadline = time.perf_counter() + 5
-        while (
-            sched.metrics.value("rased_iosched_coalesced_total") < 7
-            and time.perf_counter() < deadline
-        ):
-            time.sleep(0.001)
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not errors
-        assert len(load_calls) == 1  # exactly one real load
-        assert [value for value, _ in results] == ["value-of-K"] * 8
-        assert sum(1 for _, led in results if led) == 1
-        assert sched.inflight_count == 0
-
-    def test_leader_exception_propagates_to_followers(self):
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
-
-        def boom(key):
-            raise ValueError(f"cannot load {key}")
-
-        with pytest.raises(ValueError, match="cannot load K"):
-            sched.fetch("K", boom)
-        # The in-flight entry is cleaned up: a retry runs a fresh load.
-        value, led = sched.fetch("K", lambda key: 42)
-        assert (value, led) == (42, True)
+    """``fetch_many``'s contract for ONE batch (the class keeps its name
+    from the cross-batch in-flight table it once covered; what is left
+    of "single flight" is that a key asked for twice is loaded once)."""
 
     def test_fetch_many_loads_each_key_once(self):
         sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
         loads = []
-        batch = sched.fetch_many(
+        values = sched.fetch_many(
             ["a", "b", "a", "c", "b"],
             lambda key: loads.append(key) or key.upper(),
         )
-        assert batch.values == {"a": "A", "b": "B", "c": "C"}
-        assert batch.led == 3
-        assert batch.coalesced == 0
+        assert values == {"a": "A", "b": "B", "c": "C"}
         assert sorted(loads) == ["a", "b", "c"]
+        assert sched.metrics.value("rased_iosched_fetches_total") == 3
+        assert sched.metrics.value("rased_iosched_batches_total") == 1
 
     def test_fetch_many_propagates_exceptions(self):
         sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
@@ -149,12 +166,6 @@ class TestSlices:
     """``fetch_many`` hands the pool slices, not pages: the call budget
     as counts (no timings), and what must survive the change."""
 
-    @pytest.fixture()
-    def sched(self):
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
-        yield sched
-        sched.shutdown()
-
     @staticmethod
     def _count_submissions(sched, monkeypatch):
         submitted = []
@@ -174,69 +185,66 @@ class TestSlices:
             ran_on.setdefault(key, []).append(threading.current_thread().name)
             return key * key
 
-        batch = sched.fetch_many(range(20), load)
-        assert len(submitted) <= 3
-        assert batch.values == {key: key * key for key in range(20)}
-        assert batch.led + batch.coalesced == 20 and batch.led == 20
+        values = sched.fetch_many(range(20), load)
+        assert len(submitted) == 3
+        assert values == {key: key * key for key in range(20)}
         assert all(len(threads) == 1 for threads in ran_on.values())
-        # <= width slices of <= ceil(20 / 4) keys, one of them run by the
-        # caller: with loads that really wait, the makespan stays 5
-        # latencies.
-        slices = [list(args[3]) for args in submitted]
-        mine = [k for k, (name,) in ran_on.items() if name == threading.current_thread().name]
-        assert all(len(keys) <= 5 for keys in slices) and len(mine) == 5
-        assert sorted(mine + [key for keys in slices for key in keys]) == list(range(20))
+        # 4 slices of ceil(20 / 4) keys, one of them run by the caller:
+        # with loads that really wait, the makespan stays 5 latencies.
+        by_thread: dict[str, list[int]] = {}
+        for key, (name,) in ran_on.items():
+            by_thread.setdefault(name, []).append(key)
+        assert len(by_thread[threading.current_thread().name]) == 5
+        assert sum(len(keys) for keys in by_thread.values()) == 20
+        # A pool thread may take more than one slice; none is cut finer.
+        assert all(len(keys) % 5 == 0 for keys in by_thread.values())
 
     def test_small_batches_stay_off_the_pool(self, sched, monkeypatch):
         submitted = self._count_submissions(sched, monkeypatch)
-        assert sched.fetch_many(["k"], str.upper).values == {"k": "K"}
+        assert sched.fetch_many(["k"], str.upper) == {"k": "K"}
         assert submitted == []
-        assert sched.fetch_many(["a", "b"], str.upper).led == 2
+        assert sched.fetch_many(["a", "b"], str.upper) == {"a": "A", "b": "B"}
         assert len(submitted) == 1  # two slices: the caller's and one more
 
-    def test_concurrent_batches_read_each_page_once(self, sched):
-        """A second batch meeting keys the first has in flight waits for
-        those loads — slice by slice, key by key — and reads nothing."""
-        loads: list[int] = []
-        release = threading.Event()
+    def test_concurrent_batches_each_read_every_page(self):
+        """Nothing is shared between batches: two queries missing the
+        same cubes at once both get every cube, and the store serves
+        each page twice (reuse across queries is the result memo's)."""
+        index, disk = make_small_index(days=8, read_latency=0.0)
+        keys = sorted(index.keys(Level.DAY))
+        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+        both_inside = threading.Barrier(2)
+        met: set[str] = set()
 
         def load(key):
-            loads.append(key)
-            assert release.wait(timeout=5)
-            return -key
+            # Each batch's own thread waits once for the other batch,
+            # so the two are provably in flight together.
+            name = threading.current_thread().name
+            if name.startswith("batch-") and name not in met:
+                met.add(name)
+                both_inside.wait(timeout=5)
+            return index.get(key)
 
-        batches: dict[str, object] = {}
+        batches: dict[str, dict] = {}
 
-        def run(name, keys):
+        def run(name):
             batches[name] = sched.fetch_many(keys, load)
 
-        # 8 keys, 4 slices: the caller and three of the four pool
-        # threads each park inside their slice's first load.
-        first = threading.Thread(target=run, args=("first", range(8)))
-        first.start()
-        deadline = time.perf_counter() + 5
-        while len(loads) < 4 and time.perf_counter() < deadline:
-            time.sleep(0.001)
-        assert sorted(loads) == [0, 1, 2, 3]
-        # Two of those keys again: this caller and the one free pool
-        # thread both find a leader at work.
-        second = threading.Thread(target=run, args=("second", [0, 1]))
-        second.start()
-        while (
-            sched.metrics.value("rased_iosched_coalesced_total") < 2
-            and time.perf_counter() < deadline
-        ):
-            time.sleep(0.001)
-        release.set()
-        for thread in (first, second):
+        threads = [
+            threading.Thread(target=run, args=(name,), name=name)
+            for name in ("batch-a", "batch-b")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        assert sorted(loads) == list(range(8))  # every page read exactly once
-        assert batches["first"].values == {key: -key for key in range(8)}
-        assert (batches["first"].led, batches["first"].coalesced) == (8, 0)
-        assert batches["second"].values == {0: 0, 1: -1}
-        assert (batches["second"].led, batches["second"].coalesced) == (0, 2)
-        assert sched.inflight_count == 0
+        sched.shutdown()
+        for values in batches.values():
+            assert sorted(values) == keys
+            assert all(cube is not None for cube in values.values())
+        assert disk.stats.reads == 2 * len(keys)
+        assert sched.metrics.value("rased_iosched_fetches_total") == 2 * len(keys)
 
     def test_expired_deadline_stops_a_slice_before_its_next_key(self, sched):
         now = [0.0]
@@ -253,7 +261,6 @@ class TestSlices:
         sched.shutdown()  # slices still on the pool stop at their next check
         # Each of the <= 4 slices gets at most one key in; never all 20.
         assert 1 <= len(loaded) <= 4
-        assert sched.inflight_count == 0
 
     def test_already_expired_deadline_loads_nothing(self, sched):
         deadline = Deadline(1.0, clock=iter([0.0] + [5.0] * 100).__next__)

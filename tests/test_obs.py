@@ -322,7 +322,6 @@ class TestQueryStatsPhases:
         part = QueryStats(
             cache_hits=2,
             disk_reads=3,
-            coalesced_reads=1,
             quarantined_cubes=1,
             partial=True,
             cache_hits_by_level={Level.WEEK: 2},
@@ -334,7 +333,7 @@ class TestQueryStatsPhases:
         stats.merge(part)
         stats.merge(part)
         assert (stats.cube_count, stats.missing_days) == (5, 1)
-        assert (stats.cache_hits, stats.disk_reads, stats.coalesced_reads) == (4, 6, 2)
+        assert (stats.cache_hits, stats.disk_reads) == (4, 6)
         assert stats.partial and stats.quarantined_cubes == 2
         assert stats.cache_hits_by_level == {Level.WEEK: 4}
         assert stats.disk_reads_by_level == {Level.DAY: 6}

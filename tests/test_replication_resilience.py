@@ -261,25 +261,27 @@ class TestResilientFeed:
 
 
 class TestSystemWiring:
-    def test_default_config_uses_the_raw_feed(self, atlas, tmp_path):
-        from repro.system import RasedSystem, SystemConfig
-
-        system = RasedSystem.create(root=tmp_path, atlas=atlas)
-        assert system.crawl_feed is system.day_feed
-        assert system.wal is None
-
     def test_armored_config_wraps_the_crawl_feed(self, atlas, tmp_path):
+        """Feed armor is not a knob: under every config the daily crawler
+        polls the day feed through the one retry policy and breaker."""
+        from repro.osm.replication import (
+            CRAWL_BREAKER_THRESHOLD,
+            CRAWL_RETRY_POLICY,
+        )
         from repro.system import RasedSystem, SystemConfig
 
-        system = RasedSystem.create(
-            root=tmp_path,
-            atlas=atlas,
-            config=SystemConfig(
-                feed_retry_attempts=3, feed_breaker_threshold=4
-            ),
-        )
-        assert isinstance(system.crawl_feed, ResilientFeed)
-        assert system.crawl_feed.feed is system.day_feed
-        breaker = system.crawl_feed.breaker
-        assert breaker is not None and breaker.failure_threshold == 4
-        assert system.pipeline.daily_crawler.feed is system.crawl_feed
+        assert (CRAWL_RETRY_POLICY.attempts, CRAWL_BREAKER_THRESHOLD) == (3, 5)
+        for name, config in (
+            ("paper", SystemConfig()),
+            ("serving", SystemConfig.serving(shards=2, durable_ingest=True)),
+        ):
+            system = RasedSystem.create(
+                root=tmp_path / name, atlas=atlas, config=config
+            )
+            assert isinstance(system.crawl_feed, ResilientFeed)
+            assert system.crawl_feed.feed is system.day_feed
+            assert system.crawl_feed.policy is CRAWL_RETRY_POLICY
+            breaker = system.crawl_feed.breaker
+            assert breaker is not None
+            assert breaker.failure_threshold == CRAWL_BREAKER_THRESHOLD
+            assert system.pipeline.daily_crawler.feed is system.crawl_feed

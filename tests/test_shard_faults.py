@@ -77,7 +77,16 @@ def oracle(schema):
     return QueryExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
 
 
-def _build_engine(schema, fault_hook=None, slots=16, result_cache=None):
+@pytest.fixture(scope="module")
+def sched():
+    """The engines below fan out through a real scheduler, so every
+    fault crosses the pool the way it would in a deployment."""
+    sched = IOScheduler(max_workers=SHARDS)
+    yield sched
+    sched.shutdown()
+
+
+def _build_engine(schema, sched, fault_hook=None, slots=16, result_cache=None):
     disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
     index = ShardedIndex(
         schema, ShardedPageStore(shard_stores_for(disk, SHARDS), disk)
@@ -90,6 +99,7 @@ def _build_engine(schema, fault_hook=None, slots=16, result_cache=None):
         index,
         cache=cache,
         optimizer=LevelOptimizer(index),
+        iosched=sched,
         result_cache=result_cache,
         fault_hook=fault_hook,
     )
@@ -105,50 +115,47 @@ def _touched_shards(engine, query):
     return {engine.sharded_index.shard_for(key) for key in plan.keys}
 
 
-def test_dead_shard_yields_partial_lower_bound(schema, oracle):
+def test_dead_shard_yields_partial_lower_bound(schema, oracle, sched):
     """Kill one planned shard: partial=true, every total a lower bound."""
-    engine = _build_engine(schema)
-    try:
-        victim = sorted(_touched_shards(engine, QUERY))[0]
-        plan = FaultPlan(
-            specs=[
-                FaultSpec(
-                    point="shard.query",
-                    kind="error",
-                    page_prefix=f"shard/{victim}",
-                    count=10**9,
-                )
-            ]
-        )
-        engine.fault_hook = shard_fault_hook(plan)
-        truth = oracle.execute(QUERY)
-        degraded = engine.execute(QUERY)
-        assert degraded.stats.partial is True
-        # The dead shard's keys are counted, the survivors' records are
-        # merged in whole: together they account for every planned cube.
-        lost = sum(
-            engine.sharded_index.shard_for(key) == victim
-            for key in engine.plan(QUERY).keys
-        )
-        stats = degraded.stats
-        assert stats.quarantined_cubes == lost >= 1
-        served = stats.cache_hits + stats.disk_reads
-        assert served == stats.cube_count - lost == truth.stats.cube_count - lost
-        assert stats.phases["phase2.aggregate"][1] == served
-        assert plan.fired, "the injected shard fault never fired"
-        # Never a wrong total: every surviving row is <= the truth, and
-        # no row appears that the truth does not have.
-        for key, value in degraded.rows.items():
-            assert key in truth.rows
-            assert value <= truth.rows[key], (key, value, truth.rows[key])
-        assert degraded.rows != truth.rows or len(degraded.rows) < len(
-            truth.rows
-        )
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched)
+    victim = sorted(_touched_shards(engine, QUERY))[0]
+    plan = FaultPlan(
+        specs=[
+            FaultSpec(
+                point="shard.query",
+                kind="error",
+                page_prefix=f"shard/{victim}",
+                count=10**9,
+            )
+        ]
+    )
+    engine.fault_hook = shard_fault_hook(plan)
+    truth = oracle.execute(QUERY)
+    degraded = engine.execute(QUERY)
+    assert degraded.stats.partial is True
+    # The dead shard's keys are counted, the survivors' records are
+    # merged in whole: together they account for every planned cube.
+    lost = sum(
+        engine.sharded_index.shard_for(key) == victim
+        for key in engine.plan(QUERY).keys
+    )
+    stats = degraded.stats
+    assert stats.quarantined_cubes == lost >= 1
+    served = stats.cache_hits + stats.disk_reads
+    assert served == stats.cube_count - lost == truth.stats.cube_count - lost
+    assert stats.phases["phase2.aggregate"][1] == served
+    assert plan.fired, "the injected shard fault never fired"
+    # Never a wrong total: every surviving row is <= the truth, and
+    # no row appears that the truth does not have.
+    for key, value in degraded.rows.items():
+        assert key in truth.rows
+        assert value <= truth.rows[key], (key, value, truth.rows[key])
+    assert degraded.rows != truth.rows or len(degraded.rows) < len(
+        truth.rows
+    )
 
 
-def test_dead_shard_in_series_fanout_yields_partial(schema, oracle):
+def test_dead_shard_in_series_fanout_yields_partial(schema, oracle, sched):
     """Kill a shard under the batched series fan-out: same contract.
 
     A daily series crosses the pool as ONE fan-out carrying every
@@ -159,120 +166,105 @@ def test_dead_shard_in_series_fanout_yields_partial(schema, oracle):
     series = AnalysisQuery(
         start=date(2021, 2, 1), end=date(2021, 3, 15), group_by=("date",)
     )
-    engine = _build_engine(schema)
-    try:
-        victim = sorted(_touched_shards(engine, series))[0]
-        plan = FaultPlan(
-            specs=[
-                FaultSpec(
-                    point="shard.query",
-                    kind="error",
-                    page_prefix=f"shard/{victim}",
-                    count=10**9,
-                )
-            ]
-        )
-        engine.fault_hook = shard_fault_hook(plan)
-        truth = oracle.execute(series)
-        degraded = engine.execute(series)
-        assert degraded.stats.partial is True
-        assert degraded.stats.quarantined_cubes >= 1
-        assert plan.fired, "the injected shard fault never fired"
-        for key, value in degraded.rows.items():
-            assert key in truth.rows
-            assert value <= truth.rows[key], (key, value, truth.rows[key])
-        assert degraded.rows != truth.rows or len(degraded.rows) < len(
-            truth.rows
-        )
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched)
+    victim = sorted(_touched_shards(engine, series))[0]
+    plan = FaultPlan(
+        specs=[
+            FaultSpec(
+                point="shard.query",
+                kind="error",
+                page_prefix=f"shard/{victim}",
+                count=10**9,
+            )
+        ]
+    )
+    engine.fault_hook = shard_fault_hook(plan)
+    truth = oracle.execute(series)
+    degraded = engine.execute(series)
+    assert degraded.stats.partial is True
+    assert degraded.stats.quarantined_cubes >= 1
+    assert plan.fired, "the injected shard fault never fired"
+    for key, value in degraded.rows.items():
+        assert key in truth.rows
+        assert value <= truth.rows[key], (key, value, truth.rows[key])
+    assert degraded.rows != truth.rows or len(degraded.rows) < len(
+        truth.rows
+    )
 
 
-def test_all_shards_dead_yields_empty_partial(schema):
+def test_all_shards_dead_yields_empty_partial(schema, sched):
     plan = FaultPlan.single(
         "shard.query", kind="error", page_prefix="shard/", count=10**9
     )
-    engine = _build_engine(schema, fault_hook=shard_fault_hook(plan))
-    try:
-        result = engine.execute(QUERY)
-        assert result.stats.partial is True
-        assert result.rows == {}
-        assert result.stats.quarantined_cubes == result.stats.cube_count > 0
-        assert result.stats.cache_hits == result.stats.disk_reads == 0
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    result = engine.execute(QUERY)
+    assert result.stats.partial is True
+    assert result.rows == {}
+    assert result.stats.quarantined_cubes == result.stats.cube_count > 0
+    assert result.stats.cache_hits == result.stats.disk_reads == 0
 
 
-def test_shard_heals_after_fault_exhausts(schema, oracle):
+def test_shard_heals_after_fault_exhausts(schema, oracle, sched):
     """count=1: exactly one degraded answer, then exact answers again."""
-    engine = _build_engine(schema)
-    try:
-        victim = sorted(_touched_shards(engine, QUERY))[0]
-        plan = FaultPlan(
-            specs=[
-                FaultSpec(
-                    point="shard.query",
-                    kind="error",
-                    page_prefix=f"shard/{victim}",
-                    count=1,
-                )
-            ]
-        )
-        engine.fault_hook = shard_fault_hook(plan)
-        truth = oracle.execute(QUERY)
-        first = engine.execute(QUERY)
-        assert first.stats.partial is True
-        second = engine.execute(QUERY)
-        assert second.stats.partial is False
-        assert second.rows == truth.rows
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched)
+    victim = sorted(_touched_shards(engine, QUERY))[0]
+    plan = FaultPlan(
+        specs=[
+            FaultSpec(
+                point="shard.query",
+                kind="error",
+                page_prefix=f"shard/{victim}",
+                count=1,
+            )
+        ]
+    )
+    engine.fault_hook = shard_fault_hook(plan)
+    truth = oracle.execute(QUERY)
+    first = engine.execute(QUERY)
+    assert first.stats.partial is True
+    second = engine.execute(QUERY)
+    assert second.stats.partial is False
+    assert second.rows == truth.rows
 
 
-def test_partial_answers_are_never_memoized(schema, oracle):
+def test_partial_answers_are_never_memoized(schema, oracle, sched):
     """A degraded answer must not be served from the result cache."""
     engine = _build_engine(
-        schema, result_cache=ResultCache(8, EpochCounter())
+        schema, sched, result_cache=ResultCache(8, EpochCounter())
     )
-    try:
-        victim = sorted(_touched_shards(engine, QUERY))[0]
-        plan = FaultPlan(
-            specs=[
-                FaultSpec(
-                    point="shard.query",
-                    kind="error",
-                    page_prefix=f"shard/{victim}",
-                    count=1,
-                )
-            ]
-        )
-        engine.fault_hook = shard_fault_hook(plan)
-        degraded = engine.execute(QUERY)
-        assert degraded.stats.partial is True
-        healed = engine.execute(QUERY)
-        assert healed.stats.partial is False
-        assert healed.rows == oracle.execute(QUERY).rows
-        # Now that a full answer is memoized, it IS served from cache.
-        memoized = engine.execute(QUERY)
-        assert memoized.rows == healed.rows
-    finally:
-        engine.shutdown()
+    victim = sorted(_touched_shards(engine, QUERY))[0]
+    plan = FaultPlan(
+        specs=[
+            FaultSpec(
+                point="shard.query",
+                kind="error",
+                page_prefix=f"shard/{victim}",
+                count=1,
+            )
+        ]
+    )
+    engine.fault_hook = shard_fault_hook(plan)
+    degraded = engine.execute(QUERY)
+    assert degraded.stats.partial is True
+    healed = engine.execute(QUERY)
+    assert healed.stats.partial is False
+    assert healed.rows == oracle.execute(QUERY).rows
+    # Now that a full answer is memoized, it IS served from cache.
+    memoized = engine.execute(QUERY)
+    assert memoized.rows == healed.rows
 
 
-def test_crash_point_propagates(schema):
+def test_crash_point_propagates(schema, sched):
     """A simulated process kill is not a degradable component failure."""
     plan = FaultPlan.single(
         "shard.query", kind="crash", page_prefix="shard/", count=1
     )
-    engine = _build_engine(schema, fault_hook=shard_fault_hook(plan))
-    try:
-        with pytest.raises(CrashPoint):
-            engine.execute(QUERY)
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    with pytest.raises(CrashPoint):
+        engine.execute(QUERY)
 
 
-def test_slow_shard_answers_exactly_but_slower(schema, oracle):
+def test_slow_shard_answers_exactly_but_slower(schema, oracle, sched):
     """A delayed shard changes latency accounting, never the answer."""
     delay = 0.05
     plan = FaultPlan(
@@ -286,19 +278,16 @@ def test_slow_shard_answers_exactly_but_slower(schema, oracle):
             )
         ]
     )
-    engine = _build_engine(schema, fault_hook=shard_fault_hook(plan))
-    try:
-        truth = oracle.execute(QUERY)
-        slow = engine.execute(QUERY)
-        assert slow.rows == truth.rows
-        assert slow.stats.partial is False
-        # At least one shard's delay landed on the virtual clock.
-        assert slow.stats.simulated_seconds >= delay
-    finally:
-        engine.shutdown()
+    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    truth = oracle.execute(QUERY)
+    slow = engine.execute(QUERY)
+    assert slow.rows == truth.rows
+    assert slow.stats.partial is False
+    # At least one shard's delay landed on the virtual clock.
+    assert slow.stats.simulated_seconds >= delay
 
 
-def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
+def test_phase_names_mean_the_same_in_every_engine(schema, oracle, sched):
     """One pipeline, one phase vocabulary: the scatter engine reports
     its cache hits under ``phase1.fetch.cache`` (it used to bill them
     to ``phase1.fetch.disk``), and ``phase1.plan`` counts one
@@ -310,30 +299,25 @@ def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
     series = AnalysisQuery(
         start=date(2021, 3, 22), end=END, group_by=("date",)
     )
-    sched = IOScheduler(max_workers=4)
     overlapped = QueryExecutor(
         oracle.index,
         cache=oracle.cache,
         optimizer=LevelOptimizer(oracle.index),
         iosched=sched,
     )
-    sharded = _build_engine(schema)
-    try:
-        for engine in (oracle, overlapped, sharded):
-            for query, windows in ((window, 1), (series, 10)):
-                result = engine.execute(query)
-                phases = result.stats.phases
-                assert phases["phase1.plan"][1] == windows
-                assert result.stats.cache_hits > 0
-                cache_seconds, cache_count = phases["phase1.fetch.cache"]
-                assert cache_count == result.stats.cache_hits
-                assert cache_seconds > 0.0
-                fetched = cache_count + phases.get("phase1.fetch.disk", (0.0, 0))[1]
-                assert fetched == result.stats.cube_count
-                assert "phase2.aggregate" in phases
-    finally:
-        sharded.shutdown()
-        sched.shutdown()
+    sharded = _build_engine(schema, sched)
+    for engine in (oracle, overlapped, sharded):
+        for query, windows in ((window, 1), (series, 10)):
+            result = engine.execute(query)
+            phases = result.stats.phases
+            assert phases["phase1.plan"][1] == windows
+            assert result.stats.cache_hits > 0
+            cache_seconds, cache_count = phases["phase1.fetch.cache"]
+            assert cache_count == result.stats.cache_hits
+            assert cache_seconds > 0.0
+            fetched = cache_count + phases.get("phase1.fetch.disk", (0.0, 0))[1]
+            assert fetched == result.stats.cube_count
+            assert "phase2.aggregate" in phases
 
 
 def test_injection_point_is_registered():

@@ -108,12 +108,12 @@ def _sharded_index(corpus, shards):
     return index
 
 
-def _sharded_engine(corpus, shards):
+def _sharded_engine(corpus, shards, iosched=None):
     index = _sharded_index(corpus, shards)
     cache = CacheManager(index, slots=24)
     cache.preload()
     return ScatterGatherExecutor(
-        index, cache=cache, optimizer=LevelOptimizer(index)
+        index, cache=cache, optimizer=LevelOptimizer(index), iosched=iosched
     )
 
 
@@ -156,7 +156,7 @@ def _counters(stats):
 
 def _assert_same_counters(oracle_result, sharded_result, query):
     expected = _counters(oracle_result.stats)
-    assert len(expected) == 11 and expected["phase_counts"]
+    assert len(expected) == 10 and expected["phase_counts"]
     assert _counters(sharded_result.stats) == expected, f"diverges for {query}"
 
 
@@ -165,7 +165,8 @@ def test_oracle_sweep_byte_identical(corpus, oracle, shards):
     """70 seeded queries per shard count, compared answer-for-answer —
     and plan-for-plan: same cache contents, same counters."""
     schema, _ = corpus
-    engine = _sharded_engine(corpus, shards)
+    sched = IOScheduler(max_workers=4)  # the fan-out really crosses threads
+    engine = _sharded_engine(corpus, shards, iosched=sched)
     try:
         assert engine.cache.contents() == oracle.cache.contents()
         queries = _sweep(schema)
@@ -176,7 +177,7 @@ def test_oracle_sweep_byte_identical(corpus, oracle, shards):
             _assert_same_counters(expected, actual, query)
         assert engine.cache.contents() == oracle.cache.contents()
     finally:
-        engine.shutdown()
+        sched.shutdown()
 
 
 def test_overlapped_reads_match_serial_oracle(corpus, oracle):
@@ -208,20 +209,54 @@ def test_total_query_volume_meets_spec(corpus):
 
 
 def test_oracle_without_caches(corpus, oracle):
-    """Cache-free scatter (every read from a shard store) is identical."""
+    """Cache-free scatter (every read from a shard store) is identical —
+    and scheduler-free: without an ``IOScheduler`` the shards are
+    gathered one after another on the calling thread."""
     schema, _ = corpus
     index = _sharded_index(corpus, 4)
     engine = ScatterGatherExecutor(
         index, cache=None, optimizer=LevelOptimizer(index)
     )
+    assert engine.iosched is None
+    sweep = _sweep(schema)
+    # First 25 plus the daily-series tail, so the batched series
+    # fan-out is exercised with no cache at all.
+    for query in sweep[:25] + sweep[-10:]:
+        _assert_identical(oracle.execute(query), engine.execute(query), query)
+
+
+def test_one_shard_query_never_leaves_the_calling_thread(corpus, oracle):
+    """``IOScheduler.run`` runs its first task itself, so a query whose
+    keys all live on one shard costs no pool hand-off at all."""
+    import threading
+
+    from repro.obs.span import Tracer
+
+    sched = IOScheduler(max_workers=4)
+    engine = _sharded_engine(corpus, 4, iosched=sched)
+    submit, submitted = sched._pool.submit, []
+    sched._pool.submit = lambda *args: submitted.append(args) or submit(*args)
+    traces: list = []
+
+    class Sink:
+        record = staticmethod(traces.append)
+
+    engine.tracer = Tracer(recorder=Sink())
+    one_day = AnalysisQuery(start=START, end=START, group_by=("country",))
+    spread = AnalysisQuery(start=START, end=END, group_by=("country",))
     try:
-        sweep = _sweep(schema)
-        # First 25 plus the daily-series tail, so the batched series
-        # fan-out is exercised with no cache at all.
-        for query in sweep[:25] + sweep[-10:]:
-            _assert_identical(oracle.execute(query), engine.execute(query), query)
+        assert len(engine.plan(one_day).keys) == 1
+        assert engine.execute(one_day).rows == oracle.execute(one_day).rows
+        assert submitted == []
+        [shard_span] = [s for s in traces[-1].spans if s.name == "shard.query"]
+        assert shard_span.thread_name == threading.current_thread().name
+        # Control: a plan spread over several shards does use the pool,
+        # one submission per owning shard but the caller's own.
+        owners = {engine.index.shard_for(k) for k in engine.plan(spread).keys}
+        assert engine.execute(spread).rows == oracle.execute(spread).rows
+        assert len(submitted) == len(owners) - 1 >= 1
     finally:
-        engine.shutdown()
+        sched.shutdown()
 
 
 def test_sharded_catalog_matches_oracle(corpus, oracle):

@@ -245,7 +245,7 @@ class TestProfiles:
         assert serving.result_cache_slots == 256
 
     def test_paper_profile_defaults_are_pinned(self):
-        """The bare config reproduces the paper figures; its fifteen
+        """The bare config reproduces the paper figures; its thirteen
         defaults are the ones every earlier experiment ran under."""
         from dataclasses import asdict
 
@@ -263,8 +263,6 @@ class TestProfiles:
             fetch_parallelism=4,
             result_cache_slots=0,
             durable_ingest=False,
-            feed_retry_attempts=1,
-            feed_breaker_threshold=0,
             admission=asdict(AdmissionConfig()),
             tracing=True,
             slo=asdict(SLOConfig()),

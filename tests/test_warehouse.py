@@ -35,6 +35,20 @@ def disk():
     return InMemoryDisk(read_latency=0.0, write_latency=0.0)
 
 
+class _ObservedDisk(InMemoryDisk):
+    """Calls ``observe`` right after every page write lands — the
+    points inside a flush where a concurrent reader can be scheduled."""
+
+    def __init__(self) -> None:
+        super().__init__(read_latency=0.0, write_latency=0.0)
+        self.observe = None
+
+    def write(self, page_id: str, data: bytes) -> None:
+        super().write(page_id, data)
+        if self.observe is not None:
+            self.observe()
+
+
 class TestWarehouse:
     def test_append_and_fetch(self, disk):
         warehouse = Warehouse(disk)
@@ -123,6 +137,22 @@ class TestHashIndex:
         index.insert(9, RowPointer(3, 3))
         assert index.lookup(9) == [RowPointer(3, 3)]
 
+    def test_no_reader_sees_an_entry_twice_during_flush(self):
+        """A lookup landing between two bucket writes must not find a
+        fresh entry both on its page and still pending."""
+        disk = _ObservedDisk()
+        index = HashIndex(disk, bucket_count=4)
+        index.insert(1, RowPointer(0, 0))
+        index.insert(2, RowPointer(0, 1))  # another bucket: two writes
+        seen = []
+        disk.observe = lambda: seen.append((index.lookup(1), index.lookup(2)))
+        assert index.flush() == 2
+        assert len(seen) == 2
+        assert all(len(found) <= 1 for pair in seen for found in pair), seen
+        assert seen[-1] == ([RowPointer(0, 0)], [RowPointer(0, 1)])
+        index.insert(1, RowPointer(0, 2))
+        assert index.discard_pending() == 1  # a fresh buffer after the flush
+
     def test_flush_merges_with_existing_bucket(self, disk):
         index = HashIndex(disk, bucket_count=4)
         index.insert(1, RowPointer(0, 0))
@@ -195,6 +225,52 @@ class TestGridSpatialIndex:
         index.flush()
         box = BBox(min_lon=19.0, min_lat=9.0, max_lon=21.0, max_lat=12.0)
         assert len(index.query(box, limit=7)) == 7
+
+    def test_limit_zero_finds_nothing_and_reads_nothing(self, disk):
+        index = GridSpatialIndex(disk)
+        index.insert(10.0, 20.0, RowPointer(0, 0))
+        index.flush()
+        index.insert(10.5, 20.5, RowPointer(0, 1))  # pending
+        disk.reset_stats()
+        box = BBox(min_lon=19.0, min_lat=9.0, max_lon=21.0, max_lat=12.0)
+        assert index.query(box, limit=0) == []
+        assert disk.stats.reads == 0
+        assert len(index.query(box, limit=1)) == 1
+
+    def test_out_of_range_coordinate_files_under_the_edge_cell(self, disk):
+        """``_cell_of`` clamps both edges: a stray lands in the cell a
+        query over that edge visits, not in a negative-numbered one."""
+        index = GridSpatialIndex(disk)
+        index.insert(-95.0, -200.0, RowPointer(0, 0))  # below both ranges
+        index.insert(-89.0, -179.0, RowPointer(0, 1))  # the real corner
+        index.flush()
+        assert list(disk.list_pages("warehouse/grid/")) == [
+            "warehouse/grid/000_000"
+        ]
+        over_the_edge = BBox(
+            min_lon=-210.0, min_lat=-100.0, max_lon=-170.0, max_lat=-80.0
+        )
+        assert sorted(index.query(over_the_edge)) == [
+            RowPointer(0, 0), RowPointer(0, 1)
+        ]
+        # The exact filter still applies, and the stray breaks nothing.
+        world = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
+        assert index.query(world) == [RowPointer(0, 1)]
+
+    def test_no_reader_sees_a_point_twice_during_flush(self):
+        disk = _ObservedDisk()
+        index = GridSpatialIndex(disk)
+        index.insert(10.0, 20.0, RowPointer(0, 0))
+        index.insert(50.0, 120.0, RowPointer(0, 1))  # another cell: two writes
+        world = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
+        seen = []
+        disk.observe = lambda: seen.append(sorted(index.query(world)))
+        assert index.flush() == 2
+        assert len(seen) == 2
+        assert all(len(set(found)) == len(found) for found in seen), seen
+        assert seen[-1] == [RowPointer(0, 0), RowPointer(0, 1)]
+        index.insert(10.0, 20.0, RowPointer(0, 2))
+        assert index.discard_pending() == 1  # a fresh buffer after the flush
 
     def test_pending_points_visible_before_flush(self, disk):
         index = GridSpatialIndex(disk)

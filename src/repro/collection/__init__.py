@@ -1,37 +1,6 @@
 """Data Collection module: crawlers, geocoding, records, pipeline.
 
-Attribute access is lazy (PEP 562): low-level modules (e.g. the
-storage warehouse) import :mod:`repro.collection.records` without
-pulling in the pipeline, which depends on higher layers.
+Nothing is imported here: low-level modules (e.g. the storage
+warehouse) import :mod:`repro.collection.records` without pulling in
+the pipeline, which depends on higher layers.
 """
-
-from typing import Any
-
-__all__ = [
-    "DailyCrawlResult", "DailyCrawler", "Geocoder", "IngestReport",
-    "IngestionPipeline", "Location", "MonthlyCrawlResult", "MonthlyCrawler",
-    "UpdateList", "UpdateRecord",
-]
-
-_HOMES = {
-    "DailyCrawler": "daily",
-    "DailyCrawlResult": "daily",
-    "Geocoder": "geocode",
-    "Location": "geocode",
-    "MonthlyCrawler": "monthly",
-    "MonthlyCrawlResult": "monthly",
-    "IngestionPipeline": "pipeline",
-    "IngestReport": "pipeline",
-    "UpdateList": "records",
-    "UpdateRecord": "records",
-}
-
-
-def __getattr__(name: str) -> Any:
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module 'repro.collection' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f"repro.collection.{home}")
-    return getattr(module, name)

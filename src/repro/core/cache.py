@@ -208,8 +208,3 @@ class CacheManager:
     def cached_bytes(self) -> int:
         """In-memory payload bytes of every resident cube."""
         return self._bytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

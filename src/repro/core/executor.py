@@ -269,14 +269,14 @@ class QueryExecutor:
         stats = QueryStats()
         epoch = 0
         if self.result_cache is not None:
-            memo_rows = self.result_cache.get(query)
-            if memo_rows is not None:
-                # Already a private copy of the rows.
+            entry = self.result_cache.get(query)
+            if entry is not None:
                 stats.memo_hit = True
                 stats.wall_seconds = time.perf_counter() - started
                 stats.simulated_seconds = stats.wall_seconds
                 self._record_query_metrics(stats)
-                return QueryResult(query=query, rows=memo_rows, stats=stats)
+                # No rows of its own: the result reads the entry's.
+                return QueryResult(query=query, stats=stats, memo=entry)
             # Sampled before planning: a maintenance write racing this
             # execution makes the stored entry stale, never wrong.
             epoch = self.result_cache.current_epoch()
@@ -336,11 +336,12 @@ class QueryExecutor:
         disk_delta = self.index.store.stats.delta(disk_before)
         stats.simulated_seconds = disk_delta.simulated_seconds + stats.wall_seconds
         self._record_query_metrics(stats)
+        memo = None
         if self.result_cache is not None and not stats.partial:
             # A partial answer is a degraded lower bound; memoizing it
             # would keep serving the hole after the page heals.
-            self.result_cache.put(query, rows, epoch)
-        return QueryResult(query=query, rows=rows, stats=stats)
+            memo = self.result_cache.put(query, rows, epoch)
+        return QueryResult(query=query, rows=rows, stats=stats, memo=memo)
 
     def _flag_quarantine_overlap(self, query: AnalysisQuery, stats: QueryStats) -> None:
         """Mark answers overlapping quarantined cubes as partial.

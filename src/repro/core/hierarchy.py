@@ -431,9 +431,3 @@ class HierarchicalIndex:
     def total_pages(self) -> int:
         with self._catalog_lock:
             return sum(len(keys) for keys in self._catalog.values())
-
-    def storage_bytes(self) -> int:
-        """Total bytes of all cube pages (header + 8 B per cell each)."""
-        from repro.storage.serializer import cube_page_size
-
-        return self.total_pages() * cube_page_size(self.schema)

@@ -137,9 +137,6 @@ class LiveMonitor:
         with self._lock:
             return sorted(self._partial)
 
-    def partial_cube(self, day: date) -> DataCube | None:
-        return self._partial.get(day)
-
     def discard_day(self, day: date) -> bool:
         """Drop a day's overlay once the daily pipeline ingested it."""
         with self._lock:

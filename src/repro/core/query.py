@@ -23,9 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from typing import TYPE_CHECKING
 
 from repro.types.temporal import Level
 from repro.errors import QueryError
+
+if TYPE_CHECKING:
+    from repro.core.resultcache import MemoEntry
 
 __all__ = ["AnalysisQuery", "QueryResult", "QueryStats", "GROUPABLE_ATTRIBUTES"]
 
@@ -200,37 +204,60 @@ class QueryStats:
         ]
 
 
-@dataclass
 class QueryResult:
     """The tabular answer to an analysis query.
 
     ``rows`` maps a tuple of group values — ordered as
     ``query.group_by``, with date cells being the period's start date —
     to the metric value (an int count, or a float percentage).
+
+    ``memo`` is the result-cache entry holding this same answer — the
+    one a hit was read from, or a miss was just stored as — or ``None``
+    when nothing was memoized.  A hit is built without rows and reads
+    the entry's in place; :attr:`rows` copies them on first use.
     """
 
-    query: AnalysisQuery
-    rows: dict[tuple, float] = field(default_factory=dict)
-    stats: QueryStats = field(default_factory=QueryStats)
+    __slots__ = ("query", "stats", "memo", "_rows", "_own")
+
+    def __init__(
+        self,
+        query: AnalysisQuery,
+        rows: dict[tuple, float] | None = None,
+        stats: QueryStats | None = None,
+        memo: MemoEntry | None = None,
+    ) -> None:
+        self.query = query
+        self.stats = stats if stats is not None else QueryStats()
+        self.memo = memo
+        #: False while ``_rows`` is the memo entry's dict, read in place.
+        self._own = rows is not None or memo is None
+        self._rows: dict[tuple, float] = (
+            rows if rows is not None else memo.rows if memo is not None else {}
+        )
+
+    @property
+    def rows(self) -> dict[tuple, float]:
+        """This result's own, mutable rows.
+
+        Whoever holds them may edit them (the live overlay does), so
+        handing them out also lets go of ``memo``: the result no longer
+        vouches for the entry's answer, or its encoded bytes.
+        """
+        if not self._own:
+            self._rows = dict(self._rows)
+            self._own = True
+        self.memo = None
+        return self._rows
 
     @property
     def total(self) -> float:
-        return sum(self.rows.values())
+        return sum(self._rows.values())
 
     def sorted_rows(
         self, by_value: bool = True, descending: bool = True
     ) -> list[tuple[tuple, float]]:
+        """Read-only: sorts the rows where they are, copying nothing."""
+        items = self._rows.items()
         if by_value:
-            return sorted(
-                self.rows.items(), key=lambda item: item[1], reverse=descending
-            )
-        return sorted(self.rows.items(), key=lambda item: str(item[0]))
-
-    def to_table(self) -> list[dict[str, object]]:
-        """Rows as dictionaries keyed by attribute names plus 'value'."""
-        table: list[dict[str, object]] = []
-        for key, value in self.sorted_rows():
-            row: dict[str, object] = dict(zip(self.query.group_by, key))
-            row["value"] = value
-            table.append(row)
-        return table
+            return sorted(items, key=lambda item: item[1], reverse=descending)
+        return sorted(items, key=lambda item: str(item[0]))

@@ -17,9 +17,16 @@ bump drops it and falls through to real execution.  The epoch is
 sampled *before* planning, so a bump racing a long execution marks the
 freshly stored entry stale rather than serving pre-bump data forever.
 
-Hits hand out a **copy** of the stored rows: callers (the live-overlay
-path in particular) mutate result rows in place, and a shared dict
-would let one client's overlay leak into everyone's answers.
+An entry (:class:`MemoEntry`) holds one answer in two forms: the
+``rows`` it was stored with, never mutated afterwards, and — once some
+request has encoded them — the ``head`` of the HTTP response, every
+byte that depends on ``(query, rows)`` alone.  The bytes ride on the
+entry that holds the rows they were encoded from, so whatever drops
+the rows (a stale epoch, eviction, :meth:`ResultCache.clear`) drops
+the bytes with them, and there is no second key, lock or epoch check.
+Nobody outside is handed the stored dict to keep:
+:attr:`repro.core.query.QueryResult.rows` copies it for a caller that
+asks for rows of its own (the live overlay edits them in place).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import current_span, record_span
 
-__all__ = ["EpochCounter", "ResultCache"]
+__all__ = ["EpochCounter", "MemoEntry", "ResultCache"]
 
 _K_HITS = metric_key("rased_resultcache_hits_total")
 _K_MISSES = metric_key("rased_resultcache_misses_total")
@@ -58,8 +65,25 @@ class EpochCounter:
         return self._value
 
 
+class MemoEntry:
+    """One memoized answer: its rows and, once encoded, its bytes."""
+
+    __slots__ = ("epoch", "rows", "head")
+
+    def __init__(self, epoch: int, rows: dict[tuple, float]) -> None:
+        #: The index epoch the rows were computed at.
+        self.epoch = epoch
+        #: Shared by every hit and never mutated after the store.
+        self.rows = rows
+        #: The encoded response up to its per-request ``stats``; written
+        #: by the first request that encodes these rows
+        #: (``dashboard.server.encode_result``).  Racing writers store
+        #: equal bytes, so the plain attribute store needs no lock.
+        self.head: bytes | None = None
+
+
 class ResultCache:
-    """Bounded LRU of finished query rows, invalidated by epoch."""
+    """Bounded LRU of finished query answers, invalidated by epoch."""
 
     def __init__(
         self,
@@ -73,8 +97,7 @@ class ResultCache:
         self.epoch = epoch
         self.metrics = metrics if metrics is not None else get_registry()
         self._lock = threading.Lock()
-        #: query -> (epoch at plan time, private copy of the rows).
-        self._entries: OrderedDict[AnalysisQuery, tuple[int, dict]] = (
+        self._entries: OrderedDict[AnalysisQuery, MemoEntry] = (
             OrderedDict()
         )  # guarded-by: _lock
 
@@ -82,19 +105,19 @@ class ResultCache:
         """The epoch an about-to-run execution should store under."""
         return self.epoch.value
 
-    def get(self, query: AnalysisQuery) -> dict | None:
-        """A copy of the memoized rows, or ``None`` on miss/stale."""
+    def get(self, query: AnalysisQuery) -> MemoEntry | None:
+        """The entry memoized for ``query``, or ``None`` on miss/stale."""
         now = self.epoch.value
         stale = False
         with self._lock:
             entry = self._entries.get(query)
-            if entry is not None and entry[0] != now:
-                self._entries.pop(query, None)
-                entry = None
-                stale = True
             if entry is not None:
-                self._entries.move_to_end(query)
-                rows = dict(entry[1])
+                if entry.epoch == now:
+                    self._entries.move_to_end(query)
+                else:
+                    del self._entries[query]
+                    entry = None
+                    stale = True
         metrics = self.metrics
         if stale:
             metrics.inc_key(_K_INVALIDATIONS)
@@ -103,25 +126,30 @@ class ResultCache:
             record_span(
                 "core.resultcache.get", 0.0, attributes={"outcome": outcome}
             )
-        if entry is None:
-            metrics.inc_key(_K_MISSES)
-            return None
-        metrics.inc_key(_K_HITS)
-        return rows
+        metrics.inc_key(_K_HITS if entry is not None else _K_MISSES)
+        return entry
 
-    def put(self, query: AnalysisQuery, rows: dict, epoch: int) -> None:
-        """Store rows computed at ``epoch`` (copied; LRU-evicting)."""
+    def put(
+        self, query: AnalysisQuery, rows: dict[tuple, float], epoch: int
+    ) -> MemoEntry | None:
+        """Store rows computed at ``epoch`` (copied; LRU-evicting).
+
+        Returns the stored entry — or ``None``: the world moved on
+        mid-execution, and the rows were not allowed to poison the memo.
+        """
         if epoch != self.epoch.value:
-            return  # the world moved on mid-execution; don't poison
+            return None
+        entry = MemoEntry(epoch, dict(rows))
         evicted = 0
         with self._lock:
-            self._entries[query] = (epoch, dict(rows))
+            self._entries[query] = entry
             self._entries.move_to_end(query)
             while len(self._entries) > self.slots:
                 self._entries.popitem(last=False)
                 evicted += 1
         if evicted:
             self.metrics.inc_key(_K_EVICTIONS, evicted)
+        return entry
 
     @property
     def cached_count(self) -> int:

@@ -21,8 +21,8 @@ production API has and a bare ``ThreadingHTTPServer`` does not:
   until the backlog drains below a lower resume mark (hysteresis, so
   the server does not flap at the boundary);
 * **graceful drain** — :meth:`AdmissionController.begin_drain` turns
-  new arrivals away with 503 while :meth:`wait_idle` lets ``stop()``
-  wait for in-flight requests instead of killing their threads.
+  new arrivals away with 503 while the server's ``stop()`` waits for
+  the requests in flight.
 
 Everything is **off by default** (:meth:`AdmissionConfig.any_enabled`
 is false for the default config), so deployments and benchmarks that
@@ -308,7 +308,7 @@ class AdmissionController:
         self.tenants = tenants
         self.metrics = metrics
         self._clock = clock
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}  # guarded-by: _lock
         self._quotas: dict[str, DailyQuota] = {}  # guarded-by: _lock
         self._inflight = 0  # guarded-by: _lock
@@ -428,11 +428,9 @@ class AdmissionController:
         )
 
     def release(self) -> None:
-        """Pair of an allowed :meth:`admit`; wakes any drain waiter."""
+        """Pair of an allowed :meth:`admit`."""
         with self._lock:
             self._inflight -= 1
-            if self._inflight <= 0:
-                self._lock.notify_all()
 
     def record_deadline_hit(self, path: str) -> None:
         """Count a request that died on its deadline (server calls this)."""
@@ -445,26 +443,10 @@ class AdmissionController:
         with self._lock:
             self._draining = True
 
-    def wait_idle(self, timeout: float) -> bool:
-        """Block until no requests are in flight (True) or timeout."""
-        deadline = self._clock() + timeout
-        with self._lock:
-            while self._inflight > 0:
-                remaining = deadline - self._clock()
-                if remaining <= 0.0:
-                    return False
-                self._lock.wait(remaining)
-        return True
-
     @property
     def inflight(self) -> int:
         with self._lock:
             return self._inflight
-
-    @property
-    def shedding(self) -> bool:
-        with self._lock:
-            return self._shedding
 
     # -- internals ------------------------------------------------------
 

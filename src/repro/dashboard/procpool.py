@@ -2,45 +2,36 @@
 
 The threaded :class:`~repro.dashboard.server.DashboardServer` scales
 until the GIL does: sixteen request threads aggregating cubes take
-turns on one interpreter lock, and each request additionally pays a
-thread spawn (``ThreadingHTTPServer`` starts one per connection).
-This module moves the *compute* — body parsing, planning, cube
-aggregation, result shaping, response encoding — into a pool of
-long-lived worker **processes**, each owning a full
+turns on one interpreter lock.  This module moves the *compute* — body
+parsing, planning, cube aggregation, result shaping, response encoding
+— into a pool of long-lived worker **processes**, each owning a full
 :class:`~repro.dashboard.api.Dashboard` over the same on-disk
-deployment.  Request threads become thin I/O shims: read the body
-bytes, hand them to a worker, relay the ``(status, json_bytes)`` that
-comes back.  Bytes in, bytes out is deliberate: pickling two byte
-strings costs the parent almost nothing, where pickling a parsed
-payload and re-encoding the result document would put JSON work back
-on the serving process's core.
+deployment (and its own result memo, encoded bytes included).  Request
+threads become thin I/O shims: read the body bytes, hand them to a
+worker, relay the ``(status, json_bytes)`` that comes back.  Bytes in,
+bytes out is deliberate: pickling two byte strings costs the parent
+almost nothing, where a parsed payload and a result document would put
+JSON work back on the serving process's core.
 
-Consistent cube placement (:mod:`repro.core.shard`) is what makes the
-fan-out coherent: every worker computes the same shard mapping from
-the same salt — a keyed BLAKE2b digest, deliberately not Python's
-per-process ``hash()`` — so all workers read any given cube from the
-same shard store and their caches warm the same way.
+Consistent cube placement (:mod:`repro.core.shard`) keeps the fan-out
+coherent: every worker computes the same shard mapping from the same
+salt — a keyed BLAKE2b digest, not Python's per-process ``hash()`` — so
+all workers read a given cube from the same shard store.
 
-Two deliberate boundaries:
+Two boundaries: **no transport in here** — the ``DashboardServer`` (and
+its admission front door) stays the only HTTP surface; and **no system
+assembly** — workers build their dashboard from a caller-supplied
+zero-argument factory, because this module cannot import
+:mod:`repro.system` (the dashboard layer sits below it).
 
-* **No transport in here.**  The dispatcher consumes parsed JSON
-  payloads and returns JSON documents plus an HTTP status; the
-  existing ``DashboardServer`` (and its admission front door, which is
-  transport-agnostic) stays the only HTTP surface.
-* **No system assembly in here.**  Workers build their dashboard from
-  a caller-supplied zero-argument factory; this module cannot import
-  :mod:`repro.system` (the dashboard layer sits below it), and the CLI
-  supplies a factory that re-opens the deployment read-only from its
-  root directory.
-
-The pool uses the ``fork`` start method: the factory callable is
-passed as an ``initializer`` argument, which fork *inherits* rather
-than pickles, so closures over local configuration work.  Per-request
-arguments do cross the process boundary and must stay picklable —
-which is why the deadline travels as a plain remaining-milliseconds
-float and is re-entered as a fresh :class:`~repro.core.deadline.Deadline`
-scope inside the worker.  Spans cannot cross at all; each worker's
-executions open their own trace trees in their own recorders.
+The pool uses the ``fork`` start method: the factory is passed as an
+``initializer`` argument, which fork *inherits* rather than pickles, so
+closures over local configuration work.  Per-request arguments do cross
+the process boundary and must stay picklable — the deadline travels as
+a plain remaining-milliseconds float and is re-entered as a fresh
+:class:`~repro.core.deadline.Deadline` scope inside the worker.  Spans
+cannot cross at all; each worker's executions open their own trace
+trees in their own recorders.
 """
 
 from __future__ import annotations

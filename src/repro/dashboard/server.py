@@ -25,51 +25,54 @@ framework, per the offline constraint):
 * ``GET /debug/slo`` — objective windows, burn rates and multi-window
   alert states (also summarized on ``/health``).
 
-The server is threaded (one thread per in-flight request, via
-:class:`http.server.ThreadingHTTPServer`): RASED's pitch is a
-dashboard under heavy concurrent traffic, and the whole query path —
-executor, cube cache, I/O scheduler, result cache, metrics — is
-thread-safe.
+The server is threaded — RASED's pitch is a dashboard under heavy
+concurrent traffic, and the whole query path (executor, cube cache,
+I/O scheduler, result cache, metrics) is thread-safe.  Every in-flight
+connection has a request thread to itself; a thread that finishes one
+waits for the next, and the accept loop starts a thread only when none
+is idle (:class:`_ThreadedServer`).  A response leaves in one write,
+after its trace has been recorded, and an answer the result memo holds
+is encoded once and re-sent as the same bytes (:func:`encode_result`).
 
 Error mapping is centralized in the handler: domain errors
 (:class:`~repro.errors.RasedError`, ``ValueError``) answer 400, an
 expired request deadline answers 504, oversized bodies 413, and any
-other exception becomes a 500 JSON error instead of tearing down the
-connection with no response (and a bogus ``status="0"`` metric label).
+other exception becomes a 500 JSON error, never a connection torn down
+with no response.
 
 An optional :class:`~repro.dashboard.admission.AdmissionController`
 sits in front of every request — auth, rate limits, quotas, deadlines
-and load shedding; see :mod:`repro.dashboard.admission`.  Without one
-the server behaves exactly as before.
+and load shedding; see :mod:`repro.dashboard.admission`.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
 import math
 import threading
 import time
 from datetime import date
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from queue import SimpleQueue
 from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from repro.baseline.sqlgen import to_sql
 from repro.types.temporal import Level
 from repro.core.deadline import current_deadline, deadline_scope
-from repro.core.query import AnalysisQuery, QueryResult
+from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.admission import AdmissionController
 from repro.dashboard.api import Dashboard
 from repro.dashboard.procpool import ProcessPoolDispatcher
 from repro.errors import DeadlineExceededError, QueryError, RasedError
-from repro.obs import EventLog, FlightRecorder, SLOTracker
-from repro.obs.span import Tracer, current_trace_id
+from repro.obs import EventLog, FlightRecorder, SLOTracker, metric_key
+from repro.obs.metrics import MetricKey
+from repro.obs.span import Tracer, current_trace_id, record_span
 from repro.obs.span import span as causal_span
 
-# Metric names as module constants (labels vary per request, so the
-# keys cannot be fully prepared the way the executor's are).
-_M_HTTP_REQUESTS = "rased_http_requests_total"
-_M_HTTP_SECONDS = "rased_http_request_seconds"
+_K_ENCODED_REUSED = metric_key("rased_http_encoded_reused_total")
 
 __all__ = [
     "query_from_json",
@@ -111,6 +114,20 @@ def _path_family(path: str) -> str:
         if path == family or path.startswith(family + "/"):
             return family
     return "other"
+
+
+_M_HTTP_REQUESTS = "rased_http_requests_total"
+_M_HTTP_SECONDS = "rased_http_request_seconds"
+
+
+@functools.cache
+def _http_keys(family: str, status: int) -> tuple[MetricKey, MetricKey]:
+    """A request's counter and histogram keys, prepared once per
+    ``(family, status)`` the way the executor's ``_K_*`` are."""
+    return (
+        metric_key(_M_HTTP_REQUESTS, path=family, status=str(status)),
+        metric_key(_M_HTTP_SECONDS, path=family),
+    )
 
 
 def query_from_json(payload: Any) -> AnalysisQuery:
@@ -156,8 +173,8 @@ def query_from_json(payload: Any) -> AnalysisQuery:
     )
 
 
-def result_to_json(result: QueryResult) -> dict[str, object]:
-    """Serialize a QueryResult for the wire."""
+def _answer_document(result: QueryResult) -> dict[str, object]:
+    """What the wire document derives from ``(query, rows)`` alone."""
     rows = []
     for key, value in result.sorted_rows():
         cells = [
@@ -170,16 +187,52 @@ def result_to_json(result: QueryResult) -> dict[str, object]:
         "rows": rows,
         "sql": to_sql(result.query),
         "partial": result.stats.partial,
-        "stats": {
-            "cube_count": result.stats.cube_count,
-            "cache_hits": result.stats.cache_hits,
-            "disk_reads": result.stats.disk_reads,
-            "quarantined_cubes": result.stats.quarantined_cubes,
-            "simulated_ms": result.stats.simulated_ms,
-            "wall_ms": result.stats.wall_seconds * 1000.0,
-            "phases": result.stats.phase_rows(),
-        },
     }
+
+
+def _stats_document(stats: QueryStats) -> dict[str, object]:
+    """The per-request part: this execution's counters and clocks."""
+    return {
+        "cube_count": stats.cube_count,
+        "cache_hits": stats.cache_hits,
+        "disk_reads": stats.disk_reads,
+        "quarantined_cubes": stats.quarantined_cubes,
+        "simulated_ms": stats.simulated_ms,
+        "wall_ms": stats.wall_seconds * 1000.0,
+        "phases": stats.phase_rows(),
+    }
+
+
+def result_to_json(result: QueryResult) -> dict[str, object]:
+    """Serialize a QueryResult for the wire."""
+    document = _answer_document(result)
+    document["stats"] = _stats_document(result.stats)
+    return document
+
+
+def _json_bytes(document: object) -> bytes:
+    # default=str covers non-JSON leaves in dumped span attributes
+    # (TemporalKey page keys are stored raw on the fetch hot path).
+    return json.dumps(document, default=str).encode("utf-8")
+
+
+def encode_result(result: QueryResult) -> tuple[bytes, bool]:
+    """A QueryResult as response bytes: ``(body, head re-sent)``.
+
+    The body is ``json.dumps(result_to_json(result), default=str)``,
+    byte for byte, assembled as *head* + ``stats`` + ``}``.  The head
+    depends on the query and its rows alone, so the first request to
+    encode a memo entry (``result.memo``) leaves it there and every
+    later hit sends it as is; a result with no entry is encoded whole.
+    """
+    entry = result.memo
+    head = entry.head if entry is not None else None
+    reused = head is not None
+    if head is None:
+        head = _json_bytes(_answer_document(result))[:-1] + b', "stats": '
+        if entry is not None:
+            entry.head = head
+    return head + _json_bytes(_stats_document(result.stats)) + b"}", reused
 
 
 #: ``POST`` path -> the request kind :func:`run_analysis_request` runs.
@@ -212,7 +265,6 @@ def run_analysis_request(
     boundary a raised exception would surface as a broken future and a
     bare 500 with less detail.
     """
-    document: dict[str, object]
     try:
         payload = json.loads(body or b"{}")
         if kind == "sql":
@@ -226,12 +278,19 @@ def run_analysis_request(
             result = dashboard.analysis(query_from_json(payload))
         else:
             raise QueryError(f"unknown request kind {kind!r}")
-        status, document = 200, result_to_json(result)
+        started = time.perf_counter()
+        response, reused = encode_result(result)
+        record_span(
+            "server.encode",
+            time.perf_counter() - started,
+            attributes={"bytes": len(response), "reused": reused},
+        )
+        if reused:
+            dashboard.metrics.inc_key(_K_ENCODED_REUSED)
+        return 200, response
     except Exception as exc:  # lint: allow[broad-except] request boundary: every failure must map to a JSON error document, not a broken future
         status, document = _error_response(exc)
-    # default=str covers non-JSON leaves in dumped span attributes
-    # (TemporalKey page keys are stored raw on the fetch hot path).
-    return status, json.dumps(document, default=str).encode("utf-8")
+        return status, _json_bytes(document)
 
 
 def _clamped_count(params: Mapping[str, list[str]], default: int) -> int:
@@ -298,13 +357,8 @@ class _Handler(BaseHTTPRequestHandler):
         payload: dict[str, object],
         extra_headers: Mapping[str, str] | None = None,
     ) -> None:
-        # default=str covers non-JSON leaves in dumped span attributes
-        # (TemporalKey page keys are stored raw on the fetch hot path).
         self._send_bytes(
-            status,
-            json.dumps(payload, default=str).encode("utf-8"),
-            "application/json",
-            extra_headers,
+            status, _json_bytes(payload), "application/json", extra_headers
         )
 
     def _send_bytes(
@@ -334,18 +388,25 @@ class _Handler(BaseHTTPRequestHandler):
         self._pending = (status, body, content_type, headers)
 
     def _flush_response(self) -> None:
+        """Write the staged response: head and body in one ``sendall``."""
         pending = self._pending
         if pending is None:
             return
         self._pending = None
         status, body, content_type, headers = pending
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        phrase = self.responses[status][0] if status in self.responses else ""
+        lines = [
+            f"{self.protocol_version} {status} {phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            *(f"{name}: {value}" for name, value in headers.items()),
+            "\r\n",
+        ]
+        if self.request_version == "HTTP/0.9":
+            lines = []  # that protocol has no head
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
 
     def _timed(self, handler: Callable[[], None]) -> None:
         """Run one request handler and record HTTP-level metrics.
@@ -360,7 +421,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = 0
         self._responded = False
         self._pending: tuple[int, bytes, str, dict[str, str]] | None = None
-        family = _path_family(urlparse(self.path).path)
+        # Parsed once: handlers route on ``_url``, labels are ``_family``.
+        self._url = urlparse(self.path)
+        family = self._family = _path_family(self._url.path)
         self.tracker.enter()
         try:
             tracer = self.tracer
@@ -398,13 +461,10 @@ class _Handler(BaseHTTPRequestHandler):
                     # unanswered request (status 0) is an availability
                     # miss.
                     self.slo.record(0 < self._status < 500, elapsed)
-                metrics = self.dashboard.metrics
-                metrics.inc(
-                    _M_HTTP_REQUESTS,
-                    path=family,
-                    status=str(self._status),
+                requests_key, seconds_key = _http_keys(family, self._status)
+                self.dashboard.metrics.record_batch(
+                    ((requests_key, 1.0),), ((seconds_key, elapsed),)
                 )
-                metrics.observe(_M_HTTP_SECONDS, elapsed, path=family)
             finally:
                 try:
                     # After the trace closed (and recorded), so the id
@@ -450,9 +510,7 @@ class _Handler(BaseHTTPRequestHandler):
             # request (in-process or from a pool worker): either way
             # the request died on its deadline.
             if self._status == 504:
-                admission.record_deadline_hit(
-                    _path_family(urlparse(self.path).path)
-                )
+                admission.record_deadline_hit(self._family)
         finally:
             admission.release()
 
@@ -470,7 +528,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._timed(self._handle_get)
 
     def _handle_get(self) -> None:
-        parsed = urlparse(self.path)
+        parsed = self._url
         if parsed.path == "/health":
             index = self.dashboard.executor.index
             coverage = index.coverage()
@@ -600,11 +658,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes:
         """Read the POST body, validating Content-Length first.
 
-        ``int()`` used to be applied to the raw header with no checks: a
-        negative value made ``rfile.read(-1)`` block for EOF on a keep-
-        alive socket, and a huge one let one request allocate the whole
-        declared size.  Malformed or negative lengths now answer 400 and
-        anything over ``max_body_bytes`` answers 413 without reading.
+        A negative length would make ``rfile.read(-1)`` block for EOF
+        and a huge one allocate the whole declared size: malformed or
+        negative lengths answer 400, anything over ``max_body_bytes``
+        answers 413 without reading.
         """
         raw = self.headers.get("Content-Length", "0")
         try:
@@ -618,10 +675,9 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length)
 
     def _handle_post(self) -> None:
-        parsed = urlparse(self.path)
-        kind = _POST_KINDS.get(parsed.path)
+        kind = _POST_KINDS.get(self._url.path)
         if kind is None:
-            self._send(404, {"error": f"unknown path {parsed.path}"})
+            self._send(404, {"error": f"unknown path {self._url.path}"})
             return
         try:
             body = self._read_body()
@@ -657,12 +713,87 @@ class _BodyTooLarge(Exception):
         )
 
 
-class _ThreadedServer(ThreadingHTTPServer):
-    #: Request threads die with the process (stop() still drains them
-    #: gracefully via the request tracker); a burst of 64 concurrent
-    #: clients must not be refused at the accept queue.
-    daemon_threads = True
+#: ``(socket, client address)``, as ``socketserver`` passes them around.
+_Connection = tuple[Any, Any]
+
+
+class _ThreadedServer(HTTPServer):
+    """A request thread per in-flight connection, reused when idle.
+
+    An idle thread waits on a mailbox of its own, listed in ``_idle``;
+    the accept loop gives a connection to the most recently idle thread
+    and starts a thread exactly when none is listed, so a connection
+    never waits behind a busy one.  ``list.append``/``pop`` are atomic
+    under the GIL: the list needs no lock.
+    """
+
+    #: A burst of 64 concurrent clients must not be refused at the
+    #: accept queue.
     request_queue_size = 128
+
+    def __init__(
+        self, address: tuple[str, int], handler: type[BaseHTTPRequestHandler]
+    ) -> None:
+        super().__init__(address, handler)
+        self._idle: list[SimpleQueue[_Connection | None]] = []
+        self._stopping = False
+        #: Every request thread started; only the accept loop appends.
+        self._threads: list[threading.Thread] = []
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """The accept loop's hand-off of one accepted connection."""
+        connection = (request, client_address)
+        try:
+            self._idle.pop().put(connection)
+        except IndexError:
+            # Daemon: dies with the process (stop() still drains
+            # gracefully).  An accepted connection predates any request
+            # context, so there is no span or deadline to hand on.
+            thread = threading.Thread(  # lint: allow[conc-context]
+                target=self._serve_connections,
+                args=(connection,),
+                name=f"rased-http-{len(self._threads) + 1}",
+                daemon=True,
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve_connections(self, connection: _Connection | None) -> None:
+        """A request thread's life: one connection after another."""
+        mailbox: SimpleQueue[_Connection | None] = SimpleQueue()
+        while connection is not None:
+            request, client_address = connection
+            try:
+                # A context of its own per connection: whatever span or
+                # deadline the previous one had in scope is not in this.
+                contextvars.Context().run(
+                    self.finish_request, request, client_address
+                )
+            except Exception:  # lint: allow[broad-except] socketserver's contract: report and keep serving
+                self.handle_error(request, client_address)
+            # Idle from here, before the close tells the client it may
+            # send its next request: closing cannot block.
+            self._idle.append(mailbox)
+            if self._stopping:
+                mailbox.put(None)
+            try:
+                self.shutdown_request(request)
+            except OSError:
+                pass  # the peer is gone; there is nobody left to tell
+            connection = mailbox.get()
+
+    def end_request_threads(self) -> None:
+        """After the accept loop has halted: an idle thread ends now, a
+        busy one when its connection does (it finds ``_stopping``)."""
+        self._stopping = True
+        while self._idle:
+            self._idle.pop().put(None)
+        # Idle threads are ending and one flushing its response is about
+        # to: a second covers them all.  One still inside a request, or
+        # waiting on a silent client, is abandoned (daemon).
+        patience = time.monotonic() + 1.0
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, patience - time.monotonic()))
 
 
 class DashboardServer:
@@ -672,9 +803,9 @@ class DashboardServer:
     :class:`~repro.dashboard.admission.AdmissionController` in front of
     every request.  ``stop()`` drains: the admission layer (when
     present) turns new arrivals away with 503, the accept loop halts,
-    and in-flight requests get up to ``drain_timeout`` seconds to
-    finish before the sockets close — previously ``daemon_threads``
-    meant they were simply abandoned mid-response.
+    in-flight requests get up to ``drain_timeout`` seconds to finish,
+    and the request threads end — an idle one at once, a busy one when
+    its request does.
     """
 
     def __init__(
@@ -739,6 +870,7 @@ class DashboardServer:
         self._http.shutdown()
         self._tracker.wait_idle(self._drain_timeout)
         self._http.server_close()
+        self._http.end_request_threads()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     metric_key,
-    set_registry,
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import BurnAlert, SLOConfig, SLOTracker
@@ -73,6 +72,5 @@ __all__ = [
     "get_registry",
     "metric_key",
     "record_span",
-    "set_registry",
     "span",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "metric_key",
     "get_registry",
-    "set_registry",
     "DEFAULT_HISTOGRAM_WINDOW",
 ]
 
@@ -143,12 +142,6 @@ class _Histogram:
         return _HistogramState(
             self.count, self.sum, self.min, self.max, list(self.window)
         )
-
-    def quantiles(self, qs: Iterable[float]) -> dict[float, float]:
-        return self.freeze().quantiles(qs)
-
-    def summary(self) -> dict[str, float]:
-        return self.freeze().summary()
 
 
 def _escape_label_value(value: str) -> str:
@@ -387,11 +380,3 @@ _default_registry = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (components without a system)."""
     return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the default registry; returns the previous one (tests)."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

@@ -121,9 +121,6 @@ class Span:
     def trace_id(self) -> str:
         return self.trace.trace_id
 
-    def set_attribute(self, key: str, value: object) -> None:
-        self.attributes[key] = value
-
     def set_error(self, exc: BaseException | str) -> None:
         self.status = STATUS_ERROR
         self.error = exc if isinstance(exc, str) else f"{type(exc).__name__}: {exc}"

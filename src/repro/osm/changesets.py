@@ -203,6 +203,3 @@ class ChangesetStore:
             merged.update(self._pending.get(block, {}))
             for cid in sorted(merged):
                 yield merged[cid]
-
-    def file_count(self) -> int:
-        return sum(1 for _ in self.root.glob("*.xml"))

@@ -142,6 +142,3 @@ class GridSpatialIndex:
                         if limit is not None and len(found) >= limit:
                             return found
         return found
-
-    def occupied_cells(self) -> int:
-        return sum(1 for _ in self.store.list_pages(self.prefix + "/"))

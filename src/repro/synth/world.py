@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator
 
 import networkx as nx
 
@@ -77,10 +76,6 @@ class CountryNetwork:
     way_ids: list[int] = field(default_factory=list)
     relation_ids: list[int] = field(default_factory=list)
 
-    @property
-    def road_segment_count(self) -> int:
-        return len(self.way_ids)
-
 
 class WorldState:
     """All live elements, their histories, and per-country networks."""
@@ -134,20 +129,11 @@ class WorldState:
         except KeyError:
             raise SimulationError(f"no live element {kind}/{element_id}") from None
 
-    def live_elements(self) -> Iterator[OSMElement]:
-        for element in self.current.values():
-            if element.visible:
-                yield element
-
     def network(self, country: str) -> CountryNetwork:
         try:
             return self.networks[country]
         except KeyError:
             raise SimulationError(f"no network for country {country!r}") from None
-
-    @property
-    def element_count(self) -> int:
-        return len(self.current)
 
     def road_network_size(self, country: str) -> int:
         """Number of live road segments — the Percentage(*) denominator."""

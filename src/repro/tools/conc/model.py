@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.tools.lint.model import SourceFile
 
 __all__ = [
     "ConcConfig",
@@ -122,10 +118,3 @@ class LockEdge:
             f"{self.held.short} held while acquiring "
             f"{self.acquired.short} ({route})"
         )
-
-
-def source_of(sources: list["SourceFile"], rel_path: str) -> "SourceFile | None":
-    for source in sources:
-        if source.rel_path == rel_path:
-            return source
-    return None

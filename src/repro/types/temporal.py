@@ -184,10 +184,6 @@ class TemporalKey:
             ]
         return []
 
-    def descend_to_days(self) -> list["TemporalKey"]:
-        """All day-level keys covered by this cube."""
-        return [day_key(d) for d in iter_days(self.start, self.end)]
-
     def __str__(self) -> str:
         if self.level is Level.YEAR:
             return f"Y{self.year}"

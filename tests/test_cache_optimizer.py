@@ -108,7 +108,6 @@ class TestCachePreload:
         assert cache.get(day_key(date(2021, 6, 15))) is None
         assert cache.hits == 1
         assert cache.misses == 1
-        assert cache.hit_rate == 0.5
 
     def test_negative_slots_rejected(self, year_index):
         with pytest.raises(ConfigError):

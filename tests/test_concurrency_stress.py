@@ -16,9 +16,11 @@ import repro
 from repro.core.executor import QueryExecutor
 from repro.testing.lockwitness import LockWitness
 from repro.core.query import AnalysisQuery
+from repro.dashboard.server import DashboardServer
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
+from tests.test_front_door import answer_of, post
 
 pytestmark = pytest.mark.stress
 
@@ -167,3 +169,89 @@ class TestMixedWorkloadStress:
         assert memo_hit.stats.memo_hit
         assert memo_hit.rows == bare.rows
         assert system.iosched is not None  # one scheduler at any shard count
+
+
+class TestServedBytesUnderWrites:
+    """A memoized answer is re-sent as stored bytes; a write must never
+    let one epoch's bytes answer another epoch's request."""
+
+    BODIES = [
+        dict(start="2021-07-01", end="2021-07-31", group_by=group_by)
+        for group_by in (["country"], ["element_type"], ["update_type"], ["date"])
+    ]
+
+    @staticmethod
+    def _answer(server: DashboardServer, body: dict) -> bytes:
+        """The response up to its per-request ``stats``."""
+        status, sent, _ = post(server, "/analysis", body)
+        assert status == 200, sent
+        return answer_of(sent)
+
+    def test_every_response_is_one_epochs_document(self, atlas):
+        system = build_stress_system(atlas)
+        errors: list[BaseException] = []
+        #: (query position, sent at, answered at, answer bytes)
+        answers: list[tuple[int, float, float, bytes]] = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with DashboardServer(system.dashboard) as server:
+                before = [self._answer(server, body) for body in self.BODIES]
+
+                def client(offset: int) -> None:
+                    try:
+                        turn = offset
+                        while not stop.is_set():
+                            position = turn % len(self.BODIES)
+                            sent_at = time.monotonic()
+                            answer = self._answer(server, self.BODIES[position])
+                            answers.append(
+                                (position, sent_at, time.monotonic(), answer)
+                            )
+                            turn += 1
+                    except BaseException as exc:  # noqa: BLE001 - collected
+                        errors.append(exc)
+                        stop.set()
+
+                clients = [
+                    threading.Thread(target=client, args=(i,), name=f"client-{i}")
+                    for i in range(8)
+                ]
+                for thread in clients:
+                    thread.start()
+                # Bumps alone drop every entry (and its bytes) without
+                # changing an answer; the ingest changes the answers.
+                for _ in range(25):
+                    system.epoch.bump()
+                    time.sleep(0.004)
+                write_began = time.monotonic()
+                system.publish_day(date(2021, 7, 4))
+                system.pipeline.run_daily()
+                write_ended = time.monotonic()
+                for _ in range(25):
+                    system.epoch.bump()
+                    time.sleep(0.004)
+                stop.set()
+                for thread in clients:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in clients)
+                after = [self._answer(server, body) for body in self.BODIES]
+        finally:
+            sys.setswitchinterval(interval)
+            system.iosched.shutdown()
+        assert errors == []
+        assert all(old != new for old, new in zip(before, after))  # day 4 shows
+        early = late = 0
+        for position, sent_at, answered_at, answer in answers:
+            # Never a blend...
+            assert answer in (before[position], after[position])
+            # ...and never the other epoch's bytes.
+            if answered_at < write_began:
+                assert answer == before[position]
+                early += 1
+            if sent_at > write_ended:
+                assert answer == after[position]
+                late += 1
+        assert early and late, (early, late, len(answers))
+        assert system.metrics.value("rased_http_encoded_reused_total") > 0

@@ -125,8 +125,7 @@ class TestQueryModel:
         result = QueryResult(
             query=query, rows={("germany",): 5, ("qatar",): 2}, stats=QueryStats()
         )
-        table = result.to_table()
-        assert table[0] == {"country": "germany", "value": 5}
+        assert result.sorted_rows()[0] == (("germany",), 5)
         assert result.total == 7
 
     def test_sorted_rows_by_key(self):

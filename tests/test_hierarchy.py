@@ -294,7 +294,7 @@ class TestPersistence:
         index = HierarchicalIndex(tiny_schema, disk)
         index.ingest_day(date(2021, 3, 1), updates_for(date(2021, 3, 1)))
         assert index.total_pages() == 1
-        assert index.storage_bytes() == cube_page_size(tiny_schema)
+        assert disk.stats.bytes_written == cube_page_size(tiny_schema)
 
     def test_bulk_load_equivalent_to_daily_ingest(self, tiny_schema):
         disk_a = InMemoryDisk(read_latency=0, write_latency=0)

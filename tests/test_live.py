@@ -10,7 +10,7 @@ from repro.types.temporal import Level
 from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.query import AnalysisQuery
+from repro.core.query import AnalysisQuery, QueryResult
 from repro.collection.geocode import Geocoder
 from repro.core.live import LiveMonitor, split_change_by_hour
 from repro.osm.changesets import ChangesetStore
@@ -98,12 +98,13 @@ class TestLiveMonitor:
 
     def test_partial_cube_counts_match_truth(self, live_setup):
         _, _, monitor, truth = live_setup
-        cube = monitor.partial_cube(date(2021, 5, 3))
-        assert cube is not None
-        # Zone expansion counts each update 2-3 times; the unexpanded
-        # total equals truth row count when filtered to countries.
-        today_truth = truth[date(2021, 5, 3)]
-        assert cube.total >= len(today_truth)
+        today = date(2021, 5, 3)
+        query = AnalysisQuery(start=today, end=today)
+        overlaid = QueryResult(query=query)
+        assert monitor.overlay(query, overlaid) == 1
+        # Zone expansion counts each update 2-3 times in the cube; the
+        # overlay keeps the country-kind zones, which count it once.
+        assert overlaid.total == len(truth[today])
 
     def test_overlay_extends_window_to_today(self, live_setup):
         index, executor, monitor, truth = live_setup

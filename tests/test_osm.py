@@ -270,7 +270,7 @@ class TestChangesets:
         store.add(self.make(cid=999))
         store.add(self.make(cid=1000))
         assert store.flush() == 2
-        assert store.file_count() == 2
+        assert len(list(tmp_path.glob("*.xml"))) == 2
 
     def test_store_lookup(self, tmp_path):
         store = ChangesetStore(tmp_path)

@@ -7,7 +7,7 @@ from datetime import date
 
 import pytest
 
-from repro.core.query import AnalysisQuery
+from repro.core.query import AnalysisQuery, QueryResult
 from repro.core.resultcache import EpochCounter, ResultCache
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
@@ -29,10 +29,14 @@ class TestResultCacheUnit:
         rows = {("germany",): 3}
         cache.put(_query(), rows, epoch.value)
         rows[("germany",)] = 99  # caller keeps mutating its dict
-        first = cache.get(_query())
-        assert first == {("germany",): 3}
-        first[("germany",)] = -1  # one client's overlay...
-        assert cache.get(_query()) == {("germany",): 3}  # ...leaks nowhere
+        entry = cache.get(_query())
+        assert entry.rows == {("germany",): 3}
+        first = QueryResult(_query(), memo=entry)  # what a hit hands its caller
+        first.rows[("germany",)] = -1  # one client's overlay...
+        assert cache.get(_query()).rows == {("germany",): 3}  # ...leaks nowhere
+        # ...and rows handed out for editing no longer vouch for the
+        # entry's encoded bytes.
+        assert first.memo is None
 
     def test_epoch_bump_invalidates(self):
         epoch = EpochCounter()

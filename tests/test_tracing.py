@@ -92,7 +92,7 @@ class TestSpans:
         sink = _ListSink()
         tracer = Tracer(recorder=sink)
         with tracer.trace("root") as root:
-            root.set_attribute("k", 1)
+            root.attributes["k"] = 1
             with span("child") as child:
                 with span("grandchild") as grand:
                     assert grand.parent_id == child.span_id

@@ -291,7 +291,7 @@ class TestGridSpatialIndex:
         index.flush()
         box = BBox(min_lon=4.0, min_lat=4.0, max_lon=6.0, max_lat=6.0)
         assert GridSpatialIndex(disk).query(box) == [RowPointer(1, 1)]
-        assert index.occupied_cells() == 1
+        assert len(list(disk.list_pages(index.prefix + "/"))) == 1
 
     @given(
         st.lists(

@@ -40,9 +40,10 @@ if TYPE_CHECKING:
 from repro.collection.daily import DailyCrawler, DailyCrawlResult
 from repro.collection.monthly import MonthlyCrawler
 from repro.collection.records import UpdateList
+from repro.errors import PageNotFoundError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.osm.model import OSMElement
-from repro.types.temporal import TemporalKey
+from repro.types.temporal import TemporalKey, month_key
 
 __all__ = ["IngestionPipeline", "IngestReport"]
 
@@ -78,10 +79,10 @@ class IngestionPipeline:
         daily_crawler: DailyCrawler,
         monthly_crawler: MonthlyCrawler,
         index: HierarchicalIndex,
-        warehouse: Warehouse | None = None,
-        hash_index: HashIndex | None = None,
-        spatial_index: GridSpatialIndex | None = None,
-        cache: CacheManager | None = None,
+        warehouse: Warehouse,
+        hash_index: HashIndex,
+        spatial_index: GridSpatialIndex,
+        cache: CacheManager,
         metrics: MetricsRegistry | None = None,
         wal: "IngestWAL | None" = None,
     ) -> None:
@@ -106,8 +107,6 @@ class IngestionPipeline:
     CURSOR_PAGE = "meta/daily_cursor"
 
     def _load_cursor(self) -> None:
-        from repro.errors import PageNotFoundError
-
         try:
             raw = self.index.store.read(self.CURSOR_PAGE)
         except PageNotFoundError:
@@ -123,29 +122,26 @@ class IngestionPipeline:
 
     # -- daily --------------------------------------------------------------
 
-    def ingest_daily_result(self, result: DailyCrawlResult) -> IngestReport:
-        """Index one crawled day everywhere it belongs."""
+    def ingest_daily_result(self, result: DailyCrawlResult, report: IngestReport) -> None:
+        """Index one crawled day everywhere it belongs; add it to ``report``."""
         started = time.perf_counter()
-        report = IngestReport(days_processed=1)
         written = self.index.ingest_day(result.day, result.updates)
+        report.days_processed += 1
         report.cubes_written.extend(written)
-        report.updates_indexed = len(result.updates)
-        report.updates_skipped = result.skipped
-        self._store_rows(result.updates, report)
-        self._refresh_cache(written)
-        self._record_day(report, time.perf_counter() - started)
-        return report
-
-    def _record_day(self, report: IngestReport, seconds: float) -> None:
+        report.updates_indexed += len(result.updates)
+        report.updates_skipped += result.skipped
+        self._store_rows(result.day, result.updates, report)
+        for key in written:
+            self.cache.refresh_key(key)
         metrics = self.metrics
         metrics.inc_key(_K_DAYS)
-        metrics.inc_key(_K_UPDATES, report.updates_indexed)
-        if report.updates_skipped:
-            metrics.inc_key(_K_SKIPPED, report.updates_skipped)
-        if report.cubes_written:
-            metrics.inc_key(_K_CUBES, len(report.cubes_written))
-        metrics.observe_key(_K_UPDATES_PER_DAY, report.updates_indexed)
-        metrics.observe_key(_K_DAY_SECONDS, seconds)
+        metrics.inc_key(_K_UPDATES, len(result.updates))
+        if result.skipped:
+            metrics.inc_key(_K_SKIPPED, result.skipped)
+        if written:
+            metrics.inc_key(_K_CUBES, len(written))
+        metrics.observe_key(_K_UPDATES_PER_DAY, len(result.updates))
+        metrics.observe_key(_K_DAY_SECONDS, time.perf_counter() - started)
 
     def run_daily(self) -> IngestReport:
         """Crawl and ingest every diff published since the last cycle.
@@ -162,12 +158,7 @@ class IngestionPipeline:
             meta = {"kind": "daily", "day": result.day.isoformat()}
             if self.wal is not None:
                 self.wal.begin(meta)
-            single = self.ingest_daily_result(result)
-            report.days_processed += single.days_processed
-            report.updates_indexed += single.updates_indexed
-            report.updates_skipped += single.updates_skipped
-            report.cubes_written.extend(single.cubes_written)
-            report.warehouse_rows += single.warehouse_rows
+            self.ingest_daily_result(result, report)
             self._save_cursor()
             if self.wal is not None:
                 self.wal.commit(meta)
@@ -177,29 +168,21 @@ class IngestionPipeline:
         )
         return report
 
-    def _store_rows(self, updates: UpdateList, report: IngestReport) -> None:
-        if self.warehouse is None:
-            return
-        pointers = self.warehouse.append(updates)
-        report.warehouse_rows += len(pointers)
-        if self.hash_index is not None:
-            self.hash_index.insert_many(
-                (record.changeset_id, pointer)
-                for record, pointer in zip(updates, pointers)
-            )
-            self.hash_index.flush()
-        if self.spatial_index is not None:
-            self.spatial_index.insert_many(
-                (record.latitude, record.longitude, pointer)
-                for record, pointer in zip(updates, pointers)
-            )
-            self.spatial_index.flush()
-
-    def _refresh_cache(self, written: Iterable[TemporalKey]) -> None:
-        if self.cache is None:
-            return
-        for key in written:
-            self.cache.refresh_key(key)
+    def _store_rows(self, day: date, updates: UpdateList, report: IngestReport) -> None:
+        rows = list(zip(updates, self.warehouse.append(updates)))
+        report.warehouse_rows += len(rows)
+        closes_month = day == month_key(day.year, day.month).end
+        for index, entries in (
+            (self.hash_index, ((r.changeset_id, pointer) for r, pointer in rows)),
+            (self.spatial_index, ((r.latitude, r.longitude, pointer) for r, pointer in rows)),
+        ):
+            index.insert_many(entries)
+            index.flush()
+            # One segment a day, folded when the day closes its month;
+            # more segments than the month has had days means a feed gap
+            # swallowed a month end.  A read never meets more than 31.
+            if closes_month or len(index.buckets.segments) > day.day:
+                index.buckets.fold()
 
     # -- crash recovery -----------------------------------------------------
 
@@ -211,8 +194,9 @@ class IngestionPipeline:
         no-op returning ``None``; otherwise it returns the WAL's
         recovery report.  After a rollback every in-memory structure
         derived from the store — the index catalog, the warehouse tail,
-        buffered secondary-index entries, the cube cache, and the crawl
-        cursor — is rebuilt from the restored pages, so the next
+        the secondary indexes' buffers and segment lists (the rollback
+        may have deleted or restored segment pages), the cube cache, and
+        the crawl cursor — is rebuilt from the restored pages, so the next
         :meth:`run_daily` re-ingests the lost day exactly once.
         """
         if self.wal is None:
@@ -226,14 +210,10 @@ class IngestionPipeline:
 
     def _resync(self) -> None:
         self.index.reload_catalog()
-        if self.warehouse is not None:
-            self.warehouse.resync()
-        if self.hash_index is not None:
-            self.hash_index.discard_pending()
-        if self.spatial_index is not None:
-            self.spatial_index.discard_pending()
-        if self.cache is not None:
-            self.cache.clear()
+        self.warehouse.resync()
+        self.hash_index.buckets.discard_pending()
+        self.spatial_index.buckets.discard_pending()
+        self.cache.clear()
         # The rolled-back cursor page is authoritative; the crawler's
         # in-memory position may be a day ahead of it.
         self.daily_crawler.last_sequence = None
@@ -269,7 +249,8 @@ class IngestionPipeline:
         report.updates_indexed = len(crawl.updates)
         report.updates_skipped = crawl.skipped
         report.days_processed = len(by_day)
-        self._refresh_cache(written)
+        for key in written:
+            self.cache.refresh_key(key)
         if report.cubes_written:
             self.metrics.inc_key(_K_CUBES, len(report.cubes_written))
         self.metrics.observe_key(

@@ -145,17 +145,6 @@ class LiveMonitor:
             self.epoch.bump()
         return dropped
 
-    def discard_through(self, day: date) -> int:
-        """Drop every overlay up to and including ``day``."""
-        dropped = 0
-        with self._lock:
-            for stale in [d for d in self._partial if d <= day]:
-                del self._partial[stale]
-                dropped += 1
-        if dropped and self.epoch is not None:
-            self.epoch.bump()
-        return dropped
-
     # -- query overlay ---------------------------------------------------------
 
     def overlay(self, query: AnalysisQuery, result: QueryResult) -> int:

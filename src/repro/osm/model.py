@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Sequence
 
 from repro.types.dimensions import ELEMENT_NODE, ELEMENT_RELATION, ELEMENT_WAY
 from repro.errors import ConfigError
@@ -122,9 +121,6 @@ class OSMWay(OSMElement):
         super().__post_init__()
         object.__setattr__(self, "refs", tuple(self.refs))
 
-    def with_refs(self, refs: Sequence[int], timestamp: datetime, changeset: int) -> "OSMWay":
-        return self.next_version(timestamp, changeset, refs=tuple(refs))  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class RelationMember:
@@ -148,11 +144,6 @@ class OSMRelation(OSMElement):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "members", tuple(self.members))
-
-    def with_members(
-        self, members: Sequence[RelationMember], timestamp: datetime, changeset: int
-    ) -> "OSMRelation":
-        return self.next_version(timestamp, changeset, members=tuple(members))  # type: ignore[return-value]
 
 
 def element_kind(element: OSMElement) -> str:

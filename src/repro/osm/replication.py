@@ -18,12 +18,12 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
 from repro.errors import CircuitOpenError, ParseError, StorageError
-from repro.osm.xml_io import OsmChange, read_osc, write_osc
+from repro.osm.xml_io import OsmChange, format_timestamp, parse_timestamp, read_osc, write_osc
 
 __all__ = [
     "ReplicationFeed",
@@ -68,16 +68,14 @@ def _parse_state(text: str) -> tuple[int, datetime]:
             sequence = int(value)
         elif key == "timestamp":
             # OSM state files escape ':' as '\:'.
-            timestamp = datetime.strptime(
-                value.replace("\\:", ":"), "%Y-%m-%dT%H:%M:%SZ"
-            ).replace(tzinfo=timezone.utc)
+            timestamp = parse_timestamp(value.replace("\\:", ":"))
     if sequence is None or timestamp is None:
         raise ParseError(f"malformed state file: {text!r}")
     return sequence, timestamp
 
 
 def _format_state(sequence: int, timestamp: datetime) -> str:
-    stamp = timestamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H\\:%M\\:%SZ")
+    stamp = format_timestamp(timestamp).replace(":", "\\:")
     return f"#{stamp}\nsequenceNumber={sequence}\ntimestamp={stamp}\n"
 
 
@@ -378,16 +376,8 @@ class ResilientFeed:
     def fetch(self, sequence: int) -> OsmChange:
         return self._call("fetch", lambda: self.feed.fetch(sequence))
 
-    def iter_since(
-        self, after_sequence: int | None
-    ) -> Iterator[tuple[int, datetime, OsmChange]]:
-        newest = self.current_sequence()
-        if newest is None:
-            return
-        start = 0 if after_sequence is None else after_sequence + 1
-        for sequence in range(start, newest + 1):
-            _, timestamp = self.state(sequence)
-            yield sequence, timestamp, self.fetch(sequence)
+    #: The feed's own loop, over the three armored reads above.
+    iter_since = ReplicationFeed.iter_since
 
     # -- pass-through write side ---------------------------------------------
 

@@ -57,6 +57,15 @@ def format_timestamp(dt: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
+    # The canonical form is read by position; anything else, out-of-range
+    # fields included, takes the ``strptime`` route: it alone says "error".
+    if len(text) == 20 and text[4::3] == "--T::Z" and text.isascii():
+        fields = text[0:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19]
+        if "".join(fields).isdigit():
+            try:
+                return datetime(*map(int, fields), tzinfo=timezone.utc)
+            except ValueError:
+                pass
     try:
         return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(
             tzinfo=timezone.utc
@@ -164,11 +173,7 @@ def write_osm(
     root = ET.Element("osm", {"version": "0.6", "generator": generator})
     for element in elements:
         root.append(element_to_xml(element))
-    tree = ET.ElementTree(root)
-    if isinstance(target, (str, Path)):
-        tree.write(str(target), encoding="utf-8", xml_declaration=True)
-    else:
-        tree.write(target, encoding="utf-8", xml_declaration=True)
+    ET.ElementTree(root).write(target, encoding="utf-8", xml_declaration=True)
 
 
 def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
@@ -178,7 +183,7 @@ def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
     bounded for multi-gigabyte dumps.
     """
     try:
-        for _, xml_element in _iterparse_closed(source):
+        for _, xml_element in ET.iterparse(source, events=("end",)):
             if xml_element.tag in _KINDS:
                 yield parse_element(xml_element)
                 xml_element.clear()
@@ -188,10 +193,6 @@ def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
 
 def read_osm(source: str | Path | IO[bytes]) -> list[OSMElement]:
     return list(iter_osm(source))
-
-
-def _iterparse_closed(source):
-    return ET.iterparse(str(source) if isinstance(source, Path) else source, events=("end",))
 
 
 # -- .osc diffs ----------------------------------------------------------
@@ -237,21 +238,14 @@ def write_osc(
         block = ET.SubElement(root, action)
         for element in elements:
             block.append(element_to_xml(element))
-    tree = ET.ElementTree(root)
-    if isinstance(target, (str, Path)):
-        tree.write(str(target), encoding="utf-8", xml_declaration=True)
-    else:
-        tree.write(target, encoding="utf-8", xml_declaration=True)
+    ET.ElementTree(root).write(target, encoding="utf-8", xml_declaration=True)
 
 
 def iter_osc(source: str | Path | IO[bytes]) -> Iterator[tuple[str, OSMElement]]:
     """Stream (action, element) pairs from an osmChange document."""
     action: str | None = None
     try:
-        for event, xml_element in ET.iterparse(
-            str(source) if isinstance(source, Path) else source,
-            events=("start", "end"),
-        ):
+        for event, xml_element in ET.iterparse(source, events=("start", "end")):
             if event == "start":
                 if xml_element.tag in _ACTIONS:
                     action = xml_element.tag

@@ -7,21 +7,23 @@ the first N (default 100) updates inside a region, so the index
 optimizes for *partial* range scans: stop as soon as enough pointers
 are found.
 
-The structure is a uniform grid over the world: each occupied cell is
-one page of packed (lat, lon, page, slot) entries.  Cells are visited
-in row-major order within the query box; entries in boundary cells are
-filtered exactly by coordinate.
+The structure is a uniform grid over the world: an occupied cell's
+packed (lat, lon, page, slot) entries live in its base page plus the
+batch segments that name it (:attr:`GridSpatialIndex.buckets`, a
+:mod:`repro.storage.segments` store).  Cells are visited in row-major
+order within the query box; entries in boundary cells are filtered
+exactly by coordinate.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import defaultdict
 from typing import Iterable
 
-from repro.errors import ConfigError, PageNotFoundError, StorageError
+from repro.errors import ConfigError
 from repro.geo.geometry import BBox
 from repro.storage.pages import PageStore
+from repro.storage.segments import SegmentedBuckets
 from repro.storage.warehouse import RowPointer
 
 __all__ = ["GridSpatialIndex"]
@@ -41,14 +43,17 @@ class GridSpatialIndex:
     ) -> None:
         if cols < 1 or rows < 1:
             raise ConfigError("grid dimensions must be positive")
-        self.store = store
         self.prefix = prefix
         self.cols = cols
         self.rows = rows
         self._cell_w = 360.0 / cols
         self._cell_h = 180.0 / rows
-        self._pending: dict[tuple[int, int], list[tuple[float, float, RowPointer]]] = (
-            defaultdict(list)
+        #: Bucket number of cell (col, row) is ``col * rows + row``.
+        self.buckets = SegmentedBuckets(
+            store,
+            prefix,
+            _ENTRY,
+            lambda bucket: "{:03d}_{:03d}".format(*divmod(bucket, rows)),
         )
 
     def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
@@ -58,13 +63,11 @@ class GridSpatialIndex:
         row = min(max(int((lat + 90.0) / self._cell_h), 0), self.rows - 1)
         return col, row
 
-    def _cell_id(self, cell: tuple[int, int]) -> str:
-        return f"{self.prefix}/{cell[0]:03d}_{cell[1]:03d}"
-
     # -- write path ---------------------------------------------------------
 
     def insert(self, lat: float, lon: float, pointer: RowPointer) -> None:
-        self._pending[self._cell_of(lat, lon)].append((lat, lon, pointer))
+        col, row = self._cell_of(lat, lon)
+        self.buckets.add(col * self.rows + row, lat, lon, pointer.page, pointer.slot)
 
     def insert_many(
         self, entries: Iterable[tuple[float, float, RowPointer]]
@@ -73,43 +76,8 @@ class GridSpatialIndex:
             self.insert(lat, lon, pointer)
 
     def flush(self) -> int:
-        """Merge buffered entries into cell pages; returns pages written."""
-        # Taken out before the first write: a concurrent ``query`` adds
-        # ``_pending`` to what it reads from the page, so an entry left
-        # there after its cell was written would be returned twice.
-        pending, self._pending = self._pending, defaultdict(list)
-        written = 0
-        for cell, entries in sorted(pending.items()):
-            existing = self._read_cell(cell)
-            existing.extend(entries)
-            payload = b"".join(
-                _ENTRY.pack(lat, lon, pointer.page, pointer.slot)
-                for lat, lon, pointer in existing
-            )
-            self.store.write(self._cell_id(cell), payload)
-            written += 1
-        return written
-
-    def discard_pending(self) -> int:
-        """Drop buffered, unflushed entries (WAL rollback of a batch
-        whose cell pages were restored from undo).  Returns how many
-        entries were discarded."""
-        dropped = sum(len(entries) for entries in self._pending.values())
-        self._pending.clear()
-        return dropped
-
-    def _read_cell(self, cell: tuple[int, int]) -> list[tuple[float, float, RowPointer]]:
-        try:
-            data = self.store.read(self._cell_id(cell))
-        except PageNotFoundError:
-            return []
-        if len(data) % _ENTRY.size:
-            raise StorageError(f"torn grid cell {cell}")
-        entries: list[tuple[float, float, RowPointer]] = []
-        for offset in range(0, len(data), _ENTRY.size):
-            lat, lon, page, slot = _ENTRY.unpack_from(data, offset)
-            entries.append((lat, lon, RowPointer(page=page, slot=slot)))
-        return entries
+        """Publish buffered entries as one segment; returns pages written."""
+        return self.buckets.flush()
 
     # -- read path -------------------------------------------------------------
 
@@ -120,17 +88,15 @@ class GridSpatialIndex:
         stops early once ``limit`` pointers are collected, so a sample
         query over a dense region touches few cell pages.
         """
-        found: list[RowPointer] = []
+        # Keyed by pointer: a fold under way can show an entry twice.
+        found: dict[RowPointer, None] = {}
         if limit is not None and limit <= 0:
-            return found
+            return []
         col_lo, row_lo = self._cell_of(box.min_lat, box.min_lon)
         col_hi, row_hi = self._cell_of(box.max_lat, box.max_lon)
         for row in range(row_lo, row_hi + 1):
             for col in range(col_lo, col_hi + 1):
-                cell = (col, row)
-                entries = self._read_cell(cell)
-                entries.extend(self._pending.get(cell, []))
-                for lat, lon, pointer in entries:
+                for lat, lon, page, slot in self.buckets.entries(col * self.rows + row):
                     # Compared raw, not through a (range-validating)
                     # ``Point``: a stray stored in an edge cell must not
                     # fail every query that visits the cell.
@@ -138,7 +104,7 @@ class GridSpatialIndex:
                         box.min_lon <= lon <= box.max_lon
                         and box.min_lat <= lat <= box.max_lat
                     ):
-                        found.append(pointer)
+                        found[RowPointer(page=page, slot=slot)] = None
                         if limit is not None and len(found) >= limit:
-                            return found
-        return found
+                            return list(found)
+        return list(found)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import PageNotFoundError, StorageError
 from repro.obs.span import span as causal_span
@@ -106,6 +107,8 @@ class IngestWAL:
     def __init__(self, store: PageStore, prefix: str = WAL_PREFIX) -> None:
         self.raw = store
         self.prefix = prefix
+        self.intent_page = f"{prefix}/intent"
+        self.checkpoint_page = f"{prefix}/checkpoint"
         #: The view batch participants must write through.
         self.store = JournaledStore(self)
         self._active_batch: int | None = None
@@ -114,14 +117,6 @@ class IngestWAL:
         self._next_batch = self._discover_next_batch()
 
     # -- page ids ------------------------------------------------------------
-
-    @property
-    def intent_page(self) -> str:
-        return f"{self.prefix}/intent"
-
-    @property
-    def checkpoint_page(self) -> str:
-        return f"{self.prefix}/checkpoint"
 
     def _undo_prefix(self, batch: int) -> str:
         return f"{self.prefix}/undo/{batch:08d}/"
@@ -146,11 +141,6 @@ class IngestWAL:
         return newest + 1
 
     # -- batch lifecycle -----------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether a batch is currently open in this process."""
-        return self._active_batch is not None
 
     def begin(self, meta: dict | None = None) -> int:
         """Open a batch; returns its number.  The intent page is the
@@ -214,7 +204,10 @@ class IngestWAL:
             self.raw.delete(self.intent_page)
             self._active_batch = None
             self._journaled = set()
-            self._collect_undo(self._undo_prefix(batch))
+            # Numbered by journal(): no listing of the store to find them.
+            self._collect_undo(
+                self._undo_page(batch, n) for n in range(self._undo_count)
+            )
             checkpoint = json.dumps({"batch": batch, "meta": meta or {}}).encode(
                 "utf-8"
             )
@@ -253,7 +246,9 @@ class IngestWAL:
         # Undo pages surviving past their intent are committed batches'
         # leftovers (crash between intent delete and GC) — or the pages
         # just restored above.  Either way they are garbage now.
-        report.orphans_collected = self._collect_undo(f"{self.prefix}/undo/")
+        report.orphans_collected = self._collect_undo(
+            list(self.raw.list_pages(f"{self.prefix}/undo/"))
+        )
         self._next_batch = self._discover_next_batch()
         return report
 
@@ -290,26 +285,12 @@ class IngestWAL:
             return None
         return page_id, existed, payload
 
-    def _collect_undo(self, prefix: str) -> int:
+    def _collect_undo(self, undo_ids: Iterable[str]) -> int:
         collected = 0
-        for undo_id in list(self.raw.list_pages(prefix)):
+        for undo_id in undo_ids:
             try:
                 self.raw.delete(undo_id)
                 collected += 1
             except PageNotFoundError:
                 continue
         return collected
-
-    # -- introspection -------------------------------------------------------
-
-    def last_checkpoint(self) -> dict | None:
-        """The newest committed batch's checkpoint record, if any."""
-        try:
-            raw = self.raw.read(self.checkpoint_page)
-        except PageNotFoundError:
-            return None
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None

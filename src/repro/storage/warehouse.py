@@ -111,19 +111,13 @@ class Warehouse:
         self.store = store
         self.prefix = prefix
         self.metrics = metrics if metrics is not None else get_registry()
-        self._page_count = 0
-        self._last_page_rows = 0
-        self._tail: bytearray | None = None
-        self._recover()
+        self.resync()
+        # Rediscovering the heap extent after a restart shouldn't
+        # pollute experiment I/O accounting.
+        self.store.reset_stats()
 
     def _page_id(self, page: int) -> str:
         return f"{self.prefix}/{page:08d}"
-
-    def _recover(self) -> None:
-        """Rediscover heap extent from the store after a restart."""
-        self.resync()
-        # Recovery reads shouldn't pollute experiment I/O accounting.
-        self.store.reset_stats()
 
     def resync(self) -> None:
         """Re-derive the heap extent from the pages actually on disk.
@@ -134,9 +128,8 @@ class Warehouse:
         Unlike construction-time recovery this charges its reads: a
         running system's rollback is real I/O.
         """
-        self._page_count = 0
         self._last_page_rows = 0
-        self._tail = None
+        self._tail: bytearray | None = None
         pages = list(self.store.list_pages(self.prefix + "/"))
         self._page_count = len(pages)
         if pages:
@@ -190,11 +183,7 @@ class Warehouse:
         """Read one row (one page I/O)."""
         if pointer.page >= self._page_count or pointer.page < 0:
             raise StorageError(f"row pointer {pointer} beyond heap extent")
-        data = self.store.read(self._page_id(pointer.page))
-        if pointer.slot * ROW_SIZE >= len(data):
-            raise StorageError(f"row pointer {pointer} beyond page extent")
-        self.metrics.inc_key(_K_ROWS_FETCHED)
-        return _unpack_row(data, pointer.slot * ROW_SIZE)
+        return self.fetch_many([pointer])[0]
 
     def fetch_many(self, pointers: Iterable[RowPointer]) -> list[UpdateRecord]:
         """Batch fetch, reading each touched page once."""

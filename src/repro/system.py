@@ -16,7 +16,7 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime, time, timezone
 from pathlib import Path
 import tempfile
 from typing import Any
@@ -67,7 +67,7 @@ from repro.storage.pages import PageStore
 from repro.storage.spatial_index import GridSpatialIndex
 from repro.storage.wal import IngestWAL
 from repro.storage.warehouse import Warehouse
-from repro.synth.simulator import EditSimulator, SimulationConfig
+from repro.synth.simulator import DayOutput, EditSimulator, SimulationConfig
 
 __all__ = ["RasedSystem", "SystemConfig"]
 
@@ -360,6 +360,15 @@ class RasedSystem:
 
     # -- data flow ---------------------------------------------------------------
 
+    def _simulate(self, day: date) -> DayOutput:
+        """Simulate ``day``: its changesets are published, its truth kept."""
+        output = self.simulator.simulate_day(day)
+        for changeset in output.changesets:
+            self.changeset_store.add(changeset)
+        self.changeset_store.flush()
+        self.truth_by_day[day] = output.truth
+        return output
+
     def publish_day(self, day: date, hourly: bool = False) -> int:
         """Simulate one day and publish its diff + changesets.
 
@@ -372,13 +381,7 @@ class RasedSystem:
         in :attr:`truth_by_day` so tests (and EXPERIMENTS.md) can
         validate crawler output against what actually happened.
         """
-        output = self.simulator.simulate_day(day)
-        for changeset in output.changesets:
-            self.changeset_store.add(changeset)
-        self.changeset_store.flush()
-        self.truth_by_day[day] = output.truth
-        from datetime import datetime, time, timezone
-
+        output = self._simulate(day)
         stamp = datetime.combine(day, time(23, 59), tzinfo=timezone.utc)
         if hourly:
             from repro.core.live import split_change_by_hour
@@ -394,13 +397,7 @@ class RasedSystem:
         Models "today": the daily diff does not exist yet, so only the
         live monitor can see these updates.  Returns updates published.
         """
-        output = self.simulator.simulate_day(day)
-        for changeset in output.changesets:
-            self.changeset_store.add(changeset)
-        self.changeset_store.flush()
-        self.truth_by_day[day] = output.truth
-        from datetime import datetime, time, timezone
-
+        output = self._simulate(day)
         from repro.core.live import split_change_by_hour
 
         published = 0

@@ -245,14 +245,6 @@ class LockWitness:
         with self._state.guard:
             return dict(self._state.edges)
 
-    @property
-    def lock_sites(self) -> dict[str, tuple[str, int, str]]:
-        with self._state.guard:
-            return {
-                key: (info.path, info.line, info.kind)
-                for key, info in self._state.sites.items()
-            }
-
     def to_json(self) -> dict[str, object]:
         with self._state.guard:
             return {

@@ -337,7 +337,7 @@ class TestLockWitness:
             lock = threading.Lock()
             with lock:
                 pass
-        assert witness.lock_sites == {}
+        assert witness.to_json()["locks"] == {}
 
     def test_condition_wait_tracks_held_state(self):
         """A Condition release/reacquire cycle via wait() leaves the

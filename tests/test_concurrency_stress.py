@@ -3,11 +3,13 @@ through one system."""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
 import time
-from datetime import date
+from collections import Counter
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from repro.dashboard.server import DashboardServer
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from tests.test_front_door import answer_of, post
+from tests.test_front_door import answer_of, get, post
 
 pytestmark = pytest.mark.stress
 
@@ -255,3 +257,107 @@ class TestServedBytesUnderWrites:
                 late += 1
         assert early and late, (early, late, len(answers))
         assert system.metrics.value("rased_http_encoded_reused_total") > 0
+
+
+class TestWarehouseReadsUnderIngest:
+    """``/samples`` and ``/changeset/<id>`` read the two warehouse
+    indexes with no lock beside the writer's segment flushes and its
+    month-end fold: whenever a request lands, it finds each row at most
+    once and nothing the heap does not hold."""
+
+    FIRST_DAY = date(2021, 7, 20)
+    DAYS = 36  # through Aug 24: Jul 31 folds, August accumulates again
+
+    def test_every_row_exactly_once_across_a_month_end(self, atlas):
+        system = RasedSystem.create(
+            atlas=atlas,
+            store=InMemoryDisk(read_latency=0.0, write_latency=0.0),
+            config=SystemConfig(
+                road_types=8,
+                cache_slots=8,
+                durable_ingest=True,
+                simulation=SimulationConfig(
+                    seed=23, mapper_count=6, base_sessions_per_day=3, nodes_per_country=2
+                ),
+            ),
+        )
+        for offset in range(self.DAYS):
+            system.publish_day(self.FIRST_DAY + timedelta(days=offset))
+        changesets = sorted(
+            {row.changeset_id for rows in system.truth_by_day.values() for row in rows}
+        )
+        zones = system.atlas.zone_names()
+        paths = [f"/changeset/{changeset_id}" for changeset_id in changesets]
+        paths += [f"/samples?zone={zone}&n=10000" for zone in zones]
+        errors: list[BaseException] = []
+        answers: list[tuple[str, list[tuple[str, ...]]]] = []
+        stop = threading.Event()
+
+        def rows_of(server: DashboardServer, path: str) -> list[tuple[str, ...]]:
+            status, body, _ = get(server, path)
+            assert status == 200, body
+            (rows,) = json.loads(body).values()
+            return [tuple(row) for row in rows]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with DashboardServer(system.dashboard) as server:
+
+                def reader(offset: int) -> None:
+                    try:
+                        turn = offset
+                        while not stop.is_set():
+                            path = paths[turn % len(paths)]
+                            answers.append((path, rows_of(server, path)))
+                            turn += 7
+                    except BaseException as exc:  # noqa: BLE001 - collected
+                        errors.append(exc)
+                        stop.set()
+
+                readers = [
+                    threading.Thread(target=reader, args=(i,), name=f"reader-{i}")
+                    for i in range(4)
+                ]
+                for thread in readers:
+                    thread.start()
+                try:
+                    report = system.pipeline.run_daily()
+                finally:
+                    stop.set()
+                    for thread in readers:
+                        thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in readers)
+                final = {path: rows_of(server, path) for path in paths}
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert report.days_processed == self.DAYS
+        # July folded into bucket pages; August's days are segments.
+        for index in (system.hash_index, system.spatial_index):
+            assert len(index.buckets.segments) == 24
+            pages = list(system.store.list_pages(index.prefix + "/"))
+            assert len(pages) > 24
+
+        # Ground truth: a brute-force pass over the heap.
+        truth: dict[str, Counter] = {path: Counter() for path in paths}
+        boxes = {zone: system.atlas.zone(zone).bbox for zone in zones}
+        for row in system.warehouse.scan():
+            fields = tuple(row.to_tsv().split("\t"))
+            truth[f"/changeset/{row.changeset_id}"][fields] += 1
+            for zone, box in boxes.items():
+                if (
+                    box.min_lon <= row.longitude <= box.max_lon
+                    and box.min_lat <= row.latitude <= box.max_lat
+                ):
+                    truth[f"/samples?zone={zone}&n=10000"][fields] += 1
+        assert sum(truth[path].total() for path in paths[: len(changesets)]) == (
+            system.warehouse.row_count
+        )
+        for path in paths:
+            assert Counter(final[path]) == truth[path], path
+        raced = 0
+        for path, rows in answers:
+            assert Counter(rows) <= truth[path], path
+            raced += bool(rows)
+        assert raced > 20, (raced, len(answers))

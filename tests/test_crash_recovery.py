@@ -15,6 +15,12 @@ or the byte comparison fails.
 The same claim holds at ``shards > 1``: the one journal sits over the
 routed store, so a write torn on *any* shard's device rolls back with
 the rest of its batch (:class:`TestShardedCrash`).
+
+The warehouse indexes publish a day as one segment page and fold the
+month's segments into their bucket pages when the month closes; a
+second window over a month end kills the segment write, the fold
+between two bucket writes and the fold between its last bucket write
+and its first segment delete (``test_index_crash_*``).
 """
 
 from __future__ import annotations
@@ -24,10 +30,14 @@ from datetime import date, timedelta
 
 import pytest
 
+from repro.geo.geometry import BBox
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
+from repro.storage.hash_index import HashIndex
+from repro.storage.spatial_index import GridSpatialIndex
+from repro.storage.warehouse import RowPointer
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from repro.testing import CrashPoint, FaultPlan, FaultyPageStore
+from repro.testing import CrashPoint, FaultPlan, FaultyPageStore, classify_page_op
 
 pytestmark = pytest.mark.slow
 
@@ -71,7 +81,7 @@ def _make_system(atlas, root, store, shards=1) -> RasedSystem:
     )
 
 
-def _publish_window(atlas, root) -> None:
+def _publish_window(atlas, root, start=WINDOW_START, end=WINDOW_END) -> None:
     """Publish the window's diffs + changesets with a throwaway system.
 
     The publisher and the crawler are deliberately *different* system
@@ -84,8 +94,8 @@ def _publish_window(atlas, root) -> None:
     publisher = _make_system(
         atlas, root, InMemoryDisk(read_latency=0, write_latency=0)
     )
-    day = WINDOW_START
-    while day <= WINDOW_END:
+    day = start
+    while day <= end:
         publisher.publish_day(day)
         day += timedelta(days=1)
 
@@ -296,3 +306,117 @@ class TestShardedCrash:
             reopened.pipeline.run_daily()
             assert _deployment_pages(reopened) == golden
         assert ordinal > 0, f"shard {shard} saw no write in the window"
+
+
+# -- the warehouse indexes: segment write, fold, segment delete ---------------
+
+#: Jan 31 closes its month: that day's batch folds three segments per
+#: index into the bucket pages, and Feb 1 starts numbering segments anew.
+FOLD_DAYS = [date(2021, 1, 29) + timedelta(days=i) for i in range(5)]
+
+WORLD = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
+
+#: (operation, page-id prefix, matching operations let through first).
+INDEX_CRASHES = [
+    pytest.param("write", "warehouse/hash/seg/", 0, id="first-hash-segment"),
+    pytest.param("write", "warehouse/grid/seg/", 2, id="month-end-grid-segment"),
+    pytest.param("write", "warehouse/hash/seg/", 3, id="hash-segment-number-reused"),
+    pytest.param("write", "warehouse/hash/0", 1, id="between-two-hash-bucket-writes"),
+    pytest.param("write", "warehouse/grid/0", 1, id="between-two-grid-cell-writes"),
+    pytest.param("delete", "warehouse/hash/seg/", 0, id="before-first-hash-segment-delete"),
+    pytest.param("delete", "warehouse/grid/seg/", 0, id="before-first-grid-segment-delete"),
+    pytest.param("delete", "warehouse/grid/seg/", 2, id="before-last-grid-segment-delete"),
+]
+
+
+def _crash_before(store, op: str, prefix: str, after: int) -> None:
+    """Arm ``store``: the process dies before its ``after``-th ``op``
+    (counted from 0) on a page under ``prefix``."""
+    real = getattr(store, op)
+    seen = itertools.count()
+
+    def dying(page_id: str, *data: bytes) -> None:
+        if page_id.startswith(prefix) and next(seen) == after:
+            assert "warehouse.index" in classify_page_op(op, page_id)
+            raise CrashPoint("warehouse.index", page_id)
+        real(page_id, *data)
+
+    setattr(store, op, dying)
+
+
+def _assert_indexes_match_the_heap(system: RasedSystem) -> None:
+    """Both segment tuples equal a fresh open's, and every key answers
+    with exactly the rows a scan of the heap holds for it."""
+    store = system.warehouse.store
+    assert system.hash_index.buckets.segments == HashIndex(store).buckets.segments
+    assert (
+        system.spatial_index.buckets.segments
+        == GridSpatialIndex(store).buckets.segments
+    )
+    by_changeset: dict[int, list[RowPointer]] = {}
+    everything: list[RowPointer] = []
+    for page, rows in system.warehouse.scan_pages():
+        for slot, row in enumerate(rows):
+            by_changeset.setdefault(row.changeset_id, []).append(RowPointer(page, slot))
+            everything.append(RowPointer(page, slot))
+    for changeset_id, pointers in by_changeset.items():
+        assert system.hash_index.lookup(changeset_id) == pointers
+    assert sorted(system.spatial_index.query(WORLD)) == everything
+
+
+class TestIndexCrash:
+    @pytest.fixture(scope="class")
+    def feed_root(self, atlas, tmp_path_factory):
+        root = tmp_path_factory.mktemp("month-end-feed")
+        _publish_window(atlas, root, FOLD_DAYS[0], FOLD_DAYS[-1])
+        return root
+
+    @pytest.fixture(scope="class")
+    def golden(self, atlas, feed_root) -> list[dict[str, bytes]]:
+        """The uninterrupted run's pages before the first batch and at
+        each batch's commit point (the intent delete)."""
+
+        class CommitRecorder(InMemoryDisk):
+            def delete(self, page_id: str) -> None:
+                super().delete(page_id)
+                if page_id == "wal/intent":
+                    states.append(_snapshot(self))
+
+        disk = CommitRecorder(read_latency=0, write_latency=0)
+        system = _make_system(atlas, feed_root, disk)
+        states = [_snapshot(disk)]
+        system.pipeline.run_daily()
+        assert len(states) == len(FOLD_DAYS) + 1
+        # The month end folded: bucket pages and no segment; then Feb
+        # numbers its segments from zero again.
+        folded = [p for p in states[3] if p.startswith(("warehouse/hash/", "warehouse/grid/"))]
+        assert folded and not any("/seg/" in p for p in folded)
+        assert "warehouse/hash/seg/00000001" in states[2]
+        assert "warehouse/grid/seg/00000001" in states[5]
+        return states
+
+    @pytest.mark.parametrize("shards", [1, SHARDS])
+    @pytest.mark.parametrize(("op", "prefix", "after"), INDEX_CRASHES)
+    def test_index_crash_recovers_the_pre_batch_pages_and_one_copy_of_each_row(
+        self, atlas, feed_root, tmp_path, golden, op, prefix, after, shards
+    ):
+        system = _directory_system(atlas, feed_root, tmp_path, shards)
+        _crash_before(system.store, op, prefix, after)
+        with pytest.raises(CrashPoint):
+            system.pipeline.run_daily()
+        report = system.pipeline.recover()
+        assert report is not None and report.rolled_back
+        crashed_day = FOLD_DAYS.index(date.fromisoformat(report.batch_meta["day"]))
+        assert _deployment_pages(system) == golden[crashed_day]
+        _assert_indexes_match_the_heap(system)
+
+        # The same process carries on; so would a restarted one.
+        vars(system.store).pop(op)
+        reopened = _directory_system(atlas, feed_root, tmp_path, shards)
+        assert (
+            reopened.hash_index.buckets.segments
+            == system.hash_index.buckets.segments
+        )
+        system.pipeline.run_daily()
+        assert _deployment_pages(system) == golden[-1]
+        _assert_indexes_match_the_heap(system)

@@ -39,6 +39,10 @@ class TestClassification:
             ("write", "warehouse/heap/00000042", "warehouse.write"),
             ("write", "warehouse/hash/0007", "warehouse.index"),
             ("write", "warehouse/grid/12/34", "warehouse.index"),
+            ("write", "warehouse/hash/seg/00000003", "warehouse.index"),
+            ("delete", "warehouse/hash/seg/00000003", "warehouse.index"),
+            ("write", "warehouse/grid/seg/00000000", "warehouse.index"),
+            ("delete", "warehouse/grid/seg/00000000", "warehouse.index"),
             ("write", "cubes/D2021-01-01", "index.put"),
             ("write", "cubes/W2021-W03", "rollup"),
             ("write", "cubes/M2021-01", "rollup"),

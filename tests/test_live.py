@@ -63,7 +63,8 @@ def live_setup(atlas, tmp_path_factory):
     monitor.poll()
     # Days already ingested by the daily pipeline are dropped from the
     # overlay; only "today" (May 3) remains live.
-    monitor.discard_through(date(2021, 5, 2))
+    for ingested in (date(2021, 5, 1), date(2021, 5, 2)):
+        monitor.discard_day(ingested)
     executor = QueryExecutor(index)
     return index, executor, monitor, truth
 

@@ -4,6 +4,7 @@ history classification, and the replication feed."""
 from __future__ import annotations
 
 import io
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -143,6 +144,78 @@ class TestTimestamps:
     def test_bad_timestamp_raises(self):
         with pytest.raises(ParseError):
             parse_timestamp("2021-03-05 12:00:00")
+
+    @staticmethod
+    def _strptime_route(text: str):
+        """What ``parse_timestamp`` was before it read the canonical
+        form by position: the value, or the ParseError's message."""
+        try:
+            return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(
+                tzinfo=timezone.utc
+            )
+        except ValueError:
+            return f"bad OSM timestamp {text!r}"
+
+    def _assert_same(self, text: str) -> None:
+        expected = self._strptime_route(text)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as raised:
+                parse_timestamp(text)
+            assert str(raised.value) == expected
+        else:
+            got = parse_timestamp(text)
+            assert got == expected and got.utcoffset() == expected.utcoffset()
+
+    def test_positional_read_agrees_with_strptime_on_every_input(self):
+        rng = random.Random(59)
+        canonical = [
+            format_timestamp(
+                datetime.fromtimestamp(rng.randrange(0, 4_000_000_000), timezone.utc)
+            )
+            for _ in range(300)
+        ] + ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2024-02-29T00:00:00Z"]
+        for text in canonical:
+            self._assert_same(text)
+            assert not isinstance(self._strptime_route(text), str)
+        # Every single-character corruption of one: wrong separators,
+        # signs and blanks int() would take, lower case strptime takes,
+        # digits that are not ASCII.
+        base = "2021-03-05T12:34:56Z"
+        for position in range(len(base)):
+            for char in "0123456789-:TZtz +_.a/\u0663\uff13\u00b2":
+                self._assert_same(base[:position] + char + base[position + 1 :])
+            self._assert_same(base[:position] + base[position + 1 :])
+            self._assert_same(base[:position] + "1" + base[position:])
+        for text in (
+            "2021-02-30T00:00:00Z",  # no such day
+            "2021-02-29T00:00:00Z",
+            "2021-04-31T00:00:00Z",
+            "2021-13-01T00:00:00Z",
+            "2021-00-10T00:00:00Z",
+            "2021-01-00T00:00:00Z",
+            "0000-01-01T00:00:00Z",
+            "2021-03-05T24:00:00Z",
+            "2021-03-05T12:60:00Z",
+            "2021-03-05T12:00:60Z",  # strptime's leap seconds, not datetime's
+            "2021-03-05T12:00:61Z",
+            "2021-03-05T12:00:62Z",
+            "2021-3-05T12:00:00Z",  # widths strptime takes
+            "2021-03-5T12:00:00Z",
+            "2021-03-05T1:02:03Z",
+            "2021-3-5T1:2:3Z",
+            "02021-03-05T12:00:00Z",
+            "21-03-05T12:00:00Z",
+            "2021-03-05T12:00:00Z ",
+            " 2021-03-05T12:00:00Z",
+            "2021-03-05T12:00:00ZZ",
+            "2021-03-05T12:00:00Z\n",
+            "2021-03-05T12:00:00+00:00",
+            "2021-03-05T12:00:00.5Z",
+            "\u0662\u0660\u0662\u0661-03-05T12:00:00Z",
+            "",
+            "Z",
+        ):
+            self._assert_same(text)
 
 
 class TestOsmXml:
@@ -322,15 +395,13 @@ class TestHistoryClassification:
 
     def test_way_refs_change_is_geometry(self):
         previous = way()
-        current = previous.with_refs((1, 3, 4, 9), T1, 11)
+        current = previous.next_version(T1, 11, refs=(1, 3, 4, 9))
         assert classify_update(previous, current) == "geometry"
 
     def test_relation_members_change_is_geometry(self):
         previous = relation()
-        current = previous.with_members(
-            (RelationMember("way", 2, "outer"), RelationMember("way", 5, "")),
-            T1,
-            11,
+        current = previous.next_version(
+            T1, 11, members=(RelationMember("way", 2, "outer"), RelationMember("way", 5, ""))
         )
         assert classify_update(previous, current) == "geometry"
 

@@ -36,7 +36,6 @@ class TestBatchLifecycle:
         disk = _disk()
         wal = IngestWAL(disk)
         batch = wal.begin({"kind": "daily", "day": "2021-01-01"})
-        assert wal.active
         payload = json.loads(disk.read("wal/intent").decode("utf-8"))
         assert payload["batch"] == batch
         assert payload["meta"]["day"] == "2021-01-01"
@@ -47,11 +46,10 @@ class TestBatchLifecycle:
         wal.begin()
         wal.store.write("cubes/D2021-01-01", b"cube")
         wal.commit({"kind": "daily"})
-        assert not wal.active
         assert "wal/intent" not in disk
         assert list(disk.list_pages("wal/undo/")) == []
-        checkpoint = wal.last_checkpoint()
-        assert checkpoint is not None and checkpoint["batch"] == 1
+        assert json.loads(disk.read("wal/checkpoint"))["batch"] == 1
+        assert wal.begin() == 2  # the batch is closed: the next one opens
 
     def test_double_begin_rejected(self):
         wal = IngestWAL(_disk())
@@ -214,18 +212,19 @@ class TestRecovery:
 
 class TestCheckpoint:
     def test_missing_checkpoint_reads_none(self):
-        assert IngestWAL(_disk()).last_checkpoint() is None
+        disk = _disk()
+        assert "wal/checkpoint" not in disk
+        assert IngestWAL(disk).begin() == 1
 
     def test_checkpoint_carries_commit_meta(self):
         disk = _disk()
         wal = IngestWAL(disk)
         wal.begin()
         wal.commit({"kind": "monthly", "month": "M2021-01"})
-        checkpoint = wal.last_checkpoint()
-        assert checkpoint is not None
+        checkpoint = json.loads(disk.read("wal/checkpoint"))
         assert checkpoint["meta"] == {"kind": "monthly", "month": "M2021-01"}
 
     def test_unparseable_checkpoint_reads_none(self):
         disk = _disk()
         disk.write("wal/checkpoint", b"not json")
-        assert IngestWAL(disk).last_checkpoint() is None
+        assert IngestWAL(disk).begin() == 1  # numbered as if there were none

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from datetime import date
+import json
+import random
+import struct
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +39,9 @@ def disk():
 
 
 class _ObservedDisk(InMemoryDisk):
-    """Calls ``observe`` right after every page write lands — the
-    points inside a flush where a concurrent reader can be scheduled."""
+    """Calls ``observe`` right after every page write and delete lands —
+    the points inside a flush or a fold where a concurrent reader can be
+    scheduled."""
 
     def __init__(self) -> None:
         super().__init__(read_latency=0.0, write_latency=0.0)
@@ -47,6 +51,284 @@ class _ObservedDisk(InMemoryDisk):
         super().write(page_id, data)
         if self.observe is not None:
             self.observe()
+
+    def delete(self, page_id: str) -> None:
+        super().delete(page_id)
+        if self.observe is not None:
+            self.observe()
+
+
+WORLD = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
+
+
+def _pointer(i: int) -> RowPointer:
+    return RowPointer(i // 7, i % 7)
+
+
+class _HashKit:
+    """Entry ``i`` of a 4-bucket hash index over 6 keys; ``keys`` is
+    everything a reader can ask it."""
+
+    keys = list(range(6))
+
+    def __init__(self, disk):
+        self.index = HashIndex(disk, bucket_count=4)
+        self.ask = self.index.lookup
+
+    def insert(self, i: int) -> None:
+        self.index.insert(i % 6, _pointer(i))
+
+    @staticmethod
+    def parent_layout(count: int) -> dict[str, bytes]:
+        """The bucket pages the one-level index held after ``count``
+        inserts: packed entries in insertion order, nothing else."""
+        pages: dict[str, bytes] = {}
+        for i in range(count):
+            page_id = f"warehouse/hash/{i % 6 % 4:05d}"
+            pages[page_id] = pages.get(page_id, b"") + struct.pack(
+                "<QII", i % 6, i // 7, i % 7
+            )
+        return pages
+
+
+_RNG = random.Random(7)
+_POINTS = [(_RNG.uniform(-89, 89), _RNG.uniform(-179, 179)) for _ in range(200)]
+_CELL_BOXES = [WORLD] + [
+    BBox(min_lon=lon, min_lat=lat, max_lon=lon + 90, max_lat=lat + 90)
+    for lon in (-180, -90, 0, 90)
+    for lat in (-90, 0)
+]
+
+
+class _GridKit:
+    """The same over a 4 x 2 grid, asked cell by cell and for the world."""
+
+    points = _POINTS
+    keys = _CELL_BOXES
+
+    def __init__(self, disk):
+        self.index = GridSpatialIndex(disk, cols=4, rows=2)
+        self.ask = self.index.query
+
+    def insert(self, i: int) -> None:
+        self.index.insert(*self.points[i], _pointer(i))
+
+    @classmethod
+    def parent_layout(cls, count: int) -> dict[str, bytes]:
+        pages: dict[str, bytes] = {}
+        for i, (lat, lon) in enumerate(cls.points[:count]):
+            page_id = f"warehouse/grid/{int((lon + 180) / 90):03d}_{int((lat + 90) / 90):03d}"
+            pages[page_id] = pages.get(page_id, b"") + struct.pack(
+                "<ddII", lat, lon, i // 7, i % 7
+            )
+        return pages
+
+
+def _corrupt_segment(data: bytes, how: str) -> bytes:
+    """One flushed segment page (>= 2 buckets), broken one way."""
+    header, spans = struct.Struct("<4sII"), struct.Struct("<III")
+    magic, size, count = header.unpack_from(data)
+    assert magic == b"RSEG" and count >= 2
+    second = header.size + spans.size
+    bucket, first, entries = spans.unpack_from(data, second)
+    if how == "bad magic":
+        return b"XSEG" + data[4:]
+    if how == "wrong entry size":
+        return header.pack(magic, size + 4, count) + data[header.size :]
+    if how == "overlapping directory":
+        return data[:second] + spans.pack(bucket, first - 1, entries) + data[second + spans.size :]
+    if how == "unsorted directory":
+        return data[:second] + spans.pack(0, first, entries) + data[second + spans.size :]
+    if how == "short directory":
+        return data[: second + 5]
+    if how == "no header":
+        return data[:7]
+    assert how == "short entries"
+    return data[:-3]
+
+
+@pytest.mark.parametrize("Kit", [_HashKit, _GridKit])
+class TestTwoLevelIndex:
+    """What both warehouse indexes get from ``storage.segments``."""
+
+    @staticmethod
+    def _observed(disk, kit, step):
+        """Run ``step`` asking every key after every write and delete:
+        each answer is the pre- or the post-step pointer list — no row
+        twice, none lost that an earlier observation saw."""
+        before = [kit.ask(key) for key in kit.keys]
+        seen = []
+        disk.observe = lambda: seen.append([kit.ask(key) for key in kit.keys])
+        try:
+            step()
+        finally:
+            disk.observe = None
+        after = [kit.ask(key) for key in kit.keys]
+        assert seen, "the step touched no page"
+        for position, (pre, post) in enumerate(zip(before, after)):
+            answers = [snapshot[position] for snapshot in seen]
+            assert all(len(set(found)) == len(found) for found in answers)
+            assert all(found in (pre, post) for found in answers), (pre, post, answers)
+            visible = [found == post for found in answers]
+            assert visible == sorted(visible), "a batch seen once was lost again"
+        return before, after
+
+    def test_exactly_once_at_every_store_operation_of_flush_and_fold(self, Kit):
+        disk = _ObservedDisk()
+        kit = Kit(disk)
+        inserted = 0
+        for then_fold in (False, True, False, False, True):
+            before = [kit.ask(key) for key in kit.keys]
+            for _ in range(30):
+                kit.insert(inserted)
+                inserted += 1
+            # The buffer is the writer's own until the flush.
+            assert [kit.ask(key) for key in kit.keys] == before
+            _, flushed = self._observed(disk, kit, kit.index.flush)
+            assert flushed != before
+            if then_fold:
+                assert len(kit.index.buckets.segments) > 0
+                pre, post = self._observed(disk, kit, kit.index.buckets.fold)
+                assert pre == post == flushed
+                assert len(kit.index.buckets.segments) == 0
+        # Folded, the store holds what the one-level index wrote.
+        assert {
+            page_id: disk.read(page_id) for page_id in disk.list_pages("")
+        } == Kit.parent_layout(inserted)
+
+    def test_a_root_of_base_pages_only_opens_and_answers_the_same(self, Kit):
+        old_disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        for page_id, data in Kit.parent_layout(90).items():
+            old_disk.write(page_id, data)
+        old = Kit(old_disk)
+        assert len(old.index.buckets.segments) == 0
+        new_disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        new = Kit(new_disk)
+        for i in range(90):
+            new.insert(i)
+            if i % 30 == 29:
+                new.index.flush()
+        assert len(new.index.buckets.segments) == 3
+        # Same rows in the same order: base, then segments oldest first.
+        assert [new.ask(key) for key in Kit.keys] == [old.ask(key) for key in Kit.keys]
+        assert any(old.ask(key) for key in Kit.keys)
+        # The old root grows its first segment and leaves its pages alone.
+        for kit in (old, new):
+            for i in range(90, 100):
+                kit.insert(i)
+            assert kit.index.flush() == 1
+        assert list(old_disk.list_pages(old.index.prefix + "/seg/")) == [
+            old.index.prefix + "/seg/00000000"
+        ]
+        for page_id, data in Kit.parent_layout(90).items():
+            assert old_disk.read(page_id) == data
+        assert [new.ask(key) for key in Kit.keys] == [old.ask(key) for key in Kit.keys]
+        reopened = Kit(old_disk)
+        assert [reopened.ask(key) for key in Kit.keys] == [old.ask(key) for key in Kit.keys]
+
+    def test_a_flush_writes_one_page_whatever_it_touches(self, Kit):
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        for i in range(60):
+            kit.insert(i)
+        assert kit.index.flush() == 1
+        assert disk.stats.writes == 1
+        assert kit.index.flush() == 0  # nothing buffered, nothing written
+        assert list(disk.list_pages("")) == [kit.index.prefix + "/seg/00000000"]
+
+    def test_discard_pending_drops_the_buffer_and_relists_segments(self, Kit):
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        kit.insert(0)
+        kit.index.flush()
+        flushed = [kit.ask(key) for key in Kit.keys]
+        kit.insert(1)
+        kit.insert(2)
+        # What a WAL rollback does behind the index's back.
+        disk.delete(kit.index.prefix + "/seg/00000000")
+        assert kit.index.buckets.discard_pending() == 2
+        assert len(kit.index.buckets.segments) == 0
+        assert not any(kit.ask(key) for key in Kit.keys)
+        kit.insert(0)
+        kit.index.flush()  # under the number the rolled-back batch had
+        assert list(disk.list_pages("")) == [kit.index.prefix + "/seg/00000000"]
+        assert [kit.ask(key) for key in Kit.keys] == flushed
+
+    def test_a_read_straddling_a_fold_and_the_next_flush_starts_over(self, Kit):
+        """The next flush reuses the folded segment's number: a reader
+        that listed the old one must not cut the new page by the old
+        directory."""
+
+        class StraddledDisk(InMemoryDisk):
+            straddle = None
+
+            def read(self, page_id: str) -> bytes:
+                if self.straddle is not None and "/seg/" in page_id:
+                    step, self.straddle = self.straddle, None
+                    step()
+                return super().read(page_id)
+
+        disk = StraddledDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        for i in range(60):
+            kit.insert(i)
+        kit.index.flush()
+
+        fresh = iter(range(60, 200))
+
+        def fold_then_flush_a_smaller_batch():
+            kit.index.buckets.fold()
+            for _ in range(10):
+                kit.insert(next(fresh))
+            kit.index.flush()
+
+        for key in Kit.keys:
+            disk.straddle = fold_then_flush_a_smaller_batch
+            found = kit.ask(key)
+            disk.straddle = None
+            assert found == kit.ask(key)
+            assert len(set(found)) == len(found)
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "bad magic",
+            "wrong entry size",
+            "overlapping directory",
+            "unsorted directory",
+            "short directory",
+            "no header",
+            "short entries",
+        ],
+    )
+    def test_a_broken_segment_page_is_refused(self, Kit, how):
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        for i in range(40):
+            kit.insert(i)
+        kit.index.flush()
+        page_id = kit.index.prefix + "/seg/00000000"
+        disk.write(page_id, _corrupt_segment(disk.read(page_id), how))
+        with pytest.raises(StorageError):
+            Kit(disk)
+        with pytest.raises(StorageError):
+            kit.index.buckets.discard_pending()
+
+    def test_a_segment_that_shrank_under_its_directory_reads_as_torn(self, Kit):
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        for i in range(40):
+            kit.insert(i)
+        kit.index.flush()
+        page_id = kit.index.prefix + "/seg/00000000"
+        disk.write(page_id, disk.read(page_id)[:-3])
+        with pytest.raises(StorageError, match="torn"):
+            [kit.ask(key) for key in Kit.keys]
+        with pytest.raises(StorageError, match="torn"):
+            kit.index.buckets.fold()
+        disk.delete(page_id)
+        with pytest.raises(StorageError, match="missing"):
+            [kit.ask(key) for key in Kit.keys]
 
 
 class TestWarehouse:
@@ -132,26 +414,29 @@ class TestHashIndex:
         assert index.lookup(7) == []
         assert 7 not in index
 
-    def test_pending_entries_visible_before_flush(self, disk):
+    def test_unflushed_entries_are_invisible(self, disk):
         index = HashIndex(disk)
         index.insert(9, RowPointer(3, 3))
+        assert index.lookup(9) == [] and 9 not in index
+        index.flush()
         assert index.lookup(9) == [RowPointer(3, 3)]
 
     def test_no_reader_sees_an_entry_twice_during_flush(self):
-        """A lookup landing between two bucket writes must not find a
-        fresh entry both on its page and still pending."""
+        """A lookup landing after any write or delete of a flush and of
+        the fold behind it finds each entry once or not yet."""
         disk = _ObservedDisk()
         index = HashIndex(disk, bucket_count=4)
         index.insert(1, RowPointer(0, 0))
-        index.insert(2, RowPointer(0, 1))  # another bucket: two writes
+        index.insert(2, RowPointer(0, 1))  # another bucket: two fold writes
         seen = []
         disk.observe = lambda: seen.append((index.lookup(1), index.lookup(2)))
-        assert index.flush() == 2
-        assert len(seen) == 2
-        assert all(len(found) <= 1 for pair in seen for found in pair), seen
-        assert seen[-1] == ([RowPointer(0, 0)], [RowPointer(0, 1)])
+        assert index.flush() == 1
+        assert index.buckets.fold() == 2
+        # After the segment write, not yet published: the pre-batch
+        # answer.  Then two bucket writes and the segment delete.
+        assert seen == [([], [])] + [([RowPointer(0, 0)], [RowPointer(0, 1)])] * 3
         index.insert(1, RowPointer(0, 2))
-        assert index.discard_pending() == 1  # a fresh buffer after the flush
+        assert index.buckets.discard_pending() == 1  # a fresh buffer after the flush
 
     def test_flush_merges_with_existing_bucket(self, disk):
         index = HashIndex(disk, bucket_count=4)
@@ -244,6 +529,7 @@ class TestGridSpatialIndex:
         index.insert(-95.0, -200.0, RowPointer(0, 0))  # below both ranges
         index.insert(-89.0, -179.0, RowPointer(0, 1))  # the real corner
         index.flush()
+        index.buckets.fold()
         assert list(disk.list_pages("warehouse/grid/")) == [
             "warehouse/grid/000_000"
         ]
@@ -261,21 +547,23 @@ class TestGridSpatialIndex:
         disk = _ObservedDisk()
         index = GridSpatialIndex(disk)
         index.insert(10.0, 20.0, RowPointer(0, 0))
-        index.insert(50.0, 120.0, RowPointer(0, 1))  # another cell: two writes
-        world = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
+        index.insert(50.0, 120.0, RowPointer(0, 1))  # another cell: two fold writes
         seen = []
-        disk.observe = lambda: seen.append(sorted(index.query(world)))
-        assert index.flush() == 2
-        assert len(seen) == 2
-        assert all(len(set(found)) == len(found) for found in seen), seen
-        assert seen[-1] == [RowPointer(0, 0), RowPointer(0, 1)]
+        disk.observe = lambda: seen.append(index.query(WORLD))
+        assert index.flush() == 1
+        assert index.buckets.fold() == 2
+        # After the segment write, not yet published: the pre-batch
+        # answer.  Then two cell writes and the segment delete.
+        assert seen == [[]] + [[RowPointer(0, 0), RowPointer(0, 1)]] * 3
         index.insert(10.0, 20.0, RowPointer(0, 2))
-        assert index.discard_pending() == 1  # a fresh buffer after the flush
+        assert index.buckets.discard_pending() == 1  # a fresh buffer after the flush
 
-    def test_pending_points_visible_before_flush(self, disk):
+    def test_unflushed_points_are_invisible(self, disk):
         index = GridSpatialIndex(disk)
         index.insert(5.0, 5.0, RowPointer(1, 1))
         box = BBox(min_lon=4.0, min_lat=4.0, max_lon=6.0, max_lat=6.0)
+        assert index.query(box) == []
+        index.flush()
         assert index.query(box) == [RowPointer(1, 1)]
 
     def test_empty_region(self, disk):
@@ -311,3 +599,59 @@ class TestGridSpatialIndex:
         index.flush()
         world = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
         assert len(index.query(world)) == len(points)
+
+
+class TestIndexWritesAreFlatInHistory:
+    """What a day writes into the two indexes — segment page plus its
+    pre-image — follows the day's updates, not the days already stored
+    (rewriting every touched bucket page whole grew with each of them)."""
+
+    def test_index_bytes_per_update_last_tenth_vs_first_tenth(self, atlas):
+        from repro.synth.simulator import SimulationConfig
+        from repro.system import RasedSystem, SystemConfig
+
+        class IndexBytes(InMemoryDisk):
+            """Counts bytes written to index pages and to their undo pages."""
+
+            counted = 0
+
+            def write(self, page_id: str, data: bytes) -> None:
+                super().write(page_id, data)
+                if page_id.startswith("wal/undo/"):
+                    page_id = json.loads(data.partition(b"\n")[0])["page_id"]
+                if page_id.startswith(("warehouse/hash/", "warehouse/grid/")):
+                    self.counted += len(data)
+
+        disk = IndexBytes(read_latency=0.0, write_latency=0.0)
+        system = RasedSystem.create(
+            atlas=atlas,
+            store=disk,
+            config=SystemConfig(
+                road_types=8,
+                cache_slots=8,
+                durable_ingest=True,
+                simulation=SimulationConfig(
+                    seed=5, mapper_count=20, base_sessions_per_day=6, nodes_per_country=4
+                ),
+            ),
+        )
+        days = [date(2021, 3, 1) + timedelta(days=i) for i in range(60)]
+        per_day: list[tuple[int, int]] = []  # (index bytes, updates), fold days left out
+        for day in days:
+            system.publish_day(day)
+            before = disk.counted
+            report = system.pipeline.run_daily()
+            assert report.days_processed == 1 and report.updates_indexed > 0
+            if (day + timedelta(days=1)).month == day.month:
+                per_day.append((disk.counted - before, report.updates_indexed))
+        assert len(per_day) == 59  # Mar 31 folds
+        tenth = len(days) // 10
+
+        def bytes_per_update(sample: list[tuple[int, int]]) -> float:
+            return sum(b for b, _ in sample) / sum(u for _, u in sample)
+
+        first, last = bytes_per_update(per_day[:tenth]), bytes_per_update(per_day[-tenth:])
+        assert 0.9 <= last / first <= 1.1, (first, last)
+        # 16 + 24 bytes of entries, a directory line per touched bucket,
+        # two headers and two "was absent" pre-images.
+        assert 40 < last < 80, last

@@ -29,10 +29,10 @@ from typing import Iterator
 
 from repro.types.dimensions import UPDATE_CREATE, UPDATE_DELETE, UPDATE_GEOMETRY
 from repro.obs.span import span as causal_span
-from repro.collection.geocode import Geocoder
-from repro.collection.records import UpdateList, UpdateRecord
+from repro.collection.geocode import Geocoder, Location
+from repro.collection.records import UpdateList
 from repro.osm.changesets import ChangesetStore
-from repro.osm.model import OSMElement, road_type_of
+from repro.osm.model import road_type_of
 from repro.osm.replication import ReplicationFeed
 from repro.osm.xml_io import OsmChange
 
@@ -82,34 +82,31 @@ class DailyCrawler:
     def process_change(
         self, change: OsmChange, result: DailyCrawlResult
     ) -> None:
-        """Convert one osmChange document into UpdateList rows."""
+        """Convert one osmChange document into UpdateList rows, geocoding
+        each changeset once (the store cannot change inside one call)."""
+        by_changeset: dict[int, Location | None] = {}
         for action, element in change.actions():
-            record = self._to_record(action, element)
-            if record is None:
+            location = self.geocoder.locate(element, self.changesets, by_changeset)
+            if location is None:
                 result.skipped += 1
-            else:
-                result.updates.append(record)
-
-    def _to_record(self, action: str, element: OSMElement) -> UpdateRecord | None:
-        location = self.geocoder.locate(element, self.changesets)
-        if location is None:
-            return None
-        return UpdateRecord(
-            element_type=element.kind,
-            date=element.timestamp.date(),
-            country=location.country.name,
-            latitude=location.point.lat,
-            longitude=location.point.lon,
-            road_type=road_type_of(element),
-            update_type=coarse_update_type(action),
-            changeset_id=element.changeset,
-        )
+                continue
+            result.updates.append(
+                location.record(element, road_type_of(element), coarse_update_type(action))
+            )
 
     # -- feed loop ----------------------------------------------------------
 
     def crawl_new(self) -> Iterator[DailyCrawlResult]:
-        """Crawl every diff published since the last run, in order."""
-        for sequence, timestamp, change in self.feed.iter_since(self.last_sequence):
+        """Crawl every diff published since the last run, in order
+        (spans: ``feed.fetch`` reads and parses, ``feed.crawl`` rows)."""
+        feed = self.feed
+        for sequence in feed.pending(self.last_sequence):
+            _, timestamp = feed.state(sequence)
+            with causal_span("feed.fetch") as fetch_span:
+                change = feed.fetch(sequence)
+                if fetch_span is not None:
+                    fetch_span.attributes["sequence"] = sequence
+                    fetch_span.attributes["elements"] = len(change)
             result = DailyCrawlResult(sequence=sequence, timestamp=timestamp)
             with causal_span("feed.crawl") as crawl_span:
                 self.process_change(change, result)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.collection.records import UpdateRecord
 from repro.errors import GeocodeError
 from repro.geo.geometry import Point
 from repro.geo.zones import Zone, ZoneAtlas
@@ -30,6 +31,19 @@ class Location:
 
     point: Point
     country: Zone
+
+    def record(self, element: OSMElement, road_type: str, update_type: str) -> UpdateRecord:
+        """The UpdateList row of an update of ``element`` located here."""
+        return UpdateRecord(
+            element_type=element.kind,
+            date=element.timestamp.date(),
+            country=self.country.name,
+            latitude=self.point.lat,
+            longitude=self.point.lon,
+            road_type=road_type,
+            update_type=update_type,
+            changeset_id=element.changeset,
+        )
 
 
 class Geocoder:
@@ -53,17 +67,24 @@ class Geocoder:
         return Location(point=center, country=zones[0])
 
     def locate(
-        self, element: OSMElement, changesets: ChangesetStore
+        self,
+        element: OSMElement,
+        changesets: ChangesetStore,
+        by_changeset: dict[int, Location | None] | None = None,
     ) -> Location | None:
         """Locate any update the way both crawlers do: a visible node at
         its own coordinates, anything else through its changeset;
-        ``None`` when neither resolves."""
+        ``None`` when neither resolves.  ``by_changeset`` memoizes the
+        changeset route by id, for calls over one unchanging store."""
+        memo: dict[int, Location | None] = {} if by_changeset is None else by_changeset
         try:
             if isinstance(element, OSMNode) and element.visible:
                 return self.locate_node(element)
-            changeset = changesets.lookup(element.changeset)
-            if changeset is None:
-                return None
-            return self.locate_changeset(changeset)
+            if element.changeset not in memo:
+                changeset = changesets.lookup(element.changeset)
+                memo[element.changeset] = (
+                    None if changeset is None else self.locate_changeset(changeset)
+                )
+            return memo[element.changeset]
         except GeocodeError:
             return None

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from repro.types.temporal import TemporalKey
-from repro.collection.geocode import Geocoder
+from repro.collection.geocode import Geocoder, Location
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.osm.changesets import ChangesetStore
 from repro.osm.history import HistoryUpdate, iter_history_updates
@@ -62,21 +62,24 @@ class MonthlyCrawler:
         """
         result = MonthlyCrawlResult(month=month)
         start, end = month.start, month.end
+        by_changeset: dict[int, Location | None] = {}  # one store throughout
         for update in iter_history_updates(history):
             result.scanned_versions += 1
             day = update.element.timestamp.date()
             if day < start or day > end:
                 continue
-            record = self._to_record(update)
+            record = self._to_record(update, by_changeset)
             if record is None:
                 result.skipped += 1
             else:
                 result.updates.append(record)
         return result
 
-    def _to_record(self, update: HistoryUpdate) -> UpdateRecord | None:
+    def _to_record(
+        self, update: HistoryUpdate, by_changeset: dict[int, Location | None]
+    ) -> UpdateRecord | None:
         element = update.element
-        location = self.geocoder.locate(element, self.changesets)
+        location = self.geocoder.locate(element, self.changesets, by_changeset)
         if location is None:
             return None
         # A deleted element's after-image may carry no tags; recover the
@@ -85,13 +88,4 @@ class MonthlyCrawler:
         source = element
         if not element.visible and update.previous is not None:
             source = update.previous
-        return UpdateRecord(
-            element_type=element.kind,
-            date=element.timestamp.date(),
-            country=location.country.name,
-            latitude=location.point.lat,
-            longitude=location.point.lon,
-            road_type=road_type_of(source),
-            update_type=update.update_type,
-            changeset_id=element.changeset,
-        )
+        return location.record(element, road_type_of(source), update.update_type)

@@ -22,16 +22,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as date_type
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from functools import lru_cache
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.types.dimensions import CubeSchema, ELEMENT_TYPES, UPDATE_TYPES
+from repro.types.dimensions import CubeSchema, Dimension, ELEMENT_TYPES, UPDATE_TYPES
 from repro.errors import ParseError
 from repro.geo.geometry import Point
 from repro.geo.zones import ZoneAtlas
 
 __all__ = ["UpdateRecord", "UpdateList"]
+
+
+def _codes(
+    lookup: Callable[[str], int | None], values: list[str], missing: int = -1
+) -> np.ndarray:
+    """``lookup`` of every value, called once per distinct value in
+    first-seen order (a raise names the first bad one); ``None`` is
+    ``missing``."""
+    table: dict[str, int] = {}
+    for value in dict.fromkeys(values):
+        code = lookup(value)
+        table[value] = missing if code is None else code
+    return np.fromiter(map(table.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+@lru_cache(maxsize=8)
+def _zone_codes(atlas: ZoneAtlas, zones: Dimension) -> np.ndarray:
+    """``zone_names()`` index -> code in ``zones`` (-1 where absent), plus
+    a last -1 that a "no zone" index of -1 reads; read-only, shared."""
+    codes = np.append(_codes(zones.code_or_none, atlas.zone_names()), -1)
+    codes.flags.writeable = False
+    return codes
 
 
 @dataclass(frozen=True)
@@ -125,28 +148,35 @@ class UpdateList:
         country is used.  Rows whose road type is unknown to a reduced
         schema are folded into the schema's last road-type slot rather
         than dropped, so cube totals remain exact.
+
+        Rows come out record by record, zones in ``zones_for_point``
+        order; all zones come from one ``ZoneAtlas.zone_indexes`` call.
         """
-        coords: list[tuple[int, int, int, int]] = []
-        road_dim = schema.road_type
-        fallback_road = len(road_dim) - 1
-        for record in self.records:
-            element_code = schema.element_type.code(record.element_type)
-            update_code = schema.update_type.code(record.update_type)
-            road_code = road_dim.code_or_none(record.road_type)
-            if road_code is None:
-                road_code = fallback_road
-            if atlas is None:
-                zone_names = [record.country]
-            else:
-                zone_names = [z.name for z in atlas.zones_for_point(record.point)]
-            for zone_name in zone_names:
-                zone_code = schema.country.code_or_none(zone_name)
-                if zone_code is None:
-                    continue
-                coords.append((element_code, zone_code, road_code, update_code))
-        if not coords:
+        records = self.records
+        if not records:
             return np.empty((0, 4), dtype=np.int64)
-        return np.asarray(coords, dtype=np.int64)
+        element = _codes(schema.element_type.code, [r.element_type for r in records])
+        update = _codes(schema.update_type.code, [r.update_type for r in records])
+        road = _codes(
+            schema.road_type.code_or_none,
+            [r.road_type for r in records],
+            missing=len(schema.road_type) - 1,
+        )
+        if atlas is None:
+            zones = _codes(schema.country.code_or_none, [r.country for r in records])[:, None]
+        else:
+            found = atlas.zone_indexes(
+                np.array([r.longitude for r in records], dtype=np.float64),
+                np.array([r.latitude for r in records], dtype=np.float64),
+            )
+            outside = np.flatnonzero(found[:, 0] < 0)
+            if len(outside):
+                # Raise what the per-point lookup raises for this record.
+                atlas.zones_for_point(records[outside[0]].point)
+            zones = _zone_codes(atlas, schema.country)[found]
+        keep = zones >= 0
+        rows = np.nonzero(keep)[0]
+        return np.column_stack((element[rows], zones[keep], road[rows], update[rows]))
 
     # -- persistence -----------------------------------------------------
 

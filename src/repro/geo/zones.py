@@ -25,8 +25,11 @@ over same-kind zones, so overlap never double-counts within a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
+
+import numpy as np
 
 from repro.errors import ConfigError, GeocodeError
 from repro.geo.geometry import BBox, Point
@@ -98,6 +101,11 @@ US_STATES: tuple[str, ...] = (
 _GRID_COLS = 25
 _GRID_ROWS = 10
 _WORLD = BBox(min_lon=-180.0, min_lat=-60.0, max_lon=180.0, max_lat=75.0)
+#: The one country subdivided into the atlas's states.
+_SUBDIVIDED = "united_states"
+#: Degrees a state-lookup bucket is widened by when its states are listed:
+#: far above the bucket arithmetic's rounding, far below any zone's size.
+_EDGE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,11 +147,40 @@ class ZoneAtlas:
             self._by_name[zone.name] = zone
         self._cell_w = _WORLD.width / _GRID_COLS
         self._cell_h = _WORLD.height / _GRID_ROWS
-        self._grid: dict[tuple[int, int], Zone] = {}
+        cells: dict[int, Zone] = {}
         for zone in countries:
             col = int(round((zone.bbox.min_lon - _WORLD.min_lon) / self._cell_w))
             row = int(round((zone.bbox.min_lat - _WORLD.min_lat) / self._cell_h))
-            self._grid[(col, row)] = zone
+            cells[col * _GRID_ROWS + row] = zone
+        #: Grid cell (col * rows + row) -> its country (every cell has
+        #: one), and -> the zone_names() indexes of it and its continent.
+        self._cells = [cells[cell] for cell in range(_GRID_COLS * _GRID_ROWS)]
+        index = self._zone_index = {name: i for i, name in enumerate(self._by_name)}
+        self._cell_zones = np.array(
+            [(index[z.name], index[z.parent] if z.parent else -1) for z in self._cells]
+        )
+        self._subdivided_cell = self._cells.index(self._by_name[_SUBDIVIDED])
+        # State lookup buckets grid the states' union, one per distinct
+        # state corner column and row (for a grid of states, one state
+        # each).  A bucket lists, in atlas order, every state reaching
+        # into it widened by _EDGE_SLACK: so a point's bucket lists every
+        # state containing it, and the first of those that contains it
+        # is the one a scan of all states finds.
+        area = self._states_at = reduce(BBox.union, (s.bbox for s in states))
+        nx = self._buckets_x = len({s.bbox.min_lon for s in states})
+        ny = self._buckets_y = len({s.bbox.min_lat for s in states})
+        w, h = self._bucket_w, self._bucket_h = area.width / nx, area.height / ny
+        x0, y0, slack = area.min_lon, area.min_lat, _EDGE_SLACK
+        self._bucket_states = [
+            [
+                s for s in states if s.bbox.intersects(BBox(
+                    x0 + bx * w - slack, y0 + by * h - slack,
+                    x0 + (bx + 1) * w + slack, y0 + (by + 1) * h + slack,
+                ))
+            ]
+            for bx in range(nx)
+            for by in range(ny)
+        ]
 
     # -- enumeration ----------------------------------------------------
 
@@ -182,11 +219,21 @@ class ZoneAtlas:
             raise GeocodeError(f"point {p} is outside the synthetic world")
         col = min(int((p.lon - _WORLD.min_lon) / self._cell_w), _GRID_COLS - 1)
         row = min(int((p.lat - _WORLD.min_lat) / self._cell_h), _GRID_ROWS - 1)
-        return self._grid[(col, row)]
+        return self._cells[col * _GRID_ROWS + row]
 
     def state_at(self, p: Point) -> Zone | None:
-        """The US state containing ``p``, if any."""
-        for state in self.states:
+        """The US state containing ``p``, if any.
+
+        On a border the lowest-index state containing ``p`` wins — what
+        a scan of :attr:`states` in order finds — but only the states
+        listed for ``p``'s bucket are tested (O(1)).
+        """
+        area = self._states_at
+        if not area.contains_point(p):
+            return None
+        bx = min(int((p.lon - area.min_lon) / self._bucket_w), self._buckets_x - 1)
+        by = min(int((p.lat - area.min_lat) / self._bucket_h), self._buckets_y - 1)
+        for state in self._bucket_states[bx * self._buckets_y + by]:
             if state.contains_point(p):
                 return state
         return None
@@ -200,10 +247,38 @@ class ZoneAtlas:
         """
         country = self.country_at(p)
         zones = [country, self.zone(country.parent)] if country.parent else [country]
-        state = self.state_at(p) if country.name == "united_states" else None
+        state = self.state_at(p) if country.name == _SUBDIVIDED else None
         if state is not None:
             zones.append(state)
         return zones
+
+    def zone_indexes(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        """:meth:`zones_for_point` for many points at once.
+
+        Returns an ``(n, 3)`` array of :meth:`zone_names` indexes —
+        country, continent, state — with ``-1`` for none.  Every point's
+        cell is :meth:`country_at`'s arithmetic in numpy and its country
+        and continent are read from a per-cell table; a point in the
+        subdivided cell asks :meth:`state_at`.  A point outside the
+        world gets ``-1`` throughout; the caller decides how to fail.
+        """
+        lon = np.asarray(lon, dtype=np.float64)
+        lat = np.asarray(lat, dtype=np.float64)
+        out = np.full((len(lon), 3), -1, dtype=np.int64)
+        inside = np.flatnonzero(
+            (lon >= _WORLD.min_lon) & (lon <= _WORLD.max_lon)
+            & (lat >= _WORLD.min_lat) & (lat <= _WORLD.max_lat)
+        )
+        col = ((lon[inside] - _WORLD.min_lon) / self._cell_w).astype(np.int64)
+        row = ((lat[inside] - _WORLD.min_lat) / self._cell_h).astype(np.int64)
+        cell = np.minimum(col, _GRID_COLS - 1) * _GRID_ROWS + np.minimum(row, _GRID_ROWS - 1)
+        out[inside, :2] = self._cell_zones[cell]
+        sub = inside[cell == self._subdivided_cell]
+        for position, x, y in zip(sub.tolist(), lon[sub].tolist(), lat[sub].tolist()):
+            state = self.state_at(Point(lon=x, lat=y))
+            if state is not None:
+                out[position, 2] = self._zone_index[state.name]
+        return out
 
     def resolve_bbox(self, box: BBox) -> tuple[Point, list[Zone]]:
         """Geocode a changeset bounding box (paper, Section V).

@@ -22,7 +22,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.errors import ParseError
+from repro.errors import ConfigError, ParseError
 from repro.geo.geometry import BBox
 from repro.osm.xml_io import format_timestamp, parse_timestamp
 
@@ -102,9 +102,14 @@ def _parse_changeset(xml_element: ET.Element) -> Changeset:
             changes_count=int(attrib.get("changes_count", "0")),
         )
     except KeyError as exc:
-        raise ParseError(f"<changeset> missing attribute {exc}") from None
-    except ValueError as exc:
-        raise ParseError(f"<changeset> malformed attribute: {exc}") from None
+        raise ParseError(
+            f"<changeset id={attrib.get('id', '?')}> missing attribute {exc}"
+        ) from None
+    except (ValueError, ConfigError) as exc:
+        # ConfigError: a degenerate bbox (min above max).
+        raise ParseError(
+            f"<changeset id={attrib.get('id', '?')}> malformed attribute: {exc}"
+        ) from None
 
 
 def write_changesets(

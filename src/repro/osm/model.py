@@ -67,7 +67,8 @@ class OSMElement:
             raise ConfigError(f"element id must be positive, got {self.id}")
         if self.version <= 0:
             raise ConfigError(f"element version must be positive, got {self.version}")
-        object.__setattr__(self, "timestamp", _utc(self.timestamp))
+        if self.timestamp.tzinfo is not timezone.utc:
+            object.__setattr__(self, "timestamp", _utc(self.timestamp))
 
     @property
     def kind(self) -> str:
@@ -119,7 +120,8 @@ class OSMWay(OSMElement):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "refs", tuple(self.refs))
+        if type(self.refs) is not tuple:
+            object.__setattr__(self, "refs", tuple(self.refs))
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,8 @@ class OSMRelation(OSMElement):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "members", tuple(self.members))
+        if type(self.members) is not tuple:
+            object.__setattr__(self, "members", tuple(self.members))
 
 
 def element_kind(element: OSMElement) -> str:

@@ -159,19 +159,22 @@ class ReplicationFeed:
             )
         return read_osc(path)
 
-    def iter_since(
-        self, after_sequence: int | None
-    ) -> Iterator[tuple[int, datetime, OsmChange]]:
-        """Yield every diff newer than ``after_sequence`` in order.
+    def pending(self, after_sequence: int | None) -> range:
+        """Sequence numbers published after ``after_sequence``, in order.
 
-        ``after_sequence=None`` replays the feed from its beginning —
-        how a crawler bootstraps.
+        ``after_sequence=None`` means from the feed's beginning — how a
+        crawler bootstraps.
         """
         newest = self.current_sequence()
         if newest is None:
-            return
-        start = 0 if after_sequence is None else after_sequence + 1
-        for sequence in range(start, newest + 1):
+            return range(0)
+        return range(0 if after_sequence is None else after_sequence + 1, newest + 1)
+
+    def iter_since(
+        self, after_sequence: int | None
+    ) -> Iterator[tuple[int, datetime, OsmChange]]:
+        """Yield every diff in :meth:`pending` with its timestamp."""
+        for sequence in self.pending(after_sequence):
             _, timestamp = self.state(sequence)
             yield sequence, timestamp, self.fetch(sequence)
 
@@ -376,7 +379,8 @@ class ResilientFeed:
     def fetch(self, sequence: int) -> OsmChange:
         return self._call("fetch", lambda: self.feed.fetch(sequence))
 
-    #: The feed's own loop, over the three armored reads above.
+    #: The feed's own loops, over the three armored reads above.
+    pending = ReplicationFeed.pending
     iter_since = ReplicationFeed.iter_since
 
     # -- pass-through write side ---------------------------------------------

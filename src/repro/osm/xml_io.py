@@ -12,8 +12,11 @@ vocabulary (``id``, ``version``, ``timestamp``, ``changeset``, ``uid``,
 ways; ``<member type=.. ref=.. role=..>`` on relations), so the
 crawlers here would parse genuine planet diff files unchanged.
 
-Reading is streaming (``iterparse`` with element eviction) because real
-diff files run to gigabytes.
+Reading is streaming because real diff files run to gigabytes: the
+document is fed to expat in chunks, and an ``XMLParser`` target builds
+each element from its own start/end callbacks — no tree, no per-event
+generator step, no throw-away kwargs dict.  At OSM scale these
+per-element constants are the whole cost of a day's crawl.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.errors import ParseError
+from repro.errors import ConfigError, ParseError
 from repro.osm.model import (
     OSMElement,
     OSMNode,
@@ -56,7 +60,10 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+@lru_cache(maxsize=1 << 14)
 def parse_timestamp(text: str) -> datetime:
+    # Memoized: a diff repeats each changeset's few stamps across its
+    # elements, and a datetime is immutable, so sharing one is safe.
     # The canonical form is read by position; anything else, out-of-range
     # fields included, takes the ``strptime`` route: it alone says "error".
     if len(text) == 20 and text[4::3] == "--T::Z" and text.isascii():
@@ -119,46 +126,107 @@ def _append_tags(parent: ET.Element, element: OSMElement) -> None:
         ET.SubElement(parent, "tag", {"k": key, "v": element.tags[key]})
 
 
-def parse_element(xml_element: ET.Element) -> OSMElement:
-    """Parse one ``<node>``/``<way>``/``<relation>`` element."""
-    kind = xml_element.tag
-    if kind not in _KINDS:
-        raise ParseError(f"unexpected element tag <{kind}>")
+#: Bytes handed to expat per ``feed`` call.
+_CHUNK_BYTES = 1 << 16
+
+#: An XML element's tag and attributes.
+_Tagged = tuple[str, dict[str, str]]
+
+
+class _ElementBuilder:
+    """``XMLParser`` target: each element is built from expat's callbacks.
+
+    An element's attributes and its direct children's are kept until its
+    ``end``, then converted in one place (:func:`_build`); finished
+    ``(action, element)`` pairs collect in :attr:`done`.
+    """
+
+    def __init__(self, in_change: bool) -> None:
+        self.in_change = in_change  # osmChange: elements sit in action blocks
+        self.action = ""  # the enclosing create/modify/delete block, if any
+        self.done: list[tuple[str, OSMElement]] = []
+        self.depth = 0
+        #: The open element: kind, depth, attributes, direct children.
+        self.open: tuple[str, int, dict[str, str], list[_Tagged]] | None = None
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        self.depth += 1
+        if self.open is not None:
+            if tag in _KINDS:
+                raise ParseError(f"<{tag}> inside <{self.open[0]}>")
+            if self.depth == self.open[1] + 1:
+                self.open[3].append((tag, attrib))
+        elif tag in _KINDS:
+            if self.in_change and not self.action:
+                raise ParseError(f"<{tag}> outside any create/modify/delete block")
+            self.open = (tag, self.depth, attrib, [])
+        elif tag in _ACTIONS:
+            self.action = tag
+
+    def end(self, tag: str) -> None:
+        self.depth -= 1
+        if self.open is None:
+            if tag in _ACTIONS:
+                self.action = ""
+        elif self.depth < self.open[1]:
+            kind, _, attrs, children = self.open
+            self.done.append((self.action, _build(kind, attrs, children)))
+            self.open = None
+
+
+def _build(kind: str, attrs: dict[str, str], children: list[_Tagged]) -> OSMElement:
+    """One element from its attributes and direct children.  Every
+    malformed form — a missing or non-numeric attribute, a non-positive
+    id, an out-of-range coordinate, an unknown member type — is one
+    :class:`ParseError` naming the element."""
     try:
-        common = dict(
-            id=int(xml_element.attrib["id"]),
-            version=int(xml_element.attrib.get("version", "1")),
-            timestamp=parse_timestamp(xml_element.attrib["timestamp"]),
-            changeset=int(xml_element.attrib.get("changeset", "0")),
-            uid=int(xml_element.attrib.get("uid", "0")),
-            user=xml_element.attrib.get("user", ""),
-            visible=xml_element.attrib.get("visible", "true") == "true",
+        common = (
+            int(attrs["id"]),
+            int(attrs.get("version", "1")),
+            parse_timestamp(attrs["timestamp"]),
+            int(attrs.get("changeset", "0")),
+            int(attrs.get("uid", "0")),
+            attrs.get("user", ""),
+            attrs.get("visible", "true") == "true",
+            {a["k"]: a.get("v", "") for t, a in children if t == "tag"},
         )
-    except KeyError as exc:
-        raise ParseError(f"<{kind}> missing required attribute {exc}") from None
-    except ValueError as exc:
-        raise ParseError(f"<{kind}> has malformed attribute: {exc}") from None
-    tags = {
-        tag.attrib["k"]: tag.attrib.get("v", "")
-        for tag in xml_element.iterfind("tag")
-    }
-    if kind == "node":
-        # Deleted nodes legitimately omit coordinates.
-        lat = float(xml_element.attrib.get("lat", "0"))
-        lon = float(xml_element.attrib.get("lon", "0"))
-        return OSMNode(**common, tags=tags, lat=lat, lon=lon)
-    if kind == "way":
-        refs = tuple(int(nd.attrib["ref"]) for nd in xml_element.iterfind("nd"))
-        return OSMWay(**common, tags=tags, refs=refs)
-    members = tuple(
-        RelationMember(
-            type=m.attrib["type"],
-            ref=int(m.attrib["ref"]),
-            role=m.attrib.get("role", ""),
-        )
-        for m in xml_element.iterfind("member")
-    )
-    return OSMRelation(**common, tags=tags, members=members)
+        if kind == "node":
+            # Deleted nodes legitimately omit coordinates.
+            return OSMNode(*common, float(attrs.get("lat", "0")), float(attrs.get("lon", "0")))
+        if kind == "way":
+            return OSMWay(*common, tuple([int(a["ref"]) for t, a in children if t == "nd"]))
+        return OSMRelation(*common, tuple([
+            RelationMember(a["type"], int(a["ref"]), a.get("role", ""))
+            for t, a in children if t == "member"
+        ]))
+    except (KeyError, ValueError, ConfigError, ParseError) as exc:
+        problem = "is missing attribute" if isinstance(exc, KeyError) else "is malformed:"
+        raise ParseError(f"<{kind} id={attrs.get('id', '?')}> {problem} {exc}") from None
+
+
+def _stream(
+    source: str | Path | IO[bytes], in_change: bool
+) -> Iterator[list[tuple[str, OSMElement]]]:
+    """Feed ``source`` to expat chunk by chunk; after each chunk, yield
+    the ``(action, element)`` pairs it completed."""
+    builder = _ElementBuilder(in_change)
+    parser = ET.XMLParser(target=builder)
+    handle = open(source, "rb") if isinstance(source, (str, Path)) else source
+    try:
+        while chunk := handle.read(_CHUNK_BYTES):
+            parser.feed(chunk)
+            if builder.done:
+                yield builder.done
+                builder.done = []
+        parser.close()
+    except ET.ParseError as exc:
+        kind = "osmChange" if in_change else "OSM"
+        raise ParseError(f"malformed {kind} XML: {exc}") from exc
+    finally:
+        if handle is not source:
+            handle.close()
+    if builder.done:
+        yield builder.done
 
 
 # -- .osm snapshots / history dumps -------------------------------------
@@ -179,16 +247,12 @@ def write_osm(
 def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
     """Stream elements out of a ``<osm>`` document.
 
-    Uses ``iterparse`` and clears consumed elements so memory stays
-    bounded for multi-gigabyte dumps.
+    Memory stays bounded by one read chunk's elements, so
+    multi-gigabyte dumps stream.
     """
-    try:
-        for _, xml_element in ET.iterparse(source, events=("end",)):
-            if xml_element.tag in _KINDS:
-                yield parse_element(xml_element)
-                xml_element.clear()
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed OSM XML: {exc}") from exc
+    for batch in _stream(source, in_change=False):
+        for _, element in batch:
+            yield element
 
 
 def read_osm(source: str | Path | IO[bytes]) -> list[OSMElement]:
@@ -243,24 +307,8 @@ def write_osc(
 
 def iter_osc(source: str | Path | IO[bytes]) -> Iterator[tuple[str, OSMElement]]:
     """Stream (action, element) pairs from an osmChange document."""
-    action: str | None = None
-    try:
-        for event, xml_element in ET.iterparse(source, events=("start", "end")):
-            if event == "start":
-                if xml_element.tag in _ACTIONS:
-                    action = xml_element.tag
-                continue
-            if xml_element.tag in _KINDS:
-                if action is None:
-                    raise ParseError(
-                        f"<{xml_element.tag}> outside any create/modify/delete block"
-                    )
-                yield action, parse_element(xml_element)
-                xml_element.clear()
-            elif xml_element.tag in _ACTIONS:
-                action = None
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed osmChange XML: {exc}") from exc
+    for batch in _stream(source, in_change=True):
+        yield from batch
 
 
 def read_osc(source: str | Path | IO[bytes]) -> OsmChange:

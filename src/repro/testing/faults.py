@@ -61,13 +61,13 @@ import random
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import StorageError
+from repro.osm.replication import ReplicationFeed
 from repro.storage.pages import PageStore, PageStoreProxy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.osm.replication import ReplicationFeed
     from repro.osm.xml_io import OsmChange
 
 __all__ = [
@@ -418,7 +418,7 @@ class FaultyReplicationFeed:
     full read/write surface the pipeline and live monitor use.
     """
 
-    def __init__(self, inner: "ReplicationFeed", plan: FaultPlan | None = None) -> None:
+    def __init__(self, inner: ReplicationFeed, plan: FaultPlan | None = None) -> None:
         self.inner = inner
         self.plan = plan
         self._stale_sequence: int | None = None
@@ -474,13 +474,6 @@ class FaultyReplicationFeed:
         self._apply("feed.fetch", str(sequence))
         return self.inner.fetch(sequence)
 
-    def iter_since(
-        self, after_sequence: int | None
-    ) -> Iterator[tuple[int, datetime, "OsmChange"]]:
-        newest = self.current_sequence()
-        if newest is None:
-            return
-        start = 0 if after_sequence is None else after_sequence + 1
-        for sequence in range(start, newest + 1):
-            _, timestamp = self.state(sequence)
-            yield sequence, timestamp, self.fetch(sequence)
+    #: The feed's own loops, over the three faulty reads above.
+    pending = ReplicationFeed.pending
+    iter_since = ReplicationFeed.iter_since

@@ -9,19 +9,24 @@ crawler must recover the exact 4-way classification.
 from __future__ import annotations
 
 import io
+import math
+import random
+import re
 from collections import Counter
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 
 from repro.types.temporal import month_key
 from repro.types.dimensions import default_schema
-from repro.errors import GeocodeError, ParseError
+from repro.errors import ConfigError, GeocodeError, ParseError
 from repro.geo.geometry import BBox, Point
 from repro.collection.daily import DailyCrawler, coarse_update_type
 from repro.collection.geocode import Geocoder
 from repro.collection.monthly import MonthlyCrawler
 from repro.collection.records import UpdateList, UpdateRecord
+from repro.obs import Tracer
 from repro.osm.changesets import Changeset, ChangesetStore
 from repro.osm.model import OSMNode
 from repro.osm.replication import ReplicationFeed
@@ -144,6 +149,112 @@ class TestUpdateList:
 
     def test_empty_list_coordinates(self, tiny_schema):
         assert UpdateList().cube_coordinates(tiny_schema).shape == (0, 4)
+
+
+def _scan_state(atlas, p: Point):
+    """The linear state scan: the first state, in atlas order, holding p."""
+    for state in atlas.states:
+        if state.contains_point(p):
+            return state
+    return None
+
+
+def _brute_force_coordinates(records, schema, atlas) -> np.ndarray:
+    """Per record, per zone: what ``cube_coordinates`` must return."""
+    fallback_road = len(schema.road_type) - 1
+    coords = []
+    for record in records:
+        element = schema.element_type.code(record.element_type)
+        update = schema.update_type.code(record.update_type)
+        road = schema.road_type.code_or_none(record.road_type)
+        road = fallback_road if road is None else road
+        if atlas is None:
+            names = [record.country]
+        else:
+            country = atlas.country_at(record.point)
+            zones = [country, atlas.zone(country.parent)]
+            if country.name == "united_states":
+                state = _scan_state(atlas, record.point)
+                zones += [state] if state is not None else []
+            names = [zone.name for zone in zones]
+        for name in names:
+            code = schema.country.code_or_none(name)
+            if code is not None:
+                coords.append((element, code, road, update))
+    return np.asarray(coords, dtype=np.int64).reshape(-1, 4)
+
+
+def _probe_points(atlas) -> list[tuple[float, float]]:
+    """A seeded sample plus every border the lookups could disagree on."""
+    rng = random.Random(25)
+    usa = atlas.zone("united_states").bbox
+    points = [(rng.uniform(-180, 180), rng.uniform(-60, 75)) for _ in range(1500)]
+    points += [
+        (rng.uniform(usa.min_lon, usa.max_lon), rng.uniform(usa.min_lat, usa.max_lat))
+        for _ in range(1500)
+    ]
+    for box in [state.bbox for state in atlas.states] + [usa]:
+        xs = (box.min_lon, (box.min_lon + box.max_lon) / 2, box.max_lon)
+        ys = (box.min_lat, (box.min_lat + box.max_lat) / 2, box.max_lat)
+        for x in xs:  # corners and edge midpoints, and one ulp either side
+            for y in ys:
+                for dx in (-math.inf, 0, math.inf):
+                    for dy in (-math.inf, 0, math.inf):
+                        px = x if dx == 0 else math.nextafter(x, dx)
+                        py = y if dy == 0 else math.nextafter(y, dy)
+                        points.append((px, py))
+    points += [(180.0, 75.0), (180.0, -60.0), (-180.0, 75.0), (-180.0, -60.0)]
+    points += [(180.0, 0.0), (0.0, 75.0)]
+    return [(x, y) for x, y in points if -180 <= x <= 180]
+
+
+class TestZoneLookupAgreesWithBruteForce:
+    """The vectorized ``cube_coordinates`` and the O(1) ``state_at``
+    against the per-record loop with the linear state scan."""
+
+    def test_state_at_matches_the_linear_scan(self, atlas):
+        points = _probe_points(atlas)
+        in_a_state = 0
+        for lon, lat in points:
+            p = Point(lon=lon, lat=lat)
+            expected = _scan_state(atlas, p)
+            assert atlas.state_at(p) is expected, (lon, lat)
+            in_a_state += expected is not None
+        assert in_a_state > 1500
+
+    @pytest.mark.parametrize("schema_name", ["small_schema", "tiny_schema"])
+    def test_cube_coordinates_match_the_per_record_loop(self, atlas, schema_name, request):
+        schema = request.getfixturevalue(schema_name)
+        rng = random.Random(26)
+        # The schema has 8 road types; the last two are ones it lacks.
+        road_types = list(schema.road_type.values) + ["bus_guideway", "raceway"]
+        records = [
+            make_record(
+                element_type=rng.choice(("node", "way", "relation")),
+                update_type=rng.choice(("create", "delete", "geometry", "metadata")),
+                road_type=rng.choice(road_types),
+                country=rng.choice(("united_states", "germany", "qatar", "atlantis")),
+                latitude=lat,
+                longitude=lon,
+            )
+            for lon, lat in _probe_points(atlas)
+            if -60 <= lat <= 75 and -180 <= lon <= 180
+        ]
+        rng.shuffle(records)
+        updates = UpdateList(records)
+        for with_atlas in (atlas, None):
+            got = updates.cube_coordinates(schema, with_atlas)
+            expected = _brute_force_coordinates(records, schema, with_atlas)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("lat, lon", [(80.0, 10.0), (-61.0, 10.0), (95.0, 10.0)])
+    def test_a_point_outside_the_world_raises_as_before(self, atlas, small_schema, lat, lon):
+        inside = make_record()
+        outside = make_record(latitude=lat, longitude=lon)
+        with pytest.raises((GeocodeError, ConfigError)) as expected:
+            atlas.zones_for_point(outside.point)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            UpdateList([inside, outside, inside]).cube_coordinates(small_schema, atlas)
 
 
 class TestGeocoder:
@@ -279,6 +390,57 @@ class TestDailyCrawler:
         first = list(crawler.crawl_new())
         assert len(first) == 5
         assert list(crawler.crawl_new()) == []
+
+    def test_each_changeset_is_geocoded_once_per_diff(self, atlas, crawl_setup):
+        _, feed, changesets, _, _ = crawl_setup
+
+        class CountingGeocoder(Geocoder):
+            calls = 0
+
+            def locate_changeset(self, changeset):
+                CountingGeocoder.calls += 1
+                return super().locate_changeset(changeset)
+
+        crawler = DailyCrawler(feed, changesets, CountingGeocoder(atlas))
+        result = next(crawler.crawl_new())
+        change = feed.fetch(result.sequence)
+        by_changeset = {
+            e.changeset for _, e in change.actions() if not (e.kind == "node" and e.visible)
+        }
+        assert CountingGeocoder.calls == len(by_changeset) < len(change)
+        # ... and the rows are where an element-by-element lookup puts them.
+        locations = [Geocoder(atlas).locate(e, changesets) for _, e in change.actions()]
+        assert [(r.country, r.latitude, r.longitude) for r in result.updates] == [
+            (loc.country.name, loc.point.lat, loc.point.lon)
+            for loc in locations
+            if loc is not None
+        ]
+
+    def test_each_day_has_a_fetch_span_and_a_crawl_span(self, atlas, crawl_setup):
+        _, feed, changesets, truth_by_day, _ = crawl_setup
+
+        class Sink:
+            def __init__(self):
+                self.traces = []
+
+            def record(self, trace):
+                self.traces.append(trace)
+
+        sink = Sink()
+        crawler = DailyCrawler(feed, changesets, Geocoder(atlas))
+        with Tracer(recorder=sink).trace("ingest"):
+            results = list(crawler.crawl_new())
+        [trace] = sink.traces
+        fetches = [s for s in trace.spans if s.name == "feed.fetch"]
+        crawls = [s for s in trace.spans if s.name == "feed.crawl"]
+        assert len(fetches) == len(crawls) == len(results) == 5
+        for fetch, crawl, result in zip(fetches, crawls, results):
+            assert fetch.attributes == {
+                "sequence": result.sequence,
+                "elements": len(feed.fetch(result.sequence)),
+            }
+            assert crawl.attributes["rows"] == len(result.updates)
+            assert fetch.offset_seconds + fetch.duration_seconds <= crawl.offset_seconds
 
     def test_crawl_specific_sequence(self, atlas, crawl_setup):
         _, feed, changesets, truth_by_day, _ = crawl_setup

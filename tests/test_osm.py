@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import io
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -32,11 +32,19 @@ from repro.osm.model import (
     is_road_element,
     road_type_of,
 )
-from repro.osm.replication import ReplicationFeed, sequence_path
+from repro.obs import MetricsRegistry
+from repro.osm import xml_io
+from repro.osm.replication import (
+    ReplicationFeed,
+    ResilientFeed,
+    RetryPolicy,
+    sequence_path,
+)
 from repro.osm.xml_io import (
     OsmChange,
     format_timestamp,
     iter_osc,
+    iter_osm,
     parse_timestamp,
     read_osc,
     read_osm,
@@ -95,6 +103,21 @@ class TestModel:
     def test_naive_timestamp_becomes_utc(self):
         n = node(timestamp=datetime(2021, 3, 5, 12, 0))
         assert n.timestamp.tzinfo == timezone.utc
+
+    def test_other_zone_timestamp_becomes_utc(self):
+        plus_two = timezone(timedelta(hours=2))
+        n = node(timestamp=datetime(2021, 3, 5, 14, 0, tzinfo=plus_two))
+        assert n.timestamp == T0 and n.timestamp.tzinfo is timezone.utc
+
+    def test_utc_timestamp_and_tuples_are_kept_as_given(self):
+        refs = (1, 3, 4)
+        w = way(refs=refs)
+        assert w.timestamp is T0 and w.refs is refs
+
+    def test_sequences_become_tuples(self):
+        assert way(refs=[9, 1]).refs == (9, 1)
+        member = RelationMember("way", 2, "outer")
+        assert relation(members=[member]).members == (member,)
 
     def test_node_coordinate_validation(self):
         with pytest.raises(ConfigError):
@@ -307,6 +330,149 @@ class TestOsmChange:
         b = OsmChange(delete=[way()])
         a.extend(b)
         assert len(a) == 2
+
+
+_STAMP = 'timestamp="2021-03-05T12:00:00Z"'
+
+
+def _diff(body: str) -> bytes:
+    return f'<osmChange version="0.6"><create>{body}</create></osmChange>'.encode()
+
+
+#: Each malformed form, the element its ParseError must name, and how
+#: the document is read.  Before the streaming parser, the first seven
+#: raised KeyError, ValueError or ConfigError, and the changeset one
+#: ConfigError.
+MALFORMED = [
+    pytest.param(_diff(f'<way id="7" {_STAMP}><nd ref="1"/><tag v="x"/></way>'),
+                 "<way id=7>", read_osc, id="tag-without-k"),
+    pytest.param(_diff(f'<way id="7" {_STAMP}><nd/></way>'),
+                 "<way id=7>", read_osc, id="nd-without-ref"),
+    pytest.param(_diff(f'<way id="7" {_STAMP}><nd ref="x"/></way>'),
+                 "<way id=7>", read_osc, id="non-numeric-ref"),
+    pytest.param(_diff(f'<node id="7" {_STAMP} lat="abc" lon="0"/>'),
+                 "<node id=7>", read_osc, id="non-numeric-lat"),
+    pytest.param(_diff(f'<node id="0" {_STAMP} lat="0" lon="0"/>'),
+                 "<node id=0>", read_osc, id="zero-id"),
+    pytest.param(_diff(f'<node id="7" {_STAMP} lat="91" lon="0"/>'),
+                 "<node id=7>", read_osc, id="latitude-out-of-range"),
+    pytest.param(_diff(f'<relation id="7" {_STAMP}><member type="blob" ref="1"/></relation>'),
+                 "<relation id=7>", read_osc, id="unknown-member-type"),
+    pytest.param(
+        b'<osm><changeset id="5" created_at="2021-03-05T12:00:00Z" '
+        b'closed_at="2021-03-05T12:00:00Z" min_lat="10" min_lon="0" '
+        b'max_lat="5" max_lon="1"/></osm>',
+        "<changeset id=5>", lambda source: list(read_changesets(source)),
+        id="degenerate-changeset-bbox",
+    ),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("document, names, read", MALFORMED)
+    def test_raises_parse_error_naming_the_element(self, document, names, read):
+        with pytest.raises(ParseError) as raised:
+            read(io.BytesIO(document))
+        assert names in str(raised.value)
+
+    @pytest.mark.parametrize("document, names, read", MALFORMED[:7])
+    def test_a_malformed_diff_goes_through_the_feed_armor(
+        self, tmp_path, document, names, read
+    ):
+        """A ParseError is what ResilientFeed retries and counts."""
+        feed = ReplicationFeed(tmp_path, "day")
+        feed.publish(OsmChange(), T0)
+        (feed.root / f"{sequence_path(0)}.osc").write_bytes(document)
+        metrics = MetricsRegistry()
+        armored = ResilientFeed(
+            feed, policy=RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0),
+            sleep=lambda _: None, metrics=metrics,
+        )
+        with pytest.raises(ParseError, match=names):
+            armored.fetch(0)
+        assert metrics.total("rased_feed_failures_total") == 3
+        assert metrics.total("rased_feed_retries_total") == 2
+
+
+def _large_change(count: int) -> OsmChange:
+    """Elements with many children, so the children straddle chunk edges."""
+    rng = random.Random(25)
+    change = OsmChange()
+    for eid in range(1, count + 1):
+        stamp = datetime.fromtimestamp(1_600_000_000 + rng.randrange(10**6), timezone.utc)
+        header = dict(id=eid, version=rng.randint(1, 9), timestamp=stamp,
+                      changeset=rng.randint(1, 500), uid=rng.randint(1, 99),
+                      user=f"mapper{rng.randint(1, 99)}")
+        tags = {f"k{i}": f"value {rng.random():.6f}" for i in range(rng.randint(0, 4))}
+        kind = eid % 3
+        if kind == 0:
+            element = OSMNode(**header, tags=tags, lat=round(rng.uniform(-90, 90), 7),
+                              lon=round(rng.uniform(-180, 180), 7))
+        elif kind == 1:
+            refs = tuple(rng.randrange(1, 10**9) for _ in range(rng.randint(2, 30)))
+            element = OSMWay(**header, tags={**tags, "highway": "residential"}, refs=refs)
+        else:
+            element = OSMRelation(
+                **header, tags=tags, visible=rng.random() < 0.8,
+                members=tuple(
+                    RelationMember(rng.choice(("node", "way", "relation")),
+                                   rng.randrange(1, 10**6), rng.choice(("", "outer", "stop")))
+                    for _ in range(rng.randint(1, 12))
+                ),
+            )
+        getattr(change, ("create", "modify", "delete")[eid % 7 % 3]).append(element)
+    return change
+
+
+class TestStreamingParse:
+    """The parser feeds expat one read chunk at a time: nothing may
+    depend on where a chunk ends."""
+
+    def _encoded(self, change: OsmChange) -> bytes:
+        buffer = io.BytesIO()
+        write_osc(buffer, change)
+        return buffer.getvalue()
+
+    def test_diff_much_larger_than_a_chunk_roundtrips(self):
+        change = _large_change(4000)
+        data = self._encoded(change)
+        assert len(data) > 8 * xml_io._CHUNK_BYTES
+        assert list(iter_osc(io.BytesIO(data))) == list(change.actions())
+        restored = read_osc(io.BytesIO(data))
+        assert (restored.create, restored.modify, restored.delete) == (
+            change.create, change.modify, change.delete
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 97, 4096])
+    def test_every_chunk_edge(self, monkeypatch, chunk):
+        monkeypatch.setattr(xml_io, "_CHUNK_BYTES", chunk)
+        change = _large_change(60)
+        assert list(iter_osc(io.BytesIO(self._encoded(change)))) == list(change.actions())
+        elements = [element for _, element in change.actions()]
+        buffer = io.BytesIO()
+        write_osm(buffer, elements)
+        buffer.seek(0)
+        assert read_osm(buffer) == elements
+
+    def test_snapshot_much_larger_than_a_chunk_roundtrips(self, tmp_path):
+        elements = [element for _, element in _large_change(4000).actions()]
+        path = tmp_path / "big.osm"
+        write_osm(path, elements)
+        assert path.stat().st_size > 8 * xml_io._CHUNK_BYTES
+        assert list(iter_osm(path)) == elements
+
+    def test_a_truncated_document_raises(self):
+        data = self._encoded(_large_change(2000))
+        for cut in (len(data) // 3, len(data) - xml_io._CHUNK_BYTES - 5, len(data) - 1):
+            with pytest.raises(ParseError, match="malformed osmChange XML"):
+                read_osc(io.BytesIO(data[:cut]))
+            with pytest.raises(ParseError, match="malformed OSM XML"):
+                read_osm(io.BytesIO(data[:cut]))
+
+    def test_an_element_inside_an_element_raises(self):
+        xml = _diff(f'<way id="1" {_STAMP}><node id="2" {_STAMP}/></way>')
+        with pytest.raises(ParseError, match="inside"):
+            read_osc(io.BytesIO(xml))
 
 
 class TestChangesets:

@@ -164,6 +164,9 @@ class CacheManager:
             if key in self._cubes:
                 self._bytes += cube.nbytes - self._cubes[key].nbytes
                 self._cubes[key] = cube
+        # A query may have memoized the replaced cube since put()'s bump.
+        if self.index.epoch is not None:
+            self.index.epoch.bump(key.start, key.end)
 
     def clear(self) -> int:
         """Drop every cached cube; returns how many were resident.

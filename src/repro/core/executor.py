@@ -222,7 +222,7 @@ class QueryExecutor:
         #: in plan order.
         self.iosched = iosched
         #: When set, whole results are memoized keyed by the (frozen)
-        #: query and invalidated by the index epoch.
+        #: query and invalidated by overlapping index writes.
         self.result_cache = result_cache
         #: When set, every execution opens a causal span tree handed to
         #: the tracer's flight recorder.  Without one, executions still
@@ -279,7 +279,7 @@ class QueryExecutor:
                 return QueryResult(query=query, stats=stats, memo=entry)
             # Sampled before planning: a maintenance write racing this
             # execution makes the stored entry stale, never wrong.
-            epoch = self.result_cache.current_epoch()
+            epoch = self.result_cache.epoch.value
         disk_before = self.index.store.stats.snapshot()
 
         # A query is a list of windows (inclusive ranges): one per

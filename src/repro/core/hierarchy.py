@@ -159,8 +159,8 @@ class HierarchicalIndex:
         self.page_version = page_version
         #: Build/rollup cubes in sparse form (see class docstring).
         self.sparse = sparse
-        #: Bumped on every cube write so versioned consumers (the
-        #: executor's result cache) can invalidate; optional.
+        #: Bumped with a written key's window (all time on a reload) so
+        #: the executor's result cache can invalidate; optional.
         self.epoch = epoch
         # Maintenance (put) and concurrent queries (keys/coverage
         # sorts) touch the catalog at once in a threaded deployment.
@@ -212,7 +212,7 @@ class HierarchicalIndex:
             self._catalog[key.level].discard(key)
             self._quarantined.add(key)
         if was_live and self.epoch is not None:
-            self.epoch.bump()
+            self.epoch.bump(key.start, key.end)
         return was_live
 
     def quarantined_keys(self) -> list[TemporalKey]:
@@ -261,7 +261,7 @@ class HierarchicalIndex:
             # whatever failed validation.
             self._quarantined.discard(cube.key)
         if self.epoch is not None:
-            self.epoch.bump()
+            self.epoch.bump(cube.key.start, cube.key.end)
 
     def keys(self, level: Level) -> list[TemporalKey]:
         with self._catalog_lock:

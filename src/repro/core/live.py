@@ -17,8 +17,7 @@ after-image source, so the counts agree; validated in the tests).
 from __future__ import annotations
 
 import threading
-from datetime import date, datetime, timedelta, timezone
-from typing import TYPE_CHECKING
+from datetime import date
 
 from repro.collection.daily import DailyCrawler, DailyCrawlResult
 from repro.collection.geocode import Geocoder
@@ -31,9 +30,6 @@ from repro.osm.xml_io import OsmChange
 from repro.types.cube import DataCube, RESOLUTION_COARSE
 from repro.types.dimensions import CubeSchema
 from repro.types.temporal import day_key, series_period_start
-
-if TYPE_CHECKING:
-    from repro.core.resultcache import EpochCounter
 
 __all__ = ["LiveMonitor", "split_change_by_hour"]
 
@@ -63,14 +59,10 @@ class LiveMonitor:
         geocoder: Geocoder,
         schema: CubeSchema,
         atlas: ZoneAtlas | None = None,
-        epoch: "EpochCounter | None" = None,
     ) -> None:
         self.hour_feed = hour_feed
         self.schema = schema
         self.atlas = atlas
-        #: Bumped whenever absorbed/discarded overlays change what a
-        #: live query would answer (memoized results must invalidate).
-        self.epoch = epoch
         self._crawler = DailyCrawler(hour_feed, changesets, geocoder)
         # poll() mutates crawler cursor state; a second lock keeps the
         # overlay map usable by queries while a poll is in progress.
@@ -128,8 +120,6 @@ class LiveMonitor:
                     self._partial[day] = cube
                 if len(coded):
                     cube.bulk_record(coded)
-        if by_day and self.epoch is not None:
-            self.epoch.bump()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -140,10 +130,7 @@ class LiveMonitor:
     def discard_day(self, day: date) -> bool:
         """Drop a day's overlay once the daily pipeline ingested it."""
         with self._lock:
-            dropped = self._partial.pop(day, None) is not None
-        if dropped and self.epoch is not None:
-            self.epoch.bump()
-        return dropped
+            return self._partial.pop(day, None) is not None
 
     # -- query overlay ---------------------------------------------------------
 

@@ -7,24 +7,23 @@ executor can sit a small :class:`ResultCache` in front of
 ``execute()``: a bounded LRU from :class:`AnalysisQuery` (a frozen,
 hashable dataclass) to the finished row table.
 
-Correctness is versioned, not timed.  Every entry records the index
-**epoch** — a monotonic counter bumped by whatever changes query
-results: daily ingestion, monthly rebuilds, and live-poll absorption
-(see :class:`EpochCounter` call sites in ``core.hierarchy``,
-``core.live`` and ``repro.system``).  An entry stored at epoch *e* is
-served only while the epoch still reads *e*; the first lookup after a
-bump drops it and falls through to real execution.  The epoch is
-sampled *before* planning, so a bump racing a long execution marks the
-freshly stored entry stale rather than serving pre-bump data forever.
+Correctness is versioned, not timed.  Every write that changes query
+results bumps the index **epoch** (:class:`EpochCounter`) with the date
+window it changed (a cube write its key's span; a catalog reload or a
+denominator refresh all time).  A lookup at an entry's epoch is a hit;
+after bumps it checks the windows logged since and *keeps* the entry
+(re-stamped) unless one overlaps ``[query.start, query.end]`` or the
+log no longer reaches back.  An execution stores its rows only if no
+write overlapped them since the epoch it sampled before planning.
 
 An entry (:class:`MemoEntry`) holds one answer in two forms: the
 ``rows`` it was stored with, never mutated afterwards, and — once some
 request has encoded them — the ``head`` of the HTTP response, every
 byte that depends on ``(query, rows)`` alone.  The bytes ride on the
 entry that holds the rows they were encoded from, so whatever drops
-the rows (a stale epoch, eviction, :meth:`ResultCache.clear`) drops
-the bytes with them, and there is no second key, lock or epoch check.
-Nobody outside is handed the stored dict to keep:
+the rows (an overlapping write, eviction, :meth:`ResultCache.clear`)
+drops the bytes with them, and there is no second key, lock or epoch
+check.  Nobody outside is handed the stored dict to keep:
 :attr:`repro.core.query.QueryResult.rows` copies it for a caller that
 asks for rows of its own (the live overlay edits them in place).
 """
@@ -32,7 +31,9 @@ asks for rows of its own (the live overlay edits them in place).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from datetime import date
+from itertools import islice
 
 from repro.core.query import AnalysisQuery
 from repro.errors import ConfigError
@@ -44,25 +45,46 @@ __all__ = ["EpochCounter", "MemoEntry", "ResultCache"]
 _K_HITS = metric_key("rased_resultcache_hits_total")
 _K_MISSES = metric_key("rased_resultcache_misses_total")
 _K_INVALIDATIONS = metric_key("rased_resultcache_invalidations_total")
+_K_KEPT = metric_key("rased_resultcache_kept_total")
 _K_EVICTIONS = metric_key("rased_resultcache_evictions_total")
+
+#: Bumps whose windows are remembered (a day's ingest makes one to four).
+_WINDOW_LOG = 1024
 
 
 class EpochCounter:
-    """A monotonic version number for the queryable state of an index."""
+    """A monotonic version of an index's queryable state, with windows."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0  # guarded-by: _lock
+        self._windows: deque[tuple[date, date]] = deque(
+            maxlen=_WINDOW_LOG
+        )  # guarded-by: _lock
 
-    def bump(self) -> int:
-        """Advance the epoch; called by every write that alters results."""
+    def bump(self, start: date = date.min, end: date = date.max) -> int:
+        """Advance the epoch; called by every write that alters results,
+        with the inclusive window of dates it altered (default: all)."""
         with self._lock:
             self._value += 1
+            self._windows.append((start, end))
             return self._value
 
     @property
     def value(self) -> int:
         return self._value
+
+    def unchanged_since(self, epoch: int, start: date, end: date) -> int | None:
+        """The current epoch if the log reaches back to ``epoch`` and no
+        bump since overlapped ``[start, end]``, else ``None``."""
+        with self._lock:
+            since = self._value - epoch
+            if since > len(self._windows) or any(
+                low <= end and high >= start
+                for low, high in islice(reversed(self._windows), since)
+            ):
+                return None
+            return self._value
 
 
 class MemoEntry:
@@ -71,7 +93,7 @@ class MemoEntry:
     __slots__ = ("epoch", "rows", "head")
 
     def __init__(self, epoch: int, rows: dict[tuple, float]) -> None:
-        #: The index epoch the rows were computed at.
+        #: The newest index epoch the rows are known valid at (raised only).
         self.epoch = epoch
         #: Shared by every hit and never mutated after the store.
         self.rows = rows
@@ -83,7 +105,7 @@ class MemoEntry:
 
 
 class ResultCache:
-    """Bounded LRU of finished query answers, invalidated by epoch."""
+    """Bounded LRU of finished query answers, invalidated by window."""
 
     def __init__(
         self,
@@ -101,45 +123,46 @@ class ResultCache:
             OrderedDict()
         )  # guarded-by: _lock
 
-    def current_epoch(self) -> int:
-        """The epoch an about-to-run execution should store under."""
-        return self.epoch.value
-
     def get(self, query: AnalysisQuery) -> MemoEntry | None:
         """The entry memoized for ``query``, or ``None`` on miss/stale."""
         now = self.epoch.value
-        stale = False
         with self._lock:
             entry = self._entries.get(query)
-            if entry is not None:
-                if entry.epoch == now:
-                    self._entries.move_to_end(query)
-                else:
+            if entry is not None and entry.epoch == now:
+                self._entries.move_to_end(query)
+        outcome = "miss" if entry is None else "hit"
+        if entry is not None and entry.epoch != now:
+            # Outside the lock: the check takes the counter's own.
+            kept = self.epoch.unchanged_since(entry.epoch, query.start, query.end)
+            with self._lock:
+                if kept is not None:
+                    entry.epoch = max(entry.epoch, kept)
+                elif self._entries.get(query) is entry:
                     del self._entries[query]
-                    entry = None
-                    stale = True
-        metrics = self.metrics
-        if stale:
-            metrics.inc_key(_K_INVALIDATIONS)
+            outcome = "stale" if kept is None else "kept"
+            self.metrics.inc_key(_K_INVALIDATIONS if kept is None else _K_KEPT)
+            if kept is None:
+                entry = None
         if current_span() is not None:
-            outcome = "hit" if entry is not None else ("stale" if stale else "miss")
             record_span(
                 "core.resultcache.get", 0.0, attributes={"outcome": outcome}
             )
-        metrics.inc_key(_K_HITS if entry is not None else _K_MISSES)
+        self.metrics.inc_key(_K_HITS if entry is not None else _K_MISSES)
         return entry
 
     def put(
         self, query: AnalysisQuery, rows: dict[tuple, float], epoch: int
     ) -> MemoEntry | None:
-        """Store rows computed at ``epoch`` (copied; LRU-evicting).
+        """Store rows computed from ``epoch`` on (copied; LRU-evicting).
 
-        Returns the stored entry — or ``None``: the world moved on
-        mid-execution, and the rows were not allowed to poison the memo.
+        Returns the stored entry — or ``None``: a write overlapping the
+        query landed mid-execution, and the rows were not allowed to
+        poison the memo.
         """
-        if epoch != self.epoch.value:
+        now = self.epoch.unchanged_since(epoch, query.start, query.end)
+        if now is None:
             return None
-        entry = MemoEntry(epoch, dict(rows))
+        entry = MemoEntry(now, dict(rows))
         evicted = 0
         with self._lock:
             self._entries[query] = entry

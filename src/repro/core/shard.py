@@ -71,9 +71,7 @@ from repro.types.dimensions import CubeSchema
 from repro.core.executor import GatherPartial, QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.query import QueryStats
-from repro.core.resultcache import EpochCounter
 from repro.errors import ConfigError, DeadlineExceededError
-from repro.geo.zones import ZoneAtlas
 from repro.obs import metric_key
 from repro.obs.span import span as causal_span
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
@@ -349,24 +347,13 @@ class ShardedIndex(HierarchicalIndex):
         schema: CubeSchema,
         routed: ShardedPageStore,
         store: PageStore | None = None,
-        atlas: ZoneAtlas | None = None,
-        levels: tuple[Level, ...] = (Level.DAY, Level.WEEK, Level.MONTH, Level.YEAR),
-        epoch: EpochCounter | None = None,
-        page_version: int | None = None,
-        sparse: bool = False,
+        **options: Any,
     ) -> None:
         #: The routed view itself (``self.store`` may wrap it).
         self.routed = routed
         self.router = routed.router
         super().__init__(
-            schema,
-            store if store is not None else routed,
-            atlas=atlas,
-            levels=levels,
-            prefix=routed.prefix,
-            epoch=epoch,
-            page_version=page_version,
-            sparse=sparse,
+            schema, routed if store is None else store, prefix=routed.prefix, **options
         )
 
     @property

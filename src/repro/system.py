@@ -170,9 +170,9 @@ class RasedSystem:
         self.metrics = MetricsRegistry()
         store.metrics = self.metrics
 
-        #: Index epoch: bumped on every mutation of what queries can
-        #: see (cube writes, live-overlay changes, denominator
-        #: refreshes); versions the result cache.
+        #: Index epoch: bumped with the date window of every mutation
+        #: of what queries can see (cube writes; globally for catalog
+        #: reloads and denominator refreshes); versions the result cache.
         self.epoch = EpochCounter()
 
         #: Always-on flight recorder + the tracer that feeds it.  The
@@ -312,7 +312,6 @@ class RasedSystem:
             self.geocoder,
             schema,
             atlas=atlas,
-            epoch=self.epoch,
         )
         #: Front-door admission controller, built only when any policy
         #: is enabled; ``DashboardServer`` receives it at serve time.
@@ -456,8 +455,8 @@ class RasedSystem:
         # Road networks changed during simulation; refresh denominators.
         for country, size in self.simulator.road_network_sizes().items():
             self.network_sizes.update_country(country, size)
-        # Denominators affect percentage results but bypass the index's
-        # own epoch bumps, so invalidate memoized results explicitly.
+        # Denominators affect every window's percentages but bypass the
+        # index's own epoch bumps, so invalidate all memoized results.
         self.epoch.bump()
         return report
 

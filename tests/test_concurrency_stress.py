@@ -22,7 +22,7 @@ from repro.dashboard.server import DashboardServer
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from tests.test_front_door import answer_of, get, post
+from tests.test_front_door import answer_of, get, post, stats_of
 
 pytestmark = pytest.mark.stress
 
@@ -257,6 +257,74 @@ class TestServedBytesUnderWrites:
                 late += 1
         assert early and late, (early, late, len(answers))
         assert system.metrics.value("rased_http_encoded_reused_total") > 0
+
+    def test_out_of_window_answers_stay_memoized_through_an_ingest(self, atlas):
+        """July 2021's answers keep hitting while a January 2022 day is
+        ingested; January's own answer is the pre- or post-batch
+        document, never a blend."""
+        system = build_stress_system(atlas)
+        system.publish_day(date(2022, 1, 3))
+        system.pipeline.run_daily()
+        january = dict(start="2022-01-01", end="2022-01-31", group_by=["country"])
+        bodies = self.BODIES + [january]
+        errors: list[BaseException] = []
+        #: (query position, answer bytes, stats)
+        answers: list[tuple[int, bytes, dict]] = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with DashboardServer(system.dashboard) as server:
+                before = [self._answer(server, body) for body in bodies]
+                hits_before = system.metrics.value("rased_resultcache_hits_total")
+
+                def client(offset: int) -> None:
+                    try:
+                        turn = offset
+                        while not stop.is_set():
+                            position = turn % len(bodies)
+                            status, sent, _ = post(server, "/analysis", bodies[position])
+                            assert status == 200, sent
+                            answers.append((position, answer_of(sent), stats_of(sent)))
+                            turn += 1
+                    except BaseException as exc:  # noqa: BLE001 - collected
+                        errors.append(exc)
+                        stop.set()
+
+                clients = [
+                    threading.Thread(target=client, args=(i,), name=f"client-{i}")
+                    for i in range(4)
+                ]
+                for thread in clients:
+                    thread.start()
+                system.publish_day(date(2022, 1, 4))
+                system.pipeline.run_daily()
+                # Let the clients cycle the bodies about twice more each.
+                wanted = len(answers) + 2 * len(bodies) * len(clients)
+                give_up = time.monotonic() + 30
+                while len(answers) < wanted and time.monotonic() < give_up:
+                    time.sleep(0.01)
+                stop.set()
+                for thread in clients:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in clients)
+                after = [self._answer(server, body) for body in bodies]
+        finally:
+            sys.setswitchinterval(interval)
+            system.iosched.shutdown()
+        assert errors == []
+        assert before[:-1] == after[:-1]  # July did not change...
+        assert before[-1] != after[-1]  # ...January did
+        in_july = 0
+        for position, answer, stats in answers:
+            assert answer in (before[position], after[position])  # never a blend
+            if position < len(self.BODIES):
+                assert stats["cube_count"] == 0, stats  # every one a memo hit
+                in_july += 1
+        assert in_july and len(answers) > in_july, len(answers)
+        hits = system.metrics.value("rased_resultcache_hits_total") - hits_before
+        assert hits >= in_july + len(self.BODIES)  # the race's and `after`'s
+        assert system.metrics.value("rased_resultcache_kept_total") >= len(self.BODIES)
 
 
 class TestWarehouseReadsUnderIngest:

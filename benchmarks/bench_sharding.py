@@ -2,9 +2,10 @@
 
 The same quarter of data (at the 1x/10x/100x worlds of
 :data:`repro.synth.scale.SCALE_PROFILES`) queried cold through 1/2/4/8
-shards.  Each shard's page reads are charged serially on its own store
-and the gather credits the overlap (``sum - max``), so modeled latency
-should fall toward the busiest shard's share as the shard count grows.
+shards.  Each shard reads its misses serially and the shards read
+concurrently, so a query's modeled disk time is the busiest shard's
+reads times the read latency, and should fall toward that share as the
+shard count grows.
 
 The wall-clock serving shoot-out this file used to carry (threaded vs
 in-process sharded vs process-pool rps) is retired: ``benchmarks/e2e``

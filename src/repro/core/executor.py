@@ -29,8 +29,12 @@ at a time, in plan order.
 
 Response-time accounting mirrors the reproduction's simulated disk:
 ``wall_seconds`` is real elapsed time, while ``simulated_seconds``
-adds the modeled per-page disk latency the host machine didn't pay —
-the quantity comparable to the paper's reported milliseconds.
+adds the modeled disk latency of the query's *own* reads — the
+quantity comparable to the paper's reported milliseconds.  Every read
+costs a constant ``read_latency``, so that is arithmetic over the miss
+batch (:func:`~repro.storage.pages.modeled_read_seconds`), the slowest
+shard's under scatter-gather; no device clock is read, so neighbours'
+reads and the writer's writes never leak in.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from repro.errors import DEGRADABLE_READ_ERRORS, QueryError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import Span, Tracer, record_span
 from repro.obs.span import span as causal_span
-from repro.storage.pages import PageStore
+from repro.storage.pages import PageStore, modeled_read_seconds
 
 __all__ = ["QueryExecutor", "GatherPartial", "local_gather"]
 
@@ -95,7 +99,7 @@ class GatherPartial:
     #: This gather's share of the query's record (fetch counters and
     #: phase timings); the executor folds it in with ``QueryStats.merge``.
     stats: QueryStats = field(default_factory=QueryStats)
-    #: Modeled disk seconds this gather charged its store.
+    #: Modeled disk seconds of this gather's own page reads.
     charged_seconds: float = 0.0
 
 
@@ -122,7 +126,6 @@ def local_gather(
     stats = out.stats
     if store is None:
         store = index.store
-    charged_before = store.stats.simulated_seconds
 
     def load(key: TemporalKey) -> AnyCube | None:
         """One page read; a degradable failure is ``None`` for its key
@@ -152,12 +155,10 @@ def local_gather(
     if misses:
         if iosched is not None:
             # Phase boundary: the cache sweep was free; the miss batch
-            # is where the disk cost starts.  Its reads are then
-            # rebooked as one concurrent batch, so the virtual clock
-            # charges the queue-depth makespan, not the sum.
+            # is where the disk cost starts.  Issued as one concurrent
+            # batch, it is modeled at the queue-depth makespan.
             check_deadline("phase1.fetch.disk")
             cubes.update(iosched.fetch_many(misses, load))
-            store.rebook_overlapped_reads(len(misses))
         else:
             for key in misses:
                 # Every miss is one real page read, so the deadline is
@@ -176,6 +177,9 @@ def local_gather(
         now = time.perf_counter()
         stats.add_phase("phase1.fetch.disk", now - mark, len(misses))
         mark = now
+        out.charged_seconds = modeled_read_seconds(
+            len(misses), store.read_latency, store.parallelism if iosched else 1
+        )
 
     check_deadline("phase2.aggregate")
     # Per-cube partial arrays are collected and reduced in one
@@ -194,7 +198,6 @@ def local_gather(
     served = stats.cache_hits + stats.disk_reads
     if served:
         stats.add_phase("phase2.aggregate", time.perf_counter() - mark, served)
-    out.charged_seconds = store.stats.simulated_seconds - charged_before
     return out
 
 
@@ -280,7 +283,6 @@ class QueryExecutor:
             # Sampled before planning: a maintenance write racing this
             # execution makes the stored entry stale, never wrong.
             epoch = self.result_cache.epoch.value
-        disk_before = self.index.store.stats.snapshot()
 
         # A query is a list of windows (inclusive ranges): one per
         # period when it groups by date — each reported under its start
@@ -315,10 +317,11 @@ class QueryExecutor:
         stats.add_phase(
             "phase1.plan", time.perf_counter() - plan_started, len(windows)
         )
-        arrays = self._gather(items, selection, stats) if items else {}
+        gathered = self._gather(items, selection) if items else GatherPartial()
+        stats.merge(gathered.stats)
         rows: dict[tuple, float] = {}
         for position, (period, _) in enumerate(windows):
-            accumulated = arrays.get(position)
+            accumulated = gathered.arrays.get(position)
             if accumulated is not None:
                 rows.update(
                     self._rows_from_array(
@@ -333,8 +336,7 @@ class QueryExecutor:
 
         self._flag_quarantine_overlap(query, stats)
         stats.wall_seconds = time.perf_counter() - started
-        disk_delta = self.index.store.stats.delta(disk_before)
-        stats.simulated_seconds = disk_delta.simulated_seconds + stats.wall_seconds
+        stats.simulated_seconds = gathered.charged_seconds + stats.wall_seconds
         self._record_query_metrics(stats)
         memo = None
         if self.result_cache is not None and not stats.partial:
@@ -399,16 +401,12 @@ class QueryExecutor:
     # -- the gather seam ---------------------------------------------------------
 
     def _gather(
-        self,
-        items: list[tuple[int, TemporalKey]],
-        selection: Selection,
-        stats: QueryStats,
-    ) -> dict[int, np.ndarray]:
-        """The seam: position-tagged keys in, one reduced array per
-        window position out.  Here, one local gather over the index."""
-        part = local_gather(self.index, self.cache, items, selection, self.iosched)
-        stats.merge(part.stats)
-        return part.arrays
+        self, items: list[tuple[int, TemporalKey]], selection: Selection
+    ) -> GatherPartial:
+        """The seam: position-tagged keys in, the query's one partial out
+        (a reduced array per window position, its fetch record and its
+        modeled disk time).  Here, one local gather over the index."""
+        return local_gather(self.index, self.cache, items, selection, self.iosched)
 
     def _effective_filters(self, query: AnalysisQuery) -> dict:
         """Query filters adjusted for overlapping zones of interest.

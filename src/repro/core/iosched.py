@@ -5,9 +5,9 @@ cube pages, and fetching them strictly one-at-a-time makes latency
 linear in plan size.  :meth:`IOScheduler.run` overlaps such work on a
 small thread pool — page reads for the unsharded engine
 (:meth:`IOScheduler.fetch_many`), one gather per shard for the scatter
-engine.  The modeled counterpart is the disk's queue depth
-(:meth:`repro.storage.pages.PageStore.rebook_overlapped_reads`), which
-converts the serially charged virtual latency into the batch makespan.
+engine.  The modeled counterpart is the disk's queue depth: an
+overlapped batch of reads is modeled at its makespan
+(:func:`repro.storage.pages.modeled_read_seconds`).
 
 Nothing is shared between two calls: each owns its futures, and page
 reads are idempotent, so two queries missing the same cube simply read

@@ -28,7 +28,8 @@ places the index's pages across N **shards**:
   :func:`~repro.core.executor.local_gather` as one task of
   :meth:`repro.core.iosched.IOScheduler.run` (which carries the
   ambient span and deadline across the pool boundary); the per-shard
-  partial arrays are merged with :func:`~repro.types.cube.sum_arrays`.
+  partial arrays are merged with :func:`~repro.types.cube.sum_arrays`,
+  and the query's modeled disk time is the slowest live shard's.
 
 **Correctness argument** (verified end-to-end by
 ``tests/test_shard_oracle.py``): an analysis answer is plan-invariant
@@ -46,12 +47,12 @@ degraded lower bound, never a silently wrong total.  Partial answers
 are never memoized (the executor's result-cache rule), so a healed
 shard immediately serves full answers again.
 
-The virtual disk clock stays conservative: each shard's page reads
-are charged serially on that shard's store, and the scatter's
-cross-shard overlap is credited explicitly
-(:meth:`ShardedPageStore.credit_scatter`) as ``serial - makespan``,
-keeping ``simulated + credit == serial`` auditable exactly like
-:meth:`~repro.storage.pages.PageStore.rebook_overlapped_reads`.
+Modeled latency follows the fan-out: each shard gather reads its misses
+serially, so it models ``misses * read_latency`` of its own shard's
+store, and shards read concurrently, so the query waits for the slowest
+— the maximum over live shards.  Like the unsharded engine's, the
+number is arithmetic over the query's own reads; no device clock is
+read.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ __all__ = [
 _K_SUBQUERIES = metric_key("rased_shard_subqueries_total")
 _K_DEAD = metric_key("rased_shard_dead_total")
 _K_SCATTER_SECONDS = metric_key("rased_shard_scatter_seconds")
-_K_SCATTER_CREDIT = metric_key("rased_shard_scatter_credit_seconds_total")
 
 
 class ShardRouter:
@@ -209,8 +209,7 @@ class ShardedPageStore(PageStore):
     everything else (the crawl cursor under ``meta/``, the ``wal/``
     journal, the ``warehouse/`` heap and its indexes) lives on the
     deployment's primary store.  ``stats`` is the merged accounting of
-    every underlying store plus this view's own scatter-overlap
-    adjustment, so executor deltas see exactly the I/O a query caused,
+    every underlying store, so experiment deltas see all the I/O,
     wherever it landed.
     """
 
@@ -231,11 +230,6 @@ class ShardedPageStore(PageStore):
         self.meta_store = meta_store
         self.prefix = prefix
         self._cube_head = prefix + "/"
-        # Scatter credits are negative simulated-seconds adjustments;
-        # they live here (not on any one shard's store) because the
-        # overlap is a property of the scatter, not of a device.
-        self._adjust = DiskStats()  # guarded-by: _adjust_lock
-        self._adjust_lock = threading.Lock()
 
     # -- routing -------------------------------------------------------------
 
@@ -262,10 +256,6 @@ class ShardedPageStore(PageStore):
             total.bytes_read += s.bytes_read
             total.bytes_written += s.bytes_written
             total.simulated_seconds += s.simulated_seconds
-            total.overlap_credit_seconds += s.overlap_credit_seconds
-        with self._adjust_lock:
-            total.simulated_seconds += self._adjust.simulated_seconds
-            total.overlap_credit_seconds += self._adjust.overlap_credit_seconds
         return total
 
     @stats.setter
@@ -278,8 +268,6 @@ class ShardedPageStore(PageStore):
     def reset_stats(self) -> None:
         for store in self._all_stores():
             store.reset_stats()
-        with self._adjust_lock:
-            self._adjust = DiskStats()
 
     @property
     def parallelism(self) -> int:  # type: ignore[override]
@@ -289,26 +277,6 @@ class ShardedPageStore(PageStore):
     def parallelism(self, value: int) -> None:
         for store in self._all_stores():
             store.parallelism = value
-
-    def credit_scatter(self, per_shard_seconds: Sequence[float]) -> float:
-        """Credit the virtual clock for one scatter's cross-shard overlap.
-
-        Each shard's just-charged read seconds were serial within the
-        shard but concurrent across shards, so the scatter's makespan
-        is the slowest shard, not the sum.  The difference moves into
-        ``overlap_credit_seconds`` — the serial total stays auditable
-        as ``simulated + credit``.
-        """
-        charged = [s for s in per_shard_seconds if s > 0.0]
-        if len(charged) <= 1:
-            return 0.0
-        credit = sum(charged) - max(charged)
-        if credit <= 0.0:
-            return 0.0
-        with self._adjust_lock:
-            self._adjust.simulated_seconds -= credit
-            self._adjust.overlap_credit_seconds += credit
-        return credit
 
     # -- routed storage ops --------------------------------------------------
 
@@ -406,9 +374,10 @@ class ScatterGatherExecutor(QueryExecutor):
     ``fault_hook`` is the shard-level injection point used by
     :func:`repro.testing.faults.shard_fault_hook`: it runs at each
     shard gather's entry with ``(shard_id, shard_store)`` and may raise
-    (shard-kill) or charge latency (slow shard).  ``None`` — the
-    default — costs nothing, keeping fault injection a strict no-op in
-    production.
+    (shard-kill) or charge a delay to the shard store's device clock
+    (slow shard; a query's modeled time counts its reads, not delays).
+    ``None`` — the default — costs nothing, keeping fault injection a
+    strict no-op in production.
     """
 
     def __init__(
@@ -435,15 +404,14 @@ class ScatterGatherExecutor(QueryExecutor):
     # -- the scattered gather ------------------------------------------------
 
     def _gather(
-        self,
-        items: list[tuple[int, TemporalKey]],
-        selection: Selection,
-        stats: QueryStats,
-    ) -> dict[int, np.ndarray]:
+        self, items: list[tuple[int, TemporalKey]], selection: Selection
+    ) -> GatherPartial:
         """One local gather per owning shard, merged by exact addition.
 
         Every shard reduces through the query's one compiled
         ``selection`` (read-only, so sharing it across the pool is safe).
+        Shards read concurrently, so the merged partial's modeled disk
+        time is the slowest live shard's.
         """
         by_shard: dict[int, list[tuple[int, TemporalKey]]] = {}
         for item in items:
@@ -463,8 +431,9 @@ class ScatterGatherExecutor(QueryExecutor):
             if self.iosched is not None
             else [task() for task in tasks]
         )
+        merged = GatherPartial()
+        stats = merged.stats
         per_position: dict[int, list[np.ndarray]] = {}
-        charged: list[float] = []
         dead_shards = 0
         for (_, shard_items), part in zip(groups, gathered):
             if part is None:
@@ -478,11 +447,10 @@ class ScatterGatherExecutor(QueryExecutor):
             for position, array in part.arrays.items():
                 per_position.setdefault(position, []).append(array)
             stats.merge(part.stats)
-            charged.append(part.charged_seconds)
-        credit = self.sharded_index.routed.credit_scatter(charged)
+            merged.charged_seconds = max(merged.charged_seconds, part.charged_seconds)
         merge_started = time.perf_counter()
         elapsed = merge_started - started
-        arrays = {
+        merged.arrays = {
             position: sum_arrays(parts) for position, parts in per_position.items()
         }
         stats.add_phase(
@@ -491,10 +459,8 @@ class ScatterGatherExecutor(QueryExecutor):
         incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(tasks)))]
         if dead_shards:
             incs.append((_K_DEAD, float(dead_shards)))
-        if credit:
-            incs.append((_K_SCATTER_CREDIT, credit))
         self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
-        return arrays
+        return merged
 
     def _shard_gather(
         self,

@@ -3,12 +3,15 @@
 The paper's experiments (Section VIII) measure query response time as a
 function of how many data-cube pages must come from disk versus cache.
 Real hardware in a CI box cannot reproduce a 2014 desktop's disk, so we
-substitute a *modeled* disk: every page read/write increments counters
-and charges a configurable latency to a virtual clock
-(:attr:`DiskStats.simulated_seconds`).  Experiments report the virtual
-clock (plus measured in-memory compute time), preserving the paper's
-cost *relations* — cache hit ~ 0, cube read ~ milliseconds — on any
-host.
+substitute a *modeled* disk: every page read costs a constant
+``read_latency`` and every write a constant ``write_latency``, so a
+query's modeled time is arithmetic over its own reads
+(:func:`repro.storage.pages.modeled_read_seconds`), reported plus its
+measured compute time — preserving the paper's cost *relations* (cache
+hit ~ 0, cube read ~ milliseconds) on any host.  Each store's
+:attr:`DiskStats.simulated_seconds` is its own device clock (every
+read, write and injected delay it served), read by operations metrics
+and maintenance experiments, never by a per-query number.
 
 Two backings are provided:
 
@@ -23,7 +26,6 @@ a 4 MB page read, ~6 ms for a write.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import threading
@@ -48,11 +50,10 @@ _K_READ_BYTES = metric_key("rased_disk_read_bytes_total")
 _K_WRITES = metric_key("rased_disk_writes_total")
 _K_WRITE_BYTES = metric_key("rased_disk_write_bytes_total")
 _K_SIM_SECONDS = metric_key("rased_disk_simulated_seconds_total")
-_K_OVERLAP_CREDIT = metric_key("rased_disk_overlap_credit_seconds_total")
 
 
 class _LatencyMixin(PageStore):
-    """Shared accounting: counters plus the virtual latency clock.
+    """Shared accounting: counters plus the device's virtual clock.
 
     Every I/O is double-booked: into the store's own resettable
     :class:`~repro.storage.pages.DiskStats` (experiment deltas) and
@@ -60,13 +61,9 @@ class _LatencyMixin(PageStore):
     :class:`repro.system.RasedSystem` rebinds :attr:`metrics` to its
     private registry at assembly time.
 
-    ``parallelism`` is the modeled queue depth.  Reads are still
-    charged serially as they happen (device order is unknowable at
-    charge time); a caller that issued a batch concurrently then calls
-    :meth:`rebook_overlapped_reads` to convert the serial charge into
-    the batch makespan, ``ceil(n / parallelism) * read_latency``.  At
-    the default depth of 1 the rebook is a no-op, which keeps every
-    serial experiment's numbers bit-identical.
+    ``read_latency`` and ``parallelism`` (the modeled queue depth) are
+    the latency model a query's modeled time is computed from; the
+    device clock charges every read serially, as the device served it.
 
     ``real_sleep`` makes each I/O actually block for its modeled
     latency (releasing the GIL), which is how end-to-end throughput
@@ -152,28 +149,6 @@ class _LatencyMixin(PageStore):
             metrics.inc_key(_K_SIM_SECONDS, self.write_latency)
             if self.real_sleep:
                 time.sleep(self.write_latency)
-
-    def rebook_overlapped_reads(self, reads: int) -> float:
-        """Credit the virtual clock for a concurrently issued read batch.
-
-        ``reads`` serially charged reads are re-accounted as a batch
-        the device drained ``parallelism`` at a time; the credit
-        (serial charge minus makespan) moves into
-        :attr:`DiskStats.overlap_credit_seconds` so the serial total
-        stays auditable.  Returns the seconds credited.
-        """
-        if reads <= 1 or self.parallelism <= 1 or not self.read_latency:
-            return 0.0
-        serial = reads * self.read_latency
-        makespan = math.ceil(reads / self.parallelism) * self.read_latency
-        credit = serial - makespan
-        if credit <= 0.0:
-            return 0.0
-        with self._stats_lock:
-            self.stats.simulated_seconds -= credit
-            self.stats.overlap_credit_seconds += credit
-        self.metrics.inc_key(_K_OVERLAP_CREDIT, credit)
-        return credit
 
 
 class InMemoryDisk(_LatencyMixin):

@@ -7,35 +7,42 @@ store: pages are addressed by string ids (e.g. ``cube/D2021-03-05``)
 and read/written whole.
 
 Two concrete stores live in :mod:`repro.storage.disk`; both layer I/O
-accounting and a latency model on top of this interface, which is what
-the experiments measure.
+accounting and a latency model on top of this interface.  Because every
+read charges the same ``read_latency``, a query's modeled disk time is
+arithmetic over its own read counts (:func:`modeled_read_seconds`);
+:class:`DiskStats` is the device's own cumulative record, never a
+per-query number.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["PageStore", "PageStoreProxy", "DiskStats"]
+__all__ = ["PageStore", "PageStoreProxy", "DiskStats", "modeled_read_seconds"]
+
+
+def modeled_read_seconds(reads: int, read_latency: float, parallelism: int = 1) -> float:
+    """The modeled disk time of one batch of ``reads`` page reads.
+
+    A device draining ``parallelism`` requests at a time finishes the
+    batch after ``ceil(reads / parallelism)`` read latencies; serial
+    reads are the depth-1 case, ``reads * read_latency``.
+    """
+    return math.ceil(reads / parallelism) * read_latency
 
 
 @dataclass
 class DiskStats:
     """Cumulative I/O accounting for one page store.
 
-    ``simulated_seconds`` is a virtual clock: each read/write charges
-    its modeled latency here, so experiments can report paper-style
-    response times independent of the host machine's real disk.
-
-    ``overlap_credit_seconds`` records latency *rebooked* by the disk
-    concurrency model: reads are charged serially as they happen, and
-    when a caller declares that a batch of them was issued
-    concurrently (:meth:`PageStore.rebook_overlapped_reads`) the
-    difference between the serial charge and the batch makespan moves
-    from ``simulated_seconds`` into this field.  The sum of the two is
-    therefore always the serial cost, so serial experiments stay
-    reproducible and the credit is separately auditable.
+    ``simulated_seconds`` is the device's own virtual clock: every
+    read, write and injected delay it served, whoever asked.  It feeds
+    the ``rased_disk_simulated_seconds_total`` counter and maintenance
+    experiments; a query's modeled time is computed from the query's
+    own reads (:func:`modeled_read_seconds`), never read from here.
     """
 
     reads: int = 0
@@ -43,7 +50,6 @@ class DiskStats:
     bytes_read: int = 0
     bytes_written: int = 0
     simulated_seconds: float = 0.0
-    overlap_credit_seconds: float = 0.0
 
     def snapshot(self) -> "DiskStats":
         return DiskStats(
@@ -52,7 +58,6 @@ class DiskStats:
             bytes_read=self.bytes_read,
             bytes_written=self.bytes_written,
             simulated_seconds=self.simulated_seconds,
-            overlap_credit_seconds=self.overlap_credit_seconds,
         )
 
     def delta(self, earlier: "DiskStats") -> "DiskStats":
@@ -63,9 +68,6 @@ class DiskStats:
             bytes_read=self.bytes_read - earlier.bytes_read,
             bytes_written=self.bytes_written - earlier.bytes_written,
             simulated_seconds=self.simulated_seconds - earlier.simulated_seconds,
-            overlap_credit_seconds=(
-                self.overlap_credit_seconds - earlier.overlap_credit_seconds
-            ),
         )
 
     @property
@@ -76,9 +78,10 @@ class DiskStats:
 class PageStore(abc.ABC):
     """Whole-page keyed storage with I/O accounting."""
 
-    #: Modeled queue depth: how many reads the device can service
-    #: concurrently.  The base store has no latency model, so the
-    #: value only matters to latency-charging subclasses.
+    #: The latency model: seconds per page read, and the queue depth
+    #: (how many reads the device services concurrently).  The base
+    #: store models no latency; latency-charging subclasses set both.
+    read_latency: float = 0.0
     parallelism: int = 1
 
     def __init__(self) -> None:
@@ -106,16 +109,6 @@ class PageStore(abc.ABC):
     def page_count(self, prefix: str = "") -> int:
         return sum(1 for _ in self.list_pages(prefix))
 
-    def rebook_overlapped_reads(self, reads: int) -> float:
-        """Re-account ``reads`` just-charged reads as issued concurrently.
-
-        Latency-modeling stores convert the serial charge into the
-        batch makespan under their queue depth and return the credited
-        seconds; the base store has no latency model, so this is a
-        no-op callers may invoke unconditionally.
-        """
-        return 0.0
-
     def reset_stats(self) -> None:
         self.stats = DiskStats()
 
@@ -126,9 +119,9 @@ class PageStoreProxy(PageStore):
     Subclasses (the ingestion WAL's journaled view, the test suite's
     fault-injecting store) intercept only the operations they care
     about; everything else — including the stats object, the latency
-    model's queue depth, and the metrics binding — is the inner
-    store's, so layered wrappers stay indistinguishable from the raw
-    device to accounting code.
+    model (read latency and queue depth), and the metrics binding — is
+    the inner store's, so layered wrappers stay indistinguishable from
+    the raw device to accounting code.
     """
 
     def __init__(self, inner: PageStore) -> None:
@@ -148,6 +141,10 @@ class PageStoreProxy(PageStore):
         self.inner.stats = value
 
     @property
+    def read_latency(self) -> float:  # type: ignore[override]
+        return self.inner.read_latency
+
+    @property
     def parallelism(self) -> int:  # type: ignore[override]
         return self.inner.parallelism
 
@@ -163,9 +160,6 @@ class PageStoreProxy(PageStore):
     @metrics.setter
     def metrics(self, value: object) -> None:
         setattr(self.inner, "metrics", value)
-
-    def rebook_overlapped_reads(self, reads: int) -> float:
-        return self.inner.rebook_overlapped_reads(reads)
 
     def reset_stats(self) -> None:
         self.inner.reset_stats()

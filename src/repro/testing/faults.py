@@ -42,9 +42,9 @@ Fault kinds:
     Reads return the page with one rng-chosen byte flipped; writes
     persist a flipped payload.
 ``delay``
-    Charge ``delay_seconds`` to the store's virtual clock (and call
-    the plan's ``sleep`` hook, when one is installed) before the
-    operation proceeds.
+    Charge ``delay_seconds`` to the store's device clock, not to any
+    query's modeled time (and call the plan's ``sleep`` hook, when one
+    is installed) before the operation proceeds.
 ``stale``
     Feed-only: ``current_sequence`` keeps answering the first value it
     ever observed, simulating a stuck upstream ``state.txt``.
@@ -299,7 +299,7 @@ class FaultPlan:
         return bytes(out)
 
     def do_delay(self, spec: FaultSpec, store: PageStore | None = None) -> None:
-        """Apply a delay fault to the virtual clock (and sleep hook)."""
+        """Apply a delay fault to the store's device clock (and sleep hook)."""
         if store is not None:
             store.stats.simulated_seconds += spec.delay_seconds
         if self.sleep is not None:
@@ -392,7 +392,7 @@ def shard_fault_hook(plan: FaultPlan) -> Callable[[int, PageStore], None]:
     ``FaultSpec(point="shard.query", kind="error", page_prefix=
     "shard/1", count=10**9)`` is "shard 1 is down", and
     ``kind="delay"`` is a slow shard (the delay lands on that shard's
-    virtual disk clock).  ``crash`` raises :class:`CrashPoint` — which
+    device clock, not on any query's modeled time).  ``crash`` raises :class:`CrashPoint` — which
     the gather loop must *not* degrade around (it is a
     ``BaseException``), mirroring the store-level crash contract.
     """

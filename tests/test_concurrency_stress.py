@@ -331,7 +331,10 @@ class TestWarehouseReadsUnderIngest:
     """``/samples`` and ``/changeset/<id>`` read the two warehouse
     indexes with no lock beside the writer's segment flushes and its
     month-end fold: whenever a request lands, it finds each row at most
-    once and nothing the heap does not hold."""
+    once and nothing the heap does not hold.  The writer ends each day
+    only after taking one reader answer that carried rows (waiting up to
+    10 s), so at least one answer a day lands mid-ingest however the
+    host schedules the threads."""
 
     FIRST_DAY = date(2021, 7, 20)
     DAYS = 36  # through Aug 24: Jul 31 folds, August accumulates again
@@ -360,6 +363,14 @@ class TestWarehouseReadsUnderIngest:
         errors: list[BaseException] = []
         answers: list[tuple[str, list[tuple[str, ...]]]] = []
         stop = threading.Event()
+        with_rows = threading.Semaphore(0)
+        save_cursor = system.pipeline._save_cursor
+
+        def paced_save_cursor() -> None:
+            with_rows.acquire(timeout=10)
+            save_cursor()
+
+        system.pipeline._save_cursor = paced_save_cursor  # type: ignore[method-assign]
 
         def rows_of(server: DashboardServer, path: str) -> list[tuple[str, ...]]:
             status, body, _ = get(server, path)
@@ -377,11 +388,15 @@ class TestWarehouseReadsUnderIngest:
                         turn = offset
                         while not stop.is_set():
                             path = paths[turn % len(paths)]
-                            answers.append((path, rows_of(server, path)))
+                            rows = rows_of(server, path)
+                            answers.append((path, rows))
+                            if rows:
+                                with_rows.release()
                             turn += 7
                     except BaseException as exc:  # noqa: BLE001 - collected
                         errors.append(exc)
                         stop.set()
+                        with_rows.release(self.DAYS)  # the writer waits no more
 
                 readers = [
                     threading.Thread(target=reader, args=(i,), name=f"reader-{i}")
@@ -428,4 +443,4 @@ class TestWarehouseReadsUnderIngest:
         for path, rows in answers:
             assert Counter(rows) <= truth[path], path
             raced += bool(rows)
-        assert raced > 20, (raced, len(answers))
+        assert raced >= self.DAYS, (raced, len(answers))

@@ -1,5 +1,5 @@
 """Tests for the I/O scheduler: the ``run`` primitive, overlapped
-fetches, and the virtual disk's queue-depth (rebook) accounting."""
+fetches, and the modeled time of a batch at the disk's queue depth."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from repro.errors import ConfigError, DeadlineExceededError
 from repro.obs import MetricsRegistry
 from repro.obs.span import Tracer, span
 from repro.storage.disk import InMemoryDisk
+from repro.storage.pages import PageStoreProxy, modeled_read_seconds
 from repro.types.cube import Selection
 
 COUNTRIES = ["united_states", "germany", "qatar"]
@@ -290,37 +291,21 @@ class TestSlices:
         assert int(part.arrays[0]) == 3 * 7  # three updates a day
 
 
-class TestRebookAccounting:
-    def test_overlap_credit_is_deterministic(self):
-        disk = InMemoryDisk(read_latency=0.005, write_latency=0.0, parallelism=4)
-        disk.write("p", b"x" * 8)
-        for _ in range(8):
-            disk.read("p")
-        writes_charged = disk.stats.simulated_seconds
-        assert writes_charged == pytest.approx(8 * 0.005)
-        credit = disk.rebook_overlapped_reads(8)
-        # 8 reads drained 4 at a time: makespan 2 ticks, credit 6.
-        assert credit == pytest.approx(6 * 0.005)
-        assert disk.stats.simulated_seconds == pytest.approx(2 * 0.005)
-        assert disk.stats.overlap_credit_seconds == pytest.approx(credit)
-        # Invariant: simulated + credit always equals the serial charge.
-        assert disk.stats.simulated_seconds + disk.stats.overlap_credit_seconds == (
-            pytest.approx(8 * 0.005)
-        )
+class TestModeledReadSeconds:
+    @pytest.mark.parametrize("latency", [0.0, 0.005])
+    @pytest.mark.parametrize(
+        "reads, parallelism, ticks",
+        [(0, 1, 0), (1, 1, 1), (8, 1, 8), (0, 4, 0), (1, 4, 1), (8, 4, 2)],
+    )
+    def test_batch_makespan(self, reads, parallelism, ticks, latency):
+        """``ceil(reads / parallelism)`` read latencies: serial reads
+        are the depth-1 case, 8 reads drain 4 at a time in 2."""
+        assert modeled_read_seconds(reads, latency, parallelism) == ticks * latency
 
-    def test_rebook_is_noop_at_depth_one(self):
-        disk = InMemoryDisk(read_latency=0.005, write_latency=0.0, parallelism=1)
-        disk.write("p", b"x")
-        for _ in range(8):
-            disk.read("p")
-        assert disk.rebook_overlapped_reads(8) == 0.0
-        assert disk.stats.simulated_seconds == pytest.approx(8 * 0.005)
-        assert disk.stats.overlap_credit_seconds == 0.0
-
-    def test_rebook_ignores_single_reads(self):
-        disk = InMemoryDisk(read_latency=0.005, write_latency=0.0, parallelism=4)
-        assert disk.rebook_overlapped_reads(1) == 0.0
-        assert disk.rebook_overlapped_reads(0) == 0.0
+    def test_latency_model_reads_through_a_proxy(self):
+        disk = InMemoryDisk(read_latency=0.005, parallelism=4)
+        proxy = PageStoreProxy(disk)
+        assert (proxy.read_latency, proxy.parallelism) == (0.005, 4)
 
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ConfigError):
@@ -350,13 +335,13 @@ class TestExecutorOverlap:
 
         assert parallel.rows == serial.rows
         assert serial.stats.disk_reads == parallel.stats.disk_reads == 8
+        modeled_serial = serial.stats.simulated_seconds - serial.stats.wall_seconds
+        modeled_par = parallel.stats.simulated_seconds - parallel.stats.wall_seconds
+        assert modeled_serial == pytest.approx(8 * 0.005)
+        assert modeled_par == pytest.approx(2 * 0.005)
+        # The devices served 8 reads each, one after another.
         assert disk_serial.stats.simulated_seconds == pytest.approx(8 * 0.005)
-        assert disk_par.stats.simulated_seconds == pytest.approx(2 * 0.005)
-        assert disk_par.stats.overlap_credit_seconds == pytest.approx(6 * 0.005)
-        assert (
-            disk_serial.stats.simulated_seconds
-            >= 3 * disk_par.stats.simulated_seconds
-        )
+        assert disk_par.stats.simulated_seconds == pytest.approx(8 * 0.005)
 
     def test_trace_counts_survive_overlapped_fetch(self):
         """cache + disk phase counts still sum to cube_count."""

@@ -265,26 +265,34 @@ def test_crash_point_propagates(schema, sched):
 
 
 def test_slow_shard_answers_exactly_but_slower(schema, oracle, sched):
-    """A delayed shard changes latency accounting, never the answer."""
+    """A delayed shard changes its device's clock, never the answer —
+    and never the query's modeled time, which counts the query's reads."""
     delay = 0.05
+    engine = _build_engine(schema, sched)
+    victim = sorted(_touched_shards(engine, QUERY))[0]
     plan = FaultPlan(
         specs=[
             FaultSpec(
                 point="shard.query",
                 kind="delay",
-                page_prefix="shard/",
+                page_prefix=f"shard/{victim}",
                 count=10**9,
                 delay_seconds=delay,
             )
         ]
     )
-    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    engine.fault_hook = shard_fault_hook(plan)
+    stores = engine.sharded_index.routed.shard_stores
     truth = oracle.execute(QUERY)
     slow = engine.execute(QUERY)
     assert slow.rows == truth.rows
     assert slow.stats.partial is False
-    # At least one shard's delay landed on the virtual clock.
-    assert slow.stats.simulated_seconds >= delay
+    # The delay landed on the slow shard's device clock, and only there.
+    clocks = [store.stats.simulated_seconds for store in stores]
+    assert clocks[victim] == pytest.approx(delay)
+    assert sum(clocks) == pytest.approx(delay)
+    # Zero-latency disks: the query's own reads model no time at all.
+    assert slow.stats.simulated_seconds == slow.stats.wall_seconds
 
 
 def test_phase_names_mean_the_same_in_every_engine(schema, oracle, sched):

@@ -16,9 +16,10 @@ changesets) under ``<root>/feeds`` and index/warehouse pages under
     rased-repro traces   --url http://127.0.0.1:8200 --status error
     rased-repro lint     --format json
 
-``lint`` needs no deployment: it runs the project's static-analysis
-suite (:mod:`repro.tools.lint`) over the installed source tree and
-fails on any finding not recorded in ``lint-baseline.json``.
+``lint`` needs no deployment: it runs the project's static analyzer
+(:mod:`repro.tools.lint`) over the installed source tree and fails on
+any finding not accepted in place by a ``# lint: allow[rule] <reason>``
+comment.
 
 ``simulate`` drives the synthetic world and *publishes* feed files;
 ``ingest`` crawls anything not yet ingested (restart-safe via the
@@ -246,12 +247,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.tools.lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
-def _cmd_conc(args: argparse.Namespace) -> int:
-    from repro.tools.conc.cli import run_from_args
 
     return run_from_args(args)
 
@@ -623,25 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     traces.set_defaults(func=_cmd_traces)
 
     lint = sub.add_parser(
-        "lint", help="run the project static-analysis suite (repro.tools.lint)"
+        "lint", help="run the project static analyzer (repro.tools.lint)"
     )
     from repro.tools.lint.cli import add_lint_arguments
 
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
-
-    conc = sub.add_parser(
-        "conc",
-        help=(
-            "run the whole-program concurrency analyzer "
-            "(repro.tools.conc): lock order, blocking-under-lock, "
-            "atomicity, context propagation"
-        ),
-    )
-    from repro.tools.conc.cli import add_conc_arguments
-
-    add_conc_arguments(conc)
-    conc.set_defaults(func=_cmd_conc)
 
     return parser
 

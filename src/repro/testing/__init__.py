@@ -16,7 +16,6 @@ from repro.testing.faults import (
     InjectedFault,
     classify_page_op,
 )
-from repro.testing.lockwitness import LockWitness, WitnessedInversion
 
 __all__ = [
     "INJECTION_POINTS",
@@ -26,7 +25,5 @@ __all__ = [
     "FaultyPageStore",
     "FaultyReplicationFeed",
     "InjectedFault",
-    "LockWitness",
-    "WitnessedInversion",
     "classify_page_op",
 ]

@@ -1,8 +1,7 @@
 """Developer tooling for the RASED reproduction (not imported at runtime).
 
-Currently one tool lives here: :mod:`repro.tools.lint`, the
-project-specific static-analysis suite (``rased-repro lint`` /
-``python -m repro.tools.lint``).
+One tool lives here: :mod:`repro.tools.lint`, the project's static
+analyzer (``rased-repro lint`` / ``python -m repro.tools.lint``).
 """
 
 __all__: list[str] = []

@@ -4,56 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from repro.tools.lint.baseline import prune_baseline_file, write_baseline
-from repro.tools.lint.model import LintConfig
-from repro.tools.lint.runner import RULES, default_package_root, run_lint
+from repro.tools.lint.runner import run_lint
 
-if TYPE_CHECKING:
-    from repro.tools.conc.model import ConcConfig
-
-__all__ = ["main", "add_lint_arguments", "run_from_args", "prune_baseline"]
-
-
-def prune_baseline(
-    target: Path,
-    package_root: Path | None,
-    lint_config: LintConfig | None = None,
-    conc_config: "ConcConfig | None" = None,
-) -> list[str]:
-    """Prune entries of the shared baseline against BOTH suites' live
-    findings (baseline-free runs), so a lint prune never drops a conc
-    entry that is still needed and vice versa."""
-    from collections import Counter
-
-    from repro.tools.conc.runner import run_conc
-
-    lint_report = run_lint(
-        package_root=package_root, config=lint_config, baseline_path=None
-    )
-    conc_report = run_conc(
-        package_root=package_root, config=conc_config, baseline_path=None
-    )
-    live: Counter[str] = Counter(
-        finding.fingerprint
-        for finding in lint_report.findings + conc_report.findings
-    )
-    return prune_baseline_file(target, live)
-
-
-def default_baseline_path() -> Path:
-    """``lint-baseline.json`` next to the source tree (repo root in a
-    src-layout checkout); falls back to the current directory for
-    installed packages."""
-    root = default_package_root()
-    for candidate in (root.parent.parent, root.parent, Path.cwd()):
-        path = candidate / "lint-baseline.json"
-        if path.exists():
-            return path
-    return Path.cwd() / "lint-baseline.json"
+__all__ = ["main", "add_lint_arguments", "run_from_args"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -64,89 +19,18 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (json is machine-readable, for CI)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file path (default: lint-baseline.json at repo root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "drop baseline entries no live finding consumes (runs both "
-            "the lint and conc suites so shared entries survive) and exit"
-        ),
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        help=f"comma-separated rule subset (known: {', '.join(sorted(RULES))})",
-    )
-    parser.add_argument(
         "--root",
         dest="lint_root",
         default=None,
-        help="package directory to scan (default: the installed repro package)",
+        help=(
+            "package directory to scan, named as it is imported "
+            "(default: the installed repro package)"
+        ),
     )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    rules = None
-    if args.rules:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-        unknown = [name for name in rules if name not in RULES]
-        if unknown:
-            print(
-                f"error: unknown lint rule(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(RULES))})",
-                file=sys.stderr,
-            )
-            return 2
-    package_root = Path(args.lint_root) if args.lint_root else None
-    if args.prune_baseline:
-        target = (
-            Path(args.baseline) if args.baseline else default_baseline_path()
-        )
-        dropped = prune_baseline(target, package_root)
-        if dropped:
-            for fingerprint in dropped:
-                print(f"pruned stale baseline entry: {fingerprint}")
-        print(
-            f"pruned {len(dropped)} stale entr"
-            f"{'y' if len(dropped) == 1 else 'ies'} from {target}"
-        )
-        return 0
-    baseline = (
-        None
-        if args.no_baseline or args.write_baseline
-        else Path(args.baseline)
-        if args.baseline
-        else default_baseline_path()
-    )
-    report = run_lint(
-        package_root=package_root, baseline_path=baseline, rules=rules
-    )
-
-    if args.write_baseline:
-        target = (
-            Path(args.baseline) if args.baseline else default_baseline_path()
-        )
-        write_baseline(target, report.findings)
-        print(
-            f"wrote {len(report.findings)} baseline entr"
-            f"{'y' if len(report.findings) == 1 else 'ies'} to {target}"
-        )
-        return 0
-
+    report = run_lint(Path(args.lint_root) if args.lint_root else None)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -155,17 +39,12 @@ def run_from_args(args: argparse.Namespace) -> int:
                 f"{finding.path}:{finding.line}: [{finding.rule}] "
                 f"{finding.message}"
             )
-        for fingerprint in report.stale_baseline:
-            print(
-                f"warning: stale baseline entry (no live finding matches, "
-                f"run --prune-baseline): {fingerprint}"
-            )
-        summary = (
-            f"{len(report.findings)} finding(s) in {report.files_scanned} "
-            f"file(s) ({report.baselined} baselined, "
-            f"{report.suppressed} suppressed)"
+        print(
+            ("FAIL: " if report.findings else "OK: ")
+            + f"{len(report.findings)} finding(s) in {report.files_scanned} "
+            f"file(s), {report.lock_count} lock(s), {report.edge_count} "
+            f"lock-order edge(s) ({report.suppressed} suppressed)"
         )
-        print(("FAIL: " if report.findings else "OK: ") + summary)
     return 0 if report.ok else 1
 
 
@@ -173,8 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.lint",
         description=(
-            "RASED project lint: layer DAG, lock discipline, hot-path "
-            "hygiene, cube-schema order, metric-name hygiene, TODO tracking."
+            "RASED project static analysis: layer DAG, lock discipline, "
+            "hot-path hygiene, cube-schema order, metric-name hygiene, "
+            "TODO tracking, blocking-under-lock and guarded-state atomicity."
         ),
     )
     add_lint_arguments(parser)

@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.tools.lint.model import Finding, LintConfig, SourceFile
+from repro.tools.lint.model import (
+    CUBE_ORDER_STRICT_PACKAGES,
+    OBS_PACKAGES,
+    Finding,
+    Program,
+)
+from repro.types.dimensions import CubeSchema
 
 __all__ = ["check_cube_order", "check_metric_names"]
 
@@ -38,14 +44,12 @@ def _axis_elements(node: ast.expr, axes: tuple[str, ...]) -> list[str] | None:
     return [value for value in values if value in axes]
 
 
-def check_cube_order(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
-    axes = config.canonical_axes
+def check_cube_order(program: Program) -> list[Finding]:
+    axes = CubeSchema.AXES
     rank = {name: position for position, name in enumerate(axes)}
     findings: list[Finding] = []
-    for source in sources:
-        strict = source.package in config.cube_order_strict_packages
+    for source in program.sources:
+        strict = source.package in CUBE_ORDER_STRICT_PACKAGES
         for node in ast.walk(source.tree):
             present = _axis_elements(node, axes)
             if present is None or len(set(present)) != len(present):
@@ -67,12 +71,10 @@ def check_cube_order(
     return findings
 
 
-def check_metric_names(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
+def check_metric_names(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    for source in sources:
-        if source.package in config.obs_packages:
+    for source in program.sources:
+        if source.package in OBS_PACKAGES:
             continue
         function_calls = _function_scope_calls(source.tree)
         for node in ast.walk(source.tree):

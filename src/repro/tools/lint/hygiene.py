@@ -12,8 +12,9 @@
   (silent swallowing) is always reported, even when re-raising
   elsewhere would excuse ``broad-except``.
 * ``mutable-default`` — no mutable default argument values.
-* ``todo`` — ``TODO``/``FIXME`` comments must be tracked in the lint
-  baseline instead of rotting silently in the tree.
+* ``todo`` — no ``TODO``/``FIXME``/``XXX`` comments: fix it now, or
+  accept it on its line with ``# lint: allow[todo] <reason>``, where
+  review sees it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.tools.lint.model import Finding, LintConfig, SourceFile
+from repro.tools.lint.model import HOT_PATH_PACKAGES, Finding, Program
 
 __all__ = [
     "check_wall_clock",
@@ -75,12 +76,10 @@ def _dotted_name(node: ast.expr, origins: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
-def check_wall_clock(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
+def check_wall_clock(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    for source in sources:
-        if source.package not in config.hot_path_packages:
+    for source in program.sources:
+        if source.package not in HOT_PATH_PACKAGES:
             continue
         origins = _import_origins(source.tree)
         for node in ast.walk(source.tree):
@@ -142,11 +141,9 @@ def _reraises(body: list[ast.stmt]) -> bool:
     return False
 
 
-def check_broad_except(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
+def check_broad_except(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    for source in sources:
+    for source in program.sources:
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.ExceptHandler) or not _is_broad(node):
                 continue
@@ -173,12 +170,10 @@ def check_broad_except(
     return findings
 
 
-def check_mutable_defaults(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
+def check_mutable_defaults(program: Program) -> list[Finding]:
     findings: list[Finding] = []
     mutable_calls = frozenset({"list", "dict", "set", "OrderedDict", "defaultdict"})
-    for source in sources:
+    for source in program.sources:
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -206,9 +201,9 @@ def check_mutable_defaults(
     return findings
 
 
-def check_todos(sources: list[SourceFile], config: LintConfig) -> list[Finding]:
+def check_todos(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    for source in sources:
+    for source in program.sources:
         for lineno, comment in sorted(source.comments.items()):
             match = _TODO_RE.search(comment)
             if match:
@@ -216,8 +211,8 @@ def check_todos(sources: list[SourceFile], config: LintConfig) -> list[Finding]:
                     source.finding(
                         "todo",
                         lineno,
-                        f"untracked {match.group(1)} comment; fix it or "
-                        f"record it in the lint baseline",
+                        f"{match.group(1)} comment; fix it, or accept it "
+                        f"with `# lint: allow[todo] <reason>`",
                     )
                 )
     return findings

@@ -1,6 +1,6 @@
 """Rule ``layering``: enforce the declared import-layer DAG.
 
-The DAG (``DEFAULT_LAYERS`` in :mod:`repro.tools.lint.model`) orders the
+The DAG (``LAYERS`` in :mod:`repro.tools.lint.model`) orders the
 top-level packages under ``repro``; a module may import only packages on
 *strictly lower* levels (or its own package).  Violations reported:
 
@@ -10,7 +10,7 @@ top-level packages under ``repro``; a module may import only packages on
   (impossible while the layer rule holds, but reported independently so
   a relaxed layer table cannot silently hide a cycle);
 * ``layering-shim`` — an in-tree import of a re-export shim
-  (``LintConfig.shim_modules``) that exists only for code outside the
+  (``SHIM_MODULES``) that exists only for code outside the
   tree; import the module it forwards to instead.
 
 Imports inside ``if TYPE_CHECKING:`` blocks are exempt: they never
@@ -26,7 +26,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.tools.lint.model import Finding, LintConfig, SourceFile
+from repro.tools.lint.model import SHIM_MODULES, Finding, Program, SourceFile, level_of
 
 __all__ = ["check_layering", "module_imports", "ImportEdge"]
 
@@ -95,28 +95,23 @@ def module_imports(source: SourceFile) -> Iterator[ImportEdge]:
     yield from walk(source.tree.body, False)
 
 
-def _target_package(target: str, top_package: str) -> str | None:
+def _target_package(target: str, root: str) -> str | None:
     """The top-level subpackage a dotted import path lands in."""
     parts = target.split(".")
-    if parts[0] != top_package:
+    if parts[0] != root:
         return None  # stdlib / third-party: out of scope
     if len(parts) == 1:
         return ""  # the package root itself
     return parts[1]
 
 
-def check_layering(
-    sources: list[SourceFile], config: LintConfig
-) -> list[Finding]:
+def check_layering(program: Program) -> list[Finding]:
     findings: list[Finding] = []
     # package -> {imported package -> first (path, line)} runtime edges
     edges: dict[str, dict[str, tuple[str, int]]] = {}
-    shims = {f"{config.top_package}.{name}" for name in config.shim_modules}
-
-    for source in sources:
-        src_level = (
-            None if source.package == "" else config.level_of(source.package)
-        )
+    for source in program.sources:
+        root = source.module.partition(".")[0]
+        src_level = None if source.package == "" else level_of(source.package)
         if source.package != "" and src_level is None:
             findings.append(
                 source.finding(
@@ -127,7 +122,8 @@ def check_layering(
             )
             continue
         for edge in module_imports(source):
-            if edge.target in shims:
+            head, _, rest = edge.target.partition(".")
+            if head == root and rest in SHIM_MODULES:
                 findings.append(
                     source.finding(
                         "layering-shim",
@@ -136,12 +132,12 @@ def check_layering(
                         f"for code outside the tree; import what it forwards to",
                     )
                 )
-            dst = _target_package(edge.target, config.top_package)
+            dst = _target_package(edge.target, root)
             if dst is None or edge.type_only:
                 continue
             if dst == source.package or dst == "":
                 continue
-            dst_level = config.level_of(dst)
+            dst_level = level_of(dst)
             if dst_level is None:
                 findings.append(
                     source.finding(
@@ -171,13 +167,11 @@ def check_layering(
                     )
                 )
 
-    findings.extend(_cycle_findings(edges, sources))
+    findings.extend(_cycle_findings(edges))
     return findings
 
 
-def _cycle_findings(
-    edges: dict[str, dict[str, tuple[str, int]]], sources: list[SourceFile]
-) -> list[Finding]:
+def _cycle_findings(edges: dict[str, dict[str, tuple[str, int]]]) -> list[Finding]:
     """Report each package-graph cycle once, anchored at a witness import."""
     graph = {pkg: set(targets) for pkg, targets in edges.items()}
     findings: list[Finding] = []

@@ -20,13 +20,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.tools.lint.model import Finding, LintConfig, SourceFile
+from repro.tools.lint.model import Finding, Program, SourceFile
 
 __all__ = [
     "check_locks",
     "guarded_attributes",
-    "mutated_attrs",
     "self_attribute",
+    "CONSTRUCTOR_METHODS",
     "MUTATING_METHODS",
 ]
 
@@ -53,10 +53,11 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-_CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
+#: Methods that run before the object is shared; exempt from lock rules.
+CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _self_attribute(node: ast.expr) -> str | None:
+def self_attribute(node: ast.expr) -> str | None:
     """``self.<attr>`` -> attr name, else None."""
     if (
         isinstance(node, ast.Attribute)
@@ -90,7 +91,7 @@ def _mutated_attrs(node: ast.stmt) -> Iterator[tuple[str, int]]:
             isinstance(call.func, ast.Attribute)
             and call.func.attr in MUTATING_METHODS
         ):
-            attr = _self_attribute(call.func.value)
+            attr = self_attribute(call.func.value)
             if attr is not None:
                 yield attr, call.lineno
 
@@ -105,21 +106,21 @@ def _unpack_targets(target: ast.expr) -> Iterator[ast.expr]:
 
 def _store_target_attr(target: ast.expr) -> str | None:
     """Attr name when the store/delete target is ``self.x`` or ``self.x[...]``."""
-    attr = _self_attribute(target)
+    attr = self_attribute(target)
     if attr is not None:
         return attr
     if isinstance(target, ast.Subscript):
-        return _self_attribute(target.value)
+        return self_attribute(target.value)
     return None
 
 
 def _locks_acquired(item: ast.withitem) -> str | None:
-    return _self_attribute(item.context_expr)
+    return self_attribute(item.context_expr)
 
 
-def check_locks(sources: list[SourceFile], config: LintConfig) -> list[Finding]:
+def check_locks(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    for source in sources:
+    for source in program.sources:
         for node in ast.walk(source.tree):
             if isinstance(node, ast.ClassDef):
                 findings.extend(_check_class(source, node))
@@ -127,14 +128,14 @@ def check_locks(sources: list[SourceFile], config: LintConfig) -> list[Finding]:
 
 
 def _check_class(source: SourceFile, cls: ast.ClassDef) -> list[Finding]:
-    guarded = _guarded_attributes(source, cls)
+    guarded = guarded_attributes(source, cls)
     if not guarded:
         return []
     findings: list[Finding] = []
     for method in cls.body:
         if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if method.name in _CONSTRUCTOR_METHODS:
+        if method.name in CONSTRUCTOR_METHODS:
             continue
         findings.extend(
             _check_statements(source, cls, method.body, guarded, frozenset())
@@ -142,14 +143,21 @@ def _check_class(source: SourceFile, cls: ast.ClassDef) -> list[Finding]:
     return findings
 
 
-def _guarded_attributes(source: SourceFile, cls: ast.ClassDef) -> dict[str, str]:
-    """attr -> lock name, from ``# guarded-by:`` comments on init sites."""
+def guarded_attributes(source: SourceFile, cls: ast.ClassDef) -> dict[str, str]:
+    """attr -> lock name, from ``# guarded-by:`` comments on init sites.
+
+    The comment may sit on any line of the statement: a long
+    initializer often carries it on its closing bracket.
+    """
     guarded: dict[str, str] = {}
     for node in ast.walk(cls):
-        for attr, lineno in _mutated_attrs(node) if isinstance(node, ast.stmt) else ():
-            lock = source.guarded_comment(lineno)
-            if lock is not None:
-                guarded[attr] = lock
+        if not isinstance(node, ast.stmt):
+            continue
+        end = node.end_lineno or node.lineno
+        comments = map(source.guarded_comment, range(node.lineno, end + 1))
+        lock = next((name for name in comments if name is not None), None)
+        for attr, _ in _mutated_attrs(node) if lock is not None else ():
+            guarded[attr] = lock
     return guarded
 
 
@@ -194,14 +202,6 @@ def _check_statements(
                 _check_statements(source, cls, child_body, guarded, held)
             )
     return findings
-
-
-# Public aliases: the concurrency analyzer (repro.tools.conc) shares
-# the ``# guarded-by:`` convention and the mutation model with this
-# rule rather than re-deriving them.
-guarded_attributes = _guarded_attributes
-mutated_attrs = _mutated_attrs
-self_attribute = _self_attribute
 
 
 def _nested_bodies(node: ast.stmt) -> Iterator[list[ast.stmt]]:

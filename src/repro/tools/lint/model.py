@@ -1,9 +1,11 @@
-"""Shared data model for the lint suite: findings, parsed files, config.
+"""Shared data model for the analyzer: findings, parsed files, the program.
 
 A :class:`SourceFile` bundles everything a rule needs about one module:
 the parsed AST, the raw lines, the per-line comments (rules use these
 for the ``# guarded-by:`` convention and ``# lint: allow[...]``
-suppressions), and the module's dotted name and top-level package.
+suppressions), and the module's dotted name and its package under the
+root.  A :class:`Program` is one run's view of the whole tree: every source
+file plus the whole-program index and lock simulation, built once.
 """
 
 from __future__ import annotations
@@ -14,24 +16,33 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from repro.tools.lint.callgraph import ProgramIndex
+    from repro.tools.lint.locksim import LockSimResult
 
 __all__ = [
     "Finding",
-    "LintConfig",
+    "Program",
     "SourceFile",
-    "DEFAULT_LAYERS",
-    "CANONICAL_AXES",
+    "LAYERS",
+    "SHIM_MODULES",
+    "HOT_PATH_PACKAGES",
+    "OBS_PACKAGES",
+    "CUBE_ORDER_STRICT_PACKAGES",
+    "level_of",
     "load_source_file",
     "collect_source_files",
 ]
 
 #: The declared layer DAG, bottom (most importable) to top.  A package
 #: may import only packages on strictly lower levels; packages sharing
-#: a level (``osm``/``obs``, ``baseline``/``synth``) are siblings and
-#: may not import each other.  The package root (``repro/__init__.py``)
-#: re-exports the public API and sits above everything.
-DEFAULT_LAYERS: tuple[frozenset[str], ...] = (
+#: a level (``osm``/``obs``; ``synth`` and the row-store comparison
+#: system) are siblings and may not import each other.  The package
+#: root (``repro/__init__.py``) re-exports the public API and sits
+#: above everything.
+LAYERS: tuple[frozenset[str], ...] = (
     frozenset({"errors"}),
     frozenset({"types"}),
     frozenset({"geo"}),
@@ -49,17 +60,33 @@ DEFAULT_LAYERS: tuple[frozenset[str], ...] = (
     frozenset({"cli"}),
 )
 
-#: Canonical cube axis order — must match
-#: ``repro.types.dimensions.CubeSchema.AXES``.
-CANONICAL_AXES: tuple[str, ...] = (
-    "element_type",
-    "country",
-    "road_type",
-    "update_type",
-)
+#: Re-export shims (dotted, below the root package) that exist only for
+#: importers outside the tree — ``core.calendar`` for the frozen
+#: benchmark harness — and that no module in the tree may import.
+SHIM_MODULES = frozenset({"core.calendar"})
+
+#: Packages where wall-clock calls are forbidden (inject clocks or use
+#: the trace layer instead).
+HOT_PATH_PACKAGES = frozenset({"core", "storage"})
+
+#: Packages exempt from the metric-name rule (the registry itself, and
+#: the analyzer).
+OBS_PACKAGES = frozenset({"obs", "tools"})
+
+#: Packages where *partial* axis tuples are also checked for order
+#: (construction/serialization code); elsewhere only tuples naming all
+#: four axes are checked.
+CUBE_ORDER_STRICT_PACKAGES = frozenset({"types", "storage", "core"})
 
 _SUPPRESS_RE = re.compile(r"lint:\s*allow\[([a-z0-9_,\- ]+)\]")
 _GUARDED_RE = re.compile(r"guarded-by:\s*(\w+)")
+
+
+def level_of(package: str) -> int | None:
+    for index, names in enumerate(LAYERS):
+        if package in names:
+            return index
+    return None
 
 
 @dataclass(frozen=True)
@@ -70,13 +97,8 @@ class Finding:
     path: str
     line: int
     message: str
-    #: The stripped source line — the baseline fingerprints findings on
-    #: (rule, path, context) so entries survive unrelated line drift.
+    #: The stripped source line, for reports.
     context: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}::{self.path}::{self.context}"
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -86,41 +108,6 @@ class Finding:
             "message": self.message,
             "context": self.context,
         }
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """What to scan and how strictly.
-
-    The defaults describe the real tree (``src/repro``); tests point
-    these knobs at fixture trees instead.
-    """
-
-    top_package: str = "repro"
-    layers: tuple[frozenset[str], ...] = DEFAULT_LAYERS
-    #: Re-export shims (dotted, below the top package) that exist only
-    #: for importers outside the tree — ``core.calendar`` for the frozen
-    #: benchmark harness — and that no module in the tree may import.
-    shim_modules: frozenset[str] = frozenset({"core.calendar"})
-    #: Packages where wall-clock calls are forbidden (inject clocks or
-    #: use the trace layer instead).
-    hot_path_packages: frozenset[str] = frozenset({"core", "storage"})
-    #: Packages exempt from the metric-name rule (the registry itself,
-    #: and the lint tool).
-    obs_packages: frozenset[str] = frozenset({"obs", "tools"})
-    canonical_axes: tuple[str, ...] = CANONICAL_AXES
-    #: Packages where *partial* axis tuples are also checked for order
-    #: (construction/serialization code); elsewhere only tuples naming
-    #: all four axes are checked.
-    cube_order_strict_packages: frozenset[str] = frozenset(
-        {"types", "storage", "core"}
-    )
-
-    def level_of(self, package: str) -> int | None:
-        for index, names in enumerate(self.layers):
-            if package in names:
-                return index
-        return None
 
 
 @dataclass
@@ -169,6 +156,17 @@ class SourceFile:
         return "*" in allowed or finding.rule in allowed
 
 
+@dataclass
+class Program:
+    """Everything one run analyzes: the parsed tree, and the
+    whole-program index and lock simulation the interprocedural rules
+    share (built once per run)."""
+
+    sources: list[SourceFile]
+    index: ProgramIndex
+    sim: LockSimResult
+
+
 def _extract_comments(text: str) -> dict[int, str]:
     comments: dict[int, str] = {}
     try:
@@ -196,23 +194,22 @@ def _extract_suppressions(
     return suppressions
 
 
-def load_source_file(path: Path, package_root: Path, top_package: str) -> SourceFile:
+def load_source_file(path: Path, package_root: Path) -> SourceFile:
     """Parse one file into a :class:`SourceFile`.
 
-    ``package_root`` is the directory of the top package (e.g.
-    ``src/repro``); module and package names are derived from the path
-    relative to it.
+    ``package_root`` is the directory of the root package (e.g.
+    ``src/repro``) and its name is that package's import name; module
+    and package names are derived from the path relative to it.
     """
     text = path.read_text(encoding="utf-8")
+    root = package_root.name
     rel = path.relative_to(package_root)
     parts = list(rel.with_suffix("").parts)
     if parts[-1] == "__init__":
         parts = parts[:-1]
-    module = ".".join([top_package, *parts]) if parts else top_package
-    if not parts:
-        package = ""  # the package root module: repro/__init__.py
-    else:
-        package = parts[0]
+    module = ".".join([root, *parts]) if parts else root
+    # The package root module (repro/__init__.py) belongs to no layer.
+    package = parts[0] if parts else ""
     tree = ast.parse(text, filename=str(path))
     comments = _extract_comments(text)
     return SourceFile(
@@ -228,9 +225,7 @@ def load_source_file(path: Path, package_root: Path, top_package: str) -> Source
     )
 
 
-def collect_source_files(
-    package_root: Path, top_package: str
-) -> Iterator[SourceFile]:
+def collect_source_files(package_root: Path) -> Iterator[SourceFile]:
     """Load every ``.py`` file under the package root, sorted by path."""
     for path in sorted(package_root.rglob("*.py")):
-        yield load_source_file(path, package_root, top_package)
+        yield load_source_file(path, package_root)

@@ -1,4 +1,4 @@
-"""Run every lint rule over a package tree and aggregate the report."""
+"""Run every rule over a package tree and aggregate the report."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.tools.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    stale_fingerprints,
-)
+from repro.tools.lint.atomicity import check_atomicity
+from repro.tools.lint.blocking import check_blocking
+from repro.tools.lint.callgraph import ProgramIndex
 from repro.tools.lint.cubeschema import check_cube_order, check_metric_names
 from repro.tools.lint.hygiene import (
     check_broad_except,
@@ -20,18 +18,14 @@ from repro.tools.lint.hygiene import (
 )
 from repro.tools.lint.layering import check_layering
 from repro.tools.lint.locks import check_locks
-from repro.tools.lint.model import (
-    Finding,
-    LintConfig,
-    SourceFile,
-    collect_source_files,
-)
+from repro.tools.lint.locksim import simulate
+from repro.tools.lint.model import Finding, Program, collect_source_files
 
 __all__ = ["LintReport", "RULES", "run_lint", "default_package_root"]
 
-Rule = Callable[[list[SourceFile], LintConfig], list[Finding]]
+Rule = Callable[[Program], list[Finding]]
 
-#: Rule-set name -> checker.  A checker may emit several rule ids
+#: Rule family -> checker.  A checker may emit several rule ids
 #: (e.g. ``layering`` also emits ``layering-cycle``).
 RULES: dict[str, Rule] = {
     "layering": check_layering,
@@ -42,21 +36,22 @@ RULES: dict[str, Rule] = {
     "cube-order": check_cube_order,
     "metric-name": check_metric_names,
     "todo": check_todos,
+    "conc-blocking": check_blocking,
+    "conc-atomicity": check_atomicity,
 }
 
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced."""
+    """Everything one run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_scanned: int = 0
-    #: Lint-owned baseline fingerprints no live finding consumed —
-    #: stale entries ``--prune-baseline`` would drop.  (Entries for the
-    #: conc suite, which shares the file, are never judged here.)
-    stale_baseline: list[str] = field(default_factory=list)
+    #: The static lock graph: locks discovered, and distinct
+    #: (held, acquired) pairs of nested acquisition.
+    lock_count: int = 0
+    edge_count: int = 0
 
     @property
     def ok(self) -> bool:
@@ -67,8 +62,8 @@ class LintReport:
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "stale_baseline": list(self.stale_baseline),
+            "locks": self.lock_count,
+            "lock_order_edges": self.edge_count,
             "findings": [finding.to_json() for finding in self.findings],
         }
 
@@ -78,49 +73,25 @@ def default_package_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def run_lint(
-    package_root: Path | None = None,
-    config: LintConfig | None = None,
-    baseline_path: Path | None = None,
-    rules: list[str] | None = None,
-) -> LintReport:
-    """Run the suite; findings surviving suppression + baseline fail."""
+def run_lint(package_root: Path | None = None) -> LintReport:
+    """Run every rule; findings surviving ``# lint: allow[...]`` fail."""
     root = package_root if package_root is not None else default_package_root()
-    cfg = config if config is not None else LintConfig()
-    sources = list(collect_source_files(root, cfg.top_package))
+    sources = list(collect_source_files(root))
+    index = ProgramIndex(sources)
+    program = Program(sources=sources, index=index, sim=simulate(index))
     by_path = {source.rel_path: source for source in sources}
 
-    selected = RULES if rules is None else {
-        name: RULES[name] for name in rules
-    }
-    raw: list[Finding] = []
-    for checker in selected.values():
-        raw.extend(checker(sources, cfg))
-
-    report = LintReport(files_scanned=len(sources))
-    unsuppressed: list[Finding] = []
-    for finding in raw:
-        source = by_path.get(finding.path)
-        if source is not None and source.is_suppressed(finding):
-            report.suppressed += 1
-        else:
-            unsuppressed.append(finding)
-
-    allowed = load_baseline(baseline_path) if baseline_path else None
-    if allowed:
-        fresh, baselined = apply_baseline(unsuppressed, allowed)
-        report.findings = fresh
-        report.baselined = baselined
-        if rules is None:
-            # Stale detection needs the full rule set: with a subset
-            # selected, unmatched entries are merely un-run, not stale.
-            report.stale_baseline = stale_fingerprints(
-                unsuppressed,
-                allowed,
-                lambda fingerprint: not fingerprint.startswith("conc-"),
-            )
-    else:
-        report.findings = unsuppressed
-
+    report = LintReport(
+        files_scanned=len(sources),
+        lock_count=len(program.sim.locks),
+        edge_count=len(program.sim.edges),
+    )
+    for checker in RULES.values():
+        for finding in checker(program):
+            source = by_path.get(finding.path)
+            if source is not None and source.is_suppressed(finding):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report

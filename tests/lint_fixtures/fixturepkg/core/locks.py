@@ -8,6 +8,9 @@ class GuardedStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._items: OrderedDict[str, int] = OrderedDict()  # guarded-by: _lock
+        self._order: OrderedDict[str, int] = (
+            OrderedDict()
+        )  # guarded-by: _lock
 
     def admit(self, key: str, value: int) -> None:
         with self._lock:
@@ -18,3 +21,6 @@ class GuardedStore:
 
     def rogue_pop(self, key: str) -> None:
         self._items.pop(key, None)  # unguarded mutator call
+
+    def rogue_clear(self) -> None:
+        self._order.clear()  # unguarded; declared on a closing bracket

@@ -4,19 +4,15 @@ through one system."""
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 import time
 from collections import Counter
 from datetime import date, timedelta
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.executor import QueryExecutor
-from repro.testing.lockwitness import LockWitness
 from repro.core.query import AnalysisQuery
 from repro.dashboard.server import DashboardServer
 from repro.storage.disk import InMemoryDisk
@@ -25,26 +21,6 @@ from repro.system import RasedSystem, SystemConfig
 from tests.test_front_door import answer_of, get, post, stats_of
 
 pytestmark = pytest.mark.stress
-
-
-@pytest.fixture(scope="module", autouse=True)
-def lock_witness():
-    """Every stress test runs under the runtime lock-order witness.
-
-    An observed inversion (two project locks acquired in both orders)
-    fails the module even if no deadlock happened to trigger.  When
-    ``RASED_LOCK_WITNESS`` names a path, the witnessed acquisition
-    graph is exported there for ``python -m repro.tools.conc
-    --witness`` to cross-check against the static lock-order graph.
-    """
-    scope = [Path(repro.__file__).resolve().parent]
-    with LockWitness(scope_paths=scope) as witness:
-        yield witness
-    artifact = os.environ.get("RASED_LOCK_WITNESS")
-    if artifact:
-        witness.write_artifact(Path(artifact))
-    inversions = witness.inversions
-    assert inversions == [], [entry.describe() for entry in inversions]
 
 
 JULY = date(2021, 7, 1)

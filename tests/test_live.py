@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from datetime import date, datetime, timezone
 
 import pytest
@@ -206,3 +207,17 @@ class TestLiveMonitor:
         _, _, monitor, _ = live_setup
         # Non-destructive check on a copy-like day that doesn't exist.
         assert monitor.discard_day(date(2020, 1, 1)) is False
+
+    def test_readers_never_wait_behind_a_poll(self, live_setup):
+        # A poll holds _poll_lock across its feed reads; readers take only _lock.
+        _, executor, monitor, _ = live_setup
+        query = AnalysisQuery(start=date(2021, 5, 1), end=date(2021, 5, 3))
+        result = executor.execute(query)
+        readers = (monitor.partial_days, lambda: monitor.overlay(query, result),
+                   lambda: monitor.discard_day(date(2020, 1, 1)))
+        with monitor._poll_lock:
+            for reader in readers:
+                worker = threading.Thread(target=reader, daemon=True)
+                worker.start()
+                worker.join(timeout=5)
+                assert not worker.is_alive()

@@ -1,23 +1,21 @@
 """Columnar cube kernel: scale sweep over 1×/10×/100× worlds.
 
-PR 9's tentpole replaces the cell-at-a-time cube interior with a
-columnar kernel — a sorted-COO sparse form, a delta+RLE page format
-(v3), and batched N-way rollup — all behind the existing ``DataCube``
-API and opt-in via :class:`repro.SystemConfig`.  This bench quantifies
-the three claims at the three canonical scales of
+The cube engine builds every cube in sorted-COO sparse form, writes
+delta+RLE (v3) pages and rolls children up in one batched pass.  This
+bench measures it at the three canonical scales of
 :data:`repro.synth.scale.SCALE_PROFILES` (``100x`` is the paper's
 540 K-cell deployment schema):
 
-* **page bytes** — one quarter of daily cubes serialized raw (v1) vs
-  sparse (v3); at 10×/100× the v3 page must be >= 5x smaller.
-* **N-way rollup** — a 90-day quarter merged into one cube: the old
-  sequential dense ``+=`` pipeline vs the batched sparse
-  :func:`repro.sum_cubes` pass; batched must be >= 3x faster at
-  10×/100×.
+* **page bytes** — one quarter of daily cubes as written (v3) against
+  the raw page the paper stores, ``HEADER_SIZE + 8 x cell_count``
+  bytes; at 10×/100× the v3 page must be >= 5x smaller.
+* **N-way rollup** — a 90-day quarter merged into one cube by
+  :func:`repro.types.cube.sum_cubes`, checked against a plain
+  scatter-add of the children.
 * **query latency** — a cold LevelOptimizer executor over the quarter
-  on a modeled disk; the 100× sparse+v3 configuration must answer the
-  dashboard queries within 2x of the 1× dense baseline (sparsity must
-  not push decode/aggregate costs past the I/O the paper budgets).
+  on a modeled disk; the 100× world must answer the dashboard queries
+  within 2x of the 1× world (sparsity must not push decode/aggregate
+  costs past the I/O the paper budgets).
 
 Run: ``pytest benchmarks/bench_cube_kernel.py --benchmark-only -s``
 or directly: ``python benchmarks/bench_cube_kernel.py [--smoke]``
@@ -34,18 +32,14 @@ from datetime import date, timedelta
 import numpy as np
 
 from repro.types.temporal import Level, TemporalKey
-from repro.types.cube import DataCube, as_dense, as_sparse, sum_cubes
+from repro.types.cube import AnyCube, sum_cubes
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.collection.records import UpdateList
 from repro.storage.disk import InMemoryDisk
-from repro.storage.serializer import (
-    PAGE_VERSION_RAW,
-    PAGE_VERSION_SPARSE,
-    serialize_cube,
-)
+from repro.storage.serializer import HEADER_SIZE, serialize_cube
 from repro.synth.scale import SCALE_PROFILES, ScaleProfile, profile_schema, scaled_day_updates
 
 from common import READ_LATENCY, WRITE_LATENCY, print_table, write_result_json
@@ -74,8 +68,8 @@ def _quarter_updates(
     return schema, updates
 
 
-def _day_cubes(schema, updates: dict[date, UpdateList]) -> list[DataCube]:
-    """Dense daily cubes built through the index scan path (no I/O)."""
+def _day_cubes(schema, updates: dict[date, UpdateList]) -> list[AnyCube]:
+    """Daily cubes built through the index scan path (no I/O)."""
     builder = HierarchicalIndex(schema, InMemoryDisk())
     return [builder.build_day_cube(day, ul) for day, ul in sorted(updates.items())]
 
@@ -97,26 +91,21 @@ def run_page_bytes(smoke: bool = False) -> dict:
     out: dict[str, dict] = {}
     for profile in _profiles(smoke):
         schema, updates = _quarter_updates(profile, days)
-        raw_total = 0
-        v3_total = 0
-        density_total = 0.0
         cubes = _day_cubes(schema, updates)
-        for cube in cubes:
-            raw_total += len(serialize_cube(cube, version=PAGE_VERSION_RAW))
-            v3_total += len(serialize_cube(cube, version=PAGE_VERSION_SPARSE))
-            density_total += cube.density
+        raw_bytes = HEADER_SIZE + 8 * schema.cell_count
+        v3_bytes = sum(len(serialize_cube(cube)) for cube in cubes) / len(cubes)
         out[profile.name] = {
             "days": len(cubes),
             "cells": profile.cell_count,
-            "mean_density": density_total / len(cubes),
-            "raw_bytes_per_page": raw_total / len(cubes),
-            "v3_bytes_per_page": v3_total / len(cubes),
-            "ratio": raw_total / v3_total,
+            "mean_density": sum(cube.density for cube in cubes) / len(cubes),
+            "raw_bytes_per_page": raw_bytes,
+            "v3_bytes_per_page": v3_bytes,
+            "ratio": raw_bytes / v3_bytes,
         }
     return out
 
 
-# -- experiment 2: N-way rollup, sequential dense vs batched sparse ---------
+# -- experiment 2: N-way rollup ---------------------------------------------
 
 
 def run_rollup(smoke: bool = False) -> dict:
@@ -126,28 +115,15 @@ def run_rollup(smoke: bool = False) -> dict:
     out: dict[str, dict] = {}
     for profile in _profiles(smoke):
         schema, updates = _quarter_updates(profile, days)
-        dense = _day_cubes(schema, updates)
-        sparse = [as_sparse(cube) for cube in dense]
-
-        def sequential() -> np.ndarray:
-            # The pre-PR maintenance pipeline: one dense accumulator,
-            # one ``+=`` per child.
-            acc = np.zeros(schema.shape, dtype=np.int64)
-            for cube in dense:
-                acc += cube.counts
-            return acc
-
-        def batched():
-            return sum_cubes(schema, key, sparse)
-
-        seq_s = _best_of(sequential, reps)
-        batch_s = _best_of(batched, reps)
-        assert np.array_equal(as_dense(batched()).counts, sequential())
+        children = _day_cubes(schema, updates)
+        expected = np.zeros(schema.shape, dtype=np.int64)
+        for cube in children:
+            expected += cube.counts
+        batch_s = _best_of(lambda: sum_cubes(schema, key, children), reps)
+        assert np.array_equal(sum_cubes(schema, key, children).counts, expected)
         out[profile.name] = {
-            "children": len(dense),
-            "sequential_ms": 1000.0 * seq_s,
+            "children": len(children),
             "batched_ms": 1000.0 * batch_s,
-            "speedup": seq_s / batch_s,
         }
     return out
 
@@ -158,15 +134,10 @@ _QUERY_END_FULL = QUARTER_START + timedelta(days=QUARTER_DAYS - 1)
 
 
 def _build_index(
-    schema, updates: dict[date, UpdateList], sparse: bool
+    schema, updates: dict[date, UpdateList]
 ) -> tuple[HierarchicalIndex, InMemoryDisk]:
     disk = InMemoryDisk(read_latency=READ_LATENCY, write_latency=WRITE_LATENCY)
-    index = HierarchicalIndex(
-        schema,
-        disk,
-        page_version=PAGE_VERSION_SPARSE if sparse else PAGE_VERSION_RAW,
-        sparse=sparse,
-    )
+    index = HierarchicalIndex(schema, disk)
     index.bulk_load(updates)
     disk.reset_stats()
     return index, disk
@@ -205,18 +176,13 @@ def run_query_latency(smoke: bool = False) -> dict:
     out: dict[str, dict] = {}
     for profile in _profiles(smoke):
         schema, updates = _quarter_updates(profile, days)
-        if profile.name == "1x":
-            index, disk = _build_index(schema, updates, sparse=False)
-            stats = _measure_queries(index)
-            stats["stored_bytes"] = disk.stored_bytes
-            out["1x_dense"] = stats
-        index, disk = _build_index(schema, updates, sparse=True)
+        index, disk = _build_index(schema, updates)
         stats = _measure_queries(index)
         stats["stored_bytes"] = disk.stored_bytes
-        out[f"{profile.name}_sparse"] = stats
-    baseline = out["1x_dense"]["avg_sim_ms"]
-    for name, stats in out.items():
-        stats["vs_1x_dense"] = stats["avg_sim_ms"] / baseline
+        out[profile.name] = stats
+    baseline = out["1x"]["avg_sim_ms"]
+    for stats in out.values():
+        stats["vs_1x"] = stats["avg_sim_ms"] / baseline
     return out
 
 
@@ -232,7 +198,7 @@ def run_all(smoke: bool = False) -> dict:
     }
     pages = payload["page_bytes"]
     print_table(
-        "Daily page bytes: raw v1 vs sparse v3",
+        "Daily page bytes: raw (paper) vs v3 as written",
         ["scale", "cells", "density", "raw B/page", "v3 B/page", "ratio"],
         [
             [
@@ -249,45 +215,36 @@ def run_all(smoke: bool = False) -> dict:
     rollup = payload["rollup"]
     print_table(
         f"N-way rollup ({next(iter(rollup.values()))['children']} children)",
-        ["scale", "sequential ms", "batched ms", "speedup"],
-        [
-            [
-                name,
-                f"{row['sequential_ms']:.2f}",
-                f"{row['batched_ms']:.2f}",
-                f"{row['speedup']:.2f}x",
-            ]
-            for name, row in rollup.items()
-        ],
+        ["scale", "batched ms"],
+        [[name, f"{row['batched_ms']:.2f}"] for name, row in rollup.items()],
     )
     queries = payload["query_latency"]
     print_table(
         "Cold dashboard queries (modeled disk)",
-        ["config", "avg sim ms", "avg reads", "stored MB", "vs 1x dense"],
+        ["scale", "avg sim ms", "avg reads", "stored MB", "vs 1x"],
         [
             [
                 name,
                 f"{row['avg_sim_ms']:.2f}",
                 f"{row['avg_disk_reads']:.1f}",
                 f"{row['stored_bytes'] / 1e6:.2f}",
-                f"{row['vs_1x_dense']:.2f}x",
+                f"{row['vs_1x']:.2f}x",
             ]
             for name, row in queries.items()
         ],
     )
     if not smoke:
-        # The PR's acceptance numbers.
+        # The kernel's acceptance numbers.
         for scale in ("10x", "100x"):
             assert pages[scale]["ratio"] >= 5.0, pages[scale]
-            assert rollup[scale]["speedup"] >= 3.0, rollup[scale]
-        assert queries["100x_sparse"]["vs_1x_dense"] <= 2.0, queries
+        assert queries["100x"]["vs_1x"] <= 2.0, queries
     return payload
 
 
 def bench_cube_kernel(benchmark):
     payload = benchmark.pedantic(run_all, iterations=1, rounds=1)
     benchmark.extra_info["v3_ratio_100x"] = payload["page_bytes"]["100x"]["ratio"]
-    benchmark.extra_info["rollup_speedup_100x"] = payload["rollup"]["100x"]["speedup"]
+    benchmark.extra_info["rollup_ms_100x"] = payload["rollup"]["100x"]["batched_ms"]
     write_result_json("cube_kernel", payload)
 
 

@@ -12,7 +12,7 @@ in-process sharded vs process-pool rps) is retired: ``benchmarks/e2e``
 measures process-pool serving calibrated (``scatter_procpool``;
 EXPERIMENTS.md, "Retired numbers").
 
-Everything runs the sparse/v3 serving configuration.  Run: ``pytest
+Everything runs the one cube engine (sparse cubes, v3 pages).  Run: ``pytest
 benchmarks/bench_sharding.py --benchmark-only -s`` or directly:
 ``python benchmarks/bench_sharding.py [--smoke]`` (the direct run needs
 ``PYTHONPATH=src``).
@@ -35,7 +35,6 @@ from repro.core.shard import (
     shard_stores_for,
 )
 from repro.storage.disk import InMemoryDisk
-from repro.storage.serializer import PAGE_VERSION_SPARSE
 from repro.synth.scale import (
     SCALE_PROFILES,
     ScaleProfile,
@@ -90,8 +89,6 @@ def _shard_clone(flat: HierarchicalIndex, shards: int) -> ShardedIndex:
     sharded = ShardedIndex(
         flat.schema,
         ShardedPageStore(shard_stores_for(disk, shards), disk),
-        page_version=PAGE_VERSION_SPARSE,
-        sparse=True,
     )
     for level in flat.levels:
         for key in flat.keys(level):
@@ -119,12 +116,7 @@ def run_scatter_sweep(smoke: bool = False) -> dict:
     out: dict[str, dict] = {}
     for profile in _profiles(smoke):
         schema, updates = _quarter_updates(profile, days)
-        flat = HierarchicalIndex(
-            schema,
-            _modeled_disk(),
-            page_version=PAGE_VERSION_SPARSE,
-            sparse=True,
-        )
+        flat = HierarchicalIndex(schema, _modeled_disk())
         flat.bulk_load(updates)
         queries = _sweep_queries(schema, days, smoke)
         by_shards: dict[str, dict] = {}

@@ -33,7 +33,6 @@ from repro.core.query import AnalysisQuery
 from repro.collection.records import UpdateList
 from repro.obs import MetricsRegistry, get_registry
 from repro.storage.disk import InMemoryDisk
-from repro.storage.serializer import PAGE_VERSION_SPARSE
 from repro.synth.scale import scaled_day_updates
 from repro.synth.workload import QueryWorkload
 
@@ -90,21 +89,12 @@ def build_long_index(
     start: date = COVERAGE_START,
     end: date = COVERAGE_END,
     seed: int = 7,
-    page_version: int | None = PAGE_VERSION_SPARSE,
-    sparse: bool = True,
 ) -> tuple[HierarchicalIndex, InMemoryDisk, dict[date, UpdateList]]:
-    """A 16-year four-level index over the fast-path workload.
-
-    Built with the cube kernel of ``SystemConfig.serving()`` (sparse
-    COO rollups in delta+RLE v3 pages) — what ``rased-repro`` deploys.
-    Pass ``page_version=None, sparse=False`` to rebuild the dense/v1
-    setting an older snapshot was taken under.
-    """
+    """A 16-year four-level index over the fast-path workload (sparse
+    COO rollups in delta+RLE v3 pages, the one cube engine)."""
     schema = make_schema()
     disk = InMemoryDisk(read_latency=READ_LATENCY, write_latency=WRITE_LATENCY)
-    index = HierarchicalIndex(
-        schema, disk, page_version=page_version, sparse=sparse
-    )
+    index = HierarchicalIndex(schema, disk)
     rng = random.Random(seed)
     updates_by_day: dict[date, UpdateList] = {}
     day = start

@@ -296,7 +296,9 @@ class QueryExecutor:
         # Compiled once per query: every cube of every window (and of
         # every shard) reduces through the same tables.
         selection = Selection(
-            self.index.schema, self._effective_filters(query), query.cube_group_by
+            self.index.schema,
+            query.cube_filters(self.index.atlas),
+            query.cube_group_by,
         )
         # The cube cache is static between maintenance runs (the paper's
         # preload policy), so one snapshot is right for every window and
@@ -407,26 +409,6 @@ class QueryExecutor:
         (a reduced array per window position, its fetch record and its
         modeled disk time).  Here, one local gather over the index."""
         return local_gather(self.index, self.cache, items, selection, self.iosched)
-
-    def _effective_filters(self, query: AnalysisQuery) -> dict:
-        """Query filters adjusted for overlapping zones of interest.
-
-        Cubes count each update once per zone it belongs to (country +
-        continent + US state), so summing the whole country axis would
-        double count.  When the query neither filters nor groups by
-        country, restrict the axis to country-kind zones, which
-        partition the world exactly once.
-        """
-        filters = query.cube_filters()
-        if (
-            filters.get("country") is None
-            and "country" not in query.group_by
-            and self.index.atlas is not None
-        ):
-            filters["country"] = tuple(
-                z.name for z in self.index.atlas.countries
-            )
-        return filters
 
     # -- result shaping ------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 This is RASED's core structure (paper, Section VI-A and Fig. 6): a
 four-level tree — daily, weekly, monthly, yearly cubes under a dummy
-root — where every node is one :class:`~repro.types.cube.DataCube`
-stored in one disk page.  The index never stores raw updates; it
-stores aggregates that "cover everything one could ask for from any
-RASED analysis query".
+root — where every node is one cube stored in one disk page.  Cubes
+are built sparse (:class:`~repro.types.cube.SparseCube`, densified
+past the density threshold) and written by
+:func:`~repro.storage.serializer.serialize_cube`.  The index never
+stores raw updates; it stores aggregates that "cover everything one
+could ask for from any RASED analysis query".
 
 Maintenance follows the paper exactly:
 
@@ -43,7 +45,6 @@ from repro.types.temporal import (
 )
 from repro.types.cube import (
     AnyCube,
-    DataCube,
     RESOLUTION_COARSE,
     RESOLUTION_FULL,
     SparseCube,
@@ -51,7 +52,6 @@ from repro.types.cube import (
 )
 from repro.types.dimensions import CubeSchema
 from repro.errors import (
-    ConfigError,
     CubeNotFoundError,
     IndexError_,
     PageCorruptError,
@@ -59,12 +59,7 @@ from repro.errors import (
 )
 from repro.geo.zones import ZoneAtlas
 from repro.storage.pages import PageStore
-from repro.storage.serializer import (
-    PAGE_VERSION_RAW,
-    PAGE_VERSIONS,
-    deserialize_cube,
-    serialize_cube,
-)
+from repro.storage.serializer import deserialize_cube, serialize_cube
 
 if TYPE_CHECKING:  # avoid core -> collection import cycle at runtime
     from repro.collection.records import UpdateList
@@ -123,14 +118,6 @@ class HierarchicalIndex:
         Which levels to maintain above DAY.  The full paper index is
         all four; the Fig. 8 experiment builds truncated variants
         (e.g. ``(Level.DAY,)`` is the flat index).
-    page_version:
-        On-disk page format for writes (1 raw, 3 sparse delta+RLE);
-        reads auto-detect either, so mixed stores are fine and the
-        knob can change between runs.
-    sparse:
-        Build and roll up cubes in the sparse (COO) in-memory form,
-        densifying only past ``DEFAULT_SPARSE_THRESHOLD``.  Near-empty daily
-        cubes then never materialize the full dense array.
     """
 
     def __init__(
@@ -141,24 +128,14 @@ class HierarchicalIndex:
         levels: tuple[Level, ...] = (Level.DAY, Level.WEEK, Level.MONTH, Level.YEAR),
         prefix: str = _PAGE_PREFIX,
         epoch: "EpochCounter | None" = None,
-        page_version: int | None = None,
-        sparse: bool = False,
     ) -> None:
         if Level.DAY not in levels:
             raise IndexError_("the index must include the daily level")
-        if page_version is None:
-            page_version = PAGE_VERSION_RAW
-        elif page_version not in PAGE_VERSIONS:
-            raise ConfigError(f"unknown page version {page_version}")
         self.schema = schema
         self.store = store
         self.atlas = atlas
         self.levels = tuple(sorted(levels))
         self.prefix = prefix
-        #: Page format written by :meth:`put`; reads auto-detect.
-        self.page_version = page_version
-        #: Build/rollup cubes in sparse form (see class docstring).
-        self.sparse = sparse
         #: Bumped with a written key's window (all time on a reload) so
         #: the executor's result cache can invalidate; optional.
         self.epoch = epoch
@@ -246,14 +223,18 @@ class HierarchicalIndex:
             raise
 
     def put(self, cube: AnyCube) -> None:
-        """Write one cube to the store (counts as one page I/O)."""
+        """Write one cube to the store (counts as one page I/O).
+
+        The page is version 3, or version 1 for a dense cube the sparse
+        encoding would not shrink; :meth:`get` reads either.
+        """
         if cube.key.level not in self.levels:
             raise IndexError_(
                 f"index does not maintain level {cube.key.level.label}"
             )
         self.store.write(
             page_id_for(cube.key, self.prefix),
-            serialize_cube(cube, version=self.page_version),
+            serialize_cube(cube),
         )
         with self._catalog_lock:
             self._catalog[cube.key.level].add(cube.key)
@@ -284,25 +265,13 @@ class HierarchicalIndex:
     ) -> AnyCube:
         """Scan one day's UpdateList into a daily cube (no I/O).
 
-        In sparse mode the cube is built in COO form and densified
-        only if it crosses the density threshold — a typical day's few
-        thousand updates never touch the full dense array.
+        The cube is built in COO form and densified only if it crosses
+        the density threshold — a typical day's few thousand updates
+        never touch the full dense array.
         """
-        cube: AnyCube
-        if self.sparse:
-            cube = SparseCube(
-                schema=self.schema, key=day_key(day), resolution=resolution
-            )
-        else:
-            cube = DataCube(
-                schema=self.schema, key=day_key(day), resolution=resolution
-            )
-        coded = updates.cube_coordinates(self.schema, self.atlas)
-        if len(coded):
-            cube.bulk_record(coded)
-        if isinstance(cube, SparseCube):
-            return cube.maybe_densify()
-        return cube
+        cube = SparseCube(schema=self.schema, key=day_key(day), resolution=resolution)
+        cube.bulk_record(updates.cube_coordinates(self.schema, self.atlas))
+        return cube.maybe_densify()
 
     def ingest_day(self, day: date, updates: UpdateList) -> list[TemporalKey]:
         """The paper's daily maintenance step.

@@ -27,7 +27,7 @@ from repro.obs.span import span as causal_span
 from repro.osm.changesets import ChangesetStore
 from repro.osm.replication import ReplicationFeed
 from repro.osm.xml_io import OsmChange
-from repro.types.cube import DataCube, RESOLUTION_COARSE
+from repro.types.cube import RESOLUTION_COARSE, SparseCube
 from repro.types.dimensions import CubeSchema
 from repro.types.temporal import day_key, series_period_start
 
@@ -70,7 +70,7 @@ class LiveMonitor:
         self._lock = threading.Lock()
         #: Partial cubes per day, newest last (today plus any day whose
         #: daily diff has not been ingested yet).
-        self._partial: dict[date, DataCube] = {}  # guarded-by: _lock
+        self._partial: dict[date, SparseCube] = {}  # guarded-by: _lock
         self.hours_processed = 0
         self.updates_seen = 0
 
@@ -112,14 +112,13 @@ class LiveMonitor:
             with self._lock:
                 cube = self._partial.get(day)
                 if cube is None:
-                    cube = DataCube(
+                    cube = SparseCube(
                         schema=self.schema,
                         key=day_key(day),
                         resolution=RESOLUTION_COARSE,
                     )
                     self._partial[day] = cube
-                if len(coded):
-                    cube.bulk_record(coded)
+                cube.bulk_record(coded)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -146,13 +145,7 @@ class LiveMonitor:
         if query.metric != "count":
             return 0
         applied = 0
-        filters = query.cube_filters()
-        if (
-            filters.get("country") is None
-            and "country" not in query.group_by
-            and self.atlas is not None
-        ):
-            filters["country"] = tuple(z.name for z in self.atlas.countries)
+        filters = query.cube_filters(self.atlas)
         # Aggregate under the lock: a concurrent _absorb may be
         # bulk-recording into the same (small) cubes.
         with self._lock:

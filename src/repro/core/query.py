@@ -30,6 +30,7 @@ from repro.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.core.resultcache import MemoEntry
+    from repro.geo.zones import ZoneAtlas
 
 __all__ = ["AnalysisQuery", "QueryResult", "QueryStats", "GROUPABLE_ATTRIBUTES"]
 
@@ -95,14 +96,33 @@ class AnalysisQuery:
     def groups_by_date(self) -> bool:
         return "date" in self.group_by
 
-    def cube_filters(self) -> dict[str, tuple[str, ...] | None]:
-        """Filters in the cube's axis vocabulary."""
-        return {
+    def cube_filters(
+        self, atlas: "ZoneAtlas | None"
+    ) -> dict[str, tuple[str, ...] | None]:
+        """Filters in the cube's axis vocabulary, adjusted for
+        overlapping zones of interest.
+
+        Cubes count each update once per zone it belongs to (country +
+        continent + US state), so summing the whole country axis would
+        double count.  When the query neither filters nor groups by
+        country, the axis is restricted to ``atlas``'s country-kind
+        zones, which partition the world exactly once (without an
+        atlas, cubes hold only the stored country and nothing
+        overlaps).
+        """
+        filters = {
             "element_type": self.element_types,
             "country": self.countries,
             "road_type": self.road_types,
             "update_type": self.update_types,
         }
+        if (
+            self.countries is None
+            and "country" not in self.group_by
+            and atlas is not None
+        ):
+            filters["country"] = tuple(zone.name for zone in atlas.countries)
+        return filters
 
     def describe(self) -> str:
         """A one-line human description (used by the dashboard log)."""

@@ -135,7 +135,7 @@ class ProcessPoolDispatcher:
         futures = [
             # Deadlines/spans don't apply: these tasks predate any
             # request context by construction.
-            self._pool.submit(_worker_warm, hold_seconds)  # lint: allow[conc-context] pre-request warmup; no ambient context exists yet
+            self._pool.submit(_worker_warm, hold_seconds)
             for _ in range(self.workers)
         ]
         return [future.result() for future in futures]
@@ -157,7 +157,7 @@ class ProcessPoolDispatcher:
         worker traces its own executions), so there is no ambient
         context to hand off.
         """
-        future = self._pool.submit(_worker_run, kind, body, deadline_ms)  # lint: allow[conc-context] deadline forwarded explicitly as ms and re-scoped in the worker; spans cannot cross processes
+        future = self._pool.submit(_worker_run, kind, body, deadline_ms)
         return future.result()
 
     def shutdown(self) -> None:

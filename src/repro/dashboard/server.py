@@ -518,7 +518,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Run a handler with the full error -> status mapping."""
         try:
             handler()
-        except Exception as exc:  # lint: allow[broad-except] last-resort 500; re-raised if the response already started
+        except Exception as exc:
             status, document = _error_response(exc)
             if status == 500 and self._responded:
                 raise
@@ -749,7 +749,7 @@ class _ThreadedServer(HTTPServer):
             # Daemon: dies with the process (stop() still drains
             # gracefully).  An accepted connection predates any request
             # context, so there is no span or deadline to hand on.
-            thread = threading.Thread(  # lint: allow[conc-context]
+            thread = threading.Thread(
                 target=self._serve_connections,
                 args=(connection,),
                 name=f"rased-http-{len(self._threads) + 1}",
@@ -859,7 +859,7 @@ class DashboardServer:
         # Lifecycle thread: started before any request exists, so there
         # is no ambient span or deadline to hand across.  Per-request
         # context is attached by the handler itself.
-        self._thread = threading.Thread(  # lint: allow[conc-context]
+        self._thread = threading.Thread(
             target=self._http.serve_forever, name="rased-dashboard", daemon=True
         )
         self._thread.start()

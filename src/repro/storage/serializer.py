@@ -56,19 +56,21 @@ The checksum lets :func:`deserialize_cube` detect torn or corrupted
 pages, raising :class:`~repro.errors.PageCorruptError` rather than
 returning silently wrong statistics.
 
-Reading a version-1 page is zero-copy: the returned cube's counts are
-a read-only ``np.frombuffer`` view over the page bytes (copied only on
-a non-native-endian host), and :class:`~repro.types.cube.DataCube`
-copies on first write.  Version-3 pages decode to a
+Every write goes through :func:`serialize_cube`, so a store only
+ever gains version-3 pages, bar the dense cubes that fall back to
+version 1.  Both versions read back: reading a version-1 page is
+zero-copy — the returned cube's counts are a read-only
+``np.frombuffer`` view over the page bytes (copied only on a
+non-native-endian host), and :class:`~repro.types.cube.DataCube` is a
+read-only form.  Version-3 pages decode to a
 :class:`~repro.types.cube.SparseCube` when the stored density is below
 :data:`~repro.types.cube.DEFAULT_SPARSE_THRESHOLD`, else to a dense
-cube.
-
-The storage-vs-latency trade-off of v3 against raw pages is measured
-in ``benchmarks/bench_ablation_compression.py`` and swept across scale
-in ``benchmarks/bench_cube_kernel.py``.  The paper's choice (raw 4 MB
-pages, one page per I/O) is ``SystemConfig()``; the serving profile
-writes v3.
+cube.  A raw page is always ``HEADER_SIZE + 8 * cell_count`` bytes
+(:func:`cube_page_size`); what v3 saves against it is measured in
+``benchmarks/bench_ablation_compression.py`` and swept across scale in
+``benchmarks/bench_cube_kernel.py``.  The paper's raw 4 MB pages cost
+one read each, as v3 pages do: every modeled figure depends on read
+counts, not page bytes.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from repro.errors import CalendarError, ConfigError, PageCorruptError
 
 __all__ = [
     "serialize_cube",
+    "serialize_raw",
     "deserialize_cube",
     "page_version",
     "HEADER_SIZE",
@@ -104,7 +107,7 @@ __all__ = [
 _MAGIC = b"RCUB"
 PAGE_VERSION_RAW = 1
 PAGE_VERSION_SPARSE = 3
-#: The formats this build reads and writes (2, zlib, is retired).
+#: The formats this build reads (2, zlib, is retired).
 PAGE_VERSIONS = (PAGE_VERSION_RAW, PAGE_VERSION_SPARSE)
 _HEADER = struct.Struct("<4sHBBiii4II")
 HEADER_SIZE = _HEADER.size
@@ -199,30 +202,32 @@ def _encode_sparse_payload(cells: np.ndarray, values: np.ndarray) -> bytes:
     return mini + deltas.tobytes() + run_lengths.tobytes() + run_values.tobytes()
 
 
-def serialize_cube(cube: AnyCube, version: int = PAGE_VERSION_RAW) -> bytes:
-    """Encode a cube into one page's bytes.
-
-    ``version`` selects the page format (default 1, raw).  A version-3
-    request silently writes a version-1 page instead when the sparse
-    encoding would not be smaller — readers never need to know which
-    side won.
+def serialize_cube(cube: AnyCube) -> bytes:
+    """Encode a cube into one page's bytes: a version-3 page, or the
+    version-1 page of :func:`serialize_raw` when the sparse encoding
+    would not be smaller — readers never need to know which side won.
     """
-    if version not in PAGE_VERSIONS:
-        raise ConfigError(f"unknown page version {version}")
+    cells, values = _sparse_parts(cube)
+    payload = _encode_sparse_payload(cells, values)
+    if len(payload) >= cube.schema.cell_count * 8:
+        return serialize_raw(cube)  # dense cube: raw page is no bigger
+    # Full-page CRC: header with a zeroed checksum field, then the
+    # payload, so header bit rot is also caught.
+    header = _pack_header(cube, PAGE_VERSION_SPARSE, 0)
+    checksum = zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
+    return _pack_header(cube, PAGE_VERSION_SPARSE, checksum) + payload
 
-    if version == PAGE_VERSION_SPARSE:
-        cells, values = _sparse_parts(cube)
-        payload = _encode_sparse_payload(cells, values)
-        if len(payload) < cube.schema.cell_count * 8:
-            # Full-page CRC: header with a zeroed checksum field, then
-            # the payload, so header bit rot is also caught.
-            checksum = zlib.crc32(payload, zlib.crc32(_pack_header(cube, version, 0)))
-            return _pack_header(cube, version, checksum & 0xFFFFFFFF) + payload
-        version = PAGE_VERSION_RAW  # dense cube: raw page is no bigger
 
+def serialize_raw(cube: AnyCube) -> bytes:
+    """The version-1 page of ``cube``: every cell as C-order ``int64``.
+
+    What :func:`serialize_cube` falls back to for a dense cube; called
+    directly, it writes the page format older roots hold, which every
+    reader still accepts.
+    """
     payload = np.ascontiguousarray(cube.counts, dtype="<i8").tobytes()
     checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    return _pack_header(cube, version, checksum) + payload
+    return _pack_header(cube, PAGE_VERSION_RAW, checksum) + payload
 
 
 def _decode_sparse_payload(
@@ -309,8 +314,7 @@ def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
 
     Validates magic, version, shape-vs-schema agreement, and the
     checksum.  Version-1 pages decode without copying the payload: the
-    cube's counts are a read-only view over ``data`` (copy-on-write in
-    the cube's mutators).  Version-3 pages yield a
+    dense cube's counts are a read-only view over ``data``.  Version-3 pages yield a
     :class:`~repro.types.cube.SparseCube` below the density threshold.
     """
     if len(data) < HEADER_SIZE:

@@ -76,20 +76,22 @@ __all__ = ["RasedSystem", "SystemConfig"]
 class SystemConfig:
     """Deployment knobs for an assembled system.
 
-    The bare ``SystemConfig()`` is the *paper* profile — dense cubes in
-    raw v1 pages, no result memo, no WAL, no admission — whose modeled
-    numbers (Figs. 7-10, EXPERIMENTS.md) must stay bit-identical;
-    :meth:`serving` is the product.
+    There is one cube engine: cubes are built sparse and written as v3
+    pages (v1 pages an older root holds still read).  The bare
+    ``SystemConfig()`` is that engine without the result memo, the WAL
+    or admission — the *paper* profile, whose modeled numbers (Figs.
+    7-10, ``tests/golden/paper.json``) depend on read counts only;
+    :meth:`serving` adds the memo and is the product.
     """
 
     road_types: int = 12
     cache_slots: int = 64
-    #: On-disk cube page format for writes (1 raw, 3 sparse delta+RLE).
-    #: Reads auto-detect, so it can change between runs of one root.
-    page_version: int = 1
-    #: Build and roll up cubes in the sparse (COO) in-memory form,
-    #: densifying past ``DEFAULT_SPARSE_THRESHOLD``.
-    sparse_cubes: bool = False
+    #: Accepted only as 3: the one page format written.  Kept (with
+    #: ``sparse_cubes``) because the frozen benchmark harness still
+    #: spells both; any other value raises :class:`ConfigError`.
+    page_version: int = 3
+    #: Accepted only as ``True``: cubes are always built sparse.
+    sparse_cubes: bool = True
     simulation: SimulationConfig = SimulationConfig()
     #: Place cube pages across this many shard stores (rendezvous
     #: hashing) and read them scatter-gather.  Index, cache and WAL are
@@ -129,6 +131,14 @@ class SystemConfig:
     #: (availability + latency, multi-window burn-rate alerts).
     slo: SLOConfig = SLOConfig()
 
+    def __post_init__(self) -> None:
+        if self.page_version != 3 or self.sparse_cubes is not True:
+            raise ConfigError(
+                "cubes are always built sparse and written as v3 pages: "
+                f"page_version={self.page_version!r} and "
+                f"sparse_cubes={self.sparse_cubes!r} are not settable"
+            )
+
     @classmethod
     def serving(cls, **overrides: Any) -> "SystemConfig":
         """The deployed profile: what ``rased-repro ingest|serve`` open
@@ -138,8 +148,6 @@ class SystemConfig:
         own literal).  ``overrides`` are per-deployment settings
         (shards, WAL, admission, ...)."""
         profile = dict(
-            page_version=3,
-            sparse_cubes=True,
             cache_slots=64,
             fetch_parallelism=4,
             tracing=True,
@@ -237,12 +245,7 @@ class RasedSystem:
             metrics=self.metrics,
         )
 
-        index_options: dict[str, Any] = dict(
-            atlas=atlas,
-            epoch=self.epoch,
-            page_version=config.page_version,
-            sparse=config.sparse_cubes,
-        )
+        index_options: dict[str, Any] = dict(atlas=atlas, epoch=self.epoch)
         sharded_index = (
             ShardedIndex(schema, routed, effective_store, **index_options)
             if routed is not None

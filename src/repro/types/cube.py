@@ -6,33 +6,25 @@ VI-A; data cubes after Gray et al., ICDE 1996).  At the paper's full
 scale a cube spans 3 x 300 x 150 x 4 = 540,000 int64 cells, i.e. ~4 MB
 as one dense disk page.
 
-Two representations implement the same interface (the *columnar cube
-kernel*):
+Every cube is *built* in one form and *read* in one of two:
 
-* :class:`DataCube` — the dense ndarray form, one int64 per cell.
-  Best when many cells are populated (rolled-up yearly cubes, paper
-  default).
 * :class:`SparseCube` — a sorted-COO columnar form: two parallel
   arrays of (flat cell index, count), holding only nonzero cells.  A
   typical *daily* cube populates a few thousand of its 540,000 cells,
   so the sparse form is orders of magnitude smaller and aggregates in
-  O(nnz) instead of O(cells).
+  O(nnz) instead of O(cells).  Daily scans (``bulk_record``), rollups
+  (:func:`sum_cubes`) and the live overlay all build in this form.
+* :class:`DataCube` — the dense ndarray form, one int64 per cell, and
+  read-only: it has no mutators.  A cube becomes one only when its
+  populated fraction crosses :data:`DEFAULT_SPARSE_THRESHOLD`
+  (:meth:`SparseCube.maybe_densify`; beyond ~25% density the dense
+  form is both smaller per byte of information and faster to reduce),
+  or when a raw version-1 page is decoded.
 
-Both support the operations the system needs:
-
-* **build/maintain** — ``record``/``bulk_record`` count crawled
-  updates; :func:`sum_cubes` rolls children up into parents in one
-  batched vectorized pass (concatenate-and-reduce for sparse children,
-  a single reduction for dense ones).
-* **query** — ``aggregate``/``aggregate_array`` apply per-dimension
-  filters and group-bys entirely in memory (the paper's "second
-  phase"), natively on either form.
-
-The *density threshold* (:data:`DEFAULT_SPARSE_THRESHOLD`) governs the
-dual representation: sparse cubes whose populated fraction crosses it
-auto-densify (:meth:`SparseCube.maybe_densify`), since beyond ~25%
-density the dense form is both smaller per byte of information and
-faster to reduce.
+Both forms answer queries the same way: ``aggregate``/
+``aggregate_array`` apply per-dimension filters and group-bys entirely
+in memory (the paper's "second phase"), natively on either form, and
+:func:`sum_cubes` accepts children of either form.
 
 A cube also carries its update-type ``resolution``: daily crawls only
 know create-vs-update, so daily-built cubes are ``'coarse'`` (modifies
@@ -62,9 +54,6 @@ __all__ = [
     "DEFAULT_SPARSE_THRESHOLD",
     "sum_cubes",
     "sum_arrays",
-    "empty_like",
-    "as_dense",
-    "as_sparse",
 ]
 
 #: Cube update-type resolution markers.
@@ -298,7 +287,7 @@ def _coalesce(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a COO batch to sorted unique cells with summed values.
 
-    The kernel under both sparse ``add`` and batched :func:`sum_cubes`:
+    The kernel under both ``bulk_record`` and batched :func:`sum_cubes`:
     one sort over the concatenated indices, one ``np.add.reduceat``
     over the run boundaries, zeros dropped so the nonzero invariant
     holds.
@@ -322,7 +311,12 @@ def _coalesce(
 
 
 class DataCube:
-    """A dense 4-D count cube for one temporal window.
+    """A dense, read-only 4-D count cube for one temporal window.
+
+    The densified read form: what a :class:`SparseCube` becomes past
+    the density threshold, and what a raw version-1 page decodes to.
+    Nothing builds into it — cubes are built sparse — so it has no
+    mutators, and its ``counts`` are never writable.
 
     Attributes
     ----------
@@ -331,9 +325,10 @@ class DataCube:
     key:
         The temporal key (day/week/month/year) this cube covers.
     counts:
-        ``int64`` ndarray of shape ``schema.shape``.  May be a
-        read-only zero-copy view over a page buffer (the serializer's
-        fast path); mutating methods copy-on-write transparently.
+        Read-only ``int64`` ndarray of shape ``schema.shape`` — a
+        zero-copy view over the page buffer when decoded from a raw
+        page.  A writable array passed in is wrapped in a read-only
+        view, never copied.
     resolution:
         ``'coarse'`` for daily-crawl cubes (2-way update types),
         ``'full'`` after the monthly rebuild (4-way).
@@ -343,21 +338,21 @@ class DataCube:
         self,
         schema: CubeSchema,
         key: TemporalKey,
-        counts: np.ndarray | None = None,
+        counts: np.ndarray,
         resolution: Resolution = RESOLUTION_FULL,
     ) -> None:
         self.schema = schema
         self.key = key
-        if counts is None:
-            self.counts: np.ndarray = np.zeros(schema.shape, dtype=np.int64)
-        else:
-            array = np.asarray(counts, dtype=np.int64)
-            if array.shape != schema.shape:
-                raise DimensionError(
-                    f"cube counts shape {array.shape} does not match "
-                    f"schema shape {schema.shape}"
-                )
-            self.counts = array
+        array = np.asarray(counts, dtype=np.int64)
+        if array.shape != schema.shape:
+            raise DimensionError(
+                f"cube counts shape {array.shape} does not match "
+                f"schema shape {schema.shape}"
+            )
+        if array.flags.writeable:
+            array = array.view()
+            array.flags.writeable = False
+        self.counts: np.ndarray = array
         if resolution not in _VALID_RESOLUTIONS:
             raise DimensionError(f"invalid resolution {resolution!r}")
         self.resolution = resolution
@@ -394,74 +389,7 @@ class DataCube:
         """Total number of updates counted in this cube."""
         return int(self.counts.sum())
 
-    # -- build ----------------------------------------------------------
-
-    def _ensure_writable(self) -> None:
-        """Copy-on-write for zero-copy page-backed count arrays."""
-        if not self.counts.flags.writeable:
-            self.counts = self.counts.copy()
-
-    def record(
-        self, element_type: str, country: str, road_type: str, update_type: str
-    ) -> None:
-        """Count one update in its cell."""
-        coords = self.schema.encode(element_type, country, road_type, update_type)
-        self._ensure_writable()
-        self.counts[coords] += 1
-
-    def record_codes(self, coords: tuple[int, int, int, int], count: int = 1) -> None:
-        """Count pre-encoded updates (hot path for the crawlers)."""
-        self._ensure_writable()
-        self.counts[coords] += count
-
-    def bulk_record(self, coded: np.ndarray) -> None:
-        """Count a batch of pre-encoded updates.
-
-        ``coded`` is an ``(n, 4)`` integer array of cube coordinates.
-        Uses ``np.add.at`` so repeated coordinates accumulate.
-        """
-        coded = np.asarray(coded)
-        if coded.ndim != 2 or coded.shape[1] != 4:
-            raise DimensionError(f"expected (n, 4) coordinate array, got {coded.shape}")
-        self._ensure_writable()
-        np.add.at(
-            self.counts, (coded[:, 0], coded[:, 1], coded[:, 2], coded[:, 3]), 1
-        )
-
-    def add(self, other: "AnyCube") -> None:
-        """Accumulate another cube's counts into this one (rollup step).
-
-        Accepts either representation.  The result is ``'full'``
-        resolution only if every contributor is full; any coarse child
-        makes the parent coarse.
-        """
-        self._check_compatible(other)
-        self._ensure_writable()
-        if isinstance(other, SparseCube):
-            np.add.at(
-                self.counts,
-                np.unravel_index(other.cells, self.schema.shape),
-                other.values,
-            )
-        else:
-            self.counts += other.counts
-        if other.resolution == RESOLUTION_COARSE:
-            self.resolution = RESOLUTION_COARSE
-
-    def _check_compatible(self, other: "AnyCube") -> None:
-        if other.schema.shape != self.schema.shape:
-            raise DimensionError(
-                f"cannot combine cubes of shapes {self.schema.shape} "
-                f"and {other.schema.shape}"
-            )
-
     # -- query ----------------------------------------------------------
-
-    def cell(
-        self, element_type: str, country: str, road_type: str, update_type: str
-    ) -> int:
-        """Read a single precomputed value."""
-        return int(self.counts[self.schema.encode(element_type, country, road_type, update_type)])
 
     def aggregate(
         self,
@@ -515,30 +443,6 @@ class DataCube:
             sub = np.transpose(sub, selection.transpose)
         return sub, selection.labels
 
-    def copy(self) -> "DataCube":
-        return DataCube(
-            schema=self.schema,
-            key=self.key,
-            counts=self.counts.copy(),
-            resolution=self.resolution,
-        )
-
-    def to_dense(self) -> "DataCube":
-        """This cube (already dense); interface parity with the sparse form."""
-        return self
-
-    def to_sparse(self) -> "SparseCube":
-        """The equivalent :class:`SparseCube` (copies the nonzero cells)."""
-        flat = np.ascontiguousarray(self.counts).reshape(-1)
-        cells = np.flatnonzero(flat)
-        return SparseCube(
-            schema=self.schema,
-            key=self.key,
-            cells=cells,
-            values=flat[cells],
-            resolution=self.resolution,
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SparseCube):
             return other == self
@@ -551,7 +455,7 @@ class DataCube:
             and bool(np.array_equal(self.counts, other.counts))
         )
 
-    __hash__ = None  # type: ignore[assignment]  # mutable, like the old dataclass
+    __hash__ = None  # type: ignore[assignment]  # compares by value
 
 
 class SparseCube:
@@ -572,6 +476,11 @@ class SparseCube:
     what batched rollups concatenate-and-reduce.  Invariants are
     validated at construction so a buggy producer fails loudly instead
     of corrupting aggregates.
+
+    The form every cube is built in: ``bulk_record`` counts a day's
+    scanned updates, :func:`sum_cubes` rolls children up, and
+    :meth:`maybe_densify` hands over to the read-only dense form past
+    the density threshold.
     """
 
     def __init__(
@@ -666,8 +575,8 @@ class SparseCube:
     def counts(self) -> np.ndarray:
         """The dense count array (materialized on demand, O(cells)).
 
-        Provided for interface parity and diagnostics; hot paths use
-        the native sparse operations instead.
+        What :meth:`to_dense` wraps; hot paths use the native sparse
+        operations instead.
         """
         flat = np.zeros(self.cell_count, dtype=np.int64)
         flat[self.cells] = self.values
@@ -678,24 +587,9 @@ class SparseCube:
     def record(
         self, element_type: str, country: str, road_type: str, update_type: str
     ) -> None:
-        """Count one update in its cell."""
+        """Count one update in its cell (O(nnz); builds use bulk_record)."""
         coords = self.schema.encode(element_type, country, road_type, update_type)
-        self.record_codes(coords)
-
-    def record_codes(self, coords: tuple[int, int, int, int], count: int = 1) -> None:
-        """Count pre-encoded updates (O(nnz) insert; builds use bulk_record)."""
-        flat = int(np.ravel_multi_index(coords, self.schema.shape))
-        position = int(np.searchsorted(self.cells, flat))
-        if position < self.cells.size and int(self.cells[position]) == flat:
-            new_value = int(self.values[position]) + count
-            if new_value == 0:
-                self.cells = np.delete(self.cells, position)
-                self.values = np.delete(self.values, position)
-            else:
-                self.values[position] = new_value
-        elif count != 0:
-            self.cells = np.insert(self.cells, position, flat)
-            self.values = np.insert(self.values, position, count)
+        self.bulk_record(np.array([coords]))
 
     def bulk_record(self, coded: np.ndarray) -> None:
         """Count a batch of pre-encoded updates in one vectorized merge."""
@@ -709,44 +603,21 @@ class SparseCube:
             self.schema.shape,
         )
         new_cells, new_values = np.unique(flat, return_counts=True)
-        self._merge(new_cells.astype(np.int64), new_values.astype(np.int64))
-
-    def _merge(self, cells: np.ndarray, values: np.ndarray) -> None:
         self.cells, self.values = _coalesce(
-            np.concatenate((self.cells, cells)),
-            np.concatenate((self.values, values)),
+            np.concatenate((self.cells, new_cells.astype(np.int64))),
+            np.concatenate((self.values, new_values.astype(np.int64))),
         )
 
-    def add(self, other: "AnyCube") -> None:
-        """Accumulate another cube's counts (either form) into this one."""
-        if other.schema.shape != self.schema.shape:
-            raise DimensionError(
-                f"cannot combine cubes of shapes {self.schema.shape} "
-                f"and {other.schema.shape}"
-            )
-        if isinstance(other, SparseCube):
-            self._merge(other.cells, other.values)
-        else:
-            flat = np.ascontiguousarray(other.counts).reshape(-1)
-            cells = np.flatnonzero(flat)
-            self._merge(cells, flat[cells])
-        if other.resolution == RESOLUTION_COARSE:
-            self.resolution = RESOLUTION_COARSE
-
-    # -- representation switching ---------------------------------------
+    # -- densifying -----------------------------------------------------
 
     def to_dense(self) -> DataCube:
-        """The equivalent dense :class:`DataCube`."""
+        """The equivalent (read-only) dense :class:`DataCube`."""
         return DataCube(
             schema=self.schema,
             key=self.key,
             counts=self.counts,
             resolution=self.resolution,
         )
-
-    def to_sparse(self) -> "SparseCube":
-        """This cube (already sparse); interface parity with the dense form."""
-        return self
 
     def maybe_densify(
         self, threshold: float = DEFAULT_SPARSE_THRESHOLD
@@ -757,16 +628,6 @@ class SparseCube:
         return self
 
     # -- query ----------------------------------------------------------
-
-    def cell(
-        self, element_type: str, country: str, road_type: str, update_type: str
-    ) -> int:
-        coords = self.schema.encode(element_type, country, road_type, update_type)
-        flat = int(np.ravel_multi_index(coords, self.schema.shape))
-        position = int(np.searchsorted(self.cells, flat))
-        if position < self.cells.size and int(self.cells[position]) == flat:
-            return int(self.values[position])
-        return 0
 
     def aggregate(
         self,
@@ -812,15 +673,6 @@ class SparseCube:
         np.add.at(reduced.reshape(-1), bins, values)
         return reduced, selection.labels
 
-    def copy(self) -> "SparseCube":
-        return SparseCube(
-            schema=self.schema,
-            key=self.key,
-            cells=self.cells.copy(),
-            values=self.values.copy(),
-            resolution=self.resolution,
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SparseCube):
             return (
@@ -845,7 +697,7 @@ class SparseCube:
             )
         return NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]  # mutable, like DataCube
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
 
 #: Either cube representation; both implement the same interface.
@@ -865,26 +717,10 @@ def _aggregate_rows(
     return dict(zip(zip(*columns), values))
 
 
-def as_dense(cube: AnyCube) -> DataCube:
-    """``cube`` in dense form (no copy when already dense)."""
-    return cube.to_dense()
-
-
-def as_sparse(cube: AnyCube) -> SparseCube:
-    """``cube`` in sparse form (no copy when already sparse)."""
-    return cube.to_sparse()
-
-
-def empty_like(cube: AnyCube, key: TemporalKey) -> DataCube:
-    """A zeroed dense cube sharing ``cube``'s schema, covering ``key``."""
-    return DataCube(schema=cube.schema, key=key)
-
-
 def sum_cubes(
     schema: CubeSchema,
     key: TemporalKey,
     children: Iterable[AnyCube],
-    sparse: bool | None = None,
 ) -> AnyCube:
     """Roll child cubes up into a parent cube for ``key`` in one batch.
 
@@ -892,28 +728,23 @@ def sum_cubes(
     of its seven dailies, a monthly cube the sum of four weeklies plus
     leftover dailies, a yearly cube the sum of twelve monthlies.
 
-    Children are merged in one vectorized pass per representation
-    rather than N sequential ``add`` calls: dense children reduce via
-    chunked ``np.add.reduce`` (:func:`sum_arrays`); sparse children via
-    one concatenate-sort-``reduceat`` (:func:`_coalesce`) while the
-    combined entry count stays small, switching to a dense
-    scatter-accumulator (each child's cells are already unique, so
-    ``flat[cells] += values`` is exact) once the inputs hold enough
-    entries that the O(M log M) sort would dominate the O(M + cells)
-    scatter — the month/quarter/year rollup regime, where the merged
-    cube usually densifies anyway.
+    Children are merged in one vectorized pass rather than N sequential
+    adds: one concatenate-sort-``reduceat`` (:func:`_coalesce`) while
+    the combined entry count stays small, else a dense
+    scatter-accumulator (each sparse child's cells are already unique,
+    so ``flat[cells] += values`` is exact; a dense child adds whole)
+    once the inputs hold enough entries that the O(M log M) sort would
+    dominate the O(M + cells) scatter — the month/quarter/year rollup
+    regime, where the merged cube usually densifies anyway.
 
-    ``sparse`` picks the result form: ``True``/``False`` force it;
-    ``None`` (default) keeps the historical dense result unless *every*
-    child is sparse, in which case the merged cube stays sparse until
-    its density crosses :data:`DEFAULT_SPARSE_THRESHOLD` (auto-densify).
+    The result is sparse until its density crosses
+    :data:`DEFAULT_SPARSE_THRESHOLD`, then dense.
     """
-    kids = list(children)
     resolution = RESOLUTION_FULL
     dense_arrays: list[np.ndarray] = []
     sparse_cells: list[np.ndarray] = []
     sparse_values: list[np.ndarray] = []
-    for child in kids:
+    for child in children:
         if child.schema.shape != schema.shape:
             raise DimensionError(
                 f"cannot combine cubes of shapes {schema.shape} "
@@ -926,57 +757,36 @@ def sum_cubes(
             sparse_values.append(child.values)
         else:
             dense_arrays.append(child.counts)
-    if sparse is None:
-        make_sparse = bool(kids) and not dense_arrays
-    else:
-        make_sparse = sparse
-    cell_count = int(np.prod(schema.shape))
-    total_entries = sum(c.size for c in sparse_cells)
-    if make_sparse:
-        # Cost crossover: the sort-based coalesce is O(M log M) in the
-        # combined entry count M; a dense scatter pass is O(M + cells).
-        # Past M ~ cells/8 (or with any dense child, whose extraction
-        # already costs a full scan) the scatter wins.
-        if dense_arrays or total_entries >= cell_count // 8:
-            flat = np.zeros(cell_count, dtype=np.int64)
-            for array in dense_arrays:
-                flat += np.ascontiguousarray(array).reshape(-1)
-            for child_cells, child_values in zip(sparse_cells, sparse_values):
-                flat[child_cells] += child_values
-            if (
-                sparse is None
-                and np.count_nonzero(flat) >= DEFAULT_SPARSE_THRESHOLD * cell_count
-            ):
-                # Would densify anyway — skip the COO round-trip.
-                return DataCube(
-                    schema=schema,
-                    key=key,
-                    counts=flat.reshape(schema.shape),
-                    resolution=resolution,
-                )
-            cells = np.flatnonzero(flat)
-            values = flat[cells]
-        elif sparse_cells:
-            cells, values = _coalesce(
-                np.concatenate(sparse_cells), np.concatenate(sparse_values)
-            )
-        else:
-            cells = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.int64)
-        merged = SparseCube(
-            schema=schema, key=key, cells=cells, values=values, resolution=resolution
-        )
-        if sparse is None:
-            return merged.maybe_densify()
-        return merged
-    if dense_arrays:
-        counts = sum_arrays(dense_arrays)
-    else:
-        counts = np.zeros(schema.shape, dtype=np.int64)
-    if sparse_cells:
-        # Per-child scatter adds: cells are unique within one child, so
-        # fancy-index ``+=`` is exact and avoids the coalesce sort.
-        flat_view = counts.reshape(-1)
+    cell_count = schema.cell_count
+    total_entries = sum(cells.size for cells in sparse_cells)
+    # Cost crossover: the sort-based coalesce is O(M log M) in the
+    # combined entry count M; a dense scatter pass is O(M + cells).
+    # Past M ~ cells/8 (or with any dense child, whose extraction
+    # already costs a full scan) the scatter wins.
+    if dense_arrays or total_entries >= cell_count // 8:
+        flat = np.zeros(cell_count, dtype=np.int64)
+        for array in dense_arrays:
+            flat += array.reshape(-1)
         for child_cells, child_values in zip(sparse_cells, sparse_values):
-            flat_view[child_cells] += child_values
-    return DataCube(schema=schema, key=key, counts=counts, resolution=resolution)
+            flat[child_cells] += child_values
+        if np.count_nonzero(flat) >= DEFAULT_SPARSE_THRESHOLD * cell_count:
+            # Would densify anyway — skip the COO round-trip.
+            return DataCube(
+                schema=schema,
+                key=key,
+                counts=flat.reshape(schema.shape),
+                resolution=resolution,
+            )
+        cells = np.flatnonzero(flat)
+        values = flat[cells]
+    else:
+        # (Below cells/8 entries the merge can never reach the
+        # density threshold, so the coalesced cube stays sparse.)
+        empty = np.empty(0, dtype=np.int64)
+        cells, values = _coalesce(
+            np.concatenate([empty, *sparse_cells]),
+            np.concatenate([empty, *sparse_values]),
+        )
+    return SparseCube(
+        schema=schema, key=key, cells=cells, values=values, resolution=resolution
+    )

@@ -1,4 +1,9 @@
-"""Tests for the 4-D data cube: building, rollups, in-memory aggregation."""
+"""Tests for the 4-D data cube: building, rollups, in-memory aggregation.
+
+Cubes are built in the sparse form; the dense form is the read-only
+densified one, so dense cubes here come from ``to_dense`` or wrap a
+counts array directly.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +16,11 @@ from hypothesis import strategies as st
 
 from repro.types.temporal import day_key, month_key, week_key
 from repro.types.cube import (
-    DEFAULT_SPARSE_THRESHOLD,
     DataCube,
     RESOLUTION_COARSE,
     RESOLUTION_FULL,
     Selection,
     SparseCube,
-    as_dense,
-    as_sparse,
-    empty_like,
     sum_arrays,
     sum_cubes,
 )
@@ -29,7 +30,20 @@ from repro.errors import DimensionError
 
 @pytest.fixture()
 def cube(tiny_schema):
-    return DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
+    return SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
+
+
+def built(schema, key, *records, resolution=RESOLUTION_FULL):
+    """A sparse cube holding one count per record."""
+    cube = SparseCube(schema=schema, key=key, resolution=resolution)
+    for record in records:
+        cube.record(*record)
+    return cube
+
+
+def cell(cube, *labels):
+    """The count in one cell, read through the dense view."""
+    return int(cube.counts[cube.schema.encode(*labels)])
 
 
 def records_strategy(schema):
@@ -54,7 +68,8 @@ class TestConstruction:
         assert cube.cell_count == tiny_schema.cell_count
 
     def test_nbytes_is_8_per_cell(self, cube):
-        assert cube.nbytes == cube.cell_count * 8
+        dense = cube.to_dense()
+        assert dense.nbytes == dense.cell_count * 8 == cube.cell_count * 8
 
     def test_wrong_shape_rejected(self, tiny_schema):
         with pytest.raises(DimensionError, match="shape"):
@@ -69,26 +84,52 @@ class TestConstruction:
             DataCube(
                 schema=tiny_schema,
                 key=day_key(date(2021, 1, 1)),
+                counts=np.zeros(tiny_schema.shape, dtype=np.int64),
                 resolution="fuzzy",
             )
+        with pytest.raises(DimensionError, match="resolution"):
+            SparseCube(
+                schema=tiny_schema, key=day_key(date(2021, 1, 1)), resolution="fuzzy"
+            )
+
+    def test_dense_counts_are_read_only(self, tiny_schema):
+        """The dense form has no mutators and its counts never accept a
+        write; a writable source is wrapped in a view, not copied, and
+        stays writable."""
+        counts = np.zeros(tiny_schema.shape, dtype=np.int64)
+        counts[0, 0, 0, 0] = 4
+        cube = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)), counts=counts)
+        assert not cube.counts.flags.writeable
+        assert np.shares_memory(cube.counts, counts)
+        with pytest.raises(ValueError):
+            cube.counts[0, 0, 0, 0] = 1
+        assert counts.flags.writeable and cube.total == 4
+        for mutator in ("record", "bulk_record", "add", "copy"):
+            assert not hasattr(cube, mutator)
 
 
 class TestRecording:
     def test_record_increments_one_cell(self, cube):
         cube.record("way", "germany", "residential", "create")
-        assert cube.total == 1
-        assert cube.cell("way", "germany", "residential", "create") == 1
+        assert cube.total == 1 == cube.nnz
+        assert cell(cube, "way", "germany", "residential", "create") == 1
 
     def test_record_codes(self, cube, tiny_schema):
+        """Pre-encoded coordinates (what a day's scan produces) count
+        into the cells they name, merged with what is already there."""
         coords = tiny_schema.encode("node", "qatar", "primary", "delete")
-        cube.record_codes(coords, count=3)
-        assert cube.cell("node", "qatar", "primary", "delete") == 3
+        other = tiny_schema.encode("way", "germany", "primary", "create")
+        cube.bulk_record(np.array([coords, other]))
+        cube.bulk_record(np.array([coords, coords]))
+        assert cell(cube, "node", "qatar", "primary", "delete") == 3
+        assert cell(cube, "way", "germany", "primary", "create") == 1
+        assert cube.nnz == 2 and bool((np.diff(cube.cells) > 0).all())
 
     def test_bulk_record_accumulates_duplicates(self, cube, tiny_schema):
         coords = tiny_schema.encode("way", "germany", "service", "geometry")
         batch = np.array([coords, coords, coords])
         cube.bulk_record(batch)
-        assert cube.cell("way", "germany", "service", "geometry") == 3
+        assert cell(cube, "way", "germany", "service", "geometry") == 3
 
     def test_bulk_record_empty_shape_rejected(self, cube):
         with pytest.raises(DimensionError):
@@ -102,69 +143,74 @@ class TestRecording:
     @settings(max_examples=25)
     def test_total_equals_record_count(self, data):
         schema = default_schema(["a", "b"], road_types=3)
-        cube = DataCube(schema=schema, key=day_key(date(2021, 1, 1)))
         records = data.draw(records_strategy(schema))
-        for record in records:
-            cube.record(*record)
+        cube = built(schema, day_key(date(2021, 1, 1)), *records)
         assert cube.total == len(records)
 
 
 class TestAddAndRollup:
+    """Rollups add cubes through :func:`sum_cubes` (there is no in-place
+    ``add``)."""
+
     def test_add_sums_counts(self, tiny_schema):
-        a = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
-        b = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 2)))
-        a.record("way", "germany", "residential", "create")
-        b.record("way", "germany", "residential", "create")
-        b.record("node", "qatar", "primary", "delete")
-        a.add(b)
-        assert a.total == 3
-        assert a.cell("way", "germany", "residential", "create") == 2
+        a = built(tiny_schema, day_key(date(2021, 3, 1)),
+                  ("way", "germany", "residential", "create"))
+        b = built(tiny_schema, day_key(date(2021, 3, 2)),
+                  ("way", "germany", "residential", "create"),
+                  ("node", "qatar", "primary", "delete"))
+        merged = sum_cubes(tiny_schema, week_key(2021, 3, 0), [a, b])
+        assert merged.total == 3
+        assert cell(merged, "way", "germany", "residential", "create") == 2
+        assert (a.total, b.total) == (1, 2)  # children untouched
 
     def test_add_coarse_poisons_resolution(self, tiny_schema):
-        full = DataCube(
-            schema=tiny_schema, key=day_key(date(2021, 3, 1)), resolution=RESOLUTION_FULL
+        full = built(tiny_schema, day_key(date(2021, 3, 1)), resolution=RESOLUTION_FULL)
+        coarse = built(
+            tiny_schema, day_key(date(2021, 3, 2)), resolution=RESOLUTION_COARSE
         )
-        coarse = DataCube(
-            schema=tiny_schema,
-            key=day_key(date(2021, 3, 2)),
-            resolution=RESOLUTION_COARSE,
-        )
-        full.add(coarse)
-        assert full.resolution == RESOLUTION_COARSE
+        key = week_key(2021, 3, 0)
+        assert sum_cubes(tiny_schema, key, [full]).resolution == RESOLUTION_FULL
+        assert sum_cubes(tiny_schema, key, [full, coarse]).resolution == RESOLUTION_COARSE
 
     def test_add_incompatible_shapes_rejected(self, tiny_schema):
         other_schema = default_schema(["x"], road_types=2)
-        a = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
-        b = DataCube(schema=other_schema, key=day_key(date(2021, 3, 1)))
+        a = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
+        b = SparseCube(schema=other_schema, key=day_key(date(2021, 3, 1)))
         with pytest.raises(DimensionError):
-            a.add(b)
+            sum_cubes(tiny_schema, week_key(2021, 3, 0), [a, b])
+        with pytest.raises(DimensionError):
+            sum_cubes(tiny_schema, week_key(2021, 3, 0), [a, b.to_dense()])
 
     def test_sum_cubes_matches_manual_total(self, tiny_schema):
-        children = []
-        for day in range(1, 8):
-            child = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, day)))
-            child.record("way", "germany", "residential", "create")
-            children.append(child)
+        children = [
+            built(tiny_schema, day_key(date(2021, 3, day)),
+                  ("way", "germany", "residential", "create"))
+            for day in range(1, 8)
+        ]
         parent = sum_cubes(tiny_schema, week_key(2021, 3, 0), children)
         assert parent.total == 7
         assert parent.key == week_key(2021, 3, 0)
 
-    def test_empty_like_is_zero_with_new_key(self, cube):
-        cube.record("way", "germany", "residential", "create")
-        other = empty_like(cube, week_key(2021, 3, 0))
-        assert other.total == 0
-        assert other.key == week_key(2021, 3, 0)
+    def test_empty_like_is_zero_with_new_key(self, tiny_schema):
+        """A parent with no children (an index bootstrapped mid-week)
+        is an empty cube under the parent's key."""
+        empty = sum_cubes(tiny_schema, week_key(2021, 3, 0), [])
+        assert isinstance(empty, SparseCube)
+        assert empty.total == 0 == empty.nnz
+        assert empty.key == week_key(2021, 3, 0)
 
     def test_copy_is_independent(self, cube):
+        """The densified form is a copy: the sparse cube it came from
+        keeps building without it."""
         cube.record("way", "germany", "residential", "create")
-        duplicate = cube.copy()
-        duplicate.record("way", "germany", "residential", "create")
-        assert cube.total == 1
-        assert duplicate.total == 2
+        dense = cube.to_dense()
+        cube.record("way", "germany", "residential", "create")
+        assert dense.total == 1
+        assert cube.total == 2
 
     def test_equality(self, tiny_schema):
-        a = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
-        b = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
+        a = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
+        b = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 1)))
         assert a == b
         b.record("way", "germany", "residential", "create")
         assert a != b
@@ -173,13 +219,15 @@ class TestAddAndRollup:
 class TestAggregation:
     @pytest.fixture()
     def loaded(self, tiny_schema):
-        cube = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        cube.record("way", "germany", "residential", "create")
-        cube.record("way", "germany", "residential", "create")
-        cube.record("way", "germany", "service", "geometry")
-        cube.record("node", "qatar", "primary", "create")
-        cube.record("relation", "united_states", "residential", "metadata")
-        return cube
+        return built(
+            tiny_schema,
+            day_key(date(2021, 3, 5)),
+            ("way", "germany", "residential", "create"),
+            ("way", "germany", "residential", "create"),
+            ("way", "germany", "service", "geometry"),
+            ("node", "qatar", "primary", "create"),
+            ("relation", "united_states", "residential", "metadata"),
+        )
 
     def test_no_filters_no_group_gives_total(self, loaded):
         assert loaded.aggregate() == {(): 5}
@@ -267,9 +315,9 @@ class TestAggregation:
     def test_group_by_partitions_total(self, data):
         """Any group-by's values sum to the filtered total (no loss)."""
         schema = default_schema(["a", "b", "c"], road_types=4)
-        cube = DataCube(schema=schema, key=day_key(date(2021, 1, 1)))
-        for record in data.draw(records_strategy(schema)):
-            cube.record(*record)
+        cube = built(
+            schema, day_key(date(2021, 1, 1)), *data.draw(records_strategy(schema))
+        )
         axes = data.draw(
             st.lists(
                 st.sampled_from(schema.AXES), unique=True, min_size=1, max_size=3
@@ -283,9 +331,9 @@ class TestAggregation:
     def test_filters_partition_by_axis_values(self, data):
         """Filtering each single value of an axis partitions the total."""
         schema = default_schema(["a", "b"], road_types=3)
-        cube = DataCube(schema=schema, key=day_key(date(2021, 1, 1)))
-        for record in data.draw(records_strategy(schema)):
-            cube.record(*record)
+        cube = built(
+            schema, day_key(date(2021, 1, 1)), *data.draw(records_strategy(schema))
+        )
         axis = data.draw(st.sampled_from(schema.AXES))
         dim = schema.dimension(axis)
         parts = sum(
@@ -297,19 +345,21 @@ class TestAggregation:
 class TestSparseCube:
     @pytest.fixture()
     def pair(self, tiny_schema):
-        """The same five records in both representations."""
-        dense = DataCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        sparse = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        for record in (
+        """The same five records in both representations (the dense
+        one counted cell by cell into a plain array)."""
+        records = (
             ("way", "germany", "residential", "create"),
             ("way", "germany", "residential", "create"),
             ("way", "germany", "service", "geometry"),
             ("node", "qatar", "primary", "create"),
             ("relation", "united_states", "residential", "metadata"),
-        ):
-            dense.record(*record)
-            sparse.record(*record)
-        return dense, sparse
+        )
+        counts = np.zeros(tiny_schema.shape, dtype=np.int64)
+        for record in records:
+            counts[tiny_schema.encode(*record)] += 1
+        key = day_key(date(2021, 3, 5))
+        dense = DataCube(schema=tiny_schema, key=key, counts=counts)
+        return dense, built(tiny_schema, key, *records)
 
     def test_new_sparse_cube_is_empty(self, tiny_schema):
         cube = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
@@ -357,8 +407,9 @@ class TestSparseCube:
 
     def test_cell_lookup_matches_dense(self, pair):
         dense, sparse = pair
-        assert sparse.cell("way", "germany", "residential", "create") == 2
-        assert sparse.cell("node", "germany", "primary", "delete") == 0
+        for form in pair:
+            assert cell(form, "way", "germany", "residential", "create") == 2
+            assert cell(form, "node", "germany", "primary", "delete") == 0
 
     def test_nbytes_is_16_per_populated_cell(self, pair):
         _, sparse = pair
@@ -366,23 +417,32 @@ class TestSparseCube:
         assert sparse.nbytes < sparse.cell_count * 8
 
     def test_round_trip_through_forms(self, pair):
+        """Sparse -> dense by ``to_dense``; dense -> sparse by rolling
+        it up alone (a low-density merge stays sparse)."""
         dense, sparse = pair
-        assert as_dense(sparse) == dense
-        assert as_sparse(dense) == sparse
-        assert as_sparse(sparse) is sparse
+        assert sparse.to_dense() == dense
+        back = sum_cubes(dense.schema, dense.key, [dense])
+        assert isinstance(back, SparseCube)
+        assert back == sparse
 
     def test_add_dense_into_sparse(self, pair):
         dense, sparse = pair
-        sparse.add(dense)
-        assert sparse.total == 2 * dense.total
-        assert np.array_equal(sparse.counts, 2 * dense.counts)
+        merged = sum_cubes(sparse.schema, sparse.key, [sparse, dense])
+        assert merged.total == 2 * dense.total
+        assert np.array_equal(merged.counts, 2 * dense.counts)
 
     def test_record_codes_cancellation_removes_cell(self, tiny_schema):
-        sparse = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        coords = tiny_schema.encode("way", "germany", "residential", "create")
-        sparse.record_codes(coords, count=2)
-        sparse.record_codes(coords, count=-2)
-        assert sparse.nnz == 0
+        """Counts that cancel leave no zero-valued cell behind."""
+        key = day_key(date(2021, 3, 5))
+        flat = np.ravel_multi_index(
+            tiny_schema.encode("way", "germany", "residential", "create"),
+            tiny_schema.shape,
+        )
+        plus = SparseCube(schema=tiny_schema, key=key, cells=[flat, flat + 1], values=[2, 1])
+        minus = SparseCube(schema=tiny_schema, key=key, cells=[flat], values=[-2])
+        merged = sum_cubes(tiny_schema, key, [plus, minus])
+        assert merged.nnz == 1 and merged.total == 1
+        assert merged.cells.tolist() == [flat + 1]
 
     def test_maybe_densify_threshold(self, pair):
         _, sparse = pair
@@ -404,11 +464,12 @@ class TestSparseCube:
         ``(filters, group_by)`` call form alike.
         """
         schema = default_schema(["a", "b", "c"], road_types=4)
-        dense = DataCube(schema=schema, key=day_key(date(2021, 1, 1)))
         sparse = SparseCube(schema=schema, key=day_key(date(2021, 1, 1)))
         records = data.draw(records_strategy(schema))
+        counts = np.zeros(schema.shape, dtype=np.int64)
         for record in records:
-            dense.record(*record)
+            counts[schema.encode(*record)] += 1
+        dense = DataCube(schema=schema, key=day_key(date(2021, 1, 1)), counts=counts)
         coded = np.array(
             [schema.encode(*record) for record in records], dtype=np.int64
         ).reshape(-1, 4)
@@ -470,15 +531,22 @@ class TestSparseCube:
         """No float accumulate: 2**53 + 1 survives, sums near 2**62 too."""
         big = (1 << 53) + 1
         near = (1 << 61) - 3
-        cube = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        for coords, count in (
-            (("way", "germany", "residential", "create"), big),
-            (("way", "germany", "service", "create"), 2),
-            (("node", "qatar", "primary", "create"), near),
-            (("node", "qatar", "primary", "delete"), near),
-            (("relation", "qatar", "primary", "delete"), 5),
-        ):
-            cube.record_codes(tiny_schema.encode(*coords), count)
+        entries = sorted(
+            (int(np.ravel_multi_index(tiny_schema.encode(*coords), tiny_schema.shape)), count)
+            for coords, count in (
+                (("way", "germany", "residential", "create"), big),
+                (("way", "germany", "service", "create"), 2),
+                (("node", "qatar", "primary", "create"), near),
+                (("node", "qatar", "primary", "delete"), near),
+                (("relation", "qatar", "primary", "delete"), 5),
+            )
+        )
+        cube = SparseCube(
+            schema=tiny_schema,
+            key=day_key(date(2021, 3, 5)),
+            cells=[flat for flat, _ in entries],
+            values=[count for _, count in entries],
+        )
         for form in (cube, cube.to_dense()):
             by_country, labels = form.aggregate_array({}, ("country",))
             assert dict(zip(labels[0], by_country.tolist())) == {
@@ -502,19 +570,14 @@ class TestSumCubesForms:
     def _children(self, schema, days=7, sparse=False):
         cubes = []
         for day in range(1, days + 1):
-            cls = SparseCube if sparse else DataCube
-            child = cls(schema=schema, key=day_key(date(2021, 3, day)))
-            child.record("way", "germany", "residential", "create")
-            child.record("node", "qatar", "primary", "delete")
-            cubes.append(child)
+            child = built(
+                schema,
+                day_key(date(2021, 3, day)),
+                ("way", "germany", "residential", "create"),
+                ("node", "qatar", "primary", "delete"),
+            )
+            cubes.append(child if sparse else child.to_dense())
         return cubes
-
-    def test_all_dense_children_stay_dense(self, tiny_schema):
-        merged = sum_cubes(
-            tiny_schema, week_key(2021, 3, 0), self._children(tiny_schema)
-        )
-        assert isinstance(merged, DataCube)
-        assert merged.total == 14
 
     def test_all_sparse_children_stay_sparse_below_threshold(self, tiny_schema):
         merged = sum_cubes(
@@ -528,44 +591,34 @@ class TestSumCubesForms:
 
     def test_mixed_children_match_all_dense(self, tiny_schema):
         dense = self._children(tiny_schema, days=4)
-        mixed = dense[:2] + [as_sparse(cube) for cube in dense[2:]]
+        sparse = self._children(tiny_schema, days=4, sparse=True)
+        mixed = dense[:2] + sparse[2:]
         expected = sum_cubes(tiny_schema, week_key(2021, 3, 0), dense)
         merged = sum_cubes(tiny_schema, week_key(2021, 3, 0), mixed)
-        assert isinstance(merged, DataCube)
         assert merged == expected
+        assert merged == sum_cubes(tiny_schema, week_key(2021, 3, 0), sparse)
 
-    def test_forced_sparse_with_dense_children(self, tiny_schema):
+    def test_dense_children_merge_sparse_below_threshold(self, tiny_schema):
+        """A child's form does not pick the parent's: dense children
+        take the scatter path and the parent densifies only by density."""
         dense = self._children(tiny_schema, days=4)
-        merged = sum_cubes(
-            tiny_schema, week_key(2021, 3, 0), dense, sparse=True
-        )
+        merged = sum_cubes(tiny_schema, week_key(2021, 3, 0), dense)
         assert isinstance(merged, SparseCube)
-        assert merged == sum_cubes(tiny_schema, week_key(2021, 3, 0), dense)
-
-    def test_forced_dense_with_sparse_children(self, tiny_schema):
-        children = self._children(tiny_schema, sparse=True)
-        merged = sum_cubes(
-            tiny_schema, week_key(2021, 3, 0), children, sparse=False
-        )
-        assert isinstance(merged, DataCube)
-        assert merged.total == 14
+        assert merged.total == 8 and merged.nnz == 2
 
     def test_auto_densify_past_threshold(self):
         schema = default_schema(["a"], road_types=2)  # 72 cells
-        children = []
-        for day in range(1, 4):
-            counts = np.arange(schema.cell_count, dtype=np.int64).reshape(
-                schema.shape
+        cells = np.arange(1, schema.cell_count, dtype=np.int64)
+        children = [
+            SparseCube(
+                schema=schema, key=day_key(date(2021, 3, day)), cells=cells, values=cells
             )
-            children.append(
-                as_sparse(
-                    DataCube(
-                        schema=schema, key=day_key(date(2021, 3, day)), counts=counts
-                    )
-                )
-            )
+            for day in range(1, 4)
+        ]
         merged = sum_cubes(schema, week_key(2021, 3, 0), children)
         assert isinstance(merged, DataCube)  # density ~1 >= threshold
+        assert merged.total == 3 * int(cells.sum())
+        assert sum_cubes(schema, week_key(2021, 3, 0), [merged]) == merged
 
     def test_scatter_and_coalesce_paths_agree(self, tiny_schema):
         """The large-batch scatter fast path must match the sort-based
@@ -587,10 +640,7 @@ class TestSumCubesForms:
             )
         # 30 x 40 = 1200 entries >= 288 // 8 cells: the scatter path.
         merged = sum_cubes(tiny_schema, month_key(2021, 3), children)
-        reference = DataCube(schema=tiny_schema, key=month_key(2021, 3))
-        for child in children:
-            reference.add(child)
-        assert as_dense(merged) == reference
+        assert merged == self._scatter_reference(tiny_schema, children)
         # The small-batch coalesce path agrees too (few enough entries
         # that the crossover heuristic keeps the sort-based merge).
         few = [
@@ -604,10 +654,17 @@ class TestSumCubesForms:
         ]
         small = sum_cubes(tiny_schema, month_key(2021, 3), few)
         assert isinstance(small, SparseCube)
-        pair_reference = DataCube(schema=tiny_schema, key=month_key(2021, 3))
-        for child in few:
-            pair_reference.add(child)
-        assert small == pair_reference
+        assert small == self._scatter_reference(tiny_schema, few)
+
+    @staticmethod
+    def _scatter_reference(schema, children):
+        """A month cube summed cell by cell, independent of sum_cubes."""
+        flat = np.zeros(schema.cell_count, dtype=np.int64)
+        for child in children:
+            np.add.at(flat, child.cells, child.values)
+        return DataCube(
+            schema=schema, key=month_key(2021, 3), counts=flat.reshape(schema.shape)
+        )
 
     def test_sum_arrays_small_and_streamed_agree(self):
         rng = np.random.default_rng(9)
@@ -626,13 +683,3 @@ class TestSumCubesForms:
     def test_sum_arrays_empty_rejected(self):
         with pytest.raises(DimensionError):
             sum_arrays([])
-
-    def test_copy_on_write_for_readonly_counts(self, tiny_schema):
-        counts = np.zeros(tiny_schema.shape, dtype=np.int64)
-        counts.flags.writeable = False
-        cube = DataCube(
-            schema=tiny_schema, key=day_key(date(2021, 3, 5)), counts=counts
-        )
-        cube.record("way", "germany", "residential", "create")  # must not raise
-        assert cube.total == 1
-        assert counts.sum() == 0  # the read-only source is untouched

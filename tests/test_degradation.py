@@ -107,9 +107,7 @@ class TestPartialAnswers:
         the decoder used to leak numpy's OverflowError (a 500, the key
         never quarantined); it must degrade like any corrupt page."""
         full_total, victim_total = clean_totals
-        system = _build(
-            atlas, fetch_parallelism=parallelism, page_version=3, sparse_cubes=True
-        )
+        system = _build(atlas, fetch_parallelism=parallelism)
         victim_page = page_id_for(day_key(VICTIM))
         system.store.write(
             victim_page,

@@ -638,14 +638,12 @@ class TestSelectionCompiledOncePerQuery:
         schema, updates = year_updates
         disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
         if shards == 1:
-            index = HierarchicalIndex(schema, disk, page_version=3, sparse=True)
+            index = HierarchicalIndex(schema, disk)
             engine = QueryExecutor
         else:
             index = ShardedIndex(
                 schema,
                 ShardedPageStore(shard_stores_for(disk, shards), disk),
-                page_version=3,
-                sparse=True,
             )
             engine = ScatterGatherExecutor
         index.bulk_load(updates)

@@ -15,7 +15,7 @@ from repro.types.cube import (
     DataCube,
     RESOLUTION_COARSE,
     SparseCube,
-    as_sparse,
+    sum_cubes,
 )
 from repro.types.dimensions import default_schema
 from repro.errors import ConfigError, PageCorruptError, PageNotFoundError
@@ -28,6 +28,7 @@ from repro.storage.serializer import (
     deserialize_cube,
     page_version,
     serialize_cube,
+    serialize_raw,
 )
 from tests.v3pages import CORRUPTIONS, SparsePage, corruptions
 
@@ -160,8 +161,11 @@ class TestDirectoryDisk:
 
 
 class TestSerializer:
+    """The raw (version-1) page: no longer written by the index, but
+    every reader still accepts it."""
+
     def _cube(self, schema, key=None, resolution="full"):
-        cube = DataCube(
+        cube = SparseCube(
             schema=schema,
             key=key or day_key(date(2021, 3, 5)),
             resolution=resolution,
@@ -172,7 +176,11 @@ class TestSerializer:
 
     def test_roundtrip(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        assert deserialize_cube(serialize_cube(cube), tiny_schema) == cube
+        data = serialize_raw(cube)
+        assert page_version(data) == PAGE_VERSION_RAW
+        restored = deserialize_cube(data, tiny_schema)
+        assert isinstance(restored, DataCube)
+        assert restored == cube
 
     @pytest.mark.parametrize(
         "key",
@@ -184,19 +192,19 @@ class TestSerializer:
         ],
     )
     def test_roundtrip_all_levels(self, tiny_schema, key):
-        cube = DataCube(schema=tiny_schema, key=key)
-        assert deserialize_cube(serialize_cube(cube), tiny_schema).key == key
+        cube = SparseCube(schema=tiny_schema, key=key)
+        assert deserialize_cube(serialize_raw(cube), tiny_schema).key == key
 
     def test_roundtrip_preserves_resolution(self, tiny_schema):
         cube = self._cube(tiny_schema, resolution=RESOLUTION_COARSE)
         assert (
-            deserialize_cube(serialize_cube(cube), tiny_schema).resolution
+            deserialize_cube(serialize_raw(cube), tiny_schema).resolution
             == RESOLUTION_COARSE
         )
 
     def test_page_size_formula(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        data = serialize_cube(cube)
+        data = serialize_raw(cube)
         assert len(data) == cube_page_size(tiny_schema)
         assert len(data) == HEADER_SIZE + tiny_schema.cell_count * 8
 
@@ -207,23 +215,23 @@ class TestSerializer:
         assert size == pytest.approx(540_000 * 8, rel=0.01)
 
     def test_bad_magic_rejected(self, tiny_schema):
-        data = bytearray(serialize_cube(self._cube(tiny_schema)))
+        data = bytearray(serialize_raw(self._cube(tiny_schema)))
         data[:4] = b"NOPE"
         with pytest.raises(PageCorruptError, match="magic"):
             deserialize_cube(bytes(data), tiny_schema)
 
     def test_truncated_page_rejected(self, tiny_schema):
-        data = serialize_cube(self._cube(tiny_schema))
+        data = serialize_raw(self._cube(tiny_schema))
         with pytest.raises(PageCorruptError):
             deserialize_cube(data[: HEADER_SIZE - 1], tiny_schema)
 
     def test_truncated_payload_rejected(self, tiny_schema):
-        data = serialize_cube(self._cube(tiny_schema))
+        data = serialize_raw(self._cube(tiny_schema))
         with pytest.raises(PageCorruptError, match="payload"):
             deserialize_cube(data[:-8], tiny_schema)
 
     def test_flipped_bit_fails_checksum(self, tiny_schema):
-        data = bytearray(serialize_cube(self._cube(tiny_schema)))
+        data = bytearray(serialize_raw(self._cube(tiny_schema)))
         data[HEADER_SIZE + 3] ^= 0xFF
         with pytest.raises(PageCorruptError, match="checksum"):
             deserialize_cube(bytes(data), tiny_schema)
@@ -232,31 +240,22 @@ class TestSerializer:
         from repro.types.dimensions import default_schema
 
         other = default_schema(["only"], road_types=2)
-        data = serialize_cube(self._cube(tiny_schema))
-        with pytest.raises(PageCorruptError, match="shape"):
-            deserialize_cube(data, other)
+        for data in (
+            serialize_raw(self._cube(tiny_schema)),
+            serialize_cube(self._cube(tiny_schema)),
+        ):
+            with pytest.raises(PageCorruptError, match="shape"):
+                deserialize_cube(data, other)
 
     def test_retired_v2_page_rejected(self, tiny_schema):
         """The zlib format (v2) is gone; a v2 page left on disk is
         rejected as corrupt input, never mis-decoded."""
-        data = bytearray(serialize_cube(self._cube(tiny_schema)))
+        data = bytearray(serialize_raw(self._cube(tiny_schema)))
         data[4:6] = (2).to_bytes(2, "little")
         with pytest.raises(
             PageCorruptError, match="unsupported cube format version 2"
         ):
             deserialize_cube(bytes(data), tiny_schema)
-
-    def test_page_version_2_is_a_config_error(self, tiny_schema):
-        from repro.core.hierarchy import HierarchicalIndex
-
-        with pytest.raises(ConfigError):
-            serialize_cube(self._cube(tiny_schema), version=2)
-        with pytest.raises(ConfigError):
-            HierarchicalIndex(
-                tiny_schema,
-                InMemoryDisk(read_latency=0, write_latency=0),
-                page_version=2,
-            )
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=30))
     @settings(max_examples=25)
@@ -266,21 +265,23 @@ class TestSerializer:
         tiny_schema = default_schema(
             ["united_states", "germany", "qatar"], road_types=8
         )
-        cube = DataCube(schema=tiny_schema, key=day_key(date(2021, 1, 2)))
-        flat = cube.counts.reshape(-1)
+        counts = np.zeros(tiny_schema.shape, dtype=np.int64)
+        flat = counts.reshape(-1)
         for index, value in enumerate(values):
             flat[index % flat.size] = value
-        restored = deserialize_cube(serialize_cube(cube), tiny_schema)
-        assert np.array_equal(restored.counts, cube.counts)
+        cube = DataCube(schema=tiny_schema, key=day_key(date(2021, 1, 2)), counts=counts)
+        for data in (serialize_raw(cube), serialize_cube(cube)):
+            restored = deserialize_cube(data, tiny_schema)
+            assert np.array_equal(restored.counts, counts)
 
 
 class TestRawPageZeroCopy:
     """The v1 fast path hands the cube a read-only view of the page."""
 
     def _page(self, schema):
-        cube = DataCube(schema=schema, key=day_key(date(2021, 3, 5)))
+        cube = SparseCube(schema=schema, key=day_key(date(2021, 3, 5)))
         cube.record("way", "germany", "residential", "create")
-        return cube, serialize_cube(cube, version=PAGE_VERSION_RAW)
+        return cube, serialize_raw(cube)
 
     def test_counts_share_page_memory(self, tiny_schema):
         _, data = self._page(tiny_schema)
@@ -290,33 +291,30 @@ class TestRawPageZeroCopy:
         )
         assert not restored.counts.flags.writeable
 
-    def test_mutation_copies_instead_of_raising(self, tiny_schema):
+    def test_zero_copy_cube_as_rollup_child(self, tiny_schema):
+        """A page-backed cube rolls up like any other; its page bytes
+        are never written through."""
         cube, data = self._page(tiny_schema)
+        before = bytes(data)
         restored = deserialize_cube(data, tiny_schema)
-        restored.record("node", "qatar", "primary", "delete")
-        assert restored.total == cube.total + 1
-        # The original page bytes are untouched (copy-on-write).
-        assert deserialize_cube(data, tiny_schema) == cube
-
-    def test_add_into_zero_copy_cube(self, tiny_schema):
-        cube, data = self._page(tiny_schema)
-        restored = deserialize_cube(data, tiny_schema)
-        restored.add(cube)
-        assert restored.total == 2 * cube.total
+        merged = sum_cubes(tiny_schema, week_key(2021, 3, 0), [restored, cube])
+        assert merged.total == 2 * cube.total
+        assert data == before and deserialize_cube(data, tiny_schema) == cube
 
 
 class TestSparsePageFormat:
     def _cube(self, schema, sparse=True, key=None, resolution="full"):
-        cls = SparseCube if sparse else DataCube
-        cube = cls(schema=schema, key=key or day_key(date(2021, 3, 5)), resolution=resolution)
+        cube = SparseCube(
+            schema=schema, key=key or day_key(date(2021, 3, 5)), resolution=resolution
+        )
         cube.record("way", "germany", "residential", "create")
         cube.record("way", "germany", "residential", "create")
         cube.record("node", "qatar", "primary", "geometry")
-        return cube
+        return cube if sparse else cube.to_dense()
 
     def test_roundtrip_stays_sparse(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        data = serialize_cube(cube)
         assert page_version(data) == PAGE_VERSION_SPARSE
         restored = deserialize_cube(data, tiny_schema)
         assert isinstance(restored, SparseCube)
@@ -324,18 +322,19 @@ class TestSparsePageFormat:
 
     def test_dense_cube_serializes_to_v3(self, tiny_schema):
         cube = self._cube(tiny_schema, sparse=False)
-        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        data = serialize_cube(cube)
+        assert page_version(data) == PAGE_VERSION_SPARSE
         assert deserialize_cube(data, tiny_schema) == cube
 
     def test_v3_page_much_smaller_than_raw(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        raw = serialize_cube(cube, version=PAGE_VERSION_RAW)
-        packed = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        raw = serialize_raw(cube)
+        packed = serialize_cube(cube)
         assert len(packed) < len(raw) / 5
 
     def test_empty_cube_roundtrip(self, tiny_schema):
         cube = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
-        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        data = serialize_cube(cube)
         restored = deserialize_cube(data, tiny_schema)
         assert restored.nnz == 0
         assert restored == cube
@@ -347,14 +346,14 @@ class TestSparsePageFormat:
         cube = DataCube(
             schema=tiny_schema, key=day_key(date(2021, 3, 5)), counts=counts
         )
-        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        data = serialize_cube(cube)
         assert page_version(data) == PAGE_VERSION_RAW  # encoded >= raw
         assert deserialize_cube(data, tiny_schema) == cube
 
     def test_roundtrip_preserves_resolution(self, tiny_schema):
         cube = self._cube(tiny_schema, resolution=RESOLUTION_COARSE)
         restored = deserialize_cube(
-            serialize_cube(cube, version=PAGE_VERSION_SPARSE), tiny_schema
+            serialize_cube(cube), tiny_schema
         )
         assert restored.resolution == RESOLUTION_COARSE
 
@@ -371,7 +370,7 @@ class TestSparsePageFormat:
         cube = SparseCube(schema=tiny_schema, key=key)
         cube.record("way", "germany", "residential", "create")
         restored = deserialize_cube(
-            serialize_cube(cube, version=PAGE_VERSION_SPARSE), tiny_schema
+            serialize_cube(cube), tiny_schema
         )
         assert restored.key == key
 
@@ -379,58 +378,53 @@ class TestSparsePageFormat:
         """v3's CRC covers the header too: corrupting the temporal-key
         fields must raise PageCorruptError, not a calendar error."""
         cube = self._cube(tiny_schema)
-        data = bytearray(serialize_cube(cube, version=PAGE_VERSION_SPARSE))
+        data = bytearray(serialize_cube(cube))
         data[8] ^= 0xFF  # inside the header's key fields
         with pytest.raises(PageCorruptError):
             deserialize_cube(bytes(data), tiny_schema)
 
     def test_payload_bit_flip_detected(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        data = bytearray(serialize_cube(cube, version=PAGE_VERSION_SPARSE))
+        data = bytearray(serialize_cube(cube))
         data[HEADER_SIZE + 2] ^= 0xFF
         with pytest.raises(PageCorruptError):
             deserialize_cube(bytes(data), tiny_schema)
 
     def test_truncated_page_detected(self, tiny_schema):
         cube = self._cube(tiny_schema)
-        data = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        data = serialize_cube(cube)
         with pytest.raises(PageCorruptError):
             deserialize_cube(data[:-1], tiny_schema)
 
     def test_unknown_version_rejected(self, tiny_schema):
-        with pytest.raises(ConfigError):
-            serialize_cube(self._cube(tiny_schema), version=9)
+        data = bytearray(serialize_cube(self._cube(tiny_schema)))
+        data[4:6] = (9).to_bytes(2, "little")
+        for read in (page_version, lambda page: deserialize_cube(page, tiny_schema)):
+            with pytest.raises(PageCorruptError, match="version 9"):
+                read(bytes(data))
 
     def test_index_reads_mixed_versions(self, tiny_schema):
         """v1 and v3 pages coexist in one store — the format is
-        self-describing, so upgrading page_version needs no migration."""
-        from repro.core.hierarchy import HierarchicalIndex
+        self-describing, so a root an older build wrote raw pages into
+        needs no migration."""
+        from repro.core.hierarchy import HierarchicalIndex, page_id_for
 
         disk = InMemoryDisk(read_latency=0, write_latency=0)
-        cubes = {}
-        for version, day in (
-            (PAGE_VERSION_RAW, 1),
-            (PAGE_VERSION_SPARSE, 3),
-        ):
-            index = HierarchicalIndex(tiny_schema, disk, page_version=version)
-            cube = self._cube(
-                tiny_schema, sparse=False, key=day_key(date(2021, 1, day))
-            )
-            index.put(cube)
-            cubes[cube.key] = cube
-        reader = HierarchicalIndex(
-            tiny_schema, disk, page_version=PAGE_VERSION_SPARSE
-        )
-        for key, cube in cubes.items():
-            assert reader.get(key) == cube
+        old = self._cube(tiny_schema, sparse=False, key=day_key(date(2021, 1, 1)))
+        disk.write(page_id_for(old.key), serialize_raw(old))
+        index = HierarchicalIndex(tiny_schema, disk)
+        new = self._cube(tiny_schema, key=day_key(date(2021, 1, 3)))
+        index.put(new)
+        assert page_version(disk.read(page_id_for(new.key))) == PAGE_VERSION_SPARSE
+        reader = HierarchicalIndex(tiny_schema, disk)
+        for cube in (old, new):
+            assert reader.get(cube.key) == cube
 
     def test_sparse_index_round_trip(self, tiny_schema):
         from repro.core.hierarchy import HierarchicalIndex
 
         disk = InMemoryDisk(read_latency=0, write_latency=0)
-        index = HierarchicalIndex(
-            tiny_schema, disk, page_version=PAGE_VERSION_SPARSE, sparse=True
-        )
+        index = HierarchicalIndex(tiny_schema, disk)
         cube = self._cube(tiny_schema)
         index.put(cube)
         restored = index.get(cube.key)
@@ -459,7 +453,7 @@ class TestResealedSparsePages:
     @pytest.fixture()
     def page(self, tiny_schema):
         cube = _sparse(tiny_schema, [3, 40, 41, 200, 201], [7, 1, 1, 2, 9])
-        return serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        return serialize_cube(cube)
 
     def test_helper_reseals_a_page_unchanged(self, page, tiny_schema):
         assert SparsePage.parse(page).seal() == page
@@ -475,9 +469,7 @@ class TestResealedSparsePages:
             deserialize_cube(bad, tiny_schema)
 
     def test_single_cell_page_out_of_range(self, tiny_schema):
-        page = serialize_cube(
-            _sparse(tiny_schema, [5], [2]), version=PAGE_VERSION_SPARSE
-        )
+        page = serialize_cube(_sparse(tiny_schema, [5], [2]))
         for case in ("first_cell = cell_count", "first_cell = 2**63 !"):
             with pytest.raises(PageCorruptError):
                 deserialize_cube(
@@ -495,7 +487,7 @@ class TestSparseRoundTripMatrix:
         return default_schema([f"z{i}" for i in range(300)], road_types=20)
 
     def _round_trip(self, cube, schema):
-        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        page = serialize_cube(cube)
         assert page_version(page) == PAGE_VERSION_SPARSE
         restored = deserialize_cube(page, schema)
         assert np.array_equal(restored.counts, cube.counts)
@@ -516,10 +508,7 @@ class TestSparseRoundTripMatrix:
 
     @pytest.mark.parametrize("delta_width, gap", [(1, 255), (2, 256), (4, 65536)])
     def test_delta_widths(self, wide_schema, delta_width, gap):
-        page = serialize_cube(
-            _sparse(wide_schema, [7, 8, 8 + gap], [1, 2, 3]),
-            version=PAGE_VERSION_SPARSE,
-        )
+        page = serialize_cube(_sparse(wide_schema, [7, 8, 8 + gap], [1, 2, 3]))
         assert page[HEADER_SIZE + 8] == delta_width
         self._round_trip(_sparse(wide_schema, [7, 8, 8 + gap], [1, 2, 3]), wide_schema)
 
@@ -529,7 +518,7 @@ class TestSparseRoundTripMatrix:
         values = np.ones(run + 1, dtype=np.int64)
         values[-1] = 5
         cube = _sparse(wide_schema, cells, values)
-        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        page = serialize_cube(cube)
         assert page[HEADER_SIZE + 9] == run_width
         self._round_trip(cube, wide_schema)
 
@@ -539,7 +528,7 @@ class TestSparseRoundTripMatrix:
     )
     def test_run_value_widths(self, tiny_schema, value_width, value):
         cube = _sparse(tiny_schema, [1, 2], [value, 1])
-        page = serialize_cube(cube, version=PAGE_VERSION_SPARSE)
+        page = serialize_cube(cube)
         assert page[HEADER_SIZE + 10] == value_width
         self._round_trip(cube, tiny_schema)
 

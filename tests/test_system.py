@@ -187,41 +187,49 @@ PARITY_QUERIES = [
 
 
 class TestColumnarKernelParity:
-    """The sparse/v3 configuration is a pure representation change:
-    every dashboard answer must match the default deployment."""
+    """The paper profile and the serving profile run one cube engine;
+    the serving profile adds only the result memo, which must never
+    change an answer — asked cold or answered from the memo."""
 
     @pytest.fixture(scope="class")
     def system_pair(self, atlas):
-        def build(**overrides):
+        def build(serving=False):
             sim = SimulationConfig(
                 seed=27, mapper_count=20, base_sessions_per_day=5, nodes_per_country=8
             )
             settings = {"road_types": 8, "cache_slots": 12, "simulation": sim}
-            settings.update(overrides)
             system = RasedSystem.create(
                 atlas=atlas,
                 store=InMemoryDisk(read_latency=0, write_latency=0),
-                config=SystemConfig(**settings),
+                config=(SystemConfig.serving if serving else SystemConfig)(**settings),
             )
             system.simulate_and_ingest(date(2021, 1, 1), date(2021, 2, 14))
             system.warm_cache()
             return system
 
         default = build()
-        columnar = build(page_version=3, sparse_cubes=True)
+        columnar = build(serving=True)
+        assert columnar.result_cache is not None and default.result_cache is None
         return default, columnar
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_answers_identical(self, system_pair, query):
         default, columnar = system_pair
-        assert (
-            columnar.dashboard.analysis(query).rows
-            == default.dashboard.analysis(query).rows
-        )
+        expected = default.dashboard.analysis(query).rows
+        cold = columnar.dashboard.analysis(query)
+        memoized = columnar.dashboard.analysis(query)
+        assert memoized.stats.memo_hit and not cold.stats.memo_hit
+        assert cold.rows == memoized.rows == expected
 
     def test_sparse_store_is_smaller(self, system_pair):
+        """Both profiles write the same v3 pages, together far smaller
+        than the raw pages the paper stores (one per cube)."""
+        from repro.storage.serializer import cube_page_size
+
         default, columnar = system_pair
-        assert columnar.store.stored_bytes < default.store.stored_bytes / 3
+        assert columnar.store.stored_bytes == default.store.stored_bytes
+        raw = default.index.total_pages() * cube_page_size(default.schema)
+        assert default.store.stored_bytes < raw / 3
 
 
 class TestProfiles:
@@ -245,8 +253,9 @@ class TestProfiles:
         assert serving.result_cache_slots == 256
 
     def test_paper_profile_defaults_are_pinned(self):
-        """The bare config reproduces the paper figures; its thirteen
-        defaults are the ones every earlier experiment ran under."""
+        """The bare config reproduces the paper figures: the serving
+        engine minus memo, WAL and admission (thirteen fields, two of
+        them the fixed cube-form shim)."""
         from dataclasses import asdict
 
         from repro.dashboard.admission import AdmissionConfig
@@ -255,8 +264,8 @@ class TestProfiles:
         assert asdict(SystemConfig()) == dict(
             road_types=12,
             cache_slots=64,
-            page_version=1,
-            sparse_cubes=False,
+            page_version=3,
+            sparse_cubes=True,
             simulation=asdict(SimulationConfig()),
             shards=1,
             scatter_threads=None,
@@ -274,9 +283,40 @@ class TestProfiles:
         assert config.sparse_cubes and config.page_version == 3
 
 
+class TestCubeFormShim:
+    """``page_version``/``sparse_cubes`` are fields only because the
+    frozen benchmark harness spells them: one value each is accepted."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(page_version=1), dict(sparse_cubes=False), dict(page_version=2)],
+        ids=["v1", "dense", "v2"],
+    )
+    def test_other_cube_forms_raise(self, fields):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="not settable"):
+            SystemConfig(**fields)
+        with pytest.raises(ConfigError):
+            SystemConfig.serving(**fields)
+
+    def test_bare_config_writes_only_v3_day_pages(self, atlas):
+        from repro.storage.serializer import page_version
+
+        system = RasedSystem.create(
+            atlas=atlas,
+            store=InMemoryDisk(read_latency=0, write_latency=0),
+            config=SystemConfig(),
+        )
+        system.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 10))
+        day_pages = list(system.store.list_pages("cubes/D"))
+        assert len(day_pages) == 10
+        assert {page_version(system.store.read(page)) for page in day_pages} == {3}
+
+
 class TestMixedFormatRoot:
-    """A root written dense/v1 keeps serving when reopened under the
-    serving profile, and simply grows v3 pages."""
+    """A root an older build filled with raw v1 pages keeps serving
+    when reopened, and simply grows v3 pages."""
 
     SIM = SimulationConfig(
         seed=27, mapper_count=20, base_sessions_per_day=5, nodes_per_country=8
@@ -284,12 +324,17 @@ class TestMixedFormatRoot:
 
     @pytest.fixture(scope="class")
     def root_pair(self, atlas, tmp_path_factory):
-        """(all-dense system, mixed system, mixed root): Jan 1-20 is
-        ingested under ``SystemConfig()``, then the same root is
-        reopened with the second config for Jan 21 - Feb 10."""
+        """(all-raw system, mixed system, mixed root): Jan 1-20 is
+        ingested with every cube page written by the serializer's raw
+        (v1) writer, then the same root is reopened for Jan 21 - Feb 10
+        — still raw for the all-raw root, v3 under the serving profile
+        for the mixed one."""
         from datetime import timedelta
 
-        def two_stage(root, second_config):
+        import repro.core.hierarchy as hierarchy
+        from repro.storage.serializer import serialize_raw
+
+        def two_stage(root, second_config, raw_second_stage):
             def open_with(config):
                 return RasedSystem.create(
                     root=root / "feeds",
@@ -300,25 +345,32 @@ class TestMixedFormatRoot:
                     config=config,
                 )
 
-            first = open_with(SystemConfig(road_types=8, simulation=self.SIM))
-            first.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 20))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hierarchy, "serialize_cube", serialize_raw)
+                first = open_with(SystemConfig(road_types=8, simulation=self.SIM))
+                first.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 20))
             day = date(2021, 1, 21)
             while day <= date(2021, 2, 10):
                 first.publish_day(day)
                 day += timedelta(days=1)
             second = open_with(second_config)
-            assert second.pipeline.run_daily().days_processed == 21
+            with pytest.MonkeyPatch.context() as patch:
+                if raw_second_stage:
+                    patch.setattr(hierarchy, "serialize_cube", serialize_raw)
+                assert second.pipeline.run_daily().days_processed == 21
             second.warm_cache()
             return second
 
         base = tmp_path_factory.mktemp("mixed-format")
         dense = two_stage(
-            base / "dense", SystemConfig(road_types=8, simulation=self.SIM)
+            base / "dense", SystemConfig(road_types=8, simulation=self.SIM), True
         )
         mixed = two_stage(
-            base / "mixed", SystemConfig.serving(road_types=8, simulation=self.SIM)
+            base / "mixed",
+            SystemConfig.serving(road_types=8, simulation=self.SIM),
+            False,
         )
-        return dense, mixed, base / "mixed"
+        return dense, mixed, base
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_answers_match_the_all_dense_root(self, root_pair, query):
@@ -331,9 +383,14 @@ class TestMixedFormatRoot:
     def test_both_page_versions_on_disk(self, root_pair):
         from repro.storage.serializer import page_version
 
-        _, _, root = root_pair
-        day_pages = (root / "pages" / "cubes").glob("D*.page")
-        assert {page_version(page.read_bytes()) for page in day_pages} == {1, 3}
+        _, _, base = root_pair
+
+        def versions(name):
+            day_pages = (base / name / "pages" / "cubes").glob("D*.page")
+            return {page_version(page.read_bytes()) for page in day_pages}
+
+        assert versions("mixed") == {1, 3}
+        assert versions("dense") == {1}
 
 
 class TestIngestReports:

@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from repro.types.temporal import TemporalKey
-from repro.collection.geocode import Geocoder, Location
-from repro.collection.records import UpdateList, UpdateRecord
+from repro.collection.geocode import ElementRow, Geocoder
+from repro.collection.records import UpdateList
 from repro.osm.changesets import ChangesetStore
-from repro.osm.history import HistoryUpdate, iter_history_updates
+from repro.osm.history import iter_history_updates
 from repro.osm.model import OSMElement, road_type_of
 
 __all__ = ["MonthlyCrawler", "MonthlyCrawlResult"]
@@ -62,30 +62,22 @@ class MonthlyCrawler:
         """
         result = MonthlyCrawlResult(month=month)
         start, end = month.start, month.end
-        by_changeset: dict[int, Location | None] = {}  # one store throughout
+        rows: list[ElementRow] = []
         for update in iter_history_updates(history):
             result.scanned_versions += 1
-            day = update.element.timestamp.date()
-            if day < start or day > end:
-                continue
-            record = self._to_record(update, by_changeset)
-            if record is None:
-                result.skipped += 1
-            else:
-                result.updates.append(record)
+            element = update.element
+            day = element.timestamp.date()
+            if start <= day <= end:
+                # A deleted element's after-image may carry no tags; the
+                # road type comes from the previous version so deletions
+                # of highways count against the right road class.
+                source = element
+                if not element.visible and update.previous is not None:
+                    source = update.previous
+                rows.append((
+                    element.kind, day, element.changeset, element.visible,
+                    getattr(element, "lat", 0.0), getattr(element, "lon", 0.0),
+                    road_type_of(source), update.update_type,
+                ))
+        result.updates, result.skipped = self.geocoder.locate(rows, self.changesets)
         return result
-
-    def _to_record(
-        self, update: HistoryUpdate, by_changeset: dict[int, Location | None]
-    ) -> UpdateRecord | None:
-        element = update.element
-        location = self.geocoder.locate(element, self.changesets, by_changeset)
-        if location is None:
-            return None
-        # A deleted element's after-image may carry no tags; recover the
-        # road type from the previous version so deletions of highways
-        # count against the right road class.
-        source = element
-        if not element.visible and update.previous is not None:
-            source = update.previous
-        return location.record(element, road_type_of(source), update.update_type)

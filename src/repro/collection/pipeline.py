@@ -169,14 +169,12 @@ class IngestionPipeline:
         return report
 
     def _store_rows(self, day: date, updates: UpdateList, report: IngestReport) -> None:
-        rows = list(zip(updates, self.warehouse.append(updates)))
+        rows = self.warehouse.append(updates)
         report.warehouse_rows += len(rows)
+        self.hash_index.insert_many(updates.column("changeset_id"), rows)
+        self.spatial_index.insert_many(updates.column("latitude"), updates.column("longitude"), rows)
         closes_month = day == month_key(day.year, day.month).end
-        for index, entries in (
-            (self.hash_index, ((r.changeset_id, pointer) for r, pointer in rows)),
-            (self.spatial_index, ((r.latitude, r.longitude, pointer) for r, pointer in rows)),
-        ):
-            index.insert_many(entries)
+        for index in (self.hash_index, self.spatial_index):
             index.flush()
             # One segment a day, folded when the day closes its month;
             # more segments than the month has had days means a feed gap

@@ -11,19 +11,19 @@ updates) state zones are *derived* from the coordinates at cube-build
 time via the :class:`~repro.geo.zones.ZoneAtlas`, so the stored
 relation stays exactly the paper's eight columns.
 
-:class:`UpdateList` is a thin list wrapper adding the two consumers'
-views: bulk cube coordinates (for the Storage & Indexing module) and a
-TSV serialization (the artifact handed from the crawlers to indexing,
-and the relation bulk-loaded into the warehouse and the DBMS baseline).
+:class:`UpdateList` holds the relation as those eight columns and adds
+the consumers' views: bulk cube coordinates (for the Storage & Indexing
+module) and a TSV serialization of the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as date_type
 from pathlib import Path
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import IO, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -114,26 +114,59 @@ class UpdateRecord:
             raise ParseError(f"malformed UpdateList row {line!r}: {exc}") from None
 
 
-class UpdateList:
-    """An ordered collection of :class:`UpdateRecord` rows."""
+#: UpdateRecord's fields, in order: the UpdateList's columns.
+_FIELDS = tuple(f.name for f in fields(UpdateRecord))
+_VALUES = attrgetter(*_FIELDS)
 
-    def __init__(self, records: Iterable[UpdateRecord] = ()) -> None:
-        self.records: list[UpdateRecord] = list(records)
+
+class UpdateList:
+    """The relation as columns: one list per :class:`UpdateRecord` field, row
+    ``i`` at position ``i`` of each.  A row becomes an
+    :class:`UpdateRecord` only when one is asked for.  A list the
+    geocoder built keeps its rows' ``ZoneAtlas.zone_indexes`` in
+    :attr:`zones` (with that atlas) for :meth:`cube_coordinates`.
+    """
+
+    def __init__(
+        self,
+        records: Iterable[UpdateRecord] = (),
+        columns: Iterable[list[Any]] | None = None,
+        zones: tuple[ZoneAtlas, np.ndarray] | None = None,
+    ) -> None:
+        self.columns: tuple[list[Any], ...] = (
+            tuple([] for _ in _FIELDS) if columns is None else tuple(columns)
+        )
+        self.extend(records)
+        self.zones = zones
+
+    def column(self, name: str) -> list[Any]:
+        return self.columns[_FIELDS.index(name)]
+
+    @property
+    def records(self) -> list[UpdateRecord]:
+        """The rows as a new list of records (appending to it adds no row)."""
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns[0])
 
     def __iter__(self) -> Iterator[UpdateRecord]:
-        return iter(self.records)
+        return (UpdateRecord(*values) for values in zip(*self.columns))
 
     def __getitem__(self, index: int) -> UpdateRecord:
-        return self.records[index]
+        return UpdateRecord(*(column[index] for column in self.columns))
 
     def append(self, record: UpdateRecord) -> None:
-        self.records.append(record)
+        self.extend((record,))
 
     def extend(self, records: Iterable[UpdateRecord]) -> None:
-        self.records.extend(records)
+        """Append rows; extending an empty list by a geocoded one keeps
+        its zones."""
+        zones = records.zones if isinstance(records, UpdateList) and not len(self) else None
+        added = records.columns if isinstance(records, UpdateList) else zip(*map(_VALUES, records))
+        for column, values in zip(self.columns, added):
+            column.extend(values)
+        self.zones = zones
 
     # -- cube view -------------------------------------------------------
 
@@ -149,30 +182,35 @@ class UpdateList:
         schema are folded into the schema's last road-type slot rather
         than dropped, so cube totals remain exact.
 
-        Rows come out record by record, zones in ``zones_for_point``
-        order; all zones come from one ``ZoneAtlas.zone_indexes`` call.
+        Rows come out row by row, zones in ``zones_for_point`` order; all
+        zones come from one ``ZoneAtlas.zone_indexes`` call — the
+        geocoder's, when it located the rows under this atlas.
         """
-        records = self.records
-        if not records:
+        if not len(self):
             return np.empty((0, 4), dtype=np.int64)
-        element = _codes(schema.element_type.code, [r.element_type for r in records])
-        update = _codes(schema.update_type.code, [r.update_type for r in records])
+        column = self.column
+        element = _codes(schema.element_type.code, column("element_type"))
+        update = _codes(schema.update_type.code, column("update_type"))
         road = _codes(
             schema.road_type.code_or_none,
-            [r.road_type for r in records],
+            column("road_type"),
             missing=len(schema.road_type) - 1,
         )
         if atlas is None:
-            zones = _codes(schema.country.code_or_none, [r.country for r in records])[:, None]
+            zones = _codes(schema.country.code_or_none, column("country"))[:, None]
         else:
-            found = atlas.zone_indexes(
-                np.array([r.longitude for r in records], dtype=np.float64),
-                np.array([r.latitude for r in records], dtype=np.float64),
-            )
-            outside = np.flatnonzero(found[:, 0] < 0)
-            if len(outside):
-                # Raise what the per-point lookup raises for this record.
-                atlas.zones_for_point(records[outside[0]].point)
+            if self.zones is not None and self.zones[0] is atlas:
+                found = self.zones[1]
+            else:
+                lon, lat = column("longitude"), column("latitude")
+                found = atlas.zone_indexes(
+                    np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
+                )
+                outside = np.flatnonzero(found[:, 0] < 0)
+                if len(outside):
+                    # Raise what the per-point lookup raises for this row.
+                    at = int(outside[0])
+                    atlas.zones_for_point(Point(lon=lon[at], lat=lat[at]))
             zones = _zone_codes(atlas, schema.country)[found]
         keep = zones >= 0
         rows = np.nonzero(keep)[0]

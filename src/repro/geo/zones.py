@@ -26,7 +26,6 @@ over same-kind zones, so overlap never double-counts within a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -103,9 +102,6 @@ _GRID_ROWS = 10
 _WORLD = BBox(min_lon=-180.0, min_lat=-60.0, max_lon=180.0, max_lat=75.0)
 #: The one country subdivided into the atlas's states.
 _SUBDIVIDED = "united_states"
-#: Degrees a state-lookup bucket is widened by when its states are listed:
-#: far above the bucket arithmetic's rounding, far below any zone's size.
-_EDGE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,32 +151,17 @@ class ZoneAtlas:
         #: Grid cell (col * rows + row) -> its country (every cell has
         #: one), and -> the zone_names() indexes of it and its continent.
         self._cells = [cells[cell] for cell in range(_GRID_COLS * _GRID_ROWS)]
-        index = self._zone_index = {name: i for i, name in enumerate(self._by_name)}
+        index = {name: i for i, name in enumerate(self._by_name)}
         self._cell_zones = np.array(
             [(index[z.name], index[z.parent] if z.parent else -1) for z in self._cells]
         )
         self._subdivided_cell = self._cells.index(self._by_name[_SUBDIVIDED])
-        # State lookup buckets grid the states' union, one per distinct
-        # state corner column and row (for a grid of states, one state
-        # each).  A bucket lists, in atlas order, every state reaching
-        # into it widened by _EDGE_SLACK: so a point's bucket lists every
-        # state containing it, and the first of those that contains it
-        # is the one a scan of all states finds.
-        area = self._states_at = reduce(BBox.union, (s.bbox for s in states))
-        nx = self._buckets_x = len({s.bbox.min_lon for s in states})
-        ny = self._buckets_y = len({s.bbox.min_lat for s in states})
-        w, h = self._bucket_w, self._bucket_h = area.width / nx, area.height / ny
-        x0, y0, slack = area.min_lon, area.min_lat, _EDGE_SLACK
-        self._bucket_states = [
-            [
-                s for s in states if s.bbox.intersects(BBox(
-                    x0 + bx * w - slack, y0 + by * h - slack,
-                    x0 + (bx + 1) * w + slack, y0 + (by + 1) * h + slack,
-                ))
-            ]
-            for bx in range(nx)
-            for by in range(ny)
-        ]
+        #: Each state's bbox (rows: min_lon, min_lat, max_lon, max_lat) and
+        #: zone_names() index, in atlas order.
+        self._state_boxes = np.array([
+            (s.bbox.min_lon, s.bbox.min_lat, s.bbox.max_lon, s.bbox.max_lat) for s in states
+        ]).reshape(-1, 4).T
+        self._state_indexes = np.array([index[s.name] for s in states], dtype=np.int64)
 
     # -- enumeration ----------------------------------------------------
 
@@ -222,21 +203,9 @@ class ZoneAtlas:
         return self._cells[col * _GRID_ROWS + row]
 
     def state_at(self, p: Point) -> Zone | None:
-        """The US state containing ``p``, if any.
-
-        On a border the lowest-index state containing ``p`` wins — what
-        a scan of :attr:`states` in order finds — but only the states
-        listed for ``p``'s bucket are tested (O(1)).
-        """
-        area = self._states_at
-        if not area.contains_point(p):
-            return None
-        bx = min(int((p.lon - area.min_lon) / self._bucket_w), self._buckets_x - 1)
-        by = min(int((p.lat - area.min_lat) / self._bucket_h), self._buckets_y - 1)
-        for state in self._bucket_states[bx * self._buckets_y + by]:
-            if state.contains_point(p):
-                return state
-        return None
+        """The US state containing ``p``, if any; on a border, the first
+        in atlas order."""
+        return next((state for state in self.states if state.contains_point(p)), None)
 
     def zones_for_point(self, p: Point) -> list[Zone]:
         """All zones an update at ``p`` counts toward.
@@ -259,8 +228,10 @@ class ZoneAtlas:
         country, continent, state — with ``-1`` for none.  Every point's
         cell is :meth:`country_at`'s arithmetic in numpy and its country
         and continent are read from a per-cell table; a point in the
-        subdivided cell asks :meth:`state_at`.  A point outside the
-        world gets ``-1`` throughout; the caller decides how to fail.
+        subdivided cell is tested against every state's box at once and
+        takes the first that contains it, as :meth:`state_at` does.  A
+        point outside the world gets ``-1`` throughout; the caller
+        decides how to fail.
         """
         lon = np.asarray(lon, dtype=np.float64)
         lat = np.asarray(lat, dtype=np.float64)
@@ -274,10 +245,12 @@ class ZoneAtlas:
         cell = np.minimum(col, _GRID_COLS - 1) * _GRID_ROWS + np.minimum(row, _GRID_ROWS - 1)
         out[inside, :2] = self._cell_zones[cell]
         sub = inside[cell == self._subdivided_cell]
-        for position, x, y in zip(sub.tolist(), lon[sub].tolist(), lat[sub].tolist()):
-            state = self.state_at(Point(lon=x, lat=y))
-            if state is not None:
-                out[position, 2] = self._zone_index[state.name]
+        x, y = lon[sub, None], lat[sub, None]
+        min_lon, min_lat, max_lon, max_lat = self._state_boxes
+        hit = (min_lon <= x) & (x <= max_lon) & (min_lat <= y) & (y <= max_lat)
+        first = hit.argmax(axis=1)
+        found = hit[np.arange(len(sub)), first]
+        out[sub[found], 2] = self._state_indexes[first[found]]
         return out
 
     def resolve_bbox(self, box: BBox) -> tuple[Point, list[Zone]]:

@@ -97,7 +97,8 @@ def _parse_changeset(xml_element: ET.Element) -> Changeset:
             bbox=bbox,
             tags={
                 tag.attrib["k"]: tag.attrib.get("v", "")
-                for tag in xml_element.iterfind("tag")
+                for tag in xml_element
+                if tag.tag == "tag"
             },
             changes_count=int(attrib.get("changes_count", "0")),
         )
@@ -151,7 +152,8 @@ class ChangesetStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._cache: dict[int, dict[int, Changeset]] = {}
+        #: block -> its changesets and the (size, mtime) of the file read.
+        self._cache: dict[int, tuple[dict[int, Changeset], tuple[int, int] | None]] = {}
         self._pending: dict[int, dict[int, Changeset]] = {}
 
     def _file_for(self, block: int) -> Path:
@@ -170,34 +172,39 @@ class ChangesetStore:
         """
         written = 0
         for block, pending in sorted(self._pending.items()):
-            merged = dict(self._load_block(block))
+            merged = dict(self._load_block(block, refresh=True))
             merged.update(pending)
-            write_changesets(
-                self._file_for(block),
-                [merged[cid] for cid in sorted(merged)],
-            )
-            self._cache[block] = merged
+            path = self._file_for(block)
+            write_changesets(path, [merged[cid] for cid in sorted(merged)])
+            self._cache[block] = (merged, _stamp(path))
             written += 1
         self._pending.clear()
         return written
 
-    def _load_block(self, block: int) -> dict[int, Changeset]:
-        if block in self._cache:
-            return self._cache[block]
+    def _load_block(self, block: int, refresh: bool = False) -> dict[int, Changeset]:
+        """A block's changesets, read once; with ``refresh``, read again if
+        its file changed size or mtime since (another store flushed it)."""
         path = self._file_for(block)
+        if block in self._cache:
+            cached, seen = self._cache[block]
+            if not refresh or _stamp(path) == seen:
+                return cached
+        stamp = _stamp(path)
         loaded: dict[int, Changeset] = {}
-        if path.exists():
+        if stamp is not None:
             loaded = {c.id: c for c in read_changesets(path)}
-        self._cache[block] = loaded
+        self._cache[block] = (loaded, stamp)
         return loaded
 
     def lookup(self, changeset_id: int) -> Changeset | None:
-        """Fetch a changeset by id, or ``None`` when unknown."""
+        """Fetch a changeset by id, or ``None`` when unknown (after one
+        re-read of its block, should another store have flushed it)."""
         block = changeset_id // CHANGESETS_PER_FILE
         pending = self._pending.get(block, {})
         if changeset_id in pending:
             return pending[changeset_id]
-        return self._load_block(block).get(changeset_id)
+        found = self._load_block(block).get(changeset_id)
+        return found if found is not None else self._load_block(block, True).get(changeset_id)
 
     def __iter__(self) -> Iterator[Changeset]:
         blocks = {
@@ -208,3 +215,8 @@ class ChangesetStore:
             merged.update(self._pending.get(block, {}))
             for cid in sorted(merged):
                 yield merged[cid]
+
+
+def _stamp(path: Path) -> tuple[int, int] | None:
+    stat = path.stat() if path.exists() else None
+    return None if stat is None else (stat.st_size, stat.st_mtime_ns)

@@ -144,11 +144,7 @@ def iter_history_updates(
     element stream (used by the simulator to skip serialization in
     tests).
     """
-    if isinstance(source, (str, Path)) or hasattr(source, "read"):
-        elements: Iterable[OSMElement] = iter_osm(source)  # type: ignore[arg-type]
-    else:
-        elements = source
-    for previous, current in iter_version_pairs(elements):
+    for previous, current in iter_version_pairs(iter_osm(source)):
         yield HistoryUpdate(current, previous, classify_update(previous, current))
 
 

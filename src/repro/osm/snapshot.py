@@ -36,12 +36,8 @@ def build_snapshot(
     from the result, exactly as in a planet snapshot.  Versions may
     arrive in any order per element; newer versions win.
     """
-    if isinstance(source, (str, Path)) or hasattr(source, "read"):
-        elements: Iterable[OSMElement] = iter_osm(source)  # type: ignore[arg-type]
-    else:
-        elements = source
     newest: dict[tuple[str, int], OSMElement] = {}
-    for element in elements:
+    for element in iter_osm(source):
         key = (element_kind(element), element.id)
         current = newest.get(key)
         if current is None or element.version > current.version:

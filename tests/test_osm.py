@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from repro.collection.daily import DailyCrawler
+from repro.collection.geocode import Geocoder
 from repro.errors import ConfigError, ParseError, StorageError
 from repro.geo.geometry import BBox
+from repro.geo.zones import build_world
 from repro.osm.changesets import (
     CHANGESETS_PER_FILE,
     Changeset,
@@ -342,7 +346,8 @@ def _diff(body: str) -> bytes:
 #: Each malformed form, the element its ParseError must name, and how
 #: the document is read.  Before the streaming parser, the first seven
 #: raised KeyError, ValueError or ConfigError, and the changeset one
-#: ConfigError.
+#: ConfigError.  Every diff form is also checked on the daily crawl's
+#: path, where no element object is built.
 MALFORMED = [
     pytest.param(_diff(f'<way id="7" {_STAMP}><nd ref="1"/><tag v="x"/></way>'),
                  "<way id=7>", read_osc, id="tag-without-k"),
@@ -358,6 +363,22 @@ MALFORMED = [
                  "<node id=7>", read_osc, id="latitude-out-of-range"),
     pytest.param(_diff(f'<relation id="7" {_STAMP}><member type="blob" ref="1"/></relation>'),
                  "<relation id=7>", read_osc, id="unknown-member-type"),
+    pytest.param(_diff(f'<relation id="7" {_STAMP}><member type="way" ref="w1"/></relation>'),
+                 "<relation id=7>", read_osc, id="non-numeric-member-ref"),
+    pytest.param(_diff(f'<relation id="7" {_STAMP}><member ref="1"/></relation>'),
+                 "<relation id=7>", read_osc, id="member-without-type"),
+    pytest.param(_diff(f'<node id="7" {_STAMP} lat="0" lon="181"/>'),
+                 "<node id=7>", read_osc, id="longitude-out-of-range"),
+    pytest.param(_diff(f'<node id="7" version="0" {_STAMP} lat="0" lon="0"/>'),
+                 "<node id=7>", read_osc, id="zero-version"),
+    pytest.param(_diff(f'<way id="7" {_STAMP} changeset="x"><nd ref="1"/></way>'),
+                 "<way id=7>", read_osc, id="non-numeric-changeset"),
+    pytest.param(_diff(f'<way id="7" {_STAMP} uid="u"><nd ref="1"/></way>'),
+                 "<way id=7>", read_osc, id="non-numeric-uid"),
+    pytest.param(_diff('<node id="7" timestamp="yesterday" lat="0" lon="0"/>'),
+                 "<node id=7>", read_osc, id="bad-timestamp"),
+    pytest.param(_diff('<node id="7" lat="0" lon="0"/>'),
+                 "<node id=7>", read_osc, id="no-timestamp"),
     pytest.param(
         b'<osm><changeset id="5" created_at="2021-03-05T12:00:00Z" '
         b'closed_at="2021-03-05T12:00:00Z" min_lat="10" min_lon="0" '
@@ -375,7 +396,21 @@ class TestMalformedDocuments:
             read(io.BytesIO(document))
         assert names in str(raised.value)
 
-    @pytest.mark.parametrize("document, names, read", MALFORMED[:7])
+    @pytest.mark.parametrize("document, names, read", MALFORMED[:-1])
+    def test_the_daily_crawl_of_a_malformed_diff_raises_naming_the_element(
+        self, tmp_path, document, names, read
+    ):
+        """``ReplicationFeed.fetch`` → ``process_change``: the check runs
+        at fetch, before any row or element object exists."""
+        feed = ReplicationFeed(tmp_path, "day")
+        feed.publish(OsmChange(), T0)
+        (feed.root / f"{sequence_path(0)}.osc").write_bytes(document)
+        crawler = DailyCrawler(feed, ChangesetStore(tmp_path / "cs"), Geocoder(build_world()))
+        with pytest.raises(ParseError, match=re.escape(names)):
+            next(crawler.crawl_new())
+        assert crawler.last_sequence is None
+
+    @pytest.mark.parametrize("document, names, read", MALFORMED[:-1])
     def test_a_malformed_diff_goes_through_the_feed_armor(
         self, tmp_path, document, names, read
     ):
@@ -532,6 +567,26 @@ class TestChangesets:
         fresh = ChangesetStore(tmp_path)
         assert fresh.lookup(1) is not None
         assert fresh.lookup(2) is not None
+
+    def test_a_block_another_store_flushed_is_read_again(self, tmp_path):
+        reader, writer = ChangesetStore(tmp_path), ChangesetStore(tmp_path)
+        writer.add(self.make(cid=1))
+        writer.flush()
+        assert reader.lookup(1) is not None  # block 0 is now cached
+        writer.add(self.make(cid=2))
+        writer.flush()
+        assert reader.lookup(2) == self.make(cid=2)
+        assert reader.lookup(3) is None
+
+    def test_a_flush_merges_what_another_store_flushed(self, tmp_path):
+        first, second = ChangesetStore(tmp_path), ChangesetStore(tmp_path)
+        first.add(self.make(cid=1))
+        first.flush()
+        second.add(self.make(cid=2))
+        second.flush()
+        first.add(self.make(cid=3))
+        first.flush()
+        assert [c.id for c in ChangesetStore(tmp_path)] == [1, 2, 3]
 
     def test_iteration_sorted(self, tmp_path):
         store = ChangesetStore(tmp_path)

@@ -26,6 +26,8 @@ __all__ = [
     "OSMWay",
     "OSMRelation",
     "RelationMember",
+    "check_element",
+    "check_member_type",
     "element_kind",
     "is_road_element",
     "road_type_of",
@@ -36,6 +38,21 @@ __all__ = [
 #: bare nodes).  The real RASED tracks non-road elements too; giving
 #: them a dedicated class keeps cube totals equal to update totals.
 UNKNOWN_ROAD_TYPE = "residential"
+
+
+def check_element(element_id: int, version: int, lat: float = 0.0, lon: float = 0.0) -> None:
+    """An element version's rules, for the model and the diff reader alike:
+    a positive id and version, and a node's coordinates in range."""
+    if element_id <= 0 or version <= 0:
+        raise ConfigError(f"element id and version must be positive, got {element_id}, {version}")
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ConfigError(f"node coordinates out of range: {lat}, {lon}")
+
+
+def check_member_type(member_type: str) -> None:
+    """A relation member names a node, a way or a relation."""
+    if member_type not in (ELEMENT_NODE, ELEMENT_WAY, ELEMENT_RELATION):
+        raise ConfigError(f"invalid member type {member_type!r}")
 
 
 def _utc(dt: datetime) -> datetime:
@@ -63,10 +80,7 @@ class OSMElement:
     tags: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.id <= 0:
-            raise ConfigError(f"element id must be positive, got {self.id}")
-        if self.version <= 0:
-            raise ConfigError(f"element version must be positive, got {self.version}")
+        check_element(self.id, self.version, getattr(self, "lat", 0.0), getattr(self, "lon", 0.0))
         if self.timestamp.tzinfo is not timezone.utc:
             object.__setattr__(self, "timestamp", _utc(self.timestamp))
 
@@ -101,13 +115,6 @@ class OSMNode(OSMElement):
     lat: float = 0.0
     lon: float = 0.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not -90.0 <= self.lat <= 90.0:
-            raise ConfigError(f"node latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ConfigError(f"node longitude out of range: {self.lon}")
-
     def moved(self, lat: float, lon: float, timestamp: datetime, changeset: int) -> "OSMNode":
         return self.next_version(timestamp, changeset, lat=lat, lon=lon)  # type: ignore[return-value]
 
@@ -133,8 +140,7 @@ class RelationMember:
     role: str = ""
 
     def __post_init__(self) -> None:
-        if self.type not in (ELEMENT_NODE, ELEMENT_WAY, ELEMENT_RELATION):
-            raise ConfigError(f"invalid member type {self.type!r}")
+        check_member_type(self.type)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,8 @@ import math
 from datetime import date
 
 from repro.core.executor import QueryExecutor
-from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
-from repro.obs import MetricsRegistry
 
 from common import (
     COVERAGE_END,
@@ -47,17 +45,12 @@ def run_fetch_parallelism(smoke: bool = False) -> dict:
     query = AnalysisQuery(
         start=start, end=COVERAGE_END, group_by=("element_type",)
     )
-    sched = IOScheduler(max_workers=16, metrics=MetricsRegistry())
     results: dict[int, dict] = {}
     try:
         for depth in PARALLELISM_SWEEP:
             disk.parallelism = depth
             disk.reset_stats()
-            executor = QueryExecutor(
-                index,
-                optimizer=LevelOptimizer(index),
-                iosched=sched if depth > 1 else None,
-            )
+            executor = QueryExecutor(index, optimizer=LevelOptimizer(index))
             result = executor.execute(query)
             reads = result.stats.disk_reads
             results[depth] = {
@@ -68,7 +61,6 @@ def run_fetch_parallelism(smoke: bool = False) -> dict:
                 * 1000.0,
             }
     finally:
-        sched.shutdown()
         disk.parallelism = 1
     baseline = results[1]["sim_ms"]
     for depth in PARALLELISM_SWEEP:

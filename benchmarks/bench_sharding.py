@@ -2,10 +2,10 @@
 
 The same quarter of data (at the 1x/10x/100x worlds of
 :data:`repro.synth.scale.SCALE_PROFILES`) queried cold through 1/2/4/8
-shards.  Each shard reads its misses serially and the shards read
-concurrently, so a query's modeled disk time is the busiest shard's
-reads times the read latency, and should fall toward that share as the
-shard count grows.
+shards.  Each shard's device reads its misses serially and the shard
+devices serve concurrently, so a query's modeled disk time is the
+busiest shard's reads times the read latency, and should fall toward
+that share as the shard count grows.
 
 The wall-clock serving shoot-out this file used to carry (threaded vs
 in-process sharded vs process-pool rps) is retired: ``benchmarks/e2e``
@@ -26,7 +26,6 @@ from datetime import date, timedelta
 
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.shard import (
     ScatterGatherExecutor,
@@ -128,15 +127,8 @@ def run_scatter_sweep(smoke: bool = False) -> dict:
             else:
                 index = _shard_clone(flat, shards)
                 index.store.reset_stats()
-                # The width RasedSystem gives a sharded deployment.
-                sched = IOScheduler(max_workers=min(8, shards))
-                engine = ScatterGatherExecutor(
-                    index, optimizer=LevelOptimizer(index), iosched=sched
-                )
-                try:
-                    stats = run_queries(engine, queries)
-                finally:
-                    sched.shutdown()
+                engine = ScatterGatherExecutor(index, optimizer=LevelOptimizer(index))
+                stats = run_queries(engine, queries)
             by_shards[str(shards)] = stats
         baseline = by_shards["1"]["avg_sim_ms"]
         for shards in SCATTER_SHARDS:

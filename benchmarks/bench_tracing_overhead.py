@@ -15,8 +15,7 @@ of times the per-query tracing cost), while the median of hundreds of
 alternated single-query samples resolves overheads well under 1%.
 
 Everything the tracer adds rides the real code path: root span per
-query, pool-thread span hand-off in the I/O scheduler, retroactive
-disk/WAL spans, phase flush, and flight-recorder classification.
+query, the I/O scheduler's batch span, retroactive disk/WAL spans, phase flush, and flight-recorder classification.
 
 Run: ``PYTHONPATH=src:benchmarks python benchmarks/bench_tracing_overhead.py``
 (``--smoke`` scales the sample count down and skips the gate assertion).
@@ -155,8 +154,6 @@ def run_ab(samples: int) -> dict:
             )
     finally:
         system.tracer.enabled = True
-        if system.iosched is not None:
-            system.iosched.shutdown()
     traced_total = sum(q["traced_median_s"] for q in per_query)
     untraced_total = sum(q["untraced_median_s"] for q in per_query)
     return {

@@ -264,7 +264,6 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
     config = _config(
         cache_slots=args.cache_slots,
         result_cache_slots=args.result_cache_slots,
-        scatter_threads=args.scatter_threads,
         durable_ingest=args.durable,
         admission=AdmissionConfig(
             key_file=args.api_keys,
@@ -466,14 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="memoized whole-result cache slots (0 disables)",
-    )
-    serve.add_argument(
-        "--scatter-threads",
-        type=int,
-        default=None,
-        help="I/O scheduler width when the root is sharded (default "
-        "min(8, shards); raise for in-process serving so concurrent "
-        "requests' shard gathers don't queue behind one another)",
     )
     serve.add_argument(
         "--workers",

@@ -23,9 +23,10 @@ per position is shaped into rows.
 executor *is* one local gather over the whole index;
 :class:`repro.core.shard.ScatterGatherExecutor` overrides only the
 seam, running one local gather per shard and adding the exact int64
-partials.  With an :class:`~repro.core.iosched.IOScheduler` wired the
-misses are read as one overlapped batch; without one they are read one
-at a time, in plan order.
+partials.  The misses are read through
+:meth:`~repro.core.iosched.IOScheduler.fetch_many`, one at a time in
+plan order on the querying thread, and modeled as one batch at the
+store's queue depth.
 
 Response-time accounting mirrors the reproduction's simulated disk:
 ``wall_seconds`` is real elapsed time, while ``simulated_seconds``
@@ -108,7 +109,7 @@ def local_gather(
     cache: CacheManager | None,
     items: Sequence[tuple[int, TemporalKey]],
     selection: Selection,
-    iosched: IOScheduler | None = None,
+    iosched: IOScheduler,
     store: PageStore | None = None,
 ) -> GatherPartial:
     """Fetch and reduce position-tagged cubes of one ``(index, cache)``.
@@ -120,7 +121,8 @@ def local_gather(
     corrupt/vanished/quarantined page drops that cube and flags the
     record partial.  ``store`` is the device the misses land on — the
     index's store unless the caller knows better (a scatter subquery
-    names its own shard's store).
+    names its own shard's store); their modeled time is one batch at
+    that device's queue depth, ``store.parallelism``.
     """
     out = GatherPartial()
     stats = out.stats
@@ -153,18 +155,7 @@ def local_gather(
     mark = now
 
     if misses:
-        if iosched is not None:
-            # Phase boundary: the cache sweep was free; the miss batch
-            # is where the disk cost starts.  Issued as one concurrent
-            # batch, it is modeled at the queue-depth makespan.
-            check_deadline("phase1.fetch.disk")
-            cubes.update(iosched.fetch_many(misses, load))
-        else:
-            for key in misses:
-                # Every miss is one real page read, so the deadline is
-                # re-checked per read.
-                check_deadline("phase1.fetch.disk")
-                cubes[key] = load(key)
+        cubes.update(iosched.fetch_many(misses, load))
         reads_by_level = stats.disk_reads_by_level
         for key in misses:
             if cubes[key] is not None:
@@ -178,7 +169,7 @@ def local_gather(
         stats.add_phase("phase1.fetch.disk", now - mark, len(misses))
         mark = now
         out.charged_seconds = modeled_read_seconds(
-            len(misses), store.read_latency, store.parallelism if iosched else 1
+            len(misses), store.read_latency, store.parallelism
         )
 
     check_deadline("phase2.aggregate")
@@ -211,7 +202,6 @@ class QueryExecutor:
         optimizer: LevelOptimizer | None = None,
         network_sizes: NetworkSizeRegistry | None = None,
         metrics: MetricsRegistry | None = None,
-        iosched: IOScheduler | None = None,
         result_cache: ResultCache | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -220,10 +210,8 @@ class QueryExecutor:
         self.optimizer = optimizer or LevelOptimizer(index)
         self.network_sizes = network_sizes
         self.metrics = metrics if metrics is not None else get_registry()
-        #: When set, a gather's cache misses are read as one overlapped
-        #: batch on the scheduler's pool; when ``None``, one at a time
-        #: in plan order.
-        self.iosched = iosched
+        #: Reads a gather's cache misses (and counts them).
+        self.iosched = IOScheduler(self.metrics)
         #: When set, whole results are memoized keyed by the (frozen)
         #: query and invalidated by overlapping index writes.
         self.result_cache = result_cache

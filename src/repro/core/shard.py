@@ -25,11 +25,10 @@ places the index's pages across N **shards**:
 * :class:`ScatterGatherExecutor` — the query pipeline of
   :mod:`repro.core.executor` with one seam overridden: the planned
   keys are grouped by owning shard and each group runs the shared
-  :func:`~repro.core.executor.local_gather` as one task of
-  :meth:`repro.core.iosched.IOScheduler.run` (which carries the
-  ambient span and deadline across the pool boundary); the per-shard
-  partial arrays are merged with :func:`~repro.types.cube.sum_arrays`,
-  and the query's modeled disk time is the slowest live shard's.
+  :func:`~repro.core.executor.local_gather`, shard by shard on the
+  querying thread; the per-shard partial arrays are merged with
+  :func:`~repro.types.cube.sum_arrays`, and the query's modeled disk
+  time is the slowest live shard's.
 
 **Correctness argument** (verified end-to-end by
 ``tests/test_shard_oracle.py``): an analysis answer is plan-invariant
@@ -47,12 +46,13 @@ degraded lower bound, never a silently wrong total.  Partial answers
 are never memoized (the executor's result-cache rule), so a healed
 shard immediately serves full answers again.
 
-Modeled latency follows the fan-out: each shard gather reads its misses
-serially, so it models ``misses * read_latency`` of its own shard's
-store, and shards read concurrently, so the query waits for the slowest
-— the maximum over live shards.  Like the unsharded engine's, the
-number is arithmetic over the query's own reads; no device clock is
-read.
+Modeled latency follows the fan-out: each shard gather models its
+misses as one batch on its own shard's store (at that store's queue
+depth), and the shard devices serve concurrently, so the query waits
+for the slowest — the maximum over live shards.  The gathers run one
+after another on one thread all the same: the model is of the devices,
+not of the threads.  Like the unsharded engine's, the number is
+arithmetic over the query's own reads; no device clock is read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -358,10 +357,9 @@ class ScatterGatherExecutor(QueryExecutor):
     quarantine-overlap degradation are all inherited from
     :class:`QueryExecutor`; only the :meth:`_gather` seam changes —
     the position-tagged keys are grouped by owning shard and each
-    group is one :func:`~repro.core.executor.local_gather`, fanned out
-    through the base's ``iosched`` (:meth:`IOScheduler.run`; shard by
-    shard on the calling thread without one), the shard partials merged
-    per window position with :func:`sum_arrays`.  A whole time series
+    group is one :func:`~repro.core.executor.local_gather`, run shard
+    by shard on the calling thread, the shard partials merged per
+    window position with :func:`sum_arrays`.  A whole time series
     is therefore ONE fan-out: a 90-day daily chart costs one scatter,
     not 90.
 
@@ -387,7 +385,7 @@ class ScatterGatherExecutor(QueryExecutor):
         **options: Any,
     ) -> None:
         """``options`` are :class:`QueryExecutor`'s own, keyword for
-        keyword (``cache``, ``optimizer``, ``iosched``, ...)."""
+        keyword (``cache``, ``optimizer``, ``result_cache``, ...)."""
         super().__init__(index, **options)
         self.sharded_index = index
         self.fault_hook = fault_hook
@@ -409,9 +407,9 @@ class ScatterGatherExecutor(QueryExecutor):
         """One local gather per owning shard, merged by exact addition.
 
         Every shard reduces through the query's one compiled
-        ``selection`` (read-only, so sharing it across the pool is safe).
-        Shards read concurrently, so the merged partial's modeled disk
-        time is the slowest live shard's.
+        ``selection``.  The shard devices are modeled as serving
+        concurrently, so the merged partial's modeled disk time is the
+        slowest live shard's.
         """
         by_shard: dict[int, list[tuple[int, TemporalKey]]] = {}
         for item in items:
@@ -422,15 +420,10 @@ class ScatterGatherExecutor(QueryExecutor):
         check_deadline("phase1.fetch.disk")
         started = time.perf_counter()
         groups = sorted(by_shard.items())
-        tasks = [
-            partial(self._shard_gather, shard, shard_items, selection)
+        gathered = [
+            self._shard_gather(shard, shard_items, selection)
             for shard, shard_items in groups
         ]
-        gathered = (
-            self.iosched.run(tasks)
-            if self.iosched is not None
-            else [task() for task in tasks]
-        )
         merged = GatherPartial()
         stats = merged.stats
         per_position: dict[int, list[np.ndarray]] = {}
@@ -456,7 +449,7 @@ class ScatterGatherExecutor(QueryExecutor):
         stats.add_phase(
             "phase2.aggregate", time.perf_counter() - merge_started, count=0
         )
-        incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(tasks)))]
+        incs: list[tuple[tuple, float]] = [(_K_SUBQUERIES, float(len(groups)))]
         if dead_shards:
             incs.append((_K_DEAD, float(dead_shards)))
         self.metrics.record_batch(incs, ((_K_SCATTER_SECONDS, elapsed),))
@@ -470,10 +463,8 @@ class ScatterGatherExecutor(QueryExecutor):
     ) -> GatherPartial | None:
         """One shard's local gather; ``None`` when the shard is dead.
 
-        Its misses are read serially (no ``iosched``): this may be a
-        pool task, and a pool task must never wait on the pool.  Any
-        failure but an expired deadline is caught *here*, after it has
-        errored the ``shard.query`` span, so one dead shard cannot
+        Any failure but an expired deadline is caught *here*, after it
+        has errored the ``shard.query`` span, so one dead shard cannot
         abandon the fan-out.
         """
         check_deadline("shard.query")
@@ -486,7 +477,7 @@ class ScatterGatherExecutor(QueryExecutor):
                 if self.fault_hook is not None:
                     self.fault_hook(shard, store)
                 return local_gather(
-                    self.index, self.cache, items, selection, store=store
+                    self.index, self.cache, items, selection, self.iosched, store
                 )
         except DeadlineExceededError:
             raise

@@ -4,7 +4,7 @@ The threaded :class:`~repro.dashboard.server.DashboardServer` scales
 until the GIL does: sixteen request threads aggregating cubes take
 turns on one interpreter lock.  This module moves the *compute* — body
 parsing, planning, cube aggregation, result shaping, response encoding
-— into a pool of long-lived worker **processes**, each owning a full
+— into long-lived worker **processes**, each owning a full
 :class:`~repro.dashboard.api.Dashboard` over the same on-disk
 deployment (and its own result memo, encoded bytes included).  Request
 threads become thin I/O shims: read the body bytes, hand them to a
@@ -12,6 +12,18 @@ worker, relay the ``(status, json_bytes)`` that comes back.  Bytes in,
 bytes out is deliberate: pickling two byte strings costs the parent
 almost nothing, where a parsed payload and a result document would put
 JSON work back on the serving process's core.
+
+**One pipe per worker, no thread in between.**  Each worker holds one
+duplex pipe to the serving process.  A request thread takes an idle
+worker's pipe, sends ``(kind, body, deadline_ms)``, receives the answer
+and hands the pipe back — the whole exchange runs on that thread, so
+the front process runs no manager or feeder thread of its own.
+
+**A dead worker is dropped, never respawned.**  A worker whose pipe
+hits end-of-file (it crashed or was killed) leaves the pool: the
+request it held answers 503 naming it, later requests go to the
+survivors, and with none left every request answers 503.  Respawning
+would mean forking a running, threaded server, which is unsafe.
 
 Consistent cube placement (:mod:`repro.core.shard`) keeps the fan-out
 coherent: every worker computes the same shard mapping from the same
@@ -24,11 +36,12 @@ assembly** — workers build their dashboard from a caller-supplied
 zero-argument factory, because this module cannot import
 :mod:`repro.system` (the dashboard layer sits below it).
 
-The pool uses the ``fork`` start method: the factory is passed as an
-``initializer`` argument, which fork *inherits* rather than pickles, so
-closures over local configuration work.  Per-request arguments do cross
-the process boundary and must stay picklable — the deadline travels as
-a plain remaining-milliseconds float and is re-entered as a fresh
+Workers are started with ``fork``: the factory is a closure over the
+caller's configuration (or its loaded system), which fork *inherits*
+and any other start method would have to pickle.  So the dispatcher
+must be built before the server starts a thread.  Per-request arguments
+do cross the process boundary: the deadline travels as a plain
+remaining-milliseconds float and is re-entered as a fresh
 :class:`~repro.core.deadline.Deadline` scope inside the worker.  Spans
 cannot cross at all; each worker's executions open their own trace
 trees in their own recorders.
@@ -36,10 +49,14 @@ trees in their own recorders.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
+import queue
+import threading
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Callable
 
 from repro.dashboard.api import Dashboard
@@ -52,26 +69,33 @@ __all__ = ["ProcessPoolDispatcher"]
 #: which ``fork`` inherits and any other method would have to pickle.
 _START_METHOD = "fork"
 
-#: The worker process's dashboard, built once by :func:`_worker_init`.
-_WORKER_DASHBOARD: Dashboard | None = None
+#: How long :meth:`ProcessPoolDispatcher.shutdown` lets a worker finish
+#: its request and exit after its pipe closes, before terminating it.
+_EXIT_GRACE_SECONDS = 5.0
 
 
-def _worker_init(factory: Callable[[], Dashboard]) -> None:
-    """Pool initializer: assemble this worker's dashboard exactly once."""
-    global _WORKER_DASHBOARD
-    _WORKER_DASHBOARD = factory()
+def _worker_main(
+    factory: Callable[[], Dashboard], conn: Connection, inherited: list[Connection]
+) -> None:
+    """A worker's life: build the dashboard, report ready, then answer
+    requests until the serving process closes the pipe."""
+    # Fork copied the serving process's ends of every pipe made so far,
+    # this worker's own included.  Close them, or a pipe would stay open
+    # after its owner closed it and its worker would never see EOF.
+    for other in inherited:
+        other.close()
+    dashboard = factory()
+    conn.send(os.getpid())
+    while True:
+        try:
+            kind, body, deadline_ms = conn.recv()
+            conn.send(_answer(dashboard, kind, body, deadline_ms))
+        except (EOFError, OSError):
+            return  # the serving process closed the pipe (or is gone)
 
 
-def _worker_warm(seconds: float) -> int:
-    """Hold a worker busy briefly so every pool slot actually spawns."""
-    time.sleep(seconds)
-    return os.getpid()
-
-
-def _worker_run(
-    kind: str,
-    body: bytes,
-    deadline_ms: float | None,
+def _answer(
+    dashboard: Dashboard, kind: str, body: bytes, deadline_ms: float | None
 ) -> tuple[int, bytes]:
     """Execute one analysis request; returns ``(status, json_bytes)``.
 
@@ -81,12 +105,8 @@ def _worker_run(
     """
     from repro.dashboard.server import run_analysis_request
 
-    dashboard = _WORKER_DASHBOARD
-    if dashboard is None:
-        return 500, b'{"error": "worker pool initializer did not run"}'
-    # The remaining budget was measured at dispatch; queue wait inside
-    # the pool is not re-charged (a few microseconds against budgets
-    # measured in tens of milliseconds).
+    # The remaining budget was measured at dispatch; the pipe hop is
+    # not re-charged (microseconds against budgets of tens of ms).
     deadline = (
         Deadline(deadline_ms / 1000.0)
         if deadline_ms is not None and deadline_ms > 0.0
@@ -96,11 +116,24 @@ def _worker_run(
         return run_analysis_request(dashboard, kind, body)
 
 
+def _unavailable(message: str) -> tuple[int, bytes]:
+    return 503, json.dumps({"error": message}).encode()
+
+
+@dataclass
+class _Worker:
+    process: BaseProcess
+    #: The serving process's end of the worker's pipe.
+    conn: Connection
+    #: Set once the worker has sent its pid: its dashboard exists.
+    ready: bool = False
+
+
 class ProcessPoolDispatcher:
-    """A pool of dashboard-owning worker processes behind the server.
+    """Dashboard-owning worker processes behind the server.
 
     Construct with a zero-argument ``factory`` that builds one
-    :class:`Dashboard` (each worker calls it once, at spawn), hand the
+    :class:`Dashboard` (each worker calls it once, at start), hand the
     dispatcher to :class:`~repro.dashboard.server.DashboardServer`, and
     every ``POST /analysis*`` request is computed out-of-process.
     The owner that built the dispatcher also shuts it down —
@@ -117,28 +150,45 @@ class ProcessPoolDispatcher:
             raise ConfigError(f"worker count must be >= 1, got {workers}")
         self.workers = workers
         context = multiprocessing.get_context(_START_METHOD)
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(factory,),
-        )
+        self._lock = threading.Lock()
+        self._alive: list[_Worker] = []  # guarded-by: _lock
+        #: Idle workers.  Holds ``None`` once every worker is gone, so a
+        #: request waiting for one wakes up and answers 503.
+        self._idle: queue.SimpleQueue[_Worker | None] = queue.SimpleQueue()
+        for _ in range(workers):
+            conn, child_conn = context.Pipe(duplex=True)
+            inherited = [worker.conn for worker in self._alive] + [conn]
+            process = context.Process(
+                target=_worker_main,
+                args=(factory, child_conn, inherited),
+                name="rased-pool-worker",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            worker = _Worker(process, conn)
+            self._alive.append(worker)
+            self._idle.put(worker)
 
-    def prewarm(self, hold_seconds: float = 0.05) -> list[int]:
-        """Spin up (and initialize) every worker before traffic arrives.
+    def prewarm(self) -> list[int]:
+        """Wait until every worker has built its dashboard; returns the
+        pids of the workers that did.  Call it before traffic arrives."""
+        with self._lock:
+            workers = list(self._alive)
+        pids = []
+        for worker in workers:
+            try:
+                self._wait_ready(worker)
+            except (EOFError, OSError):
+                self._drop(worker)
+                continue
+            pids.append(worker.process.pid)
+        return pids
 
-        Submits one short blocking task per slot; because an idle pool
-        assigns each to a fresh process, all ``workers`` dashboards are
-        built here rather than under the first client burst.  Returns
-        the worker PIDs (with duplicates, if a worker double-dipped).
-        """
-        futures = [
-            # Deadlines/spans don't apply: these tasks predate any
-            # request context by construction.
-            self._pool.submit(_worker_warm, hold_seconds)
-            for _ in range(self.workers)
-        ]
-        return [future.result() for future in futures]
+    def alive(self) -> int:
+        """How many workers are still in the pool."""
+        with self._lock:
+            return len(self._alive)
 
     def run(
         self,
@@ -150,19 +200,58 @@ class ProcessPoolDispatcher:
 
         ``body`` is the raw (unparsed) request body; the worker parses
         it and encodes the response document, so only byte strings
-        cross the pickle boundary.  The calling thread is an I/O shim
-        awaiting a remote result, so blocking here is the point.  The
-        deadline crosses as plain milliseconds and is re-entered inside
-        the worker; spans cannot cross a process boundary at all (each
-        worker traces its own executions), so there is no ambient
-        context to hand off.
+        cross the pipe.  The calling thread waits for an idle worker,
+        then for its answer; blocking here is the point.  The deadline
+        crosses as plain milliseconds and is re-entered inside the
+        worker.  A worker lost mid-request answers 503 and leaves the
+        pool.
         """
-        future = self._pool.submit(_worker_run, kind, body, deadline_ms)
-        return future.result()
+        worker = self._idle.get()
+        if worker is None:
+            self._idle.put(None)
+            return _unavailable("no analysis worker process is alive")
+        try:
+            self._wait_ready(worker)
+            worker.conn.send((kind, body, deadline_ms))
+            answer = worker.conn.recv()
+        except (EOFError, OSError):
+            self._drop(worker)
+            return _unavailable(
+                f"analysis worker process {worker.process.pid} exited "
+                "before answering"
+            )
+        self._idle.put(worker)
+        return answer
 
     def shutdown(self) -> None:
-        """Terminate the worker processes (idempotent)."""
-        self._pool.shutdown(wait=True)
+        """Close every pipe and reap the worker processes (idempotent)."""
+        with self._lock:
+            workers = list(self._alive)
+        for worker in workers:
+            self._drop(worker)
+
+    def _wait_ready(self, worker: _Worker) -> None:
+        """Receive the worker's start-up pid, once.  Only the thread that
+        holds the worker (or :meth:`prewarm`, before traffic) calls this."""
+        if not worker.ready:
+            worker.conn.recv()
+            worker.ready = True
+
+    def _drop(self, worker: _Worker) -> None:
+        """Take a worker out of the pool: close its pipe (a live worker
+        then exits) and reap its process."""
+        with self._lock:
+            if worker not in self._alive:
+                return
+            self._alive.remove(worker)
+            last = not self._alive
+        worker.conn.close()
+        worker.process.join(_EXIT_GRACE_SECONDS)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join()
+        if last:
+            self._idle.put(None)
 
     def __enter__(self) -> "ProcessPoolDispatcher":
         return self

@@ -552,6 +552,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
             if callable(shard_status):
                 payload["shards"] = shard_status()
+            if self.dispatcher is not None:
+                # A lost pool worker is dropped, not respawned: fewer
+                # alive than started is a degraded pool.
+                alive = self.dispatcher.alive()
+                payload["workers"] = {
+                    "alive": alive,
+                    "started": self.dispatcher.workers,
+                }
+                if alive < self.dispatcher.workers:
+                    payload["status"] = "degraded"
             if self.slo is not None:
                 firing = [a.to_dict() for a in self.slo.alerts() if a.firing]
                 payload["slo"] = {"burning": bool(firing), "firing": firing}

@@ -7,11 +7,9 @@ The subsystem's layers, bottom to top:
   warehouse, ingestion pipeline, HTTP server) reports into, with JSON
   and Prometheus text export;
 * :mod:`repro.obs.span` — causal span trees: a ``trace_id``/``span_id``/
-  parent identity per operation, carried in a ``ContextVar`` and
-  explicitly handed across thread-pool boundaries
-  (:func:`~repro.obs.span.set_ambient`), so a request's admission
-  verdict, plan, pool-thread disk reads, and aggregation land in one
-  connected tree;
+  parent identity per operation, carried in a ``ContextVar`` on the
+  request's one thread, so a request's admission verdict, plan, disk
+  reads, and aggregation land in one connected tree;
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder`, a bounded
   ring of completed traces with tail-based retention (errors, partial
   answers, deadline expiries and the slowest decile always kept);

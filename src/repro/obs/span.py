@@ -2,9 +2,8 @@
 
 :class:`repro.core.query.QueryStats` answers "where did this query's
 time go" as five folded phase totals — good enough for one query
-executed on one thread, blind to everything the concurrent engine
-adds: work done inside :class:`repro.core.iosched.IOScheduler`
-pool threads, admission verdicts, WAL writes.  This module is the
+executed on one thread, blind to everything around it: admission
+verdicts, the page reads under each phase, WAL writes.  This module is the
 causal layer the phases are recorded into (one :func:`record_span`
 each):
 
@@ -13,12 +12,9 @@ each):
   status.  Spans form a tree rooted at the request (or at the query,
   when there is no HTTP front end).
 * the **ambient span** — a :class:`contextvars.ContextVar` holding the
-  span the current logical task is inside.  ``ContextVar`` does *not*
-  cross thread-pool boundaries by itself; :func:`set_ambient` /
-  :func:`reset_ambient` are the explicit hand-off a worker brackets
-  its body with (:meth:`repro.core.iosched.IOScheduler.run` captures
-  :func:`current_span` at submit time and re-attaches it around each
-  pool task — the only such site).
+  span the current logical task is inside.  A request is served start
+  to finish on the thread that accepted it, so nothing hands the
+  ambient span to another thread.
 * :class:`Tracer` — the entry point that opens a **root** span, runs
   the block under it, and hands the completed tree to a
   :class:`~repro.obs.recorder.FlightRecorder`-shaped sink.  Nested
@@ -48,8 +44,6 @@ __all__ = [
     "current_span",
     "current_trace_id",
     "record_span",
-    "reset_ambient",
-    "set_ambient",
     "span",
     "MAX_SPANS_PER_TRACE",
 ]
@@ -182,11 +176,11 @@ class ActiveTrace:
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
         #: Completion order; appended without the lock — ``list.append``
-        #: is atomic under the GIL, and six pool workers finishing disk
-        #: spans at once must not serialize on the trace.  The length
-        #: check against ``max_spans`` is best-effort (a concurrent
-        #: burst can overshoot by a worker or two), which is fine for a
-        #: runaway-fan-out backstop.
+        #: is atomic under the GIL, so finishing a span never waits on
+        #: the trace.  The length check against ``max_spans`` is
+        #: best-effort (spans finished on two threads at once can
+        #: overshoot it by one), which is fine for a runaway-fan-out
+        #: backstop.
         self._spans: list[Span] = []
         self._dropped = 0  # guarded-by: _lock
         self._worst = STATUS_OK  # guarded-by: _lock
@@ -341,21 +335,6 @@ class RecordedTrace:
 def current_span() -> Span | None:
     """The span the calling task is inside, or ``None`` untraced."""
     return _CURRENT_SPAN.get()
-
-
-def set_ambient(span: Span | None) -> object:
-    """Low-level ambient-span set; pair with :func:`reset_ambient`.
-
-    Prefer :func:`span` — this exists for the one call site that
-    re-attaches a span captured on another thread
-    (:meth:`repro.core.iosched.IOScheduler.run`'s pool tasks).
-    """
-    return _CURRENT_SPAN.set(span)
-
-
-def reset_ambient(token: object) -> None:
-    """Undo a :func:`set_ambient` with the token it returned."""
-    _CURRENT_SPAN.reset(token)  # type: ignore[arg-type]
 
 
 def current_trace_id() -> str | None:

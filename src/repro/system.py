@@ -26,7 +26,7 @@ from repro.types.temporal import TemporalKey, month_key
 from repro.types.dimensions import CubeSchema, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.iosched import DEFAULT_IO_WORKERS, IOScheduler
+from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.percentages import NetworkSizeRegistry
 from repro.core.resultcache import EpochCounter, ResultCache
@@ -99,16 +99,11 @@ class SystemConfig:
     #: depend on it; the differential oracle suite
     #: (``tests/test_shard_oracle.py``) proves N>1 answers byte-equal.
     shards: int = 1
-    #: Width of the I/O scheduler's pool when sharded (one task per
-    #: owning shard).  ``None`` sizes it to ``min(8, shards)`` — right
-    #: for one query at a time; a deployment handling concurrent
-    #: requests through one in-process executor should raise it (the
-    #: shard gathers of all in-flight queries share the pool).
+    #: Accepted only as ``None`` or 4, and ``fetch_parallelism`` only as
+    #: 4: page reads and shard gathers run on the querying thread, so
+    #: these pool widths size nothing.  Fields only because the frozen
+    #: benchmark harness still spells both.
     scatter_threads: int | None = None
-    #: Width of the I/O scheduler's pool when unsharded (phase-1 page
-    #: reads are overlapped).  At width 1 — either knob — there is no
-    #: scheduler: misses are read one at a time in plan order, shards
-    #: gathered one after another.
     fetch_parallelism: int = 4
     #: Slots in the epoch-versioned whole-result memo cache in front
     #: of the executor.  0 disables memoization, so repeated identical
@@ -138,18 +133,22 @@ class SystemConfig:
                 f"page_version={self.page_version!r} and "
                 f"sparse_cubes={self.sparse_cubes!r} are not settable"
             )
+        if self.fetch_parallelism != 4 or self.scatter_threads not in (None, 4):
+            raise ConfigError(
+                "reads run on the querying thread: "
+                f"fetch_parallelism={self.fetch_parallelism!r} and "
+                f"scatter_threads={self.scatter_threads!r} are not settable"
+            )
 
     @classmethod
     def serving(cls, **overrides: Any) -> "SystemConfig":
         """The deployed profile: what ``rased-repro ingest|serve`` open
         and what ``benchmarks/e2e`` measures — sparse cubes in v3 pages
-        behind a 64-slot cube cache, overlapped fetch, the result memo
-        and tracing (``tests/test_system.py`` pins it to the harness's
-        own literal).  ``overrides`` are per-deployment settings
+        behind a 64-slot cube cache, the result memo and tracing
+        (``tests/test_system.py`` pins it to the harness's own literal).  ``overrides`` are per-deployment settings
         (shards, WAL, admission, ...)."""
         profile = dict(
             cache_slots=64,
-            fetch_parallelism=4,
             tracing=True,
             result_cache_slots=256,
         )
@@ -204,7 +203,7 @@ class RasedSystem:
         #: placement), everything else — warehouse, auxiliary indexes,
         #: WAL, feed cursor — stays on the primary store.  Nothing
         #: below this line knows which case it is in, bar the scatter
-        #: executor, which reads the shards concurrently.
+        #: executor, which gathers shard by shard.
         self.shard_stores: list[PageStore] = []
         routed: ShardedPageStore | None = None
         # Checked before the shard stores (directories) are derived: an
@@ -265,19 +264,6 @@ class RasedSystem:
         self.network_sizes = NetworkSizeRegistry(
             atlas, self.simulator.road_network_sizes()
         )
-        #: One scheduler at any shard count: it overlaps page reads
-        #: unsharded and shard gathers sharded (whose own reads are
-        #: then serial — cross-shard overlap replaces per-read overlap).
-        width = (
-            (config.scatter_threads or min(DEFAULT_IO_WORKERS, config.shards))
-            if sharded_index is not None
-            else config.fetch_parallelism
-        )
-        self.iosched = (
-            IOScheduler(max_workers=width, metrics=self.metrics)
-            if width > 1
-            else None
-        )
         self.result_cache = (
             ResultCache(config.result_cache_slots, self.epoch, metrics=self.metrics)
             if config.result_cache_slots > 0
@@ -290,10 +276,11 @@ class RasedSystem:
             optimizer=LevelOptimizer(self.index, metrics=self.metrics),
             network_sizes=self.network_sizes,
             metrics=self.metrics,
-            iosched=self.iosched,
             result_cache=self.result_cache,
             tracer=self.tracer,
         )
+        #: The executor's phase-1 read loop (it holds no thread).
+        self.iosched: IOScheduler = self.executor.iosched
         self.pipeline = IngestionPipeline(
             daily_crawler=DailyCrawler(
                 self.crawl_feed, self.changeset_store, self.geocoder

@@ -59,8 +59,7 @@ class TestParser:
 class TestServeConfig:
     def test_worker_config_derives_from_the_front_door(self):
         """Pool workers run the front door's engine: same profile and
-        flags (``--scatter-threads`` used to be dropped), minus what
-        belongs to the serving process alone.  The shard count is not a
+        flags, minus what belongs to the serving process alone.  The shard count is not a
         flag: both read it back from the root when they open it."""
         import dataclasses
 
@@ -71,7 +70,6 @@ class TestServeConfig:
         args = build_parser().parse_args(
             [
                 "serve", "--root", "/tmp/x", "--workers", "2", "--durable",
-                "--scatter-threads", "16",
                 "--cache-slots", "32", "--result-cache-slots", "8",
                 "--rate-limit", "5", "--slo-latency-ms", "100",
             ]
@@ -81,7 +79,6 @@ class TestServeConfig:
             simulation=config.simulation,
             cache_slots=32,
             result_cache_slots=8,
-            scatter_threads=16,
             durable_ingest=True,
             admission=AdmissionConfig(rate_limit=5.0),
             slo=dataclasses.replace(config.slo, latency_threshold_ms=100.0),
@@ -93,9 +90,12 @@ class TestServeConfig:
             if getattr(worker, field.name) != getattr(config, field.name)
         }
         assert differing == {"tracing", "durable_ingest", "admission"}
-        assert worker.scatter_threads == 16
         assert not (worker.tracing or worker.durable_ingest)
         assert not worker.admission.any_enabled()
+        with pytest.raises(SystemExit):  # the flag is gone
+            build_parser().parse_args(
+                ["serve", "--root", "/tmp/x", "--scatter-threads", "16"]
+            )
 
 
 class TestCommands:

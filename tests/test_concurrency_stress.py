@@ -37,7 +37,6 @@ def build_stress_system(atlas, shards: int = 1) -> RasedSystem:
             road_types=8,
             cache_slots=16,
             shards=shards,
-            fetch_parallelism=4,
             result_cache_slots=32,
             simulation=SimulationConfig(
                 seed=31, mapper_count=20, base_sessions_per_day=6, nodes_per_country=8
@@ -57,9 +56,9 @@ class TestMixedWorkloadStress:
         self._race(build_stress_system(atlas))
 
     def test_sharded_queries_ingest_and_live_poll_race_safely(self, atlas):
-        """The same race with the shard gathers' pool threads sharing
-        the one catalog and the one cache (a short switch interval
-        makes the interleavings dense)."""
+        """The same race through the scatter engine, whose shard
+        gathers share the one catalog and the one cache (a short switch
+        interval makes the interleavings dense)."""
         system = build_stress_system(atlas, shards=4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)

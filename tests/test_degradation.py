@@ -65,15 +65,16 @@ def clean_totals(atlas) -> tuple[int, int]:
 
 
 class TestPartialAnswers:
-    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("shards", [1, 4])
     def test_missing_page_yields_partial_not_crash(
-        self, atlas, clean_totals, parallelism
+        self, atlas, clean_totals, shards
     ):
-        """Both fetch paths (serial loop and the I/O scheduler) degrade
-        the same way: answer minus the lost day, flagged partial."""
+        """Both read paths (one store and the scatter-gather over shard
+        stores) degrade the same way: answer minus the lost day, flagged
+        partial."""
         full_total, victim_total = clean_totals
-        system = _build(atlas, fetch_parallelism=parallelism)
-        system.store.delete(page_id_for(day_key(VICTIM)))
+        system = _build(atlas, shards=shards)
+        system.index.store.delete(page_id_for(day_key(VICTIM)))
 
         result = system.dashboard.analysis(_QUERY)
         assert result.stats.partial is True
@@ -99,19 +100,20 @@ class TestPartialAnswers:
         assert result.total < full_total
         assert day_key(VICTIM) in system.index.quarantined_keys()
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("shards", [1, 4])
     def test_v3_page_past_int64_behind_valid_crc_is_quarantined(
-        self, atlas, clean_totals, parallelism
+        self, atlas, clean_totals, shards
     ):
         """A sparse header whose first cell is >= 2**63, checksum valid:
         the decoder used to leak numpy's OverflowError (a 500, the key
         never quarantined); it must degrade like any corrupt page."""
         full_total, victim_total = clean_totals
-        system = _build(atlas, fetch_parallelism=parallelism)
+        system = _build(atlas, shards=shards)
+        cube_store = system.index.store
         victim_page = page_id_for(day_key(VICTIM))
-        system.store.write(
+        cube_store.write(
             victim_page,
-            corruptions(system.store.read(victim_page), system.schema.cell_count)[
+            corruptions(cube_store.read(victim_page), system.schema.cell_count)[
                 "first_cell = 2**63 !"
             ],
         )

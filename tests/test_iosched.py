@@ -1,5 +1,5 @@
-"""Tests for the I/O scheduler: the ``run`` primitive, overlapped
-fetches, and the modeled time of a batch at the disk's queue depth."""
+"""Tests for the I/O scheduler: the phase-1 read loop on the calling
+thread, and the modeled time of a batch at the disk's queue depth."""
 
 from __future__ import annotations
 
@@ -12,15 +12,21 @@ import pytest
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.types.dimensions import default_schema
 from repro.types.temporal import Level
-from repro.core.deadline import Deadline, check_deadline, deadline_scope
+from repro.core.deadline import Deadline, deadline_scope
 from repro.core.executor import QueryExecutor, local_gather
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
 from repro.core.optimizer import FlatPlanner
 from repro.core.query import AnalysisQuery
+from repro.core.shard import (
+    ScatterGatherExecutor,
+    ShardedIndex,
+    ShardedPageStore,
+    shard_stores_for,
+)
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.obs import MetricsRegistry
-from repro.obs.span import Tracer, span
+from repro.obs.span import Tracer
 from repro.storage.disk import InMemoryDisk
 from repro.storage.pages import PageStoreProxy, modeled_read_seconds
 from repro.types.cube import Selection
@@ -65,69 +71,42 @@ def make_small_index(
 
 @pytest.fixture()
 def sched():
-    sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
-    yield sched
-    sched.shutdown()
+    return IOScheduler(metrics=MetricsRegistry())
+
+
+def _thread_names() -> list[str]:
+    return sorted(thread.name for thread in threading.enumerate())
 
 
 class TestRun:
-    """``IOScheduler.run``: the one way work crosses to a thread."""
+    """One batch's run: every load on the calling thread, in order."""
 
-    def test_first_task_on_the_caller_the_rest_on_the_pool(self, sched):
-        def name():
-            return threading.current_thread().name
+    def test_every_load_runs_on_the_caller_and_starts_no_thread(self, sched):
+        before = _thread_names()
+        ran_on: list[str] = []
 
-        ran_on = sched.run([name, name, name])
-        assert ran_on[0] == threading.current_thread().name
-        assert all(thread.startswith("rased-io") for thread in ran_on[1:])
-        # Results come back in task order, whichever finished first.
-        assert sched.run([lambda n=n: n * n for n in range(6)]) == [
-            0, 1, 4, 9, 16, 25
-        ]
+        def load(key):
+            ran_on.append(threading.current_thread().name)
+            return key * key
 
-    def test_pool_task_spans_parent_to_the_submitters_span(self, sched):
-        sink: list = []
-
-        class Sink:
-            record = staticmethod(sink.append)
-
-        def task():
-            with span("work"):
-                return threading.current_thread().name
-
-        with Tracer(recorder=Sink()).trace("query") as root:
-            ran_on = sched.run([task, task])
-        assert ran_on[1].startswith("rased-io")
-        [trace] = sink
-        work = [s for s in trace.spans if s.name == "work"]
-        assert sorted(s.thread_name for s in work) == sorted(ran_on)
-        assert all(s.parent_id == root.span_id for s in work)
-
-    def test_pool_task_sees_the_submitters_expired_deadline(self, sched):
-        now = [0.0]
-        deadline = Deadline(1.0, clock=lambda: now[0])
-        on_pool: list[str] = []
-
-        def checks():
-            on_pool.append(threading.current_thread().name)
-            check_deadline("in-task")
-
-        with deadline_scope(deadline):
-            sched.run([lambda: None, checks])  # within budget: passes
-            now[0] = 2.0
-            with pytest.raises(DeadlineExceededError, match="in-task"):
-                sched.run([lambda: None, checks])
-        assert len(on_pool) == 2 and on_pool[1].startswith("rased-io")
+        assert sched.fetch_many(range(20), load) == {k: k * k for k in range(20)}
+        assert ran_on == [threading.current_thread().name] * 20
+        assert _thread_names() == before
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_any_tasks_exception_reaches_the_caller(self, sched, failing):
-        def task(n):
+        """A load's exception abandons the batch: no later key loads."""
+        loaded: list[int] = []
+
+        def load(n):
+            loaded.append(n)
             if n == failing:
                 raise KeyError(n)
             return n
 
         with pytest.raises(KeyError):
-            sched.run([lambda n=n: task(n) for n in range(3)])
+            sched.fetch_many(range(4), load)
+        assert loaded == list(range(failing + 1))
 
 
 class TestSingleFlight:
@@ -136,19 +115,19 @@ class TestSingleFlight:
     of "single flight" is that a key asked for twice is loaded once)."""
 
     def test_fetch_many_loads_each_key_once(self):
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+        sched = IOScheduler(metrics=MetricsRegistry())
         loads = []
         values = sched.fetch_many(
             ["a", "b", "a", "c", "b"],
             lambda key: loads.append(key) or key.upper(),
         )
         assert values == {"a": "A", "b": "B", "c": "C"}
-        assert sorted(loads) == ["a", "b", "c"]
+        assert loads == ["a", "b", "c"]
         assert sched.metrics.value("rased_iosched_fetches_total") == 3
         assert sched.metrics.value("rased_iosched_batches_total") == 1
 
     def test_fetch_many_propagates_exceptions(self):
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+        sched = IOScheduler(metrics=MetricsRegistry())
 
         def flaky(key):
             if key == "bad":
@@ -158,54 +137,24 @@ class TestSingleFlight:
         with pytest.raises(KeyError):
             sched.fetch_many(["ok", "bad"], flaky)
 
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigError):
-            IOScheduler(max_workers=0)
-
 
 class TestSlices:
-    """``fetch_many`` hands the pool slices, not pages: the call budget
-    as counts (no timings), and what must survive the change."""
+    """A batch is one slice, read key by key on the calling thread: the
+    deadline before every read, a lost page dropped on its own."""
 
-    @staticmethod
-    def _count_submissions(sched, monkeypatch):
-        submitted = []
-        submit = sched._pool.submit
-        monkeypatch.setattr(
-            sched._pool,
-            "submit",
-            lambda *args, **kwargs: submitted.append(args) or submit(*args, **kwargs),
-        )
-        return submitted
+    def test_small_batches_stay_off_the_pool(self, sched):
+        """There is no pool: batches of any size stay on the caller."""
+        before = _thread_names()
+        for keys in (["k"], ["a", "b"], [str(n) for n in range(20)]):
+            ran_on = []
 
-    def test_twenty_keys_cost_three_submissions(self, sched, monkeypatch):
-        submitted = self._count_submissions(sched, monkeypatch)
-        ran_on: dict[int, list[str]] = {}
+            def load(key):
+                ran_on.append(threading.current_thread().name)
+                return key.upper()
 
-        def load(key):
-            ran_on.setdefault(key, []).append(threading.current_thread().name)
-            return key * key
-
-        values = sched.fetch_many(range(20), load)
-        assert len(submitted) == 3
-        assert values == {key: key * key for key in range(20)}
-        assert all(len(threads) == 1 for threads in ran_on.values())
-        # 4 slices of ceil(20 / 4) keys, one of them run by the caller:
-        # with loads that really wait, the makespan stays 5 latencies.
-        by_thread: dict[str, list[int]] = {}
-        for key, (name,) in ran_on.items():
-            by_thread.setdefault(name, []).append(key)
-        assert len(by_thread[threading.current_thread().name]) == 5
-        assert sum(len(keys) for keys in by_thread.values()) == 20
-        # A pool thread may take more than one slice; none is cut finer.
-        assert all(len(keys) % 5 == 0 for keys in by_thread.values())
-
-    def test_small_batches_stay_off_the_pool(self, sched, monkeypatch):
-        submitted = self._count_submissions(sched, monkeypatch)
-        assert sched.fetch_many(["k"], str.upper) == {"k": "K"}
-        assert submitted == []
-        assert sched.fetch_many(["a", "b"], str.upper) == {"a": "A", "b": "B"}
-        assert len(submitted) == 1  # two slices: the caller's and one more
+            assert sched.fetch_many(keys, load) == {k: k.upper() for k in keys}
+            assert set(ran_on) == {threading.current_thread().name}
+        assert _thread_names() == before
 
     def test_concurrent_batches_each_read_every_page(self):
         """Nothing is shared between batches: two queries missing the
@@ -213,7 +162,7 @@ class TestSlices:
         each page twice (reuse across queries is the result memo's)."""
         index, disk = make_small_index(days=8, read_latency=0.0)
         keys = sorted(index.keys(Level.DAY))
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
+        sched = IOScheduler(metrics=MetricsRegistry())
         both_inside = threading.Barrier(2)
         met: set[str] = set()
 
@@ -221,7 +170,7 @@ class TestSlices:
             # Each batch's own thread waits once for the other batch,
             # so the two are provably in flight together.
             name = threading.current_thread().name
-            if name.startswith("batch-") and name not in met:
+            if name not in met:
                 met.add(name)
                 both_inside.wait(timeout=5)
             return index.get(key)
@@ -240,7 +189,6 @@ class TestSlices:
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        sched.shutdown()
         for values in batches.values():
             assert sorted(values) == keys
             assert all(cube is not None for cube in values.values())
@@ -254,14 +202,14 @@ class TestSlices:
 
         def load(key):
             loaded.append(key)
-            now[0] = 2.0  # the first load of any slice burns the budget
+            now[0] = 2.0  # the first load burns the budget
             return key
 
-        with deadline_scope(deadline), pytest.raises(DeadlineExceededError):
+        with deadline_scope(deadline), pytest.raises(
+            DeadlineExceededError, match="iosched.fetch"
+        ):
             sched.fetch_many(range(20), load)
-        sched.shutdown()  # slices still on the pool stop at their next check
-        # Each of the <= 4 slices gets at most one key in; never all 20.
-        assert 1 <= len(loaded) <= 4
+        assert loaded == [0]
 
     def test_already_expired_deadline_loads_nothing(self, sched):
         deadline = Deadline(1.0, clock=iter([0.0] + [5.0] * 100).__next__)
@@ -271,8 +219,8 @@ class TestSlices:
         assert loaded == []
 
     def test_degradable_error_drops_that_key_only(self, sched):
-        """A vanished page is ``None`` for its key; the rest of its slice
-        (and of the batch) still loads."""
+        """A vanished page is ``None`` for its key; the rest of the
+        batch still loads."""
         index, disk = make_small_index(days=8, read_latency=0.0)
         keys = sorted(index.keys(Level.DAY))
         disk.delete(f"cubes/{keys[2]}")
@@ -281,7 +229,7 @@ class TestSlices:
             None,
             [(0, key) for key in keys],
             Selection(index.schema),
-            iosched=sched,
+            sched,
         )
         assert part.stats.partial and part.stats.quarantined_cubes == 1
         assert part.stats.disk_reads_by_level == {Level.DAY: 7}
@@ -289,6 +237,47 @@ class TestSlices:
         assert part.stats.phases["phase2.aggregate"][1] == 7
         assert index.quarantined_keys() == [keys[2]]
         assert int(part.arrays[0]) == 3 * 7  # three updates a day
+
+
+class TestNoThreadHop:
+    """A cold query is served start to finish by the calling thread:
+    every span of its tree is recorded there, and no thread starts."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_cold_query_stays_on_the_calling_thread(self, shards):
+        index, _ = make_small_index(days=8)
+        if shards > 1:
+            disk = InMemoryDisk(read_latency=0.005, write_latency=0.0)
+            sharded = ShardedIndex(
+                index.schema, ShardedPageStore(shard_stores_for(disk, shards), disk)
+            )
+            for key in index.keys(Level.DAY):
+                sharded.put(index.get(key))
+            engine = ScatterGatherExecutor(sharded, optimizer=FlatPlanner(sharded))
+        else:
+            engine = QueryExecutor(index, optimizer=FlatPlanner(index))
+        traces: list = []
+
+        class Sink:
+            record = staticmethod(traces.append)
+
+        engine.tracer = Tracer(recorder=Sink())
+        before = _thread_names()
+        result = engine.execute(
+            AnalysisQuery(
+                start=date(2021, 1, 1), end=date(2021, 1, 8), group_by=("country",)
+            )
+        )
+        assert _thread_names() == before
+        assert result.stats.disk_reads == 8
+        [trace] = traces
+        assert {s.thread_name for s in trace.spans} == {
+            threading.current_thread().name
+        }
+        names = trace.span_names()
+        assert names.count("storage.disk.read") == 8
+        if shards > 1:
+            assert names.count("shard.query") > 1  # the plan did fan out
 
 
 class TestModeledReadSeconds:
@@ -323,15 +312,9 @@ class TestExecutorOverlap:
         ).execute(query)
 
         index_par, disk_par = make_small_index(parallelism=4)
-        sched = IOScheduler(max_workers=8, metrics=MetricsRegistry())
-        try:
-            parallel = QueryExecutor(
-                index_par,
-                optimizer=FlatPlanner(index_par),
-                iosched=sched,
-            ).execute(query)
-        finally:
-            sched.shutdown()
+        parallel = QueryExecutor(
+            index_par, optimizer=FlatPlanner(index_par)
+        ).execute(query)
 
         assert parallel.rows == serial.rows
         assert serial.stats.disk_reads == parallel.stats.disk_reads == 8
@@ -346,16 +329,10 @@ class TestExecutorOverlap:
     def test_trace_counts_survive_overlapped_fetch(self):
         """cache + disk phase counts still sum to cube_count."""
         index, _ = make_small_index(parallelism=4)
-        sched = IOScheduler(max_workers=4, metrics=MetricsRegistry())
-        try:
-            executor = QueryExecutor(
-                index, optimizer=FlatPlanner(index), iosched=sched
-            )
-            result = executor.execute(
-                AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 8))
-            )
-        finally:
-            sched.shutdown()
+        executor = QueryExecutor(index, optimizer=FlatPlanner(index))
+        result = executor.execute(
+            AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 8))
+        )
         phases = result.stats.phases
         fetched = sum(
             phases[name][1]

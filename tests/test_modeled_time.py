@@ -104,7 +104,6 @@ def test_query_beside_the_writer_excludes_its_writes(atlas):
         store=store,
         config=SystemConfig(
             road_types=8,
-            fetch_parallelism=1,
             durable_ingest=True,
             simulation=SimulationConfig(
                 seed=23, mapper_count=6, base_sessions_per_day=3, nodes_per_country=2

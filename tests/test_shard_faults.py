@@ -26,7 +26,6 @@ from repro.core.cache import CacheManager
 from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.core.resultcache import EpochCounter, ResultCache
@@ -77,16 +76,7 @@ def oracle(schema):
     return QueryExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
 
 
-@pytest.fixture(scope="module")
-def sched():
-    """The engines below fan out through a real scheduler, so every
-    fault crosses the pool the way it would in a deployment."""
-    sched = IOScheduler(max_workers=SHARDS)
-    yield sched
-    sched.shutdown()
-
-
-def _build_engine(schema, sched, fault_hook=None, slots=16, result_cache=None):
+def _build_engine(schema, fault_hook=None, slots=16, result_cache=None):
     disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
     index = ShardedIndex(
         schema, ShardedPageStore(shard_stores_for(disk, SHARDS), disk)
@@ -99,7 +89,6 @@ def _build_engine(schema, sched, fault_hook=None, slots=16, result_cache=None):
         index,
         cache=cache,
         optimizer=LevelOptimizer(index),
-        iosched=sched,
         result_cache=result_cache,
         fault_hook=fault_hook,
     )
@@ -115,9 +104,9 @@ def _touched_shards(engine, query):
     return {engine.sharded_index.shard_for(key) for key in plan.keys}
 
 
-def test_dead_shard_yields_partial_lower_bound(schema, oracle, sched):
+def test_dead_shard_yields_partial_lower_bound(schema, oracle):
     """Kill one planned shard: partial=true, every total a lower bound."""
-    engine = _build_engine(schema, sched)
+    engine = _build_engine(schema)
     victim = sorted(_touched_shards(engine, QUERY))[0]
     plan = FaultPlan(
         specs=[
@@ -155,10 +144,10 @@ def test_dead_shard_yields_partial_lower_bound(schema, oracle, sched):
     )
 
 
-def test_dead_shard_in_series_fanout_yields_partial(schema, oracle, sched):
+def test_dead_shard_in_series_fanout_yields_partial(schema, oracle):
     """Kill a shard under the batched series fan-out: same contract.
 
-    A daily series crosses the pool as ONE fan-out carrying every
+    A daily series is ONE fan-out carrying every
     period's keys, with its own gather loop — so the dead-shard
     degradation (partial=true, lower-bound rows, never a wrong total)
     needs pinning separately from the single-window path.
@@ -166,7 +155,7 @@ def test_dead_shard_in_series_fanout_yields_partial(schema, oracle, sched):
     series = AnalysisQuery(
         start=date(2021, 2, 1), end=date(2021, 3, 15), group_by=("date",)
     )
-    engine = _build_engine(schema, sched)
+    engine = _build_engine(schema)
     victim = sorted(_touched_shards(engine, series))[0]
     plan = FaultPlan(
         specs=[
@@ -192,11 +181,11 @@ def test_dead_shard_in_series_fanout_yields_partial(schema, oracle, sched):
     )
 
 
-def test_all_shards_dead_yields_empty_partial(schema, sched):
+def test_all_shards_dead_yields_empty_partial(schema):
     plan = FaultPlan.single(
         "shard.query", kind="error", page_prefix="shard/", count=10**9
     )
-    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    engine = _build_engine(schema, fault_hook=shard_fault_hook(plan))
     result = engine.execute(QUERY)
     assert result.stats.partial is True
     assert result.rows == {}
@@ -204,9 +193,9 @@ def test_all_shards_dead_yields_empty_partial(schema, sched):
     assert result.stats.cache_hits == result.stats.disk_reads == 0
 
 
-def test_shard_heals_after_fault_exhausts(schema, oracle, sched):
+def test_shard_heals_after_fault_exhausts(schema, oracle):
     """count=1: exactly one degraded answer, then exact answers again."""
-    engine = _build_engine(schema, sched)
+    engine = _build_engine(schema)
     victim = sorted(_touched_shards(engine, QUERY))[0]
     plan = FaultPlan(
         specs=[
@@ -227,10 +216,10 @@ def test_shard_heals_after_fault_exhausts(schema, oracle, sched):
     assert second.rows == truth.rows
 
 
-def test_partial_answers_are_never_memoized(schema, oracle, sched):
+def test_partial_answers_are_never_memoized(schema, oracle):
     """A degraded answer must not be served from the result cache."""
     engine = _build_engine(
-        schema, sched, result_cache=ResultCache(8, EpochCounter())
+        schema, result_cache=ResultCache(8, EpochCounter())
     )
     victim = sorted(_touched_shards(engine, QUERY))[0]
     plan = FaultPlan(
@@ -254,21 +243,21 @@ def test_partial_answers_are_never_memoized(schema, oracle, sched):
     assert memoized.rows == healed.rows
 
 
-def test_crash_point_propagates(schema, sched):
+def test_crash_point_propagates(schema):
     """A simulated process kill is not a degradable component failure."""
     plan = FaultPlan.single(
         "shard.query", kind="crash", page_prefix="shard/", count=1
     )
-    engine = _build_engine(schema, sched, fault_hook=shard_fault_hook(plan))
+    engine = _build_engine(schema, fault_hook=shard_fault_hook(plan))
     with pytest.raises(CrashPoint):
         engine.execute(QUERY)
 
 
-def test_slow_shard_answers_exactly_but_slower(schema, oracle, sched):
+def test_slow_shard_answers_exactly_but_slower(schema, oracle):
     """A delayed shard changes its device's clock, never the answer —
     and never the query's modeled time, which counts the query's reads."""
     delay = 0.05
-    engine = _build_engine(schema, sched)
+    engine = _build_engine(schema)
     victim = sorted(_touched_shards(engine, QUERY))[0]
     plan = FaultPlan(
         specs=[
@@ -295,7 +284,7 @@ def test_slow_shard_answers_exactly_but_slower(schema, oracle, sched):
     assert slow.stats.simulated_seconds == slow.stats.wall_seconds
 
 
-def test_phase_names_mean_the_same_in_every_engine(schema, oracle, sched):
+def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
     """One pipeline, one phase vocabulary: the scatter engine reports
     its cache hits under ``phase1.fetch.cache`` (it used to bill them
     to ``phase1.fetch.disk``), and ``phase1.plan`` counts one
@@ -307,14 +296,8 @@ def test_phase_names_mean_the_same_in_every_engine(schema, oracle, sched):
     series = AnalysisQuery(
         start=date(2021, 3, 22), end=END, group_by=("date",)
     )
-    overlapped = QueryExecutor(
-        oracle.index,
-        cache=oracle.cache,
-        optimizer=LevelOptimizer(oracle.index),
-        iosched=sched,
-    )
-    sharded = _build_engine(schema, sched)
-    for engine in (oracle, overlapped, sharded):
+    sharded = _build_engine(schema)
+    for engine in (oracle, sharded):
         for query, windows in ((window, 1), (series, 10)):
             result = engine.execute(query)
             phases = result.stats.phases

@@ -20,9 +20,9 @@ equal the unsharded engine's as well, not just the rows.
 Per shard count the sweep runs 70 queries (40 dashboard-mix across
 two window spans, 20 single-cell, 10 daily series), so the whole
 suite executes 280 differential comparisons — plus the same 70 through
-an ``IOScheduler``-backed unsharded executor (the overlapped read path
-of the one shared gather loop must also match, counters included), and
-the live-overlay comparisons, which drive two fully assembled
+an unsharded executor over a queue-depth-4 disk (modeled overlap must
+change nothing but modeled time, counters included), and the
+live-overlay comparisons, which drive two fully assembled
 deployments (shards=1 vs shards=4) through the same simulated days and
 compare ``analysis_live`` output.
 """
@@ -39,7 +39,6 @@ from repro.core.cache import CacheManager
 from repro.types.dimensions import default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
-from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer
 from repro.core.query import AnalysisQuery
 from repro.core.shard import (
@@ -108,13 +107,11 @@ def _sharded_index(corpus, shards):
     return index
 
 
-def _sharded_engine(corpus, shards, iosched=None):
+def _sharded_engine(corpus, shards):
     index = _sharded_index(corpus, shards)
     cache = CacheManager(index, slots=24)
     cache.preload()
-    return ScatterGatherExecutor(
-        index, cache=cache, optimizer=LevelOptimizer(index), iosched=iosched
-    )
+    return ScatterGatherExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
 
 
 def _sweep(schema):
@@ -165,41 +162,34 @@ def test_oracle_sweep_byte_identical(corpus, oracle, shards):
     """70 seeded queries per shard count, compared answer-for-answer —
     and plan-for-plan: same cache contents, same counters."""
     schema, _ = corpus
-    sched = IOScheduler(max_workers=4)  # the fan-out really crosses threads
-    engine = _sharded_engine(corpus, shards, iosched=sched)
-    try:
-        assert engine.cache.contents() == oracle.cache.contents()
-        queries = _sweep(schema)
-        assert len(queries) == 70
-        for query in queries:
-            expected, actual = oracle.execute(query), engine.execute(query)
-            _assert_identical(expected, actual, query)
-            _assert_same_counters(expected, actual, query)
-        assert engine.cache.contents() == oracle.cache.contents()
-    finally:
-        sched.shutdown()
+    engine = _sharded_engine(corpus, shards)
+    assert engine.cache.contents() == oracle.cache.contents()
+    queries = _sweep(schema)
+    assert len(queries) == 70
+    for query in queries:
+        expected, actual = oracle.execute(query), engine.execute(query)
+        _assert_identical(expected, actual, query)
+        _assert_same_counters(expected, actual, query)
+    assert engine.cache.contents() == oracle.cache.contents()
 
 
 def test_overlapped_reads_match_serial_oracle(corpus, oracle):
-    """The same gather loop with its misses prefetched through an
-    ``IOScheduler`` — over the oracle's own index and (static) cache —
-    answers and *counts* exactly like the scheduler-less oracle."""
-    schema, _ = corpus
-    sched = IOScheduler(max_workers=4)
-    subject = QueryExecutor(
-        oracle.index,
-        cache=oracle.cache,
-        optimizer=LevelOptimizer(oracle.index),
-        iosched=sched,
+    """An unsharded engine over a disk of queue depth 4 — its miss
+    batches modeled as overlapped reads — answers and *counts* exactly
+    like the depth-1 oracle: only the modeled time may differ."""
+    schema, updates = corpus
+    index = HierarchicalIndex(
+        schema, InMemoryDisk(read_latency=0.0, write_latency=0.0, parallelism=4)
     )
-    try:
-        for query in _sweep(schema):
-            expected = oracle.execute(query)
-            actual = subject.execute(query)
-            _assert_identical(expected, actual, query)
-            _assert_same_counters(expected, actual, query)
-    finally:
-        sched.shutdown()
+    index.bulk_load(updates)
+    cache = CacheManager(index, slots=24)
+    cache.preload()
+    subject = QueryExecutor(index, cache=cache, optimizer=LevelOptimizer(index))
+    for query in _sweep(schema):
+        expected = oracle.execute(query)
+        actual = subject.execute(query)
+        _assert_identical(expected, actual, query)
+        _assert_same_counters(expected, actual, query)
 
 
 def test_total_query_volume_meets_spec(corpus):
@@ -209,15 +199,12 @@ def test_total_query_volume_meets_spec(corpus):
 
 
 def test_oracle_without_caches(corpus, oracle):
-    """Cache-free scatter (every read from a shard store) is identical —
-    and scheduler-free: without an ``IOScheduler`` the shards are
-    gathered one after another on the calling thread."""
+    """Cache-free scatter (every read from a shard store) is identical."""
     schema, _ = corpus
     index = _sharded_index(corpus, 4)
     engine = ScatterGatherExecutor(
         index, cache=None, optimizer=LevelOptimizer(index)
     )
-    assert engine.iosched is None
     sweep = _sweep(schema)
     # First 25 plus the daily-series tail, so the batched series
     # fan-out is exercised with no cache at all.
@@ -226,16 +213,14 @@ def test_oracle_without_caches(corpus, oracle):
 
 
 def test_one_shard_query_never_leaves_the_calling_thread(corpus, oracle):
-    """``IOScheduler.run`` runs its first task itself, so a query whose
-    keys all live on one shard costs no pool hand-off at all."""
+    """Shard gathers run one after another on the querying thread: a
+    one-shard query and one spread over several shards alike record
+    every ``shard.query`` span there and start no thread."""
     import threading
 
     from repro.obs.span import Tracer
 
-    sched = IOScheduler(max_workers=4)
-    engine = _sharded_engine(corpus, 4, iosched=sched)
-    submit, submitted = sched._pool.submit, []
-    sched._pool.submit = lambda *args: submitted.append(args) or submit(*args)
+    engine = _sharded_engine(corpus, 4)
     traces: list = []
 
     class Sink:
@@ -244,19 +229,18 @@ def test_one_shard_query_never_leaves_the_calling_thread(corpus, oracle):
     engine.tracer = Tracer(recorder=Sink())
     one_day = AnalysisQuery(start=START, end=START, group_by=("country",))
     spread = AnalysisQuery(start=START, end=END, group_by=("country",))
-    try:
-        assert len(engine.plan(one_day).keys) == 1
-        assert engine.execute(one_day).rows == oracle.execute(one_day).rows
-        assert submitted == []
-        [shard_span] = [s for s in traces[-1].spans if s.name == "shard.query"]
-        assert shard_span.thread_name == threading.current_thread().name
-        # Control: a plan spread over several shards does use the pool,
-        # one submission per owning shard but the caller's own.
-        owners = {engine.index.shard_for(k) for k in engine.plan(spread).keys}
-        assert engine.execute(spread).rows == oracle.execute(spread).rows
-        assert len(submitted) == len(owners) - 1 >= 1
-    finally:
-        sched.shutdown()
+    assert len(engine.plan(one_day).keys) == 1
+    owners = {engine.index.shard_for(k) for k in engine.plan(spread).keys}
+    assert len(owners) > 1
+    before = sorted(thread.name for thread in threading.enumerate())
+    for query, shards in ((one_day, 1), (spread, len(owners))):
+        assert engine.execute(query).rows == oracle.execute(query).rows
+        shard_spans = [s for s in traces[-1].spans if s.name == "shard.query"]
+        assert len(shard_spans) == shards
+        assert {s.thread_name for s in shard_spans} == {
+            threading.current_thread().name
+        }
+    assert sorted(thread.name for thread in threading.enumerate()) == before
 
 
 def test_sharded_catalog_matches_oracle(corpus, oracle):

@@ -300,6 +300,21 @@ class TestCubeFormShim:
         with pytest.raises(ConfigError):
             SystemConfig.serving(**fields)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(fetch_parallelism=1), dict(fetch_parallelism=8), dict(scatter_threads=16)],
+        ids=["fetch1", "fetch8", "scatter16"],
+    )
+    def test_pool_widths_accept_only_the_harness_values(self, fields):
+        """``fetch_parallelism``/``scatter_threads`` size no pool any
+        more: the values the harness spells (4, and None or 4) open,
+        anything else raises."""
+        from repro.errors import ConfigError
+
+        SystemConfig(fetch_parallelism=4, scatter_threads=4)
+        with pytest.raises(ConfigError, match="not settable"):
+            SystemConfig(**fields)
+
     def test_bare_config_writes_only_v3_day_pages(self, atlas):
         from repro.storage.serializer import page_version
 

@@ -1,12 +1,10 @@
-"""Causal span tracing: span trees, cross-thread propagation, the
-flight recorder's tail-based retention, and the HTTP ``/debug`` dump
-surface.
+"""Causal span tracing: span trees, the flight recorder's tail-based
+retention, and the HTTP ``/debug`` dump surface.
 
 The load-bearing properties:
 
-* a query fanned out over the I/O scheduler's pool produces ONE
-  connected tree — every pool-thread disk read resolves to a parent in
-  the same trace (no orphans);
+* a query's page reads produce ONE connected tree — every disk read
+  resolves to a parent in the same trace (no orphans);
 * a single-flight *follower* records a wait span pointing at the
   leader's trace, not a phantom load of its own;
 * error / partial / deadline-exceeded traces are always retained by the
@@ -30,6 +28,7 @@ from repro.core.deadline import Deadline, deadline_scope
 from repro.core.executor import QueryExecutor
 from repro.core.iosched import IOScheduler
 from repro.core.query import AnalysisQuery
+from repro.types.temporal import Level
 from repro.dashboard.admission import AdmissionConfig, AdmissionController
 from repro.dashboard.server import DashboardServer
 from repro.errors import DeadlineExceededError
@@ -43,7 +42,6 @@ from repro.obs import (
     record_span,
     span,
 )
-from repro.obs.span import reset_ambient, set_ambient
 
 
 class _ListSink:
@@ -162,31 +160,6 @@ class TestSpans:
         assert "root" in trace.span_names()
         assert len(trace.spans) == 5  # 4 children + the always-kept root
         assert trace.dropped_spans == 6
-
-    def test_attach_carries_span_across_threads(self):
-        sink = _ListSink()
-        tracer = Tracer(recorder=sink)
-        seen: list[str | None] = []
-
-        def worker(parent):
-            token = set_ambient(parent)
-            try:
-                seen.append(current_trace_id())
-                with span("threaded"):
-                    pass
-            finally:
-                reset_ambient(token)
-            seen.append(current_trace_id())
-
-        with tracer.trace("root") as root:
-            thread = threading.Thread(target=worker, args=(current_span(),))
-            thread.start()
-            thread.join()
-            expected = root.trace_id
-        [trace] = sink.traces
-        assert seen == [expected, None]
-        assert "threaded" in trace.span_names()
-        _assert_connected(trace)
 
 
 # -- the phase spans are a view of the query's one record -------------------
@@ -321,25 +294,30 @@ class TestFlightRecorder:
 
 
 class TestIoschedPropagation:
-    def test_pool_fanout_yields_one_connected_tree(self):
+    def test_page_reads_yield_one_connected_tree(self):
+        """A batch's page reads run on the querying thread, so each
+        ``storage.disk.read`` span is a child of the ``iosched.batch``
+        span in the query's one tree."""
+        from tests.test_iosched import make_small_index
+
+        index, _ = make_small_index(days=6)
+        keys = sorted(index.keys(Level.DAY))
         sink = _ListSink()
         tracer = Tracer(recorder=sink)
-        scheduler = IOScheduler(max_workers=4, metrics=MetricsRegistry())
-        try:
-            with tracer.trace("query"):
-                values = scheduler.fetch_many(
-                    [f"page-{n}" for n in range(6)], lambda key: key.upper()
-                )
-        finally:
-            scheduler.shutdown()
+        scheduler = IOScheduler(metrics=MetricsRegistry())
+        with tracer.trace("query"):
+            values = scheduler.fetch_many(keys, index.get)
         assert len(values) == 6
         [trace] = sink.traces
         _assert_connected(trace)
-        loads = [s for s in trace.spans if s.name == "iosched.load"]
-        assert len(loads) == 6
-        # The loads genuinely ran on pool threads, not inline.
-        assert any(s.thread_name.startswith("rased-io") for s in loads)
-        assert "iosched.batch" in trace.span_names()
+        [batch] = [s for s in trace.spans if s.name == "iosched.batch"]
+        assert batch.attributes["keys"] == 6
+        reads = [s for s in trace.spans if s.name == "storage.disk.read"]
+        assert len(reads) == 6
+        assert {s.parent_id for s in reads} == {batch.span_id}
+        assert {s.thread_name for s in trace.spans} == {
+            threading.current_thread().name
+        }
 
 
 # -- executor / system level ------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from datetime import date
 
 from repro.types.temporal import Level, TemporalKey
 from repro.types.cube import AnyCube
@@ -83,6 +84,10 @@ class CacheRatios:
 DEFAULT_RATIOS = CacheRatios()
 
 
+def _snapshot_of(cubes: dict[TemporalKey, AnyCube]) -> tuple[frozenset[TemporalKey], list[date]]:
+    return frozenset(cubes), sorted(key.start for key in cubes)
+
+
 class CacheManager:
     """Slot-budgeted cube cache with the recency preload policy."""
 
@@ -105,6 +110,7 @@ class CacheManager:
         self._lock = threading.Lock()
         self._cubes: dict[TemporalKey, AnyCube] = {}  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
+        self._snapshot = _snapshot_of(self._cubes)  # guarded-by: _lock
         self.hits = 0
         self.misses = 0
 
@@ -137,6 +143,7 @@ class CacheManager:
         with self._lock:
             self._cubes = fresh
             self._bytes = sum(cube.nbytes for cube in fresh.values())
+            self._snapshot = _snapshot_of(self._cubes)
             self.hits = 0
             self.misses = 0
         for level, count in preloaded_per_level:
@@ -159,6 +166,7 @@ class CacheManager:
                 stale = self._cubes.pop(key, None)
                 if stale is not None:
                     self._bytes -= stale.nbytes
+                    self._snapshot = _snapshot_of(self._cubes)
             return
         with self._lock:
             if key in self._cubes:
@@ -179,14 +187,18 @@ class CacheManager:
             count = len(self._cubes)
             self._cubes.clear()
             self._bytes = 0
+            self._snapshot = _snapshot_of(self._cubes)
         return count
 
     # -- lookup ------------------------------------------------------------
 
     def contents(self) -> frozenset[TemporalKey]:
-        """Immutable view of cached keys (consumed by the optimizer)."""
-        with self._lock:
-            return frozenset(self._cubes)
+        """Immutable view of cached keys."""
+        return self._snapshot[0]
+
+    def snapshot(self) -> tuple[frozenset[TemporalKey], list[date]]:
+        """(cached keys, their sorted starts), rebuilt when the keys change."""
+        return self._snapshot
 
     def get(self, key: TemporalKey) -> AnyCube | None:
         """A cached cube, or ``None`` on miss (counts hit/miss stats).

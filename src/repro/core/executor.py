@@ -292,13 +292,12 @@ class QueryExecutor:
         # preload policy), so one snapshot is right for every window and
         # the planned keys are gathered as ONE batch.
         plan_started = time.perf_counter()
-        cached = self.cache.contents() if self.cache else frozenset()
-        cached_starts = sorted(key.start for key in cached)
+        cached, cached_starts = self.cache.snapshot() if self.cache else (frozenset(), [])
         items: list[tuple[int, TemporalKey]] = []
         for position, (start, end) in enumerate(windows):
             plan = self.optimizer.plan(start, end, cached, cached_starts)
             stats.cube_count += plan.cube_count
-            stats.missing_days += len(plan.missing_days)
+            stats.missing_days += plan.missing_count
             items.extend((position, key) for key in plan.keys)
             # Phase boundary, per window: a request whose deadline
             # expired must neither plan the rest of a long series nor

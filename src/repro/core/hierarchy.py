@@ -101,6 +101,12 @@ def parse_page_key(page_id: str, prefix: str = _PAGE_PREFIX) -> TemporalKey:
     return year_key(int(groups["yy"]))
 
 
+def _widen(span: tuple[date, date] | None, key: TemporalKey) -> tuple[date, date]:
+    """``span`` grown to cover ``key``."""
+    low, high = span or (key.start, key.end)
+    return min(key.start, low), max(key.end, high)
+
+
 class HierarchicalIndex:
     """Four-level cube index over a page store.
 
@@ -150,6 +156,7 @@ class HierarchicalIndex:
         #: Keys pulled from service because their page failed to read
         #: or deserialize; queries plan around them and answer partial.
         self._quarantined: set[TemporalKey] = set()  # guarded-by: _catalog_lock
+        self._span: tuple[date, date] | None = None  # guarded-by: _catalog_lock
         self._load_catalog()
 
     def _load_catalog(self) -> None:
@@ -157,6 +164,7 @@ class HierarchicalIndex:
             for page_id in self.store.list_pages(self.prefix + "/"):
                 key = parse_page_key(page_id, self.prefix)
                 self._catalog[key.level].add(key)
+                self._span = _widen(self._span, key)
 
     def reload_catalog(self) -> None:
         """Resynchronize the in-memory catalog with the store.
@@ -170,6 +178,7 @@ class HierarchicalIndex:
             for level in Level:
                 self._catalog[level].clear()
             self._quarantined.clear()
+            self._span = None
         self._load_catalog()
         if self.epoch is not None:
             self.epoch.bump()
@@ -208,16 +217,17 @@ class HierarchicalIndex:
     def get(self, key: TemporalKey) -> AnyCube:
         """Read one cube from the store (counts as one page I/O).
 
-        A page that vanished or fails validation is quarantined on the
-        way out: the catalog stops advertising it, so subsequent plans
-        route around it and answer with ``partial=true`` instead of
-        re-hitting the bad page forever.
+        A page that vanished or fails validation — one holding another
+        key's cube does — is quarantined on the way out: the catalog
+        stops advertising it, so subsequent plans route around it and
+        answer with ``partial=true`` instead of re-hitting the bad page
+        forever.
         """
         if not self.has(key):
             raise CubeNotFoundError(f"no cube for {key}")
         try:
             data = self.store.read(page_id_for(key, self.prefix))
-            return deserialize_cube(data, self.schema)
+            return deserialize_cube(data, self.schema, key)
         except (PageCorruptError, PageNotFoundError):
             self.quarantine(key)
             raise
@@ -238,6 +248,7 @@ class HierarchicalIndex:
         )
         with self._catalog_lock:
             self._catalog[cube.key.level].add(cube.key)
+            self._span = _widen(self._span, cube.key)
             # A rewrite heals a quarantined key: fresh bytes replace
             # whatever failed validation.
             self._quarantined.discard(cube.key)
@@ -255,8 +266,13 @@ class HierarchicalIndex:
             days = list(self._catalog[Level.DAY])
         if not days:
             return None
-        ordered = sorted(days, key=lambda k: k.start)
-        return ordered[0].start, ordered[-1].end
+        return min(key.start for key in days), max(key.end for key in days)
+
+    def span(self) -> tuple[date, date] | None:
+        """(earliest start, latest end) of the cubes of every level, or
+        ``None``: no cube lies outside it.  Widened by writes, re-derived
+        on a reload; a quarantine leaves it wide, which is safe."""
+        return self._span
 
     # -- daily maintenance ---------------------------------------------------
 

@@ -17,8 +17,10 @@ plans near-constant time: a cached unit is always kept (nothing beats
 0 disk reads with 1 cube), and a unit with no cached descendant is
 kept whenever it exists (expansion could only add disk reads).
 
-Days with no materialized cube (gaps in coverage) are recorded in
-:attr:`QueryPlan.missing_days` and contribute zero to query results.
+Days with no materialized cube (gaps in coverage) contribute zero to
+query results: :attr:`QueryPlan.missing_count` counts them and
+:attr:`QueryPlan.missing_days` lists them on demand.  Only the range's
+part inside the index's span is searched (no cube lies outside it).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 
-from repro.types.temporal import Level, TemporalKey, cover_range
+from repro.types.temporal import Level, TemporalKey, cover_range, iter_days
 from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.errors import PlanError
@@ -49,7 +51,17 @@ class QueryPlan:
     end: date
     keys: list[TemporalKey] = field(default_factory=list)
     cached_keys: frozenset[TemporalKey] = frozenset()
-    missing_days: list[date] = field(default_factory=list)
+
+    @property
+    def missing_days(self) -> list[date]:
+        """Every day no planned cube covers, in order."""
+        covered = {day for key in self.keys for day in iter_days(key.start, key.end)}
+        return [day for day in iter_days(self.start, self.end) if day not in covered]
+
+    @property
+    def missing_count(self) -> int:
+        """``len(missing_days)``, without listing them."""
+        return (self.end - self.start).days + 1 - sum(key.day_count for key in self.keys)
 
     @property
     def disk_reads(self) -> int:
@@ -105,26 +117,17 @@ class LevelOptimizer:
         cached = cached if cached is not None else frozenset()
         if cached_starts is None:
             cached_starts = sorted(key.start for key in cached)
+        span_start, span_end = self.index.span() or (date.max, date.min)
+        low, high = max(start, span_start), min(end, span_end)
 
         keys: list[TemporalKey] = []
-        missing: list[date] = []
         considered = [0]  # expand-or-keep nodes visited (shared mutable)
-        for unit in cover_range(start, end):
+        for unit in cover_range(low, high) if low <= high else ():
             # One window can span millennia of uncovered years; the
             # request's deadline must be able to stop it in between.
             check_deadline("phase1.plan")
-            _, unit_keys, unit_missing = self._best(
-                unit, cached, cached_starts, considered
-            )
-            keys.extend(unit_keys)
-            missing.extend(unit_missing)
-        plan = QueryPlan(
-            start=start,
-            end=end,
-            keys=keys,
-            cached_keys=cached,
-            missing_days=missing,
-        )
+            keys.extend(self._best(unit, cached, cached_starts, considered)[1])
+        plan = QueryPlan(start=start, end=end, keys=keys, cached_keys=cached)
         incs = [
             (_K_PLANS, 1.0),
             (_K_UNITS, considered[0]),
@@ -155,41 +158,36 @@ class LevelOptimizer:
         cached: frozenset[TemporalKey],
         cached_starts: list[date],
         considered: list[int],
-    ) -> tuple[tuple[int, int], list[TemporalKey], list[date]]:
+    ) -> tuple[tuple[int, int], list[TemporalKey]]:
         """Minimal (disk reads, cube count) cover of ``key``'s span.
 
-        Returns the cost pair, the chosen keys in chronological order,
-        and the days left uncovered.  ``considered`` accumulates how
-        many candidate units the search examined (plan-size metric).
+        Returns the cost pair and the chosen keys in chronological
+        order (days no cube covers are left out).  ``considered``
+        accumulates how many candidate units the search examined
+        (plan-size metric).
         """
         considered[0] += 1
         usable = key.level in self.levels and self.index.has(key)
         if usable and key in cached:
             # Nothing beats a cached single cube: 0 disk reads, 1 cube.
-            return (0, 1), [key], []
+            return (0, 1), [key]
         if key.level is Level.DAY:
-            if usable:
-                return (1, 1), [key], []
-            return (0, 0), [], [key.start]
+            return ((1, 1), [key]) if usable else ((0, 0), [])
         if usable and not self._has_cached_within(
             cached_starts, key.start, key.end
         ):
             # No cached descendant: expanding could only add disk reads.
-            return (1, 1), [key], []
+            return (1, 1), [key]
 
         child_cost = (0, 0)
         child_keys: list[TemporalKey] = []
-        child_missing: list[date] = []
         for child in key.children():
-            cost, keys, missing = self._best(
-                child, cached, cached_starts, considered
-            )
+            cost, keys = self._best(child, cached, cached_starts, considered)
             child_cost = (child_cost[0] + cost[0], child_cost[1] + cost[1])
             child_keys.extend(keys)
-            child_missing.extend(missing)
         if usable and (1, 1) <= child_cost:
-            return (1, 1), [key], []
-        return child_cost, child_keys, child_missing
+            return (1, 1), [key]
+        return child_cost, child_keys
 
 
 class FlatPlanner(LevelOptimizer):

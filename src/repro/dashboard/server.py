@@ -216,6 +216,23 @@ def _json_bytes(document: object) -> bytes:
     return json.dumps(document, default=str).encode("utf-8")
 
 
+#: ``json.dumps(value, default=str)`` without building an encoder per call.
+_to_json = json.JSONEncoder(default=str).encode
+
+
+@functools.lru_cache(maxsize=2048)
+def _row_prefix(group: tuple[Any, ...]) -> str:
+    """One answer row up to its value, as ``json.dumps`` writes it.
+
+    Label rows recur across answers: they come from a closed set of a
+    few hundred zone and road-type names.  2048 entries hold that set
+    with room for the date-series rows passing through, which seldom
+    recur (``benchmarks/bench_cold_read.py`` reports the hit ratio and
+    the encode without this cache)."""
+    cells = [cell.isoformat() if isinstance(cell, date) else cell for cell in group]
+    return '{"group": ' + _to_json(cells) + ', "value": '
+
+
 def encode_result(result: QueryResult) -> tuple[bytes, bool]:
     """A QueryResult as response bytes: ``(body, head re-sent)``.
 
@@ -224,12 +241,26 @@ def encode_result(result: QueryResult) -> tuple[bytes, bool]:
     depends on the query and its rows alone, so the first request to
     encode a memo entry (``result.memo``) leaves it there and every
     later hit sends it as is; a result with no entry is encoded whole.
+    The head is joined from fragments: per row, its cached JSON prefix
+    and its value (an int as ``int.__repr__`` writes it, as json does).
     """
     entry = result.memo
     head = entry.head if entry is not None else None
     reused = head is not None
     if head is None:
-        head = _json_bytes(_answer_document(result))[:-1] + b', "stats": '
+        query = result.query
+        rows = ", ".join([
+            _row_prefix(group)
+            + (int.__repr__(value) if type(value) is int else _to_json(value))
+            + "}"
+            for group, value in result.sorted_rows()
+        ])
+        head = (
+            f'{{"group_by": {_to_json(list(query.group_by))}, '
+            f'"metric": {_to_json(query.metric)}, "rows": [{rows}], '
+            f'"sql": {_to_json(to_sql(query))}, '
+            f'"partial": {_to_json(result.stats.partial)}, "stats": '
+        ).encode("utf-8")
         if entry is not None:
             entry.head = head
     return head + _json_bytes(_stats_document(result.stats)) + b"}", reused

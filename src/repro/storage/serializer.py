@@ -54,7 +54,9 @@ also catches header bit rot (a flipped resolution flag or key field).
 
 The checksum lets :func:`deserialize_cube` detect torn or corrupted
 pages, raising :class:`~repro.errors.PageCorruptError` rather than
-returning silently wrong statistics.
+returning silently wrong statistics.  The reader passes the key it
+asked for, and the header must name it: a valid page filed under
+another page id is corrupt too.
 
 Every write goes through :func:`serialize_cube`, so a store only
 ever gains version-3 pages, bar the dense cubes that fall back to
@@ -80,7 +82,7 @@ import zlib
 
 import numpy as np
 
-from repro.types.temporal import Level, TemporalKey
+from repro.types.temporal import TemporalKey
 from repro.types.cube import (
     AnyCube,
     DataCube,
@@ -90,7 +92,7 @@ from repro.types.cube import (
     SparseCube,
 )
 from repro.types.dimensions import CubeSchema
-from repro.errors import CalendarError, ConfigError, PageCorruptError
+from repro.errors import ConfigError, PageCorruptError
 
 __all__ = [
     "serialize_cube",
@@ -236,16 +238,19 @@ def _decode_sparse_payload(
     """(cells, values) of a CRC-verified v3 payload, proven valid.
 
     Every invariant :class:`~repro.types.cube.SparseCube` requires is
-    checked here, on the encoded stream, where it costs least — so the
-    caller wraps the arrays without a second validating pass:
+    checked here, on the encoded (narrow) arrays, where it costs least
+    — so the caller wraps the arrays without a second validating pass:
 
-    * cells strictly increasing ⇔ every delta ≥ 1;
+    * cells strictly increasing ⇔ every delta nonzero (and, 8 bytes
+      wide, non-negative as int64);
     * cells in range ⇔ the first and the last cumulative cell lie in
-      ``[0, cell_count)`` and the int64 running sum never wrapped (the
-      first wrap of a sum of positive terms is negative, so the
-      minimum shows it);
+      ``[0, cell_count)`` and the int64 running sum never wrapped:
+      narrow deltas cannot wrap it (nnz·2³² < 2⁶³ for cell_count <
+      2³¹); 8-byte ones can, and the first wrap of a sum of positive
+      terms is negative, so the minimum shows it;
     * values nonzero ⇔ every run value nonzero;
-    * parallel arrays ⇔ the run lengths sum to ``nnz``.
+    * parallel arrays ⇔ the run lengths sum to ``nnz`` (a narrow sum
+      cannot wrap; 8-byte lengths are first bounded by ``nnz``).
     """
     payload_size = len(data) - HEADER_SIZE
     if payload_size < _SPARSE_HEADER.size:
@@ -277,16 +282,17 @@ def _decode_sparse_payload(
     if first_cell >= cell_count:
         raise PageCorruptError(f"first sparse cell {first_cell} out of range")
     offset = HEADER_SIZE + _SPARSE_HEADER.size
-    cells[0] = first_cell
-    # Unsigned -> int64 in place; a u8 delta >= 2**63 lands negative
-    # and fails the same test as a zero delta.
-    cells[1:] = np.frombuffer(
+    deltas = np.frombuffer(
         data, dtype=f"<u{delta_width}", count=n_deltas, offset=offset
     )
-    if n_deltas and int(cells[1:].min()) < 1:
+    narrow = delta_width < 8 and cell_count < 1 << 31
+    cells[0] = first_cell
+    # Unsigned -> int64 in place; a u8 delta >= 2**63 lands negative.
+    cells[1:] = deltas
+    if not deltas.all() or (not narrow and n_deltas and int(cells[1:].min()) < 0):
         raise PageCorruptError("sparse cells are not strictly increasing")
     cells.cumsum(out=cells)
-    if int(cells[-1]) >= cell_count or int(cells.min()) < 0:
+    if int(cells[-1]) >= cell_count or (not narrow and int(cells.min()) < 0):
         raise PageCorruptError(
             f"sparse cell index out of range for {cell_count} cells"
         )
@@ -298,24 +304,26 @@ def _decode_sparse_payload(
     run_values = np.frombuffer(
         data, dtype=f"<i{value_width}", count=n_runs, offset=offset
     )
-    # No length above nnz, so the uint64 sum below cannot wrap.
-    if (
-        int(run_lengths.max()) > nnz
-        or int(run_lengths.sum(dtype=np.uint64)) != nnz
-    ):
+    total = int(run_lengths.sum(dtype=np.uint64))
+    if total != nnz or (run_width == 8 and int(run_lengths.max()) > nnz):
         raise PageCorruptError("sparse run lengths do not sum to nnz")
     if not run_values.all():
         raise PageCorruptError("sparse run value is zero")
     return cells, run_values.astype(np.int64).repeat(run_lengths.astype(np.intp))
 
 
-def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
+def deserialize_cube(data: bytes, schema: CubeSchema, key: TemporalKey) -> AnyCube:
     """Decode one page back into a cube (dense or sparse form).
 
     Validates magic, version, shape-vs-schema agreement, and the
     checksum.  Version-1 pages decode without copying the payload: the
     dense cube's counts are a read-only view over ``data``.  Version-3 pages yield a
     :class:`~repro.types.cube.SparseCube` below the density threshold.
+
+    ``key`` is the cube the page was read for: the header must name it
+    (a page filed under another key is corrupt, however valid its
+    checksum) and the cube carries it, so no key is rebuilt from the
+    header (an invalid header key can never equal it).
     """
     if len(data) < HEADER_SIZE:
         raise PageCorruptError(f"page too small: {len(data)} bytes")
@@ -351,14 +359,9 @@ def deserialize_cube(data: bytes, schema: CubeSchema) -> AnyCube:
         raise PageCorruptError(
             f"cube shape {shape} does not match schema shape {schema.shape}"
         )
-    try:
-        level = Level(level_value)
-    except ValueError:
-        raise PageCorruptError(f"unknown level byte {level_value}") from None
-    try:
-        key = TemporalKey(level, year, month, ordinal)
-    except CalendarError as exc:
-        raise PageCorruptError(f"invalid temporal key in header: {exc}") from exc
+    named = (level_value, year, month, ordinal)
+    if (key.level, key.year, key.month, key.ordinal) != named:
+        raise PageCorruptError(f"page header names {named}, read as {key}")
     resolution = RESOLUTION_FULL if resolution_flag else RESOLUTION_COARSE
 
     if version == PAGE_VERSION_SPARSE:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import calendar as _stdcal
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import lru_cache
 from typing import Iterator
@@ -80,57 +80,56 @@ class TemporalKey:
     * ``DAY``:   ``year, month`` set; ``ordinal`` is the day of month
 
     The dataclass ordering (level, year, month, ordinal) is arbitrary
-    but total; use :meth:`start` for chronological sorting.
+    but total; use :attr:`start` for chronological sorting.  The span
+    and the hash are computed once, when the key is built, and take no
+    part in equality, order or ``repr``.  The hash is the same in every
+    process (``Level`` is an ``IntEnum`` and hashes as its int), so
+    copies and pickles may carry the stored fields as they are.
     """
 
     level: Level
     year: int
     month: int = 0
     ordinal: int = 0
+    #: First day covered by this cube (inclusive).
+    start: date = field(init=False, compare=False, repr=False)
+    #: Last day covered by this cube (inclusive).
+    end: date = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        year, month, ordinal = self.year, self.month, self.ordinal
         if self.level is Level.YEAR:
-            if self.month or self.ordinal:
+            if month or ordinal:
                 raise CalendarError(f"year key must not set month/ordinal: {self}")
+            start, end = date(year, 1, 1), date(year, 12, 31)
         elif self.level is Level.MONTH:
-            _check_month(self.year, self.month)
-            if self.ordinal:
+            _check_month(year, month)
+            if ordinal:
                 raise CalendarError(f"month key must not set ordinal: {self}")
+            start, end = date(year, month, 1), date(year, month, _days_in_month(year, month))
         elif self.level is Level.WEEK:
-            _check_month(self.year, self.month)
-            if not 0 <= self.ordinal < _WEEKS_PER_MONTH:
+            _check_month(year, month)
+            if not 0 <= ordinal < _WEEKS_PER_MONTH:
                 raise CalendarError(f"week ordinal out of range 0-3: {self}")
+            start = date(year, month, _WEEK_STARTS[ordinal])
+            end = date(year, month, _WEEK_STARTS[ordinal] + _DAYS_PER_WEEK - 1)
         elif self.level is Level.DAY:
-            _check_month(self.year, self.month)
-            days = _stdcal.monthrange(self.year, self.month)[1]
-            if not 1 <= self.ordinal <= days:
+            _check_month(year, month)
+            days = _stdcal.monthrange(year, month)[1]
+            if not 1 <= ordinal <= days:
                 raise CalendarError(f"day ordinal out of range 1-{days}: {self}")
+            start = end = date(year, month, ordinal)
         else:  # pragma: no cover - enum is closed
             raise CalendarError(f"unknown level {self.level!r}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "_hash", hash((self.level, year, month, ordinal)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- span ----------------------------------------------------------
-
-    @property
-    def start(self) -> date:
-        """First day covered by this cube (inclusive)."""
-        if self.level is Level.YEAR:
-            return date(self.year, 1, 1)
-        if self.level is Level.MONTH:
-            return date(self.year, self.month, 1)
-        if self.level is Level.WEEK:
-            return date(self.year, self.month, _WEEK_STARTS[self.ordinal])
-        return date(self.year, self.month, self.ordinal)
-
-    @property
-    def end(self) -> date:
-        """Last day covered by this cube (inclusive)."""
-        if self.level is Level.YEAR:
-            return date(self.year, 12, 31)
-        if self.level is Level.MONTH:
-            return date(self.year, self.month, _days_in_month(self.year, self.month))
-        if self.level is Level.WEEK:
-            return date(self.year, self.month, _WEEK_STARTS[self.ordinal] + 6)
-        return self.start
 
     @property
     def day_count(self) -> int:

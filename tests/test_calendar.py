@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import date, timedelta
 
 import pytest
@@ -331,3 +332,66 @@ class TestIterDays:
     def test_rejects_inverted(self):
         with pytest.raises(CalendarError):
             list(iter_days(date(2021, 1, 2), date(2021, 1, 1)))
+
+
+class TestKeyIdentity:
+    """A key stores its span and hash once, when built; copies,
+    pickles and ``dataclasses.replace`` keep them consistent."""
+
+    KEYS = (
+        day_key(date(2021, 2, 28)),
+        week_key(2021, 2, 3),
+        month_key(2020, 2),
+        year_key(2021),
+    )
+
+    def test_a_key_pickled_under_another_hash_seed_finds_its_equal(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = (
+            "import pickle, sys\n"
+            "from datetime import date\n"
+            "from repro.types.temporal import day_key, month_key, week_key, year_key\n"
+            "keys = [day_key(date(2021, 2, 28)), week_key(2021, 2, 3),\n"
+            "        month_key(2020, 2), year_key(2021)]\n"
+            "sys.stdout.buffer.write(pickle.dumps(keys))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("1", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            loaded = pickle.loads(
+                subprocess.run(
+                    [sys.executable, "-c", source], env=env, capture_output=True, check=True
+                ).stdout
+            )
+            here = {key: position for position, key in enumerate(self.KEYS)}
+            for position, key in enumerate(loaded):
+                assert here[key] == position
+                assert hash(key) == hash(self.KEYS[position])
+                assert (key.start, key.end) == (self.KEYS[position].start, self.KEYS[position].end)
+
+    def test_replace_and_copy_keep_span_and_hash_consistent(self):
+        import copy
+
+        for key in self.KEYS:
+            for clone in (copy.copy(key), copy.deepcopy(key)):
+                assert clone == key and hash(clone) == hash(key)
+                assert (clone.start, clone.end) == (key.start, key.end)
+        moved = dataclasses.replace(day_key(date(2021, 2, 28)), month=3, ordinal=31)
+        assert moved == day_key(date(2021, 3, 31))
+        assert hash(moved) == hash(day_key(date(2021, 3, 31)))
+        assert (moved.start, moved.end) == (date(2021, 3, 31), date(2021, 3, 31))
+        week = dataclasses.replace(week_key(2021, 2, 3), ordinal=1)
+        assert (week.start, week.end) == (date(2021, 2, 8), date(2021, 2, 14))
+        assert {week: 1}[week_key(2021, 2, 1)] == 1
+
+    def test_span_fields_take_no_part_in_equality_order_or_repr(self):
+        key = month_key(2021, 2)
+        assert repr(key) == "TemporalKey(level=<Level.MONTH: 2>, year=2021, month=2, ordinal=0)"
+        assert sorted([year_key(2020), day_key(date(2021, 1, 1))])[0] == day_key(date(2021, 1, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.start = date(2000, 1, 1)  # type: ignore[misc]

@@ -438,3 +438,109 @@ class TestHttpServerExtensions:
         contributors = payload["contributors"]
         assert 0 < len(contributors) <= 3
         assert contributors[0]["changes"] >= contributors[-1]["changes"]
+
+
+class TestWireBytes:
+    """``encode_result`` joins the answer from cached per-row fragments;
+    its bytes must be ``json.dumps(result_to_json(r), default=str)``
+    exactly — on the first encode and on the memo hit that re-sends the
+    stored head."""
+
+    @staticmethod
+    def _assert_wire_equal(query, rows, partial=False):
+        from repro.core.resultcache import MemoEntry
+        from repro.dashboard.server import encode_result
+
+        entry = MemoEntry(0, rows)
+        first = QueryResult(query, rows=dict(rows), memo=entry)
+        first.stats.partial = partial
+        for result, reused in (
+            (first, False),
+            (QueryResult(query, stats=QueryStats(partial=partial), memo=entry), True),
+            (QueryResult(query, rows=dict(rows), stats=QueryStats(partial=partial)), False),
+        ):
+            body, was_reused = encode_result(result)
+            assert was_reused is reused
+            assert body == json.dumps(result_to_json(result), default=str).encode()
+
+    def test_label_rows(self):
+        query = AnalysisQuery(
+            start=date(2021, 1, 1), end=date(2021, 1, 31), group_by=("country", "element_type")
+        )
+        self._assert_wire_equal(
+            query, {("germany", "way"): 12, ("qatar", "node"): 3, ("france", "way"): 12}
+        )
+
+    @pytest.mark.parametrize("granularity", [Level.DAY, Level.WEEK])
+    def test_date_series(self, granularity):
+        query = AnalysisQuery(
+            start=date(2021, 1, 1),
+            end=date(2021, 1, 31),
+            group_by=("date", "country"),
+            date_granularity=granularity,
+        )
+        rows = {(date(2021, 1, d), "germany"): d * 7 for d in (1, 8, 15, 22, 29)}
+        rows[(date(2021, 1, 8), "qatar")] = 0
+        self._assert_wire_equal(query, rows)
+
+    def test_percentage_floats(self):
+        query = AnalysisQuery(
+            start=date(2021, 1, 1),
+            end=date(2021, 1, 31),
+            group_by=("country",),
+            metric="percentage",
+        )
+        rows = {("a",): 1e-05, ("b",): 0.1, ("c",): 100.0, ("d",): 1 / 3, ("e",): 2.5e-300}
+        self._assert_wire_equal(query, rows)
+
+    def test_values_that_are_not_python_ints_go_through_json(self):
+        import numpy as np
+
+        query = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 31), group_by=("country",))
+        self._assert_wire_equal(query, {("a",): np.int64(7), ("b",): float("inf"), ("c",): True})
+
+    def test_empty_answer(self):
+        self._assert_wire_equal(
+            AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 2), group_by=("country",)), {}
+        )
+        scalar = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 2))
+        self._assert_wire_equal(scalar, {(): 0})
+
+    def test_partial_answer(self):
+        query = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 9), group_by=("road_type",))
+        self._assert_wire_equal(query, {("primary",): 4}, partial=True)
+
+    def test_non_ascii_zone_label_is_escaped(self):
+        query = AnalysisQuery(
+            start=date(2021, 1, 1),
+            end=date(2021, 1, 9),
+            group_by=("country",),
+            countries=("Côte d'Ivoire",),
+        )
+        rows = {("Côte d'Ivoire",): 5, ('Zürich "Nord"\\',): 2, ("東京",): 1}
+        self._assert_wire_equal(query, rows)
+        from repro.dashboard.server import encode_result
+
+        assert b"C\\u00f4te" in encode_result(QueryResult(query, rows=rows))[0]
+
+    def test_answers_of_an_ingested_system(self, ingested_system):
+        """Real rows: labels, day and week series, through the dashboard."""
+        from repro.dashboard.server import encode_result
+
+        for group_by, granularity in (
+            (("country",), Level.DAY),
+            (("road_type", "update_type"), Level.DAY),
+            (("date",), Level.DAY),
+            (("date", "element_type"), Level.WEEK),
+        ):
+            result = ingested_system.dashboard.analysis(
+                AnalysisQuery(
+                    start=INGESTED_START,
+                    end=INGESTED_END,
+                    group_by=group_by,
+                    date_granularity=granularity,
+                )
+            )
+            assert result.rows
+            body, _ = encode_result(result)
+            assert body == json.dumps(result_to_json(result), default=str).encode()

@@ -11,12 +11,13 @@ result cache (a partial answer must never be memoized as if complete).
 from __future__ import annotations
 
 import json
+import time
 import urllib.request
 from datetime import date, timedelta
 
 import pytest
 
-from repro.types.temporal import day_key
+from repro.types.temporal import day_key, iter_days, month_key
 from repro.core.hierarchy import page_id_for
 from repro.core.query import AnalysisQuery
 from repro.dashboard.server import DashboardServer
@@ -138,7 +139,7 @@ class TestPartialAnswers:
         system.store.delete(victim_page)
         assert system.dashboard.analysis(_QUERY).stats.partial is True
 
-        system.index.put(deserialize_cube(good_bytes, system.schema))
+        system.index.put(deserialize_cube(good_bytes, system.schema, day_key(VICTIM)))
         healed = system.dashboard.analysis(_QUERY)
         assert healed.stats.partial is False
         assert healed.total == full_total
@@ -159,7 +160,7 @@ class TestResultCacheInteraction:
         second = system.dashboard.analysis(_QUERY)
         assert first.stats.partial and second.stats.partial
 
-        system.index.put(deserialize_cube(good_bytes, system.schema))
+        system.index.put(deserialize_cube(good_bytes, system.schema, day_key(VICTIM)))
         healed = system.dashboard.analysis(_QUERY)
         assert healed.stats.partial is False
         assert healed.total == full_total
@@ -218,3 +219,122 @@ class TestQuarantineScope:
         result = system.dashboard.analysis(clean)
         assert result.stats.partial is False
         assert result.stats.quarantined_cubes == 0
+
+
+# -- a 31-day root with 200 rows a day and no cube cache ----------------------
+
+JAN = [date(2021, 1, 1) + timedelta(days=i) for i in range(31)]
+
+
+def _month_root(atlas, shards=1) -> RasedSystem:
+    from random import Random
+
+    from repro.synth.scale import scaled_day_updates
+
+    system = RasedSystem.create(
+        atlas=atlas,
+        store=InMemoryDisk(read_latency=0, write_latency=0),
+        config=SystemConfig(road_types=8, cache_slots=0, shards=shards),
+    )
+    rng = Random(5)
+    system.index.bulk_load(
+        {day: scaled_day_updates(day, rng, system.schema, 200) for day in JAN}
+    )
+    return system
+
+
+def _by_type(day: date) -> AnalysisQuery:
+    return AnalysisQuery(start=day, end=day, group_by=("element_type",))
+
+
+@pytest.fixture(scope="module")
+def clean_days(atlas) -> dict[date, dict]:
+    """Each January day's answer by element type, on an untouched root."""
+    dashboard = _month_root(atlas).dashboard
+    return {day: dict(dashboard.analysis(_by_type(day)).sorted_rows()) for day in JAN}
+
+
+class TestMisfiledPage:
+    """A whole, CRC-valid page stored under another cube's page id (a
+    misdirected write, a restored backup under the wrong name) is
+    corrupt: served, it would answer with another day's counts."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_another_days_page_is_quarantined_not_served(
+        self, atlas, clean_days, shards
+    ):
+        system = _month_root(atlas, shards=shards)
+        store = system.index.store
+        victim, donor = day_key(date(2021, 1, 3)), day_key(date(2021, 1, 4))
+        store.write(page_id_for(victim), store.read(page_id_for(donor)))
+
+        result = system.dashboard.analysis(_by_type(victim.start))
+        assert result.stats.partial is True
+        assert result.rows == {}
+        assert system.index.quarantined_keys() == [victim]
+        for day in JAN:
+            if day != victim.start:
+                answer = system.dashboard.analysis(_by_type(day))
+                assert answer.stats.partial is False
+                assert dict(answer.sorted_rows()) == clean_days[day]
+        with DashboardServer(system.dashboard) as server:
+            with urllib.request.urlopen(server.url + "/health") as response:
+                health = json.loads(response.read())
+        assert health["status"] == "degraded"
+        assert health["quarantined_cubes"] == 1
+
+
+class TestWindowsOutsideCoverage:
+    """Each window is planned clipped to the span the catalog's cubes
+    cover; the days cut off are counted missing, not visited."""
+
+    @pytest.fixture(scope="class")
+    def system(self, atlas):
+        return _month_root(atlas)
+
+    def test_a_window_of_millennia_answers_the_covered_month(self, system):
+        inside = system.dashboard.analysis(
+            AnalysisQuery(start=JAN[0], end=JAN[-1], group_by=("element_type",))
+        )
+        huge = AnalysisQuery(
+            start=date(1, 1, 1), end=date(9998, 12, 31), group_by=("element_type",)
+        )
+        started = time.perf_counter()
+        result = system.dashboard.analysis(huge)
+        assert time.perf_counter() - started < 1.0
+        assert result.rows == inside.rows and result.rows
+        assert result.stats.missing_days == (huge.end - huge.start).days + 1 - 31
+        assert result.stats.cube_count == inside.stats.cube_count == 1
+
+    def test_a_window_past_coverage_plans_as_its_covered_part(self, system):
+        """Two years past the data: the keys, rows and missing days the
+        unclipped search gave (every day but January's, listed in order)."""
+        start, end = date(2020, 12, 1), date(2023, 1, 31)
+        query = AnalysisQuery(start=start, end=end, group_by=("element_type",))
+        result = system.dashboard.analysis(query)
+        optimizer = system.executor.optimizer
+        plan = optimizer.plan(start, end)
+        assert plan.keys == optimizer.plan(JAN[0], JAN[-1]).keys == [month_key(2021, 1)]
+        outside = [day for day in iter_days(start, end) if day not in JAN]
+        assert plan.missing_days == outside
+        assert plan.missing_count == result.stats.missing_days == len(outside)
+        inside = system.dashboard.analysis(
+            AnalysisQuery(start=JAN[0], end=JAN[-1], group_by=("element_type",))
+        )
+        assert result.rows == inside.rows
+
+    def test_a_quarantined_last_day_keeps_the_month_cube_in_the_plan(self, atlas):
+        system = _month_root(atlas)
+        system.index.quarantine(day_key(JAN[-1]))
+        plan = system.executor.optimizer.plan(date(2020, 1, 1), date(2022, 12, 31))
+        assert plan.keys == [month_key(2021, 1)]
+        assert plan.missing_count == (date(2022, 12, 31) - date(2020, 1, 1)).days + 1 - 31
+
+    def test_an_empty_catalog_plans_nothing(self, atlas):
+        system = RasedSystem.create(
+            atlas=atlas,
+            store=InMemoryDisk(read_latency=0, write_latency=0),
+            config=SystemConfig(road_types=8, cache_slots=0),
+        )
+        result = system.dashboard.analysis(AnalysisQuery(start=JAN[0], end=JAN[-1]))
+        assert result.rows == {} and result.stats.missing_days == 31

@@ -88,7 +88,7 @@ class TestCorruptCubePages:
         assert not index.has(key)
         assert key in index.quarantined_keys()
         # Maintenance rewriting the cube restores it.
-        cube = deserialize_cube(good, index.schema)
+        cube = deserialize_cube(good, index.schema, key)
         index.put(cube)
         assert index.has(key)
         assert key not in index.quarantined_keys()

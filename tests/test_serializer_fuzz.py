@@ -86,7 +86,7 @@ def test_round_trip_sweep():
     for trial in range(150):
         cube = _random_cube(rng)
         data = rng.choice(_WRITERS)(cube)
-        restored = deserialize_cube(data, _SCHEMA)
+        restored = deserialize_cube(data, _SCHEMA, cube.key)
         assert restored == cube, (
             f"trial {trial}: v{page_version(data)} round-trip changed the cube "
             f"(seed 2024, {cube!r})"
@@ -100,7 +100,7 @@ def test_truncation_always_detected():
         data = rng.choice(_WRITERS)(cube)
         cut = rng.randrange(len(data))
         with pytest.raises(PageCorruptError):
-            deserialize_cube(data[:cut], _SCHEMA)
+            deserialize_cube(data[:cut], _SCHEMA, cube.key)
 
 
 def test_bit_flips_never_yield_a_wrong_cube():
@@ -118,7 +118,7 @@ def test_bit_flips_never_yield_a_wrong_cube():
         flip = 1 << rng.randrange(8)
         data[position] ^= flip
         try:
-            restored = deserialize_cube(bytes(data), _SCHEMA)
+            restored = deserialize_cube(bytes(data), _SCHEMA, cube.key)
         except PageCorruptError:
             continue
         assert restored == cube, (
@@ -145,7 +145,7 @@ def test_v3_flips_anywhere_raise():
         if bytes(mutated) == data:
             continue
         with pytest.raises(PageCorruptError):
-            deserialize_cube(bytes(mutated), _SCHEMA)
+            deserialize_cube(bytes(mutated), _SCHEMA, cube.key)
 
 
 def test_resealed_field_corruptions_always_raise():
@@ -160,7 +160,7 @@ def test_resealed_field_corruptions_always_raise():
         for name, bad in corruptions(data, _SCHEMA.cell_count).items():
             seen.add(name)
             try:
-                deserialize_cube(bad, _SCHEMA)
+                deserialize_cube(bad, _SCHEMA, cube.key)
             except PageCorruptError:
                 continue
             pytest.fail(

@@ -32,6 +32,9 @@ from repro.storage.serializer import (
 )
 from tests.v3pages import CORRUPTIONS, SparsePage, corruptions
 
+#: The key of the cubes built without one, and of the pages read back.
+_KEY = day_key(date(2021, 3, 5))
+
 
 class TestDiskStats:
     def test_initial_stats_zero(self):
@@ -178,7 +181,7 @@ class TestSerializer:
         cube = self._cube(tiny_schema)
         data = serialize_raw(cube)
         assert page_version(data) == PAGE_VERSION_RAW
-        restored = deserialize_cube(data, tiny_schema)
+        restored = deserialize_cube(data, tiny_schema, cube.key)
         assert isinstance(restored, DataCube)
         assert restored == cube
 
@@ -193,12 +196,12 @@ class TestSerializer:
     )
     def test_roundtrip_all_levels(self, tiny_schema, key):
         cube = SparseCube(schema=tiny_schema, key=key)
-        assert deserialize_cube(serialize_raw(cube), tiny_schema).key == key
+        assert deserialize_cube(serialize_raw(cube), tiny_schema, key).key == key
 
     def test_roundtrip_preserves_resolution(self, tiny_schema):
         cube = self._cube(tiny_schema, resolution=RESOLUTION_COARSE)
         assert (
-            deserialize_cube(serialize_raw(cube), tiny_schema).resolution
+            deserialize_cube(serialize_raw(cube), tiny_schema, _KEY).resolution
             == RESOLUTION_COARSE
         )
 
@@ -218,23 +221,23 @@ class TestSerializer:
         data = bytearray(serialize_raw(self._cube(tiny_schema)))
         data[:4] = b"NOPE"
         with pytest.raises(PageCorruptError, match="magic"):
-            deserialize_cube(bytes(data), tiny_schema)
+            deserialize_cube(bytes(data), tiny_schema, _KEY)
 
     def test_truncated_page_rejected(self, tiny_schema):
         data = serialize_raw(self._cube(tiny_schema))
         with pytest.raises(PageCorruptError):
-            deserialize_cube(data[: HEADER_SIZE - 1], tiny_schema)
+            deserialize_cube(data[: HEADER_SIZE - 1], tiny_schema, _KEY)
 
     def test_truncated_payload_rejected(self, tiny_schema):
         data = serialize_raw(self._cube(tiny_schema))
         with pytest.raises(PageCorruptError, match="payload"):
-            deserialize_cube(data[:-8], tiny_schema)
+            deserialize_cube(data[:-8], tiny_schema, _KEY)
 
     def test_flipped_bit_fails_checksum(self, tiny_schema):
         data = bytearray(serialize_raw(self._cube(tiny_schema)))
         data[HEADER_SIZE + 3] ^= 0xFF
         with pytest.raises(PageCorruptError, match="checksum"):
-            deserialize_cube(bytes(data), tiny_schema)
+            deserialize_cube(bytes(data), tiny_schema, _KEY)
 
     def test_schema_mismatch_rejected(self, tiny_schema):
         from repro.types.dimensions import default_schema
@@ -245,7 +248,7 @@ class TestSerializer:
             serialize_cube(self._cube(tiny_schema)),
         ):
             with pytest.raises(PageCorruptError, match="shape"):
-                deserialize_cube(data, other)
+                deserialize_cube(data, other, _KEY)
 
     def test_retired_v2_page_rejected(self, tiny_schema):
         """The zlib format (v2) is gone; a v2 page left on disk is
@@ -255,7 +258,7 @@ class TestSerializer:
         with pytest.raises(
             PageCorruptError, match="unsupported cube format version 2"
         ):
-            deserialize_cube(bytes(data), tiny_schema)
+            deserialize_cube(bytes(data), tiny_schema, _KEY)
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=30))
     @settings(max_examples=25)
@@ -271,7 +274,7 @@ class TestSerializer:
             flat[index % flat.size] = value
         cube = DataCube(schema=tiny_schema, key=day_key(date(2021, 1, 2)), counts=counts)
         for data in (serialize_raw(cube), serialize_cube(cube)):
-            restored = deserialize_cube(data, tiny_schema)
+            restored = deserialize_cube(data, tiny_schema, cube.key)
             assert np.array_equal(restored.counts, counts)
 
 
@@ -285,7 +288,7 @@ class TestRawPageZeroCopy:
 
     def test_counts_share_page_memory(self, tiny_schema):
         _, data = self._page(tiny_schema)
-        restored = deserialize_cube(data, tiny_schema)
+        restored = deserialize_cube(data, tiny_schema, _KEY)
         assert np.shares_memory(
             restored.counts, np.frombuffer(data, dtype=np.uint8)
         )
@@ -296,10 +299,10 @@ class TestRawPageZeroCopy:
         are never written through."""
         cube, data = self._page(tiny_schema)
         before = bytes(data)
-        restored = deserialize_cube(data, tiny_schema)
+        restored = deserialize_cube(data, tiny_schema, _KEY)
         merged = sum_cubes(tiny_schema, week_key(2021, 3, 0), [restored, cube])
         assert merged.total == 2 * cube.total
-        assert data == before and deserialize_cube(data, tiny_schema) == cube
+        assert data == before and deserialize_cube(data, tiny_schema, _KEY) == cube
 
 
 class TestSparsePageFormat:
@@ -316,7 +319,7 @@ class TestSparsePageFormat:
         cube = self._cube(tiny_schema)
         data = serialize_cube(cube)
         assert page_version(data) == PAGE_VERSION_SPARSE
-        restored = deserialize_cube(data, tiny_schema)
+        restored = deserialize_cube(data, tiny_schema, cube.key)
         assert isinstance(restored, SparseCube)
         assert restored == cube
 
@@ -324,7 +327,7 @@ class TestSparsePageFormat:
         cube = self._cube(tiny_schema, sparse=False)
         data = serialize_cube(cube)
         assert page_version(data) == PAGE_VERSION_SPARSE
-        assert deserialize_cube(data, tiny_schema) == cube
+        assert deserialize_cube(data, tiny_schema, cube.key) == cube
 
     def test_v3_page_much_smaller_than_raw(self, tiny_schema):
         cube = self._cube(tiny_schema)
@@ -335,7 +338,7 @@ class TestSparsePageFormat:
     def test_empty_cube_roundtrip(self, tiny_schema):
         cube = SparseCube(schema=tiny_schema, key=day_key(date(2021, 3, 5)))
         data = serialize_cube(cube)
-        restored = deserialize_cube(data, tiny_schema)
+        restored = deserialize_cube(data, tiny_schema, cube.key)
         assert restored.nnz == 0
         assert restored == cube
 
@@ -348,12 +351,12 @@ class TestSparsePageFormat:
         )
         data = serialize_cube(cube)
         assert page_version(data) == PAGE_VERSION_RAW  # encoded >= raw
-        assert deserialize_cube(data, tiny_schema) == cube
+        assert deserialize_cube(data, tiny_schema, cube.key) == cube
 
     def test_roundtrip_preserves_resolution(self, tiny_schema):
         cube = self._cube(tiny_schema, resolution=RESOLUTION_COARSE)
         restored = deserialize_cube(
-            serialize_cube(cube), tiny_schema
+            serialize_cube(cube), tiny_schema, cube.key
         )
         assert restored.resolution == RESOLUTION_COARSE
 
@@ -370,7 +373,7 @@ class TestSparsePageFormat:
         cube = SparseCube(schema=tiny_schema, key=key)
         cube.record("way", "germany", "residential", "create")
         restored = deserialize_cube(
-            serialize_cube(cube), tiny_schema
+            serialize_cube(cube), tiny_schema, key
         )
         assert restored.key == key
 
@@ -381,25 +384,25 @@ class TestSparsePageFormat:
         data = bytearray(serialize_cube(cube))
         data[8] ^= 0xFF  # inside the header's key fields
         with pytest.raises(PageCorruptError):
-            deserialize_cube(bytes(data), tiny_schema)
+            deserialize_cube(bytes(data), tiny_schema, _KEY)
 
     def test_payload_bit_flip_detected(self, tiny_schema):
         cube = self._cube(tiny_schema)
         data = bytearray(serialize_cube(cube))
         data[HEADER_SIZE + 2] ^= 0xFF
         with pytest.raises(PageCorruptError):
-            deserialize_cube(bytes(data), tiny_schema)
+            deserialize_cube(bytes(data), tiny_schema, _KEY)
 
     def test_truncated_page_detected(self, tiny_schema):
         cube = self._cube(tiny_schema)
         data = serialize_cube(cube)
         with pytest.raises(PageCorruptError):
-            deserialize_cube(data[:-1], tiny_schema)
+            deserialize_cube(data[:-1], tiny_schema, _KEY)
 
     def test_unknown_version_rejected(self, tiny_schema):
         data = bytearray(serialize_cube(self._cube(tiny_schema)))
         data[4:6] = (9).to_bytes(2, "little")
-        for read in (page_version, lambda page: deserialize_cube(page, tiny_schema)):
+        for read in (page_version, lambda page: deserialize_cube(page, tiny_schema, _KEY)):
             with pytest.raises(PageCorruptError, match="version 9"):
                 read(bytes(data))
 
@@ -466,14 +469,14 @@ class TestResealedSparsePages:
         bad = corruptions(page, tiny_schema.cell_count)[case]
         assert bad != page
         with pytest.raises(PageCorruptError):
-            deserialize_cube(bad, tiny_schema)
+            deserialize_cube(bad, tiny_schema, _KEY)
 
     def test_single_cell_page_out_of_range(self, tiny_schema):
         page = serialize_cube(_sparse(tiny_schema, [5], [2]))
         for case in ("first_cell = cell_count", "first_cell = 2**63 !"):
             with pytest.raises(PageCorruptError):
                 deserialize_cube(
-                    corruptions(page, tiny_schema.cell_count)[case], tiny_schema
+                    corruptions(page, tiny_schema.cell_count)[case], tiny_schema, _KEY
                 )
 
 
@@ -489,7 +492,7 @@ class TestSparseRoundTripMatrix:
     def _round_trip(self, cube, schema):
         page = serialize_cube(cube)
         assert page_version(page) == PAGE_VERSION_SPARSE
-        restored = deserialize_cube(page, schema)
+        restored = deserialize_cube(page, schema, cube.key)
         assert np.array_equal(restored.counts, cube.counts)
         assert restored == cube
         return restored, SparsePage.parse(page)
@@ -545,3 +548,134 @@ class TestSparseRoundTripMatrix:
         )
         assert isinstance(below, SparseCube)
         assert isinstance(dense, DataCube)
+
+
+# -- every v3 rejection branch, through both decode entry points -------------
+
+#: Gap between the second and third cell that makes the writer pick
+#: each delta width (on a schema of more than 70 010 cells).
+_GAPS = {1: 10, 2: 300, 4: 70_000}
+#: Branch name -> (one-field corruption of :mod:`tests.v3pages`, delta
+#: width of the corrupted page); ``None`` is the misfiled page.
+BRANCHES = {
+    "zero delta, 1-byte": ("zero delta", 1),
+    "zero delta, 2-byte": ("zero delta", 2),
+    "zero delta, 4-byte": ("zero delta", 4),
+    "8-byte delta >= 2**63": ("delta >= 2**63", 8),
+    "last cell >= cell_count": ("last cell = cell_count", 4),
+    "first cell >= cell_count": ("first_cell = cell_count", 1),
+    "run lengths do not sum to nnz": ("run lengths sum to nnz+1", 1),
+    "8-byte run lengths > nnz wrap to nnz": ("run lengths wrap uint64 back to nnz !", 1),
+    "zero run value": ("zero run value", 1),
+    "header names another key": None,
+}
+
+
+@pytest.fixture(scope="module")
+def gap_schema():
+    return default_schema([f"z{i}" for i in range(300)], road_types=20)
+
+
+def _branch_page(schema, branch: str) -> tuple[bytes, object]:
+    """A CRC-valid page that fails exactly ``branch``, and the key it is
+    read for."""
+    if BRANCHES[branch] is None:
+        return serialize_cube(_sparse(schema, [3, 9], [1, 2], key=_KEY)), day_key(
+            date(2021, 3, 6)
+        )
+    corruption, width = BRANCHES[branch]
+    gap = _GAPS.get(width, 10)
+    cells = [7, 8, 8 + gap, 9 + gap, 10 + gap]
+    page = serialize_cube(_sparse(schema, cells, [1, 1, 2, 3, 3], key=_KEY))
+    bad = corruptions(page, schema.cell_count)[corruption]
+    assert bad[HEADER_SIZE + 8] == width
+    if corruption.startswith("run lengths wrap"):
+        assert bad[HEADER_SIZE + 9] == 8
+    return bad, _KEY
+
+
+class TestV3RejectionBranches:
+    """One crafted page per rejection branch of the v3 decoder — the
+    narrow-width fast checks and the full 8-byte ones alike — each
+    refused by ``deserialize_cube`` and quarantined by the index."""
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_deserialize_cube_raises(self, gap_schema, branch):
+        page, key = _branch_page(gap_schema, branch)
+        with pytest.raises(PageCorruptError):
+            deserialize_cube(page, gap_schema, key)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_index_get_quarantines(self, gap_schema, branch):
+        from repro.core.hierarchy import HierarchicalIndex, page_id_for
+
+        page, key = _branch_page(gap_schema, branch)
+        disk = InMemoryDisk(read_latency=0, write_latency=0)
+        disk.write(page_id_for(key), page)
+        index = HierarchicalIndex(gap_schema, disk)
+        with pytest.raises(PageCorruptError):
+            index.get(key)
+        assert index.quarantined_keys() == [key]
+        assert not index.has(key)
+
+    def test_the_misfiled_page_reads_under_its_own_key(self, gap_schema):
+        page, other = _branch_page(gap_schema, "header names another key")
+        assert deserialize_cube(page, gap_schema, _KEY).key is _KEY
+        with pytest.raises(PageCorruptError, match=f"read as {other}"):
+            deserialize_cube(page, gap_schema, other)
+
+
+@pytest.fixture(scope="module")
+def roomy_schema():
+    # 240 000 cells: room for a 4-byte gap beside a 4-byte run.
+    return default_schema([f"z{i}" for i in range(1000)], road_types=20)
+
+
+_WIDTH_STEPS = {1: 1, 2: 256, 4: 65_536}
+_VALUE_TOPS = {1: 127, 2: 32_767, 4: (1 << 31) - 1}
+
+
+def _random_widths_cube(rng, schema, delta_width, run_width, value_width):
+    """A random sparse cube whose page needs exactly these widths: one
+    gap, one run and one value sized to them, the rest small."""
+    nnz = _WIDTH_STEPS[run_width] + rng.randrange(3, 40)
+    gaps = [rng.randint(1, 2) for _ in range(nnz - 1)]
+    gaps[rng.randrange(nnz - 1)] = max(_WIDTH_STEPS[delta_width], 2) + rng.randrange(50)
+    cells = np.cumsum([rng.randrange(20)] + gaps)
+    values: list[int] = []
+    while len(values) < nnz:
+        value = rng.choice([-1, 1]) * rng.randint(1, 100)
+        if values and value == values[-1]:
+            continue
+        values.extend([value] * rng.randint(1, 3))
+    values = values[:nnz]
+    start = rng.randrange(nnz - _WIDTH_STEPS[run_width] + 1)
+    top = _VALUE_TOPS[value_width] * rng.choice([-1, 1])
+    if value_width == 1:
+        top = 101  # still one byte, never equal to a random neighbour
+    values[start : start + _WIDTH_STEPS[run_width]] = [top] * _WIDTH_STEPS[run_width]
+    return _sparse(schema, cells, values)
+
+
+@pytest.mark.parametrize("delta_width", [1, 2, 4])
+@pytest.mark.parametrize("run_width", [1, 2, 4])
+@pytest.mark.parametrize("value_width", [1, 2, 4])
+def test_random_cubes_round_trip_at_every_narrow_width(
+    roomy_schema, delta_width, run_width, value_width
+):
+    """The narrow-width checks accept every page the writer emits."""
+    import random
+
+    rng = random.Random(delta_width * 100 + run_width * 10 + value_width)
+    for _ in range(3):
+        cube = _random_widths_cube(rng, roomy_schema, delta_width, run_width, value_width)
+        page = serialize_cube(cube)
+        assert page_version(page) == PAGE_VERSION_SPARSE
+        assert tuple(page[HEADER_SIZE + 8 : HEADER_SIZE + 11]) == (
+            delta_width,
+            run_width,
+            value_width,
+        )
+        restored = deserialize_cube(page, roomy_schema, cube.key)
+        assert restored.key is cube.key
+        assert restored == cube

@@ -24,7 +24,8 @@ comment.
 ``simulate`` drives the synthetic world and *publishes* feed files;
 ``ingest`` crawls anything not yet ingested (restart-safe via the
 persisted crawl cursor); ``query``/``samples``/``stats``/``serve`` are
-read-only.  ``stats`` dumps the deployment's metrics registry (add
+read-only, bar the repair any opener makes of a batch a dead writer
+left half-done.  ``stats`` dumps the deployment's metrics registry (add
 ``--sql`` to exercise a query first, ``--format prometheus|json`` for
 machine-readable output); ``query --trace`` prints the per-query phase
 breakdown.
@@ -117,21 +118,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    system = _open_system(
-        args.root,
-        _config(durable_ingest=args.durable),
-        shards=args.shards,
-    )
-    # Opening a durable deployment already rolled back any batch a
-    # crashed run left behind; report it so operators see the repair.
-    if system.wal is not None:
-        recovery = system.pipeline.recover()
-        if recovery is not None and recovery.rolled_back:
-            print(
-                f"recovered: rolled back incomplete batch "
-                f"{recovery.batch_meta or '(torn intent)'} "
-                f"({recovery.pages_restored} pages restored)"
-            )
+    system = _open_system(args.root, shards=args.shards)
+    # Opening the root rolled back what a crashed run left: say so.
+    recovery = system.recovered
+    if recovery is not None and recovery.rolled_back:
+        print(
+            f"recovered: rolled back incomplete batch "
+            f"{recovery.batch_meta or '(torn intent)'} "
+            f"({recovery.pages_restored} pages restored)"
+        )
     report = system.pipeline.run_daily()
     print(
         f"ingested {report.days_processed} days: "
@@ -255,8 +250,8 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
     """``serve``'s configuration and the one its ``--workers`` open.
 
     Workers re-open the same root read-only with their own caches;
-    tracing, the WAL and admission stay in the serving process — it is
-    the front door, not the compute.
+    tracing and admission stay in the serving process — it is the front
+    door, not the compute.
     """
     from repro.dashboard.admission import AdmissionConfig
     from repro.obs import SLOConfig
@@ -264,7 +259,6 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
     config = _config(
         cache_slots=args.cache_slots,
         result_cache_slots=args.result_cache_slots,
-        durable_ingest=args.durable,
         admission=AdmissionConfig(
             key_file=args.api_keys,
             rate_limit=args.rate_limit,
@@ -283,7 +277,7 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
         ),
     )
     worker_config = dataclasses.replace(
-        config, tracing=False, durable_ingest=False, admission=AdmissionConfig()
+        config, tracing=False, admission=AdmissionConfig()
     )
     return config, worker_config
 
@@ -294,8 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config, worker_config = _serve_configs(args)
     system = _open_system(args.root, config)
-    if system.wal is not None:
-        system.pipeline.recover()
     system.warm_cache()
     dispatcher = None
     if args.workers > 0:
@@ -405,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rendezvous-placed); every later command reads the count back "
         "from the root, and contradicting it is an error",
     )
-    ingest.add_argument(
-        "--durable",
-        action="store_true",
-        help="run ingestion through the write-ahead intent log "
-        "(crash-safe, atomic per-day batches)",
-    )
     ingest.set_defaults(func=_cmd_ingest)
 
     rebuild = sub.add_parser(
@@ -473,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute POST /analysis* requests in N long-lived worker "
         "processes instead of request threads (0 = in-process); "
         "sidesteps the GIL for concurrent analysis traffic",
-    )
-    serve.add_argument(
-        "--durable",
-        action="store_true",
-        help="open the deployment in durable-ingest mode (rolls back "
-        "any crashed ingest batch before serving)",
     )
     admission_group = serve.add_argument_group(
         "admission control",

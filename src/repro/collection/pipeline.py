@@ -9,8 +9,8 @@ Glues the Data Collection module to Storage & Indexing (paper, Fig. 1):
 * **monthly cycle** — run the monthly crawler over the full-history
   dump, split the reclassified UpdateList by day, and rebuild the
   month's cubes at full resolution ("copied to the index structure
-  only when done" — our page writes are per-cube atomic, matching the
-  paper's swap-in).
+  only when done": each day, and each month's rebuild, is one WAL batch
+  written under the root's writer lease).
 
 The pipeline also refreshes any cache entries the maintenance pass
 replaced, so a long-lived dashboard never serves stale cubes.
@@ -56,8 +56,6 @@ _K_DAY_SECONDS = metric_key("rased_ingest_day_seconds")
 _K_CYCLE_SECONDS = metric_key("rased_ingest_cycle_seconds", cycle="daily")
 _K_MONTHLY_SECONDS = metric_key("rased_ingest_cycle_seconds", cycle="monthly")
 _K_BATCHES = metric_key("rased_ingest_batches_total")
-_K_RECOVERIES = metric_key("rased_ingest_recoveries_total")
-_K_ROLLED_BACK = metric_key("rased_ingest_batches_rolled_back_total")
 
 
 @dataclass
@@ -83,8 +81,8 @@ class IngestionPipeline:
         hash_index: HashIndex,
         spatial_index: GridSpatialIndex,
         cache: CacheManager,
+        wal: IngestWAL,
         metrics: MetricsRegistry | None = None,
-        wal: "IngestWAL | None" = None,
     ) -> None:
         self.daily_crawler = daily_crawler
         self.monthly_crawler = monthly_crawler
@@ -94,10 +92,8 @@ class IngestionPipeline:
         self.spatial_index = spatial_index
         self.cache = cache
         self.metrics = metrics if metrics is not None else get_registry()
-        #: When set, every daily ingest / monthly rebuild runs as one
-        #: WAL batch: the index, warehouse, secondary indexes, and the
-        #: crawl cursor move together or not at all.  The system wiring
-        #: guarantees the stores above were built over ``wal.store``.
+        #: The stores above were built over ``wal.store``, so a batch's
+        #: cubes, rows, index entries and cursor move together or not at all.
         self.wal = wal
         self._load_cursor()
 
@@ -146,21 +142,21 @@ class IngestionPipeline:
     def run_daily(self) -> IngestReport:
         """Crawl and ingest every diff published since the last cycle.
 
-        With a WAL attached, each day is one batch spanning the cube
-        writes, the warehouse append, the secondary-index flushes, and
-        the cursor advance — a crash anywhere inside rolls the whole
-        day back, and the rolled-back cursor makes the re-run crawl the
-        same diff again: exactly-once, not at-most-once.
+        Each day is one batch spanning the cube writes, the warehouse
+        append, the secondary-index flushes, and the cursor advance — a
+        crash anywhere inside rolls the whole day back, and the
+        rolled-back cursor makes the re-run crawl the same diff again:
+        exactly-once, not at-most-once.
         """
         started = time.perf_counter()
         report = IngestReport()
-        for result in self.daily_crawler.crawl_new():
-            meta = {"kind": "daily", "day": result.day.isoformat()}
-            if self.wal is not None:
+        with self.wal.lease():
+            self._recover()
+            for result in self.daily_crawler.crawl_new():
+                meta = {"kind": "daily", "day": result.day.isoformat()}
                 self.wal.begin(meta)
-            self.ingest_daily_result(result, report)
-            self._save_cursor()
-            if self.wal is not None:
+                self.ingest_daily_result(result, report)
+                self._save_cursor()
                 self.wal.commit(meta)
                 self.metrics.inc_key(_K_BATCHES)
         self.metrics.observe_key(
@@ -184,25 +180,20 @@ class IngestionPipeline:
 
     # -- crash recovery -----------------------------------------------------
 
-    def recover(self) -> "WalRecovery | None":
-        """Roll back any crashed batch and resynchronize memory views.
-
-        Call once on startup (the system wiring does) and after any
-        in-process simulated crash.  With no WAL attached this is a
-        no-op returning ``None``; otherwise it returns the WAL's
-        recovery report.  After a rollback every in-memory structure
-        derived from the store — the index catalog, the warehouse tail,
-        the secondary indexes' buffers and segment lists (the rollback
-        may have deleted or restored segment pages), the cube cache, and
-        the crawl cursor — is rebuilt from the restored pages, so the next
-        :meth:`run_daily` re-ingests the lost day exactly once.
+    def recover(self) -> WalRecovery:
+        """Under the writer lease, roll back any crashed batch (every
+        write call does this on entry).  After a rollback, or another
+        writer's commits, every in-memory view of the store — catalog,
+        warehouse tail, index buffers and segment lists, cube cache,
+        crawl cursor — is rebuilt from the pages, so the next
+        :meth:`run_daily` ingests each day exactly once.
         """
-        if self.wal is None:
-            return None
+        with self.wal.lease():
+            return self._recover()
+
+    def _recover(self) -> WalRecovery:
         report = self.wal.recover()
-        self.metrics.inc_key(_K_RECOVERIES)
-        if report.rolled_back:
-            self.metrics.inc_key(_K_ROLLED_BACK)
+        if report.rolled_back or report.moved:
             self._resync()
         return report
 
@@ -232,15 +223,15 @@ class IngestionPipeline:
         """
         started = time.perf_counter()
         report = IngestReport()
-        crawl = self.monthly_crawler.crawl_month(history, month)
-        by_day: dict[date, UpdateList] = defaultdict(UpdateList)
-        for record in crawl.updates:
-            by_day[record.date].append(record)
-        meta = {"kind": "monthly", "month": str(month)}
-        if self.wal is not None:
+        with self.wal.lease():
+            self._recover()
+            crawl = self.monthly_crawler.crawl_month(history, month)
+            by_day: dict[date, UpdateList] = defaultdict(UpdateList)
+            for record in crawl.updates:
+                by_day[record.date].append(record)
+            meta = {"kind": "monthly", "month": str(month)}
             self.wal.begin(meta)
-        written = self.index.rebuild_month(month, by_day)
-        if self.wal is not None:
+            written = self.index.rebuild_month(month, by_day)
             self.wal.commit(meta)
             self.metrics.inc_key(_K_BATCHES)
         report.cubes_written.extend(written)

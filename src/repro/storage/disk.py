@@ -199,10 +199,8 @@ class DirectoryDisk(_LatencyMixin):
     """A filesystem-backed page store: one file per page.
 
     Page ids may contain ``/`` separators, which become directories.
-    Each id segment is sanitized to a filesystem-safe form; distinct
-    page ids must not collide after sanitizing (enforced by keeping an
-    id file alongside the payload is unnecessary here because our ids
-    are already filesystem-safe by construction).
+    Each id segment is sanitized to a filesystem-safe form (our ids are
+    already safe by construction, so distinct ids never collide).
     """
 
     def __init__(
@@ -217,6 +215,8 @@ class DirectoryDisk(_LatencyMixin):
         super().__init__(read_latency, write_latency, real_sleep, metrics, parallelism)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The writer lease's file, beside the page directory: not a page.
+        self.lock_path = self.root.with_name(self.root.name + ".lock")
 
     def _path(self, page_id: str) -> Path:
         if not page_id or page_id.startswith("/") or ".." in page_id.split("/"):
@@ -258,7 +258,8 @@ class DirectoryDisk(_LatencyMixin):
 
     def list_pages(self, prefix: str = "") -> Iterator[str]:
         ids: list[str] = []
-        for path in self.root.rglob("*.page"):
+        folder = prefix.rpartition("/")[0]
+        for path in self.root.joinpath(*folder.split("/")).rglob("*.page"):
             rel = path.relative_to(self.root)
             page_id = "/".join(rel.parts)[: -len(".page")]
             if page_id.startswith(prefix):

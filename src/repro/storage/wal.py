@@ -34,16 +34,26 @@ Undo pages carry a CRC over the pre-image; a mismatch (torn undo
 write) means the corresponding data write never happened, and the page
 is skipped rather than restored — restoring a torn pre-image would
 corrupt a page the crash provably left intact.
+
+Recovery runs only under the writer lease (:meth:`IngestWAL.lease`),
+which every write call holds throughout and every opener only tries,
+so a live writer's batch is never rolled back from outside.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
+import os
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Iterator
 
-from repro.errors import PageNotFoundError, StorageError
+from repro.errors import ConfigError, PageNotFoundError, StorageError
+from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import span as causal_span
 from repro.storage.pages import PageStore, PageStoreProxy
 
@@ -53,6 +63,9 @@ __all__ = ["IngestWAL", "JournaledStore", "WalRecovery", "WAL_PREFIX"]
 WAL_PREFIX = "wal"
 
 _HEADER_SEP = b"\n"
+
+_K_RECOVERIES = metric_key("rased_ingest_recoveries_total")
+_K_ROLLED_BACK = metric_key("rased_ingest_batches_rolled_back_total")
 
 
 @dataclass
@@ -70,6 +83,8 @@ class WalRecovery:
     pages_skipped: int = 0
     #: Orphan undo pages collected from already-committed batches.
     orphans_collected: int = 0
+    #: Whether another writer committed since this WAL last looked.
+    moved: bool = False
 
 
 class JournaledStore(PageStoreProxy):
@@ -104,9 +119,19 @@ class IngestWAL:
     view — while the WAL's own pages go straight to the raw device.
     """
 
-    def __init__(self, store: PageStore, prefix: str = WAL_PREFIX) -> None:
+    def __init__(
+        self,
+        store: PageStore,
+        prefix: str = WAL_PREFIX,
+        primary: PageStore | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
         self.raw = store
         self.prefix = prefix
+        owner = store if primary is None else primary
+        self._lease_lock = vars(owner).setdefault("_writer_lease", threading.Lock())
+        self._lease_path: Path | None = getattr(owner, "lock_path", None)
+        self.metrics = metrics if metrics is not None else get_registry()
         self.intent_page = f"{prefix}/intent"
         self.checkpoint_page = f"{prefix}/checkpoint"
         #: The view batch participants must write through.
@@ -213,16 +238,43 @@ class IngestWAL:
             )
             self.raw.write(self.checkpoint_page, checkpoint)
 
+    @contextlib.contextmanager
+    def lease(self) -> Iterator[None]:
+        """Hold the writer lease for the block, or raise :class:`ConfigError`
+        naming the holder's pid.  It is a lock on ``primary`` (the
+        deployment's own store under a routed view), plus a ``flock`` on
+        its ``lock_path`` if it has one; a crash unwinding the block frees
+        it, as process death frees a ``flock``."""
+        held = "another writer (pid {}) holds this root's lease".format
+        path, fd = self._lease_path, None
+        if not self._lease_lock.acquire(blocking=False):
+            raise ConfigError(held(os.getpid()))
+        try:
+            if path is not None:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise ConfigError(held(path.read_text())) from None
+                os.ftruncate(fd, 0)
+                os.write(fd, str(os.getpid()).encode("ascii"))
+            yield
+        finally:
+            if fd is not None:
+                os.close(fd)  # the one descriptor holding the flock
+            self._lease_lock.release()
+
     # -- recovery -------------------------------------------------------------
 
     def recover(self) -> WalRecovery:
         """Roll back any incomplete batch; collect committed leftovers.
 
-        Idempotent: safe to call on a clean store, after a crash at any
-        injection point, and repeatedly (a crash during recovery is
-        recovered by the next call).
+        Call it holding the writer lease.  Idempotent: safe to call on a
+        clean store, after a crash at any injection point, and repeatedly
+        (a crash during recovery is recovered by the next call).
         """
         report = WalRecovery()
+        expected = self._next_batch
         self._active_batch = None
         self._journaled = set()
         intent_batch: int | None = None
@@ -250,6 +302,10 @@ class IngestWAL:
             list(self.raw.list_pages(f"{self.prefix}/undo/"))
         )
         self._next_batch = self._discover_next_batch()
+        report.moved = self._next_batch != expected
+        self.metrics.inc_key(_K_RECOVERIES)
+        if report.rolled_back:
+            self.metrics.inc_key(_K_ROLLED_BACK)
         return report
 
     def _restore_batch(self, batch: int) -> tuple[int, int]:

@@ -69,7 +69,7 @@ class TestServeConfig:
 
         args = build_parser().parse_args(
             [
-                "serve", "--root", "/tmp/x", "--workers", "2", "--durable",
+                "serve", "--root", "/tmp/x", "--workers", "2",
                 "--cache-slots", "32", "--result-cache-slots", "8",
                 "--rate-limit", "5", "--slo-latency-ms", "100",
             ]
@@ -79,7 +79,6 @@ class TestServeConfig:
             simulation=config.simulation,
             cache_slots=32,
             result_cache_slots=8,
-            durable_ingest=True,
             admission=AdmissionConfig(rate_limit=5.0),
             slo=dataclasses.replace(config.slo, latency_threshold_ms=100.0),
         )
@@ -89,13 +88,16 @@ class TestServeConfig:
             for field in dataclasses.fields(SystemConfig)
             if getattr(worker, field.name) != getattr(config, field.name)
         }
-        assert differing == {"tracing", "durable_ingest", "admission"}
-        assert not (worker.tracing or worker.durable_ingest)
+        assert differing == {"tracing", "admission"}
+        assert not worker.tracing
         assert not worker.admission.any_enabled()
-        with pytest.raises(SystemExit):  # the flag is gone
-            build_parser().parse_args(
-                ["serve", "--root", "/tmp/x", "--scatter-threads", "16"]
-            )
+        for gone in (
+            ["serve", "--root", "/tmp/x", "--scatter-threads", "16"],
+            ["serve", "--root", "/tmp/x", "--durable"],
+            ["ingest", "--root", "/tmp/x", "--durable"],
+        ):
+            with pytest.raises(SystemExit):  # the flag is gone
+                build_parser().parse_args(gone)
 
 
 class TestCommands:
@@ -296,6 +298,53 @@ class TestRebuildCommand:
         assert main(["query", "--root", str(root), "--sql", sql]) == 0
         after = capsys.readouterr().out
         assert "metadata" in after
+
+
+class TestIngestRecovery:
+    def test_ingest_reports_and_counts_the_rollback_of_a_crashed_root(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The opener that repairs a crashed root is the one whose
+        ``ingest`` prints the repair and counts it."""
+        from repro import cli
+        from repro.testing import CrashPoint
+
+        root = tmp_path / "deploy"
+        simulate = [
+            "simulate", "--root", str(root), "--seed", "5",
+            "--start", "2021-01-01", "--end", "2021-01-03",
+        ]
+        assert main(simulate) == 0
+        crashed = cli._open_system(str(root))
+        write = crashed.store.write
+
+        def dying(page_id: str, data: bytes) -> None:
+            if page_id.startswith("warehouse/heap/"):
+                raise CrashPoint("warehouse.write", page_id)
+            write(page_id, data)
+
+        crashed.store.write = dying
+        with pytest.raises(CrashPoint):
+            crashed.pipeline.run_daily()
+        assert (root / "pages" / "wal" / "intent.page").exists()
+        capsys.readouterr()
+
+        opened = []
+        real_open = cli._open_system
+
+        def open_system(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "_open_system", open_system)
+        assert main(["ingest", "--root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "recovered: rolled back incomplete batch" in out
+        assert "'day': '2021-01-01'" in out
+        assert "ingested 3 days" in out
+        metrics = opened[0].metrics
+        assert metrics.value("rased_ingest_batches_rolled_back_total") == 1
+        assert not (root / "pages" / "wal" / "intent.page").exists()
 
 
 class TestShardedRoot:

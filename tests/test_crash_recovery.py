@@ -141,9 +141,9 @@ class TestCrashMatrix:
         assert crashed == bool(plan.fired)
 
         # "Restart": a fresh process over the same store and feed root.
-        # Its construction runs WAL recovery before any component scans
-        # the store; recover() then resyncs pipeline state (idempotent
-        # here) exactly as the CLI does on startup.
+        # Its construction runs WAL recovery (the crash freed the writer
+        # lease) before any component scans the store; recover() is then
+        # idempotent here, as every write call's recovery on entry is.
         faulty.plan = None
         reopened = _make_system(atlas, tmp_path, faulty)
         reopened.pipeline.recover()

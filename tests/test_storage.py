@@ -136,6 +136,18 @@ class TestDirectoryDisk:
         disk.write("a/2", b"x")
         disk.write("b/1", b"x")
         assert list(disk.list_pages("a/")) == ["a/1", "a/2"]
+        for page_id in (
+            "cubes/D2021-01-01", "cubes/D2021-01-02", "cubes/W2021-01.0",
+            "cubes/D2020-12-31", "wal/undo/00000001/000000", "wal/intent",
+            "warehouse/heap/00000001", "warehouse/heap/00000002",
+            "warehouse/hash/seg/00000001", "meta/daily_cursor",
+        ):  # fmt: skip
+            disk.write(page_id, b"x")
+        every = list(disk.list_pages(""))
+        assert every == sorted(every) and len(every) == 13
+        for prefix in ("", "cubes/", "wal/undo/", "warehouse/heap/", "cubes/D2021", "nowhere/"):
+            assert list(disk.list_pages(prefix)) == [p for p in every if p.startswith(prefix)]
+        assert list(disk.list_pages("cubes/D2021")) == ["cubes/D2021-01-01", "cubes/D2021-01-02"]
 
     def test_delete(self, tmp_path):
         disk = DirectoryDisk(tmp_path)

@@ -254,8 +254,8 @@ class TestProfiles:
 
     def test_paper_profile_defaults_are_pinned(self):
         """The bare config reproduces the paper figures: the serving
-        engine minus memo, WAL and admission (thirteen fields, two of
-        them the fixed cube-form shim)."""
+        engine minus memo and admission (thirteen fields, five of them
+        shims that accept only what the frozen harness spells)."""
         from dataclasses import asdict
 
         from repro.dashboard.admission import AdmissionConfig
@@ -271,7 +271,7 @@ class TestProfiles:
             scatter_threads=None,
             fetch_parallelism=4,
             result_cache_slots=0,
-            durable_ingest=False,
+            durable_ingest=True,
             admission=asdict(AdmissionConfig()),
             tracing=True,
             slo=asdict(SLOConfig()),
@@ -284,13 +284,19 @@ class TestProfiles:
 
 
 class TestCubeFormShim:
-    """``page_version``/``sparse_cubes`` are fields only because the
-    frozen benchmark harness spells them: one value each is accepted."""
+    """``page_version``/``sparse_cubes``/``durable_ingest`` are fields
+    only because the frozen benchmark harness spells them: one value
+    each is accepted."""
 
     @pytest.mark.parametrize(
         "fields",
-        [dict(page_version=1), dict(sparse_cubes=False), dict(page_version=2)],
-        ids=["v1", "dense", "v2"],
+        [
+            dict(page_version=1),
+            dict(sparse_cubes=False),
+            dict(page_version=2),
+            dict(durable_ingest=False),
+        ],
+        ids=["v1", "dense", "v2", "journal-less"],
     )
     def test_other_cube_forms_raise(self, fields):
         from repro.errors import ConfigError

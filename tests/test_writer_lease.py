@@ -1,0 +1,232 @@
+"""The writer lease: one writer per root, and only it recovers.
+
+Every write call (``run_daily``, ``run_monthly``, ``recover``) holds
+the root's lease for its whole length; every opener tries it without
+waiting and rolls back a half-done batch only when the lease is free,
+that is, when no writer is alive to own the batch.  On a
+:class:`DirectoryDisk` the lease is a ``flock`` beside the page
+directory; on any other store, a lock on the store object.  Both are
+exercised here, within one process: two ``flock`` descriptors on one
+file conflict exactly as two processes' would.
+"""
+
+from __future__ import annotations
+
+import os
+from datetime import date, timedelta
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+from repro.core.query import AnalysisQuery
+from repro.errors import ConfigError, StorageError
+from repro.storage.disk import DirectoryDisk, InMemoryDisk
+from repro.storage.warehouse import Warehouse
+from repro.synth.simulator import SimulationConfig
+from repro.system import RasedSystem, SystemConfig
+from repro.testing import CrashPoint, FaultPlan, FaultyPageStore
+from repro.types.temporal import month_key
+
+#: ``durable_ingest`` spelled out, as the benchmark harness spells it.
+CONFIG = SystemConfig.serving(
+    durable_ingest=True,
+    road_types=8,
+    simulation=SimulationConfig(
+        seed=17, mapper_count=6, base_sessions_per_day=2, nodes_per_country=2
+    ),
+)
+
+WINDOW = (date(2021, 1, 1), date(2021, 1, 6))
+
+
+def _publish(system: RasedSystem, start: date, end: date) -> None:
+    day = start
+    while day <= end:
+        system.publish_day(day)
+        day += timedelta(days=1)
+
+
+def _pages(store) -> dict[str, bytes]:
+    """Every page but the WAL's own bookkeeping."""
+    return {
+        page_id: store.read(page_id)
+        for page_id in store.list_pages("")
+        if not page_id.startswith("wal/")
+    }
+
+
+def _during_first_batch(system: RasedSystem, action) -> list:
+    """Run ``action()`` once, inside ``system``'s first ingest batch
+    (cubes and rows written, cursor and commit still to come)."""
+    done: list = []
+    ingest = system.pipeline.ingest_daily_result
+
+    def hooked(result, report):
+        ingest(result, report)
+        if not done:
+            done.append(action())
+
+    system.pipeline.ingest_daily_result = hooked
+    return done
+
+
+def _system(atlas, feed_root: Path, store) -> RasedSystem:
+    return RasedSystem.create(root=feed_root, atlas=atlas, store=store, config=CONFIG)
+
+
+@pytest.fixture(scope="module")
+def feed_root(atlas, tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("lease-feed")
+    _publish(_system(atlas, root, InMemoryDisk(0, 0)), *WINDOW)
+    return root
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(atlas, feed_root) -> dict[str, bytes]:
+    disk = InMemoryDisk(0, 0)
+    _system(atlas, feed_root, disk).pipeline.run_daily()
+    return _pages(disk)
+
+
+def _opener(kind: str, atlas, feed_root: Path, tmp_path: Path, store=None):
+    """A new opener of one root: a fresh ``DirectoryDisk`` over the same
+    directory (as another process would), or the same in-memory store."""
+    if kind == "directory":
+        store = DirectoryDisk(tmp_path / "pages", read_latency=0, write_latency=0)
+    return _system(atlas, feed_root, store)
+
+
+class TestOpenDuringABatch:
+    def test_an_opener_during_a_live_batch_leaves_it_alone(self, tmp_path):
+        """The lost-day case, through ``cli._open_system``: A ingests 1-10
+        Jan, then runs 11-14 Jan; B opens the root during the 11 Jan
+        batch.  A commits, and the root equals one nobody interrupted."""
+        interrupted, untouched = tmp_path / "a", tmp_path / "u"
+
+        def open_root(root: Path) -> RasedSystem:
+            return cli._open_system(str(root), CONFIG)
+
+        publisher = open_root(interrupted)
+        untouched.mkdir()
+        (untouched / "feeds").symlink_to(interrupted / "feeds")
+
+        _publish(publisher, date(2021, 1, 1), date(2021, 1, 10))
+        for root in (interrupted, untouched):
+            assert open_root(root).pipeline.run_daily().days_processed == 10
+        _publish(publisher, date(2021, 1, 11), date(2021, 1, 14))
+
+        writer = open_root(interrupted)
+        opened = _during_first_batch(writer, lambda: open_root(interrupted))
+        assert writer.pipeline.run_daily().days_processed == 4
+        assert opened[0].recovered is None  # the lease was held: hands off
+        assert open_root(untouched).pipeline.run_daily().days_processed == 4
+
+        stores = [DirectoryDisk(root / "pages") for root in (interrupted, untouched)]
+        assert _pages(stores[0]) == _pages(stores[1])
+        january = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 31))
+        totals = [
+            open_root(root).dashboard.analysis(january) for root in (interrupted, untouched)
+        ]
+        assert totals[0].total == totals[1].total > 0
+        assert not totals[0].stats.partial
+
+    @pytest.mark.parametrize("kind", ["directory", "memory"])
+    def test_a_second_writer_is_refused_naming_the_holder(
+        self, atlas, feed_root, uninterrupted, tmp_path, kind
+    ):
+        shared = InMemoryDisk(0, 0)
+        writer = _opener(kind, atlas, feed_root, tmp_path, shared)
+        second = _opener(kind, atlas, feed_root, tmp_path, shared)
+
+        def refused() -> str:
+            for call in (second.pipeline.run_daily, second.pipeline.recover):
+                with pytest.raises(ConfigError, match=f"pid {os.getpid()}"):
+                    call()
+            return "refused"
+
+        hooked = _during_first_batch(writer, refused)
+        writer.pipeline.run_daily()
+        assert hooked == ["refused"]
+        # Released on return.  The second writer sees the first one's
+        # commits and finds nothing left to do.
+        assert second.pipeline.run_daily().days_processed == 0
+        assert _pages(second.store) == uninterrupted
+        if kind == "directory":
+            lock = tmp_path / "pages.lock"
+            assert lock.read_text() == str(os.getpid())
+            assert not any("lock" in page for page in writer.store.list_pages(""))
+
+    def test_a_rebuild_is_one_batch_under_the_lease(
+        self, atlas, feed_root, tmp_path
+    ):
+        writer = _opener("directory", atlas, feed_root, tmp_path)
+        writer.pipeline.run_daily()
+        history = tmp_path / "history.osm"
+        publisher = _system(atlas, tmp_path / "republish", InMemoryDisk(0, 0))
+        _publish(publisher, *WINDOW)
+        publisher.simulator.write_history_dump(history)
+
+        rebuild = writer.index.rebuild_month
+        seen = []
+
+        def watched(month, by_day):
+            other = _opener("directory", atlas, feed_root, tmp_path)
+            seen.append((writer.wal.intent_page in writer.store, other.recovered))
+            return rebuild(month, by_day)
+
+        writer.index.rebuild_month = watched
+        assert writer.pipeline.run_monthly(history, month_key(2021, 1)).cubes_written
+        assert seen == [(True, None)]
+        assert writer.wal.intent_page not in writer.store
+
+
+class TestAfterACrash:
+    @pytest.mark.parametrize("point", ["warehouse.write", "index.put"])
+    def test_a_reopen_recovers_a_torn_batch_and_resumes(
+        self, atlas, feed_root, uninterrupted, point
+    ):
+        """A torn write (the heap tail included) unwinds the call and
+        frees the lease, so the next opener constructs, rolls back, and
+        the writer after it finishes the window."""
+        disk = InMemoryDisk(0, 0)
+        faulty = FaultyPageStore(disk, FaultPlan.single(point, kind="torn", after=3))
+        crashed = _system(atlas, feed_root, faulty)
+        with pytest.raises(CrashPoint):
+            crashed.pipeline.run_daily()
+        if point == "warehouse.write":  # the heap's tail page is torn
+            with pytest.raises(StorageError, match="torn heap page"):
+                Warehouse(disk)
+
+        faulty.plan = None
+        reopened = _system(atlas, feed_root, faulty)
+        assert reopened.recovered is not None and reopened.recovered.rolled_back
+        assert reopened.metrics.value("rased_ingest_batches_rolled_back_total") == 1
+        reopened.pipeline.run_daily()
+        assert _pages(disk) == uninterrupted
+
+    @pytest.mark.parametrize("kind", ["directory", "memory"])
+    def test_a_reader_opened_mid_batch_recovers_once_it_writes(
+        self, atlas, feed_root, uninterrupted, tmp_path, kind
+    ):
+        """B opens during A's batch and leaves it alone; A then dies.
+        B's next write call takes the free lease, rolls A's batch back,
+        resynchronizes, and ingests the window exactly once."""
+        shared = InMemoryDisk(0, 0)
+        writer = _opener(kind, atlas, feed_root, tmp_path, shared)
+        opened = _during_first_batch(
+            writer, lambda: _opener(kind, atlas, feed_root, tmp_path, shared)
+        )
+
+        def dying() -> None:
+            raise CrashPoint("cursor", writer.pipeline.CURSOR_PAGE)
+
+        writer.pipeline._save_cursor = dying
+        with pytest.raises(CrashPoint):
+            writer.pipeline.run_daily()
+
+        reader = opened[0]
+        assert reader.recovered is None
+        assert reader.pipeline.run_daily().days_processed == 6
+        assert reader.metrics.value("rased_ingest_batches_rolled_back_total") == 1
+        assert _pages(reader.store) == uninterrupted

@@ -16,8 +16,15 @@ summed over the run and divided by the days:
 * **rest** — everything else ``run_daily`` does (WAL begin/commit,
   cursor, cache refresh, metrics).
 
+``--monthly`` times the monthly path instead: a deployment that has
+ingested ``--months`` months (default 6; seed 17, 8 road types, the
+default simulation) writes its full-history dump, then the CPU of
+``pipeline.run_monthly`` is taken to rebuild its first month alone, and
+all of its months together, from that dump.
+
 Run: ``PYTHONPATH=src python benchmarks/bench_ingest_day.py [--days 60]
-[--runs 3] [--smoke]``.  The last line printed is the result as JSON.
+[--runs 3] [--smoke] [--monthly [--months 6]]``.  The last line printed
+is the result as JSON.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from repro.core.hierarchy import HierarchicalIndex
 from repro.osm.replication import ResilientFeed
 from repro.storage.disk import InMemoryDisk
 from repro.system import RasedSystem, SimulationConfig, SystemConfig
+from repro.types.temporal import TemporalKey, month_key
 
 FEED_SEED = 13
 ROAD_TYPES = 12
@@ -105,15 +113,69 @@ def measure(feed_root: Path) -> dict[str, float]:
     return result
 
 
+MONTHLY_SEED = 17
+MONTHLY_ROAD_TYPES = 8
+
+
+def rebuild(system: RasedSystem, history: Path, months: list[TemporalKey]) -> float:
+    """Thread-CPU milliseconds of one ``run_monthly`` over ``months``."""
+    started = time.thread_time()
+    system.pipeline.run_monthly(history, months)
+    return 1000.0 * (time.thread_time() - started)
+
+
+def bench_monthly(month_count: int, runs: int) -> dict[str, Any]:
+    """Ingest ``month_count`` months from 2021-01, dump their history,
+    then time rebuilding the first month and all of them, ``runs`` times."""
+    months = [month_key(2021, number) for number in range(1, month_count + 1)]
+    with tempfile.TemporaryDirectory(prefix="bench-monthly-") as root:
+        system = RasedSystem.create(
+            root=root,
+            config=SystemConfig(
+                road_types=MONTHLY_ROAD_TYPES, simulation=SimulationConfig(seed=MONTHLY_SEED)
+            ),
+            store=InMemoryDisk(read_latency=0.0, write_latency=0.0),
+        )
+        system.simulate_and_ingest(months[0].start, months[-1].end)
+        history = Path(root) / "history.osm"
+        versions = system.simulator.write_history_dump(history)
+        dump_bytes = history.stat().st_size
+        results = [
+            {"one_month_ms": rebuild(system, history, months[:1]),
+             "all_months_ms": rebuild(system, history, months)}
+            for _ in range(runs)
+        ]
+    print(f"monthly rebuild CPU ms from a {month_count}-month dump "
+          f"({versions} versions, {dump_bytes} bytes), {runs} run(s)")
+    print(f"run  {'1 month':>10}  {f'{month_count} months':>10}")
+    for number, result in enumerate(results, 1):
+        print(f"{number:>3}  {result['one_month_ms']:10.1f}  {result['all_months_ms']:10.1f}")
+    return {
+        "bench": "ingest_monthly",
+        "months": month_count,
+        "runs": runs,
+        "versions": versions,
+        "median_ms": {
+            name: round(statistics.median(r[name] for r in results), 1)
+            for name in ("one_month_ms", "all_months_ms")
+        },
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--days", type=int, default=60, help="days in the feed (60)")
     parser.add_argument("--runs", type=int, default=3, help="ingests of the feed (3)")
-    parser.add_argument("--smoke", action="store_true", help="5 days, 1 run (CI)")
+    parser.add_argument("--smoke", action="store_true", help="5 days (2 months with --monthly), 1 run (CI)")
+    parser.add_argument("--monthly", action="store_true", help="time the monthly rebuild instead")
+    parser.add_argument("--months", type=int, default=6, help="months in the --monthly dump (6)")
     args = parser.parse_args()
     days, runs = (5, 1) if args.smoke else (args.days, args.runs)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    if args.monthly:
+        print(json.dumps(bench_monthly(2 if args.smoke else args.months, runs), sort_keys=True))
+        return
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as feed_dir:
         publish_feed(Path(feed_dir), days)
         results = [measure(Path(feed_dir)) for _ in range(runs)]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from datetime import date
 from pathlib import Path
@@ -46,6 +47,7 @@ from repro.errors import RasedError
 from repro.storage.disk import DirectoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
+from repro.types.temporal import TemporalKey, month_key
 
 __all__ = ["main", "build_parser"]
 
@@ -137,16 +139,29 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rebuild(args: argparse.Namespace) -> int:
-    """Monthly maintenance: reclassify one month from a history dump."""
-    from repro.types.temporal import month_key
+def _months(text: str) -> list[TemporalKey]:
+    """A ``--month`` value — ``YYYY-MM``, or the inclusive range
+    ``YYYY-MM..YYYY-MM`` — as its month keys, first to last."""
+    parts = text.split("..")
+    matches = [re.fullmatch(r"([1-9]\d{3})-(0[1-9]|1[0-2])", part) for part in parts]
+    numbers = [int(m[1]) * 12 + int(m[2]) - 1 for m in matches if m is not None]
+    if len(parts) > 2 or len(numbers) < len(parts):
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM or YYYY-MM..YYYY-MM, got {text!r}")
+    first, last = numbers[0], numbers[-1]
+    if last < first:
+        raise argparse.ArgumentTypeError(f"month range {text!r} ends before it starts")
+    return [month_key(n // 12, n % 12 + 1) for n in range(first, last + 1)]
 
+
+def _cmd_rebuild(args: argparse.Namespace) -> int:
+    """Monthly maintenance: reclassify months from a history dump, which
+    is read once for all of them."""
+    months = args.month
     system = _open_system(args.root)
-    year_text, _, month_text = args.month.partition("-")
-    month = month_key(int(year_text), int(month_text))
-    report = system.pipeline.run_monthly(args.history, month)
+    report = system.pipeline.run_monthly(args.history, months)
+    label = str(months[0]) if len(months) == 1 else f"{months[0]}..{months[-1]}"
     print(
-        f"rebuilt {month}: {report.updates_indexed:,} reclassified updates "
+        f"rebuilt {label}: {report.updates_indexed:,} reclassified updates "
         f"across {report.days_processed} days, "
         f"{len(report.cubes_written)} cubes rewritten"
     )
@@ -404,7 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rebuild.add_argument("--root", required=True)
     rebuild.add_argument("--history", required=True, help="full-history .osm file")
-    rebuild.add_argument("--month", required=True, help="YYYY-MM")
+    rebuild.add_argument(
+        "--month",
+        required=True,
+        type=_months,
+        help="YYYY-MM, or YYYY-MM..YYYY-MM for a run of months (the dump is "
+        "read once); only days already ingested are rebuilt",
+    )
     rebuild.set_defaults(func=_cmd_rebuild)
 
     info = sub.add_parser("info", help="show index coverage and sizes")

@@ -7,35 +7,23 @@ the update's ``ChangesetID``: fetch the changeset's bounding box from
 the changesets feed, map the box to its country, and use "the center
 point contained in the bounding box" as the representative location.
 
-:class:`Geocoder` encapsulates both paths over a
-:class:`~repro.geo.zones.ZoneAtlas`, for one update or a whole batch.
+:class:`Geocoder` applies both rules to a whole batch of updates over a
+:class:`~repro.geo.zones.ZoneAtlas`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.collection.records import UpdateList
-from repro.errors import GeocodeError
-from repro.geo.geometry import Point
-from repro.geo.zones import Zone, ZoneAtlas
-from repro.osm.changesets import Changeset, ChangesetStore
-from repro.osm.model import OSMNode
+from repro.geo.zones import ZoneAtlas
+from repro.osm.changesets import ChangesetStore
 
-__all__ = ["ElementRow", "Geocoder", "Location"]
-
-
-@dataclass(frozen=True)
-class Location:
-    """A resolved update location: representative point plus country."""
-
-    point: Point
-    country: Zone
+__all__ = ["ElementRow", "Geocoder"]
 
 
 #: One update to locate: element kind, date, changeset, visible, the
@@ -49,20 +37,6 @@ class Geocoder:
     def __init__(self, atlas: ZoneAtlas) -> None:
         self.atlas = atlas
         self._names = atlas.zone_names()
-
-    def locate_node(self, node: OSMNode) -> Location:
-        """Locate a node update at the node's own coordinates."""
-        point = Point(lon=node.lon, lat=node.lat)
-        return Location(point=point, country=self.atlas.country_at(point))
-
-    def locate_changeset(self, changeset: Changeset) -> Location:
-        """Locate a way/relation update at its changeset's bbox center."""
-        if changeset.bbox is None:
-            raise GeocodeError(
-                f"changeset {changeset.id} has no bounding box"
-            )
-        center, zones = self.atlas.resolve_bbox(changeset.bbox)
-        return Location(point=center, country=zones[0])
 
     def locate(
         self, rows: Sequence[ElementRow], changesets: ChangesetStore

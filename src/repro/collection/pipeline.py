@@ -6,11 +6,12 @@ Glues the Data Collection module to Storage & Indexing (paper, Fig. 1):
   UpdateList, build/store the daily cube (plus any week/month/year
   rollups the day completes), append rows to the warehouse heap, and
   update the hash and spatial indexes;
-* **monthly cycle** — run the monthly crawler over the full-history
-  dump, split the reclassified UpdateList by day, and rebuild the
-  month's cubes at full resolution ("copied to the index structure
-  only when done": each day, and each month's rebuild, is one WAL batch
-  written under the root's writer lease).
+* **monthly cycle** — run the monthly crawler once over the full-history
+  dump for any run of months, split the reclassified UpdateList by day,
+  and rebuild each month's ingested days and their rollups at full
+  resolution ("copied to the index structure only when done": each day,
+  and each month's rebuild, is one WAL batch written under the root's
+  writer lease).
 
 The pipeline also refreshes any cache entries the maintenance pass
 replaced, so a long-lived dashboard never serves stale cubes.
@@ -19,11 +20,10 @@ replaced, so a long-lived dashboard never serves stale cubes.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     # Type-only: the pipeline is *handed* its index, warehouse, and
@@ -42,8 +42,7 @@ from repro.collection.monthly import MonthlyCrawler
 from repro.collection.records import UpdateList
 from repro.errors import PageNotFoundError
 from repro.obs import MetricsRegistry, get_registry, metric_key
-from repro.osm.model import OSMElement
-from repro.types.temporal import TemporalKey, month_key
+from repro.types.temporal import Level, TemporalKey, month_key
 
 __all__ = ["IngestionPipeline", "IngestReport"]
 
@@ -211,35 +210,36 @@ class IngestionPipeline:
     # -- monthly ---------------------------------------------------------------
 
     def run_monthly(
-        self,
-        history: str | Path | IO[bytes] | Iterable[OSMElement],
-        month: TemporalKey,
+        self, history: str | Path | IO[bytes], months: Sequence[TemporalKey]
     ) -> IngestReport:
-        """Reclassify one month from full history and rebuild its cubes.
+        """Reclassify ``months`` from full history and rebuild their cubes.
 
-        The warehouse keeps the daily crawler's rows (the paper's
-        sample queries don't require reclassified update types); only
-        the cube index is rebuilt.
+        The dump is read once for all of them; each month is then its
+        own batch, all under one hold of the writer lease.  Only days
+        already ingested are rebuilt (:meth:`HierarchicalIndex.rebuild_month`).
+        The warehouse keeps the daily crawler's rows (the paper's sample
+        queries don't require reclassified update types); only the cube
+        index is rebuilt.
         """
         started = time.perf_counter()
         report = IngestReport()
         with self.wal.lease():
             self._recover()
-            crawl = self.monthly_crawler.crawl_month(history, month)
-            by_day: dict[date, UpdateList] = defaultdict(UpdateList)
-            for record in crawl.updates:
-                by_day[record.date].append(record)
-            meta = {"kind": "monthly", "month": str(month)}
-            self.wal.begin(meta)
-            written = self.index.rebuild_month(month, by_day)
-            self.wal.commit(meta)
-            self.metrics.inc_key(_K_BATCHES)
-        report.cubes_written.extend(written)
-        report.updates_indexed = len(crawl.updates)
+            crawl = self.monthly_crawler.crawl(history, months)
+            by_day = crawl.updates.by_date()
+            for month in months:
+                meta = {"kind": "monthly", "month": str(month)}
+                self.wal.begin(meta)
+                written = self.index.rebuild_month(month, by_day)
+                self.wal.commit(meta)
+                self.metrics.inc_key(_K_BATCHES)
+                report.cubes_written.extend(written)
+                for key in written:
+                    self.cache.refresh_key(key)
+        rebuilt = [key.start for key in report.cubes_written if key.level is Level.DAY]
+        report.days_processed = len(rebuilt)
+        report.updates_indexed = sum(len(by_day[day]) for day in rebuilt if day in by_day)
         report.updates_skipped = crawl.skipped
-        report.days_processed = len(by_day)
-        for key in written:
-            self.cache.refresh_key(key)
         if report.cubes_written:
             self.metrics.inc_key(_K_CUBES, len(report.cubes_written))
         self.metrics.observe_key(

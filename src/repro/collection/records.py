@@ -168,6 +168,26 @@ class UpdateList:
             column.extend(values)
         self.zones = zones
 
+    def by_date(self) -> dict[date_type, "UpdateList"]:
+        """The rows split by date, in date order; each date's rows keep
+        their order here and a geocoded list's zones.  One stable sort of
+        the columns, then a column slice per date."""
+        if not len(self):
+            return {}
+        ordinals = np.fromiter(map(date_type.toordinal, self.column("date")), np.int64, len(self))
+        order = np.argsort(ordinals, kind="stable")
+        picked = order.tolist()
+        columns = [[column[i] for i in picked] for column in self.columns]
+        zones = None if self.zones is None else (self.zones[0], self.zones[1][order])
+        cuts = [0, *(np.flatnonzero(np.diff(ordinals[order])) + 1).tolist(), len(picked)]
+        return {
+            columns[1][a]: UpdateList(
+                columns=[column[a:b] for column in columns],
+                zones=None if zones is None else (zones[0], zones[1][a:b]),
+            )
+            for a, b in zip(cuts, cuts[1:])
+        }
+
     # -- cube view -------------------------------------------------------
 
     def cube_coordinates(

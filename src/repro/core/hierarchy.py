@@ -19,9 +19,9 @@ Maintenance follows the paper exactly:
   memory), matching the paper's "up to 8, 6, and 13 I/Os" at
   week/month/year ends.
 * **Monthly** (:meth:`HierarchicalIndex.rebuild_month`): when the
-  monthly crawler delivers fully classified updates, rebuild all the
-  month's daily and weekly cubes (and the monthly cube, and the yearly
-  cube if present) at full resolution, then swap them in.
+  monthly crawler delivers fully classified updates, rebuild the
+  month's ingested daily cubes at full resolution, then the weekly,
+  monthly and yearly cubes the daily path would have written over them.
 
 The index also exposes the storage accounting (pages and bytes per
 level) behind the paper's Fig. 8.
@@ -333,63 +333,38 @@ class HierarchicalIndex:
     def rebuild_month(
         self, month: TemporalKey, updates_by_day: Mapping[date, UpdateList]
     ) -> list[TemporalKey]:
-        """The paper's monthly maintenance step.
+        """The paper's monthly maintenance step, over the days ingested.
 
-        Rebuilds every daily cube in ``month`` at full resolution from
-        the monthly crawler's reclassified UpdateList, then the weekly
-        cubes, the monthly cube, and — when already materialized — the
-        enclosing yearly cube.  Days with no rows get explicit empty
-        full-resolution cubes so the month's coverage stays complete.
+        Rebuilds every daily cube ``month`` already has at full
+        resolution from the monthly crawler's reclassified rows (a day
+        with no row gets an empty cube); a day never ingested stays
+        missing, so a rebuild never widens coverage.  Then each week,
+        the month and the year is rolled up again when the day that
+        ends it has a cube — the daily path's rule
+        (:func:`completed_units`) — from the children present.
         """
         if month.level is not Level.MONTH:
             raise IndexError_(f"rebuild_month needs a month key, got {month}")
         from repro.collection.records import UpdateList
 
-        written: list[TemporalKey] = []
-        in_memory: dict[TemporalKey, AnyCube] = {}
-        empty = UpdateList()
-        for day in (month.start.toordinal() + i for i in range(month.day_count)):
-            the_day = date.fromordinal(day)
-            daily = self.build_day_cube(
-                the_day,
-                updates_by_day.get(the_day, empty),
-                resolution=RESOLUTION_FULL,
-            )
-            self.put(daily)
-            in_memory[daily.key] = daily
-            written.append(daily.key)
-        for child in month.children():
-            if child.level is Level.WEEK and child.level in self.levels:
-                weekly = sum_cubes(
-                    self.schema,
-                    child,
-                    [in_memory[grand] for grand in child.children()],
-                )
-                self.put(weekly)
-                in_memory[child] = weekly
-                written.append(child)
-        if Level.MONTH in self.levels:
-            monthly = sum_cubes(
-                self.schema,
-                month,
-                [
-                    in_memory[child]
-                    for child in month.children()
-                    if child in in_memory
-                ],
-            )
-            self.put(monthly)
-            written.append(month)
-        year = year_key(month.year)
-        if Level.YEAR in self.levels and self.has(year):
-            months = [
-                self.get(month_key(month.year, m))
-                for m in range(1, 13)
-                if self.has(month_key(month.year, m))
-            ]
-            self.put(sum_cubes(self.schema, year, months))
-            written.append(year)
-        return written
+        cubes: dict[TemporalKey, AnyCube] = {}
+        for offset in range(month.day_count):
+            key = day_key(date.fromordinal(month.start.toordinal() + offset))
+            if self.has(key):
+                rows = updates_by_day.get(key.start, UpdateList())
+                cubes[key] = self.build_day_cube(key.start, rows, RESOLUTION_FULL)
+        weeks = [child for child in month.children() if child.level is Level.WEEK]
+        for key in [*weeks, month, year_key(month.year)]:
+            if key.level in self.levels and self.has(day_key(key.end)):
+                children = [
+                    cubes[child] if child in cubes else self.get(child)
+                    for child in key.children()
+                    if child in cubes or self.has(child)
+                ]
+                cubes[key] = sum_cubes(self.schema, key, children)
+        for cube in cubes.values():
+            self.put(cube)
+        return list(cubes)
 
     # -- bulk load ---------------------------------------------------------------
 

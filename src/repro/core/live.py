@@ -99,13 +99,8 @@ class LiveMonitor:
         return processed
 
     def _absorb(self, result: DailyCrawlResult) -> None:
-        from repro.collection.records import UpdateList
-
-        by_day: dict[date, UpdateList] = {}
-        for record in result.updates:
-            by_day.setdefault(record.date, UpdateList()).append(record)
-            self.updates_seen += 1
-        for day, updates in by_day.items():
+        self.updates_seen += len(result.updates)
+        for day, updates in result.updates.by_date().items():
             coded = updates.cube_coordinates(self.schema, self.atlas)
             # Cube creation *and* recording stay under the lock: a
             # concurrent overlay must never read a half-updated cube.

@@ -21,7 +21,7 @@ sorted by (kind, id, version) — the same convention as
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from repro.types.dimensions import (
     UPDATE_CREATE,
@@ -30,122 +30,98 @@ from repro.types.dimensions import (
     UPDATE_METADATA,
 )
 from repro.errors import ParseError
-from repro.osm.model import OSMElement, OSMNode, OSMRelation, OSMWay, element_kind
-from repro.osm.xml_io import iter_osm, write_osm
+from repro.osm import xml_io
+from repro.osm.model import OSMElement, OSMNode, OSMRelation, OSMWay
+from repro.osm.xml_io import _Fields, write_osm
 
 __all__ = [
+    "Version",
     "classify_update",
-    "iter_version_pairs",
-    "iter_history_updates",
+    "element_version",
+    "iter_history",
     "write_history",
-    "HistoryUpdate",
 ]
 
 _KIND_ORDER = {"node": 0, "way": 1, "relation": 2}
 
+#: One element version as :func:`classify_update` reads it: kind, id,
+#: version, visible, and its geometry — a node's ``(lat, lon)``, a way's
+#: refs, a relation's ``(type, ref, role)`` members.
+Version = tuple[str, int, int, bool, Any]
 
-def classify_update(previous: OSMElement | None, current: OSMElement) -> str:
+
+def classify_update(previous: Version | None, current: Version) -> str:
     """Classify one version transition into the four update types.
 
-    ``previous`` is ``None`` for the element's first version.  Where a
-    single version changes both geometry and tags, geometry wins —
-    geometry changes are what road-network stability analysis cares
-    about, and the daily crawler's coarse classification folds into the
-    same slot.
+    ``previous`` is the same element's previous version, ``None`` for
+    its first.  Where a single version changes both geometry and tags,
+    geometry wins — geometry changes are what road-network stability
+    analysis cares about, and the daily crawler's coarse classification
+    folds into the same slot.
     """
+    kind, element_id, version, visible, geometry = current
     if previous is None:
-        if current.version != 1:
-            # History files can be truncated at an extract boundary;
-            # treat a first-seen later version as a modification.
-            return UPDATE_GEOMETRY
-        return UPDATE_CREATE
-    if element_kind(previous) != element_kind(current) or previous.id != current.id:
+        # History files can be truncated at an extract boundary; treat
+        # a first-seen later version as a modification.
+        return UPDATE_CREATE if version == 1 else UPDATE_GEOMETRY
+    if previous[0] != kind or previous[1] != element_id:
         raise ParseError(
-            f"version pair mismatch: {element_kind(previous)}/{previous.id} "
-            f"vs {element_kind(current)}/{current.id}"
+            f"version pair mismatch: {previous[0]}/{previous[1]} vs {kind}/{element_id}"
         )
-    if not current.visible:
+    if version <= previous[2]:
+        raise ParseError(
+            f"non-increasing versions for {kind}/{element_id}: {previous[2]} then {version}"
+        )
+    if not visible:
         return UPDATE_DELETE
-    if _geometry_changed(previous, current):
+    if previous[4] != geometry:
         return UPDATE_GEOMETRY
     return UPDATE_METADATA
 
 
-def _geometry_changed(previous: OSMElement, current: OSMElement) -> bool:
-    if isinstance(current, OSMNode):
-        assert isinstance(previous, OSMNode)
-        return (previous.lat, previous.lon) != (current.lat, current.lon)
-    if isinstance(current, OSMWay):
-        assert isinstance(previous, OSMWay)
-        return previous.refs != current.refs
-    assert isinstance(current, OSMRelation) and isinstance(previous, OSMRelation)
-    return previous.members != current.members
+def element_version(element: OSMElement) -> Version:
+    """An element object's :data:`Version` (the simulator classifies its
+    truth rows through it)."""
+    if isinstance(element, OSMNode):
+        geometry: Any = (element.lat, element.lon)
+    elif isinstance(element, OSMWay):
+        geometry = element.refs
+    else:
+        assert isinstance(element, OSMRelation)
+        geometry = [(m.type, m.ref, m.role) for m in element.members]
+    return element.kind, element.id, element.version, element.visible, geometry
 
 
-class HistoryUpdate:
-    """One classified update from the full-history walk."""
+def iter_history(
+    source: str | Path | IO[bytes],
+) -> Iterator[tuple[str, _Fields, _Fields | None, str]]:
+    """Stream a full-history dump's versions, each as ``(kind, fields,
+    the element's previous version's fields or None, update type)``.
 
-    __slots__ = ("element", "previous", "update_type")
-
-    def __init__(
-        self, element: OSMElement, previous: OSMElement | None, update_type: str
-    ) -> None:
-        self.element = element
-        self.previous = previous
-        self.update_type = update_type
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"HistoryUpdate({element_kind(self.element)}/{self.element.id} "
-            f"v{self.element.version} {self.update_type})"
-        )
-
-
-def iter_version_pairs(
-    elements: Iterable[OSMElement],
-) -> Iterator[tuple[OSMElement | None, OSMElement]]:
-    """Yield (previous, current) for a (kind, id, version)-sorted stream.
-
-    Raises :class:`ParseError` when the stream violates the dump's
+    One streaming parse (:func:`~repro.osm.xml_io._stream`) with the
+    diff reader's checks; no element object is built.  Raises
+    :class:`ParseError` when the dump violates its (kind, id, version)
     sort order or repeats a version, since a mis-sorted history file
     would silently mis-classify every update.
     """
-    prev: OSMElement | None = None
-    for current in elements:
-        if prev is not None and (
-            element_kind(prev) == element_kind(current) and prev.id == current.id
-        ):
-            if current.version <= prev.version:
-                raise ParseError(
-                    f"non-increasing versions for {element_kind(current)}/"
-                    f"{current.id}: {prev.version} then {current.version}"
-                )
-            yield prev, current
-        else:
-            if prev is not None and _sort_key(current) < _sort_key(prev):
-                raise ParseError(
-                    f"history dump not sorted: {element_kind(prev)}/{prev.id} "
-                    f"followed by {element_kind(current)}/{current.id}"
-                )
-            yield None, current
-        prev = current
+    last: Version | None = None
+    last_fields: _Fields | None = None
+    for batch in xml_io._stream(source, in_change=False):
+        for _, kind, fields in batch:
+            header, lat, lon, children = fields
+            version = (kind, header[0], header[1], header[6], (lat, lon) if children is None else children)
+            if last is not None and (last[1] != version[1] or last[0] != kind):
+                if (_KIND_ORDER[kind], version[1]) < (_KIND_ORDER[last[0]], last[1]):
+                    raise ParseError(
+                        f"history dump not sorted: {last[0]}/{last[1]} followed by {kind}/{version[1]}"
+                    )
+                last = last_fields = None
+            yield kind, fields, last_fields, classify_update(last, version)
+            last, last_fields = version, fields
 
 
 def _sort_key(element: OSMElement) -> tuple[int, int, int]:
-    return (_KIND_ORDER[element_kind(element)], element.id, element.version)
-
-
-def iter_history_updates(
-    source: str | Path | IO[bytes] | Iterable[OSMElement],
-) -> Iterator[HistoryUpdate]:
-    """Stream classified updates from a full-history dump.
-
-    Accepts a path/file (parsed as OSM XML) or an already-materialized
-    element stream (used by the simulator to skip serialization in
-    tests).
-    """
-    for previous, current in iter_version_pairs(iter_osm(source)):
-        yield HistoryUpdate(current, previous, classify_update(previous, current))
+    return (_KIND_ORDER[element.kind], element.id, element.version)
 
 
 def write_history(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from typing import ClassVar
 
 from repro.types.dimensions import ELEMENT_NODE, ELEMENT_RELATION, ELEMENT_WAY
 from repro.errors import ConfigError
@@ -28,7 +29,6 @@ __all__ = [
     "RelationMember",
     "check_element",
     "check_member_type",
-    "element_kind",
     "is_road_element",
     "road_type_of",
     "UNKNOWN_ROAD_TYPE",
@@ -78,20 +78,13 @@ class OSMElement:
     user: str = ""
     visible: bool = True
     tags: dict[str, str] = field(default_factory=dict)
+    #: The ElementType attribute value: node, way, or relation.
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
         check_element(self.id, self.version, getattr(self, "lat", 0.0), getattr(self, "lon", 0.0))
         if self.timestamp.tzinfo is not timezone.utc:
             object.__setattr__(self, "timestamp", _utc(self.timestamp))
-
-    @property
-    def kind(self) -> str:
-        return element_kind(self)
-
-    def with_tags(self, **tags: str) -> "OSMElement":
-        merged = dict(self.tags)
-        merged.update(tags)
-        return replace(self, tags=merged)
 
     def next_version(self, timestamp: datetime, changeset: int, **changes) -> "OSMElement":
         """A successor version of this element with bumped version number."""
@@ -112,6 +105,7 @@ class OSMElement:
 class OSMNode(OSMElement):
     """A point element: intersections, traffic lights, PoIs, ..."""
 
+    kind = ELEMENT_NODE
     lat: float = 0.0
     lon: float = 0.0
 
@@ -123,6 +117,7 @@ class OSMNode(OSMElement):
 class OSMWay(OSMElement):
     """An ordered list of node ids forming connected road segments."""
 
+    kind = ELEMENT_WAY
     refs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -147,23 +142,13 @@ class RelationMember:
 class OSMRelation(OSMElement):
     """A typed grouping of elements (multi-part roads, routes, ...)."""
 
+    kind = ELEMENT_RELATION
     members: tuple[RelationMember, ...] = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if type(self.members) is not tuple:
             object.__setattr__(self, "members", tuple(self.members))
-
-
-def element_kind(element: OSMElement) -> str:
-    """The ElementType attribute value: node, way, or relation."""
-    if isinstance(element, OSMNode):
-        return ELEMENT_NODE
-    if isinstance(element, OSMWay):
-        return ELEMENT_WAY
-    if isinstance(element, OSMRelation):
-        return ELEMENT_RELATION
-    raise ConfigError(f"unknown element class {type(element).__name__}")
 
 
 def is_road_element(element: OSMElement) -> bool:

@@ -16,21 +16,19 @@ node (the same node-coordinate geocoding the crawlers use).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 from repro.errors import GeocodeError, ParseError
 from repro.geo.geometry import Point
 from repro.geo.zones import ZoneAtlas
-from repro.osm.model import OSMElement, OSMNode, OSMWay, element_kind
+from repro.osm.model import OSMElement, OSMNode, OSMWay
 from repro.osm.xml_io import iter_osm
 
 __all__ = ["build_snapshot", "road_segment_counts", "network_sizes_from_history"]
 
 
-def build_snapshot(
-    source: str | Path | IO[bytes] | Iterable[OSMElement],
-) -> dict[tuple[str, int], OSMElement]:
-    """Fold a full-history stream into latest-visible element state.
+def build_snapshot(source: str | Path | IO[bytes]) -> dict[tuple[str, int], OSMElement]:
+    """Fold a full-history dump into latest-visible element state.
 
     Deleted elements (whose newest version is a tombstone) are absent
     from the result, exactly as in a planet snapshot.  Versions may
@@ -38,7 +36,7 @@ def build_snapshot(
     """
     newest: dict[tuple[str, int], OSMElement] = {}
     for element in iter_osm(source):
-        key = (element_kind(element), element.id)
+        key = (element.kind, element.id)
         current = newest.get(key)
         if current is None or element.version > current.version:
             newest[key] = element
@@ -84,10 +82,7 @@ def _first_node_point(
     return None
 
 
-def network_sizes_from_history(
-    source: str | Path | IO[bytes] | Iterable[OSMElement],
-    atlas: ZoneAtlas,
-) -> dict[str, int]:
+def network_sizes_from_history(source: str | Path | IO[bytes], atlas: ZoneAtlas) -> dict[str, int]:
     """Per-country road-network sizes straight from a history dump.
 
     The OSM-native path for populating a

@@ -15,9 +15,10 @@ crawlers here would parse genuine planet diff files unchanged.
 Reading is streaming because real diff files run to gigabytes: the
 document is fed to expat in chunks, and an ``XMLParser`` target checks
 each element from its own start/end callbacks — no tree, no per-event
-generator step.  A diff read for the daily crawler keeps the checked
-fields and builds no element object (:class:`OsmChange`).  At OSM
-scale these per-element constants are the whole cost of a day's crawl.
+generator step.  Both crawlers read the checked fields and build no
+element object: a diff through :class:`OsmChange`, a full-history dump
+through :func:`repro.osm.history.iter_history`.  At OSM scale these
+per-element constants are the whole cost of a crawl.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, cast
+from typing import IO, Any, Iterable, Iterator
 
 from repro.errors import ConfigError, ParseError
 from repro.osm.model import (
@@ -269,16 +270,13 @@ def write_osm(
     ET.ElementTree(root).write(target, encoding="utf-8", xml_declaration=True)
 
 
-def iter_osm(source: str | Path | IO[bytes] | Iterable[OSMElement]) -> Iterator[OSMElement]:
-    """Stream elements out of a ``<osm>`` document, or pass an element
-    stream through (the simulator's, handed over without serializing).
+def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
+    """Stream element objects out of a ``<osm>`` document.
 
     Memory stays bounded by one read chunk's elements, so
     multi-gigabyte dumps stream.
     """
-    if not isinstance(source, (str, Path)) and not hasattr(source, "read"):
-        return iter(cast(Iterable[OSMElement], source))
-    batches = _stream(cast("str | Path | IO[bytes]", source), in_change=False)
+    batches = _stream(source, in_change=False)
     return (_construct(kind, fields) for batch in batches for _, kind, fields in batch)
 
 

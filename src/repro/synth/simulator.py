@@ -35,7 +35,7 @@ from repro.errors import SimulationError
 from repro.geo.geometry import BBox, Point
 from repro.geo.zones import ZoneAtlas, build_world
 from repro.osm.changesets import Changeset
-from repro.osm.history import classify_update, write_history
+from repro.osm.history import classify_update, element_version, write_history
 from repro.osm.model import OSMElement, OSMNode
 from repro.osm.xml_io import OsmChange
 from repro.collection.records import UpdateList, UpdateRecord
@@ -278,7 +278,9 @@ class EditSimulator:
 
     def _truth_record(self, element: OSMElement, changeset: Changeset) -> UpdateRecord:
         previous = self.world.previous_version(element)
-        update_type = classify_update(previous, element)
+        update_type = classify_update(
+            None if previous is None else element_version(previous), element_version(element)
+        )
         if isinstance(element, OSMNode) and element.visible:
             point = Point(lon=element.lon, lat=element.lat)
         else:

@@ -422,7 +422,8 @@ class RasedSystem:
 
         With ``monthly_rebuild=True``, every completed calendar month
         is additionally reprocessed through the monthly crawler from a
-        full-history dump, upgrading its cubes to full resolution.
+        full-history dump, upgrading its cubes to full resolution — all
+        of them in one ``run_monthly`` call, so the dump is read once.
         """
         day = start
         from datetime import timedelta
@@ -435,13 +436,12 @@ class RasedSystem:
                 months_completed.append(month)
             day += timedelta(days=1)
         report = self.pipeline.run_daily()
-        if monthly_rebuild and months_completed:
+        if months_completed:
             history_path = Path(tempfile.mkstemp(suffix=".osm")[1])
             try:
                 self.simulator.write_history_dump(history_path)
-                for month in months_completed:
-                    monthly_report = self.pipeline.run_monthly(history_path, month)
-                    report.cubes_written.extend(monthly_report.cubes_written)
+                monthly_report = self.pipeline.run_monthly(history_path, months_completed)
+                report.cubes_written.extend(monthly_report.cubes_written)
             finally:
                 history_path.unlink(missing_ok=True)
         # Road networks changed during simulation; refresh denominators.

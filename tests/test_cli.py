@@ -300,6 +300,44 @@ class TestRebuildCommand:
         assert "metadata" in after
 
 
+    @pytest.mark.parametrize(
+        "month",
+        ["jan", "2021", "2021-13", "2021-00", "2021-1", "0000-01", "2021-03..2021-01", "2021-01..2021-02..2021-03"],
+    )
+    def test_a_malformed_month_exits_2_and_creates_nothing(self, tmp_path, capsys, month):
+        root = tmp_path / "deploy"
+        argv = ["rebuild", "--root", str(root), "--history", str(tmp_path / "h.osm"), "--month", month]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "argument --month" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_month_range_rebuilds_the_ingested_days_from_one_dump(self, tmp_path, capsys):
+        root = tmp_path / "deploy"
+        history = tmp_path / "history.osm"
+        simulate = [
+            "simulate", "--root", str(root), "--seed", "9", "--history-out", str(history),
+            "--start", "2021-01-29", "--end", "2021-02-03",
+        ]
+        assert main(simulate) == 0
+        assert main(["ingest", "--root", str(root)]) == 0
+        capsys.readouterr()
+        rebuild = ["rebuild", "--root", str(root), "--history", str(history), "--month", "2020-12..2021-03"]
+        assert main(rebuild) == 0
+        out = capsys.readouterr().out
+        assert "rebuilt M2020-12..M2021-03: " in out
+        assert "across 6 days" in out
+        sql = (
+            "SELECT U.UpdateType, COUNT(*) FROM UpdateList U "
+            "WHERE U.Date BETWEEN 2021-01-29 AND 2021-02-03 GROUP BY U.UpdateType"
+        )
+        assert main(["query", "--root", str(root), "--sql", sql]) == 0
+        assert "metadata" in capsys.readouterr().out
+        assert main(["info", "--root", str(root)]) == 0
+        assert "coverage:  2021-01-29 .. 2021-02-03" in capsys.readouterr().out
+
+
 class TestIngestRecovery:
     def test_ingest_reports_and_counts_the_rollback_of_a_crashed_root(
         self, tmp_path, monkeypatch, capsys

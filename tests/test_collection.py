@@ -13,6 +13,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.types.temporal import month_key
 from repro.types.dimensions import default_schema
 from repro.errors import ConfigError, GeocodeError, ParseError
 from repro.geo.geometry import BBox, Point
+from repro.geo.zones import Zone
 from repro.collection.daily import DailyCrawler, coarse_update_type
 from repro.collection.geocode import Geocoder
 from repro.collection.monthly import MonthlyCrawler
@@ -150,6 +152,31 @@ class TestUpdateList:
     def test_empty_list_coordinates(self, tiny_schema):
         assert UpdateList().cube_coordinates(tiny_schema).shape == (0, 4)
 
+    def test_by_date_keeps_each_days_rows_in_order_and_their_zones(self, atlas, small_schema):
+        days = [date(2021, 3, d) for d in (5, 2, 5, 9, 2, 5)]
+        records = [make_record(date=day, changeset_id=i) for i, day in enumerate(days)]
+        rows = [("way", r.date, r.changeset_id, True, 0.0, 0.0, "residential", "create") for r in records]
+        bbox = atlas.zone("germany").bbox
+        store = _Changesets({
+            r.changeset_id: Changeset(
+                id=r.changeset_id, created_at=datetime(2021, 3, 1, tzinfo=timezone.utc),
+                closed_at=datetime(2021, 3, 1, tzinfo=timezone.utc), uid=1, user="x", bbox=bbox,
+            )
+            for r in records
+        })
+        located, _ = Geocoder(atlas).locate(rows, store)
+        split = located.by_date()
+        assert list(split) == [date(2021, 3, 2), date(2021, 3, 5), date(2021, 3, 9)]
+        assert {day: part.column("changeset_id") for day, part in split.items()} == {
+            date(2021, 3, 2): [1, 4], date(2021, 3, 5): [0, 2, 5], date(2021, 3, 9): [3],
+        }
+        for part in split.values():
+            assert part.zones is not None and part.zones[0] is atlas and len(part.zones[1]) == len(part)
+            stripped = UpdateList(part)
+            stripped.zones = None
+            assert (part.cube_coordinates(small_schema, atlas) == stripped.cube_coordinates(small_schema, atlas)).all()
+        assert UpdateList().by_date() == {}
+
 
 def _scan_state(atlas, p: Point):
     """The linear state scan: the first state, in atlas order, holding p."""
@@ -257,22 +284,61 @@ class TestZoneLookupAgreesWithBruteForce:
             UpdateList([inside, outside, inside]).cube_coordinates(small_schema, atlas)
 
 
-def _locate(geocoder, element, changesets):
+@dataclass(frozen=True)
+class Location:
+    """A resolved update location: representative point plus country."""
+
+    point: Point
+    country: Zone
+
+
+def locate_node(atlas, node):
+    """The node rule, one update at a time: the node's own coordinates."""
+    point = Point(lon=node.lon, lat=node.lat)
+    return Location(point=point, country=atlas.country_at(point))
+
+
+def locate_changeset(atlas, changeset):
+    """The way/relation rule, one update at a time: the changeset's bbox
+    centre (paper, Section V)."""
+    if changeset.bbox is None:
+        raise GeocodeError(f"changeset {changeset.id} has no bounding box")
+    center, zones = atlas.resolve_bbox(changeset.bbox)
+    return Location(point=center, country=zones[0])
+
+
+def _locate(atlas, element, changesets):
     """The crawlers' location rule, one element at a time: a visible node
     at its own coordinates, anything else at its changeset's bbox centre;
     ``None`` when neither resolves."""
     try:
         if element.kind == "node" and element.visible:
-            return geocoder.locate_node(element)
+            return locate_node(atlas, element)
         changeset = changesets.lookup(element.changeset)
-        return None if changeset is None else geocoder.locate_changeset(changeset)
+        return None if changeset is None else locate_changeset(atlas, changeset)
     except GeocodeError:
         return None
 
 
+class _Changesets(dict):
+    """A changeset store over a dict: ``lookup`` by id."""
+
+    lookup = dict.get
+
+
+def _geocoded(atlas, kind, lat, lon, changeset):
+    """``Geocoder.locate`` of one visible update: (country, lat, lon), or
+    ``None`` when it was skipped."""
+    row = (kind, date(2021, 1, 1), changeset.id if changeset else 1, True, lat, lon, "residential", "create")
+    store = _Changesets({changeset.id: changeset} if changeset else {})
+    updates, skipped = Geocoder(atlas).locate([row], store)
+    if skipped:
+        return None
+    return updates.column("country")[0], updates.column("latitude")[0], updates.column("longitude")[0]
+
+
 class TestGeocoder:
     def test_locate_node(self, atlas):
-        geocoder = Geocoder(atlas)
         center = atlas.zone("qatar").bbox.center
         node = OSMNode(
             id=1,
@@ -282,11 +348,11 @@ class TestGeocoder:
             lat=center.lat,
             lon=center.lon,
         )
-        location = geocoder.locate_node(node)
+        location = locate_node(atlas, node)
         assert location.country.name == "qatar"
+        assert _geocoded(atlas, "node", node.lat, node.lon, None) == ("qatar", node.lat, node.lon)
 
     def test_locate_changeset_uses_bbox_center(self, atlas):
-        geocoder = Geocoder(atlas)
         bbox = atlas.zone("brazil").bbox
         changeset = Changeset(
             id=1,
@@ -296,12 +362,13 @@ class TestGeocoder:
             user="x",
             bbox=bbox,
         )
-        location = geocoder.locate_changeset(changeset)
+        location = locate_changeset(atlas, changeset)
         assert location.country.name == "brazil"
         assert location.point == bbox.center
+        center = bbox.center
+        assert _geocoded(atlas, "way", 0.0, 0.0, changeset) == ("brazil", center.lat, center.lon)
 
     def test_changeset_without_bbox_raises(self, atlas):
-        geocoder = Geocoder(atlas)
         changeset = Changeset(
             id=1,
             created_at=datetime(2021, 1, 1, tzinfo=timezone.utc),
@@ -311,7 +378,8 @@ class TestGeocoder:
             bbox=None,
         )
         with pytest.raises(GeocodeError):
-            geocoder.locate_changeset(changeset)
+            locate_changeset(atlas, changeset)
+        assert _geocoded(atlas, "way", 0.0, 0.0, changeset) is None  # skipped, not raised
 
 
 class TestCoarseUpdateType:
@@ -422,7 +490,7 @@ class TestDailyCrawler:
         }
         assert CountingStore.calls == len(by_changeset) < len(change)
         # ... and the rows are where an element-by-element lookup puts them.
-        locations = [_locate(Geocoder(atlas), e, changesets) for _, e in change.actions()]
+        locations = [_locate(atlas, e, changesets) for _, e in change.actions()]
         assert [(r.country, r.latitude, r.longitude) for r in result.updates] == [
             (loc.country.name, loc.point.lat, loc.point.lon)
             for loc in locations
@@ -493,7 +561,7 @@ class TestMonthlyCrawler:
     def test_monthly_matches_truth_exactly(self, atlas, crawl_setup):
         _, _, changesets, truth_by_day, history_path = crawl_setup
         crawler = MonthlyCrawler(changesets, Geocoder(atlas))
-        result = crawler.crawl_month(history_path, month_key(2021, 3))
+        result = crawler.crawl(history_path, [month_key(2021, 3)])
         truth_all = [r for rows in truth_by_day.values() for r in rows]
 
         def strip(record):
@@ -512,28 +580,14 @@ class TestMonthlyCrawler:
     def test_monthly_filters_to_target_month(self, atlas, crawl_setup):
         _, _, changesets, _, history_path = crawl_setup
         crawler = MonthlyCrawler(changesets, Geocoder(atlas))
-        result = crawler.crawl_month(history_path, month_key(2021, 2))
+        result = crawler.crawl(history_path, [month_key(2021, 2)])
         assert len(result.updates) == 0
         assert result.scanned_versions > 0
 
     def test_monthly_has_all_four_update_types(self, atlas, crawl_setup):
         _, _, changesets, truth_by_day, history_path = crawl_setup
         crawler = MonthlyCrawler(changesets, Geocoder(atlas))
-        result = crawler.crawl_month(history_path, month_key(2021, 3))
+        result = crawler.crawl(history_path, [month_key(2021, 3)])
         types = {r.update_type for r in result.updates}
         assert "metadata" in types
         assert "create" in types
-
-    def test_accepts_element_iterable(self, atlas, crawl_setup):
-        sim, _, changesets, _, _ = crawl_setup
-        crawler = MonthlyCrawler(changesets, Geocoder(atlas))
-        from repro.osm.history import write_history
-        import io as _io
-
-        # Pass the in-memory sorted element stream directly.
-        elements = sorted(
-            sim.world.history,
-            key=lambda e: ({"node": 0, "way": 1, "relation": 2}[e.kind], e.id, e.version),
-        )
-        result = crawler.crawl_month(elements, month_key(2021, 3))
-        assert len(result.updates) > 0

@@ -5,9 +5,12 @@ fold and the month rolls up) go through ``RasedSystem`` the way
 ``rased-repro ingest`` runs them: durable, sparse cubes in v3 pages.
 Every page id with the SHA-256 of its bytes, and a digest of the
 warehouse rows in heap order, must equal ``tests/golden/ingest_pages.json``.
-A change that moves one changes the stored bytes; regenerate only on
-purpose (``PYTHONPATH=src python tests/test_ingest_golden.py``), with
-the reason in CHANGES.md.
+Its ``rebuilt`` section pins the monthly path the same way: all of
+January and three February days ingested, then January rebuilt from the
+full-history dump — every cube page's digest and one digest over the
+whole store.  A change that moves one changes the stored bytes;
+regenerate only on purpose (``PYTHONPATH=src python
+tests/test_ingest_golden.py``), with the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Any
 
 from repro.storage.disk import InMemoryDisk
 from repro.system import RasedSystem, SimulationConfig, SystemConfig
+from repro.types.temporal import month_key
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "ingest_pages.json"
 
@@ -54,12 +58,36 @@ def compute() -> dict[str, Any]:
     }
 
 
+def compute_rebuilt() -> dict[str, Any]:
+    store = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+    with tempfile.TemporaryDirectory(prefix="rased-golden-") as root:
+        system = RasedSystem.create(
+            root=root,
+            config=SystemConfig(road_types=12, simulation=SimulationConfig(seed=31)),
+            store=store,
+        )
+        system.simulate_and_ingest(date(2021, 1, 1), date(2021, 2, 3))
+        history = Path(root) / "history.osm"
+        system.simulator.write_history_dump(history)
+        report = system.pipeline.run_monthly(history, [month_key(2021, 1)])
+    pages = {page_id: hashlib.sha256(store.read(page_id)).hexdigest() for page_id in store.list_pages()}
+    return {
+        "days": report.days_processed,
+        "updates_indexed": report.updates_indexed,
+        "updates_skipped": report.updates_skipped,
+        "cubes_written": [str(key) for key in report.cubes_written],
+        "cube_pages": {page_id: digest for page_id, digest in pages.items() if page_id.startswith("cubes/")},
+        "store_sha256": hashlib.sha256(dumps(pages).encode("ascii")).hexdigest(),
+    }
+
+
 def dumps(document: dict[str, Any]) -> str:
     return json.dumps(document, indent=1, sort_keys=True) + "\n"
 
 
 def test_ingested_pages_match_the_golden():
     expected = json.loads(GOLDEN_PATH.read_text())
+    del expected["rebuilt"]
     actual = compute()
     assert {k: v for k, v in actual.items() if k != "pages"} == {
         k: v for k, v in expected.items() if k != "pages"
@@ -69,5 +97,13 @@ def test_ingested_pages_match_the_golden():
     assert not moved, f"{len(moved)} page(s) changed bytes, first {moved[:5]}"
 
 
+def test_a_rebuilt_month_matches_the_golden():
+    expected = json.loads(GOLDEN_PATH.read_text())["rebuilt"]
+    actual = compute_rebuilt()
+    moved = [page for page, digest in expected["cube_pages"].items() if actual["cube_pages"].get(page) != digest]
+    assert not moved, f"{len(moved)} cube page(s) changed bytes, first {moved[:5]}"
+    assert actual == expected
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(dumps(compute()))
+    GOLDEN_PATH.write_text(dumps({**compute(), "rebuilt": compute_rebuilt()}))

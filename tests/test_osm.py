@@ -24,8 +24,8 @@ from repro.osm.changesets import (
 )
 from repro.osm.history import (
     classify_update,
-    iter_history_updates,
-    iter_version_pairs,
+    element_version,
+    iter_history,
     write_history,
 )
 from repro.osm.model import (
@@ -144,10 +144,6 @@ class TestModel:
         moved = node().moved(41.0, -101.0, T1, 11)
         assert (moved.lat, moved.lon) == (41.0, -101.0)
         assert moved.version == 2
-
-    def test_with_tags_merges(self):
-        tagged = node().with_tags(amenity="cafe")
-        assert tagged.tags["amenity"] == "cafe"
 
     def test_relation_member_type_validated(self):
         with pytest.raises(ConfigError):
@@ -599,64 +595,82 @@ class TestChangesets:
         assert CHANGESETS_PER_FILE == 1000
 
 
+def classify(previous, current):
+    """``classify_update`` over two element objects' versions."""
+    return classify_update(
+        None if previous is None else element_version(previous), element_version(current)
+    )
+
+
+def _dump(elements):
+    """An ``<osm>`` document holding ``elements`` in the order given."""
+    buffer = io.BytesIO()
+    write_osm(buffer, elements)
+    buffer.seek(0)
+    return buffer
+
+
 class TestHistoryClassification:
     def test_first_version_is_create(self):
-        assert classify_update(None, node()) == "create"
+        assert classify(None, node()) == "create"
 
     def test_truncated_history_first_seen_is_geometry(self):
-        assert classify_update(None, node(version=4)) == "geometry"
+        assert classify(None, node(version=4)) == "geometry"
 
     def test_tombstone_is_delete(self):
         previous = way()
-        assert classify_update(previous, previous.deleted(T1, 11)) == "delete"
+        assert classify(previous, previous.deleted(T1, 11)) == "delete"
 
     def test_node_move_is_geometry(self):
         previous = node()
-        assert classify_update(previous, previous.moved(41, -100, T1, 11)) == "geometry"
+        assert classify(previous, previous.moved(41, -100, T1, 11)) == "geometry"
 
     def test_way_refs_change_is_geometry(self):
         previous = way()
         current = previous.next_version(T1, 11, refs=(1, 3, 4, 9))
-        assert classify_update(previous, current) == "geometry"
+        assert classify(previous, current) == "geometry"
 
     def test_relation_members_change_is_geometry(self):
         previous = relation()
         current = previous.next_version(
             T1, 11, members=(RelationMember("way", 2, "outer"), RelationMember("way", 5, ""))
         )
-        assert classify_update(previous, current) == "geometry"
+        assert classify(previous, current) == "geometry"
 
     def test_tag_change_is_metadata(self):
         previous = way()
         current = previous.next_version(T1, 11, tags={"highway": "service"})
-        assert classify_update(previous, current) == "metadata"
+        assert classify(previous, current) == "metadata"
 
     def test_geometry_wins_over_metadata(self):
         previous = node()
         current = previous.next_version(
             T1, 11, lat=41.0, tags={"amenity": "cafe"}
         )
-        assert classify_update(previous, current) == "geometry"
+        assert classify(previous, current) == "geometry"
 
     def test_mismatched_pair_rejected(self):
         with pytest.raises(ParseError):
-            classify_update(node(eid=1), node(eid=2, version=2))
+            classify(node(eid=1), node(eid=2, version=2))
 
 
 class TestVersionPairs:
     def test_pairs_group_by_element(self):
         n1, n2 = node(), node(version=2, timestamp=T1)
         w1 = way()
-        pairs = list(iter_version_pairs([n1, n2, w1]))
+        pairs = [
+            (None if previous is None else xml_io._construct(kind, previous), xml_io._construct(kind, fields))
+            for kind, fields, previous, _ in iter_history(_dump([n1, n2, w1]))
+        ]
         assert pairs == [(None, n1), (n1, n2), (None, w1)]
 
     def test_non_increasing_version_rejected(self):
         with pytest.raises(ParseError, match="non-increasing"):
-            list(iter_version_pairs([node(version=2), node(version=2)]))
+            list(iter_history(_dump([node(version=2), node(version=2)])))
 
     def test_unsorted_stream_rejected(self):
         with pytest.raises(ParseError, match="not sorted"):
-            list(iter_version_pairs([way(), node()]))  # way before node
+            list(iter_history(_dump([way(), node()])))  # way before node
 
     def test_history_file_roundtrip(self, tmp_path):
         path = tmp_path / "history.osm"
@@ -664,13 +678,29 @@ class TestVersionPairs:
         n2 = n1.moved(41, -100, T1, 11)
         w1 = way()
         write_history(path, [w1, n2, n1])  # writer sorts
-        updates = list(iter_history_updates(path))
-        assert [(u.update_type, u.element.kind) for u in updates] == [
+        updates = list(iter_history(path))
+        assert [(update_type, kind) for kind, _, _, update_type in updates] == [
             ("create", "node"),
             ("geometry", "node"),
             ("create", "way"),
         ]
-        assert updates[1].previous == n1
+        assert xml_io._construct("node", updates[1][2]) == n1
+
+    def test_a_dump_classifies_as_its_element_objects_do(self):
+        n2 = node().next_version(T1, 11, tags={"amenity": "cafe"})
+        w2 = way().next_version(T1, 11, refs=(1, 3))
+        r2 = relation().next_version(T1, 11, members=(RelationMember("way", 2, "inner"),))
+        versions = [
+            node(), n2, n2.moved(41, -100, T1, 12),
+            way(), w2, w2.deleted(T1, 12),
+            relation(), r2,
+        ]
+        expected = [
+            classify(previous if previous and previous.kind == current.kind else None, current)
+            for previous, current in zip([None, *versions], versions)
+        ]
+        assert expected == ["create", "metadata", "geometry", "create", "geometry", "delete", "create", "geometry"]
+        assert [update_type for *_, update_type in iter_history(_dump(versions))] == expected
 
 
 class TestReplication:

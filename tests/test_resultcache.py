@@ -393,7 +393,7 @@ class TestWindowedValidity:
         cache.refresh_key = query_then_refresh
         history = tmp_path / "history.osm"
         system.simulator.write_history_dump(history)
-        system.pipeline.run_monthly(history, month_key(2021, 12))
+        system.pipeline.run_monthly(history, [month_key(2021, 12)])
         served = system.dashboard.analysis(query)
         assert not served.stats.memo_hit  # the racing answer was dropped
         assert served.rows == QueryExecutor(system.index).execute(query).rows

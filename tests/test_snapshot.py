@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from datetime import date, datetime, timezone
 
 import pytest
@@ -13,6 +14,7 @@ from repro.osm.snapshot import (
     network_sizes_from_history,
     road_segment_counts,
 )
+from repro.osm.xml_io import write_osm
 from repro.synth.simulator import EditSimulator, SimulationConfig
 
 T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
@@ -34,19 +36,27 @@ def way(eid, refs, version=1, visible=True, highway="residential"):
     )
 
 
+def _dump(elements):
+    """A full-history document holding ``elements`` in the order given."""
+    buffer = io.BytesIO()
+    write_osm(buffer, elements)
+    buffer.seek(0)
+    return buffer
+
+
 class TestBuildSnapshot:
     def test_latest_version_wins(self):
-        snapshot = build_snapshot([node(1), node(1, lat=11.0, version=2)])
+        snapshot = build_snapshot(_dump([node(1), node(1, lat=11.0, version=2)]))
         assert snapshot[("node", 1)].lat == 11.0
 
     def test_order_independent(self):
-        forward = build_snapshot([node(1), node(1, lat=11.0, version=2)])
-        backward = build_snapshot([node(1, lat=11.0, version=2), node(1)])
+        forward = build_snapshot(_dump([node(1), node(1, lat=11.0, version=2)]))
+        backward = build_snapshot(_dump([node(1, lat=11.0, version=2), node(1)]))
         assert forward == backward
 
     def test_tombstones_removed(self):
         versions = [way(2, (1,)), way(2, (1,), version=2, visible=False)]
-        snapshot = build_snapshot(versions)
+        snapshot = build_snapshot(_dump(versions))
         assert ("way", 2) not in snapshot
 
     def test_recreated_element_survives(self):
@@ -55,11 +65,11 @@ class TestBuildSnapshot:
             node(1, version=2, visible=False),
             node(1, version=3, lat=12.0),
         ]
-        snapshot = build_snapshot(versions)
+        snapshot = build_snapshot(_dump(versions))
         assert snapshot[("node", 1)].lat == 12.0
 
     def test_mixed_kinds(self):
-        snapshot = build_snapshot([node(1), way(1, (1,))])
+        snapshot = build_snapshot(_dump([node(1), way(1, (1,))]))
         assert ("node", 1) in snapshot
         assert ("way", 1) in snapshot
 
@@ -76,12 +86,12 @@ class TestRoadSegmentCounts:
             way(12, (2,)),
             way(13, (2,), highway=None),  # not a road
         ]
-        counts = road_segment_counts(build_snapshot(elements), atlas)
+        counts = road_segment_counts(build_snapshot(_dump(elements)), atlas)
         assert counts["germany"] == 2
         assert counts["qatar"] == 1
 
     def test_way_with_missing_nodes_skipped(self, atlas):
-        counts = road_segment_counts(build_snapshot([way(10, (999,))]), atlas)
+        counts = road_segment_counts(build_snapshot(_dump([way(10, (999,))])), atlas)
         assert sum(counts.values()) == 0
 
     def test_deleted_way_not_counted(self, atlas):
@@ -91,7 +101,7 @@ class TestRoadSegmentCounts:
             way(10, (1,)),
             way(10, (1,), version=2, visible=False),
         ]
-        counts = road_segment_counts(build_snapshot(elements), atlas)
+        counts = road_segment_counts(build_snapshot(_dump(elements)), atlas)
         assert counts["germany"] == 0
 
 
@@ -116,4 +126,4 @@ class TestEndToEnd:
 
     def test_empty_history_rejected(self, atlas):
         with pytest.raises(ParseError):
-            network_sizes_from_history([], atlas)
+            network_sizes_from_history(_dump([]), atlas)

@@ -9,7 +9,7 @@ from datetime import date
 import pytest
 
 from repro.errors import SimulationError
-from repro.osm.history import iter_history_updates
+from repro.osm.history import iter_history
 from repro.osm.model import OSMNode, OSMWay
 from repro.synth.editors import PROFILES, Mapper, run_operation
 from repro.synth.simulator import EditSimulator, SimulationConfig
@@ -253,7 +253,7 @@ class TestSimulator:
             pass
         path = tmp_path / "full.osm"
         count = sim.write_history_dump(path)
-        updates = list(iter_history_updates(path))
+        updates = list(iter_history(path))
         assert len(updates) == count
 
     def test_simulate_range_rejects_inverted(self, atlas):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -81,6 +82,65 @@ class TestMonthlyRebuildIntegration:
         assert {k[0]: v for k, v in rows.items()} == dict(truth)
 
 
+def _partly_ingested(atlas, tmp_path):
+    """The conftest deployment at seed 17 with 1-14 Jan 2021 ingested, and
+    its full-history dump."""
+    system = RasedSystem.create(
+        atlas=atlas,
+        store=InMemoryDisk(read_latency=0, write_latency=0),
+        config=SystemConfig(
+            road_types=8,
+            cache_slots=16,
+            simulation=SimulationConfig(
+                seed=17, mapper_count=25, base_sessions_per_day=6, nodes_per_country=8
+            ),
+        ),
+    )
+    system.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 14))
+    history = tmp_path / "history.osm"
+    system.simulator.write_history_dump(history)
+    return system, history
+
+
+class TestPartialMonthRebuild:
+    def test_a_rebuild_never_invents_a_day(self, atlas, tmp_path):
+        system, history = _partly_ingested(atlas, tmp_path)
+        late = AnalysisQuery(start=date(2021, 1, 15), end=date(2021, 1, 31))
+        early = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 14), group_by=("update_type",))
+        assert system.dashboard.analysis(late).stats.missing_days == 17
+        report = system.pipeline.run_monthly(history, [month_key(2021, 1)])
+        assert system.index.coverage() == (date(2021, 1, 1), date(2021, 1, 14))
+        result = system.dashboard.analysis(late)
+        assert result.stats.missing_days == 17
+        assert result.rows == {}
+        assert report.days_processed == 14
+        # The ingested half is rebuilt, with its two weeks; the month and
+        # its other weeks stay unwritten, as the daily path leaves them.
+        assert [str(key) for key in report.cubes_written[14:]] == ["W2021-01.0", "W2021-01.1"]
+        assert not system.index.has(month_key(2021, 1))
+        answered = system.dashboard.analysis(early)
+        assert answered.stats.missing_days == 0
+        truth = [r for day, rows in system.truth_by_day.items() if day.day <= 14 for r in rows]
+        assert {k[0]: v for k, v in answered.rows.items() if v} == dict(
+            Counter(r.update_type for r in truth)
+        )
+
+    def test_twelve_months_rebuild_from_one_parse(self, atlas, tmp_path, monkeypatch):
+        from repro.osm import xml_io
+
+        system, history = _partly_ingested(atlas, tmp_path)
+        parses, batches = [], []
+        stream, begin = xml_io._stream, system.wal.begin
+        monkeypatch.setattr(xml_io, "_stream", lambda *a, **k: parses.append(a) or stream(*a, **k))
+        monkeypatch.setattr(system.wal, "begin", lambda meta: batches.append(meta) or begin(meta))
+        months = [month_key(2021, m) for m in range(1, 13)]
+        report = system.pipeline.run_monthly(history, months)
+        assert len(parses) == 1
+        assert batches == [{"kind": "monthly", "month": str(month)} for month in months]
+        assert report.days_processed == 14
+        assert system.index.coverage() == (date(2021, 1, 1), date(2021, 1, 14))
+
+
 class TestPersistence:
     def test_directory_backed_system_survives_restart(self, atlas, tmp_path):
         disk = DirectoryDisk(tmp_path / "pages", read_latency=0, write_latency=0)
@@ -154,7 +214,7 @@ class TestCacheFreshness:
         history = Path(tempfile.mkstemp(suffix=".osm")[1])
         try:
             system.simulator.write_history_dump(history)
-            system.pipeline.run_monthly(history, month_key(2021, 1))
+            system.pipeline.run_monthly(history, [month_key(2021, 1)])
         finally:
             history.unlink()
         after = system.dashboard.analysis(january).rows[()]

@@ -176,7 +176,7 @@ class TestOpenDuringABatch:
             return rebuild(month, by_day)
 
         writer.index.rebuild_month = watched
-        assert writer.pipeline.run_monthly(history, month_key(2021, 1)).cubes_written
+        assert writer.pipeline.run_monthly(history, [month_key(2021, 1)]).cubes_written
         assert seen == [(True, None)]
         assert writer.wal.intent_page not in writer.store
 

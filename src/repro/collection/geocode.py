@@ -50,19 +50,26 @@ class Geocoder:
         if not rows:
             return UpdateList(), 0
         kind, day, changeset, visible, lat, lon, road, update = zip(*rows)
-        own = [k == "node" and v for k, v in zip(kind, visible)]
-        centres = dict.fromkeys([c for c, o in zip(changeset, own) if not o], (math.nan,) * 2)
-        for cid in centres:
+        own = np.array([k == "node" and v for k, v in zip(kind, visible)], dtype=bool)
+        ids = np.array(changeset, dtype=np.int64)
+        # Not np.unique: its first call imports numpy.ma (~1 MB resident).
+        wanted = np.array(sorted(set(ids[~own].tolist())), dtype=np.int64)
+        # One row per wanted changeset, plus a last one no row reads
+        # (a located node's id may sort past them all).
+        centres = np.full((len(wanted) + 1, 2), math.nan)
+        for at, cid in enumerate(wanted.tolist()):
             found = changesets.lookup(cid)
             if found is not None and found.bbox is not None:
                 centre = found.bbox.center
-                centres[cid] = (centre.lat, centre.lon)
-        points = np.array([(y, x) if o else centres[c] for y, x, o, c in zip(lat, lon, own, changeset)])
-        zones = self.atlas.zone_indexes(points[:, 1], points[:, 0])
+                centres[at] = (centre.lat, centre.lon)
+        centre_of = centres[np.searchsorted(wanted, ids)]
+        lat_of = np.where(own, np.array(lat, dtype=np.float64), centre_of[:, 0])
+        lon_of = np.where(own, np.array(lon, dtype=np.float64), centre_of[:, 1])
+        zones = self.atlas.zone_indexes(lon_of, lat_of)
         # Unlocated rows (zone -1) read the last name and are not picked.
         country = [self._names[i] for i in zones[:, 0].tolist()]
         located: tuple[Sequence[Any], ...] = (
-            kind, day, country, points[:, 0].tolist(), points[:, 1].tolist(), road, update, changeset
+            kind, day, country, lat_of.tolist(), lon_of.tolist(), road, update, changeset
         )
         pick = np.flatnonzero(zones[:, 0] >= 0).tolist()
         columns = [[column[i] for i in pick] for column in located]

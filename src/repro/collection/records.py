@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date as date_type
-from pathlib import Path
 from functools import lru_cache
 from operator import attrgetter
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -235,36 +234,3 @@ class UpdateList:
         keep = zones >= 0
         rows = np.nonzero(keep)[0]
         return np.column_stack((element[rows], zones[keep], road[rows], update[rows]))
-
-    # -- persistence -----------------------------------------------------
-
-    HEADER = (
-        "element_type\tdate\tcountry\tlatitude\tlongitude\t"
-        "road_type\tupdate_type\tchangeset_id"
-    )
-
-    def write_tsv(self, target: str | Path | IO[str]) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as handle:
-                self._write(handle)
-        else:
-            self._write(target)
-
-    def _write(self, handle: IO[str]) -> None:
-        handle.write(self.HEADER + "\n")
-        for record in self.records:
-            handle.write(record.to_tsv() + "\n")
-
-    @classmethod
-    def read_tsv(cls, source: str | Path | IO[str]) -> "UpdateList":
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as handle:
-                return cls._read(handle)
-        return cls._read(source)
-
-    @classmethod
-    def _read(cls, handle: IO[str]) -> "UpdateList":
-        header = handle.readline().rstrip("\n")
-        if header != cls.HEADER:
-            raise ParseError(f"bad UpdateList header: {header!r}")
-        return cls(UpdateRecord.from_tsv(line) for line in handle if line.strip())

@@ -3,7 +3,7 @@
 The one re-export shim left: the frozen benchmark harness
 (``benchmarks/e2e/truth.py``) imports ``series_periods`` from this
 path.  Nothing under ``src/`` may import it (lint rule
-``layer-shim``).
+``layering-shim``).
 """
 
 from repro.types.temporal import *  # noqa: F401,F403

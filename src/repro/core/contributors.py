@@ -42,10 +42,6 @@ class Contributor:
     editors: set[str] = field(default_factory=set)
 
     @property
-    def changes_per_session(self) -> float:
-        return self.change_count / self.session_count if self.session_count else 0.0
-
-    @property
     def active_days(self) -> int:
         if self.first_seen is None or self.last_seen is None:
             return 0
@@ -116,18 +112,6 @@ class ContributorStats:
             key=lambda c: getattr(c, by),
             reverse=True,
         )[:n]
-
-    @property
-    def bulk_change_share(self) -> float:
-        """Fraction of all changes arriving in bulk-scale sessions.
-
-        The paper's corporate-editing concern in one number: a high
-        share means programs, not individual mappers, drive the map.
-        """
-        if self.total_changes == 0:
-            return 0.0
-        bulk = sum(c.bulk_change_count for c in self._by_uid.values())
-        return bulk / self.total_changes
 
     def render_table(self, n: int = 10) -> str:
         """A dashboard-style text table of the top contributors."""

@@ -17,7 +17,8 @@ Maintenance follows the paper exactly:
   cube; likewise months and years at their boundaries.  Rollups read
   sibling cubes back from disk (the just-built cube is still in
   memory), matching the paper's "up to 8, 6, and 13 I/Os" at
-  week/month/year ends.
+  week/month/year ends; a sibling never rolled up (its last day is
+  missing) is summed from its own children instead.
 * **Monthly** (:meth:`HierarchicalIndex.rebuild_month`): when the
   monthly crawler delivers fully classified updates, rebuild the
   month's ingested daily cubes at full resolution, then the weekly,
@@ -309,24 +310,32 @@ class HierarchicalIndex:
         for parent_key in completed_units(day):
             if parent_key.level not in self.levels:
                 continue
-            children = [
-                child
-                for child in parent_key.children()
-                if child.level in self.levels
-            ]
-            cubes = []
-            for child in children:
-                if child in in_memory:
-                    cubes.append(in_memory[child])
-                elif self.has(child):
-                    cubes.append(self.get(child))
-                # Missing children contribute zero (e.g. the index was
-                # bootstrapped mid-week).
-            parent = sum_cubes(self.schema, parent_key, cubes)
+            parent = self._rollup(parent_key, in_memory)
             self.put(parent)
             in_memory[parent_key] = parent
             written.append(parent_key)
         return written
+
+    def _rollup(self, key: TemporalKey, built: Mapping[TemporalKey, AnyCube]) -> AnyCube:
+        """``key``'s cube, summed from its children.
+
+        Each child is taken as built in this pass, else as stored, else
+        from its own children in turn: a week or month whose last day
+        never arrived has no cube, but the days it did get count.  A
+        day with no cube adds zero (e.g. the index began mid-week).
+        """
+        return sum_cubes(self.schema, key, self._parts(key, built))
+
+    def _parts(self, key: TemporalKey, built: Mapping[TemporalKey, AnyCube]) -> list[AnyCube]:
+        parts: list[AnyCube] = []
+        for child in key.children():
+            if child in built:
+                parts.append(built[child])
+            elif self.has(child):
+                parts.append(self.get(child))
+            else:
+                parts.extend(self._parts(child, built))
+        return parts
 
     # -- monthly rebuild -------------------------------------------------------
 
@@ -341,7 +350,7 @@ class HierarchicalIndex:
         missing, so a rebuild never widens coverage.  Then each week,
         the month and the year is rolled up again when the day that
         ends it has a cube — the daily path's rule
-        (:func:`completed_units`) — from the children present.
+        (:func:`completed_units`) — by the daily path's :meth:`_rollup`.
         """
         if month.level is not Level.MONTH:
             raise IndexError_(f"rebuild_month needs a month key, got {month}")
@@ -356,12 +365,7 @@ class HierarchicalIndex:
         weeks = [child for child in month.children() if child.level is Level.WEEK]
         for key in [*weeks, month, year_key(month.year)]:
             if key.level in self.levels and self.has(day_key(key.end)):
-                children = [
-                    cubes[child] if child in cubes else self.get(child)
-                    for child in key.children()
-                    if child in cubes or self.has(child)
-                ]
-                cubes[key] = sum_cubes(self.schema, key, children)
+                cubes[key] = self._rollup(key, cubes)
         for cube in cubes.values():
             self.put(cube)
         return list(cubes)

@@ -9,13 +9,11 @@ segments in that zone's network.
 counts, from the simulator or from a snapshot scan) and derives zone-
 of-interest denominators: a continent is the sum of its countries; a
 US state is apportioned an even share of the US network (the synthetic
-states partition the US cell uniformly).  Sizes are persisted as a
-simple TSV next to the index so the dashboard survives restarts.
+states partition the US cell uniformly).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Mapping
 
 from repro.errors import QueryError
@@ -68,25 +66,3 @@ class NetworkSizeRegistry:
         if country == "united_states":
             for state in US_STATES:
                 self._sizes[state] = max(1, size // len(US_STATES))
-
-    # -- persistence ---------------------------------------------------------
-
-    def write_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("zone\tsize\n")
-            for zone in self.atlas.countries:
-                handle.write(f"{zone.name}\t{self._sizes[zone.name]}\n")
-
-    @classmethod
-    def read_tsv(cls, atlas: ZoneAtlas, path: str | Path) -> "NetworkSizeRegistry":
-        sizes: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header != "zone\tsize":
-                raise QueryError(f"bad network-size file header {header!r}")
-            for line in handle:
-                if not line.strip():
-                    continue
-                zone, _, size = line.rstrip("\n").partition("\t")
-                sizes[zone] = int(size)
-        return cls(atlas, sizes)

@@ -369,8 +369,8 @@ class ScatterGatherExecutor(QueryExecutor):
     the exception: an expired request propagates (the client gets its
     504) instead of masquerading as a degraded answer.
 
-    ``fault_hook`` is the shard-level injection point used by
-    :func:`repro.testing.faults.shard_fault_hook`: it runs at each
+    ``fault_hook`` is the shard-level injection point (filled by
+    ``shard_fault_hook`` in ``tests/support/faults.py``): it runs at each
     shard gather's entry with ``(shard_id, shard_store)`` and may raise
     (shard-kill) or charge a delay to the shard store's device clock
     (slow shard; a query's modeled time counts its reads, not delays).

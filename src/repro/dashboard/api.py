@@ -108,17 +108,6 @@ class Dashboard:
     def table(self, query: AnalysisQuery, **render_args: Any) -> str:
         return tables.render_table(self.analysis(query), **render_args)
 
-    def pivot(
-        self,
-        query: AnalysisQuery,
-        row_attribute: str,
-        column_attribute: str,
-        **render_args: Any,
-    ) -> str:
-        return tables.render_pivot(
-            self.analysis(query), row_attribute, column_attribute, **render_args
-        )
-
     def bar_chart(self, query: AnalysisQuery, **render_args: Any) -> str:
         return charts.bar_chart(self.analysis(query), **render_args)
 
@@ -159,9 +148,11 @@ class Dashboard:
         "a sample of N (default = 100) such updates" plotted by their
         coordinates.  We scan the query's spatial region through the
         grid index (the union of its zone bboxes, or the world) and
-        filter fetched rows by the query's attribute and date
-        predicates; ``overscan`` bounds how many candidate rows are
-        fetched per requested sample before giving up.
+        filter fetched rows by the query's date, zone and attribute
+        predicates (a row is in a zone when its point is, as the cube
+        counts it, not merely inside the zone's box); ``overscan``
+        bounds how many candidate rows are fetched per requested sample
+        before giving up.
         """
         if self.spatial_index is None or self.warehouse is None:
             raise QueryError("this deployment has no sample-update warehouse")
@@ -189,9 +180,12 @@ class Dashboard:
                     break
         return samples
 
-    @staticmethod
-    def _record_matches(record: UpdateRecord, query: AnalysisQuery) -> bool:
+    def _record_matches(self, record: UpdateRecord, query: AnalysisQuery) -> bool:
         if not query.start <= record.date <= query.end:
+            return False
+        if query.countries is not None and not any(
+            zone.name in query.countries for zone in self.atlas.zones_for_point(record.point)
+        ):
             return False
         if query.element_types is not None and record.element_type not in query.element_types:
             return False

@@ -12,6 +12,9 @@ framework, per the offline constraint):
   SQL dialect (Section IV-A), parsed server-side;
 * ``POST /analysis/live`` — like ``/analysis`` but overlays today's
   partial hourly-crawled counts when a live monitor is wired;
+* ``POST /analysis/samples`` — the drill-down behind an aggregate
+  (Section IV-B): the ``/analysis`` body plus an optional ``"n"``,
+  answered with up to ``n`` matching updates in ``/samples``' rows;
 * ``GET /samples?zone=<name>&n=<k>`` — sample-update query;
 * ``GET /changeset/<id>`` — one changeset's updates;
 * ``GET /contributors?n=<k>`` — top contributors from changeset
@@ -60,11 +63,12 @@ from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from repro.baseline.sqlgen import to_sql
+from repro.collection.records import UpdateRecord
 from repro.types.temporal import Level
 from repro.core.deadline import current_deadline, deadline_scope
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.admission import AdmissionController
-from repro.dashboard.api import Dashboard
+from repro.dashboard.api import DEFAULT_SAMPLE_SIZE, Dashboard
 from repro.dashboard.procpool import ProcessPoolDispatcher
 from repro.errors import DeadlineExceededError, QueryError, RasedError
 from repro.obs import EventLog, FlightRecorder, SLOTracker, metric_key
@@ -84,8 +88,8 @@ __all__ = [
 
 _LEVELS = {level.label: level for level in Level}
 
-#: Upper bound on ``?n=`` for /samples and /contributors; a request for
-#: more is clamped, not rejected, so naive clients still work.
+#: Upper bound on ``n`` for the sample routes and /contributors; a
+#: request for more is clamped, not rejected, so naive clients still work.
 MAX_SAMPLE_N = 10_000
 
 #: Default cap on POST body size (1 MiB); a real analysis query is a
@@ -103,15 +107,20 @@ _PATH_FAMILIES = (
     "/metrics",
     "/debug/traces",
     "/debug/slo",
+    "/analysis/samples",
     "/analysis/sql",
     "/analysis/live",
     "/analysis",
 )
+#: A request naming a family exactly (every POST) skips the prefix walk.
+_FAMILY_SET = frozenset(_PATH_FAMILIES)
 
 
 def _path_family(path: str) -> str:
+    if path in _FAMILY_SET:
+        return path
     for family in _PATH_FAMILIES:
-        if path == family or path.startswith(family + "/"):
+        if path.startswith(family + "/"):
             return family
     return "other"
 
@@ -210,6 +219,11 @@ def result_to_json(result: QueryResult) -> dict[str, object]:
     return document
 
 
+def _samples_document(records: list[UpdateRecord]) -> dict[str, object]:
+    """Sample rows as the sample routes send them: each row's TSV fields."""
+    return {"samples": [r.to_tsv().split("\t") for r in records]}
+
+
 def _json_bytes(document: object) -> bytes:
     # default=str covers non-JSON leaves in dumped span attributes
     # (TemporalKey page keys are stored raw on the fetch hot path).
@@ -271,6 +285,7 @@ _POST_KINDS = {
     "/analysis": "analysis",
     "/analysis/live": "live",
     "/analysis/sql": "sql",
+    "/analysis/samples": "samples",
 }
 
 
@@ -307,6 +322,10 @@ def run_analysis_request(
             result = dashboard.analysis_live(query_from_json(payload))
         elif kind == "analysis":
             result = dashboard.analysis(query_from_json(payload))
+        elif kind == "samples":
+            query = query_from_json(payload)
+            n = _clamped_count(payload.get("n", DEFAULT_SAMPLE_SIZE))
+            return 200, _json_bytes(_samples_document(dashboard.sample_for_query(query, n)))
         else:
             raise QueryError(f"unknown request kind {kind!r}")
         started = time.perf_counter()
@@ -324,9 +343,11 @@ def run_analysis_request(
         return status, _json_bytes(document)
 
 
-def _clamped_count(params: Mapping[str, list[str]], default: int) -> int:
-    """Parse ``?n=`` defensively: reject garbage, clamp the greedy."""
-    raw = params.get("n", [str(default)])[0]
+def _clamped_count(raw: object) -> int:
+    """Parse an ``n`` (``?n=`` text or a JSON number) defensively:
+    reject garbage, clamp the greedy."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise QueryError(f"n must be an integer, got {raw!r}")
     try:
         n = int(raw)
     except ValueError:
@@ -608,9 +629,8 @@ class _Handler(BaseHTTPRequestHandler):
             zone = params.get("zone", [None])[0]
             if zone is None:
                 raise QueryError("samples requires ?zone=<name>")
-            n = _clamped_count(params, default=100)
-            records = self.dashboard.sample_updates(zone, n=n)
-            self._send(200, {"samples": [r.to_tsv().split("\t") for r in records]})
+            n = _clamped_count(params.get("n", [DEFAULT_SAMPLE_SIZE])[0])
+            self._send(200, _samples_document(self.dashboard.sample_updates(zone, n=n)))
         elif parsed.path.startswith("/changeset/"):
             changeset_id = int(parsed.path.rsplit("/", 1)[1])
             records = self.dashboard.changeset_updates(changeset_id)
@@ -673,7 +693,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, recorded.to_dict())
         elif parsed.path == "/contributors":
             params = parse_qs(parsed.query)
-            n = _clamped_count(params, default=10)
+            n = _clamped_count(params.get("n", [10])[0])
             contributors = self.dashboard.top_contributors(n)
             self._send(
                 200,

@@ -55,16 +55,6 @@ class BBox:
             raise ConfigError(f"degenerate bbox: {self}")
 
     @classmethod
-    def around(cls, p: Point, half_size_deg: float = 0.0) -> "BBox":
-        """A (possibly zero-area) box centered on ``p``."""
-        return cls(
-            min_lon=max(-180.0, p.lon - half_size_deg),
-            min_lat=max(-90.0, p.lat - half_size_deg),
-            max_lon=min(180.0, p.lon + half_size_deg),
-            max_lat=min(90.0, p.lat + half_size_deg),
-        )
-
-    @classmethod
     def of_points(cls, points: Iterable[Point]) -> "BBox":
         """The tight box around a non-empty point collection."""
         pts = list(points)
@@ -92,22 +82,10 @@ class BBox:
     def height(self) -> float:
         return self.max_lat - self.min_lat
 
-    @property
-    def area_deg2(self) -> float:
-        return self.width * self.height
-
     def contains_point(self, p: Point) -> bool:
         return (
             self.min_lon <= p.lon <= self.max_lon
             and self.min_lat <= p.lat <= self.max_lat
-        )
-
-    def contains_bbox(self, other: "BBox") -> bool:
-        return (
-            self.min_lon <= other.min_lon
-            and self.min_lat <= other.min_lat
-            and self.max_lon >= other.max_lon
-            and self.max_lat >= other.max_lat
         )
 
     def intersects(self, other: "BBox") -> bool:
@@ -116,24 +94,6 @@ class BBox:
             or other.max_lon < self.min_lon
             or other.min_lat > self.max_lat
             or other.max_lat < self.min_lat
-        )
-
-    def intersection(self, other: "BBox") -> "BBox | None":
-        if not self.intersects(other):
-            return None
-        return BBox(
-            min_lon=max(self.min_lon, other.min_lon),
-            min_lat=max(self.min_lat, other.min_lat),
-            max_lon=min(self.max_lon, other.max_lon),
-            max_lat=min(self.max_lat, other.max_lat),
-        )
-
-    def union(self, other: "BBox") -> "BBox":
-        return BBox(
-            min_lon=min(self.min_lon, other.min_lon),
-            min_lat=min(self.min_lat, other.min_lat),
-            max_lon=max(self.max_lon, other.max_lon),
-            max_lat=max(self.max_lat, other.max_lat),
         )
 
 
@@ -150,17 +110,6 @@ class Polygon:
             raise ConfigError("a polygon needs at least three vertices")
         self.vertices: tuple[Point, ...] = tuple(vertices)
         self.bbox = BBox.of_points(self.vertices)
-
-    @classmethod
-    def from_bbox(cls, box: BBox) -> "Polygon":
-        return cls(
-            [
-                Point(box.min_lon, box.min_lat),
-                Point(box.max_lon, box.min_lat),
-                Point(box.max_lon, box.max_lat),
-                Point(box.min_lon, box.max_lat),
-            ]
-        )
 
     def contains_point(self, p: Point) -> bool:
         if not self.bbox.contains_point(p):
@@ -179,17 +128,6 @@ class Polygon:
                 if x > p.lon:
                     inside = not inside
         return inside
-
-    @property
-    def area_deg2(self) -> float:
-        """Unsigned shoelace area in square degrees."""
-        total = 0.0
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            total += a.lon * b.lat - b.lon * a.lat
-        return abs(total) / 2.0
 
 
 def _on_segment(a: Point, b: Point, p: Point, eps: float = 1e-12) -> bool:

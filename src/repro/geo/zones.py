@@ -253,17 +253,6 @@ class ZoneAtlas:
         out[sub[found], 2] = self._state_indexes[first[found]]
         return out
 
-    def resolve_bbox(self, box: BBox) -> tuple[Point, list[Zone]]:
-        """Geocode a changeset bounding box (paper, Section V).
-
-        RASED maps a changeset bbox "to its country, and assign[s]
-        latitude and longitude coordinates based on the center point
-        contained in the bounding box" — we do exactly that: the box's
-        center picks the representative point and its zones.
-        """
-        center = box.center
-        return center, self.zones_for_point(center)
-
 
 def _activity_weight(name: str) -> float:
     """Zipf-like weight from the global ranking; tail countries ~0.01."""

@@ -246,12 +246,6 @@ class MetricsRegistry:
         with self._lock:
             return sum(v for (n, _), v in self._counters.items() if n == name)
 
-    def histogram_summary(self, name: str, **labels: str) -> dict[str, float] | None:
-        with self._lock:
-            histogram = self._histograms.get(metric_key(name, **labels))
-            state = histogram.freeze() if histogram is not None else None
-        return state.summary() if state is not None else None
-
     def describe(self, name: str, help_text: str) -> None:
         """Attach a ``# HELP`` line to a metric family (optional).
 

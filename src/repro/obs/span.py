@@ -308,9 +308,6 @@ class RecordedTrace:
         self.spans = spans
         self.dropped_spans = dropped_spans
 
-    def span_names(self) -> list[str]:
-        return [s.name for s in self.spans]
-
     def to_summary(self) -> dict[str, object]:
         """One listing row for ``/debug/traces``."""
         return {

@@ -247,7 +247,3 @@ class Warehouse:
                 for offset in range(0, len(data), ROW_SIZE)
             ]
             yield page, rows
-
-    def scan(self) -> Iterator[UpdateRecord]:
-        for _, rows in self.scan_pages():
-            yield from rows

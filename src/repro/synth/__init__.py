@@ -2,7 +2,6 @@
 
 from repro.synth.editors import Mapper, MapperProfile, PROFILES
 from repro.synth.scale import SCALE_PROFILES, ScaleProfile, profile_schema, scaled_day_updates
-from repro.synth.scenarios import ScenarioEvent, ScenarioSimulator, import_event, mapping_party, vandalism_event
 from repro.synth.simulator import DayOutput, EditSimulator, SimulationConfig
 from repro.synth.workload import QueryWorkload
 from repro.synth.world import CountryNetwork, WorldState, build_initial_world
@@ -10,9 +9,6 @@ from repro.synth.world import CountryNetwork, WorldState, build_initial_world
 __all__ = [
     "CountryNetwork", "DayOutput", "EditSimulator", "Mapper", "MapperProfile",
     "PROFILES", "QueryWorkload", "SCALE_PROFILES", "ScaleProfile",
-    "ScenarioEvent", "ScenarioSimulator",
-    "SimulationConfig", "WorldState", "import_event", "mapping_party",
-    "profile_schema", "scaled_day_updates",
-    "vandalism_event",
+    "SimulationConfig", "WorldState", "profile_schema", "scaled_day_updates",
     "build_initial_world",
 ]

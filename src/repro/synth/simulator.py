@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Iterator
 
 from repro.errors import SimulationError
 from repro.geo.geometry import BBox, Point
@@ -83,10 +82,6 @@ class DayOutput:
     change: OsmChange
     changesets: list[Changeset]
     truth: UpdateList = field(default_factory=UpdateList)
-
-    @property
-    def update_count(self) -> int:
-        return len(self.change)
 
 
 class EditSimulator:
@@ -298,15 +293,6 @@ class EditSimulator:
             update_type=update_type,
             changeset_id=changeset.id,
         )
-
-    def simulate_range(self, start: date, end: date) -> Iterator[DayOutput]:
-        """Yield one :class:`DayOutput` per day from start to end inclusive."""
-        if end < start:
-            raise SimulationError(f"end {end} precedes start {start}")
-        day = start
-        while day <= end:
-            yield self.simulate_day(day)
-            day += timedelta(days=1)
 
     # -- dumps --------------------------------------------------------------
 

@@ -6,9 +6,8 @@ window (1 month .. 16 years) and, unless stated otherwise, "each query
 retrieves only one data cube cell to focus ... on the disk retrieval
 time".  This module generates those workloads deterministically:
 
-* :meth:`QueryWorkload.single_cell` — one-cell lookups (one element
-  type, one country, one road type, one update type) over a random
-  window of the requested span;
+* :meth:`QueryWorkload.daily_series` — per-day time series over the
+  most recent windows (the Fig. 7 cache-size load);
 * :meth:`QueryWorkload.dashboard_mix` — realistic dashboard queries
   (the paper's example shapes: country analysis, road-type analysis,
   comparative time series) with recency-skewed windows, used by the
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 from repro.types.temporal import Level
-from repro.types.dimensions import ELEMENT_TYPES, UPDATE_TYPES, CubeSchema
+from repro.types.dimensions import ELEMENT_TYPES, CubeSchema
 from repro.core.query import AnalysisQuery
 from repro.errors import ConfigError
 
@@ -68,26 +67,6 @@ class QueryWorkload:
         return start, start + timedelta(days=span - 1)
 
     # -- paper workloads -----------------------------------------------------
-
-    def single_cell(
-        self, span_days: int, count: int = 100, recent_bias: float = 0.7
-    ) -> list[AnalysisQuery]:
-        """The Section VIII default: one-cube-cell queries."""
-        rng = self._rng(span_days)
-        queries: list[AnalysisQuery] = []
-        for _ in range(count):
-            start, end = self._window(rng, span_days, recent_bias)
-            queries.append(
-                AnalysisQuery(
-                    start=start,
-                    end=end,
-                    element_types=(rng.choice(ELEMENT_TYPES),),
-                    countries=(rng.choice(self.schema.country.values),),
-                    road_types=(rng.choice(self.schema.road_type.values),),
-                    update_types=(rng.choice(UPDATE_TYPES),),
-                )
-            )
-        return queries
 
     def daily_series(
         self,

@@ -1,6 +1,6 @@
 """Project-specific static analysis for the RASED reproduction.
 
-Fourteen rule ids across ten checkers (see DESIGN.md §9 "Static
+Fifteen rule ids across eleven checkers (see DESIGN.md §9 "Static
 analysis", which also holds the mutation audit that keeps each one):
 
 ======================= ==================================================
@@ -10,6 +10,8 @@ rule                    enforces
 ``layering-cycle``      no package import cycles
 ``layering-undeclared`` every package appears in the DAG
 ``layering-shim``       no in-tree import of a re-export shim
+``unreached``           every module is imported from an entry point
+                        (``cli``, ``tools.lint.__main__``) or is a shim
 ``lock-guard``          ``# guarded-by: <lock>`` attributes mutate only
                         under ``with self.<lock>:``
 ``hot-path-clock``      no wall-clock reads in ``core``/``storage``

@@ -13,6 +13,17 @@ top-level packages under ``repro``; a module may import only packages on
   (``SHIM_MODULES``) that exists only for code outside the
   tree; import the module it forwards to instead.
 
+Rule ``unreached`` walks the same import edges from the entry points
+(``ENTRY_MODULES``) and the shims, and flags every module the walk
+never reaches: code no command, route or outside importer can run.
+Importing ``a.b.c`` runs ``a/__init__`` and ``a/b/__init__`` first, so
+the walk reaches those too and follows their imports like any other.
+A module that only its package ``__init__`` re-exports therefore
+counts as reached as soon as anything in the package is imported,
+used or not; that case is left to a hand audit (DESIGN §9).  A tree
+with no entry point at all (a fixture slice) is not a program and is
+not checked.
+
 Imports inside ``if TYPE_CHECKING:`` blocks are exempt: they never
 execute, so they cannot create runtime import cycles — that is exactly
 the escape hatch modules like ``collection.pipeline`` use to annotate
@@ -26,9 +37,16 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.tools.lint.model import SHIM_MODULES, Finding, Program, SourceFile, level_of
+from repro.tools.lint.model import (
+    ENTRY_MODULES,
+    SHIM_MODULES,
+    Finding,
+    Program,
+    SourceFile,
+    level_of,
+)
 
-__all__ = ["check_layering", "module_imports", "ImportEdge"]
+__all__ = ["check_layering", "check_unreached", "module_imports", "ImportEdge"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +56,8 @@ class ImportEdge:
     target: str  # dotted module path, e.g. "repro.core.cache"
     lineno: int
     type_only: bool
+    #: The names a ``from`` import takes (any may be a submodule).
+    names: tuple[str, ...] = ()
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -75,7 +95,8 @@ def module_imports(source: SourceFile) -> Iterator[ImportEdge]:
             elif isinstance(node, ast.ImportFrom):
                 target = _resolve_relative(source, node)
                 if target:
-                    yield ImportEdge(target, node.lineno, type_only)
+                    names = tuple(alias.name for alias in node.names)
+                    yield ImportEdge(target, node.lineno, type_only, names)
             elif isinstance(node, ast.If):
                 guarded = type_only or _is_type_checking_test(node.test)
                 yield from walk(node.body, guarded)
@@ -169,6 +190,40 @@ def check_layering(program: Program) -> list[Finding]:
 
     findings.extend(_cycle_findings(edges))
     return findings
+
+
+def check_unreached(program: Program) -> list[Finding]:
+    by_module = {source.module: source for source in program.sources}
+    if not by_module:
+        return []
+    root = next(iter(by_module)).partition(".")[0]
+    entries = [f"{root}.{name}" for name in sorted(ENTRY_MODULES)]
+    if not any(entry in by_module for entry in entries):
+        return []
+    pending = [*entries, *(f"{root}.{name}" for name in sorted(SHIM_MODULES))]
+    reached: set[str] = set()
+    while pending:
+        module = pending.pop()
+        source = by_module.get(module)
+        if source is None or module in reached:
+            continue
+        reached.add(module)
+        parts = module.split(".")
+        pending.extend(".".join(parts[:end]) for end in range(1, len(parts)))
+        for edge in module_imports(source):
+            if not edge.type_only:
+                pending.append(edge.target)
+                pending.extend(f"{edge.target}.{name}" for name in edge.names)
+    return [
+        source.finding(
+            "unreached",
+            1,
+            f"module {source.module!r} is imported by no entry point "
+            f"({', '.join(sorted(ENTRY_MODULES))}) and is no shim",
+        )
+        for source in program.sources
+        if source.module not in reached
+    ]
 
 
 def _cycle_findings(edges: dict[str, dict[str, tuple[str, int]]]) -> list[Finding]:

@@ -28,6 +28,7 @@ __all__ = [
     "SourceFile",
     "LAYERS",
     "SHIM_MODULES",
+    "ENTRY_MODULES",
     "HOT_PATH_PACKAGES",
     "OBS_PACKAGES",
     "CUBE_ORDER_STRICT_PACKAGES",
@@ -53,9 +54,6 @@ LAYERS: tuple[frozenset[str], ...] = (
     frozenset({"baseline", "synth"}),
     frozenset({"dashboard"}),
     frozenset({"system"}),
-    # Test-support infrastructure (fault injection): may wrap anything
-    # below it, and nothing in the production stack may import it.
-    frozenset({"testing"}),
     frozenset({"tools"}),
     frozenset({"cli"}),
 )
@@ -64,6 +62,11 @@ LAYERS: tuple[frozenset[str], ...] = (
 #: importers outside the tree — ``core.calendar`` for the frozen
 #: benchmark harness — and that no module in the tree may import.
 SHIM_MODULES = frozenset({"core.calendar"})
+
+#: Entry points (dotted, below the root package): the ``rased-repro``
+#: console script and ``python -m repro.tools.lint``.  With the shims
+#: they are the roots the ``unreached`` rule walks imports from.
+ENTRY_MODULES = frozenset({"cli", "tools.lint.__main__"})
 
 #: Packages where wall-clock calls are forbidden (inject clocks or use
 #: the trace layer instead).

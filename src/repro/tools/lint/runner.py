@@ -16,7 +16,7 @@ from repro.tools.lint.hygiene import (
     check_todos,
     check_wall_clock,
 )
-from repro.tools.lint.layering import check_layering
+from repro.tools.lint.layering import check_layering, check_unreached
 from repro.tools.lint.locks import check_locks
 from repro.tools.lint.locksim import simulate
 from repro.tools.lint.model import Finding, Program, collect_source_files
@@ -29,6 +29,7 @@ Rule = Callable[[Program], list[Finding]]
 #: (e.g. ``layering`` also emits ``layering-cycle``).
 RULES: dict[str, Rule] = {
     "layering": check_layering,
+    "unreached": check_unreached,
     "lock-guard": check_locks,
     "hot-path-clock": check_wall_clock,
     "broad-except": check_broad_except,

@@ -136,13 +136,6 @@ class TemporalKey:
         """Number of days covered (1, 7, 28-31, or 365/366)."""
         return (self.end - self.start).days + 1
 
-    def contains(self, d: date) -> bool:
-        return self.start <= d <= self.end
-
-    def covers(self, other: "TemporalKey") -> bool:
-        """True when ``other``'s span lies inside this key's span."""
-        return self.start <= other.start and other.end <= self.end
-
     # -- hierarchy navigation ------------------------------------------
 
     def parent(self) -> "TemporalKey | None":

@@ -152,8 +152,8 @@ class TestHierarchyNavigation:
     def test_parent_always_covers_child(self, d):
         key = day_key(d)
         while (parent := key.parent()) is not None:
-            assert parent.covers(key)
-            assert parent.contains(d)
+            assert parent.start <= key.start and key.end <= parent.end
+            assert parent.start <= d <= parent.end
             key = parent
 
     @given(DATES)

@@ -345,7 +345,7 @@ class TestIngestRecovery:
         """The opener that repairs a crashed root is the one whose
         ``ingest`` prints the repair and counts it."""
         from repro import cli
-        from repro.testing import CrashPoint
+        from tests.support import CrashPoint
 
         root = tmp_path / "deploy"
         simulate = [

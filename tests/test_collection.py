@@ -33,6 +33,7 @@ from repro.osm.changesets import Changeset, ChangesetStore
 from repro.osm.model import OSMNode
 from repro.osm.replication import ReplicationFeed
 from repro.synth.simulator import EditSimulator, SimulationConfig
+from tests.support.synth import simulate_range
 
 
 def small_config(**overrides):
@@ -90,20 +91,20 @@ class TestUpdateList:
     def test_file_roundtrip(self, tmp_path):
         updates = UpdateList([make_record(changeset_id=i) for i in range(5)])
         path = tmp_path / "updates.tsv"
-        updates.write_tsv(path)
-        restored = UpdateList.read_tsv(path)
+        path.write_text("".join(r.to_tsv() + "\n" for r in updates), encoding="utf-8")
+        restored = UpdateList(
+            UpdateRecord.from_tsv(line) for line in path.read_text(encoding="utf-8").splitlines()
+        )
         assert list(restored) == list(updates)
 
     def test_stream_roundtrip(self):
         updates = UpdateList([make_record()])
-        buffer = io.StringIO()
-        updates.write_tsv(buffer)
-        buffer.seek(0)
-        assert list(UpdateList.read_tsv(buffer)) == list(updates)
+        buffer = io.StringIO("".join(r.to_tsv() + "\n" for r in updates))
+        assert [UpdateRecord.from_tsv(line) for line in buffer] == list(updates)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
-            UpdateList.read_tsv(io.StringIO("wrong\theader\n"))
+            UpdateRecord.from_tsv("wrong\theader\n")
 
     def test_cube_coordinates_without_atlas(self, tiny_schema):
         updates = UpdateList([make_record(), make_record(country="qatar")])
@@ -303,8 +304,8 @@ def locate_changeset(atlas, changeset):
     centre (paper, Section V)."""
     if changeset.bbox is None:
         raise GeocodeError(f"changeset {changeset.id} has no bounding box")
-    center, zones = atlas.resolve_bbox(changeset.bbox)
-    return Location(point=center, country=zones[0])
+    center = changeset.bbox.center
+    return Location(point=center, country=atlas.zones_for_point(center)[0])
 
 
 def _locate(atlas, element, changesets):
@@ -397,7 +398,7 @@ def crawl_setup(atlas, tmp_path_factory):
     feed = ReplicationFeed(root / "replication", "day")
     changesets = ChangesetStore(root / "changesets")
     truth_by_day = {}
-    for output in sim.simulate_range(date(2021, 3, 1), date(2021, 3, 5)):
+    for output in simulate_range(sim, date(2021, 3, 1), date(2021, 3, 5)):
         for changeset in output.changesets:
             changesets.add(changeset)
         changesets.flush()

@@ -400,7 +400,7 @@ class TestWarehouseReadsUnderIngest:
         # Ground truth: a brute-force pass over the heap.
         truth: dict[str, Counter] = {path: Counter() for path in paths}
         boxes = {zone: system.atlas.zone(zone).bbox for zone in zones}
-        for row in system.warehouse.scan():
+        for row in (r for _, rows in system.warehouse.scan_pages() for r in rows):
             fields = tuple(row.to_tsv().split("\t"))
             truth[f"/changeset/{row.changeset_id}"][fields] += 1
             for zone, box in boxes.items():

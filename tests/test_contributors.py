@@ -43,7 +43,7 @@ class TestContributor:
         contributor.absorb(make_changeset(2, changes=20, day=3))
         assert contributor.session_count == 2
         assert contributor.change_count == 30
-        assert contributor.changes_per_session == 15
+        assert contributor.change_count / contributor.session_count == 15
         assert contributor.active_days == 3
 
     def test_bulk_threshold(self):
@@ -61,7 +61,7 @@ class TestContributor:
 
     def test_empty_contributor(self):
         contributor = Contributor(uid=1, user="ghost")
-        assert contributor.changes_per_session == 0.0
+        assert contributor.session_count == contributor.change_count == 0
         assert contributor.active_days == 0
 
 
@@ -89,7 +89,8 @@ class TestContributorStats:
         assert top[0].user == "alice"
 
     def test_bulk_change_share(self, stats):
-        assert stats.bulk_change_share == pytest.approx(800 / 830)
+        bulk = sum(c.bulk_change_count for c in stats.top(len(stats)))
+        assert bulk / stats.total_changes == pytest.approx(800 / 830)
 
     def test_contributor_lookup(self, stats):
         assert stats.contributor(5).user == "alice"
@@ -102,7 +103,7 @@ class TestContributorStats:
 
     def test_empty_stats(self):
         stats = ContributorStats()
-        assert stats.bulk_change_share == 0.0
+        assert stats.total_changes == 0
         assert stats.top() == []
         assert "user" in stats.render_table()
 

@@ -37,7 +37,7 @@ from repro.storage.spatial_index import GridSpatialIndex
 from repro.storage.warehouse import RowPointer
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from repro.testing import CrashPoint, FaultPlan, FaultyPageStore, classify_page_op
+from tests.support import CrashPoint, FaultPlan, FaultyPageStore, classify_page_op
 
 pytestmark = pytest.mark.slow
 

@@ -11,9 +11,16 @@ import pytest
 from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.charts import bar_chart, choropleth, time_series
-from repro.dashboard.server import DashboardServer, query_from_json, result_to_json
+from repro.dashboard.api import DEFAULT_SAMPLE_SIZE
+from repro.dashboard.server import (
+    MAX_SAMPLE_N,
+    DashboardServer,
+    query_from_json,
+    result_to_json,
+)
 from repro.dashboard.tables import format_value, render_pivot, render_table
 from repro.errors import QueryError
+from repro.geo.geometry import Point
 from tests.conftest import INGESTED_END, INGESTED_START
 
 
@@ -156,16 +163,15 @@ class TestDashboardFacade:
         assert "way" in text
 
     def test_pivot_view(self, ingested_system):
-        text = ingested_system.dashboard.pivot(
+        result = ingested_system.dashboard.analysis(
             AnalysisQuery(
                 start=INGESTED_START,
                 end=INGESTED_END,
                 countries=("germany", "france", "india"),
                 group_by=("country", "element_type"),
-            ),
-            "country",
-            "element_type",
+            )
         )
+        text = render_pivot(result, "country", "element_type")
         assert "All" in text
 
     def test_timelapse_frames(self, ingested_system):
@@ -431,6 +437,60 @@ class TestHttpServerExtensions:
             server, "/analysis", {"start": "2021-01-01", "end": "2021-02-28"}
         )
         assert payload["rows"] == plain["rows"]
+
+    #: A drill-down body: every predicate an /analysis query can carry.
+    DRILL = {
+        "start": "2021-01-10",
+        "end": "2021-02-10",
+        "countries": ["germany", "france", "europe"],
+        "element_types": ["way", "node"],
+        "road_types": ["residential", "service", "track"],
+        "update_types": ["create", "geometry"],
+    }
+
+    def test_analysis_samples_rows_satisfy_every_predicate(self, server, ingested_system):
+        status, payload = http_post(server, "/analysis/samples", {**self.DRILL, "n": 40})
+        assert status == 200
+        rows = payload["samples"]
+        assert 0 < len(rows) <= 40
+        atlas = ingested_system.atlas
+        for element, day, country, lat, lon, road, update, _ in rows:
+            assert "2021-01-10" <= day <= "2021-02-10"
+            # In a queried zone the way the cube counts it: by its point.
+            point = Point(lon=float(lon), lat=float(lat))
+            assert {z.name for z in atlas.zones_for_point(point)} & set(self.DRILL["countries"])
+            assert country in {z.name for z in atlas.countries}
+            assert element in self.DRILL["element_types"]
+            assert road in self.DRILL["road_types"]
+            assert update in self.DRILL["update_types"]
+        # The route is the facade's drill-down, row for row.
+        records = ingested_system.dashboard.sample_for_query(query_from_json(self.DRILL), 40)
+        assert rows == [r.to_tsv().split("\t") for r in records]
+
+    def test_analysis_samples_n_bounds_the_rows(self, server):
+        for n, most in ((3, 3), (0, 0), (10**9, MAX_SAMPLE_N)):
+            status, payload = http_post(server, "/analysis/samples", {**self.DRILL, "n": n})
+            assert status == 200 and len(payload["samples"]) <= most
+        status, payload = http_post(server, "/analysis/samples", self.DRILL)
+        assert status == 200 and 0 < len(payload["samples"]) <= DEFAULT_SAMPLE_SIZE
+
+    @pytest.mark.parametrize("n", ["many", -1, True, 2.5, [3], None])
+    def test_analysis_samples_bad_n_is_400(self, server, n):
+        status, payload = http_post(server, "/analysis/samples", {**self.DRILL, "n": n})
+        assert status == 400
+        assert "n must be" in payload["error"]
+
+    def test_analysis_samples_bad_query_is_400(self, server):
+        status, payload = http_post(
+            server, "/analysis/samples", {"start": "2021-02-01", "n": 5}
+        )
+        assert status == 400
+
+    def test_unknown_analysis_subpath_is_404(self, server):
+        for path in ("/analysis/nope", "/analysis/samples/x", "/analysis/sample"):
+            status, payload = http_post(server, path, self.DRILL)
+            assert status == 404, path
+            assert "unknown path" in payload["error"]
 
     def test_contributors_endpoint(self, server):
         status, payload = http_get(server, "/contributors?n=3")

@@ -25,7 +25,7 @@ from repro.storage.disk import InMemoryDisk
 from repro.storage.serializer import deserialize_cube
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from repro.testing import FaultPlan, FaultyPageStore
+from tests.support import FaultPlan, FaultyPageStore
 from tests.v3pages import corruptions
 
 START = date(2021, 1, 1)

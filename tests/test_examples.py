@@ -33,7 +33,6 @@ class TestExamplesCompile:
             "time_series_comparison.py",
             "http_dashboard.py",
             "live_monitoring.py",
-            "stability_report.py",
         } <= names
 
     @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)

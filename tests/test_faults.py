@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.disk import InMemoryDisk
-from repro.testing import (
+from tests.support import (
     CrashPoint,
     FaultPlan,
     FaultSpec,

@@ -255,6 +255,41 @@ class TestMonthlyRebuild:
             index.rebuild_month(week_key(2021, 2, 0), {})
 
 
+class TestRollupGaps:
+    """A week or month whose last day never arrived has no cube; the
+    rollup above it must still count the days it did get."""
+
+    @staticmethod
+    def _ingest(index, start, end, skip, n=lambda day: day.day % 3 + 1):
+        ingested = 0
+        day = start
+        while day <= end:
+            if day != skip:
+                index.ingest_day(day, updates_for(day, n=n(day)))
+                ingested += n(day)
+            day += timedelta(days=1)
+        return ingested
+
+    def test_a_month_counts_the_days_of_a_week_that_never_closed(self, index):
+        ingested = self._ingest(index, date(2021, 1, 1), date(2021, 1, 31), skip=date(2021, 1, 21))
+        assert not index.has(week_key(2021, 1, 2))
+        assert index.get(month_key(2021, 1)).total == ingested
+
+    def test_a_year_counts_the_days_of_a_month_that_never_closed(self, index):
+        ingested = self._ingest(
+            index, date(2021, 1, 1), date(2021, 12, 31), skip=date(2021, 11, 30), n=lambda day: 1
+        )
+        assert not index.has(month_key(2021, 11))
+        assert index.get(year_key(2021)).total == ingested == 364
+
+    def test_a_rebuilt_month_counts_the_days_of_a_week_that_never_closed(self, index):
+        self._ingest(index, date(2021, 1, 1), date(2021, 1, 31), skip=date(2021, 1, 21))
+        by_day = {date(2021, 1, d): updates_for(date(2021, 1, d), n=2) for d in range(1, 32)}
+        index.rebuild_month(month_key(2021, 1), by_day)
+        assert not index.has(day_key(date(2021, 1, 21)))
+        assert index.get(month_key(2021, 1)).total == 2 * 30
+
+
 class TestTruncatedHierarchies:
     def test_flat_index_never_builds_rollups(self, tiny_schema, disk):
         flat = HierarchicalIndex(tiny_schema, disk, levels=(Level.DAY,))

@@ -274,7 +274,7 @@ class TestNoThreadHop:
         assert {s.thread_name for s in trace.spans} == {
             threading.current_thread().name
         }
-        names = trace.span_names()
+        names = [s.name for s in trace.spans]
         assert names.count("storage.disk.read") == 8
         if shards > 1:
             assert names.count("shard.query") > 1  # the plan did fan out

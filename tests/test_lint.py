@@ -2,7 +2,9 @@
 
 Rule behaviour is pinned against the deliberately broken package tree
 in ``tests/lint_fixtures/fixturepkg`` (one must-flag and one must-pass
-site per rule), and the real ``src/repro`` tree is asserted clean.
+site per rule; ``unreachedpkg`` beside it is the ``unreached`` rule's,
+since that rule needs an entry point), and the real ``src/repro`` tree
+is asserted clean.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import pytest
 from repro.tools.lint import LintReport, RULES, run_lint
 from repro.tools.lint.cli import main as lint_main
 from repro.tools.lint.layering import module_imports
-from repro.tools.lint.model import LAYERS, SHIM_MODULES, load_source_file
+from repro.tools.lint.model import (
+    ENTRY_MODULES,
+    LAYERS,
+    SHIM_MODULES,
+    load_source_file,
+)
 from repro.tools.lint.runner import default_package_root
 
 FIXTURE_ROOT = Path(__file__).resolve().parent / "lint_fixtures" / "fixturepkg"
+UNREACHED_ROOT = FIXTURE_ROOT.parent / "unreachedpkg"
 
 #: Every surviving rule id, with its exact count over the fixture tree.
 FIXTURE_COUNTS = {
@@ -86,6 +94,25 @@ def test_layering_flags_shim_imports_only(fixture_report: LintReport) -> None:
     # The real tree keeps one shim, for the frozen benchmark harness.
     assert SHIM_MODULES == {"core.calendar"}
     assert (default_package_root() / "core" / "calendar.py").is_file()
+
+
+def test_unreached_flags_only_what_no_root_imports() -> None:
+    report = run_lint(UNREACHED_ROOT)
+    assert {(f.rule, f.path) for f in report.findings} == {
+        ("unreached", "core/stability.py"),  # imported by nothing
+        ("unreached", "core/typed_only.py"),  # imported under TYPE_CHECKING only
+    }
+    # Not flagged: the shim (a root), what only the shim imports, a
+    # function-local import, and a module reached only through its
+    # package __init__'s re-export.
+    assert ENTRY_MODULES == {"cli", "tools.lint.__main__"}
+    assert "entry point" in report.findings[0].message
+
+
+def test_unreached_skips_a_tree_without_an_entry_point(
+    fixture_report: LintReport,
+) -> None:
+    assert not _findings(fixture_report, "unreached")
 
 
 def test_type_checking_imports_are_exempt(fixture_report: LintReport) -> None:
@@ -236,6 +263,7 @@ def test_rased_repro_cli_has_lint_subcommand() -> None:
 def test_rules_registry_names() -> None:
     assert set(RULES) == {
         "layering",
+        "unreached",
         "lock-guard",
         "hot-path-clock",
         "broad-except",

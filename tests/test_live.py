@@ -18,6 +18,7 @@ from repro.osm.changesets import ChangesetStore
 from repro.osm.replication import ReplicationFeed
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import EditSimulator, SimulationConfig
+from tests.support.synth import simulate_range
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def live_setup(atlas, tmp_path_factory):
     index = HierarchicalIndex(schema, disk, atlas=atlas)
 
     truth = {}
-    for output in sim.simulate_range(date(2021, 5, 1), date(2021, 5, 3)):
+    for output in simulate_range(sim, date(2021, 5, 1), date(2021, 5, 3)):
         for changeset in output.changesets:
             changesets.add(changeset)
         changesets.flush()

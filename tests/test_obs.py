@@ -22,6 +22,14 @@ from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.types.temporal import Level
 
 
+def histogram_summary(registry, name, **labels):
+    """One histogram series' summary from the JSON snapshot, or ``None``."""
+    for entry in registry.snapshot()["histograms"].get(name, []):
+        if entry["labels"] == labels:
+            return {k: v for k, v in entry.items() if k != "labels"}
+    return None
+
+
 # -- counters ---------------------------------------------------------------
 
 
@@ -63,7 +71,7 @@ class TestCounters:
         )
         assert registry.value("a_total") == 2.0
         assert registry.value("b_total") == 1.0
-        assert registry.histogram_summary("c_seconds")["count"] == 1
+        assert histogram_summary(registry, "c_seconds")["count"] == 1
 
     def test_record_batch_respects_disabled(self):
         registry = MetricsRegistry()
@@ -77,7 +85,7 @@ class TestCounters:
         registry.observe("b_seconds", 1.0)
         registry.reset()
         assert registry.value("a_total") == 0.0
-        assert registry.histogram_summary("b_seconds") is None
+        assert histogram_summary(registry, "b_seconds") is None
         assert registry.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_disabled_registry_drops_writes(self):
@@ -86,7 +94,7 @@ class TestCounters:
         registry.inc("a_total")
         registry.observe("b_seconds", 1.0)
         assert registry.value("a_total") == 0.0
-        assert registry.histogram_summary("b_seconds") is None
+        assert histogram_summary(registry, "b_seconds") is None
 
     def test_thread_safety_under_concurrent_increments(self):
         registry = MetricsRegistry()
@@ -104,7 +112,7 @@ class TestCounters:
         for worker in workers:
             worker.join()
         assert registry.value("contended_total") == threads * per_thread
-        summary = registry.histogram_summary("contended_seconds")
+        summary = histogram_summary(registry, "contended_seconds")
         assert summary["count"] == threads * per_thread
 
 
@@ -115,7 +123,7 @@ class TestHistograms:
     def test_single_observation_pins_all_quantiles(self):
         registry = MetricsRegistry()
         registry.observe("latency_seconds", 0.25)
-        summary = registry.histogram_summary("latency_seconds")
+        summary = histogram_summary(registry, "latency_seconds")
         assert summary["count"] == 1
         assert summary["min"] == summary["max"] == summary["mean"] == 0.25
         assert summary["p50"] == summary["p95"] == summary["p99"] == 0.25
@@ -124,7 +132,7 @@ class TestHistograms:
         registry = MetricsRegistry()
         for value in range(1, 101):  # 1..100
             registry.observe("v", float(value))
-        summary = registry.histogram_summary("v")
+        summary = histogram_summary(registry, "v")
         assert summary["p50"] == pytest.approx(50.5)
         assert summary["p95"] == pytest.approx(95.05)
         assert summary["p99"] == pytest.approx(99.01)
@@ -135,7 +143,7 @@ class TestHistograms:
         registry = MetricsRegistry(histogram_window=16)
         for value in range(1000):
             registry.observe("w", float(value))
-        summary = registry.histogram_summary("w")
+        summary = histogram_summary(registry, "w")
         assert summary["count"] == 1000
         # Quantiles come from the most recent 16 observations.
         assert summary["p50"] >= 984.0
@@ -148,8 +156,8 @@ class TestHistograms:
         for v in reversed(values):
             backward.observe("q", v)
         assert (
-            forward.histogram_summary("q")["p50"]
-            == backward.histogram_summary("q")["p50"]
+            histogram_summary(forward, "q")["p50"]
+            == histogram_summary(backward, "q")["p50"]
             == 3.0
         )
 
@@ -256,7 +264,7 @@ class TestExports:
         registry = MetricsRegistry(histogram_window=4)
         for value in range(10):
             registry.observe("w_seconds", float(value))
-        summary = registry.histogram_summary("w_seconds")
+        summary = histogram_summary(registry, "w_seconds")
         assert summary["count"] == 10
         assert summary["window_count"] == 4
         [entry] = registry.snapshot()["histograms"]["w_seconds"]
@@ -285,7 +293,7 @@ class TestExports:
                         if not line.startswith("#"):
                             float(line.rsplit(" ", 1)[1])
                     registry.snapshot()
-                    registry.histogram_summary("hot_seconds", path="/analysis")
+                    histogram_summary(registry, "hot_seconds", path="/analysis")
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -411,10 +419,10 @@ class TestSystemIntegration:
 
     def test_query_latency_histogram_grows(self, ingested_system):
         registry = ingested_system.metrics
-        before = registry.histogram_summary("rased_query_wall_seconds")
+        before = histogram_summary(registry, "rased_query_wall_seconds")
         count_before = before["count"] if before else 0
         ingested_system.dashboard.analysis(QUERY)
-        after = registry.histogram_summary("rased_query_wall_seconds")
+        after = histogram_summary(registry, "rased_query_wall_seconds")
         assert after["count"] == count_before + 1
         assert after["sum"] > 0
 
@@ -506,7 +514,7 @@ class TestMetricsEndpoint:
             )
             >= 1
         )
-        summary = registry.histogram_summary(
-            "rased_http_request_seconds", path="/health"
+        summary = histogram_summary(
+            registry, "rased_http_request_seconds", path="/health"
         )
         assert summary is not None and summary["count"] >= 1

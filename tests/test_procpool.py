@@ -91,6 +91,16 @@ class TestAnswers:
             statuses.append(status)
         assert statuses == [200, 200, 200, 200, 400]
 
+    def test_a_drill_down_is_the_same_bytes_from_a_worker(self, ingested_system, pool):
+        body = json.dumps(
+            {"start": "2021-01-05", "end": "2021-02-10", "countries": ["germany"], "n": 12}
+        ).encode()
+        for request in (body, b'{"start": "2021-01-05", "end": "2021-02-10", "n": "x"}'):
+            answer = pool.run("samples", request)
+            assert answer == run_analysis_request(ingested_system.dashboard, "samples", request)
+        status, response = pool.run("samples", body)
+        assert status == 200 and 0 < len(json.loads(response)["samples"]) <= 12
+
     def test_expired_deadline_is_the_workers_504(self, pool):
         status, response = pool.run("analysis", QUERY, 1e-3)
         assert status == 504

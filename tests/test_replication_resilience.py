@@ -21,7 +21,7 @@ from repro.osm.replication import (
 )
 from repro.obs import MetricsRegistry
 from repro.osm.xml_io import OsmChange
-from repro.testing import FaultPlan, FaultSpec, FaultyReplicationFeed, InjectedFault
+from tests.support import FaultPlan, FaultSpec, FaultyReplicationFeed, InjectedFault
 
 
 class FakeClock:

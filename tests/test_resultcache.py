@@ -16,7 +16,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.storage.disk import InMemoryDisk
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from repro.testing import CrashPoint
+from tests.support import CrashPoint
 from repro.types.temporal import Level, day_key, month_key
 from tests.test_tracing import _ListSink
 

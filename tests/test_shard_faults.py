@@ -11,7 +11,7 @@ simulation.
 Injection rides the PR 4 harness: ``shard.query`` is a first-class
 injection point, targeted as ``shard/<id>`` so ``page_prefix``
 selects a shard the way it selects a page family, and
-:func:`repro.testing.faults.shard_fault_hook` adapts a
+:func:`tests.support.faults.shard_fault_hook` adapts a
 :class:`FaultPlan` to the executor's ``fault_hook`` seam.
 """
 
@@ -37,7 +37,7 @@ from repro.core.shard import (
 )
 from repro.storage.disk import InMemoryDisk
 from repro.synth.scale import scaled_day_updates
-from repro.testing.faults import (
+from tests.support.faults import (
     CrashPoint,
     FaultPlan,
     FaultSpec,
@@ -312,7 +312,7 @@ def test_phase_names_mean_the_same_in_every_engine(schema, oracle):
 
 
 def test_injection_point_is_registered():
-    from repro.testing.faults import INJECTION_POINTS
+    from tests.support.faults import INJECTION_POINTS
 
     assert "shard.query" in INJECTION_POINTS
     # And the spec validator accepts it.

@@ -52,6 +52,7 @@ from repro.synth.scale import scaled_day_updates
 from repro.synth.simulator import SimulationConfig
 from repro.synth.workload import QueryWorkload
 from repro.system import RasedSystem, SystemConfig
+from tests.support.synth import single_cell
 
 COUNTRIES = (
     "united_states",
@@ -121,7 +122,7 @@ def _sweep(schema):
     queries = []
     queries += workload.dashboard_mix(span_days=30, count=20)
     queries += workload.dashboard_mix(span_days=120, count=20)
-    queries += workload.single_cell(span_days=45, count=20)
+    queries += single_cell(workload, span_days=45, count=20)
     queries += workload.daily_series(span_days=21, count=10)
     return queries
 

@@ -16,6 +16,7 @@ from repro.osm.snapshot import (
 )
 from repro.osm.xml_io import write_osm
 from repro.synth.simulator import EditSimulator, SimulationConfig
+from tests.support.synth import simulate_range
 
 T0 = datetime(2021, 3, 1, tzinfo=timezone.utc)
 T1 = datetime(2021, 3, 2, tzinfo=timezone.utc)
@@ -115,7 +116,7 @@ class TestEndToEnd:
                 seed=13, mapper_count=15, base_sessions_per_day=5, nodes_per_country=8
             ),
         )
-        for _ in sim.simulate_range(date(2021, 4, 1), date(2021, 4, 10)):
+        for _ in simulate_range(sim, date(2021, 4, 1), date(2021, 4, 10)):
             pass
         path = tmp_path / "history.osm"
         sim.write_history_dump(path)

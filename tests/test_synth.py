@@ -19,6 +19,7 @@ from repro.synth.world import (
     build_initial_world,
     choose_road_type,
 )
+from tests.support.synth import simulate_range, single_cell
 
 
 def small_config(**overrides):
@@ -209,13 +210,13 @@ class TestSimulator:
         b = EditSimulator(atlas=atlas, config=small_config())
         day_a = a.simulate_day(date(2021, 1, 1))
         day_b = b.simulate_day(date(2021, 1, 1))
-        assert day_a.update_count == day_b.update_count
+        assert len(day_a.change) == len(day_b.change)
         assert [r.to_tsv() for r in day_a.truth] == [r.to_tsv() for r in day_b.truth]
 
     def test_truth_matches_change_size(self, atlas):
         sim = EditSimulator(atlas=atlas, config=small_config())
         output = sim.simulate_day(date(2021, 1, 1))
-        assert len(output.truth) == output.update_count
+        assert len(output.truth) == len(output.change)
 
     def test_changesets_cover_all_updates(self, atlas):
         sim = EditSimulator(atlas=atlas, config=small_config())
@@ -249,7 +250,7 @@ class TestSimulator:
 
     def test_history_dump_parses_and_classifies(self, atlas, tmp_path):
         sim = EditSimulator(atlas=atlas, config=small_config())
-        for output in sim.simulate_range(date(2021, 1, 1), date(2021, 1, 5)):
+        for output in simulate_range(sim, date(2021, 1, 1), date(2021, 1, 5)):
             pass
         path = tmp_path / "full.osm"
         count = sim.write_history_dump(path)
@@ -259,7 +260,7 @@ class TestSimulator:
     def test_simulate_range_rejects_inverted(self, atlas):
         sim = EditSimulator(atlas=atlas, config=small_config())
         with pytest.raises(SimulationError):
-            list(sim.simulate_range(date(2021, 1, 2), date(2021, 1, 1)))
+            list(simulate_range(sim, date(2021, 1, 2), date(2021, 1, 1)))
 
     def test_road_network_sizes_positive(self, atlas):
         sim = EditSimulator(atlas=atlas, config=small_config())
@@ -286,7 +287,7 @@ class TestQueryWorkload:
         )
 
     def test_single_cell_queries_have_one_value_per_axis(self, workload):
-        queries = workload.single_cell(span_days=30, count=20)
+        queries = single_cell(workload, span_days=30, count=20)
         assert len(queries) == 20
         for query in queries:
             assert len(query.element_types) == 1
@@ -295,7 +296,7 @@ class TestQueryWorkload:
             assert len(query.update_types) == 1
 
     def test_windows_respect_span_and_coverage(self, workload):
-        for query in workload.single_cell(span_days=90, count=30):
+        for query in single_cell(workload, span_days=90, count=30):
             assert (query.end - query.start).days + 1 == 90
             assert query.start >= date(2020, 1, 1)
             assert query.end <= date(2021, 12, 31)
@@ -307,7 +308,7 @@ class TestQueryWorkload:
             coverage_end=date(2021, 12, 31),
             seed=5,
         )
-        assert workload.single_cell(30, 10) == other.single_cell(30, 10)
+        assert single_cell(workload, 30, 10) == single_cell(other, 30, 10)
 
     def test_span_clamped_to_coverage(self, small_schema):
         workload = QueryWorkload(
@@ -315,7 +316,7 @@ class TestQueryWorkload:
             coverage_start=date(2021, 1, 1),
             coverage_end=date(2021, 1, 10),
         )
-        for query in workload.single_cell(span_days=400, count=5):
+        for query in single_cell(workload, span_days=400, count=5):
             assert query.start == date(2021, 1, 1)
             assert query.end == date(2021, 1, 10)
 
@@ -327,8 +328,8 @@ class TestQueryWorkload:
         assert ("country", "date") in group_bys
 
     def test_recency_bias_skews_recent(self, workload):
-        uniform = workload.single_cell(30, count=60, recent_bias=0.0)
-        recent = workload.single_cell(30, count=60, recent_bias=1.0)
+        uniform = single_cell(workload, 30, count=60, recent_bias=0.0)
+        recent = single_cell(workload, 30, count=60, recent_bias=1.0)
         mean_uniform = sum(q.start.toordinal() for q in uniform) / 60
         mean_recent = sum(q.start.toordinal() for q in recent) / 60
         assert mean_recent > mean_uniform

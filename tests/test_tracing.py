@@ -97,7 +97,7 @@ class TestSpans:
                 assert child.parent_id == root.span_id
         [trace] = sink.traces
         assert trace.status == "ok"
-        assert sorted(trace.span_names()) == ["child", "grandchild", "root"]
+        assert sorted([s.name for s in trace.spans]) == ["child", "grandchild", "root"]
         _assert_connected(trace)
         roots = [s for s in trace.spans if s.parent_id is None]
         assert len(roots) == 1 and roots[0].attributes == {"k": 1}
@@ -157,7 +157,7 @@ class TestSpans:
                 with span(f"s{n}"):
                     pass
         [trace] = sink.traces
-        assert "root" in trace.span_names()
+        assert "root" in [s.name for s in trace.spans]
         assert len(trace.spans) == 5  # 4 children + the always-kept root
         assert trace.dropped_spans == 6
 
@@ -345,7 +345,7 @@ class TestExecutorTracing:
         # always is: sampling starts at counter zero).
         for trace in fresh:
             _assert_connected(trace)
-            assert "phase2.aggregate" in trace.span_names()
+            assert "phase2.aggregate" in [s.name for s in trace.spans]
 
     def test_deadline_expired_trace_is_always_retained(self, ingested_system):
         system = ingested_system

@@ -355,7 +355,7 @@ class TestWarehouse:
         warehouse = Warehouse(disk)
         records = [make_record(i) for i in range(ROWS_PER_PAGE + 3)]
         warehouse.append(records)
-        assert list(warehouse.scan()) == records
+        assert [r for _, rows in warehouse.scan_pages() for r in rows] == records
 
     def test_fetch_many_batches_page_reads(self, disk):
         warehouse = Warehouse(disk)
@@ -400,7 +400,7 @@ class TestWarehouse:
         pointers = warehouse.append([make_record(0), record, make_record(2)])
         stored = warehouse.fetch(pointers[1])
         assert (stored.country, stored.road_type) == ("a" * 31, "a" * 31)
-        assert [r.changeset_id for r in warehouse.scan()] == [1000, 1000, 1000]
+        assert [r.changeset_id for _, rows in warehouse.scan_pages() for r in rows] == [1000, 1000, 1000]
         assert warehouse.append([make_record(0, country="ż" * 20)])[0] == RowPointer(0, 3)
         assert warehouse.fetch(RowPointer(0, 3)).country == "ż" * 16
 

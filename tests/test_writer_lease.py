@@ -25,7 +25,7 @@ from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.warehouse import Warehouse
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
-from repro.testing import CrashPoint, FaultPlan, FaultyPageStore
+from tests.support import CrashPoint, FaultPlan, FaultyPageStore
 from repro.types.temporal import month_key
 
 #: ``durable_ingest`` spelled out, as the benchmark harness spells it.

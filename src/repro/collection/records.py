@@ -93,25 +93,6 @@ class UpdateRecord:
             )
         )
 
-    @classmethod
-    def from_tsv(cls, line: str) -> "UpdateRecord":
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 8:
-            raise ParseError(f"UpdateList row has {len(parts)} fields, expected 8")
-        try:
-            return cls(
-                element_type=parts[0],
-                date=date_type.fromisoformat(parts[1]),
-                country=parts[2],
-                latitude=float(parts[3]),
-                longitude=float(parts[4]),
-                road_type=parts[5],
-                update_type=parts[6],
-                changeset_id=int(parts[7]),
-            )
-        except ValueError as exc:
-            raise ParseError(f"malformed UpdateList row {line!r}: {exc}") from None
-
 
 #: UpdateRecord's fields, in order: the UpdateList's columns.
 _FIELDS = tuple(f.name for f in fields(UpdateRecord))

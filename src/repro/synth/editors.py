@@ -168,7 +168,6 @@ def op_create_road(
             lon=lon,
         )
         world.apply(node)
-        network.graph.add_node(node_id)
         network.node_ids.append(node_id)
         node_ids.append(node_id)
         produced.append(("create", node))
@@ -184,8 +183,6 @@ def op_create_road(
         tags={"highway": choose_road_type(rng)},
     )
     world.apply(way)
-    for a, b in zip(node_ids, node_ids[1:]):
-        network.graph.add_edge(a, b, way=way_id)
     network.way_ids.append(way_id)
     produced.append(("create", way))
     return produced
@@ -343,8 +340,6 @@ def op_extend_way(
     )
     world.apply(node)
     network.node_ids.append(node_id)
-    network.graph.add_node(node_id)
-    network.graph.add_edge(way.refs[-1], node_id, way=way.id)
     new_way = way.next_version(
         timestamp,
         changeset,
@@ -372,10 +367,6 @@ def op_delete_way(
         timestamp, changeset, visible=False, uid=mapper.uid, user=mapper.user
     )
     world.apply(tombstone)
-    assert isinstance(way, OSMWay)
-    for a, b in zip(way.refs, way.refs[1:]):
-        if network.graph.has_edge(a, b) and network.graph[a][b].get("way") == way.id:
-            network.graph.remove_edge(a, b)
     return [("delete", tombstone)]
 
 

@@ -98,6 +98,8 @@ class EditSimulator:
         self.world = build_initial_world(
             self.atlas, self.rng, self.config.nodes_per_country
         )
+        #: Road segments per country before any day is simulated.
+        self.genesis_sizes = self.road_network_sizes()
         self.mappers = self._build_mappers()
         self._country_names = [z.name for z in self.atlas.countries]
         self._country_weights = [z.activity_weight for z in self.atlas.countries]

@@ -3,8 +3,8 @@
 This is the stand-in for the real planet: every country in the
 :class:`~repro.geo.zones.ZoneAtlas` gets a small road network — nodes
 (intersections) placed inside the country's bounds and ways (road
-segments) connecting them, built over a random geometric graph so the
-result looks like a street fabric rather than random noise.  The
+segments) joining each node to its nearest already-placed neighbours,
+so the result looks like a street fabric rather than random noise.  The
 :class:`WorldState` tracks the *current* version of every element plus
 the full version history, which is what lets the simulator emit both
 diff files (after-images only) and full-history dumps (all versions).
@@ -19,8 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-
-import networkx as nx
 
 from repro.errors import SimulationError
 from repro.geo.geometry import Point
@@ -62,16 +60,12 @@ def choose_road_type(rng: random.Random) -> str:
 
 @dataclass
 class CountryNetwork:
-    """The road network of one country.
-
-    ``graph`` is an undirected networkx graph over OSM node ids; each
-    edge carries the OSM way id that realizes it.  The graph exists for
-    the simulator's benefit (picking realistic modification sites);
-    the OSM elements are the ground truth.
+    """The road network of one country: the ids of the OSM elements
+    created in it.  The elements themselves, in :class:`WorldState`,
+    are the ground truth; a way's ``refs`` are its topology.
     """
 
     zone: Zone
-    graph: nx.Graph = field(default_factory=nx.Graph)
     node_ids: list[int] = field(default_factory=list)
     way_ids: list[int] = field(default_factory=list)
     relation_ids: list[int] = field(default_factory=list)
@@ -189,7 +183,6 @@ def build_initial_world(
                 lon=point.lon,
             )
             world.apply(node)
-            network.graph.add_node(node_id)
             network.node_ids.append(node_id)
             points.append((node_id, point))
         _connect_nearest(world, network, points, rng, changeset_id)
@@ -215,8 +208,6 @@ def _connect_nearest(
             + (entry[1].lat - point.lat) ** 2,
         )
         for other_id, _ in candidates[:2]:
-            if network.graph.has_edge(node_id, other_id):
-                continue
             way_id = world.allocate_id("way")
             way = OSMWay(
                 id=way_id,
@@ -229,7 +220,6 @@ def _connect_nearest(
                 tags={"highway": choose_road_type(rng)},
             )
             world.apply(way)
-            network.graph.add_edge(node_id, other_id, way=way_id)
             network.way_ids.append(way_id)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
 from pathlib import Path
 import tempfile
+import threading
 from typing import Any
 
 from repro.core.cache import CacheManager
@@ -157,7 +158,10 @@ class SystemConfig:
 
 
 class RasedSystem:
-    """A fully wired RASED deployment plus its synthetic data source."""
+    """A fully wired RASED deployment plus its synthetic data source,
+    :attr:`simulator`: built by publishing or by the first percentage
+    query (the denominators are its genesis world's road sizes), so a
+    process that only ingests or counts holds no simulated planet."""
 
     def __init__(
         self,
@@ -193,7 +197,8 @@ class RasedSystem:
         #: records into it, ``/health`` and ``/debug/slo`` read it.
         self.slo = SLOTracker(config.slo, metrics=self.metrics)
 
-        self.simulator = EditSimulator(atlas=atlas, config=config.simulation)
+        self._simulator_lock = threading.Lock()
+        self._simulator: EditSimulator | None = None  # guarded-by: _simulator_lock
         self.day_feed = ReplicationFeed(feed_root / "replication", "day")
         self.hour_feed = ReplicationFeed(feed_root / "replication", "hour")
         self.changeset_store = ChangesetStore(feed_root / "changesets")
@@ -264,7 +269,7 @@ class RasedSystem:
             self.index, slots=config.cache_slots, metrics=self.metrics
         )
         self.network_sizes = NetworkSizeRegistry(
-            atlas, self.simulator.road_network_sizes()
+            atlas, lambda: self.simulator.genesis_sizes
         )
         self.result_cache = (
             ResultCache(config.result_cache_slots, self.epoch, metrics=self.metrics)
@@ -348,6 +353,14 @@ class RasedSystem:
         feed_root = Path(root) if root is not None else Path(tempfile.mkdtemp(prefix="rased-"))
         feed_root.mkdir(parents=True, exist_ok=True)
         return cls(atlas, schema, store, feed_root, config)
+
+    @property
+    def simulator(self) -> EditSimulator:
+        """The edit simulator, built (once, under a lock) on first use."""
+        with self._simulator_lock:
+            if self._simulator is None:
+                self._simulator = EditSimulator(atlas=self.atlas, config=self.config.simulation)
+            return self._simulator
 
     # -- data flow ---------------------------------------------------------------
 

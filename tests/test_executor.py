@@ -338,7 +338,7 @@ class TestNetworkSizeRegistry:
     def test_update_country_rederives_rollups(self, atlas):
         from repro.core.percentages import NetworkSizeRegistry
 
-        registry = NetworkSizeRegistry(atlas, {"germany": 100})
+        registry = NetworkSizeRegistry(atlas, lambda: {"germany": 100})
         before = registry.size("europe")
         registry.update_country("germany", 300)
         assert registry.size("europe") == before + 200
@@ -346,11 +346,11 @@ class TestNetworkSizeRegistry:
     def test_tsv_roundtrip(self, atlas):
         from repro.core.percentages import NetworkSizeRegistry
 
-        registry = NetworkSizeRegistry(atlas, {"germany": 123, "qatar": 7})
+        registry = NetworkSizeRegistry(atlas, lambda: {"germany": 123, "qatar": 7})
         # A registry rebuilt from the country sizes alone re-derives
         # every rollup the same way.
         restored = NetworkSizeRegistry(
-            atlas, {zone.name: registry.size(zone.name) for zone in atlas.countries}
+            atlas, lambda: {zone.name: registry.size(zone.name) for zone in atlas.countries}
         )
         assert restored.size("germany") == 123
         assert restored.size("europe") == registry.size("europe")

@@ -61,6 +61,7 @@ def system():
     write_result_json(
         "bench_examples_queries", _RESULTS, registry=deployment.metrics
     )
+    deployment.close()
 
 
 def _record(figure: str, result) -> None:

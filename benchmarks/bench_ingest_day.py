@@ -16,6 +16,14 @@ summed over the run and divided by the days:
 * **rest** — everything else ``run_daily`` does (WAL begin/commit,
   cursor, cache refresh, metrics).
 
+It then ingests the feed once more, untimed, to print the write ledger:
+the bytes the store charged per update indexed, filed by page family — the warehouse heap,
+the index bucket base pages, the index segments, the undo journal by
+the family of the page each record undoes, the cube pages, and other
+(WAL intent and checkpoint, the crawl cursor).  The families sum to the
+store's ``bytes_written``, which ``store_bytes_per_update`` in
+``benchmarks/e2e`` divides by the same count.
+
 ``--monthly`` times the monthly path instead: a deployment that has
 ingested ``--months`` months (default 6; seed 17, 8 road types, the
 default simulation) writes its full-history dump, then the CPU of
@@ -35,6 +43,7 @@ import os
 import statistics
 import tempfile
 import time
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Any, Callable
@@ -80,10 +89,40 @@ def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Ca
     return wrapper
 
 
-def measure(feed_root: Path) -> dict[str, float]:
-    """One ingest of the whole feed on a fresh deployment: ms of CPU per
-    day for each part, plus the day count and rows indexed."""
-    system = RasedSystem.create(
+#: The write ledger's page families, in print order.
+FAMILIES = ("heap", "bucket_base", "segment", "cubes", "other")
+
+
+def page_family(page_id: str) -> str:
+    """The family of the page ``page_id`` (an undo page's is its own)."""
+    if page_id.startswith("warehouse/heap/"):
+        return "heap"
+    if page_id.startswith(("warehouse/hash/", "warehouse/grid/")):
+        return "segment" if "/seg/" in page_id else "bucket_base"
+    return "cubes" if page_id.startswith("cubes/") else "other"
+
+
+class LedgerDisk(InMemoryDisk):
+    """An in-memory disk that files every byte it charges for a write
+    under a family; undo pages under ``undo:`` plus the family of the
+    page their header names."""
+
+    def __init__(self) -> None:
+        super().__init__(read_latency=0.0, write_latency=0.0)
+        self.ledger: Counter[str] = Counter()
+
+    def _charge_write(self, nbytes: int, page_id: str = "") -> None:
+        super()._charge_write(nbytes, page_id)
+        family = page_family(page_id)
+        if page_id.startswith("wal/undo/"):
+            undone = json.loads(self._pages[page_id].partition(b"\n")[0])["page_id"]
+            family = "undo:" + page_family(undone)
+        self.ledger[family] += nbytes
+
+
+def deployment(feed_root: Path, store: InMemoryDisk) -> RasedSystem:
+    """A fresh deployment over ``store`` that reads the feed at ``feed_root``."""
+    return RasedSystem.create(
         root=feed_root,
         config=SystemConfig(
             road_types=ROAD_TYPES,
@@ -91,8 +130,27 @@ def measure(feed_root: Path) -> dict[str, float]:
             result_cache_slots=256,
             durable_ingest=True,
         ),
-        store=InMemoryDisk(read_latency=0.0, write_latency=0.0),
+        store=store,
     )
+
+
+def write_ledger(feed_root: Path) -> dict[str, float]:
+    """One ingest of the whole feed: bytes written per update by family,
+    undo after the pages, then the total (the families must sum to it)."""
+    disk = LedgerDisk()
+    updates = max(deployment(feed_root, disk).pipeline.run_daily().updates_indexed, 1)
+    order = list(FAMILIES) + [f"undo:{family}" for family in FAMILIES]
+    assert set(disk.ledger) <= set(order), disk.ledger
+    assert sum(disk.ledger.values()) == disk.stats.bytes_written
+    rows = {family: disk.ledger[family] / updates for family in order}
+    rows["total"] = disk.stats.bytes_written / updates
+    return rows
+
+
+def measure(feed_root: Path) -> dict[str, float]:
+    """One ingest of the whole feed on a fresh deployment: ms of CPU per
+    day for each part, plus the day count and rows indexed."""
+    system = deployment(feed_root, InMemoryDisk(read_latency=0.0, write_latency=0.0))
     spent = dict.fromkeys([part for _, _, part in PARTS], 0.0)
     originals = [(owner, name, vars(owner)[name]) for owner, name, _ in PARTS]
     for owner, name, part in PARTS:
@@ -179,12 +237,16 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as feed_dir:
         publish_feed(Path(feed_dir), days)
         results = [measure(Path(feed_dir)) for _ in range(runs)]
+        ledger = write_ledger(Path(feed_dir))
     columns = [part for _, _, part in PARTS] + ["rest", "total"]
     print(f"writer-alone CPU ms/day over {days} days, {runs} run(s)")
     print("run  " + "  ".join(f"{name:>10}" for name in columns) + "        rows")
     for number, result in enumerate(results, 1):
         cells = "  ".join(f"{result[name]:10.2f}" for name in columns)
         print(f"{number:>3}  {cells}  {int(result['rows']):>10}")
+    print(f"write ledger, bytes per update over {int(results[-1]['rows'])} updates")
+    for family, value in ledger.items():
+        print(f"  {family:<18} {value:9.3f}")
     summary = {
         "bench": "ingest_day",
         "days": days,
@@ -193,6 +255,7 @@ def main() -> None:
         "median_ms_per_day": {
             name: round(statistics.median(r[name] for r in results), 3) for name in columns
         },
+        "bytes_per_update": {family: round(value, 3) for family, value in ledger.items()},
     }
     print(json.dumps(summary, sort_keys=True))
 

@@ -154,6 +154,7 @@ def run_ab(samples: int) -> dict:
             )
     finally:
         system.tracer.enabled = True
+        system.close()
     traced_total = sum(q["traced_median_s"] for q in per_query)
     untraced_total = sum(q["untraced_median_s"] for q in per_query)
     return {

@@ -8,6 +8,7 @@ one simulation, not several.
 
 from __future__ import annotations
 
+import atexit
 from datetime import date
 
 from repro import RasedSystem, SystemConfig
@@ -39,6 +40,7 @@ def example_system() -> RasedSystem:
             ),
         ),
     )
+    atexit.register(system.close)  # removes its temporary feed directory
     report = system.simulate_and_ingest(SPAN_START, SPAN_END, monthly_rebuild=True)
     system.warm_cache()
     print(

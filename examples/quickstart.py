@@ -13,6 +13,7 @@ This drives the complete pipeline from the paper's Fig. 1:
 Run:  python examples/quickstart.py
 """
 
+from contextlib import closing
 from datetime import date
 
 from repro import AnalysisQuery, RasedSystem, SystemConfig
@@ -21,63 +22,64 @@ from repro.synth.simulator import SimulationConfig
 
 def main() -> None:
     print("Building a RASED deployment (synthetic world, in-memory pages)...")
-    system = RasedSystem.create(
-        config=SystemConfig(
-            road_types=12,
-            cache_slots=32,
-            simulation=SimulationConfig(
-                seed=42, mapper_count=40, base_sessions_per_day=10, nodes_per_country=8
-            ),
+    with closing(
+        RasedSystem.create(
+            config=SystemConfig(
+                road_types=12,
+                cache_slots=32,
+                simulation=SimulationConfig(
+                    seed=42, mapper_count=40, base_sessions_per_day=10, nodes_per_country=8
+                ),
+            )
         )
-    )
-
-    start, end = date(2021, 1, 1), date(2021, 2, 28)
-    print(f"Simulating and ingesting {start} .. {end} ...")
-    report = system.simulate_and_ingest(start, end)
-    print(
-        f"  {report.days_processed} days, {report.updates_indexed:,} updates, "
-        f"{len(report.cubes_written)} cubes written, "
-        f"{report.warehouse_rows:,} warehouse rows"
-    )
-    system.warm_cache()
-
-    # --- analysis query: who edited the most? ---------------------------
-    query = AnalysisQuery(
-        start=start,
-        end=end,
-        group_by=("country", "element_type"),
-        update_types=("create", "geometry"),
-    )
-    print()
-    print("Query (the paper's SQL form):")
-    print(system.dashboard.sql_of(query))
-    result = system.dashboard.analysis(query)
-    print()
-    print(f"Answered from {result.stats.cube_count} cubes "
-          f"({result.stats.cache_hits} cached, {result.stats.disk_reads} disk) "
-          f"in {result.stats.simulated_ms:.2f} ms (modeled)")
-    print()
-    print("Top rows:")
-    for key, value in result.sorted_rows()[:8]:
-        print(f"  {key[0]:<16} {key[1]:<9} {value:>8,}")
-
-    # --- sample-update query --------------------------------------------
-    print()
-    samples = system.dashboard.sample_updates("germany", n=5)
-    print(f"Sample updates in germany ({len(samples)} shown):")
-    for record in samples:
+    ) as system:
+        start, end = date(2021, 1, 1), date(2021, 2, 28)
+        print(f"Simulating and ingesting {start} .. {end} ...")
+        report = system.simulate_and_ingest(start, end)
         print(
-            f"  {record.date} {record.element_type:<8} {record.road_type:<12} "
-            f"{record.update_type:<9} @({record.latitude:.3f},{record.longitude:.3f}) "
-            f"changeset={record.changeset_id}"
+            f"  {report.days_processed} days, {report.updates_indexed:,} updates, "
+            f"{len(report.cubes_written)} cubes written, "
+            f"{report.warehouse_rows:,} warehouse rows"
         )
+        system.warm_cache()
 
-    # --- drill into one changeset (the third-party hook) -----------------
-    if samples:
-        changeset_id = samples[0].changeset_id
-        rows = system.dashboard.changeset_updates(changeset_id)
+        # --- analysis query: who edited the most? ---------------------------
+        query = AnalysisQuery(
+            start=start,
+            end=end,
+            group_by=("country", "element_type"),
+            update_types=("create", "geometry"),
+        )
         print()
-        print(f"Changeset {changeset_id} touched {len(rows)} elements.")
+        print("Query (the paper's SQL form):")
+        print(system.dashboard.sql_of(query))
+        result = system.dashboard.analysis(query)
+        print()
+        print(f"Answered from {result.stats.cube_count} cubes "
+              f"({result.stats.cache_hits} cached, {result.stats.disk_reads} disk) "
+              f"in {result.stats.simulated_ms:.2f} ms (modeled)")
+        print()
+        print("Top rows:")
+        for key, value in result.sorted_rows()[:8]:
+            print(f"  {key[0]:<16} {key[1]:<9} {value:>8,}")
+
+        # --- sample-update query --------------------------------------------
+        print()
+        samples = system.dashboard.sample_updates("germany", n=5)
+        print(f"Sample updates in germany ({len(samples)} shown):")
+        for record in samples:
+            print(
+                f"  {record.date} {record.element_type:<8} {record.road_type:<12} "
+                f"{record.update_type:<9} @({record.latitude:.3f},{record.longitude:.3f}) "
+                f"changeset={record.changeset_id}"
+            )
+
+        # --- drill into one changeset (the third-party hook) -----------------
+        if samples:
+            changeset_id = samples[0].changeset_id
+            rows = system.dashboard.changeset_updates(changeset_id)
+            print()
+            print(f"Changeset {changeset_id} touched {len(rows)} elements.")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ Quick start::
         )
     )
     print(result.sorted_rows()[:10])
+    system.close()  # removes the temporary feed directory
 
 See ``DESIGN.md`` for the module inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record of every reproduced table and figure.

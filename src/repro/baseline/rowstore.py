@@ -36,7 +36,7 @@ from repro.core.percentages import NetworkSizeRegistry
 from repro.errors import ConfigError, QueryError
 from repro.geo.zones import ZoneAtlas
 from repro.collection.records import UpdateRecord
-from repro.storage.pages import PageStore
+from repro.storage.pages import PageStore, PageStoreProxy
 from repro.storage.warehouse import Warehouse
 
 __all__ = ["BufferPool", "RowStoreDatabase"]
@@ -74,30 +74,15 @@ class BufferPool:
         self.misses = 0
 
 
-class _PooledStore(PageStore):
-    """Adapter presenting a BufferPool as the warehouse's page store."""
+class _PooledStore(PageStoreProxy):
+    """The pool's store, its reads going through the BufferPool."""
 
     def __init__(self, pool: BufferPool) -> None:
-        super().__init__()
+        super().__init__(pool.store)
         self._pool = pool
 
     def read(self, page_id: str) -> bytes:
         return self._pool.read(page_id)
-
-    def write(self, page_id: str, data: bytes) -> None:
-        self._pool.store.write(page_id, data)
-
-    def delete(self, page_id: str) -> None:
-        self._pool.store.delete(page_id)
-
-    def __contains__(self, page_id: str) -> bool:
-        return page_id in self._pool.store
-
-    def list_pages(self, prefix: str = ""):
-        return self._pool.store.list_pages(prefix)
-
-    def reset_stats(self) -> None:  # delegate to the real store
-        self._pool.store.reset_stats()
 
 
 class RowStoreDatabase:

@@ -247,15 +247,7 @@ class ShardedPageStore(PageStore):
 
     @property
     def stats(self) -> DiskStats:  # type: ignore[override]
-        total = DiskStats()
-        for store in self._all_stores():
-            s = store.stats
-            total.reads += s.reads
-            total.writes += s.writes
-            total.bytes_read += s.bytes_read
-            total.bytes_written += s.bytes_written
-            total.simulated_seconds += s.simulated_seconds
-        return total
+        return DiskStats.total(store.stats for store in self._all_stores())
 
     @stats.setter
     def stats(self, value: DiskStats) -> None:
@@ -284,6 +276,9 @@ class ShardedPageStore(PageStore):
 
     def write(self, page_id: str, data: bytes) -> None:
         self._store_for(page_id).write(page_id, data)
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        self._store_for(page_id).append(page_id, data, at)
 
     def delete(self, page_id: str) -> None:
         self._store_for(page_id).delete(page_id)

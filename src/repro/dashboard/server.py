@@ -70,7 +70,7 @@ from repro.core.query import AnalysisQuery, QueryResult, QueryStats
 from repro.dashboard.admission import AdmissionController
 from repro.dashboard.api import DEFAULT_SAMPLE_SIZE, Dashboard
 from repro.dashboard.procpool import ProcessPoolDispatcher
-from repro.errors import DeadlineExceededError, QueryError, RasedError
+from repro.errors import DeadlineExceededError, QueryError, RasedError, StorageError
 from repro.obs import EventLog, FlightRecorder, SLOTracker, metric_key
 from repro.obs.metrics import MetricKey
 from repro.obs.span import Tracer, current_trace_id, record_span
@@ -293,6 +293,8 @@ def _error_response(exc: Exception) -> tuple[int, dict[str, object]]:
     """The one failure -> ``(status, document)`` mapping of every route."""
     if isinstance(exc, DeadlineExceededError):
         return 504, {"error": str(exc)}
+    if isinstance(exc, StorageError):  # the store failed, not the request
+        return 503, {"error": str(exc)}
     if isinstance(exc, (RasedError, ValueError)):
         # json.JSONDecodeError is a ValueError subclass.
         return 400, {"error": str(exc)}

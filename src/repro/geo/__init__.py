@@ -1,6 +1,1 @@
 """Geometry primitives and the synthetic zone atlas."""
-
-from repro.geo.geometry import BBox, Point, Polygon, haversine_km
-from repro.geo.zones import Zone, ZoneAtlas, build_world
-
-__all__ = ["BBox", "Point", "Polygon", "Zone", "ZoneAtlas", "build_world", "haversine_km"]

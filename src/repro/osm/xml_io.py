@@ -46,10 +46,8 @@ __all__ = [
     "OsmChange",
     "write_osm",
     "iter_osm",
-    "read_osm",
     "write_osc",
     "read_osc",
-    "iter_osc",
     "format_timestamp",
     "parse_timestamp",
     "GENERATOR",
@@ -280,10 +278,6 @@ def iter_osm(source: str | Path | IO[bytes]) -> Iterator[OSMElement]:
     return (_construct(kind, fields) for batch in batches for _, kind, fields in batch)
 
 
-def read_osm(source: str | Path | IO[bytes]) -> list[OSMElement]:
-    return list(iter_osm(source))
-
-
 # -- .osc diffs ----------------------------------------------------------
 
 
@@ -365,13 +359,6 @@ def write_osc(
         for element in elements:
             block.append(element_to_xml(element))
     ET.ElementTree(root).write(target, encoding="utf-8", xml_declaration=True)
-
-
-def iter_osc(source: str | Path | IO[bytes]) -> Iterator[tuple[str, OSMElement]]:
-    """Stream (action, element) pairs from an osmChange document."""
-    for batch in _stream(source, in_change=True):
-        for action, kind, fields in batch:
-            yield action, _construct(kind, fields)
 
 
 def read_osc(source: str | Path | IO[bytes]) -> OsmChange:

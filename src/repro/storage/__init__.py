@@ -1,14 +1,4 @@
-"""Storage substrate: page stores, simulated disks, warehouse, indexes."""
+"""Storage substrate: page stores, simulated disks, WAL, warehouse, indexes.
 
-from repro.storage.disk import DirectoryDisk, InMemoryDisk
-from repro.storage.hash_index import HashIndex
-from repro.storage.pages import DiskStats, PageStore
-from repro.storage.serializer import deserialize_cube, serialize_cube
-from repro.storage.spatial_index import GridSpatialIndex
-from repro.storage.warehouse import RowPointer, Warehouse
-
-__all__ = [
-    "DirectoryDisk", "DiskStats", "GridSpatialIndex", "HashIndex",
-    "InMemoryDisk", "PageStore", "RowPointer", "Warehouse",
-    "deserialize_cube", "serialize_cube",
-]
+Nothing is imported here: each user imports the module it needs.
+"""

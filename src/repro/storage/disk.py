@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import ConfigError, PageNotFoundError
+from repro.errors import ConfigError, PageNotFoundError, StorageError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import current_span, record_span
 from repro.storage.pages import PageStore
@@ -50,6 +50,11 @@ _K_READ_BYTES = metric_key("rased_disk_read_bytes_total")
 _K_WRITES = metric_key("rased_disk_writes_total")
 _K_WRITE_BYTES = metric_key("rased_disk_write_bytes_total")
 _K_SIM_SECONDS = metric_key("rased_disk_simulated_seconds_total")
+
+
+def _check_append(page_id: str, length: int, at: int) -> None:
+    if at != length:
+        raise StorageError(f"append at byte {at} to {page_id!r}, which holds {length}")
 
 
 class _LatencyMixin(PageStore):
@@ -177,6 +182,12 @@ class InMemoryDisk(_LatencyMixin):
         self._pages[page_id] = bytes(data)
         self._charge_write(len(data), page_id)
 
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        page = self._pages.get(page_id, b"")
+        _check_append(page_id, len(page), at)
+        self._pages[page_id] = page + data
+        self._charge_write(len(data), page_id)
+
     def delete(self, page_id: str) -> None:
         try:
             del self._pages[page_id]
@@ -244,6 +255,15 @@ class DirectoryDisk(_LatencyMixin):
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, path)
+        self._charge_write(len(data), page_id)
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        # Unlike write(), not atomic: recovery cuts a partial append off.
+        path = self._path(page_id)
+        _check_append(page_id, path.stat().st_size if path.exists() else 0, at)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "ab") as handle:
+            handle.write(data)
         self._charge_write(len(data), page_id)
 
     def delete(self, page_id: str) -> None:

@@ -3,8 +3,8 @@
 RASED stores each data cube in "one disk page" (~4 MB at full scale)
 and its query cost is dominated by how many such pages a query reads
 (paper, Sections VI-VII).  We therefore model storage as a keyed page
-store: pages are addressed by string ids (e.g. ``cube/D2021-03-05``)
-and read/written whole.
+store: pages are addressed by string ids (e.g. ``cube/D2021-03-05``),
+read whole, and written whole or grown by an append at their end.
 
 Two concrete stores live in :mod:`repro.storage.disk`; both layer I/O
 accounting and a latency model on top of this interface.  Because every
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import astuple, dataclass, replace
+from typing import Iterable, Iterator
 
 __all__ = ["PageStore", "PageStoreProxy", "DiskStats", "modeled_read_seconds"]
 
@@ -52,23 +52,16 @@ class DiskStats:
     simulated_seconds: float = 0.0
 
     def snapshot(self) -> "DiskStats":
-        return DiskStats(
-            reads=self.reads,
-            writes=self.writes,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            simulated_seconds=self.simulated_seconds,
-        )
+        return replace(self)
 
     def delta(self, earlier: "DiskStats") -> "DiskStats":
         """The I/O performed since an earlier :meth:`snapshot`."""
-        return DiskStats(
-            reads=self.reads - earlier.reads,
-            writes=self.writes - earlier.writes,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            simulated_seconds=self.simulated_seconds - earlier.simulated_seconds,
-        )
+        return DiskStats(*(now - then for now, then in zip(astuple(self), astuple(earlier))))
+
+    @staticmethod
+    def total(each: Iterable["DiskStats"]) -> "DiskStats":
+        """The I/O of several stores together."""
+        return DiskStats(*map(sum, zip(*map(astuple, each))))
 
     @property
     def total_ios(self) -> int:
@@ -94,6 +87,11 @@ class PageStore(abc.ABC):
     @abc.abstractmethod
     def write(self, page_id: str, data: bytes) -> None:
         """Write (or overwrite) a page."""
+
+    @abc.abstractmethod
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        """Write ``data`` at byte ``at``, which must be the page's current
+        length (0 creates an absent page); raise StorageError otherwise."""
 
     @abc.abstractmethod
     def delete(self, page_id: str) -> None:
@@ -171,6 +169,9 @@ class PageStoreProxy(PageStore):
 
     def write(self, page_id: str, data: bytes) -> None:
         self.inner.write(page_id, data)
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        self.inner.append(page_id, data, at)
 
     def delete(self, page_id: str) -> None:
         self.inner.delete(page_id)

@@ -116,9 +116,9 @@ class SegmentedBuckets:
         return 1
 
     def fold(self) -> int:
-        """Move every segment into the base pages, in the order *write every
-        bucket, swap in the empty tuple, delete the segment pages*: an entry
-        is always in at least one place.  Returns buckets written."""
+        """Move every segment into the base pages, in the order *append to
+        every bucket, swap in the empty tuple, delete the segment pages*: an
+        entry is always in at least one place.  Returns buckets appended to."""
         segments = self.segments
         pages = [self.store.read(page_id) for page_id, _ in segments]
         buckets = sorted({bucket for _, directory in segments for bucket in directory})
@@ -128,7 +128,7 @@ class SegmentedBuckets:
                 for (page_id, directory), data in zip(segments, pages)
                 if bucket in directory
             ]
-            self.store.write(self._base_id(bucket), self._base(bucket) + b"".join(slices))
+            self.store.append(self._base_id(bucket), b"".join(slices), len(self._base(bucket)))
         self.segments = ()
         for page_id, _ in segments:
             self.store.delete(page_id)
@@ -151,13 +151,13 @@ class SegmentedBuckets:
         return f"{self.prefix}/{self._bucket_name(bucket)}"
 
     def _base(self, bucket: int) -> bytes:
+        """The base page's whole entries: a partial last one is a fold's
+        append in flight, or a torn one that recovery truncates."""
         try:
             data = self.store.read(self._base_id(bucket))
         except PageNotFoundError:
             return b""
-        if len(data) % self._entry.size:
-            raise StorageError(f"torn bucket page {self._base_id(bucket)!r}")
-        return data
+        return data[: len(data) - len(data) % self._entry.size]
 
     def entries(self, bucket: int) -> Iterator[tuple[Any, ...]]:
         """The bucket's entries, unpacked, in insertion order: base page,

@@ -16,7 +16,9 @@ The protocol is classic physical undo logging over the page store:
    which captures each touched page's **pre-image** to an undo page
    (``wal/undo/<batch>/<n>``) *before* the first overwrite — classic
    write-ahead ordering, so a torn undo page always implies an
-   untouched data page.
+   untouched data page.  A page the batch only appends to is journaled
+   by a **truncate record** instead: its length before the append, no
+   bytes.
 3. :meth:`IngestWAL.commit` deletes the intent page — the atomic
    commit point — then garbage-collects the undo pages and records a
    **checkpoint** page (``wal/checkpoint``) naming the last durable
@@ -24,9 +26,10 @@ The protocol is classic physical undo logging over the page store:
 
 :meth:`IngestWAL.recover` inverts an incomplete batch: if an intent
 page exists, every parseable undo page of *that batch* is restored
-(newest first) and the intent is cleared; stray undo pages from any
-other batch are committed leftovers and are simply collected.  After
-recovery the store is byte-identical to the pre-batch state, so
+(newest first: a pre-image is written back, an appended page cut back
+to its recorded length) and the intent is cleared; stray undo pages
+from any other batch are committed leftovers and are simply collected.
+After recovery the store is byte-identical to the pre-batch state, so
 re-running the crawler (whose cursor was part of the batch and was
 therefore rolled back too) re-ingests the batch exactly once.
 
@@ -76,7 +79,7 @@ class WalRecovery:
     rolled_back: bool = False
     #: Batch metadata from the intent page (``None`` if unparseable).
     batch_meta: dict | None = None
-    #: Pages restored to their pre-image (or deleted, if absent before).
+    #: Pages restored to their pre-image or length (or deleted, if absent).
     pages_restored: int = 0
     #: Undo pages skipped because their checksum failed (torn undo
     #: write — the matching data write never happened).
@@ -88,13 +91,14 @@ class WalRecovery:
 
 
 class JournaledStore(PageStoreProxy):
-    """A page-store view that captures pre-images during a batch.
+    """A page-store view that journals how to undo a batch.
 
     Outside a batch every operation is a pure pass-through.  Inside a
     batch (between :meth:`IngestWAL.begin` and :meth:`IngestWAL.commit`)
-    the first write or delete of each page first journals the page's
-    prior contents (or its absence) so the batch can be undone.  WAL
-    pages themselves are never journaled.
+    the first change of each page is journaled before it lands: the
+    page's prior contents (or its absence) before a write or delete,
+    its length before an append.  WAL pages themselves are never
+    journaled.
     """
 
     def __init__(self, wal: "IngestWAL") -> None:
@@ -104,6 +108,10 @@ class JournaledStore(PageStoreProxy):
     def write(self, page_id: str, data: bytes) -> None:
         self._wal.journal(page_id)
         self.inner.write(page_id, data)
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        self._wal.journal(page_id, at)
+        self.inner.append(page_id, data, at)
 
     def delete(self, page_id: str) -> None:
         self._wal.journal(page_id)
@@ -138,7 +146,9 @@ class IngestWAL:
         self.store = JournaledStore(self)
         self._active_batch: int | None = None
         self._undo_count = 0
-        self._journaled: set[str] = set()
+        #: Page -> ``None`` once its pre-image is journaled, or the length
+        #: its truncate record holds.
+        self._journaled: dict[str, int | None] = {}
         self._next_batch = self._discover_next_batch()
 
     # -- page ids ------------------------------------------------------------
@@ -185,36 +195,39 @@ class IngestWAL:
             self.raw.write(self.intent_page, payload)
         self._active_batch = batch
         self._undo_count = 0
-        self._journaled = set()
+        self._journaled = {}
         return batch
 
-    def journal(self, page_id: str) -> None:
-        """Capture ``page_id``'s pre-image (first touch per batch only)."""
-        if self._active_batch is None:
+    def journal(self, page_id: str, at: int | None = None) -> None:
+        """Journal how to undo the batch's first change of ``page_id``: its
+        pre-image (or absence) before a write or delete, or before an append
+        at byte ``at`` of an existing page a truncate record.  A page then
+        written or deleted gets its first ``at`` bytes journaled too."""
+        if self._active_batch is None or page_id.startswith(self.prefix + "/"):
             return
-        if page_id.startswith(self.prefix + "/") or page_id in self._journaled:
-            return
-        self._journaled.add(page_id)
-        try:
-            before: bytes | None = self.raw.read(page_id)
-        except PageNotFoundError:
-            before = None
-        payload = before if before is not None else b""
-        header = json.dumps(
-            {
-                "page_id": page_id,
-                "existed": before is not None,
-                "size": len(payload),
-                "crc": zlib.crc32(payload),
-            }
-        ).encode("utf-8")
+        length = self._journaled.get(page_id)
+        if page_id in self._journaled and (length is None or at is not None):
+            return  # already undoable
+        header: dict[str, object] = {"page_id": page_id}
+        payload = b""
+        if at is not None and page_id in self.raw:
+            header["truncate"] = at
+            self._journaled[page_id] = at
+        else:
+            try:
+                before: bytes | None = self.raw.read(page_id)[:length]
+            except PageNotFoundError:
+                before = None
+            payload = before or b""
+            header.update(existed=before is not None, size=len(payload), crc=zlib.crc32(payload))
+            self._journaled[page_id] = None
         undo_id = self._undo_page(self._active_batch, self._undo_count)
         self._undo_count += 1
         with causal_span("storage.wal.journal") as wal_span:
             if wal_span is not None:
                 wal_span.attributes["page"] = page_id
                 wal_span.attributes["bytes"] = len(payload)
-            self.raw.write(undo_id, header + _HEADER_SEP + payload)
+            self.raw.write(undo_id, json.dumps(header).encode("utf-8") + _HEADER_SEP + payload)
 
     def commit(self, meta: dict | None = None) -> None:
         """Make the batch durable.  Deleting the intent page is the
@@ -228,7 +241,7 @@ class IngestWAL:
                 wal_span.attributes["undo_pages"] = self._undo_count
             self.raw.delete(self.intent_page)
             self._active_batch = None
-            self._journaled = set()
+            self._journaled = {}
             # Numbered by journal(): no listing of the store to find them.
             self._collect_undo(
                 self._undo_page(batch, n) for n in range(self._undo_count)
@@ -276,7 +289,7 @@ class IngestWAL:
         report = WalRecovery()
         expected = self._next_batch
         self._active_batch = None
-        self._journaled = set()
+        self._journaled = {}
         intent_batch: int | None = None
         intent_present = self.intent_page in self.raw
         if intent_present:
@@ -316,22 +329,32 @@ class IngestWAL:
             if entry is None:
                 skipped += 1
                 continue
-            page_id, existed, payload = entry
-            if existed:
-                self.raw.write(page_id, payload)
+            page_id, before = entry
+            if isinstance(before, int):
+                # Only appends followed the record: the page is its old
+                # bytes plus some or all of what was appended.
+                data = self.raw.read(page_id)
+                if len(data) != before:
+                    self.raw.write(page_id, data[:before])
+            elif before is not None:
+                self.raw.write(page_id, before)
             elif page_id in self.raw:
                 self.raw.delete(page_id)
             restored += 1
         return restored, skipped
 
     @staticmethod
-    def _parse_undo(data: bytes) -> tuple[str, bool, bytes] | None:
+    def _parse_undo(data: bytes) -> tuple[str, bytes | int | None] | None:
+        """``(page id, pre-image, length to truncate to, or None if the page
+        was absent)``, or ``None`` for a torn record."""
         head, sep, payload = data.partition(_HEADER_SEP)
         if not sep:
             return None
         try:
             header = json.loads(head.decode("utf-8"))
             page_id = str(header["page_id"])
+            if "truncate" in header:
+                return None if payload else (page_id, int(header["truncate"]))
             existed = bool(header["existed"])
             size = int(header["size"])
             crc = int(header["crc"])
@@ -339,7 +362,7 @@ class IngestWAL:
             return None
         if len(payload) != size or zlib.crc32(payload) != crc:
             return None
-        return page_id, existed, payload
+        return page_id, payload if existed else None
 
     def _collect_undo(self, undo_ids: Iterable[str]) -> int:
         collected = 0

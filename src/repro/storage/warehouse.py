@@ -139,18 +139,23 @@ def _unpack_row(data: bytes, offset: int) -> UpdateRecord:
 
 
 class Warehouse:
-    """An append-only heap of UpdateList rows over a page store."""
+    """An append-only heap of UpdateList rows over a page store.
+
+    A page may end in part of a row: a live writer's append in flight,
+    which every read here leaves out — or, if the store was ``recovered``
+    under the writer lease just before, a torn heap page, refused."""
 
     def __init__(
         self,
         store: PageStore,
         prefix: str = "warehouse/heap",
         metrics: MetricsRegistry | None = None,
+        recovered: bool = True,
     ) -> None:
         self.store = store
         self.prefix = prefix
         self.metrics = metrics if metrics is not None else get_registry()
-        self.resync()
+        self.resync(recovered)
         # Rediscovering the heap extent after a restart shouldn't
         # pollute experiment I/O accounting.
         self.store.reset_stats()
@@ -158,46 +163,37 @@ class Warehouse:
     def _page_id(self, page: int) -> str:
         return f"{self.prefix}/{page:08d}"
 
-    def resync(self) -> None:
-        """Re-derive the heap extent from the pages actually on disk.
+    def resync(self, recovered: bool = True) -> None:
+        """Re-derive the row count from the pages actually on disk.
 
         Needed when something outside the warehouse rewrites heap pages
         under it — WAL rollback of a crashed ingest batch — leaving the
-        in-memory tail/extent counters pointing past the real heap.
-        Unlike construction-time recovery this charges its reads: a
-        running system's rollback is real I/O.
+        in-memory count pointing past the real heap.  Unlike
+        construction-time recovery this charges its reads: a running
+        system's rollback is real I/O.
         """
-        self._last_page_rows = 0
-        self._tail: bytearray | None = None
         pages = list(self.store.list_pages(self.prefix + "/"))
-        self._page_count = len(pages)
+        self._rows = 0
         if pages:
-            last = self.store.read(pages[-1])
-            if len(last) % ROW_SIZE:
+            length = len(self.store.read(pages[-1]))
+            if length % ROW_SIZE and recovered:
                 raise StorageError(f"torn heap page {pages[-1]!r}")
-            self._last_page_rows = len(last) // ROW_SIZE
-            if self._last_page_rows < ROWS_PER_PAGE:
-                self._tail = bytearray(last)
+            self._rows = (len(pages) - 1) * ROWS_PER_PAGE + length // ROW_SIZE
 
     # -- write path ---------------------------------------------------------
 
     def append(self, updates: UpdateList | Iterable[UpdateRecord]) -> RowRange:
-        """Append rows, returning their pointers in order."""
+        """Append rows, returning their pointers in order: each page's
+        share is one store append at the end of its last whole row."""
         rows = updates if isinstance(updates, UpdateList) else UpdateList(updates)
-        data = memoryview(_pack_rows(rows))
-        appended = RowRange(self.row_count, len(rows))
+        data = _pack_rows(rows)
+        appended = RowRange(self._rows, len(rows))
         while data:
-            if self._tail is None:
-                self._tail = bytearray()
-                self._page_count += 1
-                self._last_page_rows = 0
-            take = min(ROWS_PER_PAGE - self._last_page_rows, len(data) // ROW_SIZE)
-            self._tail += data[: take * ROW_SIZE]
+            page, fill = divmod(self._rows, ROWS_PER_PAGE)
+            take = min(ROWS_PER_PAGE - fill, len(data) // ROW_SIZE)
+            self.store.append(self._page_id(page), data[: take * ROW_SIZE], fill * ROW_SIZE)
             data = data[take * ROW_SIZE :]
-            self._last_page_rows += take
-            self.store.write(self._page_id(self._page_count - 1), bytes(self._tail))
-            if self._last_page_rows == ROWS_PER_PAGE:
-                self._tail = None
+            self._rows += take
         if appended.count:
             self.metrics.inc_key(_K_ROWS_APPENDED, appended.count)
         return appended
@@ -206,19 +202,11 @@ class Warehouse:
 
     @property
     def row_count(self) -> int:
-        if self._page_count == 0:
-            return 0
-        return (self._page_count - 1) * ROWS_PER_PAGE + self._last_page_rows
+        return self._rows
 
     @property
     def page_count(self) -> int:
-        return self._page_count
-
-    def fetch(self, pointer: RowPointer) -> UpdateRecord:
-        """Read one row (one page I/O)."""
-        if pointer.page >= self._page_count or pointer.page < 0:
-            raise StorageError(f"row pointer {pointer} beyond heap extent")
-        return self.fetch_many([pointer])[0]
+        return -(-self._rows // ROWS_PER_PAGE)
 
     def fetch_many(self, pointers: Iterable[RowPointer]) -> list[UpdateRecord]:
         """Batch fetch, reading each touched page once."""
@@ -230,7 +218,7 @@ class Warehouse:
         for page, entries in sorted(by_page.items()):
             data = self.store.read(self._page_id(page))
             for index, pointer in entries:
-                if pointer.slot * ROW_SIZE >= len(data):
+                if (pointer.slot + 1) * ROW_SIZE > len(data):
                     raise StorageError(f"row pointer {pointer} beyond page extent")
                 results[index] = _unpack_row(data, pointer.slot * ROW_SIZE)
         if ordered:
@@ -240,10 +228,7 @@ class Warehouse:
     def scan_pages(self) -> Iterator[tuple[int, list[UpdateRecord]]]:
         """Full scan, page by page (the baseline's access path)."""
         self.metrics.inc_key(_K_SCANS)
-        for page in range(self._page_count):
+        for page in range(self.page_count):
             data = self.store.read(self._page_id(page))
-            rows = [
-                _unpack_row(data, offset)
-                for offset in range(0, len(data), ROW_SIZE)
-            ]
-            yield page, rows
+            whole = len(data) - len(data) % ROW_SIZE
+            yield page, [_unpack_row(data, offset) for offset in range(0, whole, ROW_SIZE)]

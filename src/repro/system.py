@@ -11,6 +11,7 @@ Typical use (see ``examples/quickstart.py``)::
     system = RasedSystem.create()          # in-memory deployment
     system.simulate_and_ingest(date(2021, 1, 1), date(2021, 3, 31))
     result = system.dashboard.analysis(AnalysisQuery(...))
+    system.close()                         # its temporary feed directory
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
 from pathlib import Path
+import shutil
 import tempfile
 import threading
 from typing import Any
@@ -232,6 +234,7 @@ class RasedSystem:
         #: Unless a live writer holds the lease, a batch a dead one left
         #: half-done is rolled back *before* the warehouse scans the heap
         #: (whose torn tail would fail it); :attr:`recovered` says so.
+        #: Under a live writer, a partial row is its append in flight.
         self.wal = IngestWAL(routed or store, primary=store, metrics=self.metrics)
         self.recovered: WalRecovery | None = None
         try:
@@ -262,7 +265,9 @@ class RasedSystem:
             if sharded_index is not None
             else HierarchicalIndex(schema, effective_store, **index_options)
         )
-        self.warehouse = Warehouse(effective_store, metrics=self.metrics)
+        self.warehouse = Warehouse(
+            effective_store, metrics=self.metrics, recovered=self.recovered is not None
+        )
         self.hash_index = HashIndex(effective_store)
         self.spatial_index = GridSpatialIndex(effective_store)
         self.cache = CacheManager(
@@ -329,6 +334,8 @@ class RasedSystem:
         )
         #: Ground-truth UpdateLists retained per published day (tests).
         self.truth_by_day: dict[date, "UpdateListType"] = {}
+        #: The feed directory :meth:`create` made, which :meth:`close` removes.
+        self._owned_root: Path | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -343,8 +350,8 @@ class RasedSystem:
         """Build a deployment; in-memory pages unless a store is given.
 
         ``root`` holds the synthetic OSM feed files (replication dirs,
-        changeset files, history dumps); a temporary directory is used
-        when omitted.
+        changeset files, history dumps); when omitted the system makes a
+        temporary directory, owns it, and :meth:`close` removes it.
         """
         config = config or SystemConfig()
         atlas = atlas or build_world()
@@ -352,7 +359,15 @@ class RasedSystem:
         store = store or InMemoryDisk()
         feed_root = Path(root) if root is not None else Path(tempfile.mkdtemp(prefix="rased-"))
         feed_root.mkdir(parents=True, exist_ok=True)
-        return cls(atlas, schema, store, feed_root, config)
+        system = cls(atlas, schema, store, feed_root, config)
+        system._owned_root = None if root is not None else feed_root
+        return system
+
+    def close(self) -> None:
+        """Remove the feed directory :meth:`create` made (nothing else)."""
+        if self._owned_root is not None:
+            shutil.rmtree(self._owned_root, ignore_errors=True)
+            self._owned_root = None
 
     @property
     def simulator(self) -> EditSimulator:

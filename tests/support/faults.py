@@ -16,7 +16,7 @@ seed.  This module provides that harness:
   randomized plans) draws from it, so a failing seed printed by a test
   is a complete reproduction recipe.
 * :class:`FaultyPageStore` — a :class:`~repro.storage.pages.PageStoreProxy`
-  that consults the plan on every read/write/delete.  Operations are
+  that consults the plan on every read/write/append/delete.  Operations are
   classified into **named injection points** from their page ids (see
   :func:`classify_page_op`), so a test can say "crash at the roll-up
   write" without production code carrying test hooks.
@@ -36,8 +36,8 @@ Fault kinds:
     either *before* the operation (it never happens) or *after* it
     (it is durable, but nothing later runs).
 ``torn``
-    Perform a *prefix* of the write (length drawn from the plan's rng),
-    then crash: a power-loss torn page.
+    Perform a *prefix* of the write or append (length drawn from the
+    plan's rng), then crash: a power-loss torn page.
 ``corrupt``
     Reads return the page with one rng-chosen byte flipped; writes
     persist a flipped payload.
@@ -136,7 +136,7 @@ def classify_page_op(op: str, page_id: str) -> tuple[str, ...]:
     the harness to target precise moments of an ingest batch.
     """
     points: list[str] = []
-    if op in ("write", "delete"):
+    if op in ("write", "append", "delete"):
         if page_id == "wal/intent":
             # Writing the intent opens the batch; deleting it is the
             # commit point.
@@ -154,7 +154,8 @@ def classify_page_op(op: str, page_id: str) -> tuple[str, ...]:
             points.append("rollup" if head in _ROLLUP_HEADS else "index.put")
         elif page_id.startswith("meta/"):
             points.append("cursor")
-    points.append(f"store.{op}")
+    # An append writes its bytes: ``store.write`` matches both.
+    points.append("store.write" if op == "append" else f"store.{op}")
     return tuple(points)
 
 
@@ -347,25 +348,35 @@ class FaultyPageStore(PageStoreProxy):
         raise AssertionError("unreachable")
 
     def write(self, page_id: str, data: bytes) -> None:
-        spec = self._check("write", page_id)
+        self._land("write", page_id, data, lambda landed: self.inner.write(page_id, landed))
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        self._land("append", page_id, data, lambda landed: self.inner.append(page_id, landed, at))
+
+    def _land(
+        self, op: str, page_id: str, data: bytes, perform: Callable[[bytes], None]
+    ) -> None:
+        """Write or append ``data`` as the plan says: whole, late, corrupt,
+        torn (a prefix, then the crash), or not at all."""
+        spec = self._check(op, page_id)
         if spec is None:
-            self.inner.write(page_id, data)
+            perform(data)
             return
         plan = self.plan
         assert plan is not None
         if spec.kind == "delay":
             plan.do_delay(spec, self.inner)
-            self.inner.write(page_id, data)
+            perform(data)
             return
         if spec.kind == "corrupt":
-            self.inner.write(page_id, plan.corrupt_bytes(data))
+            perform(plan.corrupt_bytes(data))
             return
         if spec.kind == "torn":
-            self.inner.write(page_id, data[: plan.torn_length(len(data))])
+            perform(data[: plan.torn_length(len(data))])
             raise CrashPoint(spec.point, page_id)
         if spec.kind == "crash" and spec.when == "after":
-            self.inner.write(page_id, data)
-        plan.raise_for(spec, "write", page_id)
+            perform(data)
+        plan.raise_for(spec, op, page_id)
 
     def delete(self, page_id: str) -> None:
         spec = self._check("delete", page_id)

@@ -354,14 +354,14 @@ class TestIngestRecovery:
         ]
         assert main(simulate) == 0
         crashed = cli._open_system(str(root))
-        write = crashed.store.write
+        append = crashed.store.append
 
-        def dying(page_id: str, data: bytes) -> None:
+        def dying(page_id: str, data: bytes, at: int) -> None:
             if page_id.startswith("warehouse/heap/"):
                 raise CrashPoint("warehouse.write", page_id)
-            write(page_id, data)
+            append(page_id, data, at)
 
-        crashed.store.write = dying
+        crashed.store.append = dying
         with pytest.raises(CrashPoint):
             crashed.pipeline.run_daily()
         assert (root / "pages" / "wal" / "intent.page").exists()

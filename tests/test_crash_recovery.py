@@ -222,6 +222,26 @@ class TestCrashMatrix:
         assert _snapshot(disk) == uninterrupted
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_torn_heap_tail_append_recovers(self, atlas, tmp_path, uninterrupted, seed):
+        """The heap grows by appends: one that lands part of its rows
+        (mid-row included) is cut back by its truncate record."""
+        _publish_window(atlas, tmp_path)
+        disk = InMemoryDisk(read_latency=0, write_latency=0)
+        plan = FaultPlan.single("warehouse.write", kind="torn", seed=seed, after=seed)
+        faulty = FaultyPageStore(disk, plan)
+        system = _make_system(atlas, tmp_path, faulty)
+        with pytest.raises(CrashPoint):
+            system.pipeline.run_daily()
+        assert [fired.op for fired in plan.fired] == ["append"]
+
+        faulty.plan = None
+        reopened = _make_system(atlas, tmp_path, faulty)
+        assert reopened.recovered is not None and reopened.recovered.rolled_back
+        reopened.pipeline.run_daily()
+        assert _snapshot(disk) == uninterrupted
+
+
 # -- sharded and crash-safe ---------------------------------------------------
 
 SHARDS = 3
@@ -321,8 +341,8 @@ INDEX_CRASHES = [
     pytest.param("write", "warehouse/hash/seg/", 0, id="first-hash-segment"),
     pytest.param("write", "warehouse/grid/seg/", 2, id="month-end-grid-segment"),
     pytest.param("write", "warehouse/hash/seg/", 3, id="hash-segment-number-reused"),
-    pytest.param("write", "warehouse/hash/0", 1, id="between-two-hash-bucket-writes"),
-    pytest.param("write", "warehouse/grid/0", 1, id="between-two-grid-cell-writes"),
+    pytest.param("append", "warehouse/hash/0", 1, id="between-two-hash-bucket-writes"),
+    pytest.param("append", "warehouse/grid/0", 1, id="between-two-grid-cell-writes"),
     pytest.param("delete", "warehouse/hash/seg/", 0, id="before-first-hash-segment-delete"),
     pytest.param("delete", "warehouse/grid/seg/", 0, id="before-first-grid-segment-delete"),
     pytest.param("delete", "warehouse/grid/seg/", 2, id="before-last-grid-segment-delete"),
@@ -342,6 +362,22 @@ def _crash_before(store, op: str, prefix: str, after: int) -> None:
         real(page_id, *data)
 
     setattr(store, op, dying)
+
+
+def _tear_append(store, prefix: str, after: int) -> None:
+    """Arm ``store``: its ``after``-th append (from 0) to a page under
+    ``prefix`` lands a strict prefix that ends mid-record, then the
+    process dies."""
+    real = store.append
+    seen = itertools.count()
+
+    def tearing(page_id: str, data: bytes, at: int) -> None:
+        if page_id.startswith(prefix) and next(seen) == after:
+            real(page_id, data[: len(data) // 2 + 1], at)
+            raise CrashPoint("torn append", page_id)
+        real(page_id, data, at)
+
+    store.append = tearing
 
 
 def _assert_indexes_match_the_heap(system: RasedSystem) -> None:
@@ -420,3 +456,38 @@ class TestIndexCrash:
         system.pipeline.run_daily()
         assert _deployment_pages(system) == golden[-1]
         _assert_indexes_match_the_heap(system)
+
+    @pytest.mark.parametrize("shards", [1, SHARDS])
+    @pytest.mark.parametrize(
+        ("prefix", "after"),
+        [
+            pytest.param("warehouse/heap/", 0, id="heap-tail-first-day"),
+            pytest.param("warehouse/heap/", 2, id="heap-tail-month-end"),
+            pytest.param("warehouse/hash/0", 0, id="fold-first-hash-base"),
+            pytest.param("warehouse/grid/0", 3, id="fold-a-grid-base"),
+        ],
+    )
+    def test_a_torn_append_recovers_the_pre_batch_pages(
+        self, atlas, feed_root, tmp_path, golden, prefix, after, shards
+    ):
+        """A file append that stopped mid-record — at the heap tail, or at
+        a fold's base page — rolls back to the byte-identical pre-batch
+        pages, and the day then ingests as if nothing happened."""
+        system = _directory_system(atlas, feed_root, tmp_path, shards)
+        _tear_append(system.store, prefix, after)
+        with pytest.raises(CrashPoint) as crash:
+            system.pipeline.run_daily()
+        torn = system.store.read(crash.value.page_id)
+        assert len(torn) % (96 if "heap" in prefix else 8)
+        vars(system.store).pop("append")
+
+        reopened = _directory_system(atlas, feed_root, tmp_path, shards)
+        report = reopened.recovered
+        assert report is not None and report.rolled_back
+        crashed_day = FOLD_DAYS.index(date.fromisoformat(report.batch_meta["day"]))
+        assert "heap" in prefix or FOLD_DAYS[crashed_day] == date(2021, 1, 31)
+        assert _deployment_pages(reopened) == golden[crashed_day]
+        _assert_indexes_match_the_heap(reopened)
+        reopened.pipeline.run_daily()
+        assert _deployment_pages(reopened) == golden[-1]
+        _assert_indexes_match_the_heap(reopened)

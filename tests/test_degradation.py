@@ -58,11 +58,13 @@ def _build(atlas, store=None, **config_kw) -> RasedSystem:
 @pytest.fixture(scope="module")
 def clean_totals(atlas) -> tuple[int, int]:
     """(window total, victim-day total) from an unbroken deployment."""
-    dashboard = _build(atlas).dashboard
-    return (
-        dashboard.analysis(_QUERY).total,
-        dashboard.analysis(AnalysisQuery(start=VICTIM, end=VICTIM)).total,
+    system = _build(atlas)
+    totals = (
+        system.dashboard.analysis(_QUERY).total,
+        system.dashboard.analysis(AnalysisQuery(start=VICTIM, end=VICTIM)).total,
     )
+    system.close()
+    return totals
 
 
 class TestPartialAnswers:
@@ -250,8 +252,10 @@ def _by_type(day: date) -> AnalysisQuery:
 @pytest.fixture(scope="module")
 def clean_days(atlas) -> dict[date, dict]:
     """Each January day's answer by element type, on an untouched root."""
-    dashboard = _month_root(atlas).dashboard
-    return {day: dict(dashboard.analysis(_by_type(day)).sorted_rows()) for day in JAN}
+    system = _month_root(atlas)
+    answers = {day: dict(system.dashboard.analysis(_by_type(day)).sorted_rows()) for day in JAN}
+    system.close()
+    return answers
 
 
 class TestMisfiledPage:
@@ -290,7 +294,9 @@ class TestWindowsOutsideCoverage:
 
     @pytest.fixture(scope="class")
     def system(self, atlas):
-        return _month_root(atlas)
+        system = _month_root(atlas)
+        yield system
+        system.close()
 
     def test_a_window_of_millennia_answers_the_covered_month(self, system):
         inside = system.dashboard.analysis(

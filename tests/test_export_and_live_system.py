@@ -119,7 +119,8 @@ class TestSystemLivePath:
         # ...plus "today", existing only as hourly diffs so far.
         system.publish_partial_day(date(2021, 7, 3), through_hour=23)
         system.poll_live()
-        return system
+        yield system
+        system.close()
 
     def test_overlay_only_for_uningested_day(self, live_system):
         assert live_system.live_monitor.partial_days() == [date(2021, 7, 3)]

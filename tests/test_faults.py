@@ -58,6 +58,17 @@ class TestClassification:
     def test_reads_only_classify_as_store_read(self):
         assert classify_page_op("read", "cubes/D2021-01-01") == ("store.read",)
 
+    @pytest.mark.parametrize(
+        ("page_id", "expected"),
+        [
+            ("warehouse/heap/00000042", "warehouse.write"),
+            ("warehouse/hash/00007", "warehouse.index"),
+            ("warehouse/grid/003_004", "warehouse.index"),
+        ],
+    )
+    def test_an_append_is_its_family_point_and_a_store_write(self, page_id, expected):
+        assert classify_page_op("append", page_id) == (expected, "store.write")
+
 
 class TestSpecValidation:
     def test_unknown_point_rejected(self):
@@ -179,6 +190,33 @@ class TestFaultyPageStore:
         landed = disk.read("warehouse/heap/00000000")
         assert len(landed) < len(data)
         assert data.startswith(landed)
+
+    @pytest.mark.parametrize(
+        ("point", "page_id"),
+        [("warehouse.write", "warehouse/heap/00000000"), ("warehouse.index", "warehouse/hash/00007")],
+    )
+    def test_an_append_crashes_before_tears_or_crashes_after(self, point, page_id):
+        outcomes = {}
+        for kind, when in (("crash", "before"), ("torn", "before"), ("crash", "after")):
+            disk = _disk()
+            disk.write(page_id, b"old")
+            plan = FaultPlan.single(point, kind=kind, when=when, seed=3)
+            store = FaultyPageStore(disk, plan)
+            with pytest.raises(CrashPoint):
+                store.append(page_id, bytes(range(1, 200)), 3)
+            assert [fired.op for fired in plan.fired] == ["append"]
+            outcomes[kind, when] = disk.read(page_id)
+        assert outcomes["crash", "before"] == b"old"
+        assert outcomes["crash", "after"] == b"old" + bytes(range(1, 200))
+        torn = outcomes["torn", "before"]
+        assert torn.startswith(b"old") and 3 <= len(torn) < 3 + 199
+        assert bytes(range(1, 200)).startswith(torn[3:])
+
+    def test_an_unplanned_append_passes_through(self):
+        disk = _disk()
+        store = FaultyPageStore(disk, FaultPlan.single("index.put", kind="crash"))
+        store.append("warehouse/heap/00000000", b"rows", 0)
+        assert disk.read("warehouse/heap/00000000") == b"rows"
 
     def test_corrupt_read_flips_without_touching_disk(self):
         disk = _disk()

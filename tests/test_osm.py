@@ -47,11 +47,9 @@ from repro.osm.replication import (
 from repro.osm.xml_io import (
     OsmChange,
     format_timestamp,
-    iter_osc,
     iter_osm,
     parse_timestamp,
     read_osc,
-    read_osm,
     write_osc,
     write_osm,
 )
@@ -247,13 +245,13 @@ class TestOsmXml:
         buffer = io.BytesIO()
         write_osm(buffer, elements)
         buffer.seek(0)
-        assert read_osm(buffer) == elements
+        assert list(iter_osm(buffer)) == elements
 
     def test_way_refs_preserved_in_order(self):
         buffer = io.BytesIO()
         write_osm(buffer, [way(refs=(9, 1, 5))])
         buffer.seek(0)
-        assert read_osm(buffer)[0].refs == (9, 1, 5)
+        assert list(iter_osm(buffer))[0].refs == (9, 1, 5)
 
     def test_relation_members_preserved(self):
         members = (
@@ -263,7 +261,7 @@ class TestOsmXml:
         buffer = io.BytesIO()
         write_osm(buffer, [relation(members=members)])
         buffer.seek(0)
-        assert read_osm(buffer)[0].members == members
+        assert list(iter_osm(buffer))[0].members == members
 
     def test_deleted_node_omits_coordinates(self):
         buffer = io.BytesIO()
@@ -274,17 +272,17 @@ class TestOsmXml:
 
     def test_malformed_xml_raises(self):
         with pytest.raises(ParseError):
-            read_osm(io.BytesIO(b"<osm><node id='1'"))
+            list(iter_osm(io.BytesIO(b"<osm><node id='1'")))
 
     def test_unknown_timestamp_raises(self):
         xml = b'<osm><node id="1" timestamp="bogus" lat="0" lon="0"/></osm>'
         with pytest.raises(ParseError):
-            read_osm(io.BytesIO(xml))
+            list(iter_osm(io.BytesIO(xml)))
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "snapshot.osm"
         write_osm(path, [node(), way()])
-        assert read_osm(path) == [node(), way()]
+        assert list(iter_osm(path)) == [node(), way()]
 
 
 class TestOsmChange:
@@ -309,7 +307,7 @@ class TestOsmChange:
         buffer = io.BytesIO()
         write_osc(buffer, change)
         buffer.seek(0)
-        pairs = list(iter_osc(buffer))
+        pairs = list(read_osc(buffer).actions())
         assert [(a, e.kind) for a, e in pairs] == [
             ("create", "node"),
             ("create", "way"),
@@ -323,7 +321,7 @@ class TestOsmChange:
             b"</osmChange>"
         )
         with pytest.raises(ParseError, match="outside"):
-            list(iter_osc(io.BytesIO(xml)))
+            list(read_osc(io.BytesIO(xml)).actions())
 
     def test_extend(self):
         a = OsmChange(create=[node()])
@@ -468,7 +466,7 @@ class TestStreamingParse:
         change = _large_change(4000)
         data = self._encoded(change)
         assert len(data) > 8 * xml_io._CHUNK_BYTES
-        assert list(iter_osc(io.BytesIO(data))) == list(change.actions())
+        assert list(read_osc(io.BytesIO(data)).actions()) == list(change.actions())
         restored = read_osc(io.BytesIO(data))
         assert (restored.create, restored.modify, restored.delete) == (
             change.create, change.modify, change.delete
@@ -478,12 +476,12 @@ class TestStreamingParse:
     def test_every_chunk_edge(self, monkeypatch, chunk):
         monkeypatch.setattr(xml_io, "_CHUNK_BYTES", chunk)
         change = _large_change(60)
-        assert list(iter_osc(io.BytesIO(self._encoded(change)))) == list(change.actions())
+        assert list(read_osc(io.BytesIO(self._encoded(change))).actions()) == list(change.actions())
         elements = [element for _, element in change.actions()]
         buffer = io.BytesIO()
         write_osm(buffer, elements)
         buffer.seek(0)
-        assert read_osm(buffer) == elements
+        assert list(iter_osm(buffer)) == elements
 
     def test_snapshot_much_larger_than_a_chunk_roundtrips(self, tmp_path):
         elements = [element for _, element in _large_change(4000).actions()]
@@ -498,7 +496,7 @@ class TestStreamingParse:
             with pytest.raises(ParseError, match="malformed osmChange XML"):
                 read_osc(io.BytesIO(data[:cut]))
             with pytest.raises(ParseError, match="malformed OSM XML"):
-                read_osm(io.BytesIO(data[:cut]))
+                list(iter_osm(io.BytesIO(data[:cut])))
 
     def test_an_element_inside_an_element_raises(self):
         xml = _diff(f'<way id="1" {_STAMP}><node id="2" {_STAMP}/></way>')

@@ -180,7 +180,8 @@ def memo_system(atlas):
     for day in (1, 2, 3):
         system.publish_day(date(2021, 7, day), hourly=True)
     system.pipeline.run_daily()
-    return system
+    yield system
+    system.close()
 
 
 class TestSystemMemoization:

@@ -280,6 +280,62 @@ class TestCatchAll500:
         )
 
 
+class TestStorageFault503:
+    """A page the store cannot serve is the service's failure, not the
+    request's: 503, never the 400 a malformed body gets."""
+
+    @pytest.fixture(scope="class")
+    def broken(self, atlas):
+        from datetime import date, timedelta
+
+        from repro.storage.disk import InMemoryDisk
+        from repro.synth.simulator import SimulationConfig
+        from repro.system import RasedSystem, SystemConfig
+
+        system = RasedSystem.create(
+            atlas=atlas,
+            store=InMemoryDisk(read_latency=0, write_latency=0),
+            config=SystemConfig(
+                road_types=8,
+                simulation=SimulationConfig(
+                    seed=7, mapper_count=6, base_sessions_per_day=3, nodes_per_country=2
+                ),
+            ),
+        )
+        for offset in range(3):
+            system.publish_day(date(2021, 1, 4) + timedelta(days=offset))
+        system.pipeline.run_daily()
+        # A segment the grid index lists, gone from the store.
+        (listed, _), *_ = system.spatial_index.buckets.segments
+        system.store.delete(listed)
+        yield system
+        system.close()
+
+    BODY = {"start": "2021-01-04", "end": "2021-01-06", "n": 5}
+
+    def test_run_analysis_request_answers_503(self, broken):
+        status, body = run_analysis_request(
+            broken.dashboard, "samples", json.dumps(self.BODY).encode()
+        )
+        assert status == 503
+        assert "listed segment is missing" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("path", ["/analysis/samples", "/samples?zone=europe&n=5"])
+    def test_over_http(self, broken, path):
+        with DashboardServer(broken.dashboard) as running:
+            if path.startswith("/analysis"):
+                body = json.dumps(self.BODY).encode()
+                status, payload = raw_post(running, path, body, str(len(body)))
+            else:
+                status, payload, _ = http_get(running, path)
+        assert status == 503, payload
+        assert "listed segment is missing" in payload["error"]
+        # A bad body on the same route is still the client's fault.
+        with DashboardServer(broken.dashboard) as running:
+            status, _ = raw_post(running, "/analysis/samples", b"[]", "2")
+        assert status == 400
+
+
 class TestCountClamping:
     def test_negative_n_is_400(self, server):
         status, payload, _ = http_get(server, "/samples?zone=germany&n=-3")

@@ -294,7 +294,9 @@ def paired_live_systems():
         system.poll_live()
         system.warm_cache()
         systems.append(system)
-    return systems
+    yield systems
+    for system in systems:
+        system.close()
 
 
 def test_live_overlay_byte_identical(paired_live_systems):

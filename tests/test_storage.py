@@ -18,7 +18,7 @@ from repro.types.cube import (
     sum_cubes,
 )
 from repro.types.dimensions import default_schema
-from repro.errors import ConfigError, PageCorruptError, PageNotFoundError
+from repro.errors import ConfigError, PageCorruptError, PageNotFoundError, StorageError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.serializer import (
     HEADER_SIZE,
@@ -173,6 +173,57 @@ class TestDirectoryDisk:
         disk = DirectoryDisk(tmp_path)
         disk.write("a", b"12345")
         assert disk.stored_bytes == 5
+
+
+def _append_stores(tmp_path):
+    """Every page store kind, by name: both disks, a proxy over one, and
+    a two-shard routed store (a cube page on a shard, the rest on meta)."""
+    from repro.core.shard import ShardedPageStore
+    from repro.storage.pages import PageStoreProxy
+
+    def memory():
+        return InMemoryDisk(read_latency=0.0, write_latency=0.0)
+
+    return {
+        "memory": memory(),
+        "directory": DirectoryDisk(tmp_path / "pages", read_latency=0.0, write_latency=0.0),
+        "proxy": PageStoreProxy(memory()),
+        "sharded": ShardedPageStore([memory(), memory()], memory()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["memory", "directory", "proxy", "sharded"])
+@pytest.mark.parametrize("page_id", ["warehouse/heap/00000000", "cubes/D2021-01-01"])
+class TestAppend:
+    """``append(page_id, data, at)``: a write at the page's current end,
+    charged for the appended bytes only, refused at any other offset."""
+
+    def test_append_creates_grows_and_charges_only_its_bytes(self, tmp_path, kind, page_id):
+        store = _append_stores(tmp_path)[kind]
+        store.append(page_id, b"abc", 0)
+        store.append(page_id, b"defgh", 3)
+        assert store.read(page_id) == b"abcdefgh"
+        assert (store.stats.writes, store.stats.bytes_written) == (2, 8)
+        store.write(page_id, b"x" * 1000)
+        store.reset_stats()
+        store.append(page_id, b"12", 1000)
+        assert (store.stats.writes, store.stats.bytes_written) == (1, 2)
+        assert store.read(page_id) == b"x" * 1000 + b"12"
+
+    @pytest.mark.parametrize("at", [0, 2, 4, -1])
+    def test_an_append_off_the_end_is_refused_and_changes_nothing(
+        self, tmp_path, kind, page_id, at
+    ):
+        store = _append_stores(tmp_path)[kind]
+        store.write(page_id, b"abc")
+        store.reset_stats()
+        with pytest.raises(StorageError, match="holds 3"):
+            store.append(page_id, b"zz", at)
+        assert store.read(page_id) == b"abc"
+        assert store.stats.bytes_written == 0
+        with pytest.raises(StorageError, match="holds 0"):
+            store.append(page_id + "x", b"zz", 1)
+        assert page_id + "x" not in store
 
 
 class TestSerializer:

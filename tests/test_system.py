@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -278,7 +280,9 @@ class TestColumnarKernelParity:
         default = build()
         columnar = build(serving=True)
         assert columnar.result_cache is not None and default.result_cache is None
-        return default, columnar
+        yield default, columnar
+        default.close()
+        columnar.close()
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_answers_identical(self, system_pair, query):
@@ -635,3 +639,40 @@ class TestLazySimulator:
         assert system.network_sizes.size("asia") == sum(
             sizes[zone.name] for zone in atlas.countries_of("asia")
         )
+
+
+def _feed_dirs() -> set[Path]:
+    return set(Path(tempfile.gettempdir()).glob("rased-*"))
+
+
+class TestOwnedFeedRoot:
+    """A bare ``create()`` owns the feed directory it makes; ``close()``
+    removes that and nothing else."""
+
+    def test_a_create_close_pair_leaves_no_directory(self, atlas):
+        before = _feed_dirs()
+        system = RasedSystem.create(atlas=atlas, store=InMemoryDisk(0, 0))
+        (made,) = _feed_dirs() - before
+        system.publish_day(date(2021, 1, 4))  # the feed lands in it
+        assert any(made.rglob("*.osc*"))
+        system.close()
+        assert not made.exists()
+        assert before <= _feed_dirs()  # nobody else's directory went
+        system.close()  # idempotent
+
+    def test_a_given_root_is_the_callers(self, atlas, tmp_path):
+        before = _feed_dirs()
+        system = RasedSystem.create(root=tmp_path / "feeds", atlas=atlas, store=InMemoryDisk(0, 0))
+        system.publish_day(date(2021, 1, 4))
+        system.close()
+        assert any((tmp_path / "feeds").rglob("*.osc*"))
+        assert _feed_dirs() == before
+
+    def test_the_shared_fixtures_directories_are_checked_at_the_end(
+        self, bare_creates, ingested_system, rebuilt_system
+    ):
+        """They close at the session's end, which ``bare_creates`` then
+        checks for every directory a bare create made this session."""
+        for system in (ingested_system, rebuilt_system):
+            assert system._owned_root in bare_creates.roots
+            assert system._owned_root.exists()

@@ -202,11 +202,110 @@ class TestRecovery:
         undo_ids = sorted(disk.list_pages("wal/undo/"), reverse=True)
         parsed = fresh._parse_undo(disk.read(undo_ids[0]))
         assert parsed is not None
-        page_id, _, payload = parsed
+        page_id, payload = parsed
         disk.write(page_id, payload)
         disk.delete(undo_ids[0])
         # The process dies; a third process runs full recovery.
         assert IngestWAL(disk).recover().rolled_back
+        assert _snapshot(disk) == before
+
+
+class TestTruncateRecords:
+    """An append journals a truncate record — the page's length, no bytes —
+    and a rollback cuts the page back to it."""
+
+    HEAP = "warehouse/heap/00000003"
+
+    def _appended(self, tail: bytes = b"r" * 960):
+        """A heap tail of ``tail``, then a batch that appended to it."""
+        disk = _disk()
+        disk.write(self.HEAP, tail)
+        before = _snapshot(disk)
+        wal = IngestWAL(disk)
+        wal.begin()
+        wal.store.append(self.HEAP, b"n" * 192, len(tail))
+        return disk, wal, before
+
+    def test_an_append_journals_a_length_whatever_the_page_holds(self):
+        sizes = []
+        for tail in (b"", b"r" * 96, b"r" * 40_000):
+            disk, wal, _ = self._appended(tail)
+            wal.store.append(self.HEAP, b"m" * 96, len(tail) + 192)  # journaled already
+            (undo_id,) = disk.list_pages("wal/undo/")
+            record = disk.read(undo_id)
+            header = json.loads(record.partition(b"\n")[0])
+            assert header == {"page_id": self.HEAP, "truncate": len(tail)}
+            sizes.append(len(record))
+        assert max(sizes) - min(sizes) <= 4  # the length's digits, not the page
+
+    @pytest.mark.parametrize("landed", [0, 1, 95, 96, 192])
+    def test_a_rollback_cuts_a_whole_or_partial_append_off(self, landed):
+        disk, wal, before = self._appended()
+        disk._pages[self.HEAP] = disk._pages[self.HEAP][: 960 + landed]
+        report = IngestWAL(disk).recover()
+        assert (report.rolled_back, report.pages_restored) == (True, 1)
+        assert _snapshot(disk) == before
+
+    def test_an_append_that_creates_a_page_is_undone_by_deleting_it(self):
+        disk = _disk()
+        wal = IngestWAL(disk)
+        wal.begin()
+        wal.store.append(self.HEAP, b"n" * 96, 0)
+        wal.store.append(self.HEAP, b"m" * 96, 96)
+        (undo_id,) = disk.list_pages("wal/undo/")
+        assert json.loads(disk.read(undo_id).partition(b"\n")[0])["existed"] is False
+        IngestWAL(disk).recover()
+        assert _snapshot(disk) == {}
+
+    @pytest.mark.parametrize("then", ["write", "delete"])
+    def test_a_page_appended_then_rewritten_journals_its_first_bytes(self, then):
+        disk, wal, before = self._appended()
+        if then == "write":
+            wal.store.write(self.HEAP, b"w" * 10)
+        else:
+            wal.store.delete(self.HEAP)
+        wal.store.write(self.HEAP, b"v" * 20)
+        wal.store.append(self.HEAP, b"a" * 5, 20)
+        undo = [disk.read(page) for page in disk.list_pages("wal/undo/")]
+        assert len(undo) == 2
+        assert undo[1].partition(b"\n")[2] == before[self.HEAP]
+        IngestWAL(disk).recover()
+        assert _snapshot(disk) == before
+
+    def test_a_torn_upgrade_record_leaves_the_truncate_to_undo_the_append(self):
+        """The pre-image journaled before a whole write tore: the write
+        never happened, and the truncate record alone restores the page."""
+        disk, wal, before = self._appended()
+        wal.store.write(self.HEAP, b"w" * 10)
+        upgrade = sorted(disk.list_pages("wal/undo/"))[-1]
+        disk.write(self.HEAP, before[self.HEAP] + b"n" * 192)  # the write never landed
+        disk.write(upgrade, disk.read(upgrade)[:-7])
+        report = IngestWAL(disk).recover()
+        assert (report.pages_restored, report.pages_skipped) == (1, 1)
+        assert _snapshot(disk) == before
+
+    def test_a_torn_truncate_record_is_skipped(self):
+        disk = _disk()
+        disk.write(self.HEAP, b"r" * 96)
+        wal = IngestWAL(disk)
+        wal.begin()
+        wal.journal(self.HEAP, 96)
+        (undo_id,) = disk.list_pages("wal/undo/")
+        record = disk.read(undo_id)
+        assert IngestWAL._parse_undo(record) == (self.HEAP, 96)
+        for torn in (record[:-1], record[:-2], record[:10], record + b"x"):
+            assert IngestWAL._parse_undo(torn) is None
+
+    def test_a_page_written_first_keeps_its_pre_image(self):
+        disk = _disk()
+        disk.write(self.HEAP, b"r" * 96)
+        before = _snapshot(disk)
+        wal = IngestWAL(disk)
+        wal.begin()
+        wal.store.write(self.HEAP, b"w" * 48)
+        wal.store.append(self.HEAP, b"n" * 96, 48)
+        assert len(list(disk.list_pages("wal/undo/"))) == 1
+        IngestWAL(disk).recover()
         assert _snapshot(disk) == before
 
 

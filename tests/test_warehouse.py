@@ -17,7 +17,7 @@ from repro.collection.records import UpdateList, UpdateRecord
 from repro.storage.disk import InMemoryDisk
 from repro.storage.hash_index import HashIndex
 from repro.storage.spatial_index import GridSpatialIndex
-from repro.storage.warehouse import ROWS_PER_PAGE, RowPointer, Warehouse
+from repro.storage.warehouse import ROW_SIZE, ROWS_PER_PAGE, RowPointer, Warehouse
 
 
 def make_record(i: int, country: str = "germany") -> UpdateRecord:
@@ -39,9 +39,9 @@ def disk():
 
 
 class _ObservedDisk(InMemoryDisk):
-    """Calls ``observe`` right after every page write and delete lands —
-    the points inside a flush or a fold where a concurrent reader can be
-    scheduled."""
+    """Calls ``observe`` right after every page write, append and delete
+    lands — the points inside a flush or a fold where a concurrent reader
+    can be scheduled."""
 
     def __init__(self) -> None:
         super().__init__(read_latency=0.0, write_latency=0.0)
@@ -49,6 +49,11 @@ class _ObservedDisk(InMemoryDisk):
 
     def write(self, page_id: str, data: bytes) -> None:
         super().write(page_id, data)
+        if self.observe is not None:
+            self.observe()
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        super().append(page_id, data, at)
         if self.observe is not None:
             self.observe()
 
@@ -314,6 +319,28 @@ class TestTwoLevelIndex:
         with pytest.raises(StorageError):
             kit.index.buckets.discard_pending()
 
+    def test_a_base_page_cut_mid_entry_reads_its_whole_entries(self, Kit):
+        """A fold's append in flight (or a torn one recovery has yet to
+        cut): readers see the whole entries; a fold will not append after
+        the partial one."""
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        kit = Kit(disk)
+        for i in range(40):
+            kit.insert(i)
+        kit.index.flush()
+        kit.index.buckets.fold()
+        answers = [kit.ask(key) for key in Kit.keys]
+        bases = list(disk.list_pages(kit.index.prefix + "/"))
+        for page_id in bases:
+            disk.append(page_id, b"\x01\x02\x03", len(disk.read(page_id)))
+        assert [kit.ask(key) for key in Kit.keys] == answers
+        assert [Kit(disk).ask(key) for key in Kit.keys] == answers
+        for i in range(40, 80):
+            kit.insert(i)
+        kit.index.flush()
+        with pytest.raises(StorageError, match="append at byte"):
+            kit.index.buckets.fold()
+
     def test_a_segment_that_shrank_under_its_directory_reads_as_torn(self, Kit):
         disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
         kit = Kit(disk)
@@ -336,7 +363,7 @@ class TestWarehouse:
         warehouse = Warehouse(disk)
         pointers = warehouse.append([make_record(i) for i in range(5)])
         assert len(pointers) == 5
-        assert warehouse.fetch(pointers[3]) == make_record(3)
+        assert warehouse.fetch_many([pointers[3]])[0] == make_record(3)
 
     def test_row_count(self, disk):
         warehouse = Warehouse(disk)
@@ -349,7 +376,7 @@ class TestWarehouse:
         pointers = warehouse.append([make_record(i) for i in range(n)])
         assert warehouse.page_count == 2
         assert pointers[-1] == RowPointer(page=1, slot=9)
-        assert warehouse.fetch(pointers[-1]) == make_record(n - 1)
+        assert warehouse.fetch_many([pointers[-1]])[0] == make_record(n - 1)
 
     def test_scan_returns_all_rows_in_order(self, disk):
         warehouse = Warehouse(disk)
@@ -370,9 +397,9 @@ class TestWarehouse:
         warehouse = Warehouse(disk)
         warehouse.append([make_record(0)])
         with pytest.raises(StorageError):
-            warehouse.fetch(RowPointer(page=9, slot=0))
+            warehouse.fetch_many([RowPointer(page=9, slot=0)])[0]
         with pytest.raises(StorageError):
-            warehouse.fetch(RowPointer(page=0, slot=500))
+            warehouse.fetch_many([RowPointer(page=0, slot=500)])[0]
 
     def test_recovery_after_restart(self, disk):
         warehouse = Warehouse(disk)
@@ -380,15 +407,15 @@ class TestWarehouse:
         pointers = warehouse.append(records)
         reopened = Warehouse(disk)
         assert reopened.row_count == len(records)
-        assert reopened.fetch(pointers[-1]) == records[-1]
+        assert reopened.fetch_many([pointers[-1]])[0] == records[-1]
         more = reopened.append([make_record(999)])
-        assert reopened.fetch(more[0]) == make_record(999)
+        assert reopened.fetch_many([more[0]])[0] == make_record(999)
 
     def test_unicode_country_roundtrip(self, disk):
         warehouse = Warehouse(disk)
         record = make_record(1, country="cote_divoire")
         pointer = warehouse.append([record])[0]
-        assert warehouse.fetch(pointer).country == "cote_divoire"
+        assert warehouse.fetch_many([pointer])[0].country == "cote_divoire"
 
     def test_a_name_is_cut_on_a_character_boundary(self, disk):
         """32 bytes hold 31 ASCII characters, not the two-byte ``ż``
@@ -398,11 +425,11 @@ class TestWarehouse:
         long_name = "a" * 31 + "ż"
         record = UpdateRecord(**{**vars(make_record(1)), "country": long_name, "road_type": long_name})
         pointers = warehouse.append([make_record(0), record, make_record(2)])
-        stored = warehouse.fetch(pointers[1])
+        stored = warehouse.fetch_many([pointers[1]])[0]
         assert (stored.country, stored.road_type) == ("a" * 31, "a" * 31)
         assert [r.changeset_id for _, rows in warehouse.scan_pages() for r in rows] == [1000, 1000, 1000]
         assert warehouse.append([make_record(0, country="ż" * 20)])[0] == RowPointer(0, 3)
-        assert warehouse.fetch(RowPointer(0, 3)).country == "ż" * 16
+        assert warehouse.fetch_many([RowPointer(0, 3)])[0].country == "ż" * 16
 
     def test_append_returns_the_rows_pointers(self, disk):
         warehouse = Warehouse(disk)
@@ -628,40 +655,55 @@ class TestGridSpatialIndex:
         assert len(index.query(world)) == len(points)
 
 
+class _FamilyBytes(InMemoryDisk):
+    """Counts bytes written or appended to pages under ``prefixes`` and to
+    the undo pages that journal them."""
+
+    prefixes: tuple[str, ...] = ("warehouse/hash/", "warehouse/grid/")
+    counted = 0
+
+    def _count(self, page_id: str, data: bytes) -> None:
+        if page_id.startswith("wal/undo/"):
+            page_id = json.loads(data.partition(b"\n")[0])["page_id"]
+        if page_id.startswith(self.prefixes):
+            self.counted += len(data)
+
+    def write(self, page_id: str, data: bytes) -> None:
+        super().write(page_id, data)
+        self._count(page_id, data)
+
+    def append(self, page_id: str, data: bytes, at: int) -> None:
+        super().append(page_id, data, at)
+        self._count(page_id, data)
+
+
+def _durable_system(atlas, disk):
+    from repro.synth.simulator import SimulationConfig
+    from repro.system import RasedSystem, SystemConfig
+
+    return RasedSystem.create(
+        atlas=atlas,
+        store=disk,
+        config=SystemConfig(
+            road_types=8,
+            cache_slots=8,
+            durable_ingest=True,
+            simulation=SimulationConfig(
+                seed=5, mapper_count=20, base_sessions_per_day=6, nodes_per_country=4
+            ),
+        ),
+    )
+
+
 class TestIndexWritesAreFlatInHistory:
     """What a day writes into the two indexes — segment page plus its
     pre-image — follows the day's updates, not the days already stored
-    (rewriting every touched bucket page whole grew with each of them)."""
+    (rewriting every touched bucket page whole grew with each of them);
+    so does a month end's fold, which appends to the base pages."""
 
     def test_index_bytes_per_update_last_tenth_vs_first_tenth(self, atlas):
-        from repro.synth.simulator import SimulationConfig
-        from repro.system import RasedSystem, SystemConfig
-
-        class IndexBytes(InMemoryDisk):
-            """Counts bytes written to index pages and to their undo pages."""
-
-            counted = 0
-
-            def write(self, page_id: str, data: bytes) -> None:
-                super().write(page_id, data)
-                if page_id.startswith("wal/undo/"):
-                    page_id = json.loads(data.partition(b"\n")[0])["page_id"]
-                if page_id.startswith(("warehouse/hash/", "warehouse/grid/")):
-                    self.counted += len(data)
-
-        disk = IndexBytes(read_latency=0.0, write_latency=0.0)
-        system = RasedSystem.create(
-            atlas=atlas,
-            store=disk,
-            config=SystemConfig(
-                road_types=8,
-                cache_slots=8,
-                durable_ingest=True,
-                simulation=SimulationConfig(
-                    seed=5, mapper_count=20, base_sessions_per_day=6, nodes_per_country=4
-                ),
-            ),
-        )
+        disk = _FamilyBytes(read_latency=0.0, write_latency=0.0)
+        system = _durable_system(atlas, disk)
         days = [date(2021, 3, 1) + timedelta(days=i) for i in range(60)]
         per_day: list[tuple[int, int]] = []  # (index bytes, updates), fold days left out
         for day in days:
@@ -682,3 +724,68 @@ class TestIndexWritesAreFlatInHistory:
         # 16 + 24 bytes of entries, a directory line per touched bucket,
         # two headers and two "was absent" pre-images.
         assert 40 < last < 80, last
+
+    def test_each_month_end_fold_writes_per_entry_what_the_first_did(self, atlas):
+        disk = _FamilyBytes(read_latency=0.0, write_latency=0.0)
+        system = _durable_system(atlas, disk)
+        folds: list[tuple[date, int, int]] = []  # (day, bytes, entries folded)
+        for index in (system.hash_index, system.spatial_index):
+            buckets = index.buckets
+
+            def fold(buckets=buckets, real=buckets.fold) -> int:
+                size = buckets._entry.size
+                entries = sum(
+                    (end - start) // size for _, spans in buckets.segments
+                    for start, end in spans.values()
+                )
+                before = disk.counted
+                written = real()
+                folds.append((day, disk.counted - before, entries))
+                return written
+
+            buckets.fold = fold
+        day = date(2021, 3, 1)
+        while day <= date(2021, 5, 31):
+            system.publish_day(day)
+            system.pipeline.run_daily()
+            day += timedelta(days=1)
+        month_ends = sorted({fold_day for fold_day, _, _ in folds})
+        assert month_ends == [date(2021, 3, 31), date(2021, 4, 30), date(2021, 5, 31)]
+        per_entry = [
+            sum(b for d, b, _ in folds if d == end) / sum(n for d, _, n in folds if d == end)
+            for end in month_ends
+        ]
+        # Every entry's bytes, once appended to its base page and once in
+        # the journaled pre-image of the segment the fold deletes, plus a
+        # truncate record per base page appended to.
+        assert all(ratio <= 1.1 for ratio in (k / per_entry[0] for k in per_entry)), per_entry
+        assert all(40 < value < 60 for value in per_entry), per_entry
+
+
+class TestHeapWritesAreFlatInFill:
+    """A day's heap bytes, pages plus undo, are its rows' own bytes plus a
+    record or two of fixed size, whatever the tail page held already
+    (rewriting the tail whole, with its pre-image, cost up to two pages)."""
+
+    def test_a_day_writes_its_rows_and_a_length_record(self):
+        from repro.storage.wal import IngestWAL
+
+        disk = _FamilyBytes(read_latency=0.0, write_latency=0.0)
+        disk.prefixes = ("warehouse/heap/",)
+        wal = IngestWAL(disk)
+        warehouse = Warehouse(wal.store)
+        rng = random.Random(3)
+        extras, fills = [], set()
+        for day in range(40):
+            rows = [make_record(rng.randrange(1000)) for _ in range(rng.randrange(1, 300))]
+            fills.add(warehouse.row_count % ROWS_PER_PAGE)
+            before = disk.counted
+            wal.begin()
+            warehouse.append(rows)
+            wal.commit()
+            extras.append(disk.counted - before - ROW_SIZE * len(rows))
+        assert len(fills) > 30  # the tail held many different fills
+        # A truncate record (~60 B) for the tail, and on a day that opens
+        # a page a "was absent" record (~80 B) for it.
+        assert all(0 < extra < 160 for extra in extras), extras
+        assert max(extras) - min(extras) < 100, extras

@@ -12,7 +12,10 @@ file conflict exactly as two processes' would.
 
 from __future__ import annotations
 
+import json
 import os
+import urllib.error
+import urllib.request
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -20,9 +23,10 @@ import pytest
 
 from repro import cli
 from repro.core.query import AnalysisQuery
+from repro.dashboard.server import DashboardServer
 from repro.errors import ConfigError, StorageError
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
-from repro.storage.warehouse import Warehouse
+from repro.storage.warehouse import RowPointer, Warehouse
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 from tests.support import CrashPoint, FaultPlan, FaultyPageStore
@@ -230,3 +234,54 @@ class TestAfterACrash:
         assert reader.pipeline.run_daily().days_processed == 6
         assert reader.metrics.value("rased_ingest_batches_rolled_back_total") == 1
         assert _pages(reader.store) == uninterrupted
+
+
+def _get(server, path: str) -> tuple[int, object]:
+    try:
+        with urllib.request.urlopen(server.url + path) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestAnAppendInFlight:
+    """A ``DirectoryDisk`` append is not atomic, so an opener without the
+    lease, or a reader thread beside the writer, can meet a heap or bucket
+    page that ends part-way through a record.  Each reads the page's whole
+    records and leaves the rest to the writer's recovery."""
+
+    def test_a_lease_less_opener_and_a_samples_query_read_whole_records(
+        self, atlas, feed_root, tmp_path
+    ):
+        writer = _opener("directory", atlas, feed_root, tmp_path)
+        writer.pipeline.run_daily()
+        with writer.wal.lease():  # base pages, as a month end leaves them
+            for index in (writer.hash_index, writer.spatial_index):
+                assert index.buckets.fold() > 0
+        first = writer.warehouse.fetch_many([RowPointer(0, 0)])[0]
+        zone = f"/samples?zone={first.country}&n=10000"
+        changeset = f"/changeset/{first.changeset_id}"
+        with DashboardServer(writer.dashboard) as server:
+            whole = {path: _get(server, path) for path in (zone, changeset)}
+        assert whole[zone][0] == whole[changeset][0] == 200
+        rows = writer.warehouse.row_count
+
+        store = DirectoryDisk(tmp_path / "pages")
+        cut = [sorted(store.list_pages("warehouse/heap/"))[-1]]
+        cut += [p for p in store.list_pages("warehouse/") if p.count("/") == 2 and "heap" not in p]
+        assert len(cut) > 2
+        for page_id in cut:  # every base page and the heap tail
+            with open(store._path(page_id), "ab") as handle:
+                handle.write(b"\xee" * 7)  # the start of an append
+
+        with writer.wal.lease():  # the appending writer is alive
+            reader = _opener("directory", atlas, feed_root, tmp_path)
+            assert reader.recovered is None
+            assert reader.warehouse.row_count == rows
+            for system in (reader, writer):  # another process; a reader thread
+                with DashboardServer(system.dashboard) as server:
+                    assert {path: _get(server, path) for path in whole} == whole
+        # A lease holder recovers before it reads: left like this, the
+        # heap tail is a fault.
+        with pytest.raises(StorageError, match="torn heap page"):
+            Warehouse(store)

@@ -22,13 +22,19 @@ the index bucket base pages, the index segments, the undo journal by
 the family of the page each record undoes, the cube pages, and other
 (WAL intent and checkpoint, the crawl cursor).  The families sum to the
 store's ``bytes_written``, which ``store_bytes_per_update`` in
-``benchmarks/e2e`` divides by the same count.
+``benchmarks/e2e`` divides by the same count.  Beside it, the read
+ledger: the bytes the store charged for reads per update, filed by the
+family of the page read (undo pages under other); they sum to its
+``bytes_read``.
 
 ``--monthly`` times the monthly path instead: a deployment that has
 ingested ``--months`` months (default 6; seed 17, 8 road types, the
 default simulation) writes its full-history dump, then the CPU of
 ``pipeline.run_monthly`` is taken to rebuild its first month alone, and
 all of its months together, from that dump.
+
+``--smoke`` ingests 5 days from 2022-01-29, so its one run folds the
+month end of January and retires its segments.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_ingest_day.py [--days 60]
 [--runs 3] [--smoke] [--monthly [--months 6]]``.  The last line printed
@@ -59,6 +65,8 @@ from repro.types.temporal import TemporalKey, month_key
 FEED_SEED = 13
 ROAD_TYPES = 12
 FIRST_DAY = date(2022, 1, 1)
+#: The smoke window's first day: its five days cross a month end.
+SMOKE_FIRST_DAY = date(2022, 1, 29)
 #: (class, method, part) — the entry points whose CPU time is a part.
 PARTS: tuple[tuple[type, str, str], ...] = (
     (ResilientFeed, "fetch", "fetch"),
@@ -68,14 +76,14 @@ PARTS: tuple[tuple[type, str, str], ...] = (
 )
 
 
-def publish_feed(root: Path, days: int) -> None:
-    """Simulate and publish ``days`` daily diffs under ``root``."""
+def publish_feed(root: Path, days: int, first: date = FIRST_DAY) -> None:
+    """Simulate and publish ``days`` daily diffs from ``first`` under ``root``."""
     generator = RasedSystem.create(
         root=root,
         config=SystemConfig(road_types=ROAD_TYPES, simulation=SimulationConfig(seed=FEED_SEED)),
     )
     for offset in range(days):
-        generator.publish_day(FIRST_DAY + timedelta(days=offset))
+        generator.publish_day(first + timedelta(days=offset))
 
 
 def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Callable[..., Any]:
@@ -89,7 +97,7 @@ def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Ca
     return wrapper
 
 
-#: The write ledger's page families, in print order.
+#: The ledgers' page families, in print order.
 FAMILIES = ("heap", "bucket_base", "segment", "cubes", "other")
 
 
@@ -104,12 +112,18 @@ def page_family(page_id: str) -> str:
 
 class LedgerDisk(InMemoryDisk):
     """An in-memory disk that files every byte it charges for a write
-    under a family; undo pages under ``undo:`` plus the family of the
-    page their header names."""
+    under a family, undo pages under ``undo:`` plus the family of the
+    page their header names; and every byte it charges for a read under
+    the family of the page read."""
 
     def __init__(self) -> None:
         super().__init__(read_latency=0.0, write_latency=0.0)
         self.ledger: Counter[str] = Counter()
+        self.read_ledger: Counter[str] = Counter()
+
+    def _charge_read(self, nbytes: int, page_id: str = "") -> None:
+        super()._charge_read(nbytes, page_id)
+        self.read_ledger[page_family(page_id)] += nbytes
 
     def _charge_write(self, nbytes: int, page_id: str = "") -> None:
         super()._charge_write(nbytes, page_id)
@@ -134,17 +148,21 @@ def deployment(feed_root: Path, store: InMemoryDisk) -> RasedSystem:
     )
 
 
-def write_ledger(feed_root: Path) -> dict[str, float]:
+def ledgers(feed_root: Path) -> tuple[dict[str, float], dict[str, float]]:
     """One ingest of the whole feed: bytes written per update by family,
-    undo after the pages, then the total (the families must sum to it)."""
+    undo after the pages, then the total; and bytes read per update by
+    family, then the total (the families must sum to each total)."""
     disk = LedgerDisk()
     updates = max(deployment(feed_root, disk).pipeline.run_daily().updates_indexed, 1)
     order = list(FAMILIES) + [f"undo:{family}" for family in FAMILIES]
     assert set(disk.ledger) <= set(order), disk.ledger
     assert sum(disk.ledger.values()) == disk.stats.bytes_written
-    rows = {family: disk.ledger[family] / updates for family in order}
-    rows["total"] = disk.stats.bytes_written / updates
-    return rows
+    assert sum(disk.read_ledger.values()) == disk.stats.bytes_read
+    written = {family: disk.ledger[family] / updates for family in order}
+    written["total"] = disk.stats.bytes_written / updates
+    read = {family: disk.read_ledger[family] / updates for family in FAMILIES}
+    read["total"] = disk.stats.bytes_read / updates
+    return written, read
 
 
 def measure(feed_root: Path) -> dict[str, float]:
@@ -224,7 +242,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--days", type=int, default=60, help="days in the feed (60)")
     parser.add_argument("--runs", type=int, default=3, help="ingests of the feed (3)")
-    parser.add_argument("--smoke", action="store_true", help="5 days (2 months with --monthly), 1 run (CI)")
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="5 days over a month end (2 months with --monthly), 1 run (CI)",
+    )
     parser.add_argument("--monthly", action="store_true", help="time the monthly rebuild instead")
     parser.add_argument("--months", type=int, default=6, help="months in the --monthly dump (6)")
     args = parser.parse_args()
@@ -235,18 +256,22 @@ def main() -> None:
         print(json.dumps(bench_monthly(2 if args.smoke else args.months, runs), sort_keys=True))
         return
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as feed_dir:
-        publish_feed(Path(feed_dir), days)
+        publish_feed(Path(feed_dir), days, SMOKE_FIRST_DAY if args.smoke else FIRST_DAY)
         results = [measure(Path(feed_dir)) for _ in range(runs)]
-        ledger = write_ledger(Path(feed_dir))
+        ledger, read_ledger = ledgers(Path(feed_dir))
+    if args.smoke:
+        assert ledger["bucket_base"] > 0, "the smoke window folds a month end"
     columns = [part for _, _, part in PARTS] + ["rest", "total"]
     print(f"writer-alone CPU ms/day over {days} days, {runs} run(s)")
     print("run  " + "  ".join(f"{name:>10}" for name in columns) + "        rows")
     for number, result in enumerate(results, 1):
         cells = "  ".join(f"{result[name]:10.2f}" for name in columns)
         print(f"{number:>3}  {cells}  {int(result['rows']):>10}")
-    print(f"write ledger, bytes per update over {int(results[-1]['rows'])} updates")
+    print(f"write and read ledgers, bytes per update over {int(results[-1]['rows'])} updates")
+    print(f"  {'family':<18} {'written':>9}  {'read':>9}")
     for family, value in ledger.items():
-        print(f"  {family:<18} {value:9.3f}")
+        read = read_ledger.get(family)
+        print(f"  {family:<18} {value:9.3f}  " + ("" if read is None else f"{read:9.3f}"))
     summary = {
         "bench": "ingest_day",
         "days": days,
@@ -256,6 +281,9 @@ def main() -> None:
             name: round(statistics.median(r[name] for r in results), 3) for name in columns
         },
         "bytes_per_update": {family: round(value, 3) for family, value in ledger.items()},
+        "read_bytes_per_update": {
+            family: round(value, 3) for family, value in read_ledger.items()
+        },
     }
     print(json.dumps(summary, sort_keys=True))
 

@@ -181,10 +181,10 @@ class IngestionPipeline:
 
     def recover(self) -> WalRecovery:
         """Under the writer lease, roll back any crashed batch (every
-        write call does this on entry).  After a rollback, or another
-        writer's commits, every in-memory view of the store — catalog,
-        warehouse tail, index buffers and segment lists, cube cache,
-        crawl cursor — is rebuilt from the pages, so the next
+        write call does this on entry).  After a rollback, a commit's
+        retired pages deleted, or another writer's commits, every view of
+        the store — catalog, warehouse tail, index buffers and segment
+        lists, cube cache, crawl cursor — is rebuilt from the pages, so the next
         :meth:`run_daily` ingests each day exactly once.
         """
         with self.wal.lease():
@@ -192,7 +192,7 @@ class IngestionPipeline:
 
     def _recover(self) -> WalRecovery:
         report = self.wal.recover()
-        if report.rolled_back or report.moved:
+        if report.rolled_back or report.moved or report.pages_retired:
             self._resync()
         return report
 

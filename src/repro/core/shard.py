@@ -283,6 +283,9 @@ class ShardedPageStore(PageStore):
     def delete(self, page_id: str) -> None:
         self._store_for(page_id).delete(page_id)
 
+    def size(self, page_id: str) -> int:
+        return self._store_for(page_id).size(page_id)
+
     def __contains__(self, page_id: str) -> bool:
         return page_id in self._store_for(page_id)
 

@@ -194,6 +194,9 @@ class InMemoryDisk(_LatencyMixin):
         except KeyError:
             raise PageNotFoundError(f"no such page: {page_id!r}") from None
 
+    def size(self, page_id: str) -> int:
+        return len(self._pages.get(page_id, b""))
+
     def __contains__(self, page_id: str) -> bool:
         return page_id in self._pages
 
@@ -260,7 +263,7 @@ class DirectoryDisk(_LatencyMixin):
     def append(self, page_id: str, data: bytes, at: int) -> None:
         # Unlike write(), not atomic: recovery cuts a partial append off.
         path = self._path(page_id)
-        _check_append(page_id, path.stat().st_size if path.exists() else 0, at)
+        _check_append(page_id, self.size(page_id), at)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "ab") as handle:
             handle.write(data)
@@ -272,6 +275,12 @@ class DirectoryDisk(_LatencyMixin):
             path.unlink()
         except FileNotFoundError:
             raise PageNotFoundError(f"no such page: {page_id!r}") from None
+
+    def size(self, page_id: str) -> int:
+        try:
+            return os.stat(self._path(page_id)).st_size
+        except FileNotFoundError:
+            return 0
 
     def __contains__(self, page_id: str) -> bool:
         return self._path(page_id).exists()

@@ -97,6 +97,14 @@ class PageStore(abc.ABC):
     def delete(self, page_id: str) -> None:
         """Remove a page; raise PageNotFoundError if absent."""
 
+    def retire(self, page_id: str) -> None:
+        """Delete a page no longer named (a batch defers it to its commit)."""
+        self.delete(page_id)
+
+    @abc.abstractmethod
+    def size(self, page_id: str) -> int:
+        """The page's length in bytes (0 if absent), charging no read."""
+
     @abc.abstractmethod
     def __contains__(self, page_id: str) -> bool: ...
 
@@ -175,6 +183,9 @@ class PageStoreProxy(PageStore):
 
     def delete(self, page_id: str) -> None:
         self.inner.delete(page_id)
+
+    def size(self, page_id: str) -> int:
+        return self.inner.size(page_id)
 
     def __contains__(self, page_id: str) -> bool:
         return page_id in self.inner

@@ -117,8 +117,10 @@ class SegmentedBuckets:
 
     def fold(self) -> int:
         """Move every segment into the base pages, in the order *append to
-        every bucket, swap in the empty tuple, delete the segment pages*: an
-        entry is always in at least one place.  Returns buckets appended to."""
+        every bucket (after its whole entries, learnt from its size, not
+        read), swap in the empty tuple, retire the segment pages* (a batch
+        deletes them at commit): an entry is always in at least one place.
+        Returns buckets appended to."""
         segments = self.segments
         pages = [self.store.read(page_id) for page_id, _ in segments]
         buckets = sorted({bucket for _, directory in segments for bucket in directory})
@@ -128,10 +130,12 @@ class SegmentedBuckets:
                 for (page_id, directory), data in zip(segments, pages)
                 if bucket in directory
             ]
-            self.store.append(self._base_id(bucket), b"".join(slices), len(self._base(bucket)))
+            base_id = self._base_id(bucket)
+            size = self.store.size(base_id)
+            self.store.append(base_id, b"".join(slices), size - size % self._entry.size)
         self.segments = ()
         for page_id, _ in segments:
-            self.store.delete(page_id)
+            self.store.retire(page_id)
         return len(buckets)
 
     def discard_pending(self) -> int:
@@ -149,15 +153,6 @@ class SegmentedBuckets:
 
     def _base_id(self, bucket: int) -> str:
         return f"{self.prefix}/{self._bucket_name(bucket)}"
-
-    def _base(self, bucket: int) -> bytes:
-        """The base page's whole entries: a partial last one is a fold's
-        append in flight, or a torn one that recovery truncates."""
-        try:
-            data = self.store.read(self._base_id(bucket))
-        except PageNotFoundError:
-            return b""
-        return data[: len(data) - len(data) % self._entry.size]
 
     def entries(self, bucket: int) -> Iterator[tuple[Any, ...]]:
         """The bucket's entries, unpacked, in insertion order: base page,
@@ -179,6 +174,12 @@ class SegmentedBuckets:
             # none or all of what these slices hold.
             if self.segments[: len(segments)] == segments:
                 break
-        chunks = [self._base(bucket)]
+        try:
+            base = self.store.read(self._base_id(bucket))
+        except PageNotFoundError:
+            base = b""
+        # Whole entries: a partial last one is a fold's append in flight,
+        # or a torn one that recovery truncates.
+        chunks = [base[: len(base) - len(base) % self._entry.size]]
         chunks += [_cut(page_id, data, span) for (page_id, span), data in zip(hits, pages)]
         return chain.from_iterable(map(self._entry.iter_unpack, chunks))

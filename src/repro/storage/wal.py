@@ -18,17 +18,18 @@ The protocol is classic physical undo logging over the page store:
    write-ahead ordering, so a torn undo page always implies an
    untouched data page.  A page the batch only appends to is journaled
    by a **truncate record** instead: its length before the append, no
-   bytes.
+   bytes; a page it *retires* stays in place behind a **retire record**.
 3. :meth:`IngestWAL.commit` deletes the intent page — the atomic
-   commit point — then garbage-collects the undo pages and records a
-   **checkpoint** page (``wal/checkpoint``) naming the last durable
-   batch.
+   commit point — then the retired pages, garbage-collects the undo
+   pages and records a **checkpoint** page (``wal/checkpoint``) naming
+   the last durable batch.
 
 :meth:`IngestWAL.recover` inverts an incomplete batch: if an intent
 page exists, every parseable undo page of *that batch* is restored
 (newest first: a pre-image is written back, an appended page cut back
-to its recorded length) and the intent is cleared; stray undo pages
-from any other batch are committed leftovers and are simply collected.
+to its recorded length, a retired page left) and collected, then the
+intent is cleared; undo pages with no intent are committed leftovers,
+collected after the pages their retire records name are deleted.
 After recovery the store is byte-identical to the pre-batch state, so
 re-running the crawler (whose cursor was part of the batch and was
 therefore rolled back too) re-ingests the batch exactly once.
@@ -46,6 +47,7 @@ so a live writer's batch is never rolled back from outside.
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import json
 import os
@@ -66,6 +68,7 @@ __all__ = ["IngestWAL", "JournaledStore", "WalRecovery", "WAL_PREFIX"]
 WAL_PREFIX = "wal"
 
 _HEADER_SEP = b"\n"
+_RETIRED = "retired"  # a retire record's "pre-image"
 
 _K_RECOVERIES = metric_key("rased_ingest_recoveries_total")
 _K_ROLLED_BACK = metric_key("rased_ingest_batches_rolled_back_total")
@@ -86,6 +89,8 @@ class WalRecovery:
     pages_skipped: int = 0
     #: Orphan undo pages collected from already-committed batches.
     orphans_collected: int = 0
+    #: Retire records of a committed batch whose pages were deleted.
+    pages_retired: int = 0
     #: Whether another writer committed since this WAL last looked.
     moved: bool = False
 
@@ -97,8 +102,8 @@ class JournaledStore(PageStoreProxy):
     batch (between :meth:`IngestWAL.begin` and :meth:`IngestWAL.commit`)
     the first change of each page is journaled before it lands: the
     page's prior contents (or its absence) before a write or delete,
-    its length before an append.  WAL pages themselves are never
-    journaled.
+    its length before an append; a retired page is only named, and goes
+    at commit.  WAL pages themselves are never journaled.
     """
 
     def __init__(self, wal: "IngestWAL") -> None:
@@ -116,6 +121,10 @@ class JournaledStore(PageStoreProxy):
     def delete(self, page_id: str) -> None:
         self._wal.journal(page_id)
         self.inner.delete(page_id)
+
+    def retire(self, page_id: str) -> None:
+        if not self._wal.journal(page_id, retire=True):
+            self.inner.delete(page_id)
 
 
 class IngestWAL:
@@ -149,6 +158,8 @@ class IngestWAL:
         #: Page -> ``None`` once its pre-image is journaled, or the length
         #: its truncate record holds.
         self._journaled: dict[str, int | None] = {}
+        #: Pages the open batch deletes at its commit, in retire order.
+        self._retired: list[str] = []
         self._next_batch = self._discover_next_batch()
 
     # -- page ids ------------------------------------------------------------
@@ -167,12 +178,8 @@ class IngestWAL:
         except (PageNotFoundError, ValueError, KeyError, TypeError):
             pass
         for page_id in self.raw.list_pages(f"{self.prefix}/undo/"):
-            parts = page_id.split("/")
-            if len(parts) >= 3:
-                try:
-                    newest = max(newest, int(parts[2]))
-                except ValueError:
-                    continue
+            with contextlib.suppress(ValueError, IndexError):
+                newest = max(newest, int(page_id.split("/")[2]))
         return newest + 1
 
     # -- batch lifecycle -----------------------------------------------------
@@ -195,22 +202,31 @@ class IngestWAL:
             self.raw.write(self.intent_page, payload)
         self._active_batch = batch
         self._undo_count = 0
-        self._journaled = {}
+        self._journaled, self._retired = {}, []
         return batch
 
-    def journal(self, page_id: str, at: int | None = None) -> None:
+    def journal(self, page_id: str, at: int | None = None, retire: bool = False) -> bool:
         """Journal how to undo the batch's first change of ``page_id``: its
         pre-image (or absence) before a write or delete, or before an append
         at byte ``at`` of an existing page a truncate record.  A page then
-        written or deleted gets its first ``at`` bytes journaled too."""
+        written or deleted gets its first ``at`` bytes journaled too.  With
+        ``retire``, a retire record: :meth:`commit` deletes the page, which
+        the batch may no longer change.  False outside a batch."""
         if self._active_batch is None or page_id.startswith(self.prefix + "/"):
-            return
+            return False
+        if page_id in self._retired:
+            raise StorageError(f"page {page_id!r} is retired in this batch")
         length = self._journaled.get(page_id)
-        if page_id in self._journaled and (length is None or at is not None):
-            return  # already undoable
         header: dict[str, object] = {"page_id": page_id}
         payload = b""
-        if at is not None and page_id in self.raw:
+        if retire:
+            if page_id not in self.raw:
+                raise PageNotFoundError(f"no such page: {page_id!r}")
+            header["retire"] = True
+            self._retired.append(page_id)
+        elif page_id in self._journaled and (length is None or at is not None):
+            return True  # already undoable
+        elif at is not None and page_id in self.raw:
             header["truncate"] = at
             self._journaled[page_id] = at
         else:
@@ -228,10 +244,12 @@ class IngestWAL:
                 wal_span.attributes["page"] = page_id
                 wal_span.attributes["bytes"] = len(payload)
             self.raw.write(undo_id, json.dumps(header).encode("utf-8") + _HEADER_SEP + payload)
+        return True
 
     def commit(self, meta: dict | None = None) -> None:
         """Make the batch durable.  Deleting the intent page is the
-        atomic commit point; undo GC and the checkpoint are cleanup."""
+        atomic commit point; deleting the retired pages, undo GC and the
+        checkpoint are cleanup."""
         if self._active_batch is None:
             raise StorageError("no active WAL batch to commit")
         batch = self._active_batch
@@ -240,31 +258,34 @@ class IngestWAL:
                 wal_span.attributes["batch"] = batch
                 wal_span.attributes["undo_pages"] = self._undo_count
             self.raw.delete(self.intent_page)
-            self._active_batch = None
-            self._journaled = {}
+            retired, self._active_batch = self._retired, None
+            self._journaled, self._retired = {}, []
+            for page_id in retired:
+                self.raw.delete(page_id)
             # Numbered by journal(): no listing of the store to find them.
-            self._collect_undo(
-                self._undo_page(batch, n) for n in range(self._undo_count)
-            )
-            checkpoint = json.dumps({"batch": batch, "meta": meta or {}}).encode(
-                "utf-8"
-            )
+            self._collect_undo(self._undo_page(batch, n) for n in range(self._undo_count))
+            checkpoint = json.dumps({"batch": batch, "meta": meta or {}}).encode("utf-8")
             self.raw.write(self.checkpoint_page, checkpoint)
 
     @contextlib.contextmanager
     def lease(self) -> Iterator[None]:
         """Hold the writer lease for the block, or raise :class:`ConfigError`
-        naming the holder's pid.  It is a lock on ``primary`` (the
-        deployment's own store under a routed view), plus a ``flock`` on
-        its ``lock_path`` if it has one; a crash unwinding the block frees
-        it, as process death frees a ``flock``."""
+        naming the holder's pid (or saying the root is read-only).  It is a
+        lock on ``primary`` (the deployment's own store under a routed
+        view), plus a ``flock`` on its ``lock_path`` if it has one; a crash
+        unwinding the block frees it, as process death frees a ``flock``."""
         held = "another writer (pid {}) holds this root's lease".format
         path, fd = self._lease_path, None
         if not self._lease_lock.acquire(blocking=False):
             raise ConfigError(held(os.getpid()))
         try:
             if path is not None:
-                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+                try:
+                    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+                except OSError as exc:
+                    if exc.errno not in (errno.EACCES, errno.EPERM, errno.EROFS):
+                        raise
+                    raise ConfigError(f"this root is read-only: {exc}") from None
                 try:
                     fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 except BlockingIOError:
@@ -289,7 +310,7 @@ class IngestWAL:
         report = WalRecovery()
         expected = self._next_batch
         self._active_batch = None
-        self._journaled = {}
+        self._journaled, self._retired = {}, []
         intent_batch: int | None = None
         intent_present = self.intent_page in self.raw
         if intent_present:
@@ -302,18 +323,23 @@ class IngestWAL:
                 # data write, so there is nothing to restore.
                 intent_batch = None
         if intent_batch is not None:
-            report.pages_restored, report.pages_skipped = self._restore_batch(
-                intent_batch
-            )
+            report.pages_restored, report.pages_skipped = self._restore_batch(intent_batch)
+            # Collected before the intent: undo with no intent is a
+            # committed batch's, whose retire records stand.
+            self._collect_undo(list(self.raw.list_pages(self._undo_prefix(intent_batch))))
         if intent_present:
             report.rolled_back = True
             self.raw.delete(self.intent_page)
-        # Undo pages surviving past their intent are committed batches'
-        # leftovers (crash between intent delete and GC) — or the pages
-        # just restored above.  Either way they are garbage now.
-        report.orphans_collected = self._collect_undo(
-            list(self.raw.list_pages(f"{self.prefix}/undo/"))
-        )
+        # Committed batches' leftovers (crash between the commit point and
+        # GC): a retire record's page goes first, then every record.
+        leftovers = list(self.raw.list_pages(f"{self.prefix}/undo/"))
+        for undo_id in leftovers:
+            entry = self._parse_undo(self.raw.read(undo_id))
+            if entry is not None and entry[1] is _RETIRED:
+                if entry[0] in self.raw:
+                    self.raw.delete(entry[0])
+                report.pages_retired += 1
+        report.orphans_collected = self._collect_undo(leftovers)
         self._next_batch = self._discover_next_batch()
         report.moved = self._next_batch != expected
         self.metrics.inc_key(_K_RECOVERIES)
@@ -336,17 +362,17 @@ class IngestWAL:
                 data = self.raw.read(page_id)
                 if len(data) != before:
                     self.raw.write(page_id, data[:before])
-            elif before is not None:
+            elif isinstance(before, bytes):
                 self.raw.write(page_id, before)
-            elif page_id in self.raw:
+            elif before is None and page_id in self.raw:
                 self.raw.delete(page_id)
             restored += 1
         return restored, skipped
 
     @staticmethod
-    def _parse_undo(data: bytes) -> tuple[str, bytes | int | None] | None:
-        """``(page id, pre-image, length to truncate to, or None if the page
-        was absent)``, or ``None`` for a torn record."""
+    def _parse_undo(data: bytes) -> tuple[str, bytes | int | str | None] | None:
+        """``(page id, pre-image, length to truncate to, _RETIRED, or None if
+        the page was absent)``, or ``None`` for a torn record."""
         head, sep, payload = data.partition(_HEADER_SEP)
         if not sep:
             return None
@@ -355,6 +381,8 @@ class IngestWAL:
             page_id = str(header["page_id"])
             if "truncate" in header:
                 return None if payload else (page_id, int(header["truncate"]))
+            if "retire" in header:
+                return None if payload else (page_id, _RETIRED)
             existed = bool(header["existed"])
             size = int(header["size"])
             crc = int(header["crc"])
@@ -367,9 +395,7 @@ class IngestWAL:
     def _collect_undo(self, undo_ids: Iterable[str]) -> int:
         collected = 0
         for undo_id in undo_ids:
-            try:
+            with contextlib.suppress(PageNotFoundError):
                 self.raw.delete(undo_id)
                 collected += 1
-            except PageNotFoundError:
-                continue
         return collected

@@ -19,8 +19,9 @@ the rest of its batch (:class:`TestShardedCrash`).
 The warehouse indexes publish a day as one segment page and fold the
 month's segments into their bucket pages when the month closes; a
 second window over a month end kills the segment write, the fold
-between two bucket writes and the fold between its last bucket write
-and its first segment delete (``test_index_crash_*``).
+between two bucket writes, and the commit between its commit point and
+the deletes of the segments the fold retired (``test_index_crash_*``,
+``test_a_lease_less_opener_*``).
 """
 
 from __future__ import annotations
@@ -333,10 +334,13 @@ class TestShardedCrash:
 #: Jan 31 closes its month: that day's batch folds three segments per
 #: index into the bucket pages, and Feb 1 starts numbering segments anew.
 FOLD_DAYS = [date(2021, 1, 29) + timedelta(days=i) for i in range(5)]
+MONTH_END = date(2021, 1, 31)
 
 WORLD = BBox(min_lon=-180, min_lat=-90, max_lon=180, max_lat=90)
 
 #: (operation, page-id prefix, matching operations let through first).
+#: A segment delete happens past the commit point: the fold's batch
+#: retired the page, and its commit deletes it.
 INDEX_CRASHES = [
     pytest.param("write", "warehouse/hash/seg/", 0, id="first-hash-segment"),
     pytest.param("write", "warehouse/grid/seg/", 2, id="month-end-grid-segment"),
@@ -409,13 +413,13 @@ class TestIndexCrash:
 
     @pytest.fixture(scope="class")
     def golden(self, atlas, feed_root) -> list[dict[str, bytes]]:
-        """The uninterrupted run's pages before the first batch and at
-        each batch's commit point (the intent delete)."""
+        """The uninterrupted run's pages before the first batch and as
+        each batch's commit returns (its checkpoint write)."""
 
         class CommitRecorder(InMemoryDisk):
-            def delete(self, page_id: str) -> None:
-                super().delete(page_id)
-                if page_id == "wal/intent":
+            def write(self, page_id: str, data: bytes) -> None:
+                super().write(page_id, data)
+                if page_id == "wal/checkpoint":
                     states.append(_snapshot(self))
 
         disk = CommitRecorder(read_latency=0, write_latency=0)
@@ -441,9 +445,14 @@ class TestIndexCrash:
         with pytest.raises(CrashPoint):
             system.pipeline.run_daily()
         report = system.pipeline.recover()
-        assert report is not None and report.rolled_back
-        crashed_day = FOLD_DAYS.index(date.fromisoformat(report.batch_meta["day"]))
-        assert _deployment_pages(system) == golden[crashed_day]
+        if op == "delete":
+            # The month end committed: recovery finishes its deletes.
+            assert report.rolled_back is False and report.pages_retired > 0
+            assert _deployment_pages(system) == golden[FOLD_DAYS.index(MONTH_END) + 1]
+        else:
+            assert report.rolled_back
+            crashed_day = FOLD_DAYS.index(date.fromisoformat(report.batch_meta["day"]))
+            assert _deployment_pages(system) == golden[crashed_day]
         _assert_indexes_match_the_heap(system)
 
         # The same process carries on; so would a restarted one.
@@ -491,3 +500,32 @@ class TestIndexCrash:
         reopened.pipeline.run_daily()
         assert _deployment_pages(reopened) == golden[-1]
         _assert_indexes_match_the_heap(reopened)
+
+    def test_a_lease_less_opener_between_two_retire_deletes_reads_each_row_once(
+        self, atlas, feed_root, tmp_path
+    ):
+        """An opener that lists the segments while a committed fold's
+        deletes are half done meets some entries twice, in the base page
+        and in a retired segment; its lookups keep one copy of each."""
+        system = _directory_system(atlas, feed_root, tmp_path, 1)
+        _crash_before(system.store, "delete", "warehouse/hash/seg/", 1)
+        with pytest.raises(CrashPoint):
+            system.pipeline.run_daily()
+        vars(system.store).pop("delete")
+        with system.wal.lease():
+            reader = _directory_system(atlas, feed_root, tmp_path, 1)
+            assert reader.recovered is None
+            assert len(reader.hash_index.buckets.segments) == 2
+            keys = {row.changeset_id for _, rows in reader.warehouse.scan_pages() for row in rows}
+            lookups = {key: reader.hash_index.lookup(key) for key in keys}
+            world = reader.spatial_index.query(WORLD)
+            listed = [
+                sum(1 for _ in reader.spatial_index.buckets.entries(bucket))
+                for bucket in range(reader.spatial_index.cols * reader.spatial_index.rows)
+            ]
+        report = system.pipeline.recover()
+        assert report.pages_retired > 0 and not report.rolled_back
+        fresh = _directory_system(atlas, feed_root, tmp_path, 1)
+        assert lookups == {key: fresh.hash_index.lookup(key) for key in keys}
+        assert world == fresh.spatial_index.query(WORLD)
+        assert sum(listed) > len(world)  # the copies were there to drop

@@ -725,10 +725,13 @@ class TestIndexWritesAreFlatInHistory:
         # two headers and two "was absent" pre-images.
         assert 40 < last < 80, last
 
-    def test_each_month_end_fold_writes_per_entry_what_the_first_did(self, atlas):
+    @pytest.fixture(scope="class")
+    def folds(self, atlas) -> dict[date, tuple[int, int, int]]:
+        """Each month end of Mar-May 2021: the bytes both indexes' folds
+        wrote (pages and undo) and read, and the entries they folded."""
         disk = _FamilyBytes(read_latency=0.0, write_latency=0.0)
         system = _durable_system(atlas, disk)
-        folds: list[tuple[date, int, int]] = []  # (day, bytes, entries folded)
+        folds: list[tuple[date, int, int, int]] = []
         for index in (system.hash_index, system.spatial_index):
             buckets = index.buckets
 
@@ -738,10 +741,12 @@ class TestIndexWritesAreFlatInHistory:
                     (end - start) // size for _, spans in buckets.segments
                     for start, end in spans.values()
                 )
-                before = disk.counted
-                written = real()
-                folds.append((day, disk.counted - before, entries))
-                return written
+                written, read = disk.counted, disk.stats.bytes_read
+                folded = real()
+                folds.append(
+                    (day, disk.counted - written, disk.stats.bytes_read - read, entries)
+                )
+                return folded
 
             buckets.fold = fold
         day = date(2021, 3, 1)
@@ -749,17 +754,27 @@ class TestIndexWritesAreFlatInHistory:
             system.publish_day(day)
             system.pipeline.run_daily()
             day += timedelta(days=1)
-        month_ends = sorted({fold_day for fold_day, _, _ in folds})
-        assert month_ends == [date(2021, 3, 31), date(2021, 4, 30), date(2021, 5, 31)]
-        per_entry = [
-            sum(b for d, b, _ in folds if d == end) / sum(n for d, _, n in folds if d == end)
-            for end in month_ends
-        ]
-        # Every entry's bytes, once appended to its base page and once in
-        # the journaled pre-image of the segment the fold deletes, plus a
-        # truncate record per base page appended to.
+        system.close()
+        # Whatever committing the month end deletes is charged to neither.
+        return {
+            end: tuple(sum(fold[i] for fold in folds if fold[0] == end) for i in (1, 2, 3))
+            for end in sorted({fold[0] for fold in folds})
+        }
+
+    def test_each_month_end_fold_writes_per_entry_what_the_first_did(self, folds):
+        assert list(folds) == [date(2021, 3, 31), date(2021, 4, 30), date(2021, 5, 31)]
+        per_entry = [written / entries for written, _, entries in folds.values()]
+        # Every entry's bytes, once appended to its base page, plus a
+        # truncate record per base page appended to and a retire record
+        # per segment (its pages go at commit, with no pre-image).
         assert all(ratio <= 1.1 for ratio in (k / per_entry[0] for k in per_entry)), per_entry
-        assert all(40 < value < 60 for value in per_entry), per_entry
+        assert all(20 < value < 27 for value in per_entry), per_entry
+
+    def test_each_month_end_fold_reads_per_entry_what_the_first_did(self, folds):
+        """A fold reads the segments it folds, not the base pages it
+        appends to: those hold every month folded before."""
+        per_entry = [read / entries for _, read, entries in folds.values()]
+        assert all(ratio <= 1.1 for ratio in (k / per_entry[0] for k in per_entry)), per_entry
 
 
 class TestHeapWritesAreFlatInFill:

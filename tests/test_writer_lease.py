@@ -12,6 +12,7 @@ file conflict exactly as two processes' would.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import urllib.error
@@ -234,6 +235,50 @@ class TestAfterACrash:
         assert reader.pipeline.run_daily().days_processed == 6
         assert reader.metrics.value("rased_ingest_batches_rolled_back_total") == 1
         assert _pages(reader.store) == uninterrupted
+
+
+class TestAReadOnlyRoot:
+    @pytest.mark.parametrize("code", [errno.EROFS, errno.EACCES])
+    def test_an_opener_that_cannot_open_the_lease_file_reads_and_never_writes(
+        self, atlas, feed_root, uninterrupted, tmp_path, monkeypatch, code
+    ):
+        """The lease file of a read-only mount cannot be opened for
+        writing (as root in a sandbox, a chmod would not stop the open,
+        so the open itself is made to fail): the opener comes up as a
+        reader that leaves a dead writer's batch alone and refuses to
+        ingest, saying why."""
+        writer = _opener("directory", atlas, feed_root, tmp_path)
+
+        def dying() -> None:
+            raise CrashPoint("cursor", writer.pipeline.CURSOR_PAGE)
+
+        writer.pipeline._save_cursor = dying
+        with pytest.raises(CrashPoint):
+            writer.pipeline.run_daily()
+        store = DirectoryDisk(tmp_path / "pages")
+        left = {page_id: store.read(page_id) for page_id in store.list_pages("")}
+        assert writer.wal.intent_page in left
+
+        real_open = os.open
+
+        def refusing(path, *args, **kwargs):
+            if Path(path) == store.lock_path:
+                raise OSError(code, os.strerror(code), str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+        reader = _opener("directory", atlas, feed_root, tmp_path)
+        assert reader.recovered is None
+        for call in (reader.pipeline.run_daily, reader.pipeline.recover):
+            with pytest.raises(ConfigError, match="this root is read-only"):
+                call()
+        assert {page_id: store.read(page_id) for page_id in store.list_pages("")} == left
+
+        monkeypatch.undo()
+        writable = _opener("directory", atlas, feed_root, tmp_path)
+        assert writable.recovered is not None and writable.recovered.rolled_back
+        assert writable.pipeline.run_daily().days_processed == 6
+        assert _pages(writable.store) == uninterrupted
 
 
 def _get(server, path: str) -> tuple[int, object]:

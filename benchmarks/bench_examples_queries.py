@@ -28,6 +28,7 @@ import pytest
 from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import InMemoryDisk
+from repro.synth.publisher import FeedPublisher
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 
@@ -44,18 +45,14 @@ _RESULTS: dict[str, dict] = {}
 def system():
     deployment = RasedSystem.create(
         store=InMemoryDisk(read_latency=0.005, write_latency=0.006),
-        config=SystemConfig(
-            road_types=12,
-            cache_slots=48,
-            simulation=SimulationConfig(
-                seed=2021,
-                mapper_count=60,
-                base_sessions_per_day=14,
-                nodes_per_country=10,
-            ),
-        ),
+        config=SystemConfig(road_types=12, cache_slots=48),
     )
-    deployment.simulate_and_ingest(*SPAN, monthly_rebuild=True)
+    publisher = FeedPublisher(
+        deployment.feed_root,
+        deployment.atlas,
+        SimulationConfig(seed=2021, mapper_count=60, base_sessions_per_day=14, nodes_per_country=10),
+    )
+    publisher.publish_and_ingest(deployment.pipeline, *SPAN, monthly_rebuild=True)
     deployment.warm_cache()
     yield deployment
     write_result_json(

@@ -19,8 +19,10 @@ summed over the run and divided by the days:
 It then ingests the feed once more, untimed, to print the write ledger:
 the bytes the store charged per update indexed, filed by page family — the warehouse heap,
 the index bucket base pages, the index segments, the undo journal by
-the family of the page each record undoes, the cube pages, and other
-(WAL intent and checkpoint, the crawl cursor).  The families sum to the
+the family of the page each record undoes, the cube pages, the
+road-network size records (``meta:network_sizes``: the first day's and
+each month end's), and other (WAL intent and checkpoint, the crawl
+cursor).  The families sum to the
 store's ``bytes_written``, which ``store_bytes_per_update`` in
 ``benchmarks/e2e`` divides by the same count.  Beside it, the read
 ledger: the bytes the store charged for reads per update, filed by the
@@ -34,7 +36,8 @@ default simulation) writes its full-history dump, then the CPU of
 all of its months together, from that dump.
 
 ``--smoke`` ingests 5 days from 2022-01-29, so its one run folds the
-month end of January and retires its segments.
+month end of January and retires its segments, and writes exactly two
+size records: the first day's and January's month end.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_ingest_day.py [--days 60]
 [--runs 3] [--smoke] [--monthly [--months 6]]``.  The last line printed
@@ -58,7 +61,9 @@ from repro.collection.daily import DailyCrawler
 from repro.collection.pipeline import IngestionPipeline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.osm.replication import ResilientFeed
+from repro.osm.snapshot import SIZES_PREFIX
 from repro.storage.disk import InMemoryDisk
+from repro.synth.publisher import FeedPublisher
 from repro.system import RasedSystem, SimulationConfig, SystemConfig
 from repro.types.temporal import TemporalKey, month_key
 
@@ -78,12 +83,8 @@ PARTS: tuple[tuple[type, str, str], ...] = (
 
 def publish_feed(root: Path, days: int, first: date = FIRST_DAY) -> None:
     """Simulate and publish ``days`` daily diffs from ``first`` under ``root``."""
-    generator = RasedSystem.create(
-        root=root,
-        config=SystemConfig(road_types=ROAD_TYPES, simulation=SimulationConfig(seed=FEED_SEED)),
-    )
-    for offset in range(days):
-        generator.publish_day(first + timedelta(days=offset))
+    publisher = FeedPublisher(root, config=SimulationConfig(seed=FEED_SEED))
+    publisher.publish_days(first, first + timedelta(days=days - 1))
 
 
 def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Callable[..., Any]:
@@ -98,7 +99,7 @@ def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Ca
 
 
 #: The ledgers' page families, in print order.
-FAMILIES = ("heap", "bucket_base", "segment", "cubes", "other")
+FAMILIES = ("heap", "bucket_base", "segment", "cubes", "meta:network_sizes", "other")
 
 
 def page_family(page_id: str) -> str:
@@ -107,6 +108,8 @@ def page_family(page_id: str) -> str:
         return "heap"
     if page_id.startswith(("warehouse/hash/", "warehouse/grid/")):
         return "segment" if "/seg/" in page_id else "bucket_base"
+    if page_id.startswith(SIZES_PREFIX):
+        return "meta:network_sizes"
     return "cubes" if page_id.startswith("cubes/") else "other"
 
 
@@ -148,12 +151,14 @@ def deployment(feed_root: Path, store: InMemoryDisk) -> RasedSystem:
     )
 
 
-def ledgers(feed_root: Path) -> tuple[dict[str, float], dict[str, float]]:
+def ledgers(feed_root: Path) -> tuple[dict[str, float], dict[str, float], list[date]]:
     """One ingest of the whole feed: bytes written per update by family,
-    undo after the pages, then the total; and bytes read per update by
-    family, then the total (the families must sum to each total)."""
+    undo after the pages, then the total; bytes read per update by
+    family, then the total (the families must sum to each total); and
+    the dates of the size records written."""
     disk = LedgerDisk()
-    updates = max(deployment(feed_root, disk).pipeline.run_daily().updates_indexed, 1)
+    report = deployment(feed_root, disk).pipeline.run_daily()
+    updates = max(report.updates_indexed, 1)
     order = list(FAMILIES) + [f"undo:{family}" for family in FAMILIES]
     assert set(disk.ledger) <= set(order), disk.ledger
     assert sum(disk.ledger.values()) == disk.stats.bytes_written
@@ -162,7 +167,7 @@ def ledgers(feed_root: Path) -> tuple[dict[str, float], dict[str, float]]:
     written["total"] = disk.stats.bytes_written / updates
     read = {family: disk.read_ledger[family] / updates for family in FAMILIES}
     read["total"] = disk.stats.bytes_read / updates
-    return written, read
+    return written, read, report.sizes_recorded
 
 
 def measure(feed_root: Path) -> dict[str, float]:
@@ -207,14 +212,13 @@ def bench_monthly(month_count: int, runs: int) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="bench-monthly-") as root:
         system = RasedSystem.create(
             root=root,
-            config=SystemConfig(
-                road_types=MONTHLY_ROAD_TYPES, simulation=SimulationConfig(seed=MONTHLY_SEED)
-            ),
+            config=SystemConfig(road_types=MONTHLY_ROAD_TYPES),
             store=InMemoryDisk(read_latency=0.0, write_latency=0.0),
         )
-        system.simulate_and_ingest(months[0].start, months[-1].end)
+        publisher = FeedPublisher(root, system.atlas, SimulationConfig(seed=MONTHLY_SEED))
+        publisher.publish_and_ingest(system.pipeline, months[0].start, months[-1].end)
         history = Path(root) / "history.osm"
-        versions = system.simulator.write_history_dump(history)
+        versions = publisher.write_history_dump(history)
         dump_bytes = history.stat().st_size
         results = [
             {"one_month_ms": rebuild(system, history, months[:1]),
@@ -258,9 +262,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as feed_dir:
         publish_feed(Path(feed_dir), days, SMOKE_FIRST_DAY if args.smoke else FIRST_DAY)
         results = [measure(Path(feed_dir)) for _ in range(runs)]
-        ledger, read_ledger = ledgers(Path(feed_dir))
+        ledger, read_ledger, recorded = ledgers(Path(feed_dir))
     if args.smoke:
         assert ledger["bucket_base"] > 0, "the smoke window folds a month end"
+        assert recorded == [SMOKE_FIRST_DAY, date(2022, 1, 31)], recorded
     columns = [part for _, _, part in PARTS] + ["rest", "total"]
     print(f"writer-alone CPU ms/day over {days} days, {runs} run(s)")
     print("run  " + "  ".join(f"{name:>10}" for name in columns) + "        rows")
@@ -268,10 +273,10 @@ def main() -> None:
         cells = "  ".join(f"{result[name]:10.2f}" for name in columns)
         print(f"{number:>3}  {cells}  {int(result['rows']):>10}")
     print(f"write and read ledgers, bytes per update over {int(results[-1]['rows'])} updates")
-    print(f"  {'family':<18} {'written':>9}  {'read':>9}")
+    print(f"  {'family':<24} {'written':>9}  {'read':>9}")
     for family, value in ledger.items():
         read = read_ledger.get(family)
-        print(f"  {family:<18} {value:9.3f}  " + ("" if read is None else f"{read:9.3f}"))
+        print(f"  {family:<24} {value:9.3f}  " + ("" if read is None else f"{read:9.3f}"))
     summary = {
         "bench": "ingest_day",
         "days": days,

@@ -32,6 +32,7 @@ from datetime import date
 from repro.types.temporal import Level
 from repro.core.query import AnalysisQuery
 from repro.storage.disk import InMemoryDisk
+from repro.synth.publisher import FeedPublisher
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 
@@ -87,15 +88,14 @@ def build_system() -> RasedSystem:
             # No result cache: a memoized hit would measure dict lookup
             # overhead, not the instrumented execution path.
             result_cache_slots=0,
-            simulation=SimulationConfig(
-                seed=2021,
-                mapper_count=60,
-                base_sessions_per_day=14,
-                nodes_per_country=10,
-            ),
         ),
     )
-    system.simulate_and_ingest(*SPAN, monthly_rebuild=True)
+    publisher = FeedPublisher(
+        system.feed_root,
+        system.atlas,
+        SimulationConfig(seed=2021, mapper_count=60, base_sessions_per_day=14, nodes_per_country=10),
+    )
+    publisher.publish_and_ingest(system.pipeline, *SPAN, monthly_rebuild=True)
     system.warm_cache()
     store.real_sleep = True
     return system

@@ -13,6 +13,7 @@ from datetime import date
 
 from repro import RasedSystem, SystemConfig
 from repro.storage.disk import InMemoryDisk
+from repro.synth.publisher import FeedPublisher
 from repro.synth.simulator import SimulationConfig
 
 SPAN_START = date(2021, 1, 1)
@@ -29,19 +30,15 @@ def example_system() -> RasedSystem:
     print("Simulating four months of OSM edits (one-time setup)...")
     system = RasedSystem.create(
         store=InMemoryDisk(read_latency=0.005, write_latency=0.006),
-        config=SystemConfig(
-            road_types=12,
-            cache_slots=48,
-            simulation=SimulationConfig(
-                seed=2021,
-                mapper_count=60,
-                base_sessions_per_day=14,
-                nodes_per_country=10,
-            ),
-        ),
+        config=SystemConfig(road_types=12, cache_slots=48),
     )
     atexit.register(system.close)  # removes its temporary feed directory
-    report = system.simulate_and_ingest(SPAN_START, SPAN_END, monthly_rebuild=True)
+    publisher = FeedPublisher(
+        system.feed_root,
+        system.atlas,
+        SimulationConfig(seed=2021, mapper_count=60, base_sessions_per_day=14, nodes_per_country=10),
+    )
+    report = publisher.publish_and_ingest(system.pipeline, SPAN_START, SPAN_END, monthly_rebuild=True)
     system.warm_cache()
     print(
         f"  ingested {report.updates_indexed:,} updates over "

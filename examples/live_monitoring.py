@@ -11,38 +11,35 @@ from changeset metadata.
 Run:  python examples/live_monitoring.py
 """
 
-from contextlib import closing
+import tempfile
 from datetime import date
 
 from repro import AnalysisQuery, RasedSystem, SystemConfig
 from repro.storage.disk import InMemoryDisk
+from repro.synth.publisher import FeedPublisher
 from repro.synth.simulator import SimulationConfig
 
 
 def main() -> None:
-    with closing(
-        RasedSystem.create(
-            store=InMemoryDisk(read_latency=0.005, write_latency=0.006),
-            config=SystemConfig(
-                road_types=12,
-                cache_slots=16,
-                simulation=SimulationConfig(
-                    seed=99, mapper_count=30, base_sessions_per_day=10, nodes_per_country=8
-                ),
+    with tempfile.TemporaryDirectory(prefix="rased-live-") as feeds:
+        publisher = FeedPublisher(
+            feeds,
+            config=SimulationConfig(
+                seed=99, mapper_count=30, base_sessions_per_day=10, nodes_per_country=8
             ),
         )
-    ) as system:
+        system = RasedSystem.create(
+            root=feeds,
+            store=InMemoryDisk(read_latency=0.005, write_latency=0.006),
+            config=SystemConfig(road_types=12, cache_slots=16),
+        )
         print("Publishing and ingesting a complete week (daily + hourly feeds)...")
-        day = date(2021, 8, 1)
-        from datetime import timedelta
-
-        for offset in range(7):
-            system.publish_day(day + timedelta(days=offset), hourly=True)
+        publisher.publish_days(date(2021, 8, 1), date(2021, 8, 7), hourly=True)
         report = system.pipeline.run_daily()
         print(f"  ingested {report.updates_indexed:,} updates over {report.days_processed} days")
 
         print("Publishing 'today' (Aug 8) as hourly diffs only, through 14:59...")
-        published = system.publish_partial_day(date(2021, 8, 8), through_hour=14)
+        published = publisher.publish_partial_day(date(2021, 8, 8), through_hour=14)
         print(f"  {published} updates visible only to the live monitor")
         hours = system.poll_live()
         print(f"  live monitor consumed {hours} hourly diffs; "

@@ -5,41 +5,44 @@ This drives the complete pipeline from the paper's Fig. 1:
 
 1. a synthetic OSM world is created (306 zones, per-country road
    networks) and two months of edits are simulated, published as real
-   osmChange diffs + changeset files;
-2. the daily crawler ingests them into the hierarchical cube index and
-   the sample-update warehouse;
-3. the dashboard answers analysis queries in milliseconds.
+   osmChange diffs + changeset files by a :class:`FeedPublisher`;
+2. the daily crawler of a separate deployment ingests them into the
+   hierarchical cube index and the sample-update warehouse, and keeps
+   the road-network sizes the feed publishes as dated records;
+3. the dashboard answers analysis queries in milliseconds, as counts
+   or as percentages of a country's road network.
 
 Run:  python examples/quickstart.py
 """
 
-from contextlib import closing
+import tempfile
 from datetime import date
 
 from repro import AnalysisQuery, RasedSystem, SystemConfig
+from repro.synth.publisher import FeedPublisher
 from repro.synth.simulator import SimulationConfig
 
 
 def main() -> None:
-    print("Building a RASED deployment (synthetic world, in-memory pages)...")
-    with closing(
-        RasedSystem.create(
-            config=SystemConfig(
-                road_types=12,
-                cache_slots=32,
-                simulation=SimulationConfig(
-                    seed=42, mapper_count=40, base_sessions_per_day=10, nodes_per_country=8
-                ),
-            )
+    start, end = date(2021, 1, 1), date(2021, 2, 28)
+    with tempfile.TemporaryDirectory(prefix="rased-quickstart-") as feeds:
+        print(f"Simulating and publishing {start} .. {end} (synthetic world)...")
+        publisher = FeedPublisher(
+            feeds,
+            config=SimulationConfig(
+                seed=42, mapper_count=40, base_sessions_per_day=10, nodes_per_country=8
+            ),
         )
-    ) as system:
-        start, end = date(2021, 1, 1), date(2021, 2, 28)
-        print(f"Simulating and ingesting {start} .. {end} ...")
-        report = system.simulate_and_ingest(start, end)
+        publisher.publish_days(start, end)
+
+        print("Ingesting the feed into a RASED deployment (in-memory pages)...")
+        system = RasedSystem.create(root=feeds, config=SystemConfig(road_types=12, cache_slots=32))
+        report = system.pipeline.run_daily()
         print(
             f"  {report.days_processed} days, {report.updates_indexed:,} updates, "
             f"{len(report.cubes_written)} cubes written, "
-            f"{report.warehouse_rows:,} warehouse rows"
+            f"{report.warehouse_rows:,} warehouse rows, "
+            f"road-network sizes recorded as of {', '.join(map(str, report.sizes_recorded))}"
         )
         system.warm_cache()
 
@@ -62,6 +65,16 @@ def main() -> None:
         print("Top rows:")
         for key, value in result.sorted_rows()[:8]:
             print(f"  {key[0]:<16} {key[1]:<9} {value:>8,}")
+
+        # --- the same question as a share of each road network -------------
+        share = system.dashboard.analysis(
+            AnalysisQuery(start=start, end=end, countries=("germany",), metric="percentage")
+        )
+        print()
+        print(
+            f"Germany's updates as a percentage of its road network "
+            f"(sizes as of {share.sizes_as_of}): {share.rows[()]:.1f}%"
+        )
 
         # --- sample-update query --------------------------------------------
         print()

@@ -1,11 +1,1 @@
 """Comparators: the DBMS row store and the Fig. 9 system variants."""
-
-from repro.baseline.flat import make_rased, make_rased_f, make_rased_o
-from repro.baseline.rowstore import BufferPool, RowStoreDatabase
-from repro.baseline.sqlgen import to_sql
-from repro.baseline.sqlparse import parse_sql
-
-__all__ = [
-    "BufferPool", "RowStoreDatabase", "make_rased", "make_rased_f",
-    "make_rased_o", "parse_sql", "to_sql",
-]

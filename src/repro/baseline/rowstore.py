@@ -32,8 +32,8 @@ from repro.core.query import (
     QueryResult,
     QueryStats,
 )
-from repro.core.percentages import NetworkSizeRegistry
-from repro.errors import ConfigError, QueryError
+from repro.core.percentages import NetworkSizeRegistry, to_percentages
+from repro.errors import ConfigError
 from repro.geo.zones import ZoneAtlas
 from repro.collection.records import UpdateRecord
 from repro.storage.pages import PageStore, PageStoreProxy
@@ -171,8 +171,9 @@ class RowStoreDatabase:
                 key = self._group_key(row, query)
                 rows[key] = rows.get(key, 0) + 1
 
+        sizes_as_of = None
         if query.metric == METRIC_PERCENTAGE:
-            rows = self._to_percentages(query, rows)
+            rows, sizes_as_of = to_percentages(self.network_sizes, query, rows)
 
         stats = QueryStats()
         stats.wall_seconds = time.perf_counter() - started
@@ -181,7 +182,7 @@ class RowStoreDatabase:
         stats.disk_reads = self.pool.misses - pool_misses_before
         stats.cache_hits = 0
         stats.cube_count = 0
-        return QueryResult(query=query, rows=rows, stats=stats)
+        return QueryResult(query=query, rows=rows, stats=stats, sizes_as_of=sizes_as_of)
 
     def _group_key(self, row: UpdateRecord, query: AnalysisQuery) -> tuple:
         parts: list[object] = []
@@ -200,24 +201,3 @@ class RowStoreDatabase:
 
         period_start = series_period_start(row.date, query.date_granularity)
         return max(period_start, query.start)
-
-    def _to_percentages(
-        self, query: AnalysisQuery, rows: dict[tuple, float]
-    ) -> dict[tuple, float]:
-        if self.network_sizes is None:
-            raise QueryError(
-                "percentage queries need a NetworkSizeRegistry; "
-                "construct the database with network_sizes=..."
-            )
-        country_position = (
-            query.group_by.index("country") if "country" in query.group_by else None
-        )
-        default_denominator = self.network_sizes.denominator(query.countries)
-        result: dict[tuple, float] = {}
-        for key, value in rows.items():
-            if country_position is not None:
-                denominator = max(1, self.network_sizes.size(str(key[country_position])))
-            else:
-                denominator = default_denominator
-            result[key] = 100.0 * value / denominator
-        return result

@@ -39,25 +39,15 @@ import re
 import sys
 from datetime import date
 from pathlib import Path
-from typing import Any
 
 from repro.core.query import QueryResult
 from repro.core.shard import detect_shard_count
 from repro.errors import RasedError
 from repro.storage.disk import DirectoryDisk
-from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 from repro.types.temporal import TemporalKey, month_key
 
 __all__ = ["main", "build_parser"]
-
-
-def _config(seed: int = 42, **overrides: Any) -> SystemConfig:
-    """The serving profile plus one command's flags.  Every command
-    seeds its simulator alike, so road-network denominators agree."""
-    return SystemConfig.serving(
-        simulation=SimulationConfig(seed=seed), **overrides
-    )
 
 
 def _open_system(
@@ -76,7 +66,7 @@ def _open_system(
         shards = detect_shard_count(store) or 1
     return RasedSystem.create(
         root=root_path / "feeds",
-        config=dataclasses.replace(config or _config(), shards=shards),
+        config=dataclasses.replace(config or SystemConfig.serving(), shards=shards),
         store=store,
     )
 
@@ -101,20 +91,15 @@ def _format_trace(result: QueryResult) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    system = _open_system(args.root, _config(seed=args.seed))
-    start = date.fromisoformat(args.start)
-    end = date.fromisoformat(args.end)
-    day = start
-    published = 0
-    from datetime import timedelta
+    """Publish feed files only: the root's pages are not opened."""
+    from repro.synth.publisher import FeedPublisher
+    from repro.types.simulation import SimulationConfig
 
-    while day <= end:
-        system.publish_day(day)
-        published += 1
-        day += timedelta(days=1)
-    print(f"published {published} daily diffs under {args.root}/feeds")
+    publisher = FeedPublisher(Path(args.root) / "feeds", config=SimulationConfig(seed=args.seed))
+    days = publisher.publish_days(date.fromisoformat(args.start), date.fromisoformat(args.end))
+    print(f"published {len(days)} daily diffs under {args.root}/feeds")
     if args.history_out:
-        count = system.simulator.write_history_dump(args.history_out)
+        count = publisher.write_history_dump(args.history_out)
         print(f"wrote full-history dump ({count:,} element versions) to {args.history_out}")
     return 0
 
@@ -165,6 +150,8 @@ def _cmd_rebuild(args: argparse.Namespace) -> int:
         f"across {report.days_processed} days, "
         f"{len(report.cubes_written)} cubes rewritten"
     )
+    for as_of in report.sizes_recorded:
+        print(f"recorded road-network sizes as of {as_of}")
     return 0
 
 
@@ -178,11 +165,17 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"{level.label:<9}  {count} cubes")
     print(f"warehouse  {system.warehouse.row_count:,} rows "
           f"({system.warehouse.page_count} heap pages)")
+    dates = system.network_sizes.dates
+    print(
+        f"sizes:     as of {dates[-1]} ({len(dates)} record(s))"
+        if dates
+        else "sizes:     none (percentages unavailable)"
+    )
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    system = _open_system(args.root, _config(cache_slots=args.cache_slots))
+    system = _open_system(args.root, SystemConfig.serving(cache_slots=args.cache_slots))
     system.warm_cache()
     result = system.dashboard.analysis_sql(args.sql)
     print(
@@ -224,7 +217,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Dump the deployment's metrics registry (optionally post-query)."""
     import json
 
-    system = _open_system(args.root, _config(cache_slots=args.cache_slots))
+    system = _open_system(args.root, SystemConfig.serving(cache_slots=args.cache_slots))
     system.warm_cache()
     if args.sql:
         print(_format_trace(system.dashboard.analysis_sql(args.sql)))
@@ -271,7 +264,7 @@ def _serve_configs(args: argparse.Namespace) -> tuple[SystemConfig, SystemConfig
     from repro.dashboard.admission import AdmissionConfig
     from repro.obs import SLOConfig
 
-    config = _config(
+    config = SystemConfig.serving(
         cache_slots=args.cache_slots,
         result_cache_slots=args.result_cache_slots,
         admission=AdmissionConfig(

@@ -55,6 +55,8 @@ class DailyCrawlResult:
     timestamp: datetime
     updates: UpdateList = field(default_factory=UpdateList)
     skipped: int = 0
+    #: The size record published beside the diff, if any.
+    sizes: bytes | None = None
 
     @property
     def day(self) -> date:
@@ -106,7 +108,7 @@ class DailyCrawler:
                 if fetch_span is not None:
                     fetch_span.attributes["sequence"] = sequence
                     fetch_span.attributes["elements"] = len(change)
-            result = DailyCrawlResult(sequence=sequence, timestamp=timestamp)
+            result = DailyCrawlResult(sequence, timestamp, sizes=feed.sizes(sequence))
             with causal_span("feed.crawl") as crawl_span:
                 self.process_change(change, result)
                 if crawl_span is not None:

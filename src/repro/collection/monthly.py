@@ -9,7 +9,7 @@ The output for the target months replaces their coarse daily rows:
 the Storage & Indexing module rebuilds those days' cubes and their
 rollups from it ("Index Maintenance with Monthly Updates").  Any run of
 months costs one pass over the dump, which OSM sorts by element, not by
-time.
+time; it also folds the road network as of the last month's end.
 
 Locations are resolved identically to the daily crawler — node
 coordinates, or the changeset bbox center for ways/relations — so a
@@ -29,6 +29,7 @@ from repro.collection.records import UpdateList
 from repro.osm.changesets import ChangesetStore
 from repro.osm.history import iter_history
 from repro.osm.model import UNKNOWN_ROAD_TYPE
+from repro.osm.snapshot import RoadNetworkFold
 
 __all__ = ["MonthlyCrawler", "MonthlyCrawlResult"]
 
@@ -40,6 +41,8 @@ class MonthlyCrawlResult:
     updates: UpdateList = field(default_factory=UpdateList)
     skipped: int = 0
     scanned_versions: int = 0
+    #: Road segments per country as of the last month's end.
+    sizes: dict[str, int] | None = None
 
 
 class MonthlyCrawler:
@@ -58,17 +61,21 @@ class MonthlyCrawler:
         read once; version pairs are classified globally and then
         filtered to the months, so a version-2 update in a target month
         classifies correctly against its version-1 predecessor from an
-        earlier month.  The rows are located in one batch.
+        earlier month.  The rows are located in one batch, and the same
+        pass folds the road network as of the last month's end.
         """
         result = MonthlyCrawlResult()
+        fold = RoadNetworkFold(months[-1].end)
         wanted = {
             month.start + timedelta(days=offset)
             for month in months
             for offset in range(month.day_count)
         }
         rows: list[ElementRow] = []
-        for kind, (header, lat, lon, _), previous, update_type in iter_history(history):
+        for kind, fields, previous, update_type in iter_history(history):
+            header, lat, lon, _ = fields
             result.scanned_versions += 1
+            fold.add(kind, fields)
             day = header[2].date()
             if day in wanted:
                 # A deleted element's after-image may carry no tags; the
@@ -80,4 +87,6 @@ class MonthlyCrawler:
                     tags.get("highway", UNKNOWN_ROAD_TYPE), update_type,
                 ))
         result.updates, result.skipped = self.geocoder.locate(rows, self.changesets)
+        if fold.versions:
+            result.sizes = fold.counts(self.geocoder.atlas)
         return result

@@ -13,6 +13,11 @@ Glues the Data Collection module to Storage & Indexing (paper, Fig. 1):
   and each month's rebuild, is one WAL batch written under the root's
   writer lease).
 
+Both write the road-network size records (``Percentage(*)``'s
+denominators) inside their batches, handed to the registry on commit: a
+day its feed's sizes when it closes a month or the root has none yet; a
+monthly run the sizes its history pass folded as of its last month's end.
+
 The pipeline also refreshes any cache entries the maintenance pass
 replaced, so a long-lived dashboard never serves stale cubes.
 """
@@ -32,6 +37,7 @@ if TYPE_CHECKING:
     # layering rule in repro.tools.lint exempts TYPE_CHECKING blocks).
     from repro.core.cache import CacheManager
     from repro.core.hierarchy import HierarchicalIndex
+    from repro.core.percentages import NetworkSizeRegistry
     from repro.storage.hash_index import HashIndex
     from repro.storage.spatial_index import GridSpatialIndex
     from repro.storage.wal import IngestWAL, WalRecovery
@@ -41,6 +47,7 @@ from repro.collection.daily import DailyCrawler, DailyCrawlResult
 from repro.collection.monthly import MonthlyCrawler
 from repro.collection.records import UpdateList
 from repro.errors import PageNotFoundError
+from repro.osm.snapshot import decode_sizes, encode_sizes, sizes_page_id
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.types.temporal import Level, TemporalKey, month_key
 
@@ -66,6 +73,8 @@ class IngestReport:
     updates_skipped: int = 0
     cubes_written: list[TemporalKey] = field(default_factory=list)
     warehouse_rows: int = 0
+    #: Dates of the road-network size records written.
+    sizes_recorded: list[date] = field(default_factory=list)
 
 
 class IngestionPipeline:
@@ -81,6 +90,7 @@ class IngestionPipeline:
         spatial_index: GridSpatialIndex,
         cache: CacheManager,
         wal: IngestWAL,
+        network_sizes: NetworkSizeRegistry,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.daily_crawler = daily_crawler
@@ -90,6 +100,7 @@ class IngestionPipeline:
         self.hash_index = hash_index
         self.spatial_index = spatial_index
         self.cache = cache
+        self.network_sizes = network_sizes
         self.metrics = metrics if metrics is not None else get_registry()
         #: The stores above were built over ``wal.store``, so a batch's
         #: cubes, rows, index entries and cursor move together or not at all.
@@ -114,6 +125,10 @@ class IngestionPipeline:
         self.index.store.write(
             self.CURSOR_PAGE, str(self.daily_crawler.last_sequence).encode("ascii")
         )
+
+    def _record_sizes(self, as_of: date, sizes: dict[str, int], report: IngestReport) -> None:
+        self.index.store.write(sizes_page_id(as_of), encode_sizes(sizes))
+        report.sizes_recorded.append(as_of)
 
     # -- daily --------------------------------------------------------------
 
@@ -152,12 +167,21 @@ class IngestionPipeline:
         with self.wal.lease():
             self._recover()
             for result in self.daily_crawler.crawl_new():
-                meta = {"kind": "daily", "day": result.day.isoformat()}
+                day = result.day
+                meta = {"kind": "daily", "day": day.isoformat()}
                 self.wal.begin(meta)
                 self.ingest_daily_result(result, report)
+                sizes = None
+                if result.sizes is not None and (
+                    day == month_key(day.year, day.month).end or not self.network_sizes.dates
+                ):
+                    sizes = decode_sizes(result.sizes)
+                    self._record_sizes(day, sizes, report)
                 self._save_cursor()
                 self.wal.commit(meta)
                 self.metrics.inc_key(_K_BATCHES)
+                if sizes is not None:
+                    self.network_sizes.add(day, sizes)
         self.metrics.observe_key(
             _K_CYCLE_SECONDS, time.perf_counter() - started
         )
@@ -202,6 +226,7 @@ class IngestionPipeline:
         self.hash_index.buckets.discard_pending()
         self.spatial_index.buckets.discard_pending()
         self.cache.clear()
+        self.network_sizes.load(self.index.store)
         # The rolled-back cursor page is authoritative; the crawler's
         # in-memory position may be a day ahead of it.
         self.daily_crawler.last_sequence = None
@@ -231,7 +256,12 @@ class IngestionPipeline:
                 meta = {"kind": "monthly", "month": str(month)}
                 self.wal.begin(meta)
                 written = self.index.rebuild_month(month, by_day)
+                sizes = crawl.sizes if month is months[-1] else None
+                if sizes is not None:
+                    self._record_sizes(month.end, sizes, report)
                 self.wal.commit(meta)
+                if sizes is not None:
+                    self.network_sizes.add(month.end, sizes)
                 self.metrics.inc_key(_K_BATCHES)
                 report.cubes_written.extend(written)
                 for key in written:

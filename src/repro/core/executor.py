@@ -54,7 +54,7 @@ from repro.core.deadline import check_deadline
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.iosched import IOScheduler
 from repro.core.optimizer import LevelOptimizer, QueryPlan
-from repro.core.percentages import NetworkSizeRegistry
+from repro.core.percentages import NetworkSizeRegistry, to_percentages
 from repro.core.query import (
     AnalysisQuery,
     METRIC_PERCENTAGE,
@@ -62,7 +62,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.resultcache import ResultCache
-from repro.errors import DEGRADABLE_READ_ERRORS, QueryError
+from repro.errors import DEGRADABLE_READ_ERRORS
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import Span, Tracer, record_span
 from repro.obs.span import span as causal_span
@@ -267,7 +267,7 @@ class QueryExecutor:
                 stats.simulated_seconds = stats.wall_seconds
                 self._record_query_metrics(stats)
                 # No rows of its own: the result reads the entry's.
-                return QueryResult(query=query, stats=stats, memo=entry)
+                return QueryResult(query, stats=stats, memo=entry, sizes_as_of=entry.sizes_as_of)
             # Sampled before planning: a maintenance write racing this
             # execution makes the stored entry stale, never wrong.
             epoch = self.result_cache.epoch.value
@@ -318,9 +318,10 @@ class QueryExecutor:
                     )
                 )
 
+        sizes_as_of = None
         if query.metric == METRIC_PERCENTAGE:
             pct_started = time.perf_counter()
-            rows = self._to_percentages(query, rows)
+            rows, sizes_as_of = to_percentages(self.network_sizes, query, rows)
             stats.add_phase("phase2.percentage", time.perf_counter() - pct_started)
 
         self._flag_quarantine_overlap(query, stats)
@@ -331,8 +332,8 @@ class QueryExecutor:
         if self.result_cache is not None and not stats.partial:
             # A partial answer is a degraded lower bound; memoizing it
             # would keep serving the hole after the page heals.
-            memo = self.result_cache.put(query, rows, epoch)
-        return QueryResult(query=query, rows=rows, stats=stats, memo=memo)
+            memo = self.result_cache.put(query, rows, epoch, sizes_as_of)
+        return QueryResult(query, rows, stats, memo, sizes_as_of)
 
     def _flag_quarantine_overlap(self, query: AnalysisQuery, stats: QueryStats) -> None:
         """Mark answers overlapping quarantined cubes as partial.
@@ -420,25 +421,3 @@ class QueryExecutor:
         if date_position is not None:
             columns.insert(date_position, [period] * len(values))
         return dict(zip(zip(*columns), values))
-
-    def _to_percentages(
-        self, query: AnalysisQuery, rows: dict[tuple, float]
-    ) -> dict[tuple, float]:
-        if self.network_sizes is None:
-            raise QueryError(
-                "percentage queries need a NetworkSizeRegistry; "
-                "construct the executor with network_sizes=..."
-            )
-        country_position = (
-            query.group_by.index("country") if "country" in query.group_by else None
-        )
-        result: dict[tuple, float] = {}
-        default_denominator = self.network_sizes.denominator(query.countries)
-        for key, value in rows.items():
-            if country_position is not None:
-                denominator = self.network_sizes.size(str(key[country_position]))
-                denominator = max(1, denominator)
-            else:
-                denominator = default_denominator
-            result[key] = 100.0 * value / denominator
-        return result

@@ -26,27 +26,11 @@ from repro.geo.zones import ZoneAtlas
 from repro.obs.span import span as causal_span
 from repro.osm.changesets import ChangesetStore
 from repro.osm.replication import ReplicationFeed
-from repro.osm.xml_io import OsmChange
 from repro.types.cube import RESOLUTION_COARSE, SparseCube
 from repro.types.dimensions import CubeSchema
 from repro.types.temporal import day_key, series_period_start
 
-__all__ = ["LiveMonitor", "split_change_by_hour"]
-
-
-def split_change_by_hour(change: OsmChange) -> list[tuple[int, OsmChange]]:
-    """Split one day's osmChange into per-hour documents.
-
-    Used by simulations to publish an hour-granularity feed from a
-    day's edits; hours with no activity are omitted (OSM publishes
-    empty diffs, but skipping them keeps synthetic feeds compact).
-    """
-    by_hour: dict[int, OsmChange] = {}
-    for action, element in change.actions():
-        hour = element.timestamp.hour
-        bucket = by_hour.setdefault(hour, OsmChange())
-        getattr(bucket, action).append(element)
-    return sorted(by_hour.items())
+__all__ = ["LiveMonitor"]
 
 
 class LiveMonitor:

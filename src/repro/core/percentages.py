@@ -2,87 +2,125 @@
 
 RASED can present analysis results "as either absolute numbers or
 percentages of the country's road network size" (paper, Section IV-A).
-The percentage view needs one denominator per zone: the number of road
-segments in that zone's network.
-
-:class:`NetworkSizeRegistry` holds per-country sizes (road-segment
-counts, from the simulator or from a snapshot scan) and derives zone-
-of-interest denominators: a continent is the sum of its countries; a
-US state is apportioned an even share of the US network (the synthetic
-states partition the US cell uniformly).
+A root keeps those sizes as dated records (pages
+``meta/network_sizes/YYYY-MM-DD``, :mod:`repro.osm.snapshot`), and one
+read rule applies: a percentage divides by the newest record dated at
+or before the window's end; no such record is an error, never a number.
+A record's countries derive every zone of interest: a continent sums
+its countries; a US state gets an even share of the US network (the
+synthetic states partition the US cell uniformly).
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Mapping
+import bisect
+from datetime import date
+from typing import TYPE_CHECKING, Mapping
 
+from repro.core.query import AnalysisQuery
 from repro.errors import QueryError
 from repro.geo.zones import US_STATES, ZoneAtlas
+from repro.osm.snapshot import SIZES_PREFIX, decode_sizes
 
-__all__ = ["NetworkSizeRegistry"]
+if TYPE_CHECKING:
+    from repro.core.resultcache import EpochCounter
+    from repro.storage.pages import PageStore
+
+__all__ = ["NetworkSizeRegistry", "SizeRecord", "to_percentages"]
 
 
-class NetworkSizeRegistry:
-    """Per-zone road-network sizes for percentage metrics.
+class SizeRecord:
+    """Every zone's road-network size as of one day."""
 
-    ``country_sizes`` returns the road segments per country; it is
-    called on first use, so a process that answers no percentage
-    computes no size.
-    """
-
-    def __init__(
-        self, atlas: ZoneAtlas, country_sizes: Callable[[], Mapping[str, int]]
-    ) -> None:
-        self.atlas = atlas
-        self._country_sizes = country_sizes
-        self._lock = threading.Lock()
-        self._by_zone: dict[str, int] = {}  # guarded-by: _lock
-
-    def _sizes(self) -> dict[str, int]:
-        """Every zone's size, derived from the country sizes on first use.
-        ``country_sizes`` runs outside the lock: it may build a simulator."""
-        if not self._by_zone:
-            given = self._country_sizes()
-            sizes = {z.name: int(given.get(z.name, 0)) for z in self.atlas.countries}
-            for zone in self.atlas.continents:
-                members = self.atlas.countries_of(zone.name)
-                sizes[zone.name] = sum(sizes[c.name] for c in members)
-            for state in US_STATES:
-                sizes[state] = max(1, sizes.get("united_states", 0) // len(US_STATES))
-            with self._lock:
-                if not self._by_zone:
-                    self._by_zone = sizes
-        return self._by_zone
+    def __init__(self, atlas: ZoneAtlas, as_of: date, countries: Mapping[str, int]) -> None:
+        self.as_of = as_of
+        sizes = {z.name: int(countries.get(z.name, 0)) for z in atlas.countries}
+        #: The world: countries only (continents and states would double count).
+        self.world = max(1, sum(sizes.values()))
+        for zone in atlas.continents:
+            sizes[zone.name] = sum(sizes[c.name] for c in atlas.countries_of(zone.name))
+        for state in US_STATES:
+            sizes[state] = max(1, sizes["united_states"] // len(US_STATES))
+        self._by_zone = sizes
 
     def size(self, zone_name: str) -> int:
-        """Road segments in one zone's network."""
         try:
-            return self._sizes()[zone_name]
+            return self._by_zone[zone_name]
         except KeyError:
             raise QueryError(f"no network size recorded for {zone_name!r}") from None
 
     def denominator(self, zone_names: tuple[str, ...] | None) -> int:
-        """The Percentage(*) denominator for a zone filter.
-
-        ``None`` (no country filter) sums the whole world — continents
-        and states are skipped to avoid double counting.
-        """
+        """The denominator for a zone filter; ``None`` is the world."""
         if zone_names is None:
-            sizes = self._sizes()
-            return max(1, sum(sizes[z.name] for z in self.atlas.countries))
+            return self.world
         return max(1, sum(self.size(name) for name in zone_names))
 
-    def update_country(self, country: str, size: int) -> None:
-        """Refresh one country after maintenance (re-derives rollups)."""
-        sizes = self._sizes()
-        if country not in sizes:
-            raise QueryError(f"unknown country {country!r}")
-        sizes[country] = int(size)
-        zone = self.atlas.zone(country)
-        if zone.parent is not None:
-            members = self.atlas.countries_of(zone.parent)
-            sizes[zone.parent] = sum(sizes[c.name] for c in members)
-        if country == "united_states":
-            for state in US_STATES:
-                sizes[state] = max(1, size // len(US_STATES))
+
+class NetworkSizeRegistry:
+    """A root's dated size records (``records``: day -> country sizes).
+
+    The record tuple is replaced whole, so a reader sees the old set or
+    the new one.  :meth:`add` bumps ``epoch`` over ``[as_of, date.max]``
+    for percentage answers only: counts and answers ending before the
+    record keep their memo.
+    """
+
+    def __init__(
+        self,
+        atlas: ZoneAtlas,
+        records: Mapping[date, Mapping[str, int]] | None = None,
+        epoch: "EpochCounter | None" = None,
+    ) -> None:
+        self.atlas = atlas
+        self.epoch = epoch
+        self._records = tuple(
+            SizeRecord(atlas, as_of, countries) for as_of, countries in sorted((records or {}).items())
+        )
+
+    def load(self, store: "PageStore") -> None:
+        """(Re)read every record the store holds."""
+        self._records = tuple(
+            SizeRecord(
+                self.atlas, date.fromisoformat(page.rpartition("/")[2]), decode_sizes(store.read(page))
+            )
+            for page in sorted(store.list_pages(SIZES_PREFIX))
+        )
+
+    def add(self, as_of: date, countries: Mapping[str, int]) -> None:
+        """Take a record a committed batch wrote."""
+        kept = [record for record in self._records if record.as_of != as_of]
+        kept.append(SizeRecord(self.atlas, as_of, countries))
+        self._records = tuple(sorted(kept, key=lambda record: record.as_of))
+        if self.epoch is not None:
+            self.epoch.bump(as_of, date.max, percentages_only=True)
+
+    @property
+    def dates(self) -> list[date]:
+        return [record.as_of for record in self._records]
+
+    def as_of(self, end: date) -> SizeRecord:
+        """The newest record dated at or before ``end``."""
+        records = self._records
+        at = bisect.bisect_right([record.as_of for record in records], end)
+        if at == 0:
+            raise QueryError(
+                f"no road-network sizes recorded on or before {end.isoformat()}: a "
+                "percentage needs a size record (ingest writes one at each month end)"
+            )
+        return records[at - 1]
+
+
+def to_percentages(
+    registry: NetworkSizeRegistry | None, query: AnalysisQuery, rows: Mapping[tuple, float]
+) -> tuple[dict[tuple, float], date]:
+    """Counts as percentages of the network as of ``query.end``, and the
+    date of the size record they divide by."""
+    if registry is None:
+        raise QueryError("percentage queries need a NetworkSizeRegistry (network_sizes=...)")
+    record = registry.as_of(query.end)
+    at = query.group_by.index("country") if "country" in query.group_by else None
+    default = record.denominator(query.countries)
+    return {
+        key: 100.0 * value / (default if at is None else max(1, record.size(str(key[at]))))
+        for key, value in rows.items()
+    }, record.as_of

@@ -235,9 +235,11 @@ class QueryResult:
     one a hit was read from, or a miss was just stored as — or ``None``
     when nothing was memoized.  A hit is built without rows and reads
     the entry's in place; :attr:`rows` copies them on first use.
+
+    ``sizes_as_of`` dates the road-network sizes a percentage divided by.
     """
 
-    __slots__ = ("query", "stats", "memo", "_rows", "_own")
+    __slots__ = ("query", "stats", "memo", "sizes_as_of", "_rows", "_own")
 
     def __init__(
         self,
@@ -245,10 +247,12 @@ class QueryResult:
         rows: dict[tuple, float] | None = None,
         stats: QueryStats | None = None,
         memo: MemoEntry | None = None,
+        sizes_as_of: date | None = None,
     ) -> None:
         self.query = query
         self.stats = stats if stats is not None else QueryStats()
         self.memo = memo
+        self.sizes_as_of = sizes_as_of
         #: False while ``_rows`` is the memo entry's dict, read in place.
         self._own = rows is not None or memo is None
         self._rows: dict[tuple, float] = (

@@ -9,12 +9,13 @@ hashable dataclass) to the finished row table.
 
 Correctness is versioned, not timed.  Every write that changes query
 results bumps the index **epoch** (:class:`EpochCounter`) with the date
-window it changed (a cube write its key's span; a catalog reload or a
-denominator refresh all time).  A lookup at an entry's epoch is a hit;
-after bumps it checks the windows logged since and *keeps* the entry
-(re-stamped) unless one overlaps ``[query.start, query.end]`` or the
-log no longer reaches back.  An execution stores its rows only if no
-write overlapped them since the epoch it sampled before planning.
+window it changed (a cube write its key's span; a catalog reload all
+time; a road-network size record its date on, for percentages only).
+A lookup at an entry's epoch is a hit; after bumps it checks the
+windows logged since and *keeps* the entry (re-stamped) unless one
+overlaps ``[query.start, query.end]`` or the log no longer reaches
+back.  An execution stores its rows only if no write overlapped them
+since the epoch it sampled before planning.
 
 An entry (:class:`MemoEntry`) holds one answer in two forms: the
 ``rows`` it was stored with, never mutated afterwards, and — once some
@@ -35,7 +36,7 @@ from collections import OrderedDict, deque
 from datetime import date
 from itertools import islice
 
-from repro.core.query import AnalysisQuery
+from repro.core.query import METRIC_PERCENTAGE, AnalysisQuery
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, get_registry, metric_key
 from repro.obs.span import current_span, record_span
@@ -58,30 +59,31 @@ class EpochCounter:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0  # guarded-by: _lock
-        self._windows: deque[tuple[date, date]] = deque(
+        self._windows: deque[tuple[date, date, bool]] = deque(
             maxlen=_WINDOW_LOG
         )  # guarded-by: _lock
 
-    def bump(self, start: date = date.min, end: date = date.max) -> int:
+    def bump(self, start: date = date.min, end: date = date.max, percentages_only: bool = False) -> int:
         """Advance the epoch; called by every write that alters results,
         with the inclusive window of dates it altered (default: all)."""
         with self._lock:
             self._value += 1
-            self._windows.append((start, end))
+            self._windows.append((start, end, percentages_only))
             return self._value
 
     @property
     def value(self) -> int:
         return self._value
 
-    def unchanged_since(self, epoch: int, start: date, end: date) -> int | None:
+    def unchanged_since(self, epoch: int, query: AnalysisQuery) -> int | None:
         """The current epoch if the log reaches back to ``epoch`` and no
-        bump since overlapped ``[start, end]``, else ``None``."""
+        bump since that applies to ``query`` overlapped its window."""
+        start, end, counts = query.start, query.end, query.metric != METRIC_PERCENTAGE
         with self._lock:
             since = self._value - epoch
             if since > len(self._windows) or any(
-                low <= end and high >= start
-                for low, high in islice(reversed(self._windows), since)
+                low <= end and high >= start and not (counts and sizes)
+                for low, high, sizes in islice(reversed(self._windows), since)
             ):
                 return None
             return self._value
@@ -90,13 +92,14 @@ class EpochCounter:
 class MemoEntry:
     """One memoized answer: its rows and, once encoded, its bytes."""
 
-    __slots__ = ("epoch", "rows", "head")
+    __slots__ = ("epoch", "rows", "sizes_as_of", "head")
 
-    def __init__(self, epoch: int, rows: dict[tuple, float]) -> None:
+    def __init__(self, epoch: int, rows: dict[tuple, float], sizes_as_of: date | None = None) -> None:
         #: The newest index epoch the rows are known valid at (raised only).
         self.epoch = epoch
         #: Shared by every hit and never mutated after the store.
         self.rows = rows
+        self.sizes_as_of = sizes_as_of
         #: The encoded response up to its per-request ``stats``; written
         #: by the first request that encodes these rows
         #: (``dashboard.server.encode_result``).  Racing writers store
@@ -133,7 +136,7 @@ class ResultCache:
         outcome = "miss" if entry is None else "hit"
         if entry is not None and entry.epoch != now:
             # Outside the lock: the check takes the counter's own.
-            kept = self.epoch.unchanged_since(entry.epoch, query.start, query.end)
+            kept = self.epoch.unchanged_since(entry.epoch, query)
             with self._lock:
                 if kept is not None:
                     entry.epoch = max(entry.epoch, kept)
@@ -151,7 +154,11 @@ class ResultCache:
         return entry
 
     def put(
-        self, query: AnalysisQuery, rows: dict[tuple, float], epoch: int
+        self,
+        query: AnalysisQuery,
+        rows: dict[tuple, float],
+        epoch: int,
+        sizes_as_of: date | None = None,
     ) -> MemoEntry | None:
         """Store rows computed from ``epoch`` on (copied; LRU-evicting).
 
@@ -159,10 +166,10 @@ class ResultCache:
         query landed mid-execution, and the rows were not allowed to
         poison the memo.
         """
-        now = self.epoch.unchanged_since(epoch, query.start, query.end)
+        now = self.epoch.unchanged_since(epoch, query)
         if now is None:
             return None
-        entry = MemoEntry(now, dict(rows))
+        entry = MemoEntry(now, dict(rows), sizes_as_of)
         evicted = 0
         with self._lock:
             self._entries[query] = entry

@@ -1,15 +1,1 @@
 """Dashboard: the query facade, renderers, timelapse, and HTTP server."""
-
-from repro.dashboard.api import Dashboard, DEFAULT_SAMPLE_SIZE
-from repro.dashboard.charts import bar_chart, choropleth, time_series
-from repro.dashboard.server import DashboardServer, query_from_json, result_to_json
-from repro.dashboard.export import result_to_csv, result_to_json_text, timelapse_to_text
-from repro.dashboard.tables import render_pivot, render_table
-from repro.dashboard.timelapse import TimelapseFrame, render_timelapse
-
-__all__ = [
-    "DEFAULT_SAMPLE_SIZE", "Dashboard", "DashboardServer", "TimelapseFrame",
-    "bar_chart", "choropleth", "query_from_json", "render_pivot",
-    "render_table", "render_timelapse", "result_to_csv", "result_to_json",
-    "result_to_json_text", "time_series", "timelapse_to_text",
-]

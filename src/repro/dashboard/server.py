@@ -190,13 +190,16 @@ def _answer_document(result: QueryResult) -> dict[str, object]:
             cell.isoformat() if isinstance(cell, date) else cell for cell in key
         ]
         rows.append({"group": cells, "value": value})
-    return {
+    document: dict[str, object] = {
         "group_by": list(result.query.group_by),
         "metric": result.query.metric,
         "rows": rows,
         "sql": to_sql(result.query),
         "partial": result.stats.partial,
     }
+    if result.sizes_as_of is not None:
+        document["sizes_as_of"] = result.sizes_as_of.isoformat()
+    return document
 
 
 def _stats_document(stats: QueryStats) -> dict[str, object]:
@@ -269,11 +272,14 @@ def encode_result(result: QueryResult) -> tuple[bytes, bool]:
             + "}"
             for group, value in result.sorted_rows()
         ])
+        sizes = result.sizes_as_of
         head = (
             f'{{"group_by": {_to_json(list(query.group_by))}, '
             f'"metric": {_to_json(query.metric)}, "rows": [{rows}], '
             f'"sql": {_to_json(to_sql(query))}, '
-            f'"partial": {_to_json(result.stats.partial)}, "stats": '
+            f'"partial": {_to_json(result.stats.partial)}, '
+            + ("" if sizes is None else f'"sizes_as_of": "{sizes.isoformat()}", ')
+            + '"stats": '
         ).encode("utf-8")
         if entry is not None:
             entry.head = head

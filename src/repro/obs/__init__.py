@@ -32,43 +32,18 @@ endpoints.
 """
 
 from repro.obs.log import EventLog
-from repro.obs.metrics import (
-    DEFAULT_HISTOGRAM_WINDOW,
-    MetricsRegistry,
-    get_registry,
-    metric_key,
-)
+from repro.obs.metrics import MetricsRegistry, get_registry, metric_key
 from repro.obs.recorder import FlightRecorder
-from repro.obs.slo import BurnAlert, SLOConfig, SLOTracker
-from repro.obs.span import (
-    MAX_SPANS_PER_TRACE,
-    ActiveTrace,
-    RecordedTrace,
-    Span,
-    Tracer,
-    current_span,
-    current_trace_id,
-    record_span,
-    span,
-)
+from repro.obs.slo import SLOConfig, SLOTracker
+from repro.obs.span import Tracer
 
 __all__ = [
-    "ActiveTrace",
-    "BurnAlert",
-    "DEFAULT_HISTOGRAM_WINDOW",
     "EventLog",
     "FlightRecorder",
-    "MAX_SPANS_PER_TRACE",
     "MetricsRegistry",
-    "RecordedTrace",
     "SLOConfig",
     "SLOTracker",
-    "Span",
     "Tracer",
-    "current_span",
-    "current_trace_id",
     "get_registry",
     "metric_key",
-    "record_span",
-    "span",
 ]

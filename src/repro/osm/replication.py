@@ -111,19 +111,27 @@ class ReplicationFeed:
 
     # -- write side ------------------------------------------------------
 
-    def publish(self, change: OsmChange, timestamp: datetime) -> int:
-        """Append the next diff; returns its sequence number."""
+    def publish(
+        self, change: OsmChange, timestamp: datetime, sizes: bytes | None = None
+    ) -> int:
+        """Append the next diff (and beside it as ``CCC.sizes`` the map's
+        road-network size record, which OSM's own feeds do not carry);
+        returns its sequence number."""
         sequence = self.current_sequence()
         next_sequence = 0 if sequence is None else sequence + 1
         rel = sequence_path(next_sequence)
         osc_path = self.root / f"{rel}.osc"
         osc_path.parent.mkdir(parents=True, exist_ok=True)
-        # Publish order matters under concurrent polling: the diff and
-        # its per-diff state land (atomically) before the top-level
-        # state.txt advances, so every sequence <= newest is complete.
+        # Publish order matters under concurrent polling: the diff, its
+        # sizes and its per-diff state land (atomically) before the
+        # top-level state.txt advances, so every sequence <= newest is complete.
         osc_tmp = osc_path.with_name(osc_path.name + ".tmp")
         write_osc(osc_tmp, change)
         os.replace(osc_tmp, osc_path)
+        if sizes is not None:
+            sizes_tmp = osc_path.with_suffix(".sizes.tmp")
+            sizes_tmp.write_bytes(sizes)
+            os.replace(sizes_tmp, osc_path.with_suffix(".sizes"))
         state_text = _format_state(next_sequence, timestamp)
         _atomic_write_text(
             osc_path.with_name(osc_path.stem.split(".")[0] + ".state.txt"),
@@ -158,6 +166,13 @@ class ReplicationFeed:
                 f"no {self.granularity} diff for sequence {sequence}"
             )
         return read_osc(path)
+
+    def sizes(self, sequence: int) -> bytes | None:
+        """The size record published beside ``sequence``, if any."""
+        try:
+            return (self.root / f"{sequence_path(sequence)}.sizes").read_bytes()
+        except FileNotFoundError:
+            return None
 
     def pending(self, after_sequence: int | None) -> range:
         """Sequence numbers published after ``after_sequence``, in order.
@@ -379,7 +394,10 @@ class ResilientFeed:
     def fetch(self, sequence: int) -> OsmChange:
         return self._call("fetch", lambda: self.feed.fetch(sequence))
 
-    #: The feed's own loops, over the three armored reads above.
+    def sizes(self, sequence: int) -> bytes | None:
+        return self._call("sizes", lambda: self.feed.sizes(sequence))
+
+    #: The feed's own loops, over the armored reads above.
     pending = ReplicationFeed.pending
     iter_since = ReplicationFeed.iter_since
 

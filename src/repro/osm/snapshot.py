@@ -1,96 +1,84 @@
-"""Snapshot reconstruction: current map state from the full history.
+"""Road-network sizes as dated records: the ``Percentage(*)`` denominators.
 
-The full-history dump contains every version of every element; folding
-it forward yields the *current* planet snapshot — what ``planet.osm``
-would contain (paper, Section II: the snapshot and the history are two
-views of the same data).  RASED needs this for one concrete thing: the
-``Percentage(*)`` metric divides by each country's road-network size,
-and that size is a property of the current snapshot.
-
-:func:`build_snapshot` folds a history stream into latest-visible
-state; :func:`road_segment_counts` then counts live highway-tagged
-ways per country, locating each way by its first resolvable member
-node (the same node-coordinate geocoding the crawlers use).
+RASED shows results "as either absolute numbers or percentages of the
+country's road network size" (paper, Section IV-A).  A size is a
+property of the map *as of a day*: each country's live highway-tagged
+ways.  A root stores one record per day it learned them, the page
+``meta/network_sizes/YYYY-MM-DD`` (compact JSON, countries sorted).
+:class:`RoadNetworkFold` computes one from a full-history dump's version
+tuples, in the pass the monthly crawler already makes: versions stamped
+after the day are ignored, the newest remaining version of each element
+wins (a tombstone removes it, a later version re-creates it), and a live
+``highway`` way counts toward the country of its first live member node
+(a way with none, or anchored outside every zone, counts nowhere).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import IO
+import json
+from datetime import date
+from typing import Any, Mapping
 
-from repro.errors import GeocodeError, ParseError
-from repro.geo.geometry import Point
+import numpy as np
+
+from repro.errors import ParseError
 from repro.geo.zones import ZoneAtlas
-from repro.osm.model import OSMElement, OSMNode, OSMWay
-from repro.osm.xml_io import iter_osm
 
-__all__ = ["build_snapshot", "road_segment_counts", "network_sizes_from_history"]
+__all__ = ["SIZES_PREFIX", "RoadNetworkFold", "decode_sizes", "encode_sizes", "sizes_page_id"]
 
-
-def build_snapshot(source: str | Path | IO[bytes]) -> dict[tuple[str, int], OSMElement]:
-    """Fold a full-history dump into latest-visible element state.
-
-    Deleted elements (whose newest version is a tombstone) are absent
-    from the result, exactly as in a planet snapshot.  Versions may
-    arrive in any order per element; newer versions win.
-    """
-    newest: dict[tuple[str, int], OSMElement] = {}
-    for element in iter_osm(source):
-        key = (element.kind, element.id)
-        current = newest.get(key)
-        if current is None or element.version > current.version:
-            newest[key] = element
-    return {
-        key: element for key, element in newest.items() if element.visible
-    }
+#: Page-id prefix of a root's dated size records.
+SIZES_PREFIX = "meta/network_sizes/"
 
 
-def road_segment_counts(
-    snapshot: dict[tuple[str, int], OSMElement], atlas: ZoneAtlas
-) -> dict[str, int]:
-    """Live highway-tagged ways per country.
-
-    A way is located at its first member node that exists in the
-    snapshot; ways whose nodes are all missing (truncated extracts)
-    are skipped rather than guessed.
-    """
-    counts = {zone.name: 0 for zone in atlas.countries}
-    for (kind, _id), element in snapshot.items():
-        if kind != "way" or "highway" not in element.tags:
-            continue
-        assert isinstance(element, OSMWay)
-        location = _first_node_point(element, snapshot)
-        if location is None:
-            continue
-        try:
-            country = atlas.country_at(location)
-        except GeocodeError:
-            # Ways anchored outside every zone (ocean nodes, truncated
-            # extracts) belong to no country's road network; skip them.
-            continue
-        counts[country.name] += 1
-    return counts
+def sizes_page_id(as_of: date) -> str:
+    return f"{SIZES_PREFIX}{as_of.isoformat()}"
 
 
-def _first_node_point(
-    way: OSMWay, snapshot: dict[tuple[str, int], OSMElement]
-) -> Point | None:
-    for ref in way.refs:
-        node = snapshot.get(("node", ref))
-        if isinstance(node, OSMNode):
-            return Point(lon=node.lon, lat=node.lat)
-    return None
+def encode_sizes(sizes: Mapping[str, int]) -> bytes:
+    """A size record's bytes: compact JSON, countries sorted."""
+    return json.dumps(dict(sizes), separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
-def network_sizes_from_history(source: str | Path | IO[bytes], atlas: ZoneAtlas) -> dict[str, int]:
-    """Per-country road-network sizes straight from a history dump.
+def decode_sizes(raw: bytes) -> dict[str, int]:
+    try:
+        return {str(name): int(size) for name, size in json.loads(raw).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed network-size record: {exc}") from None
 
-    The OSM-native path for populating a
-    :class:`~repro.core.percentages.NetworkSizeRegistry` — the monthly
-    crawler already downloads this file, so the denominators refresh
-    on the same cadence as the 4-way update types.
-    """
-    snapshot = build_snapshot(source)
-    if not snapshot:
-        raise ParseError("history stream produced an empty snapshot")
-    return road_segment_counts(snapshot, atlas)
+
+class RoadNetworkFold:
+    """Road segments per country as of ``as_of``, folded from a history
+    dump's ``(kind, fields)`` tuples as ``osm.history.iter_history``
+    yields them."""
+
+    def __init__(self, as_of: date) -> None:
+        self.as_of = as_of
+        #: Node id -> ``(lat, lon)`` when live; way id -> refs when a live road.
+        self._nodes: dict[int, tuple[float, float] | None] = {}
+        self._roads: dict[int, Any] = {}
+        self.versions = 0
+
+    def add(self, kind: str, fields: Any) -> None:
+        header, lat, lon, children = fields
+        if header[2].date() > self.as_of:
+            return
+        self.versions += 1
+        live = header[6]
+        if kind == "node":
+            self._nodes[header[0]] = (lat, lon) if live else None
+        elif kind == "way":
+            self._roads[header[0]] = children if live and "highway" in header[7] else None
+
+    def counts(self, atlas: ZoneAtlas) -> dict[str, int]:
+        nodes = self._nodes
+        anchors = [
+            next((nodes[ref] for ref in refs if nodes.get(ref) is not None), None)
+            for refs in self._roads.values()
+            if refs is not None
+        ]
+        points = np.array([p for p in anchors if p is not None], dtype=np.float64).reshape(-1, 2)
+        countries = atlas.zone_indexes(points[:, 1], points[:, 0])[:, 0]
+        # Countries lead the atlas's zone order.
+        located = np.bincount(countries[countries >= 0], minlength=len(atlas.countries))
+        return {zone.name: int(n) for zone, n in zip(atlas.countries, located.tolist())}
+

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 
-from repro.errors import SimulationError
 from repro.geo.geometry import BBox, Point
 from repro.geo.zones import ZoneAtlas, build_world
 from repro.osm.changesets import Changeset
@@ -45,6 +44,7 @@ from repro.synth.editors import (
     run_operation,
 )
 from repro.synth.world import WorldState, build_initial_world
+from repro.types.simulation import SimulationConfig
 
 __all__ = ["SimulationConfig", "DayOutput", "EditSimulator"]
 
@@ -52,26 +52,6 @@ _FIRST_NAMES = (
     "alex", "maria", "chen", "fatima", "joao", "olga", "ravi", "sara",
     "tom", "yuki", "lena", "omar", "ivan", "nina", "kofi", "anna",
 )
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Tunable knobs of the synthetic edit stream."""
-
-    seed: int = 7
-    mapper_count: int = 120
-    base_sessions_per_day: float = 30.0
-    #: Multiplicative activity growth per simulated year.
-    growth_per_year: float = 1.12
-    #: Weekend editing boost (volunteers map on weekends).
-    weekend_factor: float = 1.35
-    nodes_per_country: int = 24
-
-    def __post_init__(self) -> None:
-        if self.base_sessions_per_day <= 0:
-            raise SimulationError("base_sessions_per_day must be positive")
-        if self.mapper_count < 1:
-            raise SimulationError("need at least one mapper")
 
 
 @dataclass
@@ -98,8 +78,6 @@ class EditSimulator:
         self.world = build_initial_world(
             self.atlas, self.rng, self.config.nodes_per_country
         )
-        #: Road segments per country before any day is simulated.
-        self.genesis_sizes = self.road_network_sizes()
         self.mappers = self._build_mappers()
         self._country_names = [z.name for z in self.atlas.countries]
         self._country_weights = [z.activity_weight for z in self.atlas.countries]

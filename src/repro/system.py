@@ -1,10 +1,11 @@
 """One-stop assembly of a complete RASED deployment.
 
 :class:`RasedSystem` wires together every module from the paper's
-architecture diagram (Fig. 1) — the synthetic OSM feeds, both
-crawlers, the hierarchical cube index, the sample-update warehouse,
-the cache, the query executor, and the dashboard facade — over either
-an in-memory page store or an on-disk directory.
+architecture diagram (Fig. 1) — both crawlers over the OSM feeds, the
+hierarchical cube index, the sample-update warehouse, the cache, the
+query executor, and the dashboard facade — over either an in-memory
+page store or an on-disk directory.  It reads feeds; the synthetic
+source that writes them is imported only by :meth:`RasedSystem.publish_day`.
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -17,15 +18,13 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, time, timezone
+from datetime import date
 from pathlib import Path
 import shutil
 import tempfile
-import threading
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.cache import CacheManager
-from repro.types.temporal import TemporalKey, month_key
 from repro.types.dimensions import CubeSchema, default_schema
 from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
@@ -42,7 +41,6 @@ from repro.core.shard import (
 )
 from repro.collection.daily import DailyCrawler
 from repro.collection.geocode import Geocoder
-from repro.collection.records import UpdateList as UpdateListType
 from repro.collection.monthly import MonthlyCrawler
 from repro.collection.pipeline import IngestionPipeline, IngestReport
 from repro.dashboard.admission import AdmissionConfig, AdmissionController
@@ -70,7 +68,11 @@ from repro.storage.pages import PageStore
 from repro.storage.spatial_index import GridSpatialIndex
 from repro.storage.wal import IngestWAL, WalRecovery
 from repro.storage.warehouse import Warehouse
-from repro.synth.simulator import DayOutput, EditSimulator, SimulationConfig
+from repro.types.simulation import SimulationConfig
+
+if TYPE_CHECKING:
+    from repro.collection.records import UpdateList
+    from repro.synth.publisher import FeedPublisher
 
 __all__ = ["RasedSystem", "SystemConfig"]
 
@@ -95,7 +97,9 @@ class SystemConfig:
     page_version: int = 3
     #: Accepted only as ``True``: cubes are always built sparse.
     sparse_cubes: bool = True
-    simulation: SimulationConfig = SimulationConfig()
+    #: What :meth:`RasedSystem.publish_day` simulates (default
+    #: ``SimulationConfig()``); nothing else reads it.
+    simulation: SimulationConfig | None = None
     #: Place cube pages across this many shard stores (rendezvous
     #: hashing) and read them scatter-gather.  Index, cache and WAL are
     #: the same single ones at every N, so plans and counters do not
@@ -160,10 +164,7 @@ class SystemConfig:
 
 
 class RasedSystem:
-    """A fully wired RASED deployment plus its synthetic data source,
-    :attr:`simulator`: built by publishing or by the first percentage
-    query (the denominators are its genesis world's road sizes), so a
-    process that only ingests or counts holds no simulated planet."""
+    """A fully wired RASED deployment over one root's pages and feeds."""
 
     def __init__(
         self,
@@ -186,7 +187,8 @@ class RasedSystem:
 
         #: Index epoch: bumped with the date window of every mutation
         #: of what queries can see (cube writes; globally for catalog
-        #: reloads and denominator refreshes); versions the result cache.
+        #: reloads; from a size record's date on, for percentages only);
+        #: versions the result cache.
         self.epoch = EpochCounter()
 
         #: Always-on flight recorder + the tracer that feeds it.  The
@@ -199,8 +201,8 @@ class RasedSystem:
         #: records into it, ``/health`` and ``/debug/slo`` read it.
         self.slo = SLOTracker(config.slo, metrics=self.metrics)
 
-        self._simulator_lock = threading.Lock()
-        self._simulator: EditSimulator | None = None  # guarded-by: _simulator_lock
+        self.feed_root = feed_root
+        self._publisher: FeedPublisher | None = None
         self.day_feed = ReplicationFeed(feed_root / "replication", "day")
         self.hour_feed = ReplicationFeed(feed_root / "replication", "hour")
         self.changeset_store = ChangesetStore(feed_root / "changesets")
@@ -250,7 +252,6 @@ class RasedSystem:
             self.day_feed,
             policy=CRAWL_RETRY_POLICY,
             breaker=CircuitBreaker(CRAWL_BREAKER_THRESHOLD),
-            seed=config.simulation.seed,
             metrics=self.metrics,
         )
 
@@ -273,9 +274,8 @@ class RasedSystem:
         self.cache = CacheManager(
             self.index, slots=config.cache_slots, metrics=self.metrics
         )
-        self.network_sizes = NetworkSizeRegistry(
-            atlas, lambda: self.simulator.genesis_sizes
-        )
+        self.network_sizes = NetworkSizeRegistry(atlas, epoch=self.epoch)
+        self.network_sizes.load(effective_store)
         self.result_cache = (
             ResultCache(config.result_cache_slots, self.epoch, metrics=self.metrics)
             if config.result_cache_slots > 0
@@ -305,6 +305,7 @@ class RasedSystem:
             cache=self.cache,
             metrics=self.metrics,
             wal=self.wal,
+            network_sizes=self.network_sizes,
         )
         from repro.core.live import LiveMonitor
 
@@ -332,8 +333,6 @@ class RasedSystem:
             changeset_store=self.changeset_store,
             metrics=self.metrics,
         )
-        #: Ground-truth UpdateLists retained per published day (tests).
-        self.truth_by_day: dict[date, "UpdateListType"] = {}
         #: The feed directory :meth:`create` made, which :meth:`close` removes.
         self._owned_root: Path | None = None
 
@@ -369,64 +368,27 @@ class RasedSystem:
             shutil.rmtree(self._owned_root, ignore_errors=True)
             self._owned_root = None
 
-    @property
-    def simulator(self) -> EditSimulator:
-        """The edit simulator, built (once, under a lock) on first use."""
-        with self._simulator_lock:
-            if self._simulator is None:
-                self._simulator = EditSimulator(atlas=self.atlas, config=self.config.simulation)
-            return self._simulator
-
     # -- data flow ---------------------------------------------------------------
 
-    def _simulate(self, day: date) -> DayOutput:
-        """Simulate ``day``: its changesets are published, its truth kept."""
-        output = self.simulator.simulate_day(day)
-        for changeset in output.changesets:
-            self.changeset_store.add(changeset)
-        self.changeset_store.flush()
-        self.truth_by_day[day] = output.truth
-        return output
+    @property
+    def publisher(self) -> "FeedPublisher":
+        """The synthetic source publishing into this root's feeds."""
+        if self._publisher is None:
+            from repro.synth.publisher import FeedPublisher
+
+            self._publisher = FeedPublisher(
+                self.feed_root, self.atlas, self.config.simulation, self.changeset_store
+            )
+        return self._publisher
 
     def publish_day(self, day: date, hourly: bool = False) -> int:
-        """Simulate one day and publish its diff + changesets.
+        """:meth:`FeedPublisher.publish_day` of :attr:`publisher`."""
+        return self.publisher.publish_day(day, hourly)
 
-        With ``hourly=True`` the day's edits are additionally split by
-        hour and published to the hour-granularity feed the live
-        monitor tails (OSM publishes minute/hour/day diffs in
-        parallel; we model hour + day).
-
-        The simulator's ground-truth UpdateList for the day is retained
-        in :attr:`truth_by_day` so tests (and EXPERIMENTS.md) can
-        validate crawler output against what actually happened.
-        """
-        output = self._simulate(day)
-        stamp = datetime.combine(day, time(23, 59), tzinfo=timezone.utc)
-        if hourly:
-            from repro.core.live import split_change_by_hour
-
-            for hour, change in split_change_by_hour(output.change):
-                hour_stamp = datetime.combine(day, time(hour, 59), tzinfo=timezone.utc)
-                self.hour_feed.publish(change, hour_stamp)
-        return self.day_feed.publish(output.change, stamp)
-
-    def publish_partial_day(self, day: date, through_hour: int) -> int:
-        """Simulate ``day`` but publish only hourly diffs up to an hour.
-
-        Models "today": the daily diff does not exist yet, so only the
-        live monitor can see these updates.  Returns updates published.
-        """
-        output = self._simulate(day)
-        from repro.core.live import split_change_by_hour
-
-        published = 0
-        for hour, change in split_change_by_hour(output.change):
-            if hour > through_hour:
-                continue
-            stamp = datetime.combine(day, time(hour, 59), tzinfo=timezone.utc)
-            self.hour_feed.publish(change, stamp)
-            published += len(change)
-        return published
+    @property
+    def truth_by_day(self) -> "dict[date, UpdateList]":
+        """The simulator's ground truth per published day (tests)."""
+        return self._publisher.truth_by_day if self._publisher is not None else {}
 
     def poll_live(self) -> int:
         """Tail the hourly feed and drop overlays for ingested days.
@@ -446,39 +408,9 @@ class RasedSystem:
     def simulate_and_ingest(
         self, start: date, end: date, monthly_rebuild: bool = False
     ) -> IngestReport:
-        """Drive the full loop from simulation to queryable index.
-
-        With ``monthly_rebuild=True``, every completed calendar month
-        is additionally reprocessed through the monthly crawler from a
-        full-history dump, upgrading its cubes to full resolution — all
-        of them in one ``run_monthly`` call, so the dump is read once.
-        """
-        day = start
-        from datetime import timedelta
-
-        months_completed: list[TemporalKey] = []
-        while day <= end:
-            self.publish_day(day)
-            month = month_key(day.year, day.month)
-            if monthly_rebuild and day == month.end:
-                months_completed.append(month)
-            day += timedelta(days=1)
-        report = self.pipeline.run_daily()
-        if months_completed:
-            history_path = Path(tempfile.mkstemp(suffix=".osm")[1])
-            try:
-                self.simulator.write_history_dump(history_path)
-                monthly_report = self.pipeline.run_monthly(history_path, months_completed)
-                report.cubes_written.extend(monthly_report.cubes_written)
-            finally:
-                history_path.unlink(missing_ok=True)
-        # Road networks changed during simulation; refresh denominators.
-        for country, size in self.simulator.road_network_sizes().items():
-            self.network_sizes.update_country(country, size)
-        # Denominators affect every window's percentages but bypass the
-        # index's own epoch bumps, so invalidate all memoized results.
-        self.epoch.bump()
-        return report
+        """Publish ``start``..``end`` and ingest it: :meth:`FeedPublisher.publish_and_ingest`
+        of :attr:`publisher` into this deployment's pipeline."""
+        return self.publisher.publish_and_ingest(self.pipeline, start, end, monthly_rebuild)
 
     def warm_cache(self) -> int:
         """(Re)preload the recency cache; returns cubes resident."""

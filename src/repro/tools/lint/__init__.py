@@ -32,9 +32,3 @@ Run via ``rased-repro lint`` or ``python -m repro.tools.lint``; any
 finding fails the run.  The only way to accept one is in place, on its
 line: ``# lint: allow[<rule>] <reason>``.
 """
-
-from repro.tools.lint.cli import main
-from repro.tools.lint.model import Finding, SourceFile
-from repro.tools.lint.runner import LintReport, RULES, run_lint
-
-__all__ = ["Finding", "LintReport", "RULES", "SourceFile", "main", "run_lint"]

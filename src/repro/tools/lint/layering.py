@@ -14,15 +14,16 @@ top-level packages under ``repro``; a module may import only packages on
   tree; import the module it forwards to instead.
 
 Rule ``unreached`` walks the same import edges from the entry points
-(``ENTRY_MODULES``) and the shims, and flags every module the walk
+(``ENTRY_MODULES``), the shims and the benchmark modules
+(``BENCHMARK_MODULES``), and flags every module the walk
 never reaches: code no command, route or outside importer can run.
 Importing ``a.b.c`` runs ``a/__init__`` and ``a/b/__init__`` first, so
 the walk reaches those too and follows their imports like any other.
 A module that only its package ``__init__`` re-exports therefore
-counts as reached as soon as anything in the package is imported,
-used or not; that case is left to a hand audit (DESIGN §9).  A tree
-with no entry point at all (a fixture slice) is not a program and is
-not checked.
+counts as reached as soon as anything in the package is imported, so
+the rule also flags each name a package ``__init__`` (not the root's,
+the library's public face) re-exports that no module imports through
+the package.  A tree with no entry point (a fixture slice) is not checked.
 
 Imports inside ``if TYPE_CHECKING:`` blocks are exempt: they never
 execute, so they cannot create runtime import cycles — that is exactly
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.tools.lint.model import (
+    BENCHMARK_MODULES,
     ENTRY_MODULES,
     SHIM_MODULES,
     Finding,
@@ -200,7 +202,7 @@ def check_unreached(program: Program) -> list[Finding]:
     entries = [f"{root}.{name}" for name in sorted(ENTRY_MODULES)]
     if not any(entry in by_module for entry in entries):
         return []
-    pending = [*entries, *(f"{root}.{name}" for name in sorted(SHIM_MODULES))]
+    pending = [*entries, *(f"{root}.{name}" for name in sorted(SHIM_MODULES | BENCHMARK_MODULES))]
     reached: set[str] = set()
     while pending:
         module = pending.pop()
@@ -214,7 +216,7 @@ def check_unreached(program: Program) -> list[Finding]:
             if not edge.type_only:
                 pending.append(edge.target)
                 pending.extend(f"{edge.target}.{name}" for name in edge.names)
-    return [
+    findings = [
         source.finding(
             "unreached",
             1,
@@ -224,6 +226,23 @@ def check_unreached(program: Program) -> list[Finding]:
         for source in program.sources
         if source.module not in reached
     ]
+    through = {(e.target, name) for s in program.sources for e in module_imports(s) for name in e.names}
+    for source in program.sources:
+        if source.path.name != "__init__.py" or source.module == root:
+            continue
+        for edge in module_imports(source):
+            if edge.target.startswith(f"{source.module}."):
+                findings.extend(
+                    source.finding(
+                        "unreached",
+                        edge.lineno,
+                        f"{source.module!r} re-exports {name!r} from "
+                        f"{edge.target!r}, but no module imports it through the package",
+                    )
+                    for name in edge.names
+                    if (source.module, name) not in through
+                )
+    return findings
 
 
 def _cycle_findings(edges: dict[str, dict[str, tuple[str, int]]]) -> list[Finding]:

@@ -29,6 +29,7 @@ __all__ = [
     "LAYERS",
     "SHIM_MODULES",
     "ENTRY_MODULES",
+    "BENCHMARK_MODULES",
     "HOT_PATH_PACKAGES",
     "OBS_PACKAGES",
     "CUBE_ORDER_STRICT_PACKAGES",
@@ -65,8 +66,13 @@ SHIM_MODULES = frozenset({"core.calendar"})
 
 #: Entry points (dotted, below the root package): the ``rased-repro``
 #: console script and ``python -m repro.tools.lint``.  With the shims
-#: they are the roots the ``unreached`` rule walks imports from.
+#: and the benchmark modules they are the roots the ``unreached`` rule
+#: walks imports from.
 ENTRY_MODULES = frozenset({"cli", "tools.lint.__main__"})
+
+#: What no command serves but the benchmarks measure the paper's figures
+#: with: the row-store and Fig. 9 comparators, the harness's workloads.
+BENCHMARK_MODULES = frozenset({"baseline.flat", "baseline.rowstore", "synth.scale", "synth.workload"})
 
 #: Packages where wall-clock calls are forbidden (inject clocks or use
 #: the trace layer instead).

@@ -1,2 +1,3 @@
 """Fixture tree for the ``unreached`` rule: one entry point, one shim,
-a package re-export, and two modules no entry point runs."""
+two package re-exports (one imported through the package, one not),
+and two modules no entry point runs."""

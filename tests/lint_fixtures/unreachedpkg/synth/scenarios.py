@@ -1,5 +1,6 @@
-"""Reached only through synth/__init__'s re-export: must pass (an
-unused re-export is the hand audit's finding, not this rule's)."""
+"""Reached only through synth/__init__'s re-export: the module must
+pass, while the re-export no module imports through the package is
+flagged at its line in synth/__init__.py."""
 
 
 def plant() -> None:

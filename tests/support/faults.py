@@ -462,9 +462,11 @@ class FaultyReplicationFeed:
         plan.raise_for(spec, point, target)
         return spec
 
-    def publish(self, change: "OsmChange", timestamp: datetime) -> int:
+    def publish(
+        self, change: "OsmChange", timestamp: datetime, sizes: bytes | None = None
+    ) -> int:
         self._apply("feed.publish", "state.txt")
-        return self.inner.publish(change, timestamp)
+        return self.inner.publish(change, timestamp, sizes)
 
     def current_sequence(self) -> int | None:
         spec = self._apply("feed.state", "state.txt")
@@ -484,6 +486,9 @@ class FaultyReplicationFeed:
     def fetch(self, sequence: int) -> "OsmChange":
         self._apply("feed.fetch", str(sequence))
         return self.inner.fetch(sequence)
+
+    def sizes(self, sequence: int) -> bytes | None:
+        return self.inner.sizes(sequence)
 
     #: The feed's own loops, over the three faulty reads above.
     pending = ReplicationFeed.pending

@@ -76,7 +76,6 @@ class TestServeConfig:
         )
         config, worker = _serve_configs(args)
         assert config == SystemConfig.serving(
-            simulation=config.simulation,
             cache_slots=32,
             result_cache_slots=8,
             admission=AdmissionConfig(rate_limit=5.0),
@@ -124,6 +123,14 @@ class TestCommands:
         assert "2021-01-01 .. 2021-01-14" in out
         assert "day" in out
         assert "warehouse" in out
+        # The first day ingested recorded its sizes; no month end since.
+        assert "sizes:     as of 2021-01-01 (1 record(s))" in out
+
+    def test_info_on_a_root_without_sizes(self, tmp_path, capsys):
+        assert main(["info", "--root", str(tmp_path / "empty")]) == 0
+        out = capsys.readouterr().out
+        assert "coverage:  (empty)" in out
+        assert "sizes:     none (percentages unavailable)" in out
 
     def test_query_table(self, deployment_root, capsys):
         sql = (
@@ -268,6 +275,7 @@ class TestRebuildCommand:
             == 0
         )
         assert history.exists()
+        assert not (root / "pages").exists()  # simulate opens only the publisher
         assert main(["ingest", "--root", str(root)]) == 0
         capsys.readouterr()
 
@@ -294,6 +302,7 @@ class TestRebuildCommand:
         )
         out = capsys.readouterr().out
         assert "rebuilt M2021-02" in out
+        assert "recorded road-network sizes as of 2021-02-28" in out
 
         assert main(["query", "--root", str(root), "--sql", sql]) == 0
         after = capsys.readouterr().out

@@ -47,7 +47,7 @@ def build_stress_system(atlas, shards: int = 1) -> RasedSystem:
         system.publish_day(date(2021, 7, day), hourly=True)
     system.pipeline.run_daily()
     # "Today" exists only as hourly diffs; the live thread absorbs it.
-    system.publish_partial_day(date(2021, 7, 8), through_hour=10)
+    system.publisher.publish_partial_day(date(2021, 7, 8), through_hour=10)
     return system
 
 

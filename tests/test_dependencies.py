@@ -82,8 +82,9 @@ def test_the_runtime_import_walk_skips_type_checking_blocks():
 
 
 def test_the_system_runs_without_networkx(tmp_path):
-    """Import the CLI, build a system and answer a query with networkx
-    made unimportable (a ``None`` entry in ``sys.modules``)."""
+    """Import the CLI, publish and ingest a simulated day and answer a
+    percentage with networkx made unimportable (a ``None`` entry in
+    ``sys.modules``)."""
     script = (
         "import sys\n"
         "sys.modules['networkx'] = None\n"
@@ -92,13 +93,15 @@ def test_the_system_runs_without_networkx(tmp_path):
         "from repro.core.query import AnalysisQuery\n"
         "from repro.system import RasedSystem\n"
         f"system = RasedSystem.create(root={str(tmp_path)!r})\n"
+        "system.publish_day(date(2021, 1, 1))\n"
+        "system.pipeline.run_daily()\n"
         "query = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 7),"
         " metric='percentage')\n"
-        "print(system.dashboard.analysis(query).rows)\n"
+        "print(sorted(system.dashboard.analysis(query).rows))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "{}"
+    assert done.stdout.strip() == "[()]"

@@ -269,7 +269,8 @@ class TestPercentages:
             )
         )
         pct = rebuilt_system.dashboard.analysis(query)
-        size = rebuilt_system.network_sizes.size("germany")
+        assert pct.sizes_as_of == INGESTED_END
+        size = rebuilt_system.network_sizes.as_of(INGESTED_END).size("germany")
         expected = 100.0 * counts.rows[("germany",)] / size
         assert pct.rows[("germany",)] == pytest.approx(expected)
 
@@ -283,7 +284,8 @@ class TestPercentages:
             metric="percentage",
         )
         result = rebuilt_system.dashboard.analysis(query)
-        denominator = rebuilt_system.network_sizes.denominator(("germany", "france"))
+        record = rebuilt_system.network_sizes.as_of(INGESTED_END)
+        denominator = record.denominator(("germany", "france"))
         counts = rebuilt_system.dashboard.analysis(
             AnalysisQuery(
                 start=INGESTED_START,
@@ -311,7 +313,7 @@ class TestPercentages:
 
 class TestNetworkSizeRegistry:
     def test_continent_is_sum_of_countries(self, rebuilt_system):
-        registry = rebuilt_system.network_sizes
+        registry = rebuilt_system.network_sizes.as_of(INGESTED_END)
         atlas = rebuilt_system.atlas
         total = sum(
             registry.size(c.name) for c in atlas.countries_of("europe")
@@ -319,41 +321,40 @@ class TestNetworkSizeRegistry:
         assert registry.size("europe") == total
 
     def test_state_is_even_share(self, rebuilt_system):
-        registry = rebuilt_system.network_sizes
+        registry = rebuilt_system.network_sizes.as_of(INGESTED_END)
         usa = registry.size("united_states")
         assert registry.size("minnesota") == max(1, usa // 50)
 
     def test_unknown_zone_raises(self, rebuilt_system):
         with pytest.raises(QueryError):
-            rebuilt_system.network_sizes.size("atlantis")
+            rebuilt_system.network_sizes.as_of(INGESTED_END).size("atlantis")
 
     def test_world_denominator_skips_zones_of_interest(self, rebuilt_system):
-        registry = rebuilt_system.network_sizes
+        registry = rebuilt_system.network_sizes.as_of(INGESTED_END)
         world = registry.denominator(None)
         countries_total = sum(
             registry.size(c.name) for c in rebuilt_system.atlas.countries
         )
         assert world == countries_total
 
-    def test_update_country_rederives_rollups(self, atlas):
-        from repro.core.percentages import NetworkSizeRegistry
-
-        registry = NetworkSizeRegistry(atlas, lambda: {"germany": 100})
-        before = registry.size("europe")
-        registry.update_country("germany", 300)
-        assert registry.size("europe") == before + 200
-
     def test_tsv_roundtrip(self, atlas):
+        """A record written to a store loads back, every rollup re-derived
+        the same way from its country sizes alone."""
         from repro.core.percentages import NetworkSizeRegistry
+        from repro.osm.snapshot import encode_sizes, sizes_page_id
+        from repro.storage.disk import InMemoryDisk
 
-        registry = NetworkSizeRegistry(atlas, lambda: {"germany": 123, "qatar": 7})
-        # A registry rebuilt from the country sizes alone re-derives
-        # every rollup the same way.
-        restored = NetworkSizeRegistry(
-            atlas, lambda: {zone.name: registry.size(zone.name) for zone in atlas.countries}
-        )
-        assert restored.size("germany") == 123
-        assert restored.size("europe") == registry.size("europe")
+        registry = NetworkSizeRegistry(atlas, {date.min: {"germany": 123, "qatar": 7}})
+        store = InMemoryDisk(0, 0)
+        store.write(sizes_page_id(INGESTED_END), encode_sizes({"germany": 123, "qatar": 7}))
+        restored = NetworkSizeRegistry(atlas)
+        restored.load(store)
+        assert restored.dates == [INGESTED_END]
+        record = restored.as_of(INGESTED_END)
+        assert record.size("germany") == 123
+        assert record.size("europe") == registry.as_of(INGESTED_END).size("europe")
+        with pytest.raises(QueryError):
+            restored.as_of(INGESTED_START)
 
 
 class TestWindowAdditivity:

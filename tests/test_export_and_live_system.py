@@ -9,7 +9,7 @@ from datetime import date
 import pytest
 
 from repro.core.query import AnalysisQuery
-from repro.dashboard.export import (
+from tests.support.export import (
     result_to_csv,
     result_to_json_text,
     timelapse_to_text,
@@ -117,7 +117,7 @@ class TestSystemLivePath:
         system.publish_day(date(2021, 7, 2), hourly=True)
         system.pipeline.run_daily()
         # ...plus "today", existing only as hourly diffs so far.
-        system.publish_partial_day(date(2021, 7, 3), through_hour=23)
+        system.publisher.publish_partial_day(date(2021, 7, 3), through_hour=23)
         system.poll_live()
         yield system
         system.close()

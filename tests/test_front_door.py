@@ -278,7 +278,7 @@ class TestVersioning:
 
     def test_live_overlay_neither_reads_nor_writes_the_bytes(self, atlas):
         system = build_memo_system(atlas)
-        system.publish_partial_day(date(2021, 7, 5), through_hour=6)
+        system.publisher.publish_partial_day(date(2021, 7, 5), through_hour=6)
         system.poll_live()
         with DashboardServer(system.dashboard) as server:
             _, plain, _ = post(server, "/analysis", JULY)
@@ -296,7 +296,7 @@ class TestVersioning:
 
     def test_a_live_miss_stores_no_bytes(self, atlas):
         system = build_memo_system(atlas)
-        system.publish_partial_day(date(2021, 7, 5), through_hour=6)
+        system.publisher.publish_partial_day(date(2021, 7, 5), through_hour=6)
         system.poll_live()
         with DashboardServer(system.dashboard) as server:
             _, live, _ = post(server, "/analysis/live", JULY)

@@ -68,7 +68,7 @@ def compute_rebuilt() -> dict[str, Any]:
         )
         system.simulate_and_ingest(date(2021, 1, 1), date(2021, 2, 3))
         history = Path(root) / "history.osm"
-        system.simulator.write_history_dump(history)
+        system.publisher.write_history_dump(history)
         report = system.pipeline.run_monthly(history, [month_key(2021, 1)])
     pages = {page_id: hashlib.sha256(store.read(page_id)).hexdigest() for page_id in store.list_pages()}
     return {

@@ -13,7 +13,8 @@ from repro.core.executor import QueryExecutor
 from repro.core.hierarchy import HierarchicalIndex
 from repro.core.query import AnalysisQuery, QueryResult
 from repro.collection.geocode import Geocoder
-from repro.core.live import LiveMonitor, split_change_by_hour
+from repro.core.live import LiveMonitor
+from repro.synth.publisher import split_change_by_hour
 from repro.osm.changesets import ChangesetStore
 from repro.osm.replication import ReplicationFeed
 from repro.storage.disk import InMemoryDisk

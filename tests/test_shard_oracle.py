@@ -290,7 +290,7 @@ def paired_live_systems():
         system = _deployment(shards)
         system.simulate_and_ingest(date(2021, 3, 1), date(2021, 3, 14))
         # "Today": hourly diffs only, visible to the live monitor alone.
-        system.publish_partial_day(date(2021, 3, 15), through_hour=13)
+        system.publisher.publish_partial_day(date(2021, 3, 15), through_hour=13)
         system.poll_live()
         system.warm_cache()
         systems.append(system)

@@ -2,25 +2,22 @@
 
 from __future__ import annotations
 
-import json
+import os
+import subprocess
 import sys
 import tempfile
-import threading
-import time
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
-from random import Random
 
 import pytest
 
-import repro.system as system_module
+from repro import cli
 from repro.types.temporal import month_key
 from repro.core.query import AnalysisQuery
-from repro.dashboard.server import run_analysis_request
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
-from repro.synth.scale import scaled_day_updates
-from repro.synth.simulator import EditSimulator, SimulationConfig
+from repro.synth.publisher import FeedPublisher
+from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 from tests.conftest import INGESTED_END, INGESTED_START
 
@@ -108,7 +105,7 @@ def _partly_ingested(atlas, tmp_path):
     )
     system.simulate_and_ingest(date(2021, 1, 1), date(2021, 1, 14))
     history = tmp_path / "history.osm"
-    system.simulator.write_history_dump(history)
+    system.publisher.write_history_dump(history)
     return system, history
 
 
@@ -223,7 +220,7 @@ class TestCacheFreshness:
 
         history = Path(tempfile.mkstemp(suffix=".osm")[1])
         try:
-            system.simulator.write_history_dump(history)
+            system.publisher.write_history_dump(history)
             system.pipeline.run_monthly(history, [month_key(2021, 1)])
         finally:
             history.unlink()
@@ -338,7 +335,7 @@ class TestProfiles:
             cache_slots=64,
             page_version=3,
             sparse_cubes=True,
-            simulation=asdict(SimulationConfig()),
+            simulation=None,
             shards=1,
             scatter_threads=None,
             fetch_parallelism=4,
@@ -500,145 +497,48 @@ class TestIngestReports:
         assert len(report.cubes_written) >= 8  # 7 dailies + 1 weekly
 
 
-#: The lazy-simulator tests' window: five days published by one system
-#: and crawled by another.
-FEED_START, FEED_END = date(2021, 1, 1), date(2021, 1, 5)
-
-
-def _feed_config():
-    return SystemConfig(
-        road_types=8,
-        cache_slots=12,
-        simulation=SimulationConfig(seed=21, mapper_count=20, base_sessions_per_day=8),
-    )
-
-
-def _feed_system(atlas, feed_root):
-    return RasedSystem.create(
-        root=feed_root, atlas=atlas, store=InMemoryDisk(0, 0), config=_feed_config()
-    )
-
-
-def _publish_feed(system):
-    day = FEED_START
-    while day <= FEED_END:
-        system.publish_day(day)
-        day += timedelta(days=1)
-
-
-@pytest.fixture(scope="module")
-def feed_root(atlas, tmp_path_factory):
-    """A feed another system published: FEED_START..FEED_END."""
-    root = tmp_path_factory.mktemp("published") / "feeds"
-    _publish_feed(_feed_system(atlas, root))
-    return root
-
-
-@pytest.fixture
-def simulator_builds(monkeypatch):
-    """The thread of every ``EditSimulator`` a system builds from now on."""
-    built = []
-
-    class Counted(EditSimulator):
-        def __init__(self, *args, **kwargs):
-            built.append(threading.get_ident())
-            time.sleep(0.01)  # widen the window for a racing second build
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(system_module, "EditSimulator", Counted)
-    return built
-
-
-def _percentages(system):
-    """A fixed battery: no filter, a country, a continent, a US state."""
-    return [
-        system.dashboard.analysis(
-            AnalysisQuery(
-                start=FEED_START, end=FEED_END, countries=countries, metric="percentage"
-            )
-        ).rows[()]
-        for countries in (None, ("japan",), ("asia",), ("oklahoma",))
-    ]
-
-
-#: ``_percentages`` of the crawled feed: its counts divided by the
-#: genesis world's road sizes (world 5 552, japan 27, asia 1 346, US 69
-#: so oklahoma 1).
-GENESIS_PERCENTAGES = [13.364553314121038, 796.2962962962963, 19.539375928677565, 900.0]
-
-
-class TestLazySimulator:
-    def test_ingest_and_count_queries_build_no_simulator(
-        self, atlas, feed_root, simulator_builds
-    ):
-        system = _feed_system(atlas, feed_root)
-        december = {
-            date(2020, 12, d): scaled_day_updates(
-                date(2020, 12, d), Random(d), system.schema, 40
-            )
-            for d in range(1, 32)
-        }
-        system.index.bulk_load(december)
-        bulk = AnalysisQuery(start=date(2020, 12, 1), end=date(2020, 12, 31))
-        assert system.dashboard.analysis(bulk).rows == {(): 31 * 40}
-        assert system.pipeline.run_daily().days_processed == 5
-        crawled = AnalysisQuery(start=FEED_START, end=FEED_END, group_by=("country",))
-        assert sum(system.dashboard.analysis(crawled).rows.values()) > 0
-        status, body = run_analysis_request(
-            system.dashboard, "analysis", b'{"start": "2021-01-01", "end": "2021-01-05"}'
+class TestServingWithoutSimulator:
+    def test_a_served_root_answers_percentages_without_repro_synth(self, atlas, tmp_path):
+        """Open a prepared root the way ``serve`` does, with the whole
+        ``repro.synth`` package made unimportable (a ``None`` entry in
+        ``sys.modules``), and answer a percentage from its records."""
+        publisher = FeedPublisher(
+            tmp_path / "feeds",
+            atlas,
+            SimulationConfig(seed=21, mapper_count=20, base_sessions_per_day=8),
         )
-        assert status == 200 and json.loads(body)["rows"]
-        assert simulator_builds == []
-
-    def test_concurrent_first_percentages_build_one_simulator(
-        self, atlas, feed_root, simulator_builds
-    ):
-        system = _feed_system(atlas, feed_root)
-        system.pipeline.run_daily()
-        assert simulator_builds == []
-        barrier = threading.Barrier(8)
-        answers, simulators = [], []
-
-        def ask():
-            barrier.wait()
-            answers.append(_percentages(system))
-
-        def publish():  # what publish_day reaches first
-            barrier.wait()
-            simulators.append(system.simulator)
-
-        threads = [threading.Thread(target=f) for f in (ask, publish) * 4]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(simulator_builds) == 1
-        assert answers == [GENESIS_PERCENTAGES] * 4
-        assert len({id(simulator) for simulator in simulators}) == 1
-
-    def test_a_publisher_divides_by_the_genesis_sizes_until_refreshed(
-        self, atlas, tmp_path
-    ):
-        system = _feed_system(atlas, tmp_path / "feeds")
-        _publish_feed(system)
-        system.pipeline.run_daily()
-        # Publishing grew the world (japan 27 -> 82 roads) ...
-        assert system.simulator.road_network_sizes()["japan"] == 82
-        # ... but until simulate_and_ingest refreshes them, percentages
-        # divide by what a crawler of the same feed divides by.
-        assert _percentages(system) == GENESIS_PERCENTAGES
-        system.simulate_and_ingest(date(2021, 1, 6), date(2021, 1, 6))
-        sizes = system.simulator.road_network_sizes()
-        assert system.network_sizes.size("japan") == sizes["japan"]
-        assert system.network_sizes.size("asia") == sum(
-            sizes[zone.name] for zone in atlas.countries_of("asia")
+        for day in range(1, 6):
+            publisher.publish_day(date(2021, 1, day))
+        opened = cli._open_system(str(tmp_path))
+        assert opened.pipeline.run_daily().sizes_recorded == [date(2021, 1, 1)]
+        query = AnalysisQuery(
+            start=date(2021, 1, 1), end=date(2021, 1, 5), countries=("japan",), metric="percentage"
         )
+        expected = opened.dashboard.analysis(query)
+        assert expected.sizes_as_of == date(2021, 1, 1) and expected.rows[()] > 0
+        script = (
+            "import sys\n"
+            "sys.modules['repro.synth'] = None\n"
+            "from datetime import date\n"
+            "from repro import cli\n"
+            "from repro.core.query import AnalysisQuery\n"
+            f"system = cli._open_system({str(tmp_path)!r}, cli.SystemConfig.serving())\n"
+            "system.warm_cache()\n"
+            "query = AnalysisQuery(start=date(2021, 1, 1), end=date(2021, 1, 5),"
+            " countries=('japan',), metric='percentage')\n"
+            "result = system.dashboard.analysis(query)\n"
+            "print(result.sizes_as_of, round(result.rows[()], 6))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.synth')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"2021-01-01 {round(expected.rows[()], 6)}",
+            "['repro.synth']",
+        ]
 
 
 def _feed_dirs() -> set[Path]:

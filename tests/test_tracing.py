@@ -32,16 +32,8 @@ from repro.types.temporal import Level
 from repro.dashboard.admission import AdmissionConfig, AdmissionController
 from repro.dashboard.server import DashboardServer
 from repro.errors import DeadlineExceededError
-from repro.obs import (
-    FlightRecorder,
-    MetricsRegistry,
-    RecordedTrace,
-    Tracer,
-    current_span,
-    current_trace_id,
-    record_span,
-    span,
-)
+from repro.obs import FlightRecorder, MetricsRegistry, Tracer
+from repro.obs.span import RecordedTrace, current_span, current_trace_id, record_span, span
 
 
 class _ListSink:

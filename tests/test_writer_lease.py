@@ -170,7 +170,7 @@ class TestOpenDuringABatch:
         history = tmp_path / "history.osm"
         publisher = _system(atlas, tmp_path / "republish", InMemoryDisk(0, 0))
         _publish(publisher, *WINDOW)
-        publisher.simulator.write_history_dump(history)
+        publisher.publisher.write_history_dump(history)
 
         rebuild = writer.index.rebuild_month
         seen = []

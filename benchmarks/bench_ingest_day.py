@@ -18,7 +18,7 @@ summed over the run and divided by the days:
 
 It then ingests the feed once more, untimed, to print the write ledger:
 the bytes the store charged per update indexed, filed by page family — the warehouse heap,
-the index bucket base pages, the index segments, the undo journal by
+its values page (each distinct country and road type once), the index bucket base pages, the index segments, the undo journal by
 the family of the page each record undoes, the cube pages, the
 road-network size records (``meta:network_sizes``: the first day's and
 each month end's), and other (WAL intent and checkpoint, the crawl
@@ -37,7 +37,9 @@ all of its months together, from that dump.
 
 ``--smoke`` ingests 5 days from 2022-01-29, so its one run folds the
 month end of January and retires its segments, and writes exactly two
-size records: the first day's and January's month end.
+size records: the first day's and January's month end.  It checks that
+the heap costs exactly ``ROW_SIZE`` bytes per update and the values
+page under one.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_ingest_day.py [--days 60]
 [--runs 3] [--smoke] [--monthly [--months 6]]``.  The last line printed
@@ -63,6 +65,7 @@ from repro.core.hierarchy import HierarchicalIndex
 from repro.osm.replication import ResilientFeed
 from repro.osm.snapshot import SIZES_PREFIX
 from repro.storage.disk import InMemoryDisk
+from repro.storage.warehouse import ROW_SIZE
 from repro.synth.publisher import FeedPublisher
 from repro.system import RasedSystem, SimulationConfig, SystemConfig
 from repro.types.temporal import TemporalKey, month_key
@@ -99,13 +102,15 @@ def _timed(method: Callable[..., Any], spent: dict[str, float], part: str) -> Ca
 
 
 #: The ledgers' page families, in print order.
-FAMILIES = ("heap", "bucket_base", "segment", "cubes", "meta:network_sizes", "other")
+FAMILIES = ("heap", "values", "bucket_base", "segment", "cubes", "meta:network_sizes", "other")
 
 
 def page_family(page_id: str) -> str:
     """The family of the page ``page_id`` (an undo page's is its own)."""
     if page_id.startswith("warehouse/heap/"):
         return "heap"
+    if page_id == "warehouse/values":
+        return "values"
     if page_id.startswith(("warehouse/hash/", "warehouse/grid/")):
         return "segment" if "/seg/" in page_id else "bucket_base"
     if page_id.startswith(SIZES_PREFIX):
@@ -266,6 +271,8 @@ def main() -> None:
     if args.smoke:
         assert ledger["bucket_base"] > 0, "the smoke window folds a month end"
         assert recorded == [SMOKE_FIRST_DAY, date(2022, 1, 31)], recorded
+        assert ledger["heap"] == ROW_SIZE, ledger["heap"]
+        assert 0 < ledger["values"] < 1, ledger["values"]
     columns = [part for _, _, part in PARTS] + ["rest", "total"]
     print(f"writer-alone CPU ms/day over {days} days, {runs} run(s)")
     print("run  " + "  ".join(f"{name:>10}" for name in columns) + "        rows")

@@ -9,7 +9,8 @@ The output for the target months replaces their coarse daily rows:
 the Storage & Indexing module rebuilds those days' cubes and their
 rollups from it ("Index Maintenance with Monthly Updates").  Any run of
 months costs one pass over the dump, which OSM sorts by element, not by
-time; it also folds the road network as of the last month's end.
+time; it also folds the road network as of the last month's end (or
+the dump's last version, if that is earlier).
 
 Locations are resolved identically to the daily crawler — node
 coordinates, or the changeset bbox center for ways/relations — so a
@@ -19,7 +20,7 @@ rebuilt row differs from its coarse predecessor only in *UpdateType*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -41,8 +42,10 @@ class MonthlyCrawlResult:
     updates: UpdateList = field(default_factory=UpdateList)
     skipped: int = 0
     scanned_versions: int = 0
-    #: Road segments per country as of the last month's end.
-    sizes: dict[str, int] | None = None
+    #: The day road segments are counted as of — the last month's end, or
+    #: the dump's last version date if earlier (the newest day the dump
+    #: vouches for) — and the segments per country.
+    sizes: tuple[date, dict[str, int]] | None = None
 
 
 class MonthlyCrawler:
@@ -62,7 +65,8 @@ class MonthlyCrawler:
         filtered to the months, so a version-2 update in a target month
         classifies correctly against its version-1 predecessor from an
         earlier month.  The rows are located in one batch, and the same
-        pass folds the road network as of the last month's end.
+        pass folds the road network as of the last month's end, or of the
+        dump's last version if it ends before that.
         """
         result = MonthlyCrawlResult()
         fold = RoadNetworkFold(months[-1].end)
@@ -72,11 +76,13 @@ class MonthlyCrawler:
             for offset in range(month.day_count)
         }
         rows: list[ElementRow] = []
+        newest = date.min
         for kind, fields, previous, update_type in iter_history(history):
             header, lat, lon, _ = fields
             result.scanned_versions += 1
             fold.add(kind, fields)
             day = header[2].date()
+            newest = max(newest, day)
             if day in wanted:
                 # A deleted element's after-image may carry no tags; the
                 # road type comes from the previous version so deletions
@@ -88,5 +94,5 @@ class MonthlyCrawler:
                 ))
         result.updates, result.skipped = self.geocoder.locate(rows, self.changesets)
         if fold.versions:
-            result.sizes = fold.counts(self.geocoder.atlas)
+            result.sizes = min(fold.as_of, newest), fold.counts(self.geocoder.atlas)
         return result

@@ -16,7 +16,8 @@ Glues the Data Collection module to Storage & Indexing (paper, Fig. 1):
 Both write the road-network size records (``Percentage(*)``'s
 denominators) inside their batches, handed to the registry on commit: a
 day its feed's sizes when it closes a month or the root has none yet; a
-monthly run the sizes its history pass folded as of its last month's end.
+monthly run the sizes its history pass folded as of its last month's end,
+or of the dump's last version if the dump ends before it.
 
 The pipeline also refreshes any cache entries the maintenance pass
 replaced, so a long-lived dashboard never serves stale cubes.
@@ -258,10 +259,10 @@ class IngestionPipeline:
                 written = self.index.rebuild_month(month, by_day)
                 sizes = crawl.sizes if month is months[-1] else None
                 if sizes is not None:
-                    self._record_sizes(month.end, sizes, report)
+                    self._record_sizes(*sizes, report)
                 self.wal.commit(meta)
                 if sizes is not None:
-                    self.network_sizes.add(month.end, sizes)
+                    self.network_sizes.add(*sizes)
                 self.metrics.inc_key(_K_BATCHES)
                 report.cubes_written.extend(written)
                 for key in written:

@@ -337,6 +337,8 @@ class TestRebuildCommand:
         out = capsys.readouterr().out
         assert "rebuilt M2020-12..M2021-03: " in out
         assert "across 6 days" in out
+        # The dump ends on 3 Feb: it vouches for no size after that day.
+        assert "recorded road-network sizes as of 2021-02-03" in out
         sql = (
             "SELECT U.UpdateType, COUNT(*) FROM UpdateList U "
             "WHERE U.Date BETWEEN 2021-01-29 AND 2021-02-03 GROUP BY U.UpdateType"
@@ -392,6 +394,23 @@ class TestIngestRecovery:
         metrics = opened[0].metrics
         assert metrics.value("rased_ingest_batches_rolled_back_total") == 1
         assert not (root / "pages" / "wal" / "intent.page").exists()
+
+    def test_a_root_with_the_older_96_byte_heap_is_refused(self, tmp_path, capsys):
+        """A heap written before rows stored value codes is never misread:
+        every command exits 2 naming the old layout and the fix."""
+        import struct
+        from datetime import date
+
+        heap = tmp_path / "deploy" / "pages" / "warehouse" / "heap"
+        heap.mkdir(parents=True)
+        row = struct.pack(
+            "<BBxxi d d Q 32s 32s", 0, 2, date(2021, 1, 5).toordinal(), 52.5, 13.4, 1000,
+            b"germany", b"residential",
+        )
+        (heap / "00000000.page").write_bytes(row * 3)
+        assert main(["info", "--root", str(tmp_path / "deploy")]) == 2
+        err = capsys.readouterr().err
+        assert "older 96-byte row layout" in err and "re-ingest" in err
 
 
 class TestShardedRoot:

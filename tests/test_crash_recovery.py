@@ -35,7 +35,7 @@ from repro.geo.geometry import BBox
 from repro.storage.disk import DirectoryDisk, InMemoryDisk
 from repro.storage.hash_index import HashIndex
 from repro.storage.spatial_index import GridSpatialIndex
-from repro.storage.warehouse import RowPointer
+from repro.storage.warehouse import ROW_SIZE, RowPointer
 from repro.synth.simulator import SimulationConfig
 from repro.system import RasedSystem, SystemConfig
 from tests.support import CrashPoint, FaultPlan, FaultyPageStore, classify_page_op
@@ -472,6 +472,8 @@ class TestIndexCrash:
         [
             pytest.param("warehouse/heap/", 0, id="heap-tail-first-day"),
             pytest.param("warehouse/heap/", 2, id="heap-tail-month-end"),
+            pytest.param("warehouse/values", 0, id="values-page-first-day"),
+            pytest.param("warehouse/values", 1, id="values-page-a-later-day"),
             pytest.param("warehouse/hash/0", 0, id="fold-first-hash-base"),
             pytest.param("warehouse/grid/0", 3, id="fold-a-grid-base"),
         ],
@@ -479,22 +481,25 @@ class TestIndexCrash:
     def test_a_torn_append_recovers_the_pre_batch_pages(
         self, atlas, feed_root, tmp_path, golden, prefix, after, shards
     ):
-        """A file append that stopped mid-record — at the heap tail, or at
-        a fold's base page — rolls back to the byte-identical pre-batch
-        pages, and the day then ingests as if nothing happened."""
+        """A file append that stopped mid-record — at the heap tail, at the
+        values page, or at a fold's base page — rolls back to the
+        byte-identical pre-batch pages, and the day then ingests as if
+        nothing happened."""
         system = _directory_system(atlas, feed_root, tmp_path, shards)
         _tear_append(system.store, prefix, after)
         with pytest.raises(CrashPoint) as crash:
             system.pipeline.run_daily()
         torn = system.store.read(crash.value.page_id)
-        assert len(torn) % (96 if "heap" in prefix else 8)
+        if "values" not in prefix:  # a values entry has no fixed size
+            assert len(torn) % (ROW_SIZE if "heap" in prefix else 8)
         vars(system.store).pop("append")
 
         reopened = _directory_system(atlas, feed_root, tmp_path, shards)
         report = reopened.recovered
         assert report is not None and report.rolled_back
         crashed_day = FOLD_DAYS.index(date.fromisoformat(report.batch_meta["day"]))
-        assert "heap" in prefix or FOLD_DAYS[crashed_day] == date(2021, 1, 31)
+        folds = prefix.startswith(("warehouse/hash/", "warehouse/grid/"))
+        assert not folds or FOLD_DAYS[crashed_day] == date(2021, 1, 31)
         assert _deployment_pages(reopened) == golden[crashed_day]
         _assert_indexes_match_the_heap(reopened)
         reopened.pipeline.run_daily()

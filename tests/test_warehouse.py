@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import random
 import struct
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import ConfigError, StorageError
 from repro.geo.geometry import BBox
 from repro.collection.records import UpdateList, UpdateRecord
 from repro.storage.disk import InMemoryDisk
@@ -447,10 +448,152 @@ class TestWarehouse:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)
     def test_row_pack_unpack_roundtrip(self, i):
-        from repro.storage.warehouse import _pack_rows, _unpack_row
-
+        warehouse = Warehouse(InMemoryDisk(read_latency=0.0, write_latency=0.0))
         record = make_record(i)
-        assert _unpack_row(_pack_rows(UpdateList([record])), 0) == record
+        assert warehouse.fetch_many(warehouse.append(UpdateList([record])))[0] == record
+
+
+def _parent_stored(value: str) -> str:
+    """What a row of the older 96-byte layout decoded ``value`` to: its
+    UTF-8 cut to 32 bytes on a character boundary, NUL-padded, then
+    stripped of trailing NULs."""
+    cut = value.encode("utf-8")[:32].decode("utf-8", "ignore").encode("utf-8")
+    (padded,) = struct.unpack("32s", struct.pack("32s", cut))
+    return padded.rstrip(b"\x00").decode("utf-8")
+
+
+def _values_of(disk) -> bytes:
+    return disk.read("warehouse/values") if "warehouse/values" in disk else b""
+
+
+class TestValueDictionary:
+    """A row stores its country and road type as codes into the values
+    page, which grows by appends before the rows that use them."""
+
+    @given(st.lists(st.tuples(st.text(max_size=40), st.text(max_size=40)), min_size=1, max_size=6))
+    @example([("", "")])
+    @example([("a" * 31 + "ż", "ż" * 20), ("€" * 11, "abc\x00"), ("日本", "a" * 33)])
+    @settings(max_examples=60, deadline=None)
+    def test_any_value_decodes_as_the_padded_layout_did(self, pairs):
+        disk = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        warehouse = Warehouse(disk)
+        records = [
+            replace(make_record(i), country=country, road_type=road_type)
+            for i, (country, road_type) in enumerate(pairs)
+        ]
+        pointers = warehouse.append(records)
+        expected = [
+            replace(r, country=_parent_stored(r.country), road_type=_parent_stored(r.road_type)).to_tsv()
+            for r in records
+        ]
+        for reader in (warehouse, Warehouse(disk)):
+            assert [r.to_tsv() for r in reader.fetch_many(pointers)] == expected
+            assert [r.to_tsv() for _, rows in reader.scan_pages() for r in rows] == expected
+        assert len(disk.read("warehouse/heap/00000000")) == ROW_SIZE * len(records)
+
+    def test_each_distinct_value_is_stored_once(self, disk):
+        warehouse = Warehouse(disk)
+        warehouse.append([make_record(i) for i in range(30)])
+        page = _values_of(disk)
+        warehouse.append([make_record(i, country="france") for i in range(30)])
+        assert _values_of(disk)[: len(page)] == page
+        assert len(_values_of(disk)) == len(page) + 1 + len("france")
+        warehouse.append([make_record(i) for i in range(30)])
+        assert len(_values_of(disk)) == len(page) + 1 + len("france")
+
+    def test_a_second_opener_decodes_rows_with_values_new_since_it_opened(self, disk):
+        writer = Warehouse(disk)
+        writer.append([make_record(i) for i in range(5)])
+        reader = Warehouse(disk)
+        newer = [make_record(i, country="côte_d'ivoire") for i in range(5, 9)]
+        pointers = writer.append(newer)
+        disk.reset_stats()
+        assert reader.fetch_many(pointers) == newer
+        assert disk.stats.reads == 2  # the heap page, then the values page once
+        assert reader.fetch_many(pointers) == newer
+        assert disk.stats.reads == 3
+
+    def test_a_code_past_the_values_page_is_a_storage_error(self, disk):
+        warehouse = Warehouse(disk)
+        pointer = warehouse.append([make_record(0)])[0]
+        data = bytearray(disk.read("warehouse/heap/00000000"))
+        data[2:4] = (999).to_bytes(2, "little")  # the country code
+        disk.write("warehouse/heap/00000000", bytes(data))
+        with pytest.raises(StorageError, match="past 'warehouse/values'"):
+            Warehouse(disk).fetch_many([pointer])
+
+    def test_a_rolled_back_batch_leaves_the_values_as_they_were(self, disk):
+        from repro.storage.wal import IngestWAL
+
+        wal = IngestWAL(disk)
+        warehouse = Warehouse(wal.store)
+        for batch in ([make_record(i) for i in range(5)], [make_record(9, country="peru")]):
+            wal.begin()
+            warehouse.append(batch)
+            wal.commit()
+        page, values = _values_of(disk), list(warehouse._values)
+        heap = disk.read("warehouse/heap/00000000")
+
+        day = [make_record(20 + i, country=c) for i, c in enumerate(("chile", "peru", "fiji"))]
+        wal.begin()
+        warehouse.append(day)  # then the process dies before commit
+        assert warehouse._values == values + ["chile", "fiji"]
+        assert wal.recover().rolled_back
+        warehouse.resync()
+        assert (_values_of(disk), warehouse._values) == (page, values)
+        assert disk.read("warehouse/heap/00000000") == heap
+
+        wal.begin()
+        warehouse.append(day)
+        wal.commit()
+        uninterrupted = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+        again = Warehouse(uninterrupted)
+        for batch in ([make_record(i) for i in range(5)], [make_record(9, country="peru")], day):
+            again.append(batch)
+        assert _values_of(disk) == _values_of(uninterrupted)
+        assert disk.read("warehouse/heap/00000000") == uninterrupted.read("warehouse/heap/00000000")
+
+    def test_a_torn_values_tail_is_skipped_by_a_reader_and_refused_after_recovery(self, disk):
+        warehouse = Warehouse(disk)
+        records = [make_record(i) for i in range(4)]
+        pointers = warehouse.append(records)
+        whole = _values_of(disk)
+        disk.append("warehouse/values", b"\x06fra", len(whole))  # an append in flight
+        reader = Warehouse(disk, recovered=False)
+        assert reader.fetch_many(pointers) == records
+        assert reader._values == warehouse._values
+        with pytest.raises(StorageError, match="torn values page"):
+            Warehouse(disk)
+        # A values page cut inside its magic header is torn the same way.
+        disk.write("warehouse/values", whole[:3])
+        with pytest.raises(StorageError, match="torn values page"):
+            Warehouse(disk)
+
+    def test_more_values_than_a_code_holds_is_refused_before_any_write(self, disk):
+        warehouse = Warehouse(disk)
+        warehouse.append([make_record(0)])  # germany, residential
+        # With service and primary, exactly 65 535 values: the last code.
+        names = [f"zone{i}" for i in range(0xFFFF - 4)]
+        warehouse.append([make_record(i, country=name) for i, name in enumerate(names)])
+        assert len(warehouse._values) == 0xFFFF
+        before = {page: disk.read(page) for page in disk.list_pages()}
+        with pytest.raises(StorageError, match="at most 65535"):
+            warehouse.append([make_record(0, country="one_more")])
+        assert {page: disk.read(page) for page in disk.list_pages()} == before
+        assert warehouse.row_count == 1 + len(names) and len(warehouse._values) == 0xFFFF
+        assert Warehouse(disk).fetch_many([RowPointer(0, 1)])[0].country == "zone0"
+
+    def test_a_heap_of_the_older_96_byte_layout_is_refused(self, disk):
+        """A root written before the values page existed holds heap pages
+        and no values page: opening it names the old layout and asks for a
+        re-ingest rather than misreading its rows."""
+        old_row = struct.pack(
+            "<BBxxi d d Q 32s 32s", 0, 2, date(2021, 1, 5).toordinal(), 52.5, 13.4, 1000,
+            b"germany", b"residential",
+        )
+        disk.write("warehouse/heap/00000000", old_row * 3)
+        with pytest.raises(ConfigError, match="96-byte row layout.*re-ingest"):
+            Warehouse(disk)
 
 
 class TestHashIndex:

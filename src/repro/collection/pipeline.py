@@ -191,41 +191,40 @@ class IngestionPipeline:
     def _store_rows(self, day: date, updates: UpdateList, report: IngestReport) -> None:
         rows = self.warehouse.append(updates)
         report.warehouse_rows += len(rows)
-        self.hash_index.insert_many(updates.column("changeset_id"), rows)
-        self.spatial_index.insert_many(updates.column("latitude"), updates.column("longitude"), rows)
-        closes_month = day == month_key(day.year, day.month).end
+        month = month_key(day.year, day.month)
         for index in (self.hash_index, self.spatial_index):
+            index.insert_many(rows)
             index.flush()
-            # One segment a day, folded when the day closes its month;
-            # more segments than the month has had days means a feed gap
-            # swallowed a month end.  A read never meets more than 31.
-            if closes_month or len(index.buckets.segments) > day.day:
+            # Folded when the day closes its month, or when the tail opens
+            # in an earlier month (a feed gap swallowed a month end): a
+            # read never meets more than a month's rows plus a gap's.
+            if day == month.end or index.buckets.tail_opens_before(month.start):
                 index.buckets.fold()
 
     # -- crash recovery -----------------------------------------------------
 
     def recover(self) -> WalRecovery:
         """Under the writer lease, roll back any crashed batch (every
-        write call does this on entry).  After a rollback, a commit's
-        retired pages deleted, or another writer's commits, every view of
-        the store — catalog, warehouse tail, index buffers and segment
-        lists, cube cache, crawl cursor — is rebuilt from the pages, so the next
-        :meth:`run_daily` ingests each day exactly once.
+        write call does this on entry).  After a rollback or another
+        writer's commits, every view of the store — catalog, warehouse
+        tail, index watermarks, cube cache, crawl cursor — is rebuilt
+        from the pages, so the next :meth:`run_daily` ingests each day
+        exactly once.
         """
         with self.wal.lease():
             return self._recover()
 
     def _recover(self) -> WalRecovery:
         report = self.wal.recover()
-        if report.rolled_back or report.moved or report.pages_retired:
+        if report.rolled_back or report.moved:
             self._resync()
         return report
 
     def _resync(self) -> None:
         self.index.reload_catalog()
         self.warehouse.resync()
-        self.hash_index.buckets.discard_pending()
-        self.spatial_index.buckets.discard_pending()
+        self.hash_index.buckets.reload()
+        self.spatial_index.buckets.reload()
         self.cache.clear()
         self.network_sizes.load(self.index.store)
         # The rolled-back cursor page is authoritative; the crawler's

@@ -5,31 +5,26 @@ needed to retrieve a single update for RASED users to see the change
 that took place for a specific object" (paper, Section VI-B).
 
 The index is a fixed fan-out bucket array: key ``k`` hashes to bucket
-``k % bucket_count``; a bucket's packed (key, page, slot) entries live
-in its base page plus the batch segments that name it
-(:attr:`HashIndex.buckets`, a :mod:`repro.storage.segments` store).
+``k % bucket_count``; a bucket's packed (key, page, slot) entries are
+its base page plus the heap rows no month-end fold has reached yet
+(:attr:`HashIndex.buckets`, a :mod:`repro.storage.buckets` store).
 One changeset can map to many rows (a session can touch many elements),
-so lookups return every matching pointer.  Writers buffer in memory and
-:meth:`flush` publishes the batch as one segment page — the same
-offline cadence as the rest of RASED's maintenance.
+so lookups return every matching pointer.  An entry is computed from
+its heap row, so indexing a day writes nothing: :meth:`flush` makes the
+day's rows visible, and the month end's fold writes their entries once.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-import numpy.typing as npt
 
-from repro.errors import ConfigError, StorageError
-from repro.storage.pages import PageStore
-from repro.storage.segments import SegmentedBuckets
-from repro.storage.warehouse import RowPointer, RowRange
+from repro.errors import ConfigError
+from repro.storage.buckets import FoldedBuckets, pointers
+from repro.storage.warehouse import RowPointer, RowRange, Warehouse
 
 __all__ = ["HashIndex"]
 
-_ENTRY = struct.Struct("<QII")
-_ENTRY_ARRAY = np.dtype([("key", "<u8"), ("page", "<u4"), ("slot", "<u4")])
+_ENTRY = np.dtype([("key", "<u8"), ("page", "<u4"), ("slot", "<u4")])
 
 
 class HashIndex:
@@ -37,7 +32,7 @@ class HashIndex:
 
     def __init__(
         self,
-        store: PageStore,
+        warehouse: Warehouse,
         prefix: str = "warehouse/hash",
         bucket_count: int = 256,
     ) -> None:
@@ -45,41 +40,33 @@ class HashIndex:
             raise ConfigError("bucket_count must be positive")
         self.prefix = prefix
         self.bucket_count = bucket_count
-        self.buckets = SegmentedBuckets(store, prefix, _ENTRY, "{:05d}".format)
+        self.buckets = FoldedBuckets(warehouse, prefix, _ENTRY, "{:05d}".format, self._entries)
+
+    def _entries(self, rows: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+        entries = np.empty(len(rows), dtype=_ENTRY)
+        entries["key"] = rows["changeset"]
+        entries["page"], entries["slot"] = RowRange(first, len(rows)).pages_and_slots()
+        return (rows["changeset"] % self.bucket_count).astype(np.int64), entries
 
     # -- write path ---------------------------------------------------------
 
-    def insert(self, key: int, pointer: RowPointer) -> None:
-        self._add([key], [pointer.page], [pointer.slot])
+    def insert_many(self, rows: RowRange) -> None:
+        """Index the heap rows ``rows`` under their changeset ids."""
+        self.buckets.add(rows)
 
-    def insert_many(self, keys: npt.ArrayLike, rows: RowRange) -> None:
-        """:meth:`insert` of the ``i``-th key at the ``i``-th row of ``rows``."""
-        self._add(keys, *rows.pages_and_slots())
-
-    def _add(self, keys: npt.ArrayLike, pages: npt.ArrayLike, slots: npt.ArrayLike) -> None:
-        key = np.asarray(keys, dtype=np.int64)
-        if len(key) and key.min() < 0:
-            raise StorageError(f"hash keys must be non-negative, got {key.min()}")
-        entries = np.empty(len(key), dtype=_ENTRY_ARRAY)
-        entries["key"], entries["page"], entries["slot"] = key, pages, slots
-        self.buckets.add_many(key % self.bucket_count, entries)
-
-    def flush(self) -> int:
-        """Publish buffered entries as one segment; returns pages written."""
-        return self.buckets.flush()
+    def flush(self) -> None:
+        """Make the rows indexed since the last flush visible (no write)."""
+        self.buckets.publish()
 
     # -- read path -------------------------------------------------------------
 
     def lookup(self, key: int) -> list[RowPointer]:
-        """All row pointers stored under ``key``, each once, in insertion
-        order (one bucket page plus the segments that name the bucket)."""
-        return list(
-            dict.fromkeys(
-                RowPointer(page=page, slot=slot)
-                for stored, page, slot in self.buckets.entries(key % self.bucket_count)
-                if stored == key
-            )
-        )
+        """All row pointers stored under ``key``, each once, in row order
+        (one bucket page, then the heap tail)."""
+        first, tail = self.buckets.tail()
+        base = self.buckets.base(key % self.bucket_count)
+        rows = np.flatnonzero(tail["changeset"] == key) + first
+        return list(dict.fromkeys(pointers(base[base["key"] == key], rows)))
 
     def __contains__(self, key: int) -> bool:
         return bool(self.lookup(key))

@@ -97,10 +97,6 @@ class PageStore(abc.ABC):
     def delete(self, page_id: str) -> None:
         """Remove a page; raise PageNotFoundError if absent."""
 
-    def retire(self, page_id: str) -> None:
-        """Delete a page no longer named (a batch defers it to its commit)."""
-        self.delete(page_id)
-
     @abc.abstractmethod
     def size(self, page_id: str) -> int:
         """The page's length in bytes (0 if absent), charging no read."""

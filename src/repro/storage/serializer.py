@@ -19,7 +19,7 @@ offset size    field
 
 Version 1 (raw) stores the payload as C-order ``int64`` cube cells;
 its CRC covers the payload.  (Version 2, the same cells in a zlib
-stream, was retired: v3 dominates it.  A v2 page met on disk is
+stream, was dropped: v3 dominates it.  A v2 page met on disk is
 rejected as an unsupported version.)
 
 Version 3 (sparse) stores only the nonzero cells, delta-of-index plus
@@ -109,7 +109,7 @@ __all__ = [
 _MAGIC = b"RCUB"
 PAGE_VERSION_RAW = 1
 PAGE_VERSION_SPARSE = 3
-#: The formats this build reads (2, zlib, is retired).
+#: The formats this build reads (2, zlib, is dropped).
 PAGE_VERSIONS = (PAGE_VERSION_RAW, PAGE_VERSION_SPARSE)
 _HEADER = struct.Struct("<4sHBBiii4II")
 HEADER_SIZE = _HEADER.size

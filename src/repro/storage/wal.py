@@ -18,18 +18,17 @@ The protocol is classic physical undo logging over the page store:
    write-ahead ordering, so a torn undo page always implies an
    untouched data page.  A page the batch only appends to is journaled
    by a **truncate record** instead: its length before the append, no
-   bytes; a page it *retires* stays in place behind a **retire record**.
+   bytes.
 3. :meth:`IngestWAL.commit` deletes the intent page — the atomic
-   commit point — then the retired pages, garbage-collects the undo
-   pages and records a **checkpoint** page (``wal/checkpoint``) naming
-   the last durable batch.
+   commit point — then garbage-collects the undo pages and records a
+   **checkpoint** page (``wal/checkpoint``) naming the last durable
+   batch.
 
 :meth:`IngestWAL.recover` inverts an incomplete batch: if an intent
 page exists, every parseable undo page of *that batch* is restored
 (newest first: a pre-image is written back, an appended page cut back
-to its recorded length, a retired page left) and collected, then the
-intent is cleared; undo pages with no intent are committed leftovers,
-collected after the pages their retire records name are deleted.
+to its recorded length) and collected, then the intent is cleared; undo
+pages with no intent are committed leftovers, collected.
 After recovery the store is byte-identical to the pre-batch state, so
 re-running the crawler (whose cursor was part of the batch and was
 therefore rolled back too) re-ingests the batch exactly once.
@@ -68,7 +67,6 @@ __all__ = ["IngestWAL", "JournaledStore", "WalRecovery", "WAL_PREFIX"]
 WAL_PREFIX = "wal"
 
 _HEADER_SEP = b"\n"
-_RETIRED = "retired"  # a retire record's "pre-image"
 
 _K_RECOVERIES = metric_key("rased_ingest_recoveries_total")
 _K_ROLLED_BACK = metric_key("rased_ingest_batches_rolled_back_total")
@@ -89,8 +87,6 @@ class WalRecovery:
     pages_skipped: int = 0
     #: Orphan undo pages collected from already-committed batches.
     orphans_collected: int = 0
-    #: Retire records of a committed batch whose pages were deleted.
-    pages_retired: int = 0
     #: Whether another writer committed since this WAL last looked.
     moved: bool = False
 
@@ -102,8 +98,8 @@ class JournaledStore(PageStoreProxy):
     batch (between :meth:`IngestWAL.begin` and :meth:`IngestWAL.commit`)
     the first change of each page is journaled before it lands: the
     page's prior contents (or its absence) before a write or delete,
-    its length before an append; a retired page is only named, and goes
-    at commit.  WAL pages themselves are never journaled.
+    its length before an append.  WAL pages themselves are never
+    journaled.
     """
 
     def __init__(self, wal: "IngestWAL") -> None:
@@ -121,10 +117,6 @@ class JournaledStore(PageStoreProxy):
     def delete(self, page_id: str) -> None:
         self._wal.journal(page_id)
         self.inner.delete(page_id)
-
-    def retire(self, page_id: str) -> None:
-        if not self._wal.journal(page_id, retire=True):
-            self.inner.delete(page_id)
 
 
 class IngestWAL:
@@ -158,8 +150,6 @@ class IngestWAL:
         #: Page -> ``None`` once its pre-image is journaled, or the length
         #: its truncate record holds.
         self._journaled: dict[str, int | None] = {}
-        #: Pages the open batch deletes at its commit, in retire order.
-        self._retired: list[str] = []
         self._next_batch = self._discover_next_batch()
 
     # -- page ids ------------------------------------------------------------
@@ -202,29 +192,21 @@ class IngestWAL:
             self.raw.write(self.intent_page, payload)
         self._active_batch = batch
         self._undo_count = 0
-        self._journaled, self._retired = {}, []
+        self._journaled = {}
         return batch
 
-    def journal(self, page_id: str, at: int | None = None, retire: bool = False) -> bool:
+    def journal(self, page_id: str, at: int | None = None) -> bool:
         """Journal how to undo the batch's first change of ``page_id``: its
         pre-image (or absence) before a write or delete, or before an append
         at byte ``at`` of an existing page a truncate record.  A page then
-        written or deleted gets its first ``at`` bytes journaled too.  With
-        ``retire``, a retire record: :meth:`commit` deletes the page, which
-        the batch may no longer change.  False outside a batch."""
+        written or deleted gets its first ``at`` bytes journaled too.  False
+        outside a batch."""
         if self._active_batch is None or page_id.startswith(self.prefix + "/"):
             return False
-        if page_id in self._retired:
-            raise StorageError(f"page {page_id!r} is retired in this batch")
         length = self._journaled.get(page_id)
         header: dict[str, object] = {"page_id": page_id}
         payload = b""
-        if retire:
-            if page_id not in self.raw:
-                raise PageNotFoundError(f"no such page: {page_id!r}")
-            header["retire"] = True
-            self._retired.append(page_id)
-        elif page_id in self._journaled and (length is None or at is not None):
+        if page_id in self._journaled and (length is None or at is not None):
             return True  # already undoable
         elif at is not None and page_id in self.raw:
             header["truncate"] = at
@@ -248,8 +230,7 @@ class IngestWAL:
 
     def commit(self, meta: dict | None = None) -> None:
         """Make the batch durable.  Deleting the intent page is the
-        atomic commit point; deleting the retired pages, undo GC and the
-        checkpoint are cleanup."""
+        atomic commit point; undo GC and the checkpoint are cleanup."""
         if self._active_batch is None:
             raise StorageError("no active WAL batch to commit")
         batch = self._active_batch
@@ -258,10 +239,7 @@ class IngestWAL:
                 wal_span.attributes["batch"] = batch
                 wal_span.attributes["undo_pages"] = self._undo_count
             self.raw.delete(self.intent_page)
-            retired, self._active_batch = self._retired, None
-            self._journaled, self._retired = {}, []
-            for page_id in retired:
-                self.raw.delete(page_id)
+            self._active_batch, self._journaled = None, {}
             # Numbered by journal(): no listing of the store to find them.
             self._collect_undo(self._undo_page(batch, n) for n in range(self._undo_count))
             checkpoint = json.dumps({"batch": batch, "meta": meta or {}}).encode("utf-8")
@@ -309,8 +287,7 @@ class IngestWAL:
         """
         report = WalRecovery()
         expected = self._next_batch
-        self._active_batch = None
-        self._journaled, self._retired = {}, []
+        self._active_batch, self._journaled = None, {}
         intent_batch: int | None = None
         intent_present = self.intent_page in self.raw
         if intent_present:
@@ -324,22 +301,14 @@ class IngestWAL:
                 intent_batch = None
         if intent_batch is not None:
             report.pages_restored, report.pages_skipped = self._restore_batch(intent_batch)
-            # Collected before the intent: undo with no intent is a
-            # committed batch's, whose retire records stand.
             self._collect_undo(list(self.raw.list_pages(self._undo_prefix(intent_batch))))
         if intent_present:
             report.rolled_back = True
             self.raw.delete(self.intent_page)
-        # Committed batches' leftovers (crash between the commit point and
-        # GC): a retire record's page goes first, then every record.
-        leftovers = list(self.raw.list_pages(f"{self.prefix}/undo/"))
-        for undo_id in leftovers:
-            entry = self._parse_undo(self.raw.read(undo_id))
-            if entry is not None and entry[1] is _RETIRED:
-                if entry[0] in self.raw:
-                    self.raw.delete(entry[0])
-                report.pages_retired += 1
-        report.orphans_collected = self._collect_undo(leftovers)
+        # Committed batches' leftovers (crash between the commit point and GC).
+        report.orphans_collected = self._collect_undo(
+            list(self.raw.list_pages(f"{self.prefix}/undo/"))
+        )
         self._next_batch = self._discover_next_batch()
         report.moved = self._next_batch != expected
         self.metrics.inc_key(_K_RECOVERIES)
@@ -370,9 +339,9 @@ class IngestWAL:
         return restored, skipped
 
     @staticmethod
-    def _parse_undo(data: bytes) -> tuple[str, bytes | int | str | None] | None:
-        """``(page id, pre-image, length to truncate to, _RETIRED, or None if
-        the page was absent)``, or ``None`` for a torn record."""
+    def _parse_undo(data: bytes) -> tuple[str, bytes | int | None] | None:
+        """``(page id, pre-image, length to truncate to, or None if the page
+        was absent)``, or ``None`` for a torn record."""
         head, sep, payload = data.partition(_HEADER_SEP)
         if not sep:
             return None
@@ -381,8 +350,6 @@ class IngestWAL:
             page_id = str(header["page_id"])
             if "truncate" in header:
                 return None if payload else (page_id, int(header["truncate"]))
-            if "retire" in header:
-                return None if payload else (page_id, _RETIRED)
             existed = bool(header["existed"])
             size = int(header["size"])
             crc = int(header["crc"])

@@ -269,8 +269,8 @@ class RasedSystem:
         self.warehouse = Warehouse(
             effective_store, metrics=self.metrics, recovered=self.recovered is not None
         )
-        self.hash_index = HashIndex(effective_store)
-        self.spatial_index = GridSpatialIndex(effective_store)
+        self.hash_index = HashIndex(self.warehouse)
+        self.spatial_index = GridSpatialIndex(self.warehouse)
         self.cache = CacheManager(
             self.index, slots=config.cache_slots, metrics=self.metrics
         )

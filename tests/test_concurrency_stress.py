@@ -304,7 +304,7 @@ class TestServedBytesUnderWrites:
 
 class TestWarehouseReadsUnderIngest:
     """``/samples`` and ``/changeset/<id>`` read the two warehouse
-    indexes with no lock beside the writer's segment flushes and its
+    indexes with no lock beside the writer's daily flushes and its
     month-end fold: whenever a request lands, it finds each row at most
     once and nothing the heap does not hold.  The writer ends each day
     only after taking one reader answer that carried rows (waiting up to
@@ -391,9 +391,11 @@ class TestWarehouseReadsUnderIngest:
             sys.setswitchinterval(interval)
         assert errors == []
         assert report.days_processed == self.DAYS
-        # July folded into bucket pages; August's days are segments.
+        # July folded into bucket pages; August's days are the heap tail.
         for index in (system.hash_index, system.spatial_index):
-            assert len(index.buckets.segments) == 24
+            first, tail = index.buckets.tail()
+            assert 0 < first < system.warehouse.row_count == first + len(tail)
+            assert tail["ordinal"][0] == date(2021, 8, 1).toordinal()
             pages = list(system.store.list_pages(index.prefix + "/"))
             assert len(pages) > 24
 

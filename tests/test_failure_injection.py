@@ -130,14 +130,22 @@ class TestWarehouseFailures:
             Warehouse(disk)
 
     def test_torn_hash_bucket_detected(self):
+        """A bucket page cut mid-entry (a torn append that recovery has not
+        cut yet) is read as its whole entries, and the next fold refuses to
+        append after it."""
         disk = InMemoryDisk(read_latency=0, write_latency=0)
-        index = HashIndex(disk, bucket_count=4)
-        index.insert(1, RowPointer(0, 0))
-        index.flush()
-        bucket_id = next(iter(disk.list_pages("warehouse/hash/")))
+        warehouse = Warehouse(disk)
+        index = HashIndex(warehouse, bucket_count=4)
+        for day in (5, 6):
+            index.insert_many(warehouse.append(_updates(date(2021, 3, day))))
+            index.flush()
+            if day == 5:
+                index.buckets.fold()
+        bucket_id = next(iter(disk.list_pages("warehouse/hash/0")))
         disk._pages[bucket_id] = disk._pages[bucket_id][:-3]
-        with pytest.raises(StorageError, match="torn"):
-            index.lookup(1)
+        assert index.lookup(7) == [RowPointer(0, 1)]
+        with pytest.raises(StorageError, match="append at byte"):
+            index.buckets.fold()
 
 
 class TestFeedFailures:

@@ -305,9 +305,10 @@ class TestStorageFault503:
         for offset in range(3):
             system.publish_day(date(2021, 1, 4) + timedelta(days=offset))
         system.pipeline.run_daily()
-        # A segment the grid index lists, gone from the store.
-        (listed, _), *_ = system.spatial_index.buckets.segments
-        system.store.delete(listed)
+        # The heap's tail page, which the grid index reads for the rows
+        # no fold has reached, gone from the store.
+        *_, tail = system.store.list_pages("warehouse/heap/")
+        system.store.delete(tail)
         yield system
         system.close()
 
@@ -318,7 +319,7 @@ class TestStorageFault503:
             broken.dashboard, "samples", json.dumps(self.BODY).encode()
         )
         assert status == 503
-        assert "listed segment is missing" in json.loads(body)["error"]
+        assert "no such page: 'warehouse/heap/" in json.loads(body)["error"]
 
     @pytest.mark.parametrize("path", ["/analysis/samples", "/samples?zone=europe&n=5"])
     def test_over_http(self, broken, path):
@@ -329,7 +330,7 @@ class TestStorageFault503:
             else:
                 status, payload, _ = http_get(running, path)
         assert status == 503, payload
-        assert "listed segment is missing" in payload["error"]
+        assert "no such page: 'warehouse/heap/" in payload["error"]
         # A bad body on the same route is still the client's fault.
         with DashboardServer(broken.dashboard) as running:
             status, _ = raw_post(running, "/analysis/samples", b"[]", "2")

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.errors import PageNotFoundError, StorageError
+from repro.errors import StorageError
 from repro.storage.disk import InMemoryDisk
 from repro.storage.wal import IngestWAL, WalRecovery
 
@@ -307,111 +307,6 @@ class TestTruncateRecords:
         assert len(list(disk.list_pages("wal/undo/"))) == 1
         IngestWAL(disk).recover()
         assert _snapshot(disk) == before
-
-
-class TestRetireRecords:
-    """A page the batch retires stays in place behind a record with no
-    bytes; the commit deletes it, a rollback leaves it."""
-
-    SEG = "warehouse/hash/seg/00000004"
-
-    def _retired(self):
-        """A segment page, then a batch that retired it."""
-        disk = _disk()
-        disk.write(self.SEG, b"s" * 4096)
-        before = _snapshot(disk)
-        wal = IngestWAL(disk)
-        wal.begin()
-        wal.store.retire(self.SEG)
-        return disk, wal, before
-
-    def test_a_retire_journals_the_id_and_leaves_the_page(self):
-        disk, _, before = self._retired()
-        (undo_id,) = disk.list_pages("wal/undo/")
-        assert disk.read(undo_id) == json.dumps({"page_id": self.SEG, "retire": True}).encode() + b"\n"
-        assert _snapshot(disk) == before
-
-    def test_a_rollback_leaves_the_page(self):
-        disk, _, before = self._retired()
-        report = IngestWAL(disk).recover()
-        assert (report.rolled_back, report.pages_restored, report.pages_retired) == (True, 1, 0)
-        assert _snapshot(disk) == before
-        assert list(disk.list_pages("wal/")) == []
-
-    def test_the_commit_deletes_the_page(self):
-        disk, wal, _ = self._retired()
-        wal.commit()
-        assert self.SEG not in disk
-        assert list(disk.list_pages("wal/undo/")) == []
-
-    @pytest.mark.parametrize("deleted", [False, True])
-    def test_recovery_deletes_a_committed_batchs_leftover(self, deleted):
-        """A crash after the commit point, before or after the page's
-        delete: recovery deletes what is left and collects the record."""
-        disk, _, _ = self._retired()
-        disk.delete("wal/intent")  # the commit point, then the crash
-        if deleted:
-            disk.delete(self.SEG)
-        report = IngestWAL(disk).recover()
-        assert (report.rolled_back, report.pages_retired, report.orphans_collected) == (False, 1, 1)
-        assert self.SEG not in disk
-        assert list(disk.list_pages("wal/")) == []
-
-    def test_a_rolled_back_batchs_records_go_before_its_intent(self):
-        """Recovery that dies after collecting the undo pages but before
-        the intent delete leaves no record to be read as committed."""
-        disk, _, before = self._retired()
-        recovering = IngestWAL(disk)
-        real_delete = disk.delete
-
-        def dying(page_id: str) -> None:
-            if page_id == "wal/intent":
-                raise RuntimeError("killed")
-            real_delete(page_id)
-
-        disk.delete = dying
-        with pytest.raises(RuntimeError):
-            recovering.recover()
-        del disk.delete
-        assert list(disk.list_pages("wal/undo/")) == []
-        assert IngestWAL(disk).recover().rolled_back
-        assert _snapshot(disk) == before
-
-    def test_a_torn_retire_record_is_skipped(self):
-        disk, _, _ = self._retired()
-        (undo_id,) = disk.list_pages("wal/undo/")
-        record = disk.read(undo_id)
-        assert IngestWAL._parse_undo(record) is not None
-        for torn in (record[:-1], record[:20], record + b"x"):
-            assert IngestWAL._parse_undo(torn) is None
-        disk.write(undo_id, record[:-1])
-        disk.delete("wal/intent")
-        report = IngestWAL(disk).recover()
-        assert (report.pages_retired, report.orphans_collected) == (0, 1)
-        assert self.SEG in disk  # never named as retired: left alone
-
-    def test_outside_a_batch_a_retire_is_a_delete(self):
-        disk = _disk()
-        disk.write(self.SEG, b"s")
-        IngestWAL(disk).store.retire(self.SEG)
-        assert list(disk.list_pages("")) == []
-        with pytest.raises(PageNotFoundError):
-            IngestWAL(disk).store.retire(self.SEG)
-
-    @pytest.mark.parametrize("change", ["write", "append", "delete", "retire"])
-    def test_a_change_to_a_retired_page_raises(self, change):
-        disk, wal, _ = self._retired()
-        args = {"write": (b"w",), "append": (b"a", 4096)}.get(change, ())
-        with pytest.raises(StorageError, match="retired"):
-            getattr(wal.store, change)(self.SEG, *args)
-        wal.commit()
-        assert self.SEG not in disk
-
-    def test_a_batch_retires_only_a_page_that_exists(self):
-        wal = IngestWAL(_disk())
-        wal.begin()
-        with pytest.raises(PageNotFoundError):
-            wal.store.retire(self.SEG)
 
 
 class TestCheckpoint:

@@ -160,9 +160,14 @@ class ChangesetStore:
         return self.root / f"{block:07d}.xml"
 
     def add(self, changeset: Changeset) -> None:
-        """Buffer a changeset; call :meth:`flush` to persist."""
+        """Buffer a changeset as its file will hold it (a bbox to 7
+        decimals, times to the second), so a crawler sharing this store
+        joins the values one reading the file does; call :meth:`flush`
+        to persist."""
         block = changeset.id // CHANGESETS_PER_FILE
-        self._pending.setdefault(block, {})[changeset.id] = changeset
+        self._pending.setdefault(block, {})[changeset.id] = _parse_changeset(
+            _changeset_to_xml(changeset)
+        )
 
     def flush(self) -> int:
         """Write buffered changesets into their numbered files.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Any
 
@@ -42,20 +42,25 @@ def compute() -> dict[str, Any]:
             store=store,
         )
         report = system.simulate_and_ingest(date(2021, 1, 26), date(2021, 2, 4))
-        rows = hashlib.sha256()
-        for record in (r for _, rows in system.warehouse.scan_pages() for r in rows):
-            rows.update(record.to_tsv().encode("utf-8") + b"\n")
     return {
         "days": report.days_processed,
         "updates_indexed": report.updates_indexed,
         "updates_skipped": report.updates_skipped,
         "warehouse_rows": system.warehouse.row_count,
-        "warehouse_rows_sha256": rows.hexdigest(),
+        "warehouse_rows_sha256": rows_sha256(system),
         "pages": {
             page_id: hashlib.sha256(store.read(page_id)).hexdigest()
             for page_id in store.list_pages()
         },
     }
+
+
+def rows_sha256(system: RasedSystem) -> str:
+    """A digest of the warehouse rows in heap order."""
+    rows = hashlib.sha256()
+    for record in (r for _, rows in system.warehouse.scan_pages() for r in rows):
+        rows.update(record.to_tsv().encode("utf-8") + b"\n")
+    return rows.hexdigest()
 
 
 def compute_rebuilt() -> dict[str, Any]:
@@ -103,6 +108,30 @@ def test_a_rebuilt_month_matches_the_golden():
     moved = [page for page, digest in expected["cube_pages"].items() if actual["cube_pages"].get(page) != digest]
     assert not moved, f"{len(moved)} cube page(s) changed bytes, first {moved[:5]}"
     assert actual == expected
+
+
+def test_simulate_then_ingest_stores_the_in_process_rows():
+    """A feed ingested by another process (its crawler joins ways and
+    relations against the changeset files) stores the rows one process
+    that simulates and ingests stores (its crawler shares the publisher's
+    changeset store)."""
+    config = SystemConfig(road_types=12, simulation=SimulationConfig(seed=31))
+    start, end = date(2021, 1, 26), date(2021, 1, 29)
+    with tempfile.TemporaryDirectory(prefix="rased-golden-") as root:
+
+        def system(name: str) -> RasedSystem:
+            store = InMemoryDisk(read_latency=0.0, write_latency=0.0)
+            return RasedSystem.create(root=Path(root) / name, config=config, store=store)
+
+        in_process = system("one")
+        in_process.simulate_and_ingest(start, end)
+        publisher = system("two")
+        for offset in range((end - start).days + 1):
+            publisher.publish_day(start + timedelta(days=offset))
+        ingester = system("two")
+        ingester.pipeline.run_daily()
+        assert ingester.warehouse.row_count == in_process.warehouse.row_count > 0
+        assert rows_sha256(ingester) == rows_sha256(in_process)
 
 
 if __name__ == "__main__":
